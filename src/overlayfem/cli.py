@@ -21,12 +21,13 @@ import time
 import numpy as np
 
 from .benchmarks import (BENCHMARK_CHOICES, DOF_DIST_CHOICES,
-                         MARKING_CHOICES, PARTITIONER_CHOICES, RunConfig,
-                         make_problem, marks_for_step, run_benchmark,
-                         write_artifacts, write_mesh_xml,
-                         write_partition_csv, write_solution_csv)
+                         MARKING_CHOICES, RunConfig, make_problem,
+                         marks_for_step, run_benchmark, write_artifacts,
+                         write_mesh_xml, write_partition_csv,
+                         write_solution_csv)
 from .distributed import SolverError, run_step
 from .mesh import create_base_mesh
+from .partition import PARTITIONERS
 
 
 def _parse_graded(text):
@@ -62,7 +63,7 @@ def _add_common_flags(sub):
     sub.add_argument("--p", type=int, help="uniform polynomial order")
     sub.add_argument("--p-graded", type=_parse_graded, dest="p_graded",
                      help="per-level orders, e.g. l0:8,l1:6,l2:4")
-    sub.add_argument("--partitioner", choices=PARTITIONER_CHOICES)
+    sub.add_argument("--partitioner", choices=PARTITIONERS)
     sub.add_argument("--dof-dist", choices=DOF_DIST_CHOICES, dest="dof_dist")
     sub.add_argument("--epsilon", type=float, help="fictitious-domain indicator")
     sub.add_argument("--depth", type=int, help="spacetree subdivision depth")
@@ -104,7 +105,7 @@ def cmd_run(args):
     try:
         steps, final = run_benchmark(config)
     except SolverError as exc:
-        write_artifacts(config.out, config, [], None, status=str(exc))
+        write_artifacts(config.out, config, exc.steps, None, status=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 2
     write_artifacts(config.out, config, steps, final)

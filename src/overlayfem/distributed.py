@@ -10,10 +10,17 @@ tagged with their source-leaf index and summed sorted by (row, column,
 leaf).  The assembled rows, the solver iterates, and the solution are
 therefore bit-identical no matter how many ranks participate.
 
+Every leaf is integrated by one kernel, :func:`overlayfem.physics.element_system`,
+which returns its stiffness matrix and source load from a single pass over
+the leaf's quadrature rule.
+
 Two things are deliberately split: the numeric path keeps leaf tags so the
 accumulation order cannot depend on the rank count, while the reported
 communication volume counts merged (row, column) entries, the granularity
-a real message would have after local compression.
+a real message would have after local compression.  Each rank counts them
+once: the distinct (row, column) keys of its intermediate system, binned by
+the owner of the row, give the entries kept at home, the entries each
+packet ships, and their total.
 
 The conjugate-gradient solver mirrors the same discipline.  Every rank
 multiplies only its owned rows, but inner products are taken on the
@@ -31,7 +38,7 @@ import scipy.sparse
 from .basis import Basis
 from .partition import (compute_leaf_weights, partition_leaves,
                         rank_weight_sums)
-from .physics import DirichletMap, element_load, element_stiffness, leaf_flux_load
+from .physics import DirichletMap, element_system, leaf_flux_load
 
 
 class SolverError(RuntimeError):
@@ -40,6 +47,7 @@ class SolverError(RuntimeError):
     def __init__(self, message, residual_history):
         super().__init__(message)
         self.residual_history = list(residual_history)
+        self.steps = []  # report dicts of the steps completed before it
 
 
 # ----------------------------------------------------------------------
@@ -84,18 +92,6 @@ class IntermediateSystem:
     rhs_tags: np.ndarray
     n_leaves: int
 
-    def merged_entry_count(self, row_mask=None):
-        """Number of distinct (row, col) entries, optionally row-filtered."""
-        rows, cols = self.rows, self.cols
-        if row_mask is not None:
-            keep = row_mask[rows]
-            rows, cols = rows[keep], cols[keep]
-        if rows.size == 0:
-            return 0
-        keys = rows.astype(np.int64) * (int(cols.max()) + 1 if cols.size else 1)
-        keys = keys + cols
-        return int(np.unique(keys).size)
-
 
 def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
                           domain=None, depth=0, source=None,
@@ -107,7 +103,7 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
     rrows, rvals, rtags = [], [], []
     for lid, tag in zip(leaf_ids, leaf_tags):
         leaf = by_id[lid]
-        K, gids = element_stiffness(basis, leaf, domain, depth)
+        K, fe, gids = element_system(basis, leaf, domain, depth, source)
         fidx = to_free[gids]
         keep = fidx >= 0
         ki = np.flatnonzero(keep)
@@ -118,9 +114,6 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
         cols.append(gj)
         vals.append(K[np.ix_(ki, ki)].ravel())
         tags.append(np.full(gi.size, tag, dtype=np.int64))
-        fe = None
-        if source is not None:
-            fe = element_load(basis, leaf, source, domain, depth)
         if flux is not None:
             fl = leaf_flux_load(basis, leaf, flux, flux_part)
             if fl is not None:
@@ -219,35 +212,29 @@ def exchange_and_assemble(intermediates, owner, n_free, n_ranks):
     owner = np.asarray(owner)
     packets = []
     inbox = [[] for _ in range(n_ranks)]
+    total_entries, kept_entries = [], []
     for inter in intermediates:
+        # merged (row, col) entries per destination rank, counted once
+        keys = np.unique(inter.rows * n_free + inter.cols)
+        merged = np.bincount(owner[keys // n_free], minlength=n_ranks)
+        total_entries.append(int(merged.sum()))
+        kept_entries.append(int(merged[inter.rank]))
         row_owner = owner[inter.rows]
         rhs_owner = owner[inter.rhs_rows]
         for dst in range(n_ranks):
             m = row_owner == dst
             rm = rhs_owner == dst
-            if dst == inter.rank:
-                inbox[dst].append((inter.rows[m], inter.cols[m],
-                                   inter.vals[m], inter.leaf_tags[m],
-                                   inter.rhs_rows[rm], inter.rhs_vals[rm],
-                                   inter.rhs_tags[rm]))
+            home = dst == inter.rank
+            if not home and not m.any() and not rm.any():
                 continue
-            if not m.any() and not rm.any():
-                continue
-            pkt = ExchangePacket(
-                src=inter.rank, dst=dst,
-                rows=inter.rows[m], cols=inter.cols[m],
-                vals=inter.vals[m], leaf_tags=inter.leaf_tags[m],
-                rhs_rows=inter.rhs_rows[rm], rhs_vals=inter.rhs_vals[rm],
-                rhs_tags=inter.rhs_tags[rm],
-                merged_entries=inter.merged_entry_count(owner == dst),
-            )
-            packets.append(pkt)
-            inbox[dst].append((pkt.rows, pkt.cols, pkt.vals, pkt.leaf_tags,
-                               pkt.rhs_rows, pkt.rhs_vals, pkt.rhs_tags))
+            part = (inter.rows[m], inter.cols[m], inter.vals[m],
+                    inter.leaf_tags[m], inter.rhs_rows[rm],
+                    inter.rhs_vals[rm], inter.rhs_tags[rm])
+            inbox[dst].append(part)
+            if not home:
+                packets.append(ExchangePacket(
+                    inter.rank, dst, *part, merged_entries=int(merged[dst])))
 
-    total_entries = [it.merged_entry_count() for it in intermediates]
-    kept_entries = [it.merged_entry_count(owner == it.rank)
-                    for it in intermediates]
     sent_entries = [t - k for t, k in zip(total_entries, kept_entries)]
 
     own_rows, blocks, rhs, diag, halo = [], [], [], [], []
@@ -351,7 +338,11 @@ def parallel_cg(system, rhs=None, tol=1e-10, max_iter=None):
 
 @dataclass
 class StepReport:
-    """Everything one refine-to-solve sweep produced."""
+    """Everything one refine-to-solve sweep produced.
+
+    `leaf_weights` and `leaf_ranks` are the step's cost-model weights and
+    leaf partition, pre-order; :meth:`to_dict` leaves them out.
+    """
 
     step: int
     n_leaves: int
@@ -365,6 +356,8 @@ class StepReport:
     cg_iterations: int
     residual: float
     extras: dict = field(default_factory=dict)
+    leaf_weights: np.ndarray | None = None
+    leaf_ranks: np.ndarray | None = None
 
     def to_dict(self):
         out = {
@@ -459,7 +452,7 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
         n_free=dirichlet.n_free, n_ranks=n_ranks, partitioner=partitioner,
         dof_distribution=dof_distribution, per_rank=per_rank,
         timings=timings, cg_iterations=iterations,
-        residual=history[-1],
+        residual=history[-1], leaf_weights=weights, leaf_ranks=ranks,
     )
     return report, basis, solution
 

@@ -47,9 +47,8 @@ def compute_leaf_weights(basis, domain=None, depth=0, normalized=True):
 def weighted_imbalance(weights, ranks, n_ranks):
     """Heaviest rank weight over the ideal share."""
     weights = np.asarray(weights, dtype=float)
-    sums = np.bincount(np.asarray(ranks), weights=weights, minlength=n_ranks)
     ideal = weights.sum() / n_ranks
-    return float(sums.max() / ideal)
+    return float(rank_weight_sums(weights, ranks, n_ranks).max() / ideal)
 
 
 def rank_weight_sums(weights, ranks, n_ranks):

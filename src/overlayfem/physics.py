@@ -1,9 +1,12 @@
 """Poisson operators on the overlay basis: element systems, boundary data,
 serial assembly, and energy-norm error measurement.
 
-Element matrices are integrated leaf by leaf with the composed Gauss rules
+Element systems are integrated leaf by leaf with the composed Gauss rules
 from :mod:`overlayfem.quadrature`; an embedded domain scales each point by
-its indicator factor.  Homogeneous Dirichlet conditions are imposed by
+its indicator factor.  One kernel, :func:`element_system`, yields a leaf's
+stiffness matrix and source load together, so the leaf's rule is built and
+its basis evaluated once per leaf; the serial and the distributed assembly
+both call it.  Homogeneous Dirichlet conditions are imposed by
 symmetric elimination: the constrained rows and columns are dropped from
 the system and restored as zeros in the solution vector.  Inhomogeneous
 flux (Neumann) data enters through 1d edge rules on the domain boundary.
@@ -25,35 +28,27 @@ from .quadrature import (gauss_cell, gauss_rule_1d, leaf_jacobian,
                          leaf_quadrature, leaf_to_physical)
 
 
-def element_stiffness(basis, leaf, domain=None, depth=0):
-    """Leaf stiffness matrix and its global dof indices.
+def element_system(basis, leaf, domain=None, depth=0, source=None):
+    """Leaf stiffness matrix, source load, and global dof indices.
 
-    Returns (K, gids) with K of shape (n, n) over the active shape
-    functions on the leaf, in leaf_dofs order.
+    Returns (K, f, gids) with K of shape (n, n) over the active shape
+    functions on the leaf, in leaf_dofs order, and f of shape (n,) for a
+    volume source term (None without one).  Both come from one pass over
+    the leaf's rule: it is built once and evaluated once per cell.
     """
     to_phys = leaf_to_physical(leaf)
     jac = leaf_jacobian(leaf)
     n = basis.leaf_mode_count(leaf)
     K = np.zeros((n, n))
-    for cell in leaf_quadrature(basis, leaf, domain, depth):
-        _, G = basis.evaluate_leaf(leaf, to_phys(cell.points))
-        w = cell.weights * cell.alpha * jac
-        K += np.einsum("q,qid,qjd->ij", w, G, G)
-    return K, basis.leaf_dofs(leaf)
-
-
-def element_load(basis, leaf, source, domain=None, depth=0):
-    """Leaf load vector for a volume source term."""
-    to_phys = leaf_to_physical(leaf)
-    jac = leaf_jacobian(leaf)
-    n = basis.leaf_mode_count(leaf)
-    f = np.zeros(n)
+    f = None if source is None else np.zeros(n)
     for cell in leaf_quadrature(basis, leaf, domain, depth):
         pts = to_phys(cell.points)
-        V, _ = basis.evaluate_leaf(leaf, pts)
+        V, G = basis.evaluate_leaf(leaf, pts)
         w = cell.weights * cell.alpha * jac
-        f += V.T @ (w * np.asarray(source(pts), dtype=float))
-    return f
+        K += np.einsum("q,qid,qjd->ij", w, G, G)
+        if f is not None:
+            f += V.T @ (w * np.asarray(source(pts), dtype=float))
+    return K, f, basis.leaf_dofs(leaf)
 
 
 def assemble_serial(basis, domain=None, depth=0, source=None):
@@ -62,14 +57,14 @@ def assemble_serial(basis, domain=None, depth=0, source=None):
     rows, cols, vals = [], [], []
     f = np.zeros(total)
     for leaf in basis.mesh.active_leaf_elements():
-        K, gids = element_stiffness(basis, leaf, domain, depth)
+        K, fe, gids = element_system(basis, leaf, domain, depth, source)
         gi = np.repeat(gids, len(gids))
         gj = np.tile(gids, len(gids))
         rows.append(gi)
         cols.append(gj)
         vals.append(K.ravel())
-        if source is not None:
-            np.add.at(f, gids, element_load(basis, leaf, source, domain, depth))
+        if fe is not None:
+            np.add.at(f, gids, fe)
     K = scipy.sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(total, total),

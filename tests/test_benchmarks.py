@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import overlayfem.benchmarks
 from conftest import single_patch
 from overlayfem.mesh import Mesh, create_base_mesh
 from overlayfem.basis import Basis, PolynomialOrderField
@@ -236,6 +237,45 @@ def test_fcm_disk_study_reports_area():
         assert s["alpha_area"] == pytest.approx(math.pi / 4, abs=5e-3)
         assert s["error"] == pytest.approx(abs(s["alpha_area"] - math.pi / 4))
     assert steps[1]["leaves"] > steps[0]["leaves"]
+
+
+def test_study_computes_area_weights_and_partition_once_per_step(monkeypatch):
+    import overlayfem.distributed
+    import overlayfem.partition
+    import overlayfem.quadrature
+    modules = (overlayfem.benchmarks, overlayfem.distributed,
+               overlayfem.partition, overlayfem.quadrature)
+    calls = {"indicator_area": 0, "compute_leaf_weights": 0}
+    partition_inside_step = []
+    in_step = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "partition_leaves":
+                partition_inside_step.append(bool(in_step))
+            elif name == "run_step":
+                in_step.append(1)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    in_step.pop()
+            else:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in (*calls, "partition_leaves", "run_step"):
+        for mod in modules:
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, counted(name, vars(mod)[name]))
+
+    cfg = RunConfig(benchmark="fcm_disk", res=4, steps=1, p=2, ranks=2,
+                    epsilon=1e-6, depth=3)
+    steps, final = run_benchmark(cfg)
+    assert len(steps) == 2
+    assert calls == {"indicator_area": 2, "compute_leaf_weights": 2}
+    assert partition_inside_step == [True, True]
+    assert len(final["ranks"]) == len(final["weights"]) == steps[-1]["leaves"]
 
 
 def test_step_error_kinds():

@@ -133,17 +133,25 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 def test_solver_failure_still_writes_report(tmp_path, monkeypatch, capsys):
+    solve = overlayfem.distributed.parallel_cg
+    calls = []
+
     def stalled(system, rhs=None, tol=1e-10, max_iter=None):
+        calls.append(1)
+        if len(calls) == 1:  # step 0 solves, step 1 stalls
+            return solve(system, rhs, tol, max_iter)
         raise SolverError("iteration limit reached", [1.0, 0.9, 0.5])
 
     monkeypatch.setattr(overlayfem.distributed, "parallel_cg", stalled)
-    code = run_cli("run", "lshape", "--res", "2", "--steps", "0",
+    code = run_cli("run", "lshape", "--res", "2", "--steps", "1",
                    "--out", str(tmp_path))
     assert code == 2
     assert "error" in capsys.readouterr().err
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["status"] != "ok"
     assert "iteration limit" in report["status"]
+    assert [s["step"] for s in report["steps"]] == [0]
+    assert report["steps"][0]["cg_iterations"] > 0
 
 
 # ------------------------------------------------------------------ export

@@ -211,12 +211,22 @@ def test_exchange_conserves_merged_entries():
     system, packets, intermediates, owner = split_and_assemble(
         basis, dirichlet, ranks, n_ranks)
 
+    def distinct_entries(rows, cols):
+        return np.unique(np.stack([rows, cols]), axis=1).shape[1]
+
     for r in range(n_ranks):
-        total = intermediates[r].merged_entry_count()
+        inter = intermediates[r]
+        total = distinct_entries(inter.rows, inter.cols)
+        home = owner[inter.rows] == r
+        kept = distinct_entries(inter.rows[home], inter.cols[home])
+        assert system.total_entries[r] == total
+        assert system.kept_entries[r] == kept
         assert system.sent_entries[r] + system.kept_entries[r] == total
     for packet in packets:
         assert packet.src != packet.dst
         assert np.all(owner[packet.rows] == packet.dst)
+        assert packet.merged_entries == distinct_entries(packet.rows,
+                                                         packet.cols)
 
     # a single rank never ships anything
     solo, _, _, _ = split_and_assemble(basis, dirichlet,

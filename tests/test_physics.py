@@ -13,7 +13,7 @@ from conftest import single_patch, random_refined_mesh, random_orders
 from overlayfem.mesh import Mesh
 from overlayfem.basis import Basis, PolynomialOrderField, interpolate_nodal, FieldApproximation
 from overlayfem.physics import (
-    element_stiffness, element_load, assemble_serial, neumann_load,
+    element_system, assemble_serial, neumann_load,
     constrained_dof_mask, DirichletMap, solve_dirichlet, LShapeSolution,
     energy_error,
 )
@@ -39,7 +39,7 @@ def test_element_stiffness_symmetric_psd():
     mesh = random_refined_mesh(rng)
     basis = Basis(mesh, random_orders(rng, mesh))
     for leaf in mesh.active_leaf_elements()[:12]:
-        K, gids = element_stiffness(basis, leaf)
+        K, _, gids = element_system(basis, leaf)
         assert K.shape == (len(gids), len(gids))
         assert np.allclose(K, K.T, atol=1e-12 * max(1.0, np.abs(K).max()))
         eigs = np.linalg.eigvalsh(K)
@@ -52,7 +52,7 @@ def test_element_stiffness_annihilates_constants():
     basis = Basis(mesh, random_orders(rng, mesh))
     const = interpolate_nodal(basis, lambda p: 3.5)
     for leaf in mesh.active_leaf_elements():
-        K, gids = element_stiffness(basis, leaf)
+        K, _, gids = element_system(basis, leaf)
         r = K @ const[gids]
         assert np.max(np.abs(r)) < 1e-11 * max(1.0, np.abs(K).max())
 
@@ -66,9 +66,9 @@ def test_assemble_matches_dense_scatter():
     load = np.zeros(n)
     src = lambda pts: np.sin(pts[:, 0]) + pts[:, 1]
     for leaf in mesh.active_leaf_elements():
-        K, gids = element_stiffness(basis, leaf)
+        K, fe, gids = element_system(basis, leaf, source=src)
         dense[np.ix_(gids, gids)] += K
-        load[gids] += element_load(basis, leaf, src)
+        load[gids] += fe
     K_csr, f = assemble_serial(basis, source=src)
     assert np.allclose(K_csr.toarray(), dense, atol=1e-13 * np.abs(dense).max())
     assert np.allclose(f, load, atol=1e-14)
