@@ -355,9 +355,9 @@ class StepReport:
     timings: dict
     cg_iterations: int
     residual: float
+    leaf_weights: np.ndarray
+    leaf_ranks: np.ndarray
     extras: dict = field(default_factory=dict)
-    leaf_weights: np.ndarray | None = None
-    leaf_ranks: np.ndarray | None = None
 
     def to_dict(self):
         out = {
