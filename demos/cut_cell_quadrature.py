@@ -16,7 +16,7 @@ from overlayfem.quadrature import (
     Disk, EmbeddedDomain, geometry_from_json, indicator_area, leaf_quadrature,
 )
 
-mesh = create_base_mesh(BaseMeshSpec(2, [PatchSpec(((0, 1), (0, 1)), (16, 16))]))
+mesh = create_base_mesh(BaseMeshSpec([PatchSpec(((0, 1), (0, 1)), (16, 16))]))
 basis = Basis(mesh, PolynomialOrderField(uniform=2))
 domain = EmbeddedDomain(Disk((0.0, 0.0), 1.0), epsilon=0.0)
 exact = np.pi / 4.0

@@ -12,7 +12,7 @@ The integral form evaluates through the closed identity
 (P_k - P_{k-2}) / sqrt(2 (2k - 1)), so the internal modes vanish at both
 endpoints and their derivative is sqrt((2j - 3) / 2) * P_{j-2}.
 
-In 2d every element carries the tensor products grouped by topological
+Every element carries the tensor products grouped by topological
 entity: one bilinear function per node, (p - 1) edge functions blending a
 1d internal mode with the linear hat across, and (p - 1)^2 interior
 functions.  The functions living on a given leaf are those of every
@@ -232,7 +232,6 @@ class Basis:
         plan = self._elem_plan.get(elem.id)
         if plan is not None:
             return plan
-        d = self.mesh.dimension
         jx, jy, gids = [], [], []
         for slot, ent in enumerate(elem.topology):
             if not ent.active:
@@ -243,37 +242,29 @@ class Basis:
                 continue
             off = self.dofmap.entity_offset(ent)
             gids.extend(range(off, off + n))
-            if d == 1:
-                if slot == 0:
-                    jx.append(0)
-                elif slot == 1:
-                    jx.append(1)
-                else:
-                    jx.extend(range(2, 2 + n))
+            if slot < 4:
+                ix, iy = ((0, 0), (1, 0), (0, 1), (1, 1))[slot]
+                jx.append(ix)
+                jy.append(iy)
+            elif slot == 4:
+                jx.extend(range(2, 2 + n))
+                jy.extend([0] * n)
+            elif slot == 5:
+                jx.extend(range(2, 2 + n))
+                jy.extend([1] * n)
+            elif slot == 6:
+                jx.extend([0] * n)
+                jy.extend(range(2, 2 + n))
+            elif slot == 7:
+                jx.extend([1] * n)
+                jy.extend(range(2, 2 + n))
             else:
-                if slot < 4:
-                    ix, iy = ((0, 0), (1, 0), (0, 1), (1, 1))[slot]
-                    jx.append(ix)
-                    jy.append(iy)
-                elif slot == 4:
-                    jx.extend(range(2, 2 + n))
-                    jy.extend([0] * n)
-                elif slot == 5:
-                    jx.extend(range(2, 2 + n))
-                    jy.extend([1] * n)
-                elif slot == 6:
-                    jx.extend([0] * n)
-                    jy.extend(range(2, 2 + n))
-                elif slot == 7:
-                    jx.extend([1] * n)
-                    jy.extend(range(2, 2 + n))
-                else:
-                    for a in range(p - 1):
-                        jx.extend([2 + a] * (p - 1))
-                        jy.extend(range(2, 2 + p - 1))
+                for a in range(p - 1):
+                    jx.extend([2 + a] * (p - 1))
+                    jy.extend(range(2, 2 + p - 1))
         plan = (
             np.asarray(jx, dtype=np.intp),
-            np.asarray(jy, dtype=np.intp) if d == 2 else None,
+            np.asarray(jy, dtype=np.intp),
             np.asarray(gids, dtype=np.int64),
         )
         self._elem_plan[elem.id] = plan
@@ -305,19 +296,16 @@ class Basis:
     def evaluate_leaf(self, leaf, points):
         """Values and physical gradients of the leaf's active functions.
 
-        points: (n, d) physical coordinates inside the leaf's closed box.
-        Returns (values (n, N), gradients (n, N, d)) with columns in
+        points: (n, 2) physical coordinates inside the leaf's closed box.
+        Returns (values (n, N), gradients (n, N, 2)) with columns in
         leaf_dofs order.
         """
-        d = self.mesh.dimension
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None] if d == 1 else pts[None, :]
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         n = pts.shape[0]
         tol = 1e-12 * max(
             1.0, *(abs(v) for v in (*leaf.lo_f, *leaf.hi_f))
         )
-        for a in range(d):
+        for a in range(2):
             if pts[:, a].min() < leaf.lo_f[a] - tol or pts[:, a].max() > leaf.hi_f[a] + tol:
                 raise ValueError("point outside the leaf element")
 
@@ -326,20 +314,12 @@ class Basis:
             jx, jy, gids = self._plan(elem)
             if gids.size == 0:
                 continue
-            jmax = 2
-            if jx.size:
-                jmax = max(jmax, int(jx.max()) + 1)
-            if d == 2 and jy.size:
-                jmax = max(jmax, int(jy.max()) + 1)
+            jmax = max(2, int(jx.max()) + 1, int(jy.max()) + 1)
             hx = elem.hi_f[0] - elem.lo_f[0]
             sx = 2.0 / hx
             xi = np.clip((pts[:, 0] - elem.lo_f[0]) * sx - 1.0, -1.0, 1.0)
             vx = shape_table(jmax, xi)
             dx = shape_table_deriv(jmax, xi)
-            if d == 1:
-                cols_v.append(vx[jx].T)
-                cols_g.append((dx[jx] * sx).T[:, :, None])
-                continue
             hy = elem.hi_f[1] - elem.lo_f[1]
             sy = 2.0 / hy
             eta = np.clip((pts[:, 1] - elem.lo_f[1]) * sy - 1.0, -1.0, 1.0)
@@ -351,7 +331,7 @@ class Basis:
             cols_v.append(vals.T)
             cols_g.append(np.stack((gx.T, gy.T), axis=2))
         if not cols_v:
-            return np.zeros((n, 0)), np.zeros((n, 0, d))
+            return np.zeros((n, 0)), np.zeros((n, 0, 2))
         return np.concatenate(cols_v, axis=1), np.concatenate(cols_g, axis=1)
 
 
@@ -408,8 +388,7 @@ class FieldApproximation:
 
     def gradient(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = self.basis.mesh.dimension
-        out = np.empty((pts.shape[0], d))
+        out = np.empty((pts.shape[0], 2))
         for i, pt in enumerate(pts):
             leaf = self._locate(pt)
             _, grads = self.basis.evaluate_leaf(leaf, pt[None, :])

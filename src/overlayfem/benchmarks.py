@@ -141,7 +141,7 @@ class RunConfig:
 
 def lshape_mesh_spec(res):
     """Three unit quadrants around the re-entrant corner at the origin."""
-    return BaseMeshSpec(2, [
+    return BaseMeshSpec([
         PatchSpec(((0, 1), (0, 1)), (res, res)),
         PatchSpec(((-1, 0), (0, 1)), (res, res)),
         PatchSpec(((-1, 0), (-1, 0)), (res, res)),
@@ -229,7 +229,7 @@ def make_problem(config):
         domain = EmbeddedDomain(Disk((0.0, 0.0), 1.0), epsilon=config.epsilon)
         return Problem(
             name="fcm_disk",
-            mesh_spec=BaseMeshSpec(2, [PatchSpec(((0, 1), (0, 1)),
+            mesh_spec=BaseMeshSpec([PatchSpec(((0, 1), (0, 1)),
                                                  (config.res, config.res))]),
             dirichlet_part=fcm_disk_dirichlet,
             source=unit_source,
@@ -239,7 +239,7 @@ def make_problem(config):
     # custom
     patches = [PatchSpec(tuple(map(tuple, p["bounds"])),
                          tuple(p["resolution"])) for p in config.patches]
-    spec = BaseMeshSpec(2, patches)
+    spec = BaseMeshSpec(patches)
     domain = None
     if config.geometry is not None:
         domain = EmbeddedDomain(geometry_from_json(config.geometry),

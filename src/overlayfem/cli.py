@@ -251,7 +251,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

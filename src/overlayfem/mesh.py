@@ -1,7 +1,7 @@
 """Hierarchically refined multi-patch quadrilateral meshes.
 
 The mesh starts from a conforming union of structured rectangular patches.
-Refinement never remeshes: a refined element keeps its 2**d bisection
+Refinement never remeshes: a refined element keeps its four bisection
 children nested inside it, so the element forest holds every level at
 once.  Elements without children are the active leaves; integration,
 partitioning and export all run over those.
@@ -44,18 +44,18 @@ class MeshError(ValueError):
 class PatchSpec:
     """One structured rectangular patch.
 
-    bounds: ((x0, x1),) in 1d or ((x0, x1), (y0, y1)) in 2d, physical units.
-    resolution: cells per axis, (nx,) or (nx, ny).
+    bounds: ((x0, x1), (y0, y1)), physical units.
+    resolution: cells per axis, (nx, ny).
     """
 
     bounds: tuple
     resolution: tuple
 
-    def validate(self, dimension):
-        if len(self.bounds) != dimension or len(self.resolution) != dimension:
+    def validate(self):
+        if len(self.bounds) != 2 or len(self.resolution) != 2:
             raise MeshError(
-                f"patch arity mismatch: dimension {dimension}, "
-                f"bounds {self.bounds}, resolution {self.resolution}"
+                f"a patch needs two axes, got bounds {self.bounds}, "
+                f"resolution {self.resolution}"
             )
         for (lo, hi), n in zip(self.bounds, self.resolution):
             if not lo < hi:
@@ -68,16 +68,13 @@ class PatchSpec:
 class BaseMeshSpec:
     """Union of conforming patches defining the unrefined base mesh."""
 
-    dimension: int
     patches: tuple
 
     def validate(self):
-        if self.dimension not in (1, 2):
-            raise MeshError(f"dimension must be 1 or 2, got {self.dimension}")
         if not self.patches:
             raise MeshError("at least one patch is required")
         for p in self.patches:
-            p.validate(self.dimension)
+            p.validate()
 
 
 class Entity:
@@ -91,22 +88,20 @@ class Entity:
     """
 
     __slots__ = (
-        "index", "kind", "level", "key", "axis", "where",
-        "active", "alive", "incidence", "owners",
+        "index", "kind", "level", "key", "where",
+        "active", "alive", "incidence",
         "finer", "coarser", "end_nodes", "_boundary", "_desc",
     )
 
-    def __init__(self, index, kind, level, key, where, axis=None):
+    def __init__(self, index, kind, level, key, where):
         self.index = index
         self.kind = kind
         self.level = level
         self.key = key
         self.where = where
-        self.axis = axis
         self.active = True
         self.alive = True
         self.incidence = 0
-        self.owners = []
         self.finer = []
         self.coarser = None
         self.end_nodes = None
@@ -119,7 +114,7 @@ class Entity:
 
 
 class Element:
-    """One quadrilateral (or interval) of the element forest."""
+    """One quadrilateral of the element forest."""
 
     __slots__ = ("id", "level", "parent", "children", "topology", "lo", "hi",
                  "lo_f", "hi_f")
@@ -144,8 +139,7 @@ class Element:
 
 
 # topology layout per element, fixed order used everywhere downstream:
-# 2d: nodes (SW, SE, NW, NE), edges (bottom, top, left, right), interior face
-# 1d: nodes (lo, hi), interior edge
+# nodes (SW, SE, NW, NE), edges (bottom, top, left, right), interior face
 _2D_NODE_SLOT = {(0, 0): 0, (2, 0): 1, (0, 2): 2, (2, 2): 3}
 _2D_EDGE_SLOT_H = {0: 4, 2: 5}   # bottom / top by row position
 _2D_EDGE_SLOT_V = {0: 6, 2: 7}   # left / right by column position
@@ -157,7 +151,6 @@ class Mesh:
     def __init__(self, spec):
         spec.validate()
         self.spec = spec
-        self.dimension = spec.dimension
         self.elements = {}
         self.base_elements = []
         self.step_count = 0
@@ -165,7 +158,7 @@ class Mesh:
         self._entity_count = 0
         self._by_level = [[]]          # entity lists per level, creation order
         self._keys = [{}]              # key -> entity dicts per level
-        self._linked = []              # level-0 entities that gained finer links
+        self._linked = {}              # level-0 entities that gained finer links, by index
         self._leaf_cache = None
         self._den = None               # per-axis lattice denominator
         self._patch_tables = []        # locator data per patch
@@ -175,7 +168,6 @@ class Mesh:
     # construction
 
     def _build_base(self):
-        d = self.dimension
         patches = self.spec.patches
         grids = []
         for p in patches:
@@ -187,11 +179,10 @@ class Mesh:
             grids.append(axes)
 
         self._check_overlap(patches, grids)
-        if d == 2:
-            self._check_conforming(patches, grids)
+        self._check_conforming(patches, grids)
 
         dens = []
-        for a in range(d):
+        for a in range(2):
             dn = 1
             for axes in grids:
                 for v in axes[a]:
@@ -200,24 +191,15 @@ class Mesh:
         self._den = tuple(dens)
 
         for p, axes in zip(patches, grids):
-            iaxes = [
-                [int(v * self._den[a]) for v in axes[a]] for a in range(d)
+            xs, ys = [
+                [int(v * self._den[a]) for v in axes[a]] for a in range(2)
             ]
-            first_id = self._next_id
-            if d == 1:
-                xs = iaxes[0]
+            self._patch_tables.append((p, self._next_id))
+            for j in range(len(ys) - 1):
                 for i in range(len(xs) - 1):
-                    self._make_base_element((xs[i],), (xs[i + 1],))
-                self._patch_tables.append((p, iaxes, first_id))
-            else:
-                xs, ys = iaxes
-                nx = len(xs) - 1
-                for j in range(len(ys) - 1):
-                    for i in range(nx):
-                        self._make_base_element(
-                            (xs[i], ys[j]), (xs[i + 1], ys[j + 1])
-                        )
-                self._patch_tables.append((p, iaxes, first_id))
+                    self._make_base_element(
+                        (xs[i], ys[j]), (xs[i + 1], ys[j + 1])
+                    )
 
     @staticmethod
     def _check_overlap(patches, grids):
@@ -262,17 +244,17 @@ class Mesh:
     def _point_float(self, ints, level):
         return tuple(self._coord_float(m, level, a) for a, m in enumerate(ints))
 
-    def _new_entity(self, kind, level, key, where, axis=None):
-        ent = Entity(self._entity_count, kind, level, key, where, axis)
+    def _new_entity(self, kind, level, key, where):
+        ent = Entity(self._entity_count, kind, level, key, where)
         self._entity_count += 1
         self._by_level[level].append(ent)
         return ent
 
-    def _get_or_make(self, level, kind, key, where, axis=None):
+    def _get_or_make(self, level, kind, key, where):
         table = self._keys[level]
         ent = table.get(key)
         if ent is None:
-            ent = self._new_entity(kind, level, key, where, axis)
+            ent = self._new_entity(kind, level, key, where)
             table[key] = ent
         return ent
 
@@ -286,47 +268,36 @@ class Mesh:
         return elem
 
     def _wire_topology(self, elem):
-        d = self.dimension
         lvl = elem.level
-        lo, hi = elem.lo, elem.hi
-        if d == 1:
-            n0 = self._get_or_make(lvl, NODE, ("n", lo[0]), (lo[0],))
-            n1 = self._get_or_make(lvl, NODE, ("n", hi[0]), (hi[0],))
-            mid = lo[0] + hi[0]
-            interior = self._new_entity(EDGE, lvl, ("i", mid), (mid,), axis=0)
-            topo = (n0, n1, interior)
-        else:
-            x0, y0 = lo
-            x1, y1 = hi
-            n00 = self._get_or_make(lvl, NODE, ("n", x0, y0), (x0, y0))
-            n10 = self._get_or_make(lvl, NODE, ("n", x1, y0), (x1, y0))
-            n01 = self._get_or_make(lvl, NODE, ("n", x0, y1), (x0, y1))
-            n11 = self._get_or_make(lvl, NODE, ("n", x1, y1), (x1, y1))
-            xs, ys = x0 + x1, y0 + y1
-            eb = self._get_or_make(lvl, EDGE, ("e", 0, xs, 2 * y0), (xs, 2 * y0), 0)
-            et = self._get_or_make(lvl, EDGE, ("e", 0, xs, 2 * y1), (xs, 2 * y1), 0)
-            el = self._get_or_make(lvl, EDGE, ("e", 1, 2 * x0, ys), (2 * x0, ys), 1)
-            er = self._get_or_make(lvl, EDGE, ("e", 1, 2 * x1, ys), (2 * x1, ys), 1)
-            if eb.end_nodes is None:
-                eb.end_nodes = (n00, n10)
-            if et.end_nodes is None:
-                et.end_nodes = (n01, n11)
-            if el.end_nodes is None:
-                el.end_nodes = (n00, n01)
-            if er.end_nodes is None:
-                er.end_nodes = (n10, n11)
-            face = self._new_entity(FACE, lvl, ("f", xs, ys), (xs, ys))
-            topo = (n00, n10, n01, n11, eb, et, el, er, face)
-        elem.topology = topo
-        for ent in topo:
+        x0, y0 = elem.lo
+        x1, y1 = elem.hi
+        n00 = self._get_or_make(lvl, NODE, ("n", x0, y0), (x0, y0))
+        n10 = self._get_or_make(lvl, NODE, ("n", x1, y0), (x1, y0))
+        n01 = self._get_or_make(lvl, NODE, ("n", x0, y1), (x0, y1))
+        n11 = self._get_or_make(lvl, NODE, ("n", x1, y1), (x1, y1))
+        xs, ys = x0 + x1, y0 + y1
+        eb = self._get_or_make(lvl, EDGE, ("e", 0, xs, 2 * y0), (xs, 2 * y0))
+        et = self._get_or_make(lvl, EDGE, ("e", 0, xs, 2 * y1), (xs, 2 * y1))
+        el = self._get_or_make(lvl, EDGE, ("e", 1, 2 * x0, ys), (2 * x0, ys))
+        er = self._get_or_make(lvl, EDGE, ("e", 1, 2 * x1, ys), (2 * x1, ys))
+        if eb.end_nodes is None:
+            eb.end_nodes = (n00, n10)
+        if et.end_nodes is None:
+            et.end_nodes = (n01, n11)
+        if el.end_nodes is None:
+            el.end_nodes = (n00, n01)
+        if er.end_nodes is None:
+            er.end_nodes = (n10, n11)
+        face = self._new_entity(FACE, lvl, ("f", xs, ys), (xs, ys))
+        elem.topology = (n00, n10, n01, n11, eb, et, el, er, face)
+        for ent in elem.topology:
             ent.incidence += 1
-            ent.owners.append(elem.id)
 
     # ------------------------------------------------------------------
     # refinement / coarsening
 
     def refine(self, marked):
-        """Bisect the given active leaves into 2**d children each.
+        """Bisect the given active leaves into four children each.
 
         Marking an element that has children, or an unknown id, is an
         error.  An empty set leaves the mesh unchanged.
@@ -356,33 +327,12 @@ class Mesh:
             child_ent.coarser = parent_ent
             parent_ent.finer.append(child_ent)
             if parent_ent.level == 0:
-                self._linked.append(parent_ent)
+                self._linked[parent_ent.index] = parent_ent
 
     def _split(self, elem):
-        d = self.dimension
         lvl = elem.level + 1
         self._ensure_level(lvl)
         topo = elem.topology
-        if d == 1:
-            x0, x1 = 2 * elem.lo[0], 2 * elem.hi[0]
-            xs = (x0, (x0 + x1) // 2, x1)
-            for i in (0, 1):
-                child = Element(
-                    self._next_id, lvl, elem, (xs[i],), (xs[i + 1],),
-                    self._point_float((xs[i],), lvl),
-                    self._point_float((xs[i + 1],), lvl),
-                )
-                self._next_id += 1
-                self.elements[child.id] = child
-                elem.children.append(child)
-                self._wire_topology(child)
-                n0, n1, interior = child.topology
-                for node, pos in ((n0, i), (n1, i + 1)):
-                    parent = topo[0] if pos == 0 else topo[1] if pos == 2 else topo[2]
-                    self._link(node, parent)
-                self._link(interior, topo[2])
-            return
-
         X0, Y0 = elem.lo
         X1, Y1 = elem.hi
         xs = (2 * X0, X0 + X1, 2 * X1)
@@ -443,7 +393,6 @@ class Mesh:
             for child in elem.children:
                 for ent in child.topology:
                     ent.incidence -= 1
-                    ent.owners.remove(child.id)
                     if ent.incidence == 0:
                         ent.alive = False
                         ent.active = False
@@ -463,25 +412,18 @@ class Mesh:
 
         Safe to call repeatedly; refine and coarsen already call it.
         """
-        d = self.dimension
         top = len(self._by_level) - 1
 
         for lvl in range(1, top + 1):
             ents = self._by_level[lvl]
-            if d == 2:
-                for ent in ents:
-                    ent._boundary = False
-                for ent in ents:
-                    if ent.alive and ent.kind == EDGE and ent.incidence == 1:
-                        ent._boundary = True
-                        a, b = ent.end_nodes
-                        a._boundary = True
-                        b._boundary = True
-            else:
-                for ent in ents:
-                    ent._boundary = (
-                        ent.kind == NODE and ent.alive and ent.incidence == 1
-                    )
+            for ent in ents:
+                ent._boundary = False
+            for ent in ents:
+                if ent.alive and ent.kind == EDGE and ent.incidence == 1:
+                    ent._boundary = True
+                    a, b = ent.end_nodes
+                    a._boundary = True
+                    b._boundary = True
 
         for lvl in range(top, 0, -1):
             for ent in self._by_level[lvl]:
@@ -495,7 +437,7 @@ class Mesh:
                 ent.active = not ent._boundary and not desc
                 ent._desc = ent.active or desc
 
-        for ent in self._linked:
+        for ent in self._linked.values():
             if not ent.alive:
                 continue
             desc = False
@@ -557,8 +499,8 @@ class Mesh:
 
     def locate_leaf(self, point):
         """Leaf whose closed box contains the point, or None if outside."""
-        pt = np.atleast_1d(np.asarray(point, dtype=float))
-        for patch, iaxes, first_id in self._patch_tables:
+        pt = np.asarray(point, dtype=float)
+        for patch, first_id in self._patch_tables:
             idx = []
             ok = True
             for a, ((lo, hi), n) in enumerate(zip(patch.bounds, patch.resolution)):
@@ -569,16 +511,12 @@ class Mesh:
                 idx.append(min(max(i, 0), int(n) - 1))
             if not ok:
                 continue
-            if self.dimension == 1:
-                elem = self.elements[first_id + idx[0]]
-            else:
-                nx = int(patch.resolution[0])
-                elem = self.elements[first_id + idx[1] * nx + idx[0]]
+            nx = int(patch.resolution[0])
+            elem = self.elements[first_id + idx[1] * nx + idx[0]]
             while elem.children:
-                mid = [(l + h) / 2 for l, h in zip(elem.lo_f, elem.hi_f)]
                 sel = 0
-                for a in range(self.dimension):
-                    if pt[a] > mid[a]:
+                for a in range(2):
+                    if pt[a] > (elem.lo_f[a] + elem.hi_f[a]) / 2:
                         sel += 1 << a
                 elem = elem.children[sel]
             return elem
@@ -593,13 +531,10 @@ class Mesh:
         cb = base.hi[axis] if upper else base.lo[axis]
         if c != cb << shift:
             return False
-        if self.dimension == 1:
-            ent = base.topology[1 if upper else 0]
+        if axis == 1:
+            ent = base.topology[5 if upper else 4]
         else:
-            if axis == 1:
-                ent = base.topology[5 if upper else 4]
-            else:
-                ent = base.topology[7 if upper else 6]
+            ent = base.topology[7 if upper else 6]
         return ent.incidence == 1
 
 
@@ -627,7 +562,6 @@ def export_mesh_xml(mesh, path, ranks=None, weights=None, orders=None):
     a coarser neighbor, which unstructured-grid consumers accept).  rank,
     order and weight columns fall back to 0 / 0 / 1.0 when not supplied.
     """
-    d = mesh.dimension
     leaves = mesh.active_leaf_elements()
     point_ids = {}
     points = []
@@ -650,22 +584,16 @@ def export_mesh_xml(mesh, path, ranks=None, weights=None, orders=None):
     cells = []
     for n, leaf in enumerate(leaves):
         lvl = leaf.level
-        if d == 1:
-            ids = (
-                pid((leaf.lo[0],), lvl, (leaf.lo_f[0],)),
-                pid((leaf.hi[0],), lvl, (leaf.hi_f[0],)),
-            )
-        else:
-            x0, y0 = leaf.lo
-            x1, y1 = leaf.hi
-            fx0, fy0 = leaf.lo_f
-            fx1, fy1 = leaf.hi_f
-            ids = (
-                pid((x0, y0), lvl, (fx0, fy0)),
-                pid((x1, y0), lvl, (fx1, fy0)),
-                pid((x1, y1), lvl, (fx1, fy1)),
-                pid((x0, y1), lvl, (fx0, fy1)),
-            )
+        x0, y0 = leaf.lo
+        x1, y1 = leaf.hi
+        fx0, fy0 = leaf.lo_f
+        fx1, fy1 = leaf.hi_f
+        ids = (
+            pid((x0, y0), lvl, (fx0, fy0)),
+            pid((x1, y0), lvl, (fx1, fy0)),
+            pid((x1, y1), lvl, (fx1, fy1)),
+            pid((x0, y1), lvl, (fx0, fy1)),
+        )
         rank = 0 if ranks is None else int(ranks[n])
         order = 0 if orders is None else int(orders[n])
         w = 1.0 if weights is None else float(weights[n])
@@ -673,7 +601,7 @@ def export_mesh_xml(mesh, path, ranks=None, weights=None, orders=None):
 
     lines = [
         '<?xml version="1.0"?>',
-        f'<overlay_grid dimension="{d}" points="{len(points)}" cells="{len(cells)}">',
+        f'<overlay_grid dimension="2" points="{len(points)}" cells="{len(cells)}">',
         "  <points>",
     ]
     for i, pt in enumerate(points):

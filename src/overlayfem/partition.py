@@ -22,11 +22,6 @@ import numpy as np
 from .quadrature import leaf_point_count
 
 
-def leaf_index_map(mesh):
-    """Stable pre-order index of every active leaf, as {leaf_id: index}."""
-    return {leaf.id: i for i, leaf in enumerate(mesh.active_leaf_elements())}
-
-
 def compute_leaf_weights(basis, domain=None, depth=0, normalized=True):
     """Cost-model weight of each active leaf, pre-order."""
     mesh = basis.mesh
@@ -37,9 +32,8 @@ def compute_leaf_weights(basis, domain=None, depth=0, normalized=True):
         n = basis.leaf_mode_count(leaf)
         w[i] = float(n_gp) * float(n) ** 3
     if normalized:
-        d = mesh.dimension
         p0 = basis.orders.base_order
-        w0 = float((p0 + 1) ** d) * float((p0 + 1) ** d) ** 3
+        w0 = float((p0 + 1) ** 2) * float((p0 + 1) ** 2) ** 3
         w = w / w0
     return w
 
@@ -150,11 +144,8 @@ def partition_sfc(mesh, weights, n_ranks, grid_order=14):
     span = np.where(hi > lo, hi - lo, 1.0)
     n = 1 << grid_order
     cells = np.clip(((centers - lo) / span * (n - 1)).astype(np.int64), 0, n - 1)
-    if mesh.dimension == 1:
-        keys = cells[:, 0]
-    else:
-        keys = np.array([hilbert_index(grid_order, int(cx), int(cy))
-                         for cx, cy in cells])
+    keys = np.array([hilbert_index(grid_order, int(cx), int(cy))
+                     for cx, cy in cells])
     order = np.argsort(keys, kind="stable")
 
     curve_ranks = _optimal_interval_cut(weights[order], n_ranks)

@@ -99,8 +99,6 @@ def leaf_flux_load(basis, leaf, flux, part=None):
     be smeared onto interface edges.
     """
     mesh = basis.mesh
-    if mesh.dimension != 2:
-        raise NotImplementedError("flux loads are implemented for 2d meshes")
     q = basis.leaf_quad_order(leaf)
     x1, w1 = gauss_rule_1d(q + 1)
     f = np.zeros(basis.leaf_mode_count(leaf))
@@ -146,7 +144,7 @@ def constrained_dof_mask(basis, on_part):
     for ent in basis.dofmap.active_entities:
         if ent.kind == "node":
             hit = bool(on_part(mesh.node_point(ent)))
-        elif ent.kind == "edge" and mesh.dimension == 2:
+        elif ent.kind == "edge":
             a, b = mesh.edge_endpoints(ent)
             hit = bool(on_part(a)) and bool(on_part(b))
         else:

@@ -9,7 +9,7 @@ element this composes into one sub-rule per leaf footprint, which is what
 Geometries that do not fit the mesh are handled with an indicator factor:
 quadrature cells fully inside the physical region keep weight factor one,
 cells fully in the fictitious remainder get a small epsilon, and cut cells
-subdivide into 2**d children up to a fixed depth, after which each Gauss
+subdivide into four children up to a fixed depth, after which each Gauss
 point is classified individually.  Geometry is a small CSG tree of
 half-planes, disks and rectangles, also loadable from JSON.
 """
@@ -31,23 +31,17 @@ def gauss_rule_1d(q):
 
 
 def gauss_cell(lo, hi, order, alpha=None):
-    """Tensor Gauss rule on an axis box; weights sum to the box measure."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    d = lo.size
+    """Tensor Gauss rule on an axis rectangle; weights sum to its area."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     x1, w1 = gauss_rule_1d(order)
-    if d == 1:
-        pts = (lo[0] + hi[0]) / 2 + (hi[0] - lo[0]) / 2 * x1
-        pts = pts[:, None]
-        wts = w1 * (hi[0] - lo[0]) / 2
-    else:
-        xa = (lo[0] + hi[0]) / 2 + (hi[0] - lo[0]) / 2 * x1
-        ya = (lo[1] + hi[1]) / 2 + (hi[1] - lo[1]) / 2 * x1
-        X, Y = np.meshgrid(xa, ya, indexing="ij")
-        pts = np.column_stack((X.ravel(), Y.ravel()))
-        WX, WY = np.meshgrid(w1 * (hi[0] - lo[0]) / 2, w1 * (hi[1] - lo[1]) / 2,
-                             indexing="ij")
-        wts = (WX * WY).ravel()
+    xa = (lo[0] + hi[0]) / 2 + (hi[0] - lo[0]) / 2 * x1
+    ya = (lo[1] + hi[1]) / 2 + (hi[1] - lo[1]) / 2 * x1
+    X, Y = np.meshgrid(xa, ya, indexing="ij")
+    pts = np.column_stack((X.ravel(), Y.ravel()))
+    WX, WY = np.meshgrid(w1 * (hi[0] - lo[0]) / 2, w1 * (hi[1] - lo[1]) / 2,
+                         indexing="ij")
+    wts = (WX * WY).ravel()
     if alpha is None:
         alpha = np.ones(len(wts))
     return QuadratureCell(lo, hi, pts, wts, alpha)
@@ -59,7 +53,7 @@ class QuadratureCell:
 
     lo: np.ndarray
     hi: np.ndarray
-    points: np.ndarray   # (n, d)
+    points: np.ndarray   # (n, 2)
     weights: np.ndarray  # (n,)
     alpha: np.ndarray    # (n,) indicator factor per point
 
@@ -79,7 +73,6 @@ def integration_domains(mesh, basis, base_elem):
     """The composed-rule boxes of one base element, leaf order."""
     if base_elem.parent is not None:
         raise ValueError("integration domains are rooted at base elements")
-    d = mesh.dimension
     out = []
     stack = [base_elem]
     while stack:
@@ -88,9 +81,9 @@ def integration_domains(mesh, basis, base_elem):
             stack.extend(reversed(elem.children))
             continue
         shift = 1 << elem.level
-        lo_ref = np.empty(d)
-        hi_ref = np.empty(d)
-        for a in range(d):
+        lo_ref = np.empty(2)
+        hi_ref = np.empty(2)
+        for a in range(2):
             width = (base_elem.hi[a] - base_elem.lo[a]) * shift
             lo_ref[a] = 2.0 * (elem.lo[a] - base_elem.lo[a] * shift) / width - 1.0
             hi_ref[a] = 2.0 * (elem.hi[a] - base_elem.lo[a] * shift) / width - 1.0
@@ -246,20 +239,17 @@ def spacetree_cells(lo, hi, domain, depth, order, to_physical=None):
     The box is classified by sampling its corners and its Gauss points
     (mapped through `to_physical` when the box is a reference frame).
     Uniform boxes become a single cell with constant indicator; cut boxes
-    split into 2**d children until `depth`, where the indicator is applied
+    split into four children until `depth`, where the indicator is applied
     per Gauss point.
     """
     if depth < 0:
         raise ValueError("spacetree depth must be >= 0")
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    d = lo.size
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     ident = to_physical is None
     eps = domain.epsilon
 
     def corners(l, h):
-        if d == 1:
-            return np.array([[l[0]], [h[0]]])
         return np.array([[l[0], l[1]], [h[0], l[1]], [l[0], h[1]], [h[0], h[1]]])
 
     out = []
@@ -282,21 +272,17 @@ def spacetree_cells(lo, hi, domain, depth, order, to_physical=None):
             out.append(QuadratureCell(l, h, cell.points, cell.weights, alpha))
             return
         mid = (l + h) / 2
-        if d == 1:
-            visit(l, mid, remaining - 1)
-            visit(mid, h, remaining - 1)
-        else:
-            visit(l, mid, remaining - 1)
-            visit(np.array([mid[0], l[1]]), np.array([h[0], mid[1]]), remaining - 1)
-            visit(np.array([l[0], mid[1]]), np.array([mid[0], h[1]]), remaining - 1)
-            visit(mid, h, remaining - 1)
+        visit(l, mid, remaining - 1)
+        visit(np.array([mid[0], l[1]]), np.array([h[0], mid[1]]), remaining - 1)
+        visit(np.array([l[0], mid[1]]), np.array([mid[0], h[1]]), remaining - 1)
+        visit(mid, h, remaining - 1)
 
     visit(lo, hi, depth)
     return out
 
 
 def leaf_to_physical(leaf):
-    """Affine map from the leaf's [-1, 1]^d reference box to physical space."""
+    """Affine map from the leaf's [-1, 1]^2 reference box to physical space."""
     lo = np.asarray(leaf.lo_f, dtype=float)
     hi = np.asarray(leaf.hi_f, dtype=float)
     half = (hi - lo) / 2
@@ -317,11 +303,10 @@ def leaf_jacobian(leaf):
 
 def leaf_quadrature(basis, leaf, domain=None, depth=0, order=None):
     """Quadrature cells of one leaf, in the leaf's reference frame."""
-    d = basis.mesh.dimension
     if order is None:
         order = basis.leaf_quad_order(leaf)
-    lo = -np.ones(d)
-    hi = np.ones(d)
+    lo = -np.ones(2)
+    hi = np.ones(2)
     if domain is None:
         return [gauss_cell(lo, hi, order)]
     return spacetree_cells(lo, hi, domain, depth, order,
@@ -331,7 +316,7 @@ def leaf_quadrature(basis, leaf, domain=None, depth=0, order=None):
 def leaf_point_count(basis, leaf, domain=None, depth=0):
     """Number of Gauss points the leaf will be integrated with."""
     if domain is None:
-        return basis.leaf_quad_order(leaf) ** basis.mesh.dimension
+        return basis.leaf_quad_order(leaf) ** 2
     return sum(len(c.weights) for c in leaf_quadrature(basis, leaf, domain, depth))
 
 

@@ -25,13 +25,7 @@ def pytest_terminal_summary(terminalreporter):
 def single_patch(res, bounds=((0.0, 1.0), (0.0, 1.0))):
     if isinstance(res, int):
         res = (res, res)
-    spec = BaseMeshSpec(dimension=2, patches=(PatchSpec(bounds=bounds, resolution=res),))
-    return Mesh(spec)
-
-
-def strip_1d(n, length=None):
-    hi = float(n if length is None else length)
-    spec = BaseMeshSpec(dimension=1, patches=(PatchSpec(bounds=((0.0, hi),), resolution=(n,)),))
+    spec = BaseMeshSpec(patches=(PatchSpec(bounds=bounds, resolution=res),))
     return Mesh(spec)
 
 

@@ -291,7 +291,7 @@ def test_criterion_06_corner_convergence_steepens():
 
 def test_criterion_07_embedded_area_converges():
     t0 = time.perf_counter()
-    mesh = create_base_mesh(BaseMeshSpec(2, [PatchSpec(((0, 1), (0, 1)), (16, 16))]))
+    mesh = create_base_mesh(BaseMeshSpec([PatchSpec(((0, 1), (0, 1)), (16, 16))]))
     basis = Basis(mesh, PolynomialOrderField(uniform=2))
     domain = EmbeddedDomain(Disk((0.0, 0.0), 1.0), epsilon=0.0)
     exact = np.pi / 4.0

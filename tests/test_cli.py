@@ -132,6 +132,16 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_one_axis_custom_patch_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "strip.json"
+    cfg.write_text(json.dumps({
+        "benchmark": "custom",
+        "patches": [{"bounds": [[0.0, 1.0]], "resolution": [4]}],
+    }))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_solver_failure_still_writes_report(tmp_path, monkeypatch, capsys):
     solve = overlayfem.distributed.parallel_cg
     calls = []
@@ -205,6 +215,17 @@ def test_scale_writes_table(tmp_path, capsys):
     assert rows[0]["sent_triplets"] == "0"
     assert float(rows[1]["comm_share"]) > 0.0
     assert float(rows[0]["integrate_speedup"]) == 1.0
+
+
+def test_scale_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
+    def stalled(system, rhs=None, tol=1e-10, max_iter=None):
+        raise SolverError("iteration limit reached", [1.0, 0.9])
+
+    monkeypatch.setattr(overlayfem.distributed, "parallel_cg", stalled)
+    code = run_cli("scale", "lshape", "--res", "2", "--steps", "0",
+                   "--ranks", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert "error: iteration limit" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- packaging

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import single_patch, strip_1d
+from conftest import single_patch
 from overlayfem.mesh import (
     Mesh, MeshError, BaseMeshSpec, PatchSpec, NODE, EDGE, FACE,
     export_mesh_xml,
@@ -49,7 +49,6 @@ def test_single_patch_counts():
 
 def test_two_patch_union_shares_interface_entities():
     spec = BaseMeshSpec(
-        dimension=2,
         patches=(
             PatchSpec(bounds=((0.0, 1.0), (0.0, 1.0)), resolution=(1, 1)),
             PatchSpec(bounds=((1.0, 2.0), (0.0, 1.0)), resolution=(1, 1)),
@@ -78,7 +77,6 @@ def test_lshape_base_counts():
 
 def test_overlapping_patches_rejected():
     spec = BaseMeshSpec(
-        dimension=2,
         patches=(
             PatchSpec(bounds=((0.0, 1.0), (0.0, 1.0)), resolution=(2, 2)),
             PatchSpec(bounds=((0.5, 1.5), (0.0, 1.0)), resolution=(2, 2)),
@@ -90,7 +88,6 @@ def test_overlapping_patches_rejected():
 
 def test_nonconforming_interface_rejected():
     spec = BaseMeshSpec(
-        dimension=2,
         patches=(
             PatchSpec(bounds=((0.0, 1.0), (0.0, 1.0)), resolution=(2, 2)),
             PatchSpec(bounds=((1.0, 2.0), (0.0, 1.0)), resolution=(2, 3)),
@@ -102,13 +99,13 @@ def test_nonconforming_interface_rejected():
 
 def test_spec_validation_errors():
     with pytest.raises(MeshError):
-        BaseMeshSpec(dimension=3, patches=(PatchSpec(((0.0, 1.0),), (1,)),)).validate()
+        BaseMeshSpec(patches=(PatchSpec(((0.0, 1.0),), (1,)),)).validate()
     with pytest.raises(MeshError):
-        BaseMeshSpec(dimension=2, patches=()).validate()
+        BaseMeshSpec(patches=()).validate()
     with pytest.raises(MeshError):
-        PatchSpec(bounds=((1.0, 0.0), (0.0, 1.0)), resolution=(2, 2)).validate(2)
+        PatchSpec(bounds=((1.0, 0.0), (0.0, 1.0)), resolution=(2, 2)).validate()
     with pytest.raises(MeshError):
-        PatchSpec(bounds=((0.0, 1.0), (0.0, 1.0)), resolution=(2, 0)).validate(2)
+        PatchSpec(bounds=((0.0, 1.0), (0.0, 1.0)), resolution=(2, 0)).validate()
 
 
 # ---------------------------------------------------------- refinement rules
@@ -184,6 +181,20 @@ def test_coarsen_round_trip():
     assert census(mesh, 0) == fresh
     assert census(mesh, 1) == (0, 0, 0)
     assert len(mesh.active_leaf_elements()) == 9
+
+
+def test_refine_coarsen_cycles_keep_linked_entities_once():
+    # the level-0 entities an activation update re-checks: a split leaf
+    # links its 4 nodes, 4 edges and face once, however often it is cycled
+    mesh = Mesh(lshape_mesh_spec(4))
+    fresh = census(mesh, 0)
+    leaf = mesh.locate_leaf((0.3, 0.3))
+    for _ in range(5):
+        mesh.refine([leaf.id])
+        assert len(mesh._linked) == 9
+        mesh.coarsen([leaf.id])
+        assert len(mesh._linked) == 9
+    assert census(mesh, 0) == fresh
 
 
 def test_coarsen_rejects_bad_marks():
@@ -322,22 +333,3 @@ def test_export_mesh_xml(tmp_path):
                     weights=[1.0 + i for i in range(n)], orders=[3] * n)
     assert path.read_bytes() == first
 
-
-# -------------------------------------------------------------- one dimension
-
-
-def test_one_dimensional_refinement():
-    mesh = strip_1d(4)
-    leaves = mesh.active_leaf_elements()
-    assert len(leaves) == 4
-    counts = Counter(e.kind for e in mesh.entities(0) if e.active)
-    assert (counts[NODE], counts[EDGE]) == (5, 4)
-
-    mesh.refine([leaves[1].id])
-    assert len(mesh.active_leaf_elements()) == 5
-    c0 = Counter(e.kind for e in mesh.entities(0) if e.active)
-    c1 = Counter(e.kind for e in mesh.entities(1) if e.active)
-    # midpoint survives, the copies of the parent's endpoints do not,
-    # and the parent's interior is replaced by its children
-    assert (c0[NODE], c0[EDGE]) == (5, 3)
-    assert (c1[NODE], c1[EDGE]) == (1, 2)

@@ -58,13 +58,6 @@ def test_gauss_cell_monomials():
             assert val == pytest.approx(exact, abs=1e-13)
 
 
-def test_gauss_cell_1d():
-    cell = gauss_cell([2.0], [5.0], 3)
-    assert cell.points.shape == (3, 1)
-    assert cell.weights.sum() == pytest.approx(3.0)
-    assert cell.weights @ cell.points[:, 0] ** 2 == pytest.approx((125 - 8) / 3.0)
-
-
 # ------------------------------------------------------- composed domains
 
 
