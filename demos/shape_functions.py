@@ -8,13 +8,13 @@ numerically and, if matplotlib is importable, draws the first modes.
 
 import numpy as np
 
-from overlayfem.basis import shape_table, shape_table_deriv
+from overlayfem.basis import shape_tables
 from overlayfem.quadrature import gauss_rule_1d
 
 JMAX = 8
 
 x, w = gauss_rule_1d(JMAX + 2)
-dphi = shape_table_deriv(JMAX, x)
+_, dphi = shape_tables(JMAX, x)
 gram = (dphi * w) @ dphi.T
 
 print(f"derivative Gram matrix for modes 3..{JMAX} (should be identity):")
@@ -24,7 +24,7 @@ for row in bubbles:
 off = bubbles - np.eye(JMAX - 2)
 print(f"max deviation from identity: {np.abs(off).max():.2e}")
 
-ends = shape_table(JMAX, np.array([-1.0, 1.0]))
+ends, _ = shape_tables(JMAX, np.array([-1.0, 1.0]))
 print(f"\nbubble endpoint values (max abs): {np.abs(ends[2:]).max():.2e}")
 
 try:
@@ -36,7 +36,7 @@ except ImportError:
 
 if plt is not None:
     xs = np.linspace(-1.0, 1.0, 400)
-    vals = shape_table(6, xs)
+    vals, _ = shape_tables(6, xs)
     fig, ax = plt.subplots(figsize=(6, 4))
     for j in range(6):
         ax.plot(xs, vals[j], label=f"mode {j + 1}")

@@ -11,6 +11,9 @@ of Legendre polynomials:
 The integral form evaluates through the closed identity
 (P_k - P_{k-2}) / sqrt(2 (2k - 1)), so the internal modes vanish at both
 endpoints and their derivative is sqrt((2j - 3) / 2) * P_{j-2}.
+``shape_tables`` builds the value and derivative tables from one
+Legendre recursion, and a leaf evaluation calls it once per ancestor
+element, on the x and y reference coordinates together.
 
 Every element carries the tensor products grouped by topological
 entity: one bilinear function per node, (p - 1) edge functions blending a
@@ -47,53 +50,46 @@ def _check_domain(xi):
     return xi
 
 
-def shape_table(jmax, xi):
-    """Values of 1d modes 1..jmax at xi, as a (jmax, len(xi)) array."""
+def shape_tables(jmax, xi):
+    """Values and d/dxi of 1d modes 1..jmax at xi, two (jmax, len(xi)) arrays.
+
+    One Legendre recursion feeds both tables: the value of mode j needs
+    P_{j-1} and P_{j-3}, its derivative P_{j-2}.
+    """
     if jmax < 1:
         raise ValueError("at least one mode is required")
     xi = np.atleast_1d(_check_domain(xi))
-    rows = np.empty((jmax, xi.size))
-    rows[0] = 0.5 * (1.0 - xi)
+    vals = np.empty((jmax, xi.size))
+    ders = np.empty((jmax, xi.size))
+    vals[0] = 0.5 * (1.0 - xi)
+    ders[0] = -0.5
     if jmax >= 2:
-        rows[1] = 0.5 * (1.0 + xi)
+        vals[1] = 0.5 * (1.0 + xi)
+        ders[1] = 0.5
     if jmax >= 3:
         leg = _legendre_rows(jmax - 1, xi)
         for j in range(3, jmax + 1):
             k = j - 1
-            rows[j - 1] = (leg[k] - leg[k - 2]) / np.sqrt(2.0 * (2 * k - 1))
-    return rows
+            vals[j - 1] = (leg[k] - leg[k - 2]) / np.sqrt(2.0 * (2 * k - 1))
+            ders[j - 1] = np.sqrt((2 * j - 3) / 2.0) * leg[j - 2]
+    return vals, ders
 
 
-def shape_table_deriv(jmax, xi):
-    """d/dxi of 1d modes 1..jmax at xi."""
-    if jmax < 1:
-        raise ValueError("at least one mode is required")
-    xi = np.atleast_1d(_check_domain(xi))
-    rows = np.empty((jmax, xi.size))
-    rows[0] = -0.5
-    if jmax >= 2:
-        rows[1] = 0.5
-    if jmax >= 3:
-        leg = _legendre_rows(jmax - 2, xi)
-        for j in range(3, jmax + 1):
-            rows[j - 1] = np.sqrt((2 * j - 3) / 2.0) * leg[j - 2]
-    return rows
+def _one_mode(j, xi, table):
+    if j < 1:
+        raise ValueError(f"mode index must be >= 1, got {j}")
+    res = shape_tables(j, xi)[table][j - 1]
+    return res if np.ndim(xi) else float(res[0])
 
 
 def integrated_legendre(j, xi):
     """Value of 1d mode j at xi (scalar or array)."""
-    if j < 1:
-        raise ValueError(f"mode index must be >= 1, got {j}")
-    res = shape_table(j, xi)[j - 1]
-    return res if np.ndim(xi) else float(res[0])
+    return _one_mode(j, xi, 0)
 
 
 def integrated_legendre_deriv(j, xi):
     """Derivative of 1d mode j at xi."""
-    if j < 1:
-        raise ValueError(f"mode index must be >= 1, got {j}")
-    res = shape_table_deriv(j, xi)[j - 1]
-    return res if np.ndim(xi) else float(res[0])
+    return _one_mode(j, xi, 1)
 
 
 def entity_mode_count(kind, p):
@@ -315,19 +311,15 @@ class Basis:
             if gids.size == 0:
                 continue
             jmax = max(2, int(jx.max()) + 1, int(jy.max()) + 1)
-            hx = elem.hi_f[0] - elem.lo_f[0]
-            sx = 2.0 / hx
-            xi = np.clip((pts[:, 0] - elem.lo_f[0]) * sx - 1.0, -1.0, 1.0)
-            vx = shape_table(jmax, xi)
-            dx = shape_table_deriv(jmax, xi)
-            hy = elem.hi_f[1] - elem.lo_f[1]
-            sy = 2.0 / hy
-            eta = np.clip((pts[:, 1] - elem.lo_f[1]) * sy - 1.0, -1.0, 1.0)
-            vy = shape_table(jmax, eta)
-            dy = shape_table_deriv(jmax, eta)
+            lo = np.asarray(elem.lo_f, dtype=float)
+            scale = 2.0 / (np.asarray(elem.hi_f, dtype=float) - lo)
+            xi, eta = np.clip((pts - lo) * scale - 1.0, -1.0, 1.0).T
+            vals_1d, ders_1d = shape_tables(jmax, np.concatenate((xi, eta)))
+            vx, vy = vals_1d[:, :n], vals_1d[:, n:]
+            dx, dy = ders_1d[:, :n], ders_1d[:, n:]
             vals = vx[jx] * vy[jy]
-            gx = dx[jx] * vy[jy] * sx
-            gy = vx[jx] * dy[jy] * sy
+            gx = dx[jx] * vy[jy] * scale[0]
+            gy = vx[jx] * dy[jy] * scale[1]
             cols_v.append(vals.T)
             cols_g.append(np.stack((gx.T, gy.T), axis=2))
         if not cols_v:

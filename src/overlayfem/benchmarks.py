@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -119,9 +120,27 @@ class RunConfig:
             raise ValueError("workers must be positive")
         if self.probe < 2:
             raise ValueError("probe grid needs at least 2 points per axis")
-        if self.benchmark == "custom" and not self.patches:
-            raise ValueError("custom benchmark needs a 'patches' list in the config")
+        if self.benchmark == "custom":
+            self._validate_custom()
         return self
+
+    def _validate_custom(self):
+        """Shape checks on the custom problem's patches and Dirichlet boxes.
+
+        Axis counts, extents and resolutions are checked by the mesh spec.
+        """
+        if not self.patches or not isinstance(self.patches, (list, tuple)):
+            raise ValueError("custom benchmark needs a 'patches' list in the config")
+        for i, patch in enumerate(self.patches):
+            if not isinstance(patch, dict) or not {"bounds", "resolution"} <= set(patch):
+                raise ValueError(f"patches[{i}] needs 'bounds' and 'resolution' keys")
+            _check_numbers(f"patches[{i}].bounds", patch["bounds"], (None, 2),
+                           "a list of [lo, hi] pairs, one per axis")
+            _check_numbers(f"patches[{i}].resolution", patch["resolution"],
+                           (None,), "a list of cell counts, one per axis")
+        for i, box in enumerate(self.dirichlet_boxes or ()):
+            _check_numbers(f"dirichlet_boxes[{i}]", box, (2, 2),
+                           "[[x0, y0], [x1, y1]]")
 
     def order_field(self):
         if self.p_graded is not None:
@@ -134,6 +153,22 @@ class RunConfig:
             return self.marking
         return {"lshape": "corner", "fcm_disk": "interface",
                 "custom": "none"}[self.benchmark]
+
+
+def _check_numbers(key, value, shape, expected):
+    """Reject a config value that is not nested lists of numbers of `shape`.
+
+    A None entry in `shape` leaves that length free.
+    """
+    def fits(val, dims):
+        if not dims:
+            return isinstance(val, numbers.Real)
+        return (isinstance(val, (list, tuple))
+                and dims[0] in (None, len(val))
+                and all(fits(v, dims[1:]) for v in val))
+
+    if not fits(value, shape):
+        raise ValueError(f"{key} must be {expected}, got {value!r}")
 
 
 # ----------------------------------------------------------------------
@@ -301,8 +336,8 @@ def mark_interface_leaves(mesh, domain):
         hi = np.asarray(leaf.hi_f)
         xs = np.linspace(lo[0], hi[0], 3)
         ys = np.linspace(lo[1], hi[1], 3)
-        X, Y = np.meshgrid(xs, ys)
-        inside = domain.contains(np.column_stack((X.ravel(), Y.ravel())))
+        stencil = np.column_stack((np.repeat(xs, 3), np.tile(ys, 3)))
+        inside = domain.contains(stencil)
         if inside.any() and not inside.all():
             out.append(leaf.id)
     return out

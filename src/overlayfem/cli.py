@@ -93,8 +93,6 @@ def _build_config(args, rank_list=False):
         overrides["dry_run"] = True
     if overrides.get("p") is not None and overrides.get("p_graded") is None:
         # an explicit uniform order replaces any graded map from the file
-        overrides["p_graded"] = None
-        config = config.merged({"p_graded": None})
         config.p_graded = None
     return config.merged(overrides)
 

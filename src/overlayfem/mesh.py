@@ -401,6 +401,9 @@ class Mesh:
                             ent.coarser.finer.remove(ent)
                 del self.elements[child.id]
             elem.children = []
+        # the removed children all sat one level below their parents
+        for lvl in {self.elements[eid].level + 1 for eid in ids}:
+            self._by_level[lvl] = [e for e in self._by_level[lvl] if e.alive]
         self._leaf_cache = None
         self.update_activation()
 

@@ -308,10 +308,8 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
             corner = np.where(ref >= 0, 1.0, -1.0)
             cells = [gauss_cell(blo, bhi, q)
                      for blo, bhi in _corner_shells(corner, corner_levels)]
-        elif domain is not None:
-            cells = leaf_quadrature(basis, leaf, domain, depth, order=q)
         else:
-            cells = [gauss_cell(-np.ones(2), np.ones(2), q)]
+            cells = leaf_quadrature(basis, leaf, domain, depth, order=q)
         gids = basis.leaf_dofs(leaf)
         coef = coefficients[gids]
         for cell in cells:

@@ -15,6 +15,7 @@ half-planes, disks and rectangles, also loadable from JSON.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,21 +31,20 @@ def gauss_rule_1d(q):
     return x, w
 
 
-def gauss_cell(lo, hi, order, alpha=None):
-    """Tensor Gauss rule on an axis rectangle; weights sum to its area."""
+def gauss_cell(lo, hi, order):
+    """Tensor Gauss rule on an axis rectangle; weights sum to its area.
+
+    Points run x-major (the first coordinate varies slowest) and every
+    indicator value is one.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     x1, w1 = gauss_rule_1d(order)
-    xa = (lo[0] + hi[0]) / 2 + (hi[0] - lo[0]) / 2 * x1
-    ya = (lo[1] + hi[1]) / 2 + (hi[1] - lo[1]) / 2 * x1
-    X, Y = np.meshgrid(xa, ya, indexing="ij")
-    pts = np.column_stack((X.ravel(), Y.ravel()))
-    WX, WY = np.meshgrid(w1 * (hi[0] - lo[0]) / 2, w1 * (hi[1] - lo[1]) / 2,
-                         indexing="ij")
-    wts = (WX * WY).ravel()
-    if alpha is None:
-        alpha = np.ones(len(wts))
-    return QuadratureCell(lo, hi, pts, wts, alpha)
+    mid = (lo + hi) / 2
+    half = (hi - lo) / 2
+    ref = np.column_stack((np.repeat(x1, order), np.tile(x1, order)))
+    wts = np.outer(w1 * half[0], w1 * half[1]).ravel()
+    return QuadratureCell(lo, hi, mid + half * ref, wts, np.ones(order * order))
 
 
 @dataclass
@@ -178,6 +178,27 @@ class Complement(Geometry):
         return ~self.part.contains(points)
 
 
+# JSON primitive name -> (class, its fields in constructor order)
+_PRIMITIVES = {"halfplane": (HalfPlane, ("normal", "offset")),
+               "disk": (Disk, ("center", "radius")),
+               "rect": (Rect, ("lo", "hi"))}
+
+
+def _primitive_field(kind, obj, key):
+    """One checked field of a JSON primitive: a number or a 2-d point."""
+    if key not in obj:
+        raise ValueError(f"geometry primitive {kind!r} needs a {key!r} key")
+    val = obj[key]
+    if key in ("offset", "radius"):
+        if not isinstance(val, numbers.Real):
+            raise ValueError(f"geometry key {key!r} must be a number, got {val!r}")
+        return float(val)
+    if not (isinstance(val, (list, tuple)) and len(val) == 2
+            and all(isinstance(v, numbers.Real) for v in val)):
+        raise ValueError(f"geometry key {key!r} must be two numbers, got {val!r}")
+    return tuple(val)
+
+
 def geometry_from_json(obj):
     """Build a CSG tree from its JSON form.
 
@@ -185,22 +206,22 @@ def geometry_from_json(obj):
     {"primitive": "disk", "center": [...], "radius": r},
     {"primitive": "rect", "lo": [...], "hi": [...]}.
     Operators: {"op": "union" | "intersect" | "subtract" | "complement",
-    "args": [...]}.
+    "args": [...]}.  Malformed input raises ValueError naming the key.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a geometry node must be a JSON object, got {obj!r}")
     if "primitive" in obj:
         kind = obj["primitive"]
-        if kind == "halfplane":
-            return HalfPlane(tuple(obj["normal"]), float(obj["offset"]))
-        if kind == "disk":
-            return Disk(tuple(obj["center"]), float(obj["radius"]))
-        if kind == "rect":
-            return Rect(tuple(obj["lo"]), tuple(obj["hi"]))
-        raise ValueError(f"unknown geometry primitive {kind!r}")
+        if not isinstance(kind, str) or kind not in _PRIMITIVES:
+            raise ValueError(f"unknown geometry primitive {kind!r}")
+        cls, keys = _PRIMITIVES[kind]
+        return cls(*(_primitive_field(kind, obj, key) for key in keys))
     if "op" in obj:
         op = obj["op"]
-        args = tuple(geometry_from_json(a) for a in obj.get("args", ()))
-        if not args:
-            raise ValueError(f"geometry op {op!r} needs arguments")
+        raw = obj.get("args")
+        if not isinstance(raw, (list, tuple)) or not raw:
+            raise ValueError(f"geometry op {op!r} needs a non-empty 'args' list")
+        args = tuple(geometry_from_json(a) for a in raw)
         if op == "union":
             return Union(args)
         if op == "intersect":
@@ -259,17 +280,10 @@ def spacetree_cells(lo, hi, domain, depth, order, to_physical=None):
         sample = np.vstack((corners(l, h), cell.points))
         phys = sample if ident else to_physical(sample)
         inside = domain.contains(phys)
-        if inside.all():
-            out.append(cell)
-            return
-        if not inside.any():
+        if remaining == 0 or inside.all() or not inside.any():
+            # rows 4: of the sample are the cell's own Gauss points
             out.append(QuadratureCell(l, h, cell.points, cell.weights,
-                                      np.full(len(cell.weights), eps)))
-            return
-        if remaining == 0:
-            pts_phys = cell.points if ident else to_physical(cell.points)
-            alpha = np.where(domain.contains(pts_phys), 1.0, eps)
-            out.append(QuadratureCell(l, h, cell.points, cell.weights, alpha))
+                                      np.where(inside[4:], 1.0, eps)))
             return
         mid = (l + h) / 2
         visit(l, mid, remaining - 1)

@@ -15,8 +15,8 @@ from conftest import single_patch, random_refined_mesh, random_orders
 from overlayfem.mesh import Mesh, NODE, EDGE, FACE
 from overlayfem.basis import (
     Basis, PolynomialOrderField, entity_mode_count, enumerate_dofs,
-    integrated_legendre, integrated_legendre_deriv, shape_table,
-    shape_table_deriv, interpolate_nodal, FieldApproximation,
+    integrated_legendre, integrated_legendre_deriv, shape_tables,
+    interpolate_nodal, FieldApproximation,
 )
 from overlayfem.benchmarks import lshape_mesh_spec
 from test_mesh import refine_at_corner
@@ -71,8 +71,7 @@ def test_derivative_matches_finite_difference():
 
 def test_shape_table_consistency():
     xi = np.array([-0.7, 0.0, 0.3, 0.9])
-    table = shape_table(8, xi)
-    deriv = shape_table_deriv(8, xi)
+    table, deriv = shape_tables(8, xi)
     assert table.shape == (8, 4)
     for j in range(1, 9):
         assert np.allclose(table[j - 1], integrated_legendre(j, xi))
@@ -83,9 +82,9 @@ def test_mode_argument_validation():
     with pytest.raises(ValueError):
         integrated_legendre(0, 0.0)
     with pytest.raises(ValueError):
-        shape_table(0, np.array([0.0]))
+        shape_tables(0, np.array([0.0]))
     with pytest.raises(ValueError):
-        shape_table(3, np.array([1.5]))
+        shape_tables(3, np.array([1.5]))
     with pytest.raises(ValueError):
         entity_mode_count(NODE, 0)
     with pytest.raises(ValueError):

@@ -142,6 +142,23 @@ def test_one_axis_custom_patch_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    {"patches": [{"bounds": [0.0, 1.0], "resolution": [4, 4]}]},
+    {"patches": [{"bounds": [[0.0, 1.0], [0.0, 1.0]]}]},
+    {"dirichlet_boxes": [[0.0, 0.0]]},
+    {"geometry": {"primitive": "disk", "center": [0, 0]}},
+], ids=["flat-bounds", "no-resolution", "flat-box", "disk-no-radius"])
+def test_malformed_custom_config_exits_2(tmp_path, capsys, bad):
+    config = {
+        "benchmark": "custom", "steps": 0,
+        "patches": [{"bounds": [[0.0, 1.0], [0.0, 1.0]], "resolution": [2, 2]}],
+    }
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**config, **bad}))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_solver_failure_still_writes_report(tmp_path, monkeypatch, capsys):
     solve = overlayfem.distributed.parallel_cg
     calls = []

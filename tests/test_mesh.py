@@ -192,8 +192,10 @@ def test_refine_coarsen_cycles_keep_linked_entities_once():
     for _ in range(5):
         mesh.refine([leaf.id])
         assert len(mesh._linked) == 9
+        assert len(mesh._by_level[1]) == 25  # 9 nodes, 12 edges, 4 faces
         mesh.coarsen([leaf.id])
         assert len(mesh._linked) == 9
+        assert len(mesh._by_level[1]) == 0  # no dead entity is swept again
     assert census(mesh, 0) == fresh
 
 

@@ -58,6 +58,21 @@ def test_gauss_cell_monomials():
             assert val == pytest.approx(exact, abs=1e-13)
 
 
+def test_gauss_cell_point_order_and_weights():
+    # x-major: the first coordinate varies slowest
+    r = 1.0 / np.sqrt(3.0)
+    cell = gauss_cell([0.0, 1.0], [2.0, 2.0], 2)
+    xs = [1.0 - r, 1.0 + r]
+    ys = [1.5 - 0.5 * r, 1.5 + 0.5 * r]
+    expected = np.array([[xs[0], ys[0]], [xs[0], ys[1]],
+                         [xs[1], ys[0]], [xs[1], ys[1]]])
+    np.testing.assert_allclose(cell.points, expected, rtol=0, atol=1e-15)
+    # each weight is w_x * w_y = (1 * 1) * (1 * 1/2), the box's area over four
+    np.testing.assert_allclose(cell.weights, [0.5, 0.5, 0.5, 0.5],
+                               rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(cell.alpha, np.ones(4))
+
+
 # ------------------------------------------------------- composed domains
 
 
@@ -177,6 +192,11 @@ def test_spacetree_cut_box_splits_and_conserves_measure():
         assert len(cells) <= 4**depth or depth == 0
         measure = sum(c.weights.sum() for c in cells)
         assert measure == pytest.approx(1.0)
+        if depth == 0:
+            # depth exhausted at once: the indicator is taken per Gauss point
+            for cell in cells:
+                np.testing.assert_array_equal(
+                    cell.alpha, np.where(dom.contains(cell.points), 1.0, dom.epsilon))
 
     # deeper trees approach the true quarter-disk area
     errs = []
