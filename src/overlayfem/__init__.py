@@ -17,8 +17,9 @@ from .partition import (build_leaf_graph, compute_leaf_weights, edge_cut,
 from .physics import (DirichletMap, LShapeSolution, assemble_serial,
                       element_system, energy_error, neumann_load,
                       solve_dirichlet)
-from .quadrature import (Disk, EmbeddedDomain, HalfPlane, Rect,
+from .quadrature import (Disk, EmbeddedDomain, HalfPlane, LeafRule, Rect,
                          QuadratureCell, gauss_rule_1d, geometry_from_json,
-                         indicator_area, leaf_quadrature, spacetree_cells)
+                         indicator_area, leaf_quadrature, leaf_rule,
+                         spacetree_cells)
 
 __version__ = "0.1.0"

@@ -212,7 +212,8 @@ class Basis:
     """Active shape functions of a mesh snapshot at fixed orders.
 
     Built for the mesh state at construction time; refine or coarsen the
-    mesh and this object is stale, build a new one.
+    mesh and this object is stale, build a new one.  It also keeps the
+    quadrature rules of its cut leaves, which go stale with it.
     """
 
     def __init__(self, mesh, orders):
@@ -221,6 +222,8 @@ class Basis:
         self.dofmap = enumerate_dofs(mesh, orders)
         self._elem_plan = {}
         self._leaf_dofs = {}
+        # cut-leaf quadrature rules of this mesh state, see quadrature.leaf_rule
+        self.leaf_rules = {}
 
     # -- per-element plan: which modes, which 1d rows ------------------
 

@@ -38,6 +38,14 @@ from .quadrature import Disk, EmbeddedDomain, geometry_from_json, indicator_area
 DOF_DIST_CHOICES = ("contiguous", "graph")
 BENCHMARK_CHOICES = ("lshape", "fcm_disk", "custom")
 MARKING_CHOICES = ("corner", "ball", "interface", "random", "none")
+# scalar config keys by the kind of value they take (a bool is no number)
+_SCALAR_KINDS = (
+    (("res", "steps", "p", "ranks", "depth", "seed", "workers", "probe"),
+     numbers.Integral, "an integer"),
+    (("epsilon", "tol"), numbers.Real, "a number"),
+    (("dry_run",), bool, "true or false"),
+    (("benchmark", "partitioner", "dof_dist", "out"), str, "a string"),
+)
 
 
 @dataclass
@@ -87,6 +95,12 @@ class RunConfig:
         return RunConfig.from_dict(data)
 
     def validate(self):
+        for keys, kind, expected in _SCALAR_KINDS:
+            for key in keys:
+                val = getattr(self, key)
+                if not isinstance(val, kind) or (kind is not bool
+                                                 and isinstance(val, bool)):
+                    raise ValueError(f"{key} must be {expected}, got {val!r}")
         if self.benchmark not in BENCHMARK_CHOICES:
             raise ValueError(f"benchmark must be one of {BENCHMARK_CHOICES}")
         if self.partitioner not in PARTITIONERS:

@@ -4,9 +4,11 @@ serial assembly, and energy-norm error measurement.
 Element systems are integrated leaf by leaf with the composed Gauss rules
 from :mod:`overlayfem.quadrature`; an embedded domain scales each point by
 its indicator factor.  One kernel, :func:`element_system`, yields a leaf's
-stiffness matrix and source load together, so the leaf's rule is built and
-its basis evaluated once per leaf; the serial and the distributed assembly
-both call it.  Homogeneous Dirichlet conditions are imposed by
+stiffness matrix and source load together; the serial and the distributed
+assembly both call it.  It reads the leaf's rule from the memo on the
+Basis, evaluates the basis once on all of the leaf's points, and sums
+cell by cell, so a cut leaf costs one evaluation however many cells its
+spacetree has.  Homogeneous Dirichlet conditions are imposed by
 symmetric elimination: the constrained rows and columns are dropped from
 the system and restored as zeros in the solution vector.  Inhomogeneous
 flux (Neumann) data enters through 1d edge rules on the domain boundary.
@@ -14,7 +16,8 @@ flux (Neumann) data enters through 1d edge rules on the domain boundary.
 The energy-error integrator upgrades every leaf rule by a couple of Gauss
 points and, on leaves whose closure holds a declared singular point, peels
 dyadic shells toward that corner so the non-smooth remainder is integrated
-accurately instead of polluting the measurement.
+accurately instead of polluting the measurement.  It too evaluates each
+leaf once, on the points of all its cells or shells.
 """
 from __future__ import annotations
 
@@ -24,8 +27,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .basis import entity_mode_count
-from .quadrature import (gauss_cell, gauss_rule_1d, leaf_jacobian,
-                         leaf_quadrature, leaf_to_physical)
+from .quadrature import (LeafRule, gauss_cell, gauss_rule_1d, leaf_jacobian,
+                         leaf_quadrature, leaf_rule, leaf_to_physical)
 
 
 def element_system(basis, leaf, domain=None, depth=0, source=None):
@@ -34,20 +37,21 @@ def element_system(basis, leaf, domain=None, depth=0, source=None):
     Returns (K, f, gids) with K of shape (n, n) over the active shape
     functions on the leaf, in leaf_dofs order, and f of shape (n,) for a
     volume source term (None without one).  Both come from one pass over
-    the leaf's rule: it is built once and evaluated once per cell.
+    the leaf's memoized rule: its points are mapped and evaluated at once,
+    then summed cell by cell.
     """
-    to_phys = leaf_to_physical(leaf)
-    jac = leaf_jacobian(leaf)
+    rule = leaf_rule(basis, leaf, domain, depth)
+    pts = leaf_to_physical(leaf)(rule.points)
+    V, G = basis.evaluate_leaf(leaf, pts)
+    w = rule.weights * rule.alpha * leaf_jacobian(leaf)
     n = basis.leaf_mode_count(leaf)
     K = np.zeros((n, n))
     f = None if source is None else np.zeros(n)
-    for cell in leaf_quadrature(basis, leaf, domain, depth):
-        pts = to_phys(cell.points)
-        V, G = basis.evaluate_leaf(leaf, pts)
-        w = cell.weights * cell.alpha * jac
-        K += np.einsum("q,qid,qjd->ij", w, G, G)
+    for cell in rule.cells():
+        K += np.einsum("q,qid,qjd->ij", w[cell], G[cell], G[cell])
         if f is not None:
-            f += V.T @ (w * np.asarray(source(pts), dtype=float))
+            src = np.asarray(source(pts[cell]), dtype=float)
+            f += V[cell].T @ (w[cell] * src)
     return K, f, basis.leaf_dofs(leaf)
 
 
@@ -310,16 +314,16 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
                      for blo, bhi in _corner_shells(corner, corner_levels)]
         else:
             cells = leaf_quadrature(basis, leaf, domain, depth, order=q)
-        gids = basis.leaf_dofs(leaf)
-        coef = coefficients[gids]
-        for cell in cells:
-            pts = to_phys(cell.points)
-            _, G = basis.evaluate_leaf(leaf, pts)
-            gh = np.einsum("qid,i->qd", G, coef)
-            diff = gh - np.asarray(exact_gradient(pts), dtype=float)
+        rule = LeafRule.from_cells(cells)
+        pts = to_phys(rule.points)
+        _, G = basis.evaluate_leaf(leaf, pts)
+        coef = coefficients[basis.leaf_dofs(leaf)]
+        for cell in rule.cells():
+            gh = np.einsum("qid,i->qd", G[cell], coef)
+            diff = gh - np.asarray(exact_gradient(pts[cell]), dtype=float)
             if singular and domain is not None:
-                w = cell.weights * jac * domain.alpha(pts)
+                w = rule.weights[cell] * jac * domain.alpha(pts[cell])
             else:
-                w = cell.weights * jac * cell.alpha
+                w = rule.weights[cell] * jac * rule.alpha[cell]
             acc += float(np.einsum("q,qd,qd->", w, diff, diff))
     return float(np.sqrt(acc))

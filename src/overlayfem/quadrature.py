@@ -12,6 +12,13 @@ cells fully in the fictitious remainder get a small epsilon, and cut cells
 subdivide into four children up to a fixed depth, after which each Gauss
 point is classified individually.  Geometry is a small CSG tree of
 half-planes, disks and rectangles, also loadable from JSON.
+
+A leaf's rule is built once per mesh state: ``leaf_rule`` keeps each cut
+leaf's cells on the ``Basis`` as one ``LeafRule`` (stacked points,
+weights and indicator values plus the cell offsets), keyed by leaf,
+depth and domain, so the cost-model weights, the integration and the
+area measurement share one spacetree per leaf.  Leaves without a domain
+share one reference rule per order.
 """
 from __future__ import annotations
 
@@ -31,6 +38,21 @@ def gauss_rule_1d(q):
     return x, w
 
 
+@lru_cache(maxsize=None)
+def _reference_points(order):
+    """Tensor Gauss points on [-1, 1]^2, x-major, shared per order."""
+    x1, _ = gauss_rule_1d(order)
+    ref = np.column_stack((np.repeat(x1, order), np.tile(x1, order)))
+    ref.flags.writeable = False
+    return ref
+
+
+def _box_weights(half, order):
+    """Tensor Gauss weights of a box with half-widths `half`."""
+    _, w1 = gauss_rule_1d(order)
+    return np.outer(w1 * half[0], w1 * half[1]).ravel()
+
+
 def gauss_cell(lo, hi, order):
     """Tensor Gauss rule on an axis rectangle; weights sum to its area.
 
@@ -39,12 +61,10 @@ def gauss_cell(lo, hi, order):
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    x1, w1 = gauss_rule_1d(order)
-    mid = (lo + hi) / 2
     half = (hi - lo) / 2
-    ref = np.column_stack((np.repeat(x1, order), np.tile(x1, order)))
-    wts = np.outer(w1 * half[0], w1 * half[1]).ravel()
-    return QuadratureCell(lo, hi, mid + half * ref, wts, np.ones(order * order))
+    points = (lo + hi) / 2 + half * _reference_points(order)
+    return QuadratureCell(lo, hi, points, _box_weights(half, order),
+                          np.ones(order * order))
 
 
 @dataclass
@@ -261,7 +281,8 @@ def spacetree_cells(lo, hi, domain, depth, order, to_physical=None):
     (mapped through `to_physical` when the box is a reference frame).
     Uniform boxes become a single cell with constant indicator; cut boxes
     split into four children until `depth`, where the indicator is applied
-    per Gauss point.
+    per Gauss point.  Each kept cell equals ``gauss_cell`` on its box
+    except for the indicator; boxes that split get no weights.
     """
     if depth < 0:
         raise ValueError("spacetree depth must be >= 0")
@@ -269,6 +290,7 @@ def spacetree_cells(lo, hi, domain, depth, order, to_physical=None):
     hi = np.asarray(hi, dtype=float)
     ident = to_physical is None
     eps = domain.epsilon
+    ref = _reference_points(order)
 
     def corners(l, h):
         return np.array([[l[0], l[1]], [h[0], l[1]], [l[0], h[1]], [h[0], h[1]]])
@@ -276,16 +298,17 @@ def spacetree_cells(lo, hi, domain, depth, order, to_physical=None):
     out = []
 
     def visit(l, h, remaining):
-        cell = gauss_cell(l, h, order)
-        sample = np.vstack((corners(l, h), cell.points))
+        mid = (l + h) / 2
+        half = (h - l) / 2
+        points = mid + half * ref
+        sample = np.vstack((corners(l, h), points))
         phys = sample if ident else to_physical(sample)
         inside = domain.contains(phys)
         if remaining == 0 or inside.all() or not inside.any():
             # rows 4: of the sample are the cell's own Gauss points
-            out.append(QuadratureCell(l, h, cell.points, cell.weights,
+            out.append(QuadratureCell(l, h, points, _box_weights(half, order),
                                       np.where(inside[4:], 1.0, eps)))
             return
-        mid = (l + h) / 2
         visit(l, mid, remaining - 1)
         visit(np.array([mid[0], l[1]]), np.array([h[0], mid[1]]), remaining - 1)
         visit(np.array([l[0], mid[1]]), np.array([mid[0], h[1]]), remaining - 1)
@@ -327,11 +350,62 @@ def leaf_quadrature(basis, leaf, domain=None, depth=0, order=None):
                            to_physical=leaf_to_physical(leaf))
 
 
+@dataclass
+class LeafRule:
+    """A leaf's quadrature cells stacked into three read-only arrays.
+
+    Cell k owns rows ``offsets[k]:offsets[k + 1]``; rows keep the cell
+    order and the point order of the cells they came from.
+    """
+
+    points: np.ndarray   # (n, 2)
+    weights: np.ndarray  # (n,)
+    alpha: np.ndarray    # (n,)
+    offsets: tuple       # cells + 1 row offsets, from 0 to n
+
+    @classmethod
+    def from_cells(cls, cells):
+        arrays = [np.concatenate([getattr(c, name) for c in cells])
+                  for name in ("points", "weights", "alpha")]
+        for arr in arrays:
+            arr.flags.writeable = False
+        sizes = np.cumsum([len(c.weights) for c in cells]).tolist()
+        return cls(*arrays, (0, *sizes))
+
+    def cells(self):
+        """One row slice per cell."""
+        return [slice(a, b) for a, b in zip(self.offsets[:-1], self.offsets[1:])]
+
+
+@lru_cache(maxsize=None)
+def _reference_rule(order):
+    """The rule of every leaf of this order without a domain."""
+    return LeafRule.from_cells([gauss_cell(-np.ones(2), np.ones(2), order)])
+
+
+def leaf_rule(basis, leaf, domain=None, depth=0):
+    """The leaf's rule, built once per Basis and shared by every caller.
+
+    Without a domain a leaf gets the shared reference rule of its order.
+    With one, the spacetree is built on the first call and kept in
+    ``basis.leaf_rules`` under (leaf id, depth, domain).  The key holds
+    the domain itself and compares it by value, so only an equal domain
+    reads the entry, also in a worker that unpickled the Basis; the rule
+    goes when the Basis does.
+    """
+    if domain is None:
+        return _reference_rule(basis.leaf_quad_order(leaf))
+    key = (leaf.id, depth, domain)
+    rule = basis.leaf_rules.get(key)
+    if rule is None:
+        rule = LeafRule.from_cells(leaf_quadrature(basis, leaf, domain, depth))
+        basis.leaf_rules[key] = rule
+    return rule
+
+
 def leaf_point_count(basis, leaf, domain=None, depth=0):
     """Number of Gauss points the leaf will be integrated with."""
-    if domain is None:
-        return basis.leaf_quad_order(leaf) ** 2
-    return sum(len(c.weights) for c in leaf_quadrature(basis, leaf, domain, depth))
+    return leaf_rule(basis, leaf, domain, depth).weights.size
 
 
 def indicator_area(basis, domain, depth):
@@ -339,6 +413,8 @@ def indicator_area(basis, domain, depth):
     total = 0.0
     for leaf in basis.mesh.active_leaf_elements():
         jac = leaf_jacobian(leaf)
-        for cell in leaf_quadrature(basis, leaf, domain, depth):
-            total += jac * float(cell.weights[cell.alpha == 1.0].sum())
+        rule = leaf_rule(basis, leaf, domain, depth)
+        for cell in rule.cells():
+            inside = rule.alpha[cell] == 1.0
+            total += jac * float(rule.weights[cell][inside].sum())
     return total

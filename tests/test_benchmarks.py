@@ -245,7 +245,8 @@ def test_study_computes_area_weights_and_partition_once_per_step(monkeypatch):
     import overlayfem.quadrature
     modules = (overlayfem.benchmarks, overlayfem.distributed,
                overlayfem.partition, overlayfem.quadrature)
-    calls = {"indicator_area": 0, "compute_leaf_weights": 0}
+    calls = {"indicator_area": 0, "compute_leaf_weights": 0,
+             "spacetree_cells": 0}
     partition_inside_step = []
     in_step = []
 
@@ -273,6 +274,9 @@ def test_study_computes_area_weights_and_partition_once_per_step(monkeypatch):
                     epsilon=1e-6, depth=3)
     steps, final = run_benchmark(cfg)
     assert len(steps) == 2
+    # weights, integration and area share one spacetree per leaf and step
+    spacetrees = calls.pop("spacetree_cells")
+    assert spacetrees == sum(s["leaves"] for s in steps)
     assert calls == {"indicator_area": 2, "compute_leaf_weights": 2}
     assert partition_inside_step == [True, True]
     assert len(final["ranks"]) == len(final["weights"]) == steps[-1]["leaves"]

@@ -147,7 +147,14 @@ def test_one_axis_custom_patch_exits_2(tmp_path, capsys):
     {"patches": [{"bounds": [[0.0, 1.0], [0.0, 1.0]]}]},
     {"dirichlet_boxes": [[0.0, 0.0]]},
     {"geometry": {"primitive": "disk", "center": [0, 0]}},
-], ids=["flat-bounds", "no-resolution", "flat-box", "disk-no-radius"])
+    {"res": "4"},
+    {"steps": 1.5},
+    {"epsilon": "1e-8"},
+    {"dry_run": "no"},
+    {"workers": True},
+], ids=["flat-bounds", "no-resolution", "flat-box", "disk-no-radius",
+        "res-string", "steps-float", "epsilon-string", "dry-run-string",
+        "workers-bool"])
 def test_malformed_custom_config_exits_2(tmp_path, capsys, bad):
     config = {
         "benchmark": "custom", "steps": 0,

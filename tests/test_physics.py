@@ -18,6 +18,9 @@ from overlayfem.physics import (
     energy_error,
 )
 from overlayfem.benchmarks import lshape_mesh_spec
+from overlayfem.partition import compute_leaf_weights
+from overlayfem.quadrature import (Disk, EmbeddedDomain, leaf_jacobian,
+                                   leaf_quadrature, leaf_rule, leaf_to_physical)
 
 
 def two_level_mesh():
@@ -55,6 +58,38 @@ def test_element_stiffness_annihilates_constants():
         K, _, gids = element_system(basis, leaf)
         r = K @ const[gids]
         assert np.max(np.abs(r)) < 1e-11 * max(1.0, np.abs(K).max())
+
+
+def test_cut_leaf_system_same_from_warm_and_cold_basis():
+    mesh = two_level_mesh()
+    orders = PolynomialOrderField(by_level={0: 3, 1: 2})
+    dom = EmbeddedDomain(Disk((0.0, 0.0), 0.7), epsilon=1e-6)
+    warm = Basis(mesh, orders)
+    compute_leaf_weights(warm, dom, 3)
+    assert len(warm.leaf_rules) == len(mesh.active_leaf_elements())
+    src = lambda pts: np.sin(pts[:, 0]) + pts[:, 1]
+    cut = 0
+    for leaf in mesh.active_leaf_elements():
+        cold = Basis(mesh, orders)
+        K, f, gids = element_system(warm, leaf, dom, 3, src)
+        K0, f0, gids0 = element_system(cold, leaf, dom, 3, src)
+        assert np.array_equal(K, K0)
+        assert np.array_equal(f, f0)
+        assert np.array_equal(gids, gids0)
+        cut += len(leaf_rule(warm, leaf, dom, 3).cells()) > 1
+        # and equal to evaluating the leaf cell by cell
+        to_phys = leaf_to_physical(leaf)
+        K_ref = np.zeros_like(K)
+        f_ref = np.zeros_like(f)
+        for cell in leaf_quadrature(cold, leaf, dom, 3):
+            pts = to_phys(cell.points)
+            V, G = cold.evaluate_leaf(leaf, pts)
+            w = cell.weights * cell.alpha * leaf_jacobian(leaf)
+            K_ref += np.einsum("q,qid,qjd->ij", w, G, G)
+            f_ref += V.T @ (w * src(pts))
+        assert np.array_equal(K, K_ref)
+        assert np.array_equal(f, f_ref)
+    assert cut > 0
 
 
 def test_assemble_matches_dense_scatter():

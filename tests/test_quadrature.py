@@ -4,6 +4,8 @@ Exactness is checked against closed-form monomial integrals, and the
 cut-cell machinery against areas that are known analytically.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from overlayfem.quadrature import (
     HalfPlane, Disk, Rect, Union, Intersection, Difference, Complement,
     geometry_from_json, EmbeddedDomain, spacetree_cells,
     leaf_to_physical, leaf_jacobian, leaf_quadrature, leaf_point_count,
-    indicator_area,
+    leaf_rule, indicator_area,
 )
 
 
@@ -192,6 +194,11 @@ def test_spacetree_cut_box_splits_and_conserves_measure():
         assert len(cells) <= 4**depth or depth == 0
         measure = sum(c.weights.sum() for c in cells)
         assert measure == pytest.approx(1.0)
+        for cell in cells:
+            # a kept box is the plain Gauss rule on it, bit for bit
+            plain = gauss_cell(cell.lo, cell.hi, 3)
+            assert np.array_equal(cell.points, plain.points)
+            assert np.array_equal(cell.weights, plain.weights)
         if depth == 0:
             # depth exhausted at once: the indicator is taken per Gauss point
             for cell in cells:
@@ -261,3 +268,47 @@ def test_indicator_area_quarter_disk():
     errs = [abs(indicator_area(basis, dom, depth) - exact) for depth in range(4)]
     assert errs[3] < errs[0]
     assert errs[3] < 1e-3
+
+
+def test_indicator_area_memo_keys_on_domain_and_depth():
+    mesh = single_patch(4)
+    mesh.refine([mesh.locate_leaf((0.4, 0.4)).id])
+    orders = PolynomialOrderField(uniform=2)
+    disk_a = EmbeddedDomain(Disk((0.0, 0.0), 0.55), epsilon=0.0)
+    disk_b = EmbeddedDomain(Disk((1.0, 0.2), 0.35), epsilon=0.0)
+    shared = Basis(mesh, orders)
+    for dom, depth in ((disk_a, 2), (disk_b, 2), (disk_a, 3)):
+        fresh = indicator_area(Basis(mesh, orders), dom, depth)
+        assert indicator_area(shared, dom, depth) == fresh
+    assert len(shared.leaf_rules) == 3 * len(mesh.active_leaf_elements())
+    # an equal domain built anew reads the same entries
+    again = EmbeddedDomain(Disk((0.0, 0.0), 0.55), epsilon=0.0)
+    assert indicator_area(shared, again, 3) == indicator_area(shared, disk_a, 3)
+    assert len(shared.leaf_rules) == 3 * len(mesh.active_leaf_elements())
+
+
+def test_leaf_rule_memo_is_shared_and_survives_pickling(monkeypatch):
+    mesh = single_patch(4)
+    basis = Basis(mesh, PolynomialOrderField(uniform=2))
+    dom = EmbeddedDomain(Disk((0.0, 0.0), 0.7), epsilon=1e-8)
+    leaf = mesh.locate_leaf((0.6, 0.4))
+    rule = leaf_rule(basis, leaf, dom, 3)
+    assert len(rule.cells()) > 1
+    assert leaf_rule(basis, leaf, dom, 3) is rule
+    cells = leaf_quadrature(basis, leaf, dom, 3)
+    for cell, rows in zip(cells, rule.cells(), strict=True):
+        assert np.array_equal(rule.points[rows], cell.points)
+        assert np.array_equal(rule.weights[rows], cell.weights)
+        assert np.array_equal(rule.alpha[rows], cell.alpha)
+    # uncut leaves share one rule per order
+    other = mesh.locate_leaf((0.1, 0.9))
+    assert leaf_rule(basis, leaf) is leaf_rule(basis, other)
+    # a pickled copy, as a worker process receives it, holds the filled
+    # memo; an equal domain that is another object finds the entry without
+    # a second spacetree
+    copy = pickle.loads(pickle.dumps(basis))
+    dom_copy = pickle.loads(pickle.dumps(dom))
+    monkeypatch.setattr("overlayfem.quadrature.spacetree_cells", None)
+    copied = leaf_rule(copy, copy.mesh.locate_leaf((0.6, 0.4)), dom_copy, 3)
+    assert np.array_equal(copied.points, rule.points)
+    assert copied.offsets == rule.offsets
