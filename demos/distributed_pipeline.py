@@ -1,11 +1,10 @@
 """One full solve through the simulated multi-rank pipeline.
 
-Every rank integrates only its own leaves, triplets for rows owned
-elsewhere are shipped once, and the conjugate gradient loop runs on
-globally reduced scalars.  Because merged triplets are combined in a
-partition-independent order, the assembled operator and hence the
-iteration trace do not depend on the rank count; the last lines check
-that directly.
+Every rank integrates only its own leaves; all ranks' triplets are summed
+into one operator in a partition-independent order, and the per-rank
+table counts what each rank would send and keep.  Because of that order
+the assembled operator and hence the iteration trace do not depend on
+the rank count; the last lines check that directly.
 """
 
 import numpy as np

@@ -3,29 +3,27 @@
 The runtime is deterministic and in-process: "ranks" are index sets of
 active leaves, produced by any partitioner from :mod:`overlayfem.partition`.
 Each rank integrates exactly its own leaves (no element is ever touched by
-two ranks), producing an intermediate triplet system that may contain rows
-it does not own.  Those rows are shipped to their owners as exchange
-packets, and every owner accumulates in a fixed global order: triplets are
-tagged with their source-leaf index and summed sorted by (row, column,
-leaf).  The assembled rows, the solver iterates, and the solution are
-therefore bit-identical no matter how many ranks participate.
+two ranks) into tagged triplets, one tag per source leaf.  Every leaf is
+integrated by one kernel, :func:`overlayfem.physics.element_system`.
 
-Every leaf is integrated by one kernel, :func:`overlayfem.physics.element_system`,
-which returns its stiffness matrix and source load from a single pass over
-the leaf's quadrature rule.
+Assembly is one sort.  All ranks' triplets are ordered by (row, column,
+leaf tag) and summed per (row, column) into one global CSR operator; the
+rhs is summed the same way by (row, leaf tag).  Because that order does
+not involve ranks, the operator, the solver iterates and the solution are
+bit-identical whatever the rank count.
 
-Two things are deliberately split: the numeric path keeps leaf tags so the
-accumulation order cannot depend on the rank count, while the reported
-communication volume counts merged (row, column) entries, the granularity
-a real message would have after local compression.  Each rank counts them
-once: the distinct (row, column) keys of its intermediate system, binned by
-the owner of the row, give the entries kept at home, the entries each
-packet ships, and their total.
+Ranks are a ledger read off the same sort, not a second assembly.  A
+free dof belongs to one owner; the rows a rank owns are its slice of the
+operator.  Communication volume counts merged (row, column) entries, the
+granularity a real message would have after local compression: a merged
+entry that rank s integrated in a row rank d owns is one entry s ships to
+d (kept at home when s == d).  Halo columns are the off-rank columns that
+appear in a rank's owned rows.
 
-The conjugate-gradient solver mirrors the same discipline.  Every rank
-multiplies only its owned rows, but inner products are taken on the
-gathered global vectors in global index order, so iteration counts and
-residual histories do not change with the partition either.
+The conjugate-gradient solver runs on the one operator: one matrix-vector
+product and one Jacobi scaling per iteration, and inner products in
+global index order, so iteration counts and residual histories do not
+change with the partition either.
 """
 from __future__ import annotations
 
@@ -138,147 +136,122 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
 
 
 @dataclass
-class ExchangePacket:
-    """Rows one rank integrated but another rank owns."""
-
-    src: int
-    dst: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    leaf_tags: np.ndarray
-    rhs_rows: np.ndarray
-    rhs_vals: np.ndarray
-    rhs_tags: np.ndarray
-    merged_entries: int
-
-
-@dataclass
 class DistributedSystem:
-    """Owned-row blocks of the reduced system, one per rank."""
+    """The reduced system as one operator, with the per-rank ledger."""
 
     n_free: int
     n_ranks: int
     owner: np.ndarray
     own_rows: list           # per rank: ascending free indices
-    blocks: list              # per rank: CSR (n_own, n_free)
-    rhs: list                 # per rank: (n_own,) arrays
-    diag: list                # per rank: (n_own,) arrays
-    halo_counts: list         # per rank: off-rank columns referenced
+    matrix: scipy.sparse.csr_matrix  # (n_free, n_free)
+    rhs: np.ndarray          # (n_free,)
+    halo_counts: list         # per rank: off-rank columns in its owned rows
     sent_entries: list        # per rank: merged entries shipped away
     kept_entries: list        # per rank: merged entries kept at home
     total_entries: list       # per rank: merged entries integrated
 
-    def gather(self, parts):
-        out = np.empty(self.n_free)
-        for rows, vec in zip(self.own_rows, parts):
-            out[rows] = vec
-        return out
+    @property
+    def blocks(self):
+        """Each rank's owned rows of the operator, as CSR slices."""
+        return [self.matrix[rows] for rows in self.own_rows]
 
     def gather_matrix(self):
         """The full reduced matrix, for verification against serial."""
-        return scipy.sparse.vstack(
-            [blk for blk in self.blocks], format="csr"
-        )[np.argsort(np.concatenate(self.own_rows)), :]
+        return self.matrix
 
     def gather_rhs(self):
-        return self.gather(self.rhs)
+        return self.rhs
 
 
-def _accumulate(rows, cols, vals, tags, n_free):
-    """Sum duplicates in (row, col, leaf-tag) order; order-stable in P."""
-    if rows.size == 0:
-        return (np.empty(0, np.int64), np.empty(0, np.int64),
-                np.empty(0, float))
-    order = np.lexsort((tags, cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    keys = rows * n_free + cols
-    starts = np.flatnonzero(np.r_[True, np.diff(keys) != 0])
-    summed = np.add.reduceat(vals, starts)
-    return rows[starts], cols[starts], summed
-
-
-def _accumulate_rhs(rows, vals, tags):
-    if rows.size == 0:
-        return np.empty(0, np.int64), np.empty(0, float)
-    order = np.lexsort((tags, rows))
-    rows, vals = rows[order], vals[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(rows) != 0])
-    return rows[starts], np.add.reduceat(vals, starts)
+def _run_starts(keys):
+    """Mask of the first element of each run of equal sorted keys."""
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return new
 
 
 def exchange_and_assemble(intermediates, owner, n_free, n_ranks):
-    """Ship non-owned rows to their owners and build the final blocks."""
+    """Sum every rank's triplets into one operator and count the traffic.
+
+    Returns (system, traffic), where traffic[s, d] is the number of merged
+    (row, column) entries rank s integrated in rows rank d owns.
+    """
+    # the triplet arrays are a step's largest: each temporary is freed
+    # as soon as it is spent
     owner = np.asarray(owner)
-    packets = []
-    inbox = [[] for _ in range(n_ranks)]
-    total_entries, kept_entries = [], []
-    for inter in intermediates:
-        # merged (row, col) entries per destination rank, counted once
-        keys = np.unique(inter.rows * n_free + inter.cols)
-        merged = np.bincount(owner[keys // n_free], minlength=n_ranks)
-        total_entries.append(int(merged.sum()))
-        kept_entries.append(int(merged[inter.rank]))
-        row_owner = owner[inter.rows]
-        rhs_owner = owner[inter.rhs_rows]
-        for dst in range(n_ranks):
-            m = row_owner == dst
-            rm = rhs_owner == dst
-            home = dst == inter.rank
-            if not home and not m.any() and not rm.any():
-                continue
-            part = (inter.rows[m], inter.cols[m], inter.vals[m],
-                    inter.leaf_tags[m], inter.rhs_rows[rm],
-                    inter.rhs_vals[rm], inter.rhs_tags[rm])
-            inbox[dst].append(part)
-            if not home:
-                packets.append(ExchangePacket(
-                    inter.rank, dst, *part, merged_entries=int(merged[dst])))
+    sizes = [inter.rows.size for inter in intermediates]
+    keys = np.concatenate([inter.rows * n_free + inter.cols
+                           for inter in intermediates])
+    order = np.lexsort((np.concatenate([inter.leaf_tags
+                                        for inter in intermediates]), keys))
+    keys = keys[order]
+    vals = np.concatenate([inter.vals for inter in intermediates])[order]
+    src = np.repeat(np.arange(n_ranks, dtype=np.min_scalar_type(n_ranks)),
+                    sizes)[order]
+    del order
+    new = _run_starts(keys)
+    starts = np.flatnonzero(new)
+    data = np.add.reduceat(vals, starts)
+    del vals
+    rows, cols = np.divmod(keys[starts], n_free)
+    del keys, starts
 
+    # ledger: integrated[e, s] is True when rank s integrated merged entry e
+    slot = np.cumsum(new)
+    del new
+    slot -= 1
+    slot *= n_ranks
+    slot += src
+    del src
+    integrated = np.zeros(data.size * n_ranks, dtype=bool)
+    integrated[slot] = True
+    del slot
+    integrated = integrated.reshape(data.size, n_ranks)
+    row_owner = owner[rows]
+    traffic = np.stack([np.bincount(row_owner[integrated[:, s]],
+                                    minlength=n_ranks)
+                        for s in range(n_ranks)])
+    del integrated
+    total_entries = [int(t) for t in traffic.sum(axis=1)]
+    kept_entries = [int(k) for k in np.diagonal(traffic)]
     sent_entries = [t - k for t, k in zip(total_entries, kept_entries)]
+    off = owner[cols] != row_owner
+    halo = np.zeros((n_ranks, n_free), dtype=bool)
+    halo[row_owner[off], cols[off]] = True
+    del row_owner, off
 
-    own_rows, blocks, rhs, diag, halo = [], [], [], [], []
-    for r in range(n_ranks):
-        mine = np.flatnonzero(owner == r)
-        own_rows.append(mine)
-        parts = inbox[r]
-        rows = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        cols = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.int64)
-        vals = np.concatenate([p[2] for p in parts]) if parts else np.empty(0, float)
-        tags = np.concatenate([p[3] for p in parts]) if parts else np.empty(0, np.int64)
-        rows, cols, vals = _accumulate(rows, cols, vals, tags, n_free)
+    indptr = np.zeros(n_free + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_free), out=indptr[1:])
+    matrix = scipy.sparse.csr_matrix((data, cols, indptr),
+                                     shape=(n_free, n_free))
 
-        rr = np.concatenate([p[4] for p in parts]) if parts else np.empty(0, np.int64)
-        rv = np.concatenate([p[5] for p in parts]) if parts else np.empty(0, float)
-        rt = np.concatenate([p[6] for p in parts]) if parts else np.empty(0, np.int64)
-        rr, rv = _accumulate_rhs(rr, rv, rt)
-
-        to_local = np.full(n_free, -1, dtype=np.int64)
-        to_local[mine] = np.arange(mine.size)
-        blk = scipy.sparse.csr_matrix(
-            (vals, (to_local[rows], cols)), shape=(mine.size, n_free)
-        )
-        blocks.append(blk)
-        b = np.zeros(mine.size)
-        b[to_local[rr]] = rv
-        rhs.append(b)
-        dg = np.zeros(mine.size)
-        on_diag = cols == rows
-        dg[to_local[rows[on_diag]]] = vals[on_diag]
-        diag.append(dg)
-        touched = np.unique(cols)
-        halo.append(int(np.sum(owner[touched] != r)) if touched.size else 0)
+    rhs_rows = np.concatenate([inter.rhs_rows for inter in intermediates])
+    order = np.lexsort((np.concatenate([inter.rhs_tags
+                                        for inter in intermediates]),
+                        rhs_rows))
+    rhs_rows = rhs_rows[order]
+    starts = np.flatnonzero(_run_starts(rhs_rows))
+    rhs = np.zeros(n_free)
+    rhs[rhs_rows[starts]] = np.add.reduceat(
+        np.concatenate([inter.rhs_vals for inter in intermediates])[order],
+        starts)
 
     return DistributedSystem(
         n_free=n_free, n_ranks=n_ranks, owner=owner,
-        own_rows=own_rows, blocks=blocks, rhs=rhs, diag=diag,
-        halo_counts=halo, sent_entries=sent_entries,
-        kept_entries=kept_entries, total_entries=total_entries,
-    ), packets
+        own_rows=[np.flatnonzero(owner == r) for r in range(n_ranks)],
+        matrix=matrix, rhs=rhs,
+        halo_counts=[int(h) for h in halo.sum(axis=1)],
+        sent_entries=sent_entries, kept_entries=kept_entries,
+        total_entries=total_entries,
+    ), traffic
 
 
 # ----------------------------------------------------------------------
 # solver
+
+PRECONDITIONER = "jacobi"
+
 
 def parallel_cg(system, rhs=None, tol=1e-10, max_iter=None):
     """Jacobi-preconditioned CG with partition-independent reductions.
@@ -290,19 +263,12 @@ def parallel_cg(system, rhs=None, tol=1e-10, max_iter=None):
     n = system.n_free
     if max_iter is None:
         max_iter = 20 * n
-    b = system.gather_rhs() if rhs is None else np.asarray(rhs, dtype=float)
-    dinv_parts = []
-    for dg in system.diag:
-        if np.any(dg <= 0):
-            raise ValueError("non-positive diagonal entry; system is not SPD")
-        dinv_parts.append(1.0 / dg)
-
-    def matvec(x):
-        return system.gather([blk @ x for blk in system.blocks])
-
-    def precond(r):
-        return system.gather([dinv * r[rows] for dinv, rows
-                              in zip(dinv_parts, system.own_rows)])
+    b = system.rhs if rhs is None else np.asarray(rhs, dtype=float)
+    A = system.matrix
+    diag = A.diagonal()
+    if np.any(diag <= 0):
+        raise ValueError("non-positive diagonal entry; system is not SPD")
+    dinv = 1.0 / diag
 
     x = np.zeros(n)
     r = b.copy()
@@ -311,11 +277,11 @@ def parallel_cg(system, rhs=None, tol=1e-10, max_iter=None):
     history = [float(np.linalg.norm(r))]
     if history[-1] <= target:
         return x, 0, history
-    z = precond(r)
+    z = dinv * r
     p = z.copy()
     rz = float(np.dot(r, z))
     for it in range(1, max_iter + 1):
-        q = matvec(p)
+        q = A @ p
         alpha = rz / float(np.dot(p, q))
         x = x + alpha * p
         r = r - alpha * q
@@ -323,7 +289,7 @@ def parallel_cg(system, rhs=None, tol=1e-10, max_iter=None):
         history.append(rnorm)
         if rnorm <= target:
             return x, it, history
-        z = precond(r)
+        z = dinv * r
         rz_new = float(np.dot(r, z))
         beta = rz_new / rz
         rz = rz_new
@@ -331,6 +297,13 @@ def parallel_cg(system, rhs=None, tol=1e-10, max_iter=None):
     raise SolverError(
         f"CG did not reach {target:.3e} within {max_iter} iterations "
         f"(last residual {history[-1]:.3e})", history)
+
+
+def thin_history(history, limit=200):
+    """At most `limit` [iteration, residual] pairs, first and last kept."""
+    keep = np.unique(np.linspace(0, len(history) - 1,
+                                 min(len(history), limit)).round())
+    return [[int(i), history[int(i)]] for i in keep]
 
 
 # ----------------------------------------------------------------------
@@ -355,6 +328,7 @@ class StepReport:
     timings: dict
     cg_iterations: int
     residual: float
+    residual_history: list   # thinned [iteration, residual] pairs
     leaf_weights: np.ndarray
     leaf_ranks: np.ndarray
     extras: dict = field(default_factory=dict)
@@ -372,6 +346,8 @@ class StepReport:
             "timings": self.timings,
             "cg_iterations": self.cg_iterations,
             "residual": self.residual,
+            "preconditioner": PRECONDITIONER,
+            "residual_history": self.residual_history,
         }
         out.update(self.extras)
         return out
@@ -452,7 +428,8 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
         n_free=dirichlet.n_free, n_ranks=n_ranks, partitioner=partitioner,
         dof_distribution=dof_distribution, per_rank=per_rank,
         timings=timings, cg_iterations=iterations,
-        residual=history[-1], leaf_weights=weights, leaf_ranks=ranks,
+        residual=history[-1], residual_history=thin_history(history),
+        leaf_weights=weights, leaf_ranks=ranks,
     )
     return report, basis, solution
 

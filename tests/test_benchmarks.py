@@ -9,7 +9,7 @@ import pytest
 import overlayfem.benchmarks
 from conftest import single_patch
 from overlayfem.mesh import Mesh, create_base_mesh
-from overlayfem.basis import Basis, PolynomialOrderField
+from overlayfem.basis import Basis, FieldApproximation, PolynomialOrderField
 from overlayfem.quadrature import EmbeddedDomain, Disk
 from overlayfem.benchmarks import (
     RunConfig, lshape_mesh_spec, make_problem, marks_for_step,
@@ -225,6 +225,7 @@ def test_lshape_study_converges():
     assert errs[2] < errs[1] < errs[0]
     assert final is not None
     assert final["error"] == errs[-1]
+    assert all(s["timings"]["error"] >= 0 for s in steps)
     assert len(final["ranks"]) == steps[-1]["leaves"]
     assert len(final["weights"]) == steps[-1]["leaves"]
 
@@ -236,6 +237,7 @@ def test_fcm_disk_study_reports_area():
     for s in steps:
         assert s["alpha_area"] == pytest.approx(math.pi / 4, abs=5e-3)
         assert s["error"] == pytest.approx(abs(s["alpha_area"] - math.pi / 4))
+        assert s["timings"]["error"] >= 0
     assert steps[1]["leaves"] > steps[0]["leaves"]
 
 
@@ -327,6 +329,11 @@ def test_artifact_writers(tmp_path):
     assert sol[0] == "x,y,u"
     # probe grid covers the bounding box; the notch points are skipped
     assert 1 < len(sol) - 1 <= cfg.probe**2
+    # grouped per leaf, each probe still reads the field at its own point
+    xyu = np.array([[float(v) for v in line.split(",")] for line in sol[1:]])
+    field = FieldApproximation(final["basis"], final["solution"])
+    np.testing.assert_allclose(xyu[:, 2], field.value(xyu[:, :2]),
+                               rtol=1e-13, atol=1e-15)
 
     assert (tmp_path / "mesh.xml").exists()
 

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg as spla
 
 from conftest import single_patch, random_refined_mesh, random_orders
@@ -20,7 +21,7 @@ from overlayfem.partition import partition_leaves, compute_leaf_weights
 from overlayfem.distributed import (
     SolverError, distribute_dofs_contiguous, distribute_dofs_graph,
     integrate_rank_system, exchange_and_assemble, parallel_cg,
-    run_step,
+    run_step, thin_history,
 )
 from overlayfem.benchmarks import lshape_mesh_spec, lshape_dirichlet, unit_source
 
@@ -55,9 +56,9 @@ def split_and_assemble(basis, dirichlet, ranks, n_ranks, dof_distribution="graph
         owner = distribute_dofs_graph(leaf_free, ranks, dirichlet.n_free, n_ranks)
     else:
         owner = distribute_dofs_contiguous(dirichlet.n_free, n_ranks)
-    system, packets = exchange_and_assemble(intermediates, owner,
+    system, traffic = exchange_and_assemble(intermediates, owner,
                                             dirichlet.n_free, n_ranks)
-    return system, packets, intermediates, owner
+    return system, traffic, intermediates, owner
 
 
 # ------------------------------------------------- distributed == serial
@@ -208,12 +209,13 @@ def test_exchange_conserves_merged_entries():
     n_ranks = 4
     w = compute_leaf_weights(basis)
     ranks = partition_leaves("graph", mesh, basis, w, n_ranks)
-    system, packets, intermediates, owner = split_and_assemble(
+    system, traffic, intermediates, owner = split_and_assemble(
         basis, dirichlet, ranks, n_ranks)
 
     def distinct_entries(rows, cols):
         return np.unique(np.stack([rows, cols]), axis=1).shape[1]
 
+    assert traffic.shape == (n_ranks, n_ranks)
     for r in range(n_ranks):
         inter = intermediates[r]
         total = distinct_entries(inter.rows, inter.cols)
@@ -222,16 +224,165 @@ def test_exchange_conserves_merged_entries():
         assert system.total_entries[r] == total
         assert system.kept_entries[r] == kept
         assert system.sent_entries[r] + system.kept_entries[r] == total
-    for packet in packets:
-        assert packet.src != packet.dst
-        assert np.all(owner[packet.rows] == packet.dst)
-        assert packet.merged_entries == distinct_entries(packet.rows,
-                                                         packet.cols)
+        for dst in range(n_ranks):
+            to_dst = owner[inter.rows] == dst
+            assert traffic[r, dst] == distinct_entries(inter.rows[to_dst],
+                                                       inter.cols[to_dst])
+    # some entries cross ranks, so the off-diagonal checks are not vacuous
+    assert np.count_nonzero(traffic) > n_ranks
+
+    # halo columns: off-rank columns referenced by a rank's owned rows
+    matrix = system.gather_matrix().tocsr()
+    for r in range(n_ranks):
+        touched = np.unique(matrix[system.own_rows[r]].indices)
+        assert system.halo_counts[r] == int(np.sum(owner[touched] != r))
 
     # a single rank never ships anything
-    solo, _, _, _ = split_and_assemble(basis, dirichlet,
-                                       np.zeros(len(w), dtype=int), 1)
+    solo, solo_traffic, _, _ = split_and_assemble(
+        basis, dirichlet, np.zeros(len(w), dtype=int), 1)
     assert solo.sent_entries == [0]
+    assert solo_traffic.tolist() == [[solo.total_entries[0]]]
+
+
+# ------------------------------------------------- per-rank inbox oracle
+#
+# The pipeline sums every rank's triplets into one operator.  The oracle
+# below is the per-owner path it replaced: each rank receives the rows it
+# owns, accumulates them in (row, col, leaf) order into an owned-row
+# block, and CG multiplies block by block and gathers.  The two must
+# agree bit for bit on every partition.
+
+
+def inbox_accumulate(rows, cols, vals, tags, n_free):
+    if rows.size == 0:
+        return (np.empty(0, np.int64), np.empty(0, np.int64),
+                np.empty(0, float))
+    order = np.lexsort((tags, cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    keys = rows * n_free + cols
+    starts = np.flatnonzero(np.r_[True, np.diff(keys) != 0])
+    return rows[starts], cols[starts], np.add.reduceat(vals, starts)
+
+
+def inbox_accumulate_rhs(rows, vals, tags):
+    if rows.size == 0:
+        return np.empty(0, np.int64), np.empty(0, float)
+    order = np.lexsort((tags, rows))
+    rows, vals = rows[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, np.diff(rows) != 0])
+    return rows[starts], np.add.reduceat(vals, starts)
+
+
+def inbox_assemble(intermediates, owner, n_free, n_ranks):
+    """Per rank: (owned rows, CSR block, rhs part, diagonal part)."""
+    out = []
+    for r in range(n_ranks):
+        mine = np.flatnonzero(owner == r)
+        parts = []
+        for inter in intermediates:
+            m = owner[inter.rows] == r
+            rm = owner[inter.rhs_rows] == r
+            parts.append((inter.rows[m], inter.cols[m], inter.vals[m],
+                          inter.leaf_tags[m], inter.rhs_rows[rm],
+                          inter.rhs_vals[rm], inter.rhs_tags[rm]))
+        rows, cols, vals, tags, rr, rv, rt = (np.concatenate(c)
+                                              for c in zip(*parts))
+        rows, cols, vals = inbox_accumulate(rows, cols, vals, tags, n_free)
+        rr, rv = inbox_accumulate_rhs(rr, rv, rt)
+        to_local = np.full(n_free, -1, dtype=np.int64)
+        to_local[mine] = np.arange(mine.size)
+        block = scipy.sparse.csr_matrix(
+            (vals, (to_local[rows], cols)), shape=(mine.size, n_free))
+        b = np.zeros(mine.size)
+        b[to_local[rr]] = rv
+        dg = np.zeros(mine.size)
+        on_diag = cols == rows
+        dg[to_local[rows[on_diag]]] = vals[on_diag]
+        out.append((mine, block, b, dg))
+    return out
+
+
+def inbox_cg(parts, n_free, tol):
+    """Block-by-block Jacobi CG over gathered global vectors."""
+    def gather(pieces):
+        out = np.empty(n_free)
+        for (rows, _, _, _), vec in zip(parts, pieces):
+            out[rows] = vec
+        return out
+
+    def matvec(x):
+        return gather([block @ x for _, block, _, _ in parts])
+
+    def precond(r):
+        return gather([(1.0 / dg) * r[rows] for rows, _, _, dg in parts])
+
+    b = gather([rhs for _, _, rhs, _ in parts])
+    x = np.zeros(n_free)
+    r = b.copy()
+    bnorm = float(np.linalg.norm(b))
+    target = tol * bnorm if bnorm > 0 else tol
+    history = [float(np.linalg.norm(r))]
+    if history[-1] <= target:
+        return x, 0, history
+    z = precond(r)
+    p = z.copy()
+    rz = float(np.dot(r, z))
+    for it in range(1, 20 * n_free + 1):
+        q = matvec(p)
+        alpha = rz / float(np.dot(p, q))
+        x = x + alpha * p
+        r = r - alpha * q
+        rnorm = float(np.linalg.norm(r))
+        history.append(rnorm)
+        if rnorm <= target:
+            return x, it, history
+        z = precond(r)
+        rz_new = float(np.dot(r, z))
+        beta = rz_new / rz
+        rz = rz_new
+        p = z + beta * p
+    raise AssertionError("oracle CG did not converge")
+
+
+def test_one_operator_matches_per_rank_inbox_oracle():
+    rng = np.random.default_rng(146)  # meshes of 85, 25 and 49 leaves
+    for _ in range(3):
+        mesh = random_refined_mesh(rng, max_leaves=400)
+        basis = Basis(mesh, random_orders(rng, mesh))
+        dirichlet = DirichletMap(basis, on_square_boundary)
+        w = compute_leaf_weights(basis)
+        for n_ranks in (1, 3, 4, 7):
+            for method in ("contiguous", "sfc", "graph"):
+                ranks = partition_leaves(method, mesh, basis, w, n_ranks)
+                for dist in ("graph", "contiguous"):
+                    system, _, intermediates, owner = split_and_assemble(
+                        basis, dirichlet, ranks, n_ranks,
+                        dof_distribution=dist, source=bumpy_source)
+                    parts = inbox_assemble(intermediates, owner,
+                                           dirichlet.n_free, n_ranks)
+                    perm = np.argsort(np.concatenate(
+                        [rows for rows, _, _, _ in parts]))
+                    oracle = scipy.sparse.vstack(
+                        [block for _, block, _, _ in parts], format="csr")[perm, :]
+                    matrix = system.gather_matrix()
+                    assert np.array_equal(matrix.data, oracle.data)
+                    assert np.array_equal(matrix.indices, oracle.indices)
+                    assert np.array_equal(matrix.indptr, oracle.indptr)
+                    for (rows, block, _, _), own, mine in zip(
+                            parts, system.blocks, system.own_rows):
+                        assert np.array_equal(rows, mine)
+                        assert own.nnz == block.nnz
+
+                    assert np.array_equal(
+                        system.gather_rhs(),
+                        np.concatenate([b for _, _, b, _ in parts])[perm])
+
+                    x_ref, it_ref, hist_ref = inbox_cg(
+                        parts, dirichlet.n_free, tol=1e-10)
+                    x, it, hist = parallel_cg(system, tol=1e-10)
+                    assert it == it_ref
+                    assert np.array_equal(x, x_ref)
+                    assert hist == hist_ref
 
 
 # ---------------------------------------------------------------- solver
@@ -270,6 +421,16 @@ def test_cg_trace_is_rank_count_invariant():
     assert len(iters) == 1
     for _, sol in runs[1:]:
         assert np.array_equal(sol, runs[0][1])
+
+
+def test_thin_history_keeps_first_and_last():
+    history = [float(v) for v in range(1000)]
+    thin = thin_history(history)
+    assert len(thin) == 200
+    assert thin[0] == [0, 0.0] and thin[-1] == [999, 999.0]
+    assert all(history[i] == r for i, r in thin)
+    assert [i for i, _ in thin] == sorted({i for i, _ in thin})
+    assert thin_history([3.0, 2.0]) == [[0, 3.0], [1, 2.0]]
 
 
 def test_cg_custom_rhs_and_failure():
@@ -321,6 +482,11 @@ def test_run_step_report_is_complete():
     assert sum(r["owned_dofs"] for r in d["per_rank"]) == d["free_dofs"]
     assert d["residual"] >= 0.0
     assert report.cg_iterations > 0
+    assert d["preconditioner"] == "jacobi"
+    history = d["residual_history"]
+    assert 2 <= len(history) <= 200
+    assert history[0][0] == 0
+    assert history[-1] == [report.cg_iterations, d["residual"]]
     assert solution.shape == (basis.dofmap.total,)
 
 
