@@ -15,6 +15,15 @@ endpoints and their derivative is sqrt((2j - 3) / 2) * P_{j-2}.
 Legendre recursion, and a leaf evaluation calls it once per ancestor
 element, on the x and y reference coordinates together.
 
+Refinement never replaces an element, so the tables of most leaves repeat:
+they depend only on each ancestor's active-entity plan, its scale and the
+points' coordinates in its reference frame.  ``Basis.evaluate_leaf_cached``
+keys a memo on exactly those inputs, as bytes, so a hit returns the bytes
+a fresh evaluation would, on any mesh.  Only single-cell rules use it: their
+points are one reference Gauss grid mapped onto the leaf, which leaves of
+one shape share, while spacetree and corner-shell points belong to one leaf
+and would only grow the memo.
+
 Every element carries the tensor products grouped by topological
 entity: one bilinear function per node, (p - 1) edge functions blending a
 1d internal mode with the linear hat across, and (p - 1)^2 interior
@@ -213,7 +222,13 @@ class Basis:
 
     Built for the mesh state at construction time; refine or coarsen the
     mesh and this object is stale, build a new one.  It also keeps the
-    quadrature rules of its cut leaves, which go stale with it.
+    quadrature rules of its cut leaves and ``leaf_tables``, the memo of
+    single-cell leaf tables, which go stale with it.  A memo key holds,
+    for every dof-carrying element of the leaf's chain, the bytes of the
+    element's plan (``jx`` and ``jy``), of its ``scale`` and of the
+    points' clipped reference coordinates: all the tables are computed
+    from, as a tuple of bytes that cannot collide.  Cut-leaf and
+    corner-shell points belong to one leaf, so they bypass the memo.
     """
 
     def __init__(self, mesh, orders):
@@ -222,8 +237,11 @@ class Basis:
         self.dofmap = enumerate_dofs(mesh, orders)
         self._elem_plan = {}
         self._leaf_dofs = {}
+        self._quad_order = {}
         # cut-leaf quadrature rules of this mesh state, see quadrature.leaf_rule
         self.leaf_rules = {}
+        # single-cell leaf tables by exact input, see evaluate_leaf_cached
+        self.leaf_tables = {}
 
     # -- per-element plan: which modes, which 1d rows ------------------
 
@@ -261,11 +279,11 @@ class Basis:
                 for a in range(p - 1):
                     jx.extend([2 + a] * (p - 1))
                     jy.extend(range(2, 2 + p - 1))
-        plan = (
-            np.asarray(jx, dtype=np.intp),
-            np.asarray(jy, dtype=np.intp),
-            np.asarray(gids, dtype=np.int64),
-        )
+        jx = np.asarray(jx, dtype=np.intp)
+        jy = np.asarray(jy, dtype=np.intp)
+        # the plan's content as it enters a leaf_tables key
+        plan = (jx, jy, np.asarray(gids, dtype=np.int64),
+                (jx.tobytes(), jy.tobytes()))
         self._elem_plan[elem.id] = plan
         return plan
 
@@ -285,12 +303,15 @@ class Basis:
 
     def leaf_quad_order(self, leaf):
         """Per-axis Gauss order: highest contributing order plus one."""
-        pmax = 1
-        for elem in self.mesh.chain(leaf):
-            for ent in elem.topology:
-                if ent.active:
-                    pmax = max(pmax, self.orders.entity_order(ent))
-        return pmax + 1
+        q = self._quad_order.get(leaf.id)
+        if q is None:
+            pmax = 1
+            for elem in self.mesh.chain(leaf):
+                for ent in elem.topology:
+                    if ent.active:
+                        pmax = max(pmax, self.orders.entity_order(ent))
+            q = self._quad_order[leaf.id] = pmax + 1
+        return q
 
     def evaluate_leaf(self, leaf, points):
         """Values and physical gradients of the leaf's active functions.
@@ -299,25 +320,13 @@ class Basis:
         Returns (values (n, N), gradients (n, N, 2)) with columns in
         leaf_dofs order.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = pts.shape[0]
-        tol = 1e-12 * max(
-            1.0, *(abs(v) for v in (*leaf.lo_f, *leaf.hi_f))
-        )
-        for a in range(2):
-            if pts[:, a].min() < leaf.lo_f[a] - tol or pts[:, a].max() > leaf.hi_f[a] + tol:
-                raise ValueError("point outside the leaf element")
-
+        n, frames = self._frames(leaf, points)
+        if not frames:
+            return np.zeros((n, 0)), np.zeros((n, 0, 2))
         cols_v, cols_g = [], []
-        for elem in self.mesh.chain(leaf):
-            jx, jy, gids = self._plan(elem)
-            if gids.size == 0:
-                continue
+        for (jx, jy, _, _), scale, ref in frames:
             jmax = max(2, int(jx.max()) + 1, int(jy.max()) + 1)
-            lo = np.asarray(elem.lo_f, dtype=float)
-            scale = 2.0 / (np.asarray(elem.hi_f, dtype=float) - lo)
-            xi, eta = np.clip((pts - lo) * scale - 1.0, -1.0, 1.0).T
-            vals_1d, ders_1d = shape_tables(jmax, np.concatenate((xi, eta)))
+            vals_1d, ders_1d = shape_tables(jmax, ref.T.ravel())
             vx, vy = vals_1d[:, :n], vals_1d[:, n:]
             dx, dy = ders_1d[:, :n], ders_1d[:, n:]
             vals = vx[jx] * vy[jy]
@@ -325,9 +334,51 @@ class Basis:
             gy = vx[jx] * dy[jy] * scale[1]
             cols_v.append(vals.T)
             cols_g.append(np.stack((gx.T, gy.T), axis=2))
-        if not cols_v:
-            return np.zeros((n, 0)), np.zeros((n, 0, 2))
         return np.concatenate(cols_v, axis=1), np.concatenate(cols_g, axis=1)
+
+    def evaluate_leaf_cached(self, leaf, points):
+        """evaluate_leaf through the ``leaf_tables`` memo, read-only arrays.
+
+        For the points of a single-cell rule, which recur from leaf to
+        leaf.  A hit costs the range check and the mapping; a miss is one
+        plain evaluate_leaf.
+        """
+        _, frames = self._frames(leaf, points)
+        key = tuple(part for plan, scale, ref in frames
+                    for part in (*plan[3], scale.tobytes(), ref.tobytes()))
+        if not key:     # no functions: the empty key would not hold n
+            return self.evaluate_leaf(leaf, points)
+        tables = self.leaf_tables.get(key)
+        if tables is None:
+            tables = self.evaluate_leaf(leaf, points)
+            for arr in tables:
+                arr.flags.writeable = False
+            self.leaf_tables[key] = tables
+        return tables
+
+    def _frames(self, leaf, points):
+        """The points in each dof-carrying chain element's reference frame.
+
+        Checks that they lie in the leaf's closed box; returns their count
+        and one (plan, scale, clipped (n, 2) coordinates) per element.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        tol = 1e-12 * max(
+            1.0, *(abs(v) for v in (*leaf.lo_f, *leaf.hi_f))
+        )
+        for a in range(2):
+            if pts[:, a].min() < leaf.lo_f[a] - tol or pts[:, a].max() > leaf.hi_f[a] + tol:
+                raise ValueError("point outside the leaf element")
+        frames = []
+        for elem in self.mesh.chain(leaf):
+            plan = self._plan(elem)
+            if plan[2].size == 0:
+                continue
+            lo = np.asarray(elem.lo_f, dtype=float)
+            scale = 2.0 / (np.asarray(elem.hi_f, dtype=float) - lo)
+            frames.append((plan, scale,
+                           np.clip((pts - lo) * scale - 1.0, -1.0, 1.0)))
+        return pts.shape[0], frames
 
 
 def interpolate_nodal(basis, func):

@@ -25,10 +25,12 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .basis import Basis, PolynomialOrderField
 from .mesh import BaseMeshSpec, PatchSpec, create_base_mesh, export_mesh_xml
@@ -36,6 +38,7 @@ from .partition import PARTITIONERS
 from .physics import LShapeSolution, energy_error
 from .quadrature import Disk, EmbeddedDomain, geometry_from_json, indicator_area
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DOF_DIST_CHOICES = ("contiguous", "graph")
 BENCHMARK_CHOICES = ("lshape", "fcm_disk", "custom")
 MARKING_CHOICES = ("corner", "ball", "interface", "random", "none")
@@ -431,6 +434,8 @@ def run_benchmark(config):
                 "dry_run": True,
             })
             continue
+        # the previous step's Basis, with its memo, goes before this one's
+        basis = solution = None
         try:
             report, basis, solution = run_step(
                 mesh, orders, config.ranks, problem.dirichlet_part,
@@ -475,10 +480,23 @@ def write_report_json(path, config, steps, status="ok"):
         "status": status,
         "steps": steps,
         "peak_rss_mb": peak,
+        "env": run_env(config.workers),
     }
     with open(path, "w") as fh:
         json.dump(body, fh, indent=2)
         fh.write("\n")
+
+
+def run_env(workers):
+    """Versions, BLAS thread settings (None when unset) and cores of a run."""
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+        "workers": workers,
+    }
 
 
 def _peak_rss_mb():

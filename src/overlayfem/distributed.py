@@ -385,6 +385,10 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
                                    domain, depth, source, flux, flux_part,
                                    workers)
     timings["integrate"] = time.perf_counter() - t
+    # nothing reads the integrate phase's leaf tables again (the error
+    # integrates at a higher order): free them before assembly, the
+    # step's memory peak
+    basis.leaf_tables.clear()
 
     t = time.perf_counter()
     leaf_free_dofs = [to_free[basis.leaf_dofs(leaf)] for leaf in leaves]

@@ -18,6 +18,13 @@ points and, on leaves whose closure holds a declared singular point, peels
 dyadic shells toward that corner so the non-smooth remainder is integrated
 accurately instead of polluting the measurement.  It too evaluates each
 leaf once, on the points of all its cells or shells.
+
+Both read the basis tables of a leaf whose rule is a single cell (every
+uncut leaf, and every non-singular leaf in the error) from the Basis memo
+``evaluate_leaf_cached``: leaves that share a shape, an active-entity
+pattern and orders share the exact table inputs, so the tables are built
+once per step for each distinct input.  Cut-leaf spacetrees and corner
+shells are evaluated afresh.
 """
 from __future__ import annotations
 
@@ -28,7 +35,15 @@ import scipy.sparse.linalg
 
 from .basis import entity_mode_count
 from .quadrature import (LeafRule, gauss_cell, gauss_rule_1d, leaf_jacobian,
-                         leaf_quadrature, leaf_rule, leaf_to_physical)
+                         leaf_quadrature, leaf_rule, leaf_to_physical,
+                         reference_rule)
+
+
+def _rule_tables(basis, leaf, rule, pts):
+    """Basis tables at the rule's points, memoized for a single-cell rule."""
+    if len(rule.offsets) == 2:
+        return basis.evaluate_leaf_cached(leaf, pts)
+    return basis.evaluate_leaf(leaf, pts)
 
 
 def element_system(basis, leaf, domain=None, depth=0, source=None):
@@ -42,7 +57,7 @@ def element_system(basis, leaf, domain=None, depth=0, source=None):
     """
     rule = leaf_rule(basis, leaf, domain, depth)
     pts = leaf_to_physical(leaf)(rule.points)
-    V, G = basis.evaluate_leaf(leaf, pts)
+    V, G = _rule_tables(basis, leaf, rule, pts)
     w = rule.weights * rule.alpha * leaf_jacobian(leaf)
     n = basis.leaf_mode_count(leaf)
     K = np.zeros((n, n))
@@ -310,13 +325,16 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
             # reference coordinates of the singular corner: one of the vertices
             ref = 2 * (sp - lo) / (hi - lo) - 1
             corner = np.where(ref >= 0, 1.0, -1.0)
-            cells = [gauss_cell(blo, bhi, q)
-                     for blo, bhi in _corner_shells(corner, corner_levels)]
+            rule = LeafRule.from_cells(
+                [gauss_cell(blo, bhi, q)
+                 for blo, bhi in _corner_shells(corner, corner_levels)])
+        elif domain is None:
+            rule = reference_rule(q)
         else:
-            cells = leaf_quadrature(basis, leaf, domain, depth, order=q)
-        rule = LeafRule.from_cells(cells)
+            rule = LeafRule.from_cells(
+                leaf_quadrature(basis, leaf, domain, depth, order=q))
         pts = to_phys(rule.points)
-        _, G = basis.evaluate_leaf(leaf, pts)
+        _, G = _rule_tables(basis, leaf, rule, pts)
         coef = coefficients[basis.leaf_dofs(leaf)]
         for cell in rule.cells():
             gh = np.einsum("qid,i->qd", G[cell], coef)

@@ -378,7 +378,7 @@ class LeafRule:
 
 
 @lru_cache(maxsize=None)
-def _reference_rule(order):
+def reference_rule(order):
     """The rule of every leaf of this order without a domain."""
     return LeafRule.from_cells([gauss_cell(-np.ones(2), np.ones(2), order)])
 
@@ -394,7 +394,7 @@ def leaf_rule(basis, leaf, domain=None, depth=0):
     goes when the Basis does.
     """
     if domain is None:
-        return _reference_rule(basis.leaf_quad_order(leaf))
+        return reference_rule(basis.leaf_quad_order(leaf))
     key = (leaf.id, depth, domain)
     rule = basis.leaf_rules.get(key)
     if rule is None:

@@ -19,6 +19,7 @@ from overlayfem.basis import (
     interpolate_nodal, FieldApproximation,
 )
 from overlayfem.benchmarks import lshape_mesh_spec
+from overlayfem.quadrature import gauss_cell, gauss_rule_1d
 from test_mesh import refine_at_corner
 
 
@@ -308,3 +309,65 @@ def test_stale_point_rejected():
     leaf = mesh.active_leaf_elements()[0]
     with pytest.raises(ValueError):
         basis.evaluate_leaf(leaf, np.array([[5.0, 5.0]]))
+
+
+# ------------------------------------------------------- activation rules
+
+
+def activation_cases(count=30):
+    """Seeded random meshes and graded orders, with the rng that built them."""
+    rng = np.random.default_rng(73)
+    for _ in range(count):
+        mesh = random_refined_mesh(rng, max_leaves=120)
+        yield rng, Basis(mesh, random_orders(rng, mesh))
+
+
+def test_active_functions_are_linearly_independent():
+    # switching off every entity that has an active finer copy keeps the
+    # active functions independent: their diagonally scaled Gram (mass)
+    # matrix, integrated exactly, is positive definite
+    smallest = np.inf
+    for _, basis in activation_cases():
+        n = basis.dofmap.total
+        gram = np.zeros((n, n))
+        for leaf in basis.mesh.active_leaf_elements():
+            cell = gauss_cell(leaf.lo_f, leaf.hi_f, basis.leaf_quad_order(leaf))
+            V, _ = basis.evaluate_leaf(leaf, cell.points)
+            gids = basis.leaf_dofs(leaf)
+            gram[np.ix_(gids, gids)] += V.T @ (cell.weights[:, None] * V)
+        d = 1.0 / np.sqrt(np.diag(gram))
+        smallest = min(smallest, np.linalg.eigvalsh(gram * np.outer(d, d))[0])
+    assert smallest > 1e-8
+
+
+def test_active_field_is_continuous_across_leaf_edges():
+    # switching off the entities on the boundary of every refined region
+    # leaves no jump: a random field takes one value on both sides of
+    # every interior leaf edge, at Gauss points along it
+    x1, _ = gauss_rule_1d(4)
+    for rng, basis in activation_cases():
+        mesh = basis.mesh
+        coef = rng.standard_normal(basis.dofmap.total)
+        sides = 0
+        for leaf in mesh.active_leaf_elements():
+            lo = np.asarray(leaf.lo_f)
+            hi = np.asarray(leaf.hi_f)
+            for axis in range(2):
+                along = 1 - axis
+                for upper in (False, True):
+                    if mesh.side_on_domain_boundary(leaf, axis, upper):
+                        continue
+                    pts = np.empty((x1.size, 2))
+                    pts[:, axis] = hi[axis] if upper else lo[axis]
+                    pts[:, along] = (lo[along] + hi[along] + x1 * (hi[along] - lo[along])) / 2
+                    V, _ = basis.evaluate_leaf(leaf, pts)
+                    inside = V @ coef[basis.leaf_dofs(leaf)]
+                    step = np.zeros(2)
+                    step[axis] = (hi[axis] - lo[axis]) * (1e-6 if upper else -1e-6)
+                    for pt, val in zip(pts, inside):
+                        other = mesh.locate_leaf(pt + step)
+                        assert other is not leaf
+                        Vo, _ = basis.evaluate_leaf(other, pt[None, :])
+                        assert abs(Vo[0] @ coef[basis.leaf_dofs(other)] - val) <= 1e-12
+                    sides += 1
+        assert sides > 0

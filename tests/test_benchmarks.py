@@ -313,6 +313,13 @@ def test_artifact_writers(tmp_path):
     assert report["config"]["res"] == 2
     assert len(report["steps"]) == 2
     assert report["peak_rss_mb"] is None or report["peak_rss_mb"] > 0
+    env = report["env"]
+    assert env["numpy"] == np.__version__
+    assert env["workers"] == cfg.workers
+    assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS"}
+    assert env["cpu_count"] is None or env["cpu_count"] >= 1
+    assert env["python"] and env["scipy"]
 
     conv = (tmp_path / "convergence.csv").read_text().strip().splitlines()
     assert conv[0] == "step,dofs,energy_error"
@@ -336,6 +343,17 @@ def test_artifact_writers(tmp_path):
                                rtol=1e-13, atol=1e-15)
 
     assert (tmp_path / "mesh.xml").exists()
+
+
+def test_report_env_records_thread_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = RunConfig(benchmark="lshape", res=2, steps=0, workers=2)
+    write_report_json(tmp_path / "report.json", cfg, [])
+    env = json.loads((tmp_path / "report.json").read_text())["env"]
+    assert env["threads"]["OMP_NUM_THREADS"] == "3"
+    assert env["threads"]["MKL_NUM_THREADS"] is None
+    assert env["workers"] == 2
 
 
 def test_dry_run_writes_only_report(tmp_path):

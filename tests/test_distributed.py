@@ -468,6 +468,7 @@ def test_run_step_report_is_complete():
     assert d["leaves"] == len(mesh.active_leaf_elements())
     assert d["dofs"] == basis.dofmap.total
     assert d["ranks"] == 3
+    assert not basis.leaf_tables    # freed before the assembly
     assert set(d["timings"]) == {
         "refine", "partition", "integrate", "dof_dist",
         "assemble", "solve", "postprocess",

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import single_patch, random_refined_mesh, random_orders
-from overlayfem.mesh import Mesh
+from conftest import single_patch, random_basis, random_refined_mesh, random_orders
+from overlayfem.mesh import BaseMeshSpec, Mesh, PatchSpec
 from overlayfem.basis import Basis, PolynomialOrderField, interpolate_nodal, FieldApproximation
 from overlayfem.physics import (
     element_system, assemble_serial, neumann_load,
@@ -90,6 +90,88 @@ def test_cut_leaf_system_same_from_warm_and_cold_basis():
         assert np.array_equal(K, K_ref)
         assert np.array_equal(f, f_ref)
     assert cut > 0
+
+
+# ------------------------------------------------------------ table memo
+
+
+def stretched_basis(rng):
+    """Two conforming patches of square and of 2:1 elements, refined at random.
+
+    Elements of one level differ in scale here, which a random unit-square
+    mesh never shows.
+    """
+    mesh = Mesh(BaseMeshSpec((PatchSpec(((0, 1), (0, 1)), (2, 2)),
+                              PatchSpec(((1, 3), (0, 1)), (2, 2)))))
+    for _ in range(3):
+        leaves = mesh.active_leaf_elements()
+        picked = rng.choice(len(leaves), size=len(leaves) // 3, replace=False)
+        mesh.refine([leaves[i].id for i in picked])
+    return Basis(mesh, random_orders(rng, mesh))
+
+
+class ColdBasis(Basis):
+    """A Basis that never reads or fills its memo."""
+
+    evaluate_leaf_cached = Basis.evaluate_leaf
+
+
+def test_memoized_leaf_tables_equal_cold_evaluation():
+    # a warm Basis, its memo filled by one full pass, gives every leaf the
+    # bytes of a Basis built for that leaf alone, on non-dyadic res-3
+    # meshes, graded orders and 2:1 elements too
+    rng = np.random.default_rng(61)
+    dom = EmbeddedDomain(Disk((0.0, 0.0), 0.7), epsilon=1e-6)
+    src = lambda pts: np.sin(pts[:, 0]) + pts[:, 1]
+    grad = lambda pts: np.column_stack((np.cos(pts[:, 0]), pts[:, 0] * pts[:, 1]))
+    bases = [random_basis(rng, max_leaves=150) for _ in range(5)]
+    assert {len(b.mesh.base_elements) for b in bases} >= {4, 9}
+    for basis in bases + [stretched_basis(rng)]:
+        mesh, orders = basis.mesh, basis.orders
+        leaves = mesh.active_leaf_elements()
+        coef = rng.standard_normal(basis.dofmap.total)
+        for domain in (None, dom):
+            warm = Basis(mesh, orders)
+            for leaf in leaves:
+                element_system(warm, leaf, domain, 2, src)
+            for leaf in leaves:
+                K, f, _ = element_system(warm, leaf, domain, 2, src)
+                K0, f0, _ = element_system(Basis(mesh, orders), leaf,
+                                           domain, 2, src)
+                assert np.array_equal(K, K0)
+                assert np.array_equal(f, f0)
+            assert warm.leaf_tables
+            args = (coef, grad, (0.0, 0.0), 2, 40, domain, 2)
+            energy_error(warm, *args)
+            assert energy_error(warm, *args) == energy_error(
+                ColdBasis(mesh, orders), *args)
+
+
+def test_memo_holds_no_cut_or_singular_leaf():
+    mesh = two_level_mesh()
+    orders = PolynomialOrderField(uniform=3)
+    dom = EmbeddedDomain(Disk((0.0, 0.0), 0.7), epsilon=1e-6)
+    basis = Basis(mesh, orders)
+    leaves = mesh.active_leaf_elements()
+    cut = [leaf for leaf in leaves
+           if len(leaf_rule(basis, leaf, dom, 3).cells()) > 1]
+    assert cut
+    for leaf in cut:
+        element_system(basis, leaf, dom, 3)
+    assert not basis.leaf_tables
+    element_system(basis, next(l for l in leaves if l not in cut), dom, 3)
+    assert len(basis.leaf_tables) == 1
+
+    # (0.5, 0.5) is a corner of all four leaves, (0, 0) of one
+    basis = Basis(single_patch(2), orders)
+    zero = np.zeros(basis.dofmap.total)
+    grad = lambda pts: np.ones_like(pts)
+    energy_error(basis, zero, grad, singular_point=(0.5, 0.5))
+    assert not basis.leaf_tables
+    energy_error(basis, zero, grad, singular_point=(0.0, 0.0))
+    assert 1 <= len(basis.leaf_tables) <= 3
+    V, G = next(iter(basis.leaf_tables.values()))
+    assert not V.flags.writeable and not G.flags.writeable
 
 
 def test_assemble_matches_dense_scatter():
