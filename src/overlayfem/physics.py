@@ -16,8 +16,9 @@ flux (Neumann) data enters through 1d edge rules on the domain boundary.
 The energy-error integrator upgrades every leaf rule by a couple of Gauss
 points and, on leaves whose closure holds a declared singular point, peels
 dyadic shells toward that corner so the non-smooth remainder is integrated
-accurately instead of polluting the measurement.  It too evaluates each
-leaf once, on the points of all its cells or shells.
+accurately instead of polluting the measurement; the shell rule lives in
+the reference square and is built once per (corner, levels, order).  It
+too evaluates each leaf once, on the points of all its cells or shells.
 
 Both read the basis tables of a leaf whose rule is a single cell (every
 uncut leaf, and every non-singular leaf in the error) from the Basis memo
@@ -27,6 +28,8 @@ once per step for each distinct input.  Cut-leaf spacetrees and corner
 shells are evaluated afresh.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import scipy.integrate
@@ -301,6 +304,14 @@ def _corner_shells(corner, levels):
     return boxes
 
 
+@lru_cache(maxsize=None)
+def corner_rule(corner, levels, order):
+    """Gauss rules of the corner shells toward `corner` (a pair of +-1),
+    in the reference square, built once per key and shared."""
+    return LeafRule.from_cells([gauss_cell(blo, bhi, order)
+                                for blo, bhi in _corner_shells(corner, levels)])
+
+
 def energy_error(basis, coefficients, exact_gradient, singular_point=None,
                  extra_order=2, corner_levels=40, domain=None, depth=0):
     """Energy-norm distance between a coefficient vector and a reference.
@@ -324,10 +335,8 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
         if singular:
             # reference coordinates of the singular corner: one of the vertices
             ref = 2 * (sp - lo) / (hi - lo) - 1
-            corner = np.where(ref >= 0, 1.0, -1.0)
-            rule = LeafRule.from_cells(
-                [gauss_cell(blo, bhi, q)
-                 for blo, bhi in _corner_shells(corner, corner_levels)])
+            corner = tuple(np.where(ref >= 0, 1.0, -1.0).tolist())
+            rule = corner_rule(corner, corner_levels, q)
         elif domain is None:
             rule = reference_rule(q)
         else:

@@ -13,12 +13,17 @@ subdivide into four children up to a fixed depth, after which each Gauss
 point is classified individually.  Geometry is a small CSG tree of
 half-planes, disks and rectangles, also loadable from JSON.
 
-A leaf's rule is built once per mesh state: ``leaf_rule`` keeps each cut
-leaf's cells on the ``Basis`` as one ``LeafRule`` (stacked points,
-weights and indicator values plus the cell offsets), keyed by leaf,
-depth and domain, so the cost-model weights, the integration and the
-area measurement share one spacetree per leaf.  Leaves without a domain
-share one reference rule per order.
+The subdivision is level-synchronous: ``subdivide`` classifies the boxes
+of many spacetrees at once, one numpy pass per level, and returns the
+kept cells in the depth-first order of the tree.  A leaf's rule is built
+once per mesh state: the first ``leaf_rule`` miss for a (domain, depth)
+builds the rules of every active leaf of the ``Basis`` in one such batch
+and keeps each as a ``LeafRule`` (stacked points, weights and indicator
+values plus the cell offsets), keyed by leaf, depth and domain, so the
+cost-model weights, the integration and the area measurement share one
+spacetree per leaf.  ``spacetree_cells`` and ``leaf_quadrature`` are the
+same kernel on one box.  Leaves without a domain share one reference
+rule per order.
 """
 from __future__ import annotations
 
@@ -274,6 +279,79 @@ class EmbeddedDomain:
 # ----------------------------------------------------------------------
 # spacetree subdivision of cut cells
 
+# (x, y) picks into a box's (lo, mid, hi) grid: corner k of a box is
+# (2 _X[k], 2 _Y[k]), and child k spans (_X[k], _Y[k]) to (_X[k]+1, _Y[k]+1);
+# the children keep the order (lo, mid), lower right, upper left, (mid, hi)
+_X = np.array([0, 1, 0, 1])
+_Y = np.array([0, 0, 1, 1])
+
+
+def _grid_points(grid, ix, iy):
+    return np.stack((grid[:, ix, 0], grid[:, iy, 1]), axis=2)
+
+
+def subdivide(lo, hi, domain, depth, order, to_physical=None):
+    """Kept spacetree cells of many root boxes, one pass per level.
+
+    `lo` and `hi` are (m, 2) root boxes.  Every box of a level is
+    classified at once by sampling its 4 corners and then its Gauss
+    points, mapped through ``to_physical(samples, roots)`` (samples of
+    shape (boxes, 4 + n, 2), one root index per box; None is the
+    identity).  A uniform box, or any box once `depth` levels are spent,
+    is kept; a cut box splits into four children.  Returns (roots, lo,
+    hi, points, weights, alpha) of the kept cells, sorted by root and
+    within a root in depth-first order: points (k, n, 2), weights and
+    alpha (k, n).
+    """
+    if depth < 0:
+        raise ValueError("spacetree depth must be >= 0")
+    ref = _reference_points(order)
+    _, w1 = gauss_rule_1d(order)
+    n = len(ref)
+    l = np.asarray(lo, dtype=float).reshape(-1, 2)
+    h = np.asarray(hi, dtype=float).reshape(-1, 2)
+    roots = np.arange(len(l))
+    codes = np.zeros(len(l), dtype=np.int64)
+    kept = []
+    for remaining in range(depth, -1, -1):
+        mid = (l + h) / 2
+        half = (h - l) / 2
+        points = mid[:, None] + half[:, None] * ref
+        grid = np.stack((l, mid, h), axis=1)
+        sample = np.concatenate((_grid_points(grid, 2 * _X, 2 * _Y), points),
+                                axis=1)
+        if to_physical is not None:
+            sample = to_physical(sample, roots)
+        inside = domain.contains(sample.reshape(-1, 2)).reshape(len(l), 4 + n)
+        keep = inside.all(axis=1) | ~inside.any(axis=1)
+        if remaining == 0:
+            keep[:] = True
+        # a kept box's path code, scaled to the finest level, is its
+        # depth-first rank among the cells of its root
+        kept.append((roots[keep], codes[keep] << 2 * remaining, l[keep],
+                     h[keep], inside[keep, 4:]))
+        split = ~keep
+        if not split.any():
+            break
+        grid = grid[split]
+        l = _grid_points(grid, _X, _Y).reshape(-1, 2)
+        h = _grid_points(grid, _X + 1, _Y + 1).reshape(-1, 2)
+        roots = np.repeat(roots[split], 4)
+        codes = (4 * codes[split][:, None] + np.arange(4)).ravel()
+    roots, codes, l, h, inside = (np.concatenate(parts) for parts in zip(*kept))
+    perm = np.lexsort((codes, roots))
+    l, h = l[perm], h[perm]
+    # the same operations as in the loop, so the kept points are bitwise
+    # those their boxes were classified with
+    mid = (l + h) / 2
+    half = (h - l) / 2
+    points = mid[:, None] + half[:, None] * ref
+    weights = ((w1 * half[:, :1])[:, :, None]
+               * (w1 * half[:, 1:])[:, None, :]).reshape(-1, n)
+    alpha = np.where(inside[perm], 1.0, domain.epsilon)
+    return roots[perm], l, h, points, weights, alpha
+
+
 def spacetree_cells(lo, hi, domain, depth, order, to_physical=None):
     """Quadrature cells for a box crossed by an embedded boundary.
 
@@ -282,40 +360,17 @@ def spacetree_cells(lo, hi, domain, depth, order, to_physical=None):
     Uniform boxes become a single cell with constant indicator; cut boxes
     split into four children until `depth`, where the indicator is applied
     per Gauss point.  Each kept cell equals ``gauss_cell`` on its box
-    except for the indicator; boxes that split get no weights.
+    except for the indicator; boxes that split get no weights.  This is
+    ``subdivide`` on one root box, cells in depth-first order.
     """
-    if depth < 0:
-        raise ValueError("spacetree depth must be >= 0")
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    ident = to_physical is None
-    eps = domain.epsilon
-    ref = _reference_points(order)
-
-    def corners(l, h):
-        return np.array([[l[0], l[1]], [h[0], l[1]], [l[0], h[1]], [h[0], h[1]]])
-
-    out = []
-
-    def visit(l, h, remaining):
-        mid = (l + h) / 2
-        half = (h - l) / 2
-        points = mid + half * ref
-        sample = np.vstack((corners(l, h), points))
-        phys = sample if ident else to_physical(sample)
-        inside = domain.contains(phys)
-        if remaining == 0 or inside.all() or not inside.any():
-            # rows 4: of the sample are the cell's own Gauss points
-            out.append(QuadratureCell(l, h, points, _box_weights(half, order),
-                                      np.where(inside[4:], 1.0, eps)))
-            return
-        visit(l, mid, remaining - 1)
-        visit(np.array([mid[0], l[1]]), np.array([h[0], mid[1]]), remaining - 1)
-        visit(np.array([l[0], mid[1]]), np.array([mid[0], h[1]]), remaining - 1)
-        visit(mid, h, remaining - 1)
-
-    visit(lo, hi, depth)
-    return out
+    if to_physical is not None:
+        def mapping(samples, _):
+            return to_physical(samples.reshape(-1, 2)).reshape(samples.shape)
+    else:
+        mapping = None
+    _, l, h, points, weights, alpha = subdivide(lo, hi, domain, depth, order,
+                                                mapping)
+    return [QuadratureCell(*cell) for cell in zip(l, h, points, weights, alpha)]
 
 
 def leaf_to_physical(leaf):
@@ -383,23 +438,55 @@ def reference_rule(order):
     return LeafRule.from_cells([gauss_cell(-np.ones(2), np.ones(2), order)])
 
 
+def build_leaf_rules(basis, leaves, domain, depth):
+    """Fill ``basis.leaf_rules`` for these leaves with one ``subdivide``
+    per quadrature order, every leaf's spacetree in the same passes."""
+    by_order = {}
+    for leaf in leaves:
+        by_order.setdefault(basis.leaf_quad_order(leaf), []).append(leaf)
+    for order, group in by_order.items():
+        lo = np.array([leaf.lo_f for leaf in group], dtype=float)
+        hi = np.array([leaf.hi_f for leaf in group], dtype=float)
+        # the frames of leaf_to_physical, one row per leaf
+        half = (hi - lo) / 2
+        mid = (hi + lo) / 2
+        ones = np.ones((len(group), 2))
+        roots, _, _, points, weights, alpha = subdivide(
+            -ones, ones, domain, depth, order,
+            lambda pts, r: mid[r, None] + pts * half[r, None])
+        n = order * order
+        counts = np.bincount(roots, minlength=len(group))
+        bounds = n * np.cumsum(counts)[:-1]
+        arrays = (points.reshape(-1, 2), weights.ravel(), alpha.ravel())
+        for arr in arrays:
+            arr.flags.writeable = False
+        for leaf, cells, *rows in zip(group, counts.tolist(),
+                                      *(np.split(arr, bounds) for arr in arrays)):
+            basis.leaf_rules[(leaf.id, depth, domain)] = LeafRule(
+                *rows, tuple(range(0, cells * n + 1, n)))
+
+
 def leaf_rule(basis, leaf, domain=None, depth=0):
     """The leaf's rule, built once per Basis and shared by every caller.
 
     Without a domain a leaf gets the shared reference rule of its order.
-    With one, the spacetree is built on the first call and kept in
-    ``basis.leaf_rules`` under (leaf id, depth, domain).  The key holds
-    the domain itself and compares it by value, so only an equal domain
-    reads the entry, also in a worker that unpickled the Basis; the rule
-    goes when the Basis does.
+    With one, the first miss builds the spacetrees of every active leaf
+    still missing (``build_leaf_rules``: one level-synchronous
+    subdivision for all of them) and keeps each in ``basis.leaf_rules``
+    under (leaf id, depth, domain); a leaf outside the active set is
+    built alone.  The key holds the domain itself and compares it by
+    value, so only an equal domain reads the entry, also in a worker that
+    unpickled the Basis; the rule goes when the Basis does.
     """
     if domain is None:
         return reference_rule(basis.leaf_quad_order(leaf))
     key = (leaf.id, depth, domain)
     rule = basis.leaf_rules.get(key)
     if rule is None:
-        rule = LeafRule.from_cells(leaf_quadrature(basis, leaf, domain, depth))
-        basis.leaf_rules[key] = rule
+        batch = [other for other in basis.mesh.active_leaf_elements()
+                 if (other.id, depth, domain) not in basis.leaf_rules]
+        build_leaf_rules(basis, batch if leaf in batch else [leaf], domain, depth)
+        rule = basis.leaf_rules[key]
     return rule
 
 

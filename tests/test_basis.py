@@ -371,3 +371,33 @@ def test_active_field_is_continuous_across_leaf_edges():
                         assert abs(Vo[0] @ coef[basis.leaf_dofs(other)] - val) <= 1e-12
                     sides += 1
         assert sides > 0
+
+
+def active_entity_set(mesh):
+    return {(ent.level, ent.kind, ent.key) for ent in mesh.entities() if ent.active}
+
+
+def test_refine_then_coarsen_restores_dofs_and_active_entities():
+    # activation depends on the forest alone: refining random leaves, and
+    # some of their new children, then coarsening both again gives back
+    # the active entity set and the dof count
+    cases = 0
+    for rng, basis in activation_cases():
+        mesh, orders = basis.mesh, basis.orders
+        leaves = mesh.active_leaf_elements()
+        active = active_entity_set(mesh)
+        picked = [leaves[i].id for i in rng.choice(
+            len(leaves), size=max(1, len(leaves) // 5), replace=False)]
+        mesh.refine(picked)
+        children = [c.id for eid in picked for c in mesh.elements[eid].children]
+        inner = [children[i] for i in rng.choice(
+            len(children), size=max(1, len(children) // 4), replace=False)]
+        mesh.refine(inner)
+        assert active_entity_set(mesh) != active
+        mesh.coarsen(inner)
+        mesh.coarsen(picked)
+        assert mesh.active_leaf_elements() == leaves
+        assert active_entity_set(mesh) == active
+        assert Basis(mesh, orders).dofmap.total == basis.dofmap.total
+        cases += 1
+    assert cases == 30

@@ -247,8 +247,8 @@ def test_study_computes_area_weights_and_partition_once_per_step(monkeypatch):
     import overlayfem.quadrature
     modules = (overlayfem.benchmarks, overlayfem.distributed,
                overlayfem.partition, overlayfem.quadrature)
-    calls = {"indicator_area": 0, "compute_leaf_weights": 0,
-             "spacetree_cells": 0}
+    calls = {"indicator_area": 0, "compute_leaf_weights": 0}
+    batches = []
     partition_inside_step = []
     in_step = []
 
@@ -256,6 +256,8 @@ def test_study_computes_area_weights_and_partition_once_per_step(monkeypatch):
         def wrapper(*args, **kwargs):
             if name == "partition_leaves":
                 partition_inside_step.append(bool(in_step))
+            elif name == "build_leaf_rules":
+                batches.append([leaf.id for leaf in args[1]])
             elif name == "run_step":
                 in_step.append(1)
                 try:
@@ -267,7 +269,7 @@ def test_study_computes_area_weights_and_partition_once_per_step(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in (*calls, "partition_leaves", "run_step"):
+    for name in (*calls, "build_leaf_rules", "partition_leaves", "run_step"):
         for mod in modules:
             if name in vars(mod):
                 monkeypatch.setattr(mod, name, counted(name, vars(mod)[name]))
@@ -276,9 +278,12 @@ def test_study_computes_area_weights_and_partition_once_per_step(monkeypatch):
                     epsilon=1e-6, depth=3)
     steps, final = run_benchmark(cfg)
     assert len(steps) == 2
-    # weights, integration and area share one spacetree per leaf and step
-    spacetrees = calls.pop("spacetree_cells")
-    assert spacetrees == sum(s["leaves"] for s in steps)
+    # weights, integration and area share one batched spacetree build per
+    # step, and it covers every active leaf of the step exactly once
+    assert [len(ids) for ids in batches] == [s["leaves"] for s in steps]
+    assert all(len(set(ids)) == len(ids) for ids in batches)
+    assert sorted(batches[-1]) == sorted(
+        leaf.id for leaf in final["basis"].mesh.active_leaf_elements())
     assert calls == {"indicator_area": 2, "compute_leaf_weights": 2}
     assert partition_inside_step == [True, True]
     assert len(final["ranks"]) == len(final["weights"]) == steps[-1]["leaves"]

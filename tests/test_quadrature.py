@@ -14,7 +14,7 @@ from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.quadrature import (
     gauss_rule_1d, gauss_cell, integration_domains,
     HalfPlane, Disk, Rect, Union, Intersection, Difference, Complement,
-    geometry_from_json, EmbeddedDomain, spacetree_cells,
+    geometry_from_json, EmbeddedDomain, QuadratureCell, spacetree_cells,
     leaf_to_physical, leaf_jacobian, leaf_quadrature, leaf_point_count,
     leaf_rule, indicator_area,
 )
@@ -221,6 +221,124 @@ def test_spacetree_depth_validation():
         spacetree_cells([0.0, 0.0], [1.0, 1.0], dom, depth=-1, order=2)
 
 
+
+def recursive_spacetree_cells(lo, hi, domain, depth, order, to_physical=None):
+    """The box-at-a-time recursion the level-synchronous kernel replaced,
+    kept here as its oracle."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    ident = to_physical is None
+    eps = domain.epsilon
+    x1, w1 = gauss_rule_1d(order)
+    ref = np.column_stack((np.repeat(x1, order), np.tile(x1, order)))
+
+    def corners(l, h):
+        return np.array([[l[0], l[1]], [h[0], l[1]], [l[0], h[1]], [h[0], h[1]]])
+
+    out = []
+
+    def visit(l, h, remaining):
+        mid = (l + h) / 2
+        half = (h - l) / 2
+        points = mid + half * ref
+        sample = np.vstack((corners(l, h), points))
+        phys = sample if ident else to_physical(sample)
+        inside = domain.contains(phys)
+        if remaining == 0 or inside.all() or not inside.any():
+            weights = np.outer(w1 * half[0], w1 * half[1]).ravel()
+            out.append(QuadratureCell(l, h, points, weights,
+                                      np.where(inside[4:], 1.0, eps)))
+            return
+        visit(l, mid, remaining - 1)
+        visit(np.array([mid[0], l[1]]), np.array([h[0], mid[1]]), remaining - 1)
+        visit(np.array([l[0], mid[1]]), np.array([mid[0], h[1]]), remaining - 1)
+        visit(mid, h, remaining - 1)
+
+    visit(lo, hi, depth)
+    return out
+
+
+def assert_same_cells(cells, oracle):
+    assert len(cells) == len(oracle)
+    for cell, want in zip(cells, oracle):
+        for name in ("lo", "hi", "points", "weights", "alpha"):
+            assert np.array_equal(getattr(cell, name), getattr(want, name)), name
+
+
+def assert_rule_is_cells(rule, oracle):
+    sizes = np.cumsum([len(c.weights) for c in oracle]).tolist()
+    assert rule.offsets == (0, *sizes)
+    for name in ("points", "weights", "alpha"):
+        want = np.concatenate([getattr(c, name) for c in oracle])
+        assert np.array_equal(getattr(rule, name), want), name
+
+
+_DISK = Disk((0.3, 0.4), 0.37)
+_RECT = Rect((0.21, 0.13), (0.67, 0.8))
+ORACLE_GEOMETRIES = {
+    "halfplane": HalfPlane((1.0, 0.6), 0.7),
+    "halfplane-on-lattice": HalfPlane((1.0, 0.0), 0.5),
+    "disk": _DISK,
+    "rect": _RECT,
+    "union": Union((_DISK, Rect((0.6, 0.55), (0.95, 0.9)))),
+    "intersection": Intersection((Disk((0.5, 0.5), 0.4),
+                                  HalfPlane((0.0, 1.0), 0.55))),
+    "difference": Difference((_RECT, _DISK)),
+    "complement": Complement(_DISK),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GEOMETRIES))
+def test_spacetree_kernel_matches_recursive_oracle_on_one_box(name):
+    dom = EmbeddedDomain(ORACLE_GEOMETRIES[name], epsilon=1e-8)
+    lo, hi = [0.05, 0.1], [0.8, 0.75]
+    # a reference frame mapped onto a physical box, as leaf_quadrature maps
+    to_phys = lambda pts: np.array([0.4, 0.5]) + pts * np.array([0.35, 0.3])
+    split = 0
+    for depth in range(5):
+        for order in range(1, 6):
+            cells = spacetree_cells(lo, hi, dom, depth, order)
+            assert_same_cells(cells, recursive_spacetree_cells(
+                lo, hi, dom, depth, order))
+            mapped = spacetree_cells([-1.0, -1.0], [1.0, 1.0], dom, depth,
+                                     order, to_physical=to_phys)
+            assert_same_cells(mapped, recursive_spacetree_cells(
+                [-1.0, -1.0], [1.0, 1.0], dom, depth, order, to_phys))
+            split += len(cells) > 1
+    assert split > 0
+
+
+@pytest.mark.parametrize("res", [3, 5])
+def test_batched_leaf_rules_match_recursive_oracle(res):
+    # a non-dyadic base mesh refined at random, graded orders so one batch
+    # holds several quadrature orders
+    rng = np.random.default_rng(res)
+    mesh = single_patch(res)
+    for _ in range(2):
+        leaves = mesh.active_leaf_elements()
+        picked = rng.choice(len(leaves), size=len(leaves) // 4, replace=False)
+        mesh.refine([leaves[i].id for i in picked])
+    orders = PolynomialOrderField(by_level={0: 1, 1: 3, 2: 4})
+    leaves = mesh.active_leaf_elements()
+    refined = next(e for e in mesh.elements.values() if e.children)
+    for name, geometry in sorted(ORACLE_GEOMETRIES.items()):
+        dom = EmbeddedDomain(geometry, epsilon=1e-8)
+        basis = Basis(mesh, orders)
+        assert len({basis.leaf_quad_order(leaf) for leaf in leaves}) > 1
+        for depth in (0, 2, 4):
+            rules = [leaf_rule(basis, leaf, dom, depth) for leaf in leaves]
+            for leaf, rule in zip(leaves, rules):
+                assert_rule_is_cells(rule, recursive_spacetree_cells(
+                    [-1.0, -1.0], [1.0, 1.0], dom, depth,
+                    basis.leaf_quad_order(leaf), leaf_to_physical(leaf)))
+            # a leaf outside the active set is built alone
+            before = len(basis.leaf_rules)
+            rule = leaf_rule(basis, refined, dom, depth)
+            assert len(basis.leaf_rules) == before + 1
+            assert_rule_is_cells(rule, recursive_spacetree_cells(
+                [-1.0, -1.0], [1.0, 1.0], dom, depth,
+                basis.leaf_quad_order(refined), leaf_to_physical(refined)))
+
 # ------------------------------------------------------- leaf quadrature
 
 
@@ -308,7 +426,7 @@ def test_leaf_rule_memo_is_shared_and_survives_pickling(monkeypatch):
     # a second spacetree
     copy = pickle.loads(pickle.dumps(basis))
     dom_copy = pickle.loads(pickle.dumps(dom))
-    monkeypatch.setattr("overlayfem.quadrature.spacetree_cells", None)
+    monkeypatch.setattr("overlayfem.quadrature.subdivide", None)
     copied = leaf_rule(copy, copy.mesh.locate_leaf((0.6, 0.4)), dom_copy, 3)
     assert np.array_equal(copied.points, rule.points)
     assert copied.offsets == rule.offsets
