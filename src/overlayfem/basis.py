@@ -222,8 +222,11 @@ class Basis:
 
     Built for the mesh state at construction time; refine or coarsen the
     mesh and this object is stale, build a new one.  It also keeps the
-    quadrature rules of its cut leaves and ``leaf_tables``, the memo of
-    single-cell leaf tables, which go stale with it.  A memo key holds,
+    quadrature rules of its cut leaves, ``leaf_systems``, the step's
+    single-cell leaf stiffness matrices and loads (see
+    ``physics.leaf_systems``, which computes their signatures through
+    ``leaf_frames``), and ``leaf_tables``, the memo of single-cell leaf
+    tables; all go stale with it.  A ``leaf_tables`` key holds,
     for every dof-carrying element of the leaf's chain, the bytes of the
     element's plan (``jx`` and ``jy``), of its ``scale`` and of the
     points' clipped reference coordinates: all the tables are computed
@@ -242,6 +245,8 @@ class Basis:
         self.leaf_rules = {}
         # single-cell leaf tables by exact input, see evaluate_leaf_cached
         self.leaf_tables = {}
+        # the step's single-cell leaf systems, see physics.leaf_systems
+        self.leaf_systems = {}
 
     # -- per-element plan: which modes, which 1d rows ------------------
 
@@ -379,6 +384,34 @@ class Basis:
             frames.append((plan, scale,
                            np.clip((pts - lo) * scale - 1.0, -1.0, 1.0)))
         return pts.shape[0], frames
+
+    def leaf_frames(self, leaves, points):
+        """``_frames`` of many leaves of one level at once.
+
+        points: (m, n, 2), row i inside leaf i's closed box.  Applies the
+        range check and the operations of ``_frames`` to all rows and
+        returns one (plans, scale (m, 2), clipped coordinates (m, n, 2))
+        per chain position, base first, where plans[i] is leaf i's
+        element plan; a position without dofs on any leaf is left out.
+        """
+        pts = np.asarray(points, dtype=float)
+        lo = np.array([leaf.lo_f for leaf in leaves], dtype=float)
+        hi = np.array([leaf.hi_f for leaf in leaves], dtype=float)
+        tol = 1e-12 * np.maximum(1.0, np.abs(np.hstack((lo, hi))).max(axis=1))
+        if (np.any(pts.min(axis=1) < lo - tol[:, None])
+                or np.any(pts.max(axis=1) > hi + tol[:, None])):
+            raise ValueError("point outside the leaf element")
+        frames = []
+        for elems in zip(*(self.mesh.chain(leaf) for leaf in leaves)):
+            plans = [self._plan(elem) for elem in elems]
+            if not any(plan[2].size for plan in plans):
+                continue
+            lo = np.array([elem.lo_f for elem in elems], dtype=float)
+            scale = 2.0 / (np.array([elem.hi_f for elem in elems],
+                                    dtype=float) - lo)
+            frames.append((plans, scale, np.clip(
+                (pts - lo[:, None]) * scale[:, None] - 1.0, -1.0, 1.0)))
+        return frames
 
 
 def interpolate_nodal(basis, func):

@@ -408,7 +408,7 @@ def run_benchmark(config):
     final_state is None for dry runs, else a dict with the mesh, basis,
     solution, leaf ranks, and normalized leaf weights of the last step.
     A :class:`SolverError` leaves with the completed steps' dicts attached
-    as its `steps`.
+    as its `steps` and the failed step's index as its `step`.
     """
     from .distributed import SolverError, run_step
 
@@ -448,6 +448,7 @@ def run_benchmark(config):
             )
         except SolverError as exc:
             exc.steps = steps
+            exc.step = step
             raise
         t = time.perf_counter()
         if problem.name == "fcm_disk":

@@ -103,7 +103,8 @@ def cmd_run(args):
     try:
         steps, final = run_benchmark(config)
     except SolverError as exc:
-        write_artifacts(config.out, config, exc.steps, None, status=str(exc))
+        write_artifacts(config.out, config, exc.steps, None,
+                        status=exc.status())
         print(f"error: {exc}", file=sys.stderr)
         return 2
     write_artifacts(config.out, config, steps, final)

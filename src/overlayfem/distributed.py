@@ -3,8 +3,14 @@
 The runtime is deterministic and in-process: "ranks" are index sets of
 active leaves, produced by any partitioner from :mod:`overlayfem.partition`.
 Each rank integrates exactly its own leaves (no element is ever touched by
-two ranks) into tagged triplets, one tag per source leaf.  Every leaf is
-integrated by one kernel, :func:`overlayfem.physics.element_system`.
+two ranks) into tagged triplets, one tag per source leaf.  Leaves with a
+single-cell rule take their stiffness and load from the step's memo,
+:func:`overlayfem.physics.leaf_systems`, which holds one integrated
+representative per distinct leaf signature; the parent process builds it
+before the integrate phase fans out, so worker processes receive it with
+the Basis.  A rank emits such leaves a group at a time, one group per
+signature and kept-dof pattern.  Cut leaves, whose rules have several
+cells, run :func:`overlayfem.physics.element_system` one by one.
 
 Assembly is one sort.  All ranks' triplets are ordered by (row, column,
 leaf tag) and summed per (row, column) into one global CSR operator; the
@@ -36,16 +42,27 @@ import scipy.sparse
 from .basis import Basis
 from .partition import (compute_leaf_weights, partition_leaves,
                         rank_weight_sums)
-from .physics import DirichletMap, element_system, leaf_flux_load
+from .physics import (DirichletMap, element_system, leaf_flux_load,
+                      leaf_systems)
 
 
 class SolverError(RuntimeError):
     """Raised when the iterative solve does not reach its tolerance."""
 
+    reason = "max_iter"     # CG stops only at its iteration limit
+
     def __init__(self, message, residual_history):
         super().__init__(message)
         self.residual_history = list(residual_history)
         self.steps = []  # report dicts of the steps completed before it
+        self.step = None  # index of the step whose solve failed
+
+    def status(self):
+        """The failed run's ``report.json`` status."""
+        history = self.residual_history
+        return {"reason": self.reason, "step": self.step,
+                "iterations": len(history) - 1,
+                "last_residual": history[-1] if history else None}
 
 
 # ----------------------------------------------------------------------
@@ -94,32 +111,84 @@ class IntermediateSystem:
 def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
                           domain=None, depth=0, source=None,
                           flux=None, flux_part=None):
-    """Integrate exactly the given leaves into free-index triplets."""
-    mesh = basis.mesh
-    by_id = {leaf.id: leaf for leaf in mesh.active_leaf_elements()}
+    """Integrate exactly the given leaves into free-index triplets.
+
+    Single-cell leaves read K and f from the step's memo
+    (:func:`overlayfem.physics.leaf_systems`) and are emitted a group at
+    a time, one group per signature and kept-dof pattern; multi-cell
+    leaves run :func:`overlayfem.physics.element_system` one by one.  A
+    flux loads only the leaves with a side on the domain boundary.
+    """
+    leaves = basis.mesh.active_leaf_elements()
+    systems = leaf_systems(basis, domain, depth, source)
+    pos = np.array([systems.position[lid] for lid in leaf_ids],
+                   dtype=np.int64)
+    leaf_tags = np.asarray(leaf_tags, dtype=np.int64)
+    sig = systems.signature[pos]
+    fluxed = (systems.on_boundary[pos] if flux is not None
+              else np.zeros(pos.size, dtype=bool))
     rows, cols, vals, tags = [], [], [], []
     rrows, rvals, rtags = [], [], []
-    for lid, tag in zip(leaf_ids, leaf_tags):
-        leaf = by_id[lid]
-        K, fe, gids = element_system(basis, leaf, domain, depth, source)
-        fidx = to_free[gids]
+
+    # fi holds the free rows of the rank leaves `sel`, one row per leaf
+    def emit_matrix(fi, K, sel):
+        """Triplets of leaves that share the kept block K."""
+        n = fi.shape[1]
+        rows.append(np.repeat(fi, n, axis=1).ravel())
+        cols.append(np.tile(fi, n).ravel())
+        vals.append(np.tile(K.ravel(), len(sel)))
+        tags.append(np.repeat(leaf_tags[sel], n * n))
+
+    def emit_loads(fi, loads, sel):
+        rrows.append(fi.ravel())
+        rvals.append(loads.ravel())
+        rtags.append(np.repeat(leaf_tags[sel], fi.shape[1]))
+
+    # single-cell leaves, one group per signature and kept-dof pattern;
+    # a leaf a flux loads gets its load below, leaf by leaf
+    single = np.flatnonzero(sig >= 0)
+    single = single[np.argsort(sig[single], kind="stable")]
+    for run in np.split(single, np.flatnonzero(np.diff(sig[single])) + 1):
+        if run.size == 0:
+            continue
+        K = systems.stiffness[sig[run[0]]]
+        fidx = to_free[np.stack([basis.leaf_dofs(leaves[p])
+                                 for p in pos[run]])]
         keep = fidx >= 0
-        ki = np.flatnonzero(keep)
-        fi = fidx[ki]
-        gi = np.repeat(fi, fi.size)
-        gj = np.tile(fi, fi.size)
-        rows.append(gi)
-        cols.append(gj)
-        vals.append(K[np.ix_(ki, ki)].ravel())
-        tags.append(np.full(gi.size, tag, dtype=np.int64))
-        if flux is not None:
+        if (keep == keep[0]).all():     # the common case: one pattern
+            patterns, which = keep[:1], np.zeros(run.size, dtype=np.intp)
+        else:
+            patterns, which = np.unique(keep, axis=0, return_inverse=True)
+            which = which.reshape(-1)
+        for k, pattern in enumerate(patterns):
+            sel = run[which == k]
+            ki = np.flatnonzero(pattern)
+            fi = fidx[which == k][:, ki]
+            emit_matrix(fi, K[np.ix_(ki, ki)], sel)
+            inner = ~fluxed[sel]
+            if source is not None and inner.any():
+                loads = np.stack([systems.loads[q]
+                                  for q in systems.load[pos[sel[inner]]]])
+                emit_loads(fi[inner], loads[:, ki], sel[inner])
+
+    # cut leaves, and the loads of leaves a flux reaches, leaf by leaf
+    for j in np.flatnonzero((sig < 0) | fluxed):
+        leaf = leaves[pos[j]]
+        fidx = to_free[basis.leaf_dofs(leaf)]
+        ki = np.flatnonzero(fidx >= 0)
+        fi = fidx[ki][None]
+        if sig[j] < 0:
+            K, fe, _ = element_system(basis, leaf, domain, depth, source)
+            emit_matrix(fi, K[np.ix_(ki, ki)], [j])
+        else:
+            fe = (None if source is None
+                  else systems.loads[systems.load[pos[j]]])
+        if fluxed[j]:
             fl = leaf_flux_load(basis, leaf, flux, flux_part)
             if fl is not None:
                 fe = fl if fe is None else fe + fl
         if fe is not None:
-            rrows.append(fi)
-            rvals.append(fe[ki])
-            rtags.append(np.full(fi.size, tag, dtype=np.int64))
+            emit_loads(fi, fe[ki][None], [j])
 
     def cat(parts, dtype):
         return (np.concatenate(parts) if parts
@@ -385,10 +454,10 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
                                    domain, depth, source, flux, flux_part,
                                    workers)
     timings["integrate"] = time.perf_counter() - t
-    # nothing reads the integrate phase's leaf tables again (the error
-    # integrates at a higher order): free them before assembly, the
-    # step's memory peak
-    basis.leaf_tables.clear()
+    # nothing reads the step's leaf systems again: free them before
+    # assembly, the step's memory peak (the integrate phase leaves
+    # ``leaf_tables`` empty; only the error fills it)
+    basis.leaf_systems.clear()
 
     t = time.perf_counter()
     leaf_free_dofs = [to_free[basis.leaf_dofs(leaf)] for leaf in leaves]
@@ -458,6 +527,9 @@ def _pool_task(chunk):
 
 def _integrate_all(basis, to_free, leaves, ranks, n_ranks, domain, depth,
                    source, flux, flux_part, workers):
+    # build the step's leaf systems here, so a worker pool gets them
+    # with the Basis instead of building them once per worker
+    leaf_systems(basis, domain, depth, source)
     chunks = []
     for r in range(n_ranks):
         idx = np.flatnonzero(np.asarray(ranks) == r)

@@ -239,7 +239,8 @@ class Mesh:
                         )
 
     def _coord_float(self, m, level, axis):
-        return float(Fraction(int(m), self._den[axis] * (1 << level)))
+        # int / int rounds correctly, as float(Fraction(m, den << level)) does
+        return int(m) / (self._den[axis] << level)
 
     def _point_float(self, ints, level):
         return tuple(self._coord_float(m, level, a) for a, m in enumerate(ints))

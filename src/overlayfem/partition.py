@@ -62,22 +62,25 @@ def partition_contiguous(n_leaves, n_ranks):
 # space-filling-curve partitioner
 
 def hilbert_index(order, x, y):
-    """Position of cell (x, y) along the Hilbert curve of a 2^order grid."""
-    n = 1 << order
-    rx = ry = 0
-    d = 0
-    s = n >> 1
+    """Position of cells (x, y) along the Hilbert curve of a 2^order grid.
+
+    x and y are integers or integer arrays of one shape; every cell is
+    walked down the curve at once, with int64 bit operations.
+    """
+    x = np.array(x, dtype=np.int64)
+    y = np.array(y, dtype=np.int64)
+    d = np.zeros_like(x)
+    s = (1 << order) >> 1
     while s > 0:
-        rx = 1 if (x & s) > 0 else 0
-        ry = 1 if (y & s) > 0 else 0
+        rx = (x & s) > 0
+        ry = (y & s) > 0
         d += s * s * ((3 * rx) ^ ry)
-        if ry == 0:
-            if rx == 1:
-                x = s - 1 - x
-                y = s - 1 - y
-            x, y = y, x
+        flip = rx & ~ry
+        x = np.where(flip, s - 1 - x, x)
+        y = np.where(flip, s - 1 - y, y)
+        x, y = np.where(ry, x, y), np.where(ry, y, x)
         s >>= 1
-    return d
+    return d if d.ndim else int(d)
 
 
 def _optimal_interval_cut(weights, n_ranks):
@@ -87,19 +90,18 @@ def _optimal_interval_cut(weights, n_ranks):
     n = w.size
 
     def fits(bound):
-        parts = 1
-        acc = 0.0
-        for v in w:
-            if v > bound:
-                return False
-            if acc + v > bound:
-                parts += 1
-                acc = v
-                if parts > n_ranks:
-                    return False
-            else:
-                acc += v
-        return True
+        # greedy chunks: each one's running sums are the sequential float
+        # additions of a scalar scan, and it ends before the first sum
+        # above the bound
+        if w.max() > bound:
+            return False
+        start = 0
+        for _ in range(n_ranks):
+            start += int(np.searchsorted(np.cumsum(w[start:]), bound,
+                                         side="right"))
+            if start == n:
+                return True
+        return False
 
     lo = float(w.max())
     hi = float(w.sum())
@@ -144,8 +146,7 @@ def partition_sfc(mesh, weights, n_ranks, grid_order=14):
     span = np.where(hi > lo, hi - lo, 1.0)
     n = 1 << grid_order
     cells = np.clip(((centers - lo) / span * (n - 1)).astype(np.int64), 0, n - 1)
-    keys = np.array([hilbert_index(grid_order, int(cx), int(cy))
-                     for cx, cy in cells])
+    keys = hilbert_index(grid_order, cells[:, 0], cells[:, 1])
     order = np.argsort(keys, kind="stable")
 
     curve_ranks = _optimal_interval_cut(weights[order], n_ranks)

@@ -1,17 +1,28 @@
 """Poisson operators on the overlay basis: element systems, boundary data,
 serial assembly, and energy-norm error measurement.
 
-Element systems are integrated leaf by leaf with the composed Gauss rules
-from :mod:`overlayfem.quadrature`; an embedded domain scales each point by
-its indicator factor.  One kernel, :func:`element_system`, yields a leaf's
-stiffness matrix and source load together; the serial and the distributed
-assembly both call it.  It reads the leaf's rule from the memo on the
-Basis, evaluates the basis once on all of the leaf's points, and sums
-cell by cell, so a cut leaf costs one evaluation however many cells its
-spacetree has.  Homogeneous Dirichlet conditions are imposed by
-symmetric elimination: the constrained rows and columns are dropped from
-the system and restored as zeros in the solution vector.  Inhomogeneous
-flux (Neumann) data enters through 1d edge rules on the domain boundary.
+Element systems are integrated with the composed Gauss rules from
+:mod:`overlayfem.quadrature`; an embedded domain scales each point by its
+indicator factor.  One kernel, :func:`element_system`, yields a leaf's
+stiffness matrix and source load together.  It reads the leaf's rule
+from the memo on the Basis, evaluates the basis once on all of the
+leaf's points, and sums cell by cell, so a cut leaf costs one evaluation
+however many cells its spacetree has.  The serial assembly calls it for
+every leaf; the distributed pipeline only for leaves whose rule has
+several cells.
+
+Refinement never replaces an element, so most leaves of a step repeat
+one another bit for bit.  :func:`leaf_systems` integrates the leaves with
+a single-cell rule (every uncut leaf) once per step: it computes every
+such leaf's signature with array operations, the exact inputs of its K,
+contracts one representative per distinct signature, and keeps the K
+of each signature, plus f per signature and source values, in a memo on
+the Basis that the distributed integration reads.
+
+Homogeneous Dirichlet conditions are imposed by symmetric elimination:
+the constrained rows and columns are dropped from the system and
+restored as zeros in the solution vector.  Inhomogeneous flux (Neumann)
+data enters through 1d edge rules on the domain boundary.
 
 The energy-error integrator upgrades every leaf rule by a couple of Gauss
 points and, on leaves whose closure holds a declared singular point, peels
@@ -20,15 +31,15 @@ accurately instead of polluting the measurement; the shell rule lives in
 the reference square and is built once per (corner, levels, order).  It
 too evaluates each leaf once, on the points of all its cells or shells.
 
-Both read the basis tables of a leaf whose rule is a single cell (every
-uncut leaf, and every non-singular leaf in the error) from the Basis memo
-``evaluate_leaf_cached``: leaves that share a shape, an active-entity
-pattern and orders share the exact table inputs, so the tables are built
-once per step for each distinct input.  Cut-leaf spacetrees and corner
-shells are evaluated afresh.
+``element_system`` and the error read the basis tables of a leaf whose
+rule is a single cell from the Basis memo ``evaluate_leaf_cached``: leaves
+that share a shape, an active-entity pattern and orders share the exact
+table inputs, so the tables are built once per step for each distinct
+input.  Cut-leaf spacetrees and corner shells are evaluated afresh.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -71,6 +82,118 @@ def element_system(basis, leaf, domain=None, depth=0, source=None):
             src = np.asarray(source(pts[cell]), dtype=float)
             f += V[cell].T @ (w[cell] * src)
     return K, f, basis.leaf_dofs(leaf)
+
+
+@dataclass
+class LeafSystems:
+    """Stiffness matrices and loads of one step's single-cell leaves.
+
+    Arrays run over the active leaves in pre-order; ``position`` maps a
+    leaf id to its row.  ``signature`` indexes ``stiffness`` and is -1 for
+    a leaf whose rule has several cells; ``load`` indexes ``loads`` and is
+    -1 for those and without a source.  ``on_boundary`` marks the leaves
+    with a side on the domain boundary, the only ones a flux loads.
+    """
+
+    position: dict
+    signature: np.ndarray
+    load: np.ndarray
+    stiffness: list
+    loads: list
+    on_boundary: np.ndarray
+
+
+def leaf_systems(basis, domain=None, depth=0, source=None):
+    """The step's single-cell leaf systems, built once per Basis.
+
+    The first call for a (domain, depth, source) builds them for every
+    active leaf and keeps them in ``basis.leaf_systems``; the key holds
+    the domain and the source themselves, so a worker that unpickled the
+    Basis reads the entry for its equal arguments.
+    """
+    key = (depth, domain, source)
+    systems = basis.leaf_systems.get(key)
+    if systems is None:
+        systems = basis.leaf_systems[key] = _build_leaf_systems(
+            basis, domain, depth, source)
+    return systems
+
+
+def _build_leaf_systems(basis, domain, depth, source):
+    """Integrate one representative per distinct single-cell signature.
+
+    Leaves are batched by (quadrature order, level).  A leaf's signature
+    is the bytes of its weights x alpha x jacobian and, per dof-carrying
+    chain element, of the plan, the scale and the clipped reference
+    coordinates: every input of element_system's K, computed with
+    element_system's operations, so equal signatures give equal K bit for
+    bit.  f is shared among leaves of one signature and equal source
+    values.
+    """
+    mesh = basis.mesh
+    leaves = mesh.active_leaf_elements()
+    signature = np.full(len(leaves), -1, dtype=np.int64)
+    load = np.full(len(leaves), -1, dtype=np.int64)
+    stiffness, loads = [], []
+    groups = {}
+    for i, leaf in enumerate(leaves):
+        rule = leaf_rule(basis, leaf, domain, depth)
+        if len(rule.offsets) == 2:
+            groups.setdefault((basis.leaf_quad_order(leaf), leaf.level),
+                              []).append((i, rule))
+    plan_ids = {}
+    for members in groups.values():
+        idx = np.array([i for i, _ in members])
+        group = [leaves[i] for i in idx]
+        points, weights, alpha = (np.stack([getattr(rule, name)
+                                            for _, rule in members])
+                                  for name in ("points", "weights", "alpha"))
+        # leaf_to_physical and leaf_jacobian, one row per leaf
+        lo = np.array([leaf.lo_f for leaf in group], dtype=float)
+        hi = np.array([leaf.hi_f for leaf in group], dtype=float)
+        half = (hi - lo) / 2
+        pts = (hi + lo)[:, None] / 2 + points * half[:, None]
+        w = weights * alpha * (half[:, 0] * half[:, 1])[:, None]
+        keys = [w.view(np.uint64)]
+        for plans, scale, ref in basis.leaf_frames(group, pts):
+            ids = np.array([plan_ids.setdefault(plan[3], len(plan_ids))
+                            if plan[2].size else -1 for plan in plans])
+            live = (ids >= 0)[:, None]
+            ref = ref.reshape(len(group), -1)
+            keys += [ids.view(np.uint64)[:, None],
+                     np.where(live, scale.view(np.uint64), 0),
+                     np.where(live, ref.view(np.uint64), 0)]
+        _, first, inverse = np.unique(np.hstack(keys), axis=0,
+                                      return_index=True, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        signature[idx] = len(stiffness) + inverse
+        tables = []
+        for r in first:
+            V, G = basis.evaluate_leaf(group[r], pts[r])
+            K = np.zeros((G.shape[1], G.shape[1]))
+            K += np.einsum("q,qid,qjd->ij", w[r], G, G)
+            K.flags.writeable = False
+            stiffness.append(K)
+            tables.append(V)
+        if source is None:
+            continue
+        by_value = {}
+        for j, i in enumerate(idx):
+            src = np.asarray(source(pts[j]), dtype=float)
+            key = (inverse[j], src.tobytes())
+            if key not in by_value:
+                V = tables[inverse[j]]
+                f = np.zeros(V.shape[1])
+                f += V.T @ (w[j] * src)
+                f.flags.writeable = False
+                by_value[key] = len(loads)
+                loads.append(f)
+            load[i] = by_value[key]
+    on_boundary = np.array([any(mesh.side_on_domain_boundary(leaf, axis, upper)
+                                for axis, upper in _SIDES_2D)
+                            for leaf in leaves], dtype=bool)
+    return LeafSystems({leaf.id: i for i, leaf in enumerate(leaves)},
+                       signature, load, stiffness, loads, on_boundary)
 
 
 def assemble_serial(basis, domain=None, depth=0, source=None):

@@ -52,3 +52,18 @@ def random_orders(rng, mesh, p_max=4):
 def random_basis(rng, max_leaves=1000, p_max=4):
     mesh = random_refined_mesh(rng, max_leaves=max_leaves)
     return Basis(mesh, random_orders(rng, mesh, p_max=p_max))
+
+
+def stretched_basis(rng):
+    """Two conforming patches of square and of 2:1 elements, refined at random.
+
+    Elements of one level differ in scale here, which a random unit-square
+    mesh never shows.
+    """
+    mesh = Mesh(BaseMeshSpec((PatchSpec(((0, 1), (0, 1)), (2, 2)),
+                              PatchSpec(((1, 3), (0, 1)), (2, 2)))))
+    for _ in range(3):
+        leaves = mesh.active_leaf_elements()
+        picked = rng.choice(len(leaves), size=len(leaves) // 3, replace=False)
+        mesh.refine([leaves[i].id for i in picked])
+    return Basis(mesh, random_orders(rng, mesh))

@@ -182,10 +182,34 @@ def test_solver_failure_still_writes_report(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "error" in capsys.readouterr().err
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["status"] != "ok"
-    assert "iteration limit" in report["status"]
+    assert report["status"] == {"reason": "max_iter", "step": 1,
+                                "iterations": 2, "last_residual": 0.5}
     assert [s["step"] for s in report["steps"]] == [0]
     assert report["steps"][0]["cg_iterations"] > 0
+
+
+def test_iteration_limit_writes_structured_status(tmp_path, monkeypatch):
+    # the real solver, held to 3 iterations from step 1 on
+    solve = overlayfem.distributed.parallel_cg
+    calls = []
+
+    def limited(system, rhs=None, tol=1e-10, max_iter=None):
+        calls.append(1)
+        return solve(system, rhs, tol, max_iter if len(calls) == 1 else 3)
+
+    monkeypatch.setattr(overlayfem.distributed, "parallel_cg", limited)
+    code = run_cli("run", "lshape", "--res", "2", "--steps", "2",
+                   "--out", str(tmp_path))
+    assert code == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    status = report["status"]
+    assert set(status) == {"reason", "step", "iterations", "last_residual"}
+    assert status["reason"] == "max_iter"
+    assert status["step"] == 1
+    assert status["iterations"] == 3
+    assert isinstance(status["last_residual"], float)
+    assert status["last_residual"] > 0.0
+    assert [s["step"] for s in report["steps"]] == [0]
 
 
 # ------------------------------------------------------------------ export

@@ -7,23 +7,30 @@ not depend on the rank count at all.
 """
 
 import json
+import pickle
 
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg as spla
 
-from conftest import single_patch, random_refined_mesh, random_orders
+from conftest import (single_patch, random_refined_mesh, random_orders,
+                      stretched_basis)
 from overlayfem.mesh import Mesh
 from overlayfem.basis import Basis, PolynomialOrderField
-from overlayfem.physics import assemble_serial, DirichletMap, LShapeSolution
+from overlayfem.physics import (assemble_serial, DirichletMap, LShapeSolution,
+                                element_system, leaf_flux_load)
+from overlayfem.quadrature import Disk, EmbeddedDomain
 from overlayfem.partition import partition_leaves, compute_leaf_weights
 from overlayfem.distributed import (
     SolverError, distribute_dofs_contiguous, distribute_dofs_graph,
-    integrate_rank_system, exchange_and_assemble, parallel_cg,
-    run_step, thin_history,
+    IntermediateSystem, integrate_rank_system, exchange_and_assemble,
+    parallel_cg, run_step, thin_history,
 )
-from overlayfem.benchmarks import lshape_mesh_spec, lshape_dirichlet, unit_source
+from overlayfem.benchmarks import (fcm_disk_dirichlet, lshape_dirichlet,
+                                   lshape_mesh_spec, lshape_neumann_part,
+                                   mark_corner_leaves, mark_interface_leaves,
+                                   unit_source)
 
 
 def on_square_boundary(p):
@@ -385,6 +392,175 @@ def test_one_operator_matches_per_rank_inbox_oracle():
                     assert hist == hist_ref
 
 
+# ------------------------------------------------- per-leaf integration
+#
+# integrate_rank_system integrates each distinct single-cell leaf once per
+# step and emits triplets a group at a time.  The oracle below is the
+# per-leaf loop it replaced: every leaf through element_system, its flux
+# load through leaf_flux_load.  Both must assemble to the same bits.
+
+
+def per_leaf_integrate(basis, to_free, leaf_ids, leaf_tags, rank,
+                       domain=None, depth=0, source=None,
+                       flux=None, flux_part=None):
+    by_id = {leaf.id: leaf for leaf in basis.mesh.active_leaf_elements()}
+    rows, cols, vals, tags = [], [], [], []
+    rrows, rvals, rtags = [], [], []
+    for lid, tag in zip(leaf_ids, leaf_tags):
+        leaf = by_id[lid]
+        K, fe, gids = element_system(basis, leaf, domain, depth, source)
+        fidx = to_free[gids]
+        ki = np.flatnonzero(fidx >= 0)
+        fi = fidx[ki]
+        rows.append(np.repeat(fi, fi.size))
+        cols.append(np.tile(fi, fi.size))
+        vals.append(K[np.ix_(ki, ki)].ravel())
+        tags.append(np.full(fi.size * fi.size, tag, dtype=np.int64))
+        if flux is not None:
+            fl = leaf_flux_load(basis, leaf, flux, flux_part)
+            if fl is not None:
+                fe = fl if fe is None else fe + fl
+        if fe is not None:
+            rrows.append(fi)
+            rvals.append(fe[ki])
+            rtags.append(np.full(fi.size, tag, dtype=np.int64))
+
+    def cat(parts, dtype):
+        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+    return IntermediateSystem(
+        rank=rank, rows=cat(rows, np.int64), cols=cat(cols, np.int64),
+        vals=cat(vals, float), leaf_tags=cat(tags, np.int64),
+        rhs_rows=cat(rrows, np.int64), rhs_vals=cat(rvals, float),
+        rhs_tags=cat(rtags, np.int64), n_leaves=len(leaf_ids))
+
+
+def corner_refined(res, steps):
+    mesh = Mesh(lshape_mesh_spec(res))
+    for _ in range(steps):
+        mesh.refine(mark_corner_leaves(mesh, (0.0, 0.0)))
+    return mesh
+
+
+def interface_refined(res, domain, steps):
+    mesh = single_patch(res)
+    for _ in range(steps):
+        mesh.refine(mark_interface_leaves(mesh, domain))
+    return mesh
+
+
+def box_flux(points, normal):
+    return np.cos(points[:, 0]) * normal[0] + points[:, 1] * normal[1]
+
+
+def batched_cases():
+    """(name, mesh, orders, dirichlet part, integration keywords)."""
+    lshape = dict(flux=LShapeSolution().flux, flux_part=lshape_neumann_part)
+    stretched = stretched_basis(np.random.default_rng(84))
+    disk = EmbeddedDomain(Disk((0.0, 0.0), 0.8), epsilon=1e-8)
+    return [
+        ("lshape res 16 p 4", corner_refined(16, 3),
+         PolynomialOrderField(uniform=4), lshape_dirichlet, lshape),
+        # non-dyadic: mapped coordinates differ from leaf to leaf in their
+        # last bits, so nearly every signature is unique
+        ("lshape res 3 p 4", corner_refined(3, 4),
+         PolynomialOrderField(uniform=4), lshape_dirichlet, lshape),
+        ("square and 2:1 patches", stretched.mesh, stretched.orders,
+         lambda p: abs(p[0]) < 1e-12 or abs(p[1]) < 1e-12,
+         dict(source=bumpy_source, flux=box_flux,
+              flux_part=lambda mid: mid[1] > 0.5)),
+        ("fcm disk", interface_refined(8, disk, 2),
+         PolynomialOrderField(uniform=3), fcm_disk_dirichlet,
+         dict(domain=disk, depth=3, source=unit_source)),
+    ]
+
+
+def assemble_with(integrate, basis, dirichlet, ranks, n_ranks, kwargs):
+    leaves = basis.mesh.active_leaf_elements()
+    to_free = np.full(basis.dofmap.total, -1, dtype=np.int64)
+    to_free[dirichlet.free] = np.arange(dirichlet.n_free)
+    inters = []
+    for r in range(n_ranks):
+        mine = np.flatnonzero(ranks == r)
+        inters.append(integrate(basis, to_free, [leaves[i].id for i in mine],
+                                mine, r, **kwargs))
+    owner = distribute_dofs_contiguous(dirichlet.n_free, n_ranks)
+    system, traffic = exchange_and_assemble(inters, owner, dirichlet.n_free,
+                                            n_ranks)
+    return system, traffic, inters
+
+
+def test_batched_integration_matches_per_leaf_oracle():
+    for name, mesh, orders, part, kwargs in batched_cases():
+        leaves = mesh.active_leaf_elements()
+        weights = compute_leaf_weights(Basis(mesh, orders),
+                                       kwargs.get("domain"),
+                                       kwargs.get("depth", 0))
+        cut = 0
+        for n_ranks in (1, 3, 8):
+            ranks = partition_leaves("sfc", mesh, None, weights, n_ranks)
+            basis = Basis(mesh, orders)
+            dirichlet = DirichletMap(basis, part)
+            system, traffic, inters = assemble_with(
+                integrate_rank_system, basis, dirichlet, ranks, n_ranks,
+                kwargs)
+            cold = Basis(mesh, orders)
+            oracle, oracle_traffic, oracle_inters = assemble_with(
+                per_leaf_integrate, cold, dirichlet, ranks, n_ranks, kwargs)
+            for got, want in ((system.matrix, oracle.matrix),):
+                assert np.array_equal(got.data, want.data), name
+                assert np.array_equal(got.indices, want.indices), name
+                assert np.array_equal(got.indptr, want.indptr), name
+            assert np.array_equal(system.rhs, oracle.rhs), name
+            assert np.array_equal(traffic, oracle_traffic), name
+            assert system.halo_counts == oracle.halo_counts, name
+            for a, b in zip(inters, oracle_inters):
+                assert a.rows.size == b.rows.size, name
+                assert a.rhs_rows.size == b.rhs_rows.size, name
+            systems = next(iter(basis.leaf_systems.values()))
+            cut = int(np.sum(systems.signature < 0))
+        distinct = len(systems.stiffness)
+        single = len(leaves) - cut
+        if name.startswith("lshape res 16"):
+            # the dyadic corner mesh repeats its leaves heavily
+            assert distinct * 5 < single, (name, distinct, single)
+        if name == "fcm disk":
+            assert cut > 0
+            eps = [i for i, s in enumerate(systems.signature)
+                   if s >= 0 and basis.leaf_rules[
+                       (leaves[i].id, 3, kwargs["domain"])].alpha[0] < 1]
+            assert eps, "no leaf lies fully outside the disk"
+
+
+def test_leaf_systems_are_built_once_and_survive_pickling(monkeypatch):
+    disk = EmbeddedDomain(Disk((0.0, 0.0), 0.8), epsilon=1e-8)
+    mesh = interface_refined(4, disk, 1)
+    basis = Basis(mesh, PolynomialOrderField(uniform=3))
+    dirichlet = DirichletMap(basis, fcm_disk_dirichlet)
+    to_free = np.full(basis.dofmap.total, -1, dtype=np.int64)
+    to_free[dirichlet.free] = np.arange(dirichlet.n_free)
+    leaves = mesh.active_leaf_elements()
+    ids, tags = [leaf.id for leaf in leaves], np.arange(len(leaves))
+    kwargs = dict(domain=disk, depth=3, source=unit_source)
+    first = integrate_rank_system(basis, to_free, ids, tags, 0, **kwargs)
+    assert len(basis.leaf_systems) == 1
+    systems = next(iter(basis.leaf_systems.values()))
+    # a worker receives the Basis pickled, the arguments pickled apart
+    # from it; the equal domain and the same source find the entry, so
+    # nothing is integrated twice
+    copy = pickle.loads(pickle.dumps(basis))
+    kwargs = pickle.loads(pickle.dumps(kwargs))
+    monkeypatch.setattr("overlayfem.physics._build_leaf_systems", None)
+    again = integrate_rank_system(basis, to_free, ids, tags, 0, **kwargs)
+    copied = integrate_rank_system(copy, to_free, ids, tags, 0, **kwargs)
+    for other in (again, copied):
+        for name in ("rows", "cols", "vals", "leaf_tags", "rhs_rows",
+                     "rhs_vals", "rhs_tags"):
+            assert np.array_equal(getattr(first, name), getattr(other, name))
+    assert next(iter(basis.leaf_systems.values())) is systems
+    assert all(not K.flags.writeable for K in systems.stiffness)
+
+
 # ---------------------------------------------------------------- solver
 
 
@@ -468,7 +644,8 @@ def test_run_step_report_is_complete():
     assert d["leaves"] == len(mesh.active_leaf_elements())
     assert d["dofs"] == basis.dofmap.total
     assert d["ranks"] == 3
-    assert not basis.leaf_tables    # freed before the assembly
+    # freed before the assembly
+    assert not basis.leaf_tables and not basis.leaf_systems
     assert set(d["timings"]) == {
         "refine", "partition", "integrate", "dof_dist",
         "assemble", "solve", "postprocess",

@@ -7,6 +7,7 @@ when some finer sub-entity of it stays active.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -293,6 +294,26 @@ def test_node_and_edge_geometry():
         if ent.kind == EDGE:
             a, b = mesh.edge_endpoints(ent)
             assert np.isclose(np.linalg.norm(b - a), 0.5)
+
+
+def test_lattice_coordinates_round_like_fractions():
+    # integer true division is correctly rounded, as Fraction.__float__
+    # is, also for non-dyadic denominators and deep levels
+    rng = np.random.default_rng(19)
+    spec = BaseMeshSpec((PatchSpec(((-1, 0), (0, 1)), (3, 5)),
+                         PatchSpec(((0, 1), (0, 1)), (3, 5)),
+                         PatchSpec(((0, 1), (1, 2)), (3, 7))))
+    mesh = Mesh(spec)
+    assert mesh._den == (3, 35)
+    for axis, den in enumerate(mesh._den):
+        for level in (0, 1, 2, 17, 33, 40):
+            scale = den << level
+            ms = [int(v) for v in rng.integers(-2 * scale, 2 * scale, size=200,
+                                               dtype=np.int64)]
+            ms += [0, 1, -1, scale, scale - 1, 3 * scale + 1]
+            for m in ms:
+                want = float(Fraction(m, scale))
+                assert mesh._coord_float(m, level, axis) == want
 
 
 # ------------------------------------------------------------------ export

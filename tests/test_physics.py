@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import single_patch, random_basis, random_refined_mesh, random_orders
-from overlayfem.mesh import BaseMeshSpec, Mesh, PatchSpec
+from conftest import (single_patch, random_basis, random_refined_mesh,
+                      random_orders, stretched_basis)
+from overlayfem.mesh import Mesh
 from overlayfem.basis import Basis, PolynomialOrderField, interpolate_nodal, FieldApproximation
 from overlayfem.physics import (
     element_system, assemble_serial, neumann_load,
@@ -93,21 +94,6 @@ def test_cut_leaf_system_same_from_warm_and_cold_basis():
 
 
 # ------------------------------------------------------------ table memo
-
-
-def stretched_basis(rng):
-    """Two conforming patches of square and of 2:1 elements, refined at random.
-
-    Elements of one level differ in scale here, which a random unit-square
-    mesh never shows.
-    """
-    mesh = Mesh(BaseMeshSpec((PatchSpec(((0, 1), (0, 1)), (2, 2)),
-                              PatchSpec(((1, 3), (0, 1)), (2, 2)))))
-    for _ in range(3):
-        leaves = mesh.active_leaf_elements()
-        picked = rng.choice(len(leaves), size=len(leaves) // 3, replace=False)
-        mesh.refine([leaves[i].id for i in picked])
-    return Basis(mesh, random_orders(rng, mesh))
 
 
 class ColdBasis(Basis):
