@@ -17,12 +17,10 @@ element, on the x and y reference coordinates together.
 
 Refinement never replaces an element, so the tables of most leaves repeat:
 they depend only on each ancestor's active-entity plan, its scale and the
-points' coordinates in its reference frame.  ``Basis.evaluate_leaf_cached``
-keys a memo on exactly those inputs, as bytes, so a hit returns the bytes
-a fresh evaluation would, on any mesh.  Only single-cell rules use it: their
-points are one reference Gauss grid mapped onto the leaf, which leaves of
-one shape share, while spacetree and corner-shell points belong to one leaf
-and would only grow the memo.
+points' coordinates in its reference frame.  ``Basis.leaf_frames`` yields
+exactly those inputs for many leaves of one level at once, which lets the
+callers in :mod:`overlayfem.physics` evaluate one leaf per distinct input
+and share its tables bit for bit.
 
 Every element carries the tensor products grouped by topological
 entity: one bilinear function per node, (p - 1) edge functions blending a
@@ -222,16 +220,10 @@ class Basis:
 
     Built for the mesh state at construction time; refine or coarsen the
     mesh and this object is stale, build a new one.  It also keeps the
-    quadrature rules of its cut leaves, ``leaf_systems``, the step's
+    quadrature rules of its cut leaves and ``leaf_systems``, the step's
     single-cell leaf stiffness matrices and loads (see
     ``physics.leaf_systems``, which computes their signatures through
-    ``leaf_frames``), and ``leaf_tables``, the memo of single-cell leaf
-    tables; all go stale with it.  A ``leaf_tables`` key holds,
-    for every dof-carrying element of the leaf's chain, the bytes of the
-    element's plan (``jx`` and ``jy``), of its ``scale`` and of the
-    points' clipped reference coordinates: all the tables are computed
-    from, as a tuple of bytes that cannot collide.  Cut-leaf and
-    corner-shell points belong to one leaf, so they bypass the memo.
+    ``leaf_frames``); both go stale with it.
     """
 
     def __init__(self, mesh, orders):
@@ -243,8 +235,6 @@ class Basis:
         self._quad_order = {}
         # cut-leaf quadrature rules of this mesh state, see quadrature.leaf_rule
         self.leaf_rules = {}
-        # single-cell leaf tables by exact input, see evaluate_leaf_cached
-        self.leaf_tables = {}
         # the step's single-cell leaf systems, see physics.leaf_systems
         self.leaf_systems = {}
 
@@ -286,7 +276,7 @@ class Basis:
                     jy.extend(range(2, 2 + p - 1))
         jx = np.asarray(jx, dtype=np.intp)
         jy = np.asarray(jy, dtype=np.intp)
-        # the plan's content as it enters a leaf_tables key
+        # the plan's content as it enters a table signature
         plan = (jx, jy, np.asarray(gids, dtype=np.int64),
                 (jx.tobytes(), jy.tobytes()))
         self._elem_plan[elem.id] = plan
@@ -326,40 +316,22 @@ class Basis:
         leaf_dofs order.
         """
         n, frames = self._frames(leaf, points)
-        if not frames:
-            return np.zeros((n, 0)), np.zeros((n, 0, 2))
-        cols_v, cols_g = [], []
+        size = sum(plan[0].size for plan, _, _ in frames)
+        # mode-major buffers, a row block per chain element; callers get
+        # transposed views, the strides the einsum sums over the tables
+        # (and so their bits) depend on
+        values, grads = np.empty((size, n)), np.empty((size, n, 2))
+        start = 0
         for (jx, jy, _, _), scale, ref in frames:
             jmax = max(2, int(jx.max()) + 1, int(jy.max()) + 1)
             vals_1d, ders_1d = shape_tables(jmax, ref.T.ravel())
-            vx, vy = vals_1d[:, :n], vals_1d[:, n:]
-            dx, dy = ders_1d[:, :n], ders_1d[:, n:]
-            vals = vx[jx] * vy[jy]
-            gx = dx[jx] * vy[jy] * scale[0]
-            gy = vx[jx] * dy[jy] * scale[1]
-            cols_v.append(vals.T)
-            cols_g.append(np.stack((gx.T, gy.T), axis=2))
-        return np.concatenate(cols_v, axis=1), np.concatenate(cols_g, axis=1)
-
-    def evaluate_leaf_cached(self, leaf, points):
-        """evaluate_leaf through the ``leaf_tables`` memo, read-only arrays.
-
-        For the points of a single-cell rule, which recur from leaf to
-        leaf.  A hit costs the range check and the mapping; a miss is one
-        plain evaluate_leaf.
-        """
-        _, frames = self._frames(leaf, points)
-        key = tuple(part for plan, scale, ref in frames
-                    for part in (*plan[3], scale.tobytes(), ref.tobytes()))
-        if not key:     # no functions: the empty key would not hold n
-            return self.evaluate_leaf(leaf, points)
-        tables = self.leaf_tables.get(key)
-        if tables is None:
-            tables = self.evaluate_leaf(leaf, points)
-            for arr in tables:
-                arr.flags.writeable = False
-            self.leaf_tables[key] = tables
-        return tables
+            vx, vy = vals_1d[jx, :n], vals_1d[jy, n:]
+            rows = slice(start, start + jx.size)
+            np.multiply(vx, vy, out=values[rows])
+            np.multiply(ders_1d[jx, :n] * vy, scale[0], out=grads[rows, :, 0])
+            np.multiply(vx * ders_1d[jy, n:], scale[1], out=grads[rows, :, 1])
+            start = rows.stop
+        return values.T, grads.transpose(1, 0, 2)
 
     def _frames(self, leaf, points):
         """The points in each dof-carrying chain element's reference frame.

@@ -33,6 +33,7 @@ change with the partition either.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -332,37 +333,41 @@ def parallel_cg(system, rhs=None, tol=1e-10, max_iter=None):
     n = system.n_free
     if max_iter is None:
         max_iter = 20 * n
-    b = system.rhs if rhs is None else np.asarray(rhs, dtype=float)
+    b = system.rhs if rhs is None else np.ascontiguousarray(rhs, dtype=float)
     A = system.matrix
     diag = A.diagonal()
     if np.any(diag <= 0):
         raise ValueError("non-positive diagonal entry; system is not SPD")
     dinv = 1.0 / diag
 
+    # x, r, z and p are updated in place through one scratch vector;
+    # math.sqrt(r.dot(r)) is np.linalg.norm(r) of a 1-d float array
     x = np.zeros(n)
     r = b.copy()
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(b.dot(b))
     target = tol * bnorm if bnorm > 0 else tol
-    history = [float(np.linalg.norm(r))]
+    history = [math.sqrt(r.dot(r))]
     if history[-1] <= target:
         return x, 0, history
     z = dinv * r
     p = z.copy()
-    rz = float(np.dot(r, z))
+    scratch = np.empty(n)
+    rz = float(r.dot(z))
     for it in range(1, max_iter + 1):
         q = A @ p
-        alpha = rz / float(np.dot(p, q))
-        x = x + alpha * p
-        r = r - alpha * q
-        rnorm = float(np.linalg.norm(r))
+        alpha = rz / float(p.dot(q))
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, q, out=scratch)
+        rnorm = math.sqrt(r.dot(r))
         history.append(rnorm)
         if rnorm <= target:
             return x, it, history
-        z = dinv * r
-        rz_new = float(np.dot(r, z))
+        np.multiply(dinv, r, out=z)
+        rz_new = float(r.dot(z))
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
+        p *= beta
+        p += z
     raise SolverError(
         f"CG did not reach {target:.3e} within {max_iter} iterations "
         f"(last residual {history[-1]:.3e})", history)
@@ -455,8 +460,7 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
                                    workers)
     timings["integrate"] = time.perf_counter() - t
     # nothing reads the step's leaf systems again: free them before
-    # assembly, the step's memory peak (the integrate phase leaves
-    # ``leaf_tables`` empty; only the error fills it)
+    # assembly, the step's memory peak
     basis.leaf_systems.clear()
 
     t = time.perf_counter()

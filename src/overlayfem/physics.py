@@ -28,14 +28,13 @@ The energy-error integrator upgrades every leaf rule by a couple of Gauss
 points and, on leaves whose closure holds a declared singular point, peels
 dyadic shells toward that corner so the non-smooth remainder is integrated
 accurately instead of polluting the measurement; the shell rule lives in
-the reference square and is built once per (corner, levels, order).  It
-too evaluates each leaf once, on the points of all its cells or shells.
-
-``element_system`` and the error read the basis tables of a leaf whose
-rule is a single cell from the Basis memo ``evaluate_leaf_cached``: leaves
-that share a shape, an active-entity pattern and orders share the exact
-table inputs, so the tables are built once per step for each distinct
-input.  Cut-leaf spacetrees and corner shells are evaluated afresh.
+the reference square and is built once per (corner, levels, order).
+Without an embedded domain the other leaves run grouped by (order,
+level), like :func:`leaf_systems`: the exact gradient is called once per
+group, and the basis tables are evaluated once per distinct table
+signature (:func:`_table_signatures`, which both share) and applied to
+every leaf that has it.  A singular leaf, and under a domain every leaf,
+is evaluated once on the points of all its cells or shells.
 """
 from __future__ import annotations
 
@@ -53,13 +52,6 @@ from .quadrature import (LeafRule, gauss_cell, gauss_rule_1d, leaf_jacobian,
                          reference_rule)
 
 
-def _rule_tables(basis, leaf, rule, pts):
-    """Basis tables at the rule's points, memoized for a single-cell rule."""
-    if len(rule.offsets) == 2:
-        return basis.evaluate_leaf_cached(leaf, pts)
-    return basis.evaluate_leaf(leaf, pts)
-
-
 def element_system(basis, leaf, domain=None, depth=0, source=None):
     """Leaf stiffness matrix, source load, and global dof indices.
 
@@ -71,7 +63,7 @@ def element_system(basis, leaf, domain=None, depth=0, source=None):
     """
     rule = leaf_rule(basis, leaf, domain, depth)
     pts = leaf_to_physical(leaf)(rule.points)
-    V, G = _rule_tables(basis, leaf, rule, pts)
+    V, G = basis.evaluate_leaf(leaf, pts)
     w = rule.weights * rule.alpha * leaf_jacobian(leaf)
     n = basis.leaf_mode_count(leaf)
     K = np.zeros((n, n))
@@ -141,7 +133,6 @@ def _build_leaf_systems(basis, domain, depth, source):
         if len(rule.offsets) == 2:
             groups.setdefault((basis.leaf_quad_order(leaf), leaf.level),
                               []).append((i, rule))
-    plan_ids = {}
     for members in groups.values():
         idx = np.array([i for i, _ in members])
         group = [leaves[i] for i in idx]
@@ -154,18 +145,8 @@ def _build_leaf_systems(basis, domain, depth, source):
         half = (hi - lo) / 2
         pts = (hi + lo)[:, None] / 2 + points * half[:, None]
         w = weights * alpha * (half[:, 0] * half[:, 1])[:, None]
-        keys = [w.view(np.uint64)]
-        for plans, scale, ref in basis.leaf_frames(group, pts):
-            ids = np.array([plan_ids.setdefault(plan[3], len(plan_ids))
-                            if plan[2].size else -1 for plan in plans])
-            live = (ids >= 0)[:, None]
-            ref = ref.reshape(len(group), -1)
-            keys += [ids.view(np.uint64)[:, None],
-                     np.where(live, scale.view(np.uint64), 0),
-                     np.where(live, ref.view(np.uint64), 0)]
-        _, first, inverse = np.unique(np.hstack(keys), axis=0,
-                                      return_index=True, return_inverse=True)
-        inverse = inverse.reshape(-1)
+        first, inverse = _table_signatures(basis, group, pts,
+                                           w.view(np.uint64))
         signature[idx] = len(stiffness) + inverse
         tables = []
         for r in first:
@@ -194,6 +175,35 @@ def _build_leaf_systems(basis, domain, depth, source):
                             for leaf in leaves], dtype=bool)
     return LeafSystems({leaf.id: i for i, leaf in enumerate(leaves)},
                        signature, load, stiffness, loads, on_boundary)
+
+
+def _table_signatures(basis, leaves, pts, *extra):
+    """Group leaves of one level by the exact inputs of their basis tables.
+
+    pts: (m, n, 2), row i on leaf i.  A leaf's key is, per dof-carrying
+    chain element (``Basis.leaf_frames``), the element's plan, its scale
+    and the points' clipped reference coordinates, as raw bits, followed
+    by the (m, k) uint64 columns of `extra`: equal keys give equal
+    ``evaluate_leaf`` tables bit for bit.  Returns the index of the
+    first leaf of every distinct key and each leaf's key number.
+    """
+    plan_ids = {}
+    keys = list(extra)
+    for plans, scale, ref in basis.leaf_frames(leaves, pts):
+        ids = np.array([plan_ids.setdefault(plan[3], len(plan_ids))
+                        if plan[2].size else -1 for plan in plans])
+        live = (ids >= 0)[:, None]
+        keys += [ids.view(np.uint64)[:, None],
+                 np.where(live, scale.view(np.uint64), 0),
+                 np.where(live, ref.reshape(len(leaves), -1).view(np.uint64), 0)]
+    rows = np.hstack(keys)
+    raw, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+    number = {}
+    inverse = np.array([number.setdefault(raw[j * width:(j + 1) * width],
+                                          len(number))
+                        for j in range(len(leaves))], dtype=np.int64)
+    # keys are numbered in order of appearance
+    return np.unique(inverse, return_index=True)[1], inverse
 
 
 def assemble_serial(basis, domain=None, depth=0, source=None):
@@ -442,38 +452,85 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
     Every leaf is re-integrated at its rule order plus `extra_order`.
     Leaves whose closure contains `singular_point` swap the single rule
     for dyadic corner shells, which keeps the r^(2/3)-type remainder from
-    dominating the quadrature error.
+    dominating the quadrature error.  `exact_gradient` must act point by
+    point: it is called on the points of many leaves at once.
+
+    Without a domain the other leaves are grouped by (order, level):
+    one ``exact_gradient`` call per group and one basis evaluation per
+    distinct table signature.  A singular leaf, and under
+    a domain every leaf, is evaluated once on all of its cells' points.
+    The terms are added to one running sum in leaf pre-order, cell by
+    cell, so the result does not depend on the grouping.
     """
-    mesh = basis.mesh
     coefficients = np.asarray(coefficients, dtype=float)
-    acc = 0.0
-    sp = None if singular_point is None else np.asarray(singular_point, dtype=float)
-    for leaf in mesh.active_leaf_elements():
+    leaves = basis.mesh.active_leaf_elements()
+    lo = np.array([leaf.lo_f for leaf in leaves], dtype=float)
+    hi = np.array([leaf.hi_f for leaf in leaves], dtype=float)
+    if singular_point is None:
+        singular = np.zeros(len(leaves), dtype=bool)
+    else:
+        sp = np.asarray(singular_point, dtype=float)
+        singular = np.all((lo <= sp) & (sp <= hi), axis=1)
+    terms = [None] * len(leaves)
+    groups = {}
+    for i, leaf in enumerate(leaves):
         q = basis.leaf_quad_order(leaf) + extra_order
-        lo = np.asarray(leaf.lo_f, dtype=float)
-        hi = np.asarray(leaf.hi_f, dtype=float)
-        singular = sp is not None and bool(np.all((lo <= sp) & (sp <= hi)))
-        jac = leaf_jacobian(leaf)
-        to_phys = leaf_to_physical(leaf)
-        if singular:
+        if singular[i]:
             # reference coordinates of the singular corner: one of the vertices
-            ref = 2 * (sp - lo) / (hi - lo) - 1
+            ref = 2 * (sp - lo[i]) / (hi[i] - lo[i]) - 1
             corner = tuple(np.where(ref >= 0, 1.0, -1.0).tolist())
-            rule = corner_rule(corner, corner_levels, q)
+            alpha = None if domain is None else domain.alpha
+            terms[i] = _leaf_error_terms(
+                basis, leaf, corner_rule(corner, corner_levels, q),
+                coefficients, exact_gradient, alpha)
         elif domain is None:
-            rule = reference_rule(q)
+            groups.setdefault((q, leaf.level), []).append(i)
         else:
             rule = LeafRule.from_cells(
                 leaf_quadrature(basis, leaf, domain, depth, order=q))
-        pts = to_phys(rule.points)
-        _, G = _rule_tables(basis, leaf, rule, pts)
-        coef = coefficients[basis.leaf_dofs(leaf)]
-        for cell in rule.cells():
-            gh = np.einsum("qid,i->qd", G[cell], coef)
-            diff = gh - np.asarray(exact_gradient(pts[cell]), dtype=float)
-            if singular and domain is not None:
-                w = rule.weights[cell] * jac * domain.alpha(pts[cell])
-            else:
-                w = rule.weights[cell] * jac * rule.alpha[cell]
-            acc += float(np.einsum("q,qd,qd->", w, diff, diff))
+            terms[i] = _leaf_error_terms(basis, leaf, rule, coefficients,
+                                         exact_gradient)
+    for (q, _), idx in groups.items():
+        rule = reference_rule(q)
+        group = [leaves[i] for i in idx]
+        # leaf_to_physical and leaf_jacobian, one row per leaf
+        half = (hi[idx] - lo[idx]) / 2
+        pts = ((hi[idx] + lo[idx]) / 2)[:, None] + rule.points * half[:, None]
+        w = rule.weights * (half[:, 0] * half[:, 1])[:, None] * rule.alpha
+        exact = np.asarray(exact_gradient(pts.reshape(-1, 2)),
+                           dtype=float).reshape(pts.shape)
+        first, inverse = _table_signatures(basis, group, pts)
+        for k, r in enumerate(first):
+            _, G = basis.evaluate_leaf(group[r], pts[r])
+            rows = np.flatnonzero(inverse == k)
+            dofs = np.array([basis.leaf_dofs(group[j]) for j in rows])
+            # the per-leaf contractions, batched over the leaves that
+            # share G: the same sums in the same order
+            diff = (np.einsum("qid,mi->mqd", G, coefficients[dofs])
+                    - exact[rows])
+            sq = np.einsum("mq,mqd,mqd->m", w[rows], diff, diff)
+            for j, term in zip(rows.tolist(), sq.tolist()):
+                terms[idx[j]] = (term,)
+    acc = 0.0
+    for cells in terms:
+        for term in cells:
+            acc += term
     return float(np.sqrt(acc))
+
+
+def _leaf_error_terms(basis, leaf, rule, coefficients, exact_gradient,
+                      alpha=None):
+    """One leaf's squared error per cell of its rule, from one evaluation
+    of the tables, the discrete and the exact gradient on all its points.
+
+    `alpha` replaces the rule's indicator values when given.
+    """
+    pts = leaf_to_physical(leaf)(rule.points)
+    _, G = basis.evaluate_leaf(leaf, pts)
+    coef = coefficients[basis.leaf_dofs(leaf)]
+    diff = (np.einsum("qid,i->qd", G, coef)
+            - np.asarray(exact_gradient(pts), dtype=float))
+    w = rule.weights * leaf_jacobian(leaf) * (
+        rule.alpha if alpha is None else alpha(pts))
+    return [float(np.einsum("q,qd,qd->", w[cell], diff[cell], diff[cell]))
+            for cell in rule.cells()]

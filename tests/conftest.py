@@ -9,6 +9,7 @@ import numpy as np
 
 from overlayfem.mesh import Mesh, BaseMeshSpec, PatchSpec
 from overlayfem.basis import Basis, PolynomialOrderField
+from overlayfem.benchmarks import lshape_mesh_spec, mark_corner_leaves
 
 # Filled by the acceptance module; echoed after the run so the verdict
 # lines are visible even under pytest's output capture.
@@ -67,3 +68,11 @@ def stretched_basis(rng):
         picked = rng.choice(len(leaves), size=len(leaves) // 3, replace=False)
         mesh.refine([leaves[i].id for i in picked])
     return Basis(mesh, random_orders(rng, mesh))
+
+
+def corner_refined(res, steps):
+    """The L-shape base mesh after `steps` refinements at the corner."""
+    mesh = Mesh(lshape_mesh_spec(res))
+    for _ in range(steps):
+        mesh.refine(mark_corner_leaves(mesh, (0.0, 0.0)))
+    return mesh

@@ -303,6 +303,40 @@ def test_leaf_gradient_matches_finite_difference():
         assert np.max(np.abs(fd - grad[:, :, axis]) / scale) < 5e-5
 
 
+def evaluate_leaf_by_columns(basis, leaf, points):
+    """Leaf tables as column blocks, one per chain element, concatenated:
+    the reference for Basis.evaluate_leaf."""
+    n, frames = basis._frames(leaf, points)
+    cols_v, cols_g = [], []
+    for (jx, jy, _, _), scale, ref in frames:
+        jmax = max(2, int(jx.max()) + 1, int(jy.max()) + 1)
+        vals_1d, ders_1d = shape_tables(jmax, ref.T.ravel())
+        vx, vy = vals_1d[:, :n], vals_1d[:, n:]
+        dx, dy = ders_1d[:, :n], ders_1d[:, n:]
+        cols_v.append((vx[jx] * vy[jy]).T)
+        cols_g.append(np.stack(((dx[jx] * vy[jy] * scale[0]).T,
+                                (vx[jx] * dy[jy] * scale[1]).T), axis=2))
+    return np.concatenate(cols_v, axis=1), np.concatenate(cols_g, axis=1)
+
+
+def test_leaf_tables_match_column_reference():
+    # equal bits and equal memory layout: the einsum contractions over the
+    # tables sum in an order that follows their strides
+    rng = np.random.default_rng(42)
+    for _ in range(4):
+        mesh = random_refined_mesh(rng, max_leaves=200)
+        basis = Basis(mesh, random_orders(rng, mesh))
+        for leaf in mesh.active_leaf_elements():
+            lo = np.asarray(leaf.lo_f)
+            hi = np.asarray(leaf.hi_f)
+            pts = lo + (hi - lo) * rng.uniform(0.0, 1.0, size=(7, 2))
+            got = basis.evaluate_leaf(leaf, pts)
+            want = evaluate_leaf_by_columns(basis, leaf, pts)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+                assert a.strides == b.strides
+
+
 def test_stale_point_rejected():
     mesh = single_patch(2)
     basis = Basis(mesh, PolynomialOrderField(uniform=2))

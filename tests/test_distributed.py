@@ -15,7 +15,7 @@ import scipy.sparse
 import scipy.sparse.linalg as spla
 
 from conftest import (single_patch, random_refined_mesh, random_orders,
-                      stretched_basis)
+                      stretched_basis, corner_refined)
 from overlayfem.mesh import Mesh
 from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.physics import (assemble_serial, DirichletMap, LShapeSolution,
@@ -29,7 +29,7 @@ from overlayfem.distributed import (
 )
 from overlayfem.benchmarks import (fcm_disk_dirichlet, lshape_dirichlet,
                                    lshape_mesh_spec, lshape_neumann_part,
-                                   mark_corner_leaves, mark_interface_leaves,
+                                   mark_interface_leaves,
                                    unit_source)
 
 
@@ -435,13 +435,6 @@ def per_leaf_integrate(basis, to_free, leaf_ids, leaf_tags, rank,
         rhs_tags=cat(rtags, np.int64), n_leaves=len(leaf_ids))
 
 
-def corner_refined(res, steps):
-    mesh = Mesh(lshape_mesh_spec(res))
-    for _ in range(steps):
-        mesh.refine(mark_corner_leaves(mesh, (0.0, 0.0)))
-    return mesh
-
-
 def interface_refined(res, domain, steps):
     mesh = single_patch(res)
     for _ in range(steps):
@@ -645,7 +638,7 @@ def test_run_step_report_is_complete():
     assert d["dofs"] == basis.dofmap.total
     assert d["ranks"] == 3
     # freed before the assembly
-    assert not basis.leaf_tables and not basis.leaf_systems
+    assert not basis.leaf_systems
     assert set(d["timings"]) == {
         "refine", "partition", "integrate", "dof_dist",
         "assemble", "solve", "postprocess",

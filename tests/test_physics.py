@@ -10,18 +10,20 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import (single_patch, random_basis, random_refined_mesh,
-                      random_orders, stretched_basis)
+                      random_orders, stretched_basis, corner_refined)
 from overlayfem.mesh import Mesh
 from overlayfem.basis import Basis, PolynomialOrderField, interpolate_nodal, FieldApproximation
 from overlayfem.physics import (
     element_system, assemble_serial, neumann_load,
     constrained_dof_mask, DirichletMap, solve_dirichlet, LShapeSolution,
-    energy_error,
+    corner_rule, energy_error,
 )
-from overlayfem.benchmarks import lshape_mesh_spec
+from overlayfem.benchmarks import (lshape_mesh_spec, mark_ball_leaves,
+                                   mark_corner_leaves)
 from overlayfem.partition import compute_leaf_weights
-from overlayfem.quadrature import (Disk, EmbeddedDomain, leaf_jacobian,
-                                   leaf_quadrature, leaf_rule, leaf_to_physical)
+from overlayfem.quadrature import (Disk, EmbeddedDomain, LeafRule, leaf_jacobian,
+                                   leaf_quadrature, leaf_rule, leaf_to_physical,
+                                   reference_rule)
 
 
 def two_level_mesh():
@@ -93,19 +95,13 @@ def test_cut_leaf_system_same_from_warm_and_cold_basis():
     assert cut > 0
 
 
-# ------------------------------------------------------------ table memo
+# ------------------------------------------------- warm and cold bases
 
 
-class ColdBasis(Basis):
-    """A Basis that never reads or fills its memo."""
-
-    evaluate_leaf_cached = Basis.evaluate_leaf
-
-
-def test_memoized_leaf_tables_equal_cold_evaluation():
-    # a warm Basis, its memo filled by one full pass, gives every leaf the
-    # bytes of a Basis built for that leaf alone, on non-dyadic res-3
-    # meshes, graded orders and 2:1 elements too
+def test_warm_basis_equals_cold_evaluation():
+    # a warm Basis, filled by one full pass, gives every leaf the bytes of
+    # a Basis built for that leaf alone, on non-dyadic res-3 meshes,
+    # graded orders and 2:1 elements too
     rng = np.random.default_rng(61)
     dom = EmbeddedDomain(Disk((0.0, 0.0), 0.7), epsilon=1e-6)
     src = lambda pts: np.sin(pts[:, 0]) + pts[:, 1]
@@ -126,14 +122,13 @@ def test_memoized_leaf_tables_equal_cold_evaluation():
                                            domain, 2, src)
                 assert np.array_equal(K, K0)
                 assert np.array_equal(f, f0)
-            assert warm.leaf_tables
             args = (coef, grad, (0.0, 0.0), 2, 40, domain, 2)
             energy_error(warm, *args)
-            assert energy_error(warm, *args) == energy_error(
-                ColdBasis(mesh, orders), *args)
+            assert energy_error(warm, *args) == energy_error_per_leaf(
+                Basis(mesh, orders), *args)
 
 
-def test_memo_holds_no_cut_or_singular_leaf():
+def test_singular_and_cut_leaves_equal_cold_evaluation():
     mesh = two_level_mesh()
     orders = PolynomialOrderField(uniform=3)
     dom = EmbeddedDomain(Disk((0.0, 0.0), 0.7), epsilon=1e-6)
@@ -142,22 +137,119 @@ def test_memo_holds_no_cut_or_singular_leaf():
     cut = [leaf for leaf in leaves
            if len(leaf_rule(basis, leaf, dom, 3).cells()) > 1]
     assert cut
-    for leaf in cut:
-        element_system(basis, leaf, dom, 3)
-    assert not basis.leaf_tables
-    element_system(basis, next(l for l in leaves if l not in cut), dom, 3)
-    assert len(basis.leaf_tables) == 1
+    for leaf in leaves:
+        K, _, _ = element_system(basis, leaf, dom, 3)
+        K0, _, _ = element_system(Basis(mesh, orders), leaf, dom, 3)
+        assert np.array_equal(K, K0)
 
     # (0.5, 0.5) is a corner of all four leaves, (0, 0) of one
     basis = Basis(single_patch(2), orders)
-    zero = np.zeros(basis.dofmap.total)
-    grad = lambda pts: np.ones_like(pts)
-    energy_error(basis, zero, grad, singular_point=(0.5, 0.5))
-    assert not basis.leaf_tables
-    energy_error(basis, zero, grad, singular_point=(0.0, 0.0))
-    assert 1 <= len(basis.leaf_tables) <= 3
-    V, G = next(iter(basis.leaf_tables.values()))
-    assert not V.flags.writeable and not G.flags.writeable
+    coef = np.random.default_rng(62).standard_normal(basis.dofmap.total)
+    grad = lambda pts: np.column_stack((pts[:, 1] ** 2, np.sin(pts[:, 0])))
+    for point in ((0.5, 0.5), (0.0, 0.0)):
+        for domain in (None, dom):
+            args = (coef, grad, point, 2, 40, domain, 2)
+            assert energy_error(basis, *args) == energy_error_per_leaf(
+                basis, *args)
+
+
+# ---------------------------------------------------------- energy error
+
+
+def energy_error_per_leaf(basis, coefficients, exact_gradient,
+                          singular_point=None, extra_order=2, corner_levels=40,
+                          domain=None, depth=0):
+    """The energy error leaf by leaf and cell by cell, one exact-gradient
+    call per cell: the oracle of the grouped pass."""
+    mesh = basis.mesh
+    coefficients = np.asarray(coefficients, dtype=float)
+    acc = 0.0
+    sp = None if singular_point is None else np.asarray(singular_point, dtype=float)
+    for leaf in mesh.active_leaf_elements():
+        q = basis.leaf_quad_order(leaf) + extra_order
+        lo = np.asarray(leaf.lo_f, dtype=float)
+        hi = np.asarray(leaf.hi_f, dtype=float)
+        singular = sp is not None and bool(np.all((lo <= sp) & (sp <= hi)))
+        jac = leaf_jacobian(leaf)
+        to_phys = leaf_to_physical(leaf)
+        if singular:
+            ref = 2 * (sp - lo) / (hi - lo) - 1
+            corner = tuple(np.where(ref >= 0, 1.0, -1.0).tolist())
+            rule = corner_rule(corner, corner_levels, q)
+        elif domain is None:
+            rule = reference_rule(q)
+        else:
+            rule = LeafRule.from_cells(
+                leaf_quadrature(basis, leaf, domain, depth, order=q))
+        pts = to_phys(rule.points)
+        _, G = basis.evaluate_leaf(leaf, pts)
+        coef = coefficients[basis.leaf_dofs(leaf)]
+        for cell in rule.cells():
+            gh = np.einsum("qid,i->qd", G[cell], coef)
+            diff = gh - np.asarray(exact_gradient(pts[cell]), dtype=float)
+            if singular and domain is not None:
+                w = rule.weights[cell] * jac * domain.alpha(pts[cell])
+            else:
+                w = rule.weights[cell] * jac * rule.alpha[cell]
+            acc += float(np.einsum("q,qd,qd->", w, diff, diff))
+    return float(np.sqrt(acc))
+
+
+def ball_refined(res, steps):
+    mesh = Mesh(lshape_mesh_spec(res))
+    for step in range(1, steps + 1):
+        mesh.refine(mark_ball_leaves(mesh, (0.0, 0.0), 2.0 ** (1 - step)))
+    return mesh
+
+
+def test_energy_error_matches_per_leaf_oracle():
+    exact = LShapeSolution()
+    cases = [(corner_refined(16, 3), 4), (corner_refined(3, 4), 4),
+             (ball_refined(8, 3), 2)]
+    for mesh, p in cases:
+        basis = Basis(mesh, PolynomialOrderField(uniform=p))
+        u = interpolate_nodal(basis, lambda pt: float(exact.value(pt)[0]))
+        for coef in (u, u + 1e-3 * np.random.default_rng(p).standard_normal(u.size)):
+            args = (coef, exact.gradient, (0.0, 0.0))
+            assert energy_error(basis, *args) == energy_error_per_leaf(
+                basis, *args)
+    rng = np.random.default_rng(63)
+    grad = lambda pts: np.column_stack((np.exp(pts[:, 1]), pts[:, 0] ** 3))
+    dom = EmbeddedDomain(Disk((0.3, 0.2), 0.6), epsilon=1e-6)
+    for basis in [random_basis(rng, max_leaves=300) for _ in range(6)] + [
+            stretched_basis(rng)]:
+        coef = rng.standard_normal(basis.dofmap.total)
+        for point, domain in ((None, None), ((0.0, 0.0), None),
+                              ((0.5, 0.5), None), (None, dom),
+                              ((0.5, 0.5), dom)):
+            args = (coef, grad, point, 2, 40, domain, 2)
+            assert energy_error(basis, *args) == energy_error_per_leaf(
+                basis, *args)
+
+
+def test_energy_error_calls_exact_gradient_once_per_group():
+    mesh = corner_refined(16, 3)
+    basis = Basis(mesh, PolynomialOrderField(uniform=4))
+    leaves = mesh.active_leaf_elements()
+    singular = len(mark_corner_leaves(mesh, (0.0, 0.0)))
+    groups = {(basis.leaf_quad_order(leaf), leaf.level) for leaf in leaves}
+    calls = {"gradient": 0, "tables": 0}
+    exact = LShapeSolution()
+
+    def gradient(points):
+        calls["gradient"] += 1
+        return exact.gradient(points)
+
+    def evaluate_leaf(leaf, points):
+        calls["tables"] += 1
+        return Basis.evaluate_leaf(basis, leaf, points)
+
+    basis.evaluate_leaf = evaluate_leaf
+    coef = np.random.default_rng(64).standard_normal(basis.dofmap.total)
+    energy_error(basis, coef, gradient, singular_point=(0.0, 0.0))
+    assert calls["gradient"] <= len(groups) + singular
+    # the dyadic corner mesh repeats its leaves heavily
+    assert calls["tables"] * 5 < len(leaves)
 
 
 def test_assemble_matches_dense_scatter():
