@@ -13,7 +13,7 @@ import numpy as np
 from overlayfem.mesh import BaseMeshSpec, PatchSpec, create_base_mesh
 from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.quadrature import (
-    Disk, EmbeddedDomain, geometry_from_json, indicator_area, leaf_quadrature,
+    Disk, EmbeddedDomain, geometry_from_json, indicator_area, leaf_rule,
 )
 
 mesh = create_base_mesh(BaseMeshSpec([PatchSpec(((0, 1), (0, 1)), (16, 16))]))
@@ -30,9 +30,9 @@ for depth in range(6):
 # count quadrature cells on one cut leaf to see the tree at work
 cut = mesh.locate_leaf((0.72, 0.72))
 for depth in (0, 2, 4):
-    cells = leaf_quadrature(basis, cut, domain=domain, depth=depth)
-    npts = sum(len(c.weights) for c in cells)
-    print(f"leaf at (0.72, 0.72): depth {depth} -> {len(cells)} cells, {npts} points")
+    rule = leaf_rule(basis, cut, domain=domain, depth=depth)
+    print(f"leaf at (0.72, 0.72): depth {depth} -> {len(rule.cells())} cells, "
+          f"{rule.weights.size} points")
 
 # the same machinery accepts composed geometry from JSON
 desc = {

@@ -18,8 +18,7 @@ from .physics import (DirichletMap, LShapeSolution, assemble_serial,
                       element_system, energy_error, neumann_load,
                       solve_dirichlet)
 from .quadrature import (Disk, EmbeddedDomain, HalfPlane, LeafRule, Rect,
-                         QuadratureCell, gauss_rule_1d, geometry_from_json,
-                         indicator_area, leaf_quadrature, leaf_rule,
-                         spacetree_cells)
+                         box_rule, gauss_rule_1d, geometry_from_json,
+                         indicator_area, leaf_rule)
 
 __version__ = "0.1.0"

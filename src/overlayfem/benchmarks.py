@@ -120,8 +120,16 @@ class RunConfig:
         if self.p < 1:
             raise ValueError("p must be positive")
         if self.p_graded is not None:
+            if not isinstance(self.p_graded, dict):
+                raise ValueError("p_graded must map levels to orders, "
+                                 f"got {self.p_graded!r}")
             for lvl, p in self.p_graded.items():
-                if int(p) < 1:
+                if not (_is_int(lvl) or isinstance(lvl, str) and lvl.isdecimal()):
+                    raise ValueError(f"p_graded level {lvl!r} must be an integer")
+                if not _is_int(p):
+                    raise ValueError(f"graded order at level {lvl} must be an "
+                                     f"integer, got {p!r}")
+                if p < 1:
                     raise ValueError(f"graded order at level {lvl} must be positive")
         if self.ranks < 1:
             raise ValueError("ranks must be positive")
@@ -156,9 +164,9 @@ class RunConfig:
                            "a list of [lo, hi] pairs, one per axis")
             _check_numbers(f"patches[{i}].resolution", patch["resolution"],
                            (None,), "a list of cell counts, one per axis")
-        for i, box in enumerate(self.dirichlet_boxes or ()):
-            _check_numbers(f"dirichlet_boxes[{i}]", box, (2, 2),
-                           "[[x0, y0], [x1, y1]]")
+        if self.dirichlet_boxes is not None:
+            _check_numbers("dirichlet_boxes", self.dirichlet_boxes, (None, 2, 2),
+                           "a list of [[x0, y0], [x1, y1]] boxes")
 
     def order_field(self):
         if self.p_graded is not None:
@@ -171,6 +179,10 @@ class RunConfig:
             return self.marking
         return {"lshape": "corner", "fcm_disk": "interface",
                 "custom": "none"}[self.benchmark]
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_numbers(key, value, shape, expected):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import leaf_point_count
+from .quadrature import leaf_rule
 
 
 def compute_leaf_weights(basis, domain=None, depth=0, normalized=True):
@@ -28,7 +28,7 @@ def compute_leaf_weights(basis, domain=None, depth=0, normalized=True):
     leaves = mesh.active_leaf_elements()
     w = np.empty(len(leaves))
     for i, leaf in enumerate(leaves):
-        n_gp = leaf_point_count(basis, leaf, domain, depth)
+        n_gp = leaf_rule(basis, leaf, domain, depth).weights.size
         n = basis.leaf_mode_count(leaf)
         w[i] = float(n_gp) * float(n) ** 3
     if normalized:

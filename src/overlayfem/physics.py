@@ -33,8 +33,10 @@ Without an embedded domain the other leaves run grouped by (order,
 level), like :func:`leaf_systems`: the exact gradient is called once per
 group, and the basis tables are evaluated once per distinct table
 signature (:func:`_table_signatures`, which both share) and applied to
-every leaf that has it.  A singular leaf, and under a domain every leaf,
-is evaluated once on the points of all its cells or shells.
+every leaf that has it.  Under a domain the other leaves take their
+raised-order spacetree rules from one batched subdivision.  A singular
+leaf, and under a domain every leaf, is evaluated once on the points of
+all its cells or shells.
 """
 from __future__ import annotations
 
@@ -42,13 +44,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .basis import entity_mode_count
-from .quadrature import (LeafRule, gauss_cell, gauss_rule_1d, leaf_jacobian,
-                         leaf_quadrature, leaf_rule, leaf_to_physical,
+from .quadrature import (box_rule, build_leaf_rules, gauss_rule_1d,
+                         leaf_jacobian, leaf_rule, leaf_to_physical,
                          reference_rule)
 
 
@@ -401,11 +402,12 @@ class LShapeSolution:
 
         The squared gradient is (4/9) r^(-2/3); integrating in polar
         coordinates collapses the domain into six identical wedges of a
-        sec(theta) boundary, leaving a smooth 1d integral.
+        sec(theta) boundary, leaving a smooth 1d integral, which a
+        32-point Gauss rule takes to round-off.
         """
-        val, _ = scipy.integrate.quad(
-            lambda t: np.cos(t) ** (-4.0 / 3.0), 0.0, np.pi / 4.0
-        )
+        x, w = gauss_rule_1d(32)
+        half = np.pi / 8.0
+        val = half * float(w @ np.cos(half * (x + 1.0)) ** (-4.0 / 3.0))
         return 2.0 * val
 
 
@@ -441,8 +443,8 @@ def _corner_shells(corner, levels):
 def corner_rule(corner, levels, order):
     """Gauss rules of the corner shells toward `corner` (a pair of +-1),
     in the reference square, built once per key and shared."""
-    return LeafRule.from_cells([gauss_cell(blo, bhi, order)
-                                for blo, bhi in _corner_shells(corner, levels)])
+    lo, hi = zip(*_corner_shells(corner, levels))
+    return box_rule(np.array(lo), np.array(hi), order)
 
 
 def energy_error(basis, coefficients, exact_gradient, singular_point=None,
@@ -457,8 +459,10 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
 
     Without a domain the other leaves are grouped by (order, level):
     one ``exact_gradient`` call per group and one basis evaluation per
-    distinct table signature.  A singular leaf, and under
-    a domain every leaf, is evaluated once on all of its cells' points.
+    distinct table signature.  Under a domain their spacetree rules come
+    from one ``build_leaf_rules`` batch at the raised order.  A singular
+    leaf, and under a domain every leaf, is evaluated once on all of its
+    cells' points.
     The terms are added to one running sum in leaf pre-order, cell by
     cell, so the result does not depend on the grouping.
     """
@@ -473,6 +477,7 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
         singular = np.all((lo <= sp) & (sp <= hi), axis=1)
     terms = [None] * len(leaves)
     groups = {}
+    spacetrees = []  # the other leaves under a domain
     for i, leaf in enumerate(leaves):
         q = basis.leaf_quad_order(leaf) + extra_order
         if singular[i]:
@@ -486,10 +491,12 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
         elif domain is None:
             groups.setdefault((q, leaf.level), []).append(i)
         else:
-            rule = LeafRule.from_cells(
-                leaf_quadrature(basis, leaf, domain, depth, order=q))
-            terms[i] = _leaf_error_terms(basis, leaf, rule, coefficients,
-                                         exact_gradient)
+            spacetrees.append(i)
+    rules = build_leaf_rules(basis, [leaves[i] for i in spacetrees], domain,
+                             depth, extra_order)
+    for i, rule in zip(spacetrees, rules):
+        terms[i] = _leaf_error_terms(basis, leaves[i], rule, coefficients,
+                                     exact_gradient)
     for (q, _), idx in groups.items():
         rule = reference_rule(q)
         group = [leaves[i] for i in idx]

@@ -2,9 +2,13 @@
 
 Every active leaf is integrated in its own reference square with a
 tensor-product Gauss-Legendre rule whose per-axis order is one above the
-highest polynomial order contributing on that leaf.  Seen from a base
-element this composes into one sub-rule per leaf footprint, which is what
-``integration_domains`` enumerates.
+highest polynomial order contributing on that leaf.
+
+Every rule is a ``LeafRule`` (stacked points, weights and indicator
+values plus the cell offsets), and one kernel builds them all:
+``box_rule`` maps axis boxes to a rule with one Gauss cell per box.  It
+gives the shared reference rule of each order, the corner shells of the
+energy error and the kept cells of the spacetrees.
 
 Geometries that do not fit the mesh are handled with an indicator factor:
 quadrature cells fully inside the physical region keep weight factor one,
@@ -15,15 +19,13 @@ half-planes, disks and rectangles, also loadable from JSON.
 
 The subdivision is level-synchronous: ``subdivide`` classifies the boxes
 of many spacetrees at once, one numpy pass per level, and returns the
-kept cells in the depth-first order of the tree.  A leaf's rule is built
-once per mesh state: the first ``leaf_rule`` miss for a (domain, depth)
-builds the rules of every active leaf of the ``Basis`` in one such batch
-and keeps each as a ``LeafRule`` (stacked points, weights and indicator
-values plus the cell offsets), keyed by leaf, depth and domain, so the
-cost-model weights, the integration and the area measurement share one
-spacetree per leaf.  ``spacetree_cells`` and ``leaf_quadrature`` are the
-same kernel on one box.  Leaves without a domain share one reference
-rule per order.
+kept cells in the depth-first order of the tree.  ``build_leaf_rules``
+runs it for many leaves at once.  A leaf's rule is built once per mesh
+state: the first ``leaf_rule`` miss for a (domain, depth) builds the
+rules of every active leaf of the ``Basis`` in one such batch and keeps
+each, keyed by leaf, depth and domain, so the cost-model weights, the
+integration and the area measurement share one spacetree per leaf.
+Leaves without a domain share one reference rule per order.
 """
 from __future__ import annotations
 
@@ -52,70 +54,52 @@ def _reference_points(order):
     return ref
 
 
-def _box_weights(half, order):
-    """Tensor Gauss weights of a box with half-widths `half`."""
-    _, w1 = gauss_rule_1d(order)
-    return np.outer(w1 * half[0], w1 * half[1]).ravel()
-
-
-def gauss_cell(lo, hi, order):
-    """Tensor Gauss rule on an axis rectangle; weights sum to its area.
-
-    Points run x-major (the first coordinate varies slowest) and every
-    indicator value is one.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    half = (hi - lo) / 2
-    points = (lo + hi) / 2 + half * _reference_points(order)
-    return QuadratureCell(lo, hi, points, _box_weights(half, order),
-                          np.ones(order * order))
-
-
 @dataclass
-class QuadratureCell:
-    """Points, weights and indicator values on one axis-aligned box."""
+class LeafRule:
+    """Quadrature cells stacked into three read-only arrays.
 
-    lo: np.ndarray
-    hi: np.ndarray
+    Cell k owns rows ``offsets[k]:offsets[k + 1]``; rows keep the cell
+    order and, within a cell, the x-major Gauss point order.
+    """
+
     points: np.ndarray   # (n, 2)
     weights: np.ndarray  # (n,)
     alpha: np.ndarray    # (n,) indicator factor per point
+    offsets: tuple       # cells + 1 row offsets, from 0 to n
+
+    def cells(self):
+        """One row slice per cell."""
+        return [slice(a, b) for a, b in zip(self.offsets[:-1], self.offsets[1:])]
 
 
-@dataclass
-class IntegrationDomain:
-    """One leaf footprint inside its base element's reference square."""
+def box_rule(lo, hi, order, alpha=None):
+    """The rule with one tensor Gauss cell per axis box, boxes in order.
 
-    base_id: int
-    leaf_id: int
-    lo_ref: np.ndarray
-    hi_ref: np.ndarray
-    order: int
+    `lo` and `hi` are (k, 2) box corners; each cell's weights sum to its
+    box's area.  `alpha` holds (k, order^2) indicator values, one per
+    point; without it every value is one.
+    """
+    ref = _reference_points(order)
+    _, w1 = gauss_rule_1d(order)
+    n = len(ref)
+    lo = np.asarray(lo, dtype=float).reshape(-1, 2)
+    hi = np.asarray(hi, dtype=float).reshape(-1, 2)
+    mid = (lo + hi) / 2
+    half = (hi - lo) / 2
+    points = (mid[:, None] + half[:, None] * ref).reshape(-1, 2)
+    weights = ((w1 * half[:, :1])[:, :, None]
+               * (w1 * half[:, 1:])[:, None, :]).ravel()
+    alpha = (np.ones(weights.size) if alpha is None
+             else np.asarray(alpha, dtype=float).ravel())
+    for arr in (points, weights, alpha):
+        arr.flags.writeable = False
+    return LeafRule(points, weights, alpha, tuple(range(0, len(lo) * n + 1, n)))
 
 
-def integration_domains(mesh, basis, base_elem):
-    """The composed-rule boxes of one base element, leaf order."""
-    if base_elem.parent is not None:
-        raise ValueError("integration domains are rooted at base elements")
-    out = []
-    stack = [base_elem]
-    while stack:
-        elem = stack.pop()
-        if elem.children:
-            stack.extend(reversed(elem.children))
-            continue
-        shift = 1 << elem.level
-        lo_ref = np.empty(2)
-        hi_ref = np.empty(2)
-        for a in range(2):
-            width = (base_elem.hi[a] - base_elem.lo[a]) * shift
-            lo_ref[a] = 2.0 * (elem.lo[a] - base_elem.lo[a] * shift) / width - 1.0
-            hi_ref[a] = 2.0 * (elem.hi[a] - base_elem.lo[a] * shift) / width - 1.0
-        out.append(IntegrationDomain(
-            base_elem.id, elem.id, lo_ref, hi_ref, basis.leaf_quad_order(elem)
-        ))
-    return out
+@lru_cache(maxsize=None)
+def reference_rule(order):
+    """The rule of every leaf of this order without a domain."""
+    return box_rule((-1.0, -1.0), (1.0, 1.0), order)
 
 
 # ----------------------------------------------------------------------
@@ -298,15 +282,14 @@ def subdivide(lo, hi, domain, depth, order, to_physical=None):
     points, mapped through ``to_physical(samples, roots)`` (samples of
     shape (boxes, 4 + n, 2), one root index per box; None is the
     identity).  A uniform box, or any box once `depth` levels are spent,
-    is kept; a cut box splits into four children.  Returns (roots, lo,
-    hi, points, weights, alpha) of the kept cells, sorted by root and
-    within a root in depth-first order: points (k, n, 2), weights and
-    alpha (k, n).
+    is kept; a cut box splits into four children, and at the last level
+    the indicator is taken per Gauss point.  Returns the root index of
+    every kept cell and their ``box_rule``, cells sorted by root and
+    within a root in depth-first order.
     """
     if depth < 0:
         raise ValueError("spacetree depth must be >= 0")
     ref = _reference_points(order)
-    _, w1 = gauss_rule_1d(order)
     n = len(ref)
     l = np.asarray(lo, dtype=float).reshape(-1, 2)
     h = np.asarray(hi, dtype=float).reshape(-1, 2)
@@ -314,6 +297,8 @@ def subdivide(lo, hi, domain, depth, order, to_physical=None):
     codes = np.zeros(len(l), dtype=np.int64)
     kept = []
     for remaining in range(depth, -1, -1):
+        # the points of box_rule, so a kept box is integrated with the
+        # bits it was classified with
         mid = (l + h) / 2
         half = (h - l) / 2
         points = mid[:, None] + half[:, None] * ref
@@ -340,37 +325,8 @@ def subdivide(lo, hi, domain, depth, order, to_physical=None):
         codes = (4 * codes[split][:, None] + np.arange(4)).ravel()
     roots, codes, l, h, inside = (np.concatenate(parts) for parts in zip(*kept))
     perm = np.lexsort((codes, roots))
-    l, h = l[perm], h[perm]
-    # the same operations as in the loop, so the kept points are bitwise
-    # those their boxes were classified with
-    mid = (l + h) / 2
-    half = (h - l) / 2
-    points = mid[:, None] + half[:, None] * ref
-    weights = ((w1 * half[:, :1])[:, :, None]
-               * (w1 * half[:, 1:])[:, None, :]).reshape(-1, n)
     alpha = np.where(inside[perm], 1.0, domain.epsilon)
-    return roots[perm], l, h, points, weights, alpha
-
-
-def spacetree_cells(lo, hi, domain, depth, order, to_physical=None):
-    """Quadrature cells for a box crossed by an embedded boundary.
-
-    The box is classified by sampling its corners and its Gauss points
-    (mapped through `to_physical` when the box is a reference frame).
-    Uniform boxes become a single cell with constant indicator; cut boxes
-    split into four children until `depth`, where the indicator is applied
-    per Gauss point.  Each kept cell equals ``gauss_cell`` on its box
-    except for the indicator; boxes that split get no weights.  This is
-    ``subdivide`` on one root box, cells in depth-first order.
-    """
-    if to_physical is not None:
-        def mapping(samples, _):
-            return to_physical(samples.reshape(-1, 2)).reshape(samples.shape)
-    else:
-        mapping = None
-    _, l, h, points, weights, alpha = subdivide(lo, hi, domain, depth, order,
-                                                mapping)
-    return [QuadratureCell(*cell) for cell in zip(l, h, points, weights, alpha)]
+    return roots[perm], box_rule(l[perm], h[perm], order, alpha)
 
 
 def leaf_to_physical(leaf):
@@ -393,77 +349,33 @@ def leaf_jacobian(leaf):
     return float(np.prod((hi - lo) / 2))
 
 
-def leaf_quadrature(basis, leaf, domain=None, depth=0, order=None):
-    """Quadrature cells of one leaf, in the leaf's reference frame."""
-    if order is None:
-        order = basis.leaf_quad_order(leaf)
-    lo = -np.ones(2)
-    hi = np.ones(2)
-    if domain is None:
-        return [gauss_cell(lo, hi, order)]
-    return spacetree_cells(lo, hi, domain, depth, order,
-                           to_physical=leaf_to_physical(leaf))
-
-
-@dataclass
-class LeafRule:
-    """A leaf's quadrature cells stacked into three read-only arrays.
-
-    Cell k owns rows ``offsets[k]:offsets[k + 1]``; rows keep the cell
-    order and the point order of the cells they came from.
-    """
-
-    points: np.ndarray   # (n, 2)
-    weights: np.ndarray  # (n,)
-    alpha: np.ndarray    # (n,)
-    offsets: tuple       # cells + 1 row offsets, from 0 to n
-
-    @classmethod
-    def from_cells(cls, cells):
-        arrays = [np.concatenate([getattr(c, name) for c in cells])
-                  for name in ("points", "weights", "alpha")]
-        for arr in arrays:
-            arr.flags.writeable = False
-        sizes = np.cumsum([len(c.weights) for c in cells]).tolist()
-        return cls(*arrays, (0, *sizes))
-
-    def cells(self):
-        """One row slice per cell."""
-        return [slice(a, b) for a, b in zip(self.offsets[:-1], self.offsets[1:])]
-
-
-@lru_cache(maxsize=None)
-def reference_rule(order):
-    """The rule of every leaf of this order without a domain."""
-    return LeafRule.from_cells([gauss_cell(-np.ones(2), np.ones(2), order)])
-
-
-def build_leaf_rules(basis, leaves, domain, depth):
-    """Fill ``basis.leaf_rules`` for these leaves with one ``subdivide``
-    per quadrature order, every leaf's spacetree in the same passes."""
+def build_leaf_rules(basis, leaves, domain, depth, extra_order=0):
+    """The spacetree rules of these leaves, in their order, at each leaf's
+    quadrature order plus `extra_order`: one ``subdivide`` per order, every
+    leaf's spacetree in the same passes."""
+    rules = [None] * len(leaves)
     by_order = {}
-    for leaf in leaves:
-        by_order.setdefault(basis.leaf_quad_order(leaf), []).append(leaf)
-    for order, group in by_order.items():
-        lo = np.array([leaf.lo_f for leaf in group], dtype=float)
-        hi = np.array([leaf.hi_f for leaf in group], dtype=float)
+    for i, leaf in enumerate(leaves):
+        order = basis.leaf_quad_order(leaf) + extra_order
+        by_order.setdefault(order, []).append(i)
+    for order, idx in by_order.items():
+        lo = np.array([leaves[i].lo_f for i in idx], dtype=float)
+        hi = np.array([leaves[i].hi_f for i in idx], dtype=float)
         # the frames of leaf_to_physical, one row per leaf
         half = (hi - lo) / 2
         mid = (hi + lo) / 2
-        ones = np.ones((len(group), 2))
-        roots, _, _, points, weights, alpha = subdivide(
+        ones = np.ones((len(idx), 2))
+        roots, rule = subdivide(
             -ones, ones, domain, depth, order,
             lambda pts, r: mid[r, None] + pts * half[r, None])
         n = order * order
-        counts = np.bincount(roots, minlength=len(group))
+        counts = np.bincount(roots, minlength=len(idx))
         bounds = n * np.cumsum(counts)[:-1]
-        arrays = (points.reshape(-1, 2), weights.ravel(), alpha.ravel())
-        for arr in arrays:
-            arr.flags.writeable = False
-        for leaf, cells, *rows in zip(group, counts.tolist(),
-                                      *(np.split(arr, bounds) for arr in arrays)):
-            basis.leaf_rules[(leaf.id, depth, domain)] = LeafRule(
-                *rows, tuple(range(0, cells * n + 1, n)))
+        rows = zip(*(np.split(arr, bounds)
+                     for arr in (rule.points, rule.weights, rule.alpha)))
+        for i, cells, arrays in zip(idx, counts.tolist(), rows):
+            rules[i] = LeafRule(*arrays, tuple(range(0, cells * n + 1, n)))
+    return rules
 
 
 def leaf_rule(basis, leaf, domain=None, depth=0):
@@ -485,14 +397,13 @@ def leaf_rule(basis, leaf, domain=None, depth=0):
     if rule is None:
         batch = [other for other in basis.mesh.active_leaf_elements()
                  if (other.id, depth, domain) not in basis.leaf_rules]
-        build_leaf_rules(basis, batch if leaf in batch else [leaf], domain, depth)
+        if leaf not in batch:
+            batch = [leaf]
+        rules = build_leaf_rules(basis, batch, domain, depth)
+        for other, built in zip(batch, rules):
+            basis.leaf_rules[(other.id, depth, domain)] = built
         rule = basis.leaf_rules[key]
     return rule
-
-
-def leaf_point_count(basis, leaf, domain=None, depth=0):
-    """Number of Gauss points the leaf will be integrated with."""
-    return leaf_rule(basis, leaf, domain, depth).weights.size
 
 
 def indicator_area(basis, domain, depth):

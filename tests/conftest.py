@@ -1,15 +1,19 @@
 """Shared helpers for the test suite.
 
 Random meshes are built by seeded marking rounds so every test run sees
-the same sequence.  Helpers here are deliberately small; anything used
-as an oracle is reimplemented inside the test module that needs it.
+the same sequence.  Helpers here are deliberately small; an oracle is
+reimplemented inside the test module that needs it, unless several
+modules need it: the cell-by-cell quadrature oracles live here.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from overlayfem.mesh import Mesh, BaseMeshSpec, PatchSpec
 from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.benchmarks import lshape_mesh_spec, mark_corner_leaves
+from overlayfem.quadrature import LeafRule, gauss_rule_1d
 
 # Filled by the acceptance module; echoed after the run so the verdict
 # lines are visible even under pytest's output capture.
@@ -76,3 +80,89 @@ def corner_refined(res, steps):
     for _ in range(steps):
         mesh.refine(mark_corner_leaves(mesh, (0.0, 0.0)))
     return mesh
+
+
+# ------------------------------------------------ quadrature oracles
+
+
+@dataclass
+class Cell:
+    """Points, weights and indicator values on one axis-aligned box."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    points: np.ndarray   # (n, 2)
+    weights: np.ndarray  # (n,)
+    alpha: np.ndarray    # (n,)
+
+
+def _reference_points(order):
+    x1, _ = gauss_rule_1d(order)
+    return np.column_stack((np.repeat(x1, order), np.tile(x1, order)))
+
+
+def gauss_cell(lo, hi, order):
+    """Tensor Gauss rule on one axis rectangle, x-major, indicator one:
+    the box-at-a-time rule the box kernel replaced."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    half = (hi - lo) / 2
+    _, w1 = gauss_rule_1d(order)
+    return Cell(lo, hi, (lo + hi) / 2 + half * _reference_points(order),
+                np.outer(w1 * half[0], w1 * half[1]).ravel(),
+                np.ones(order * order))
+
+
+def rule_from_cells(cells):
+    """The cells stacked into one read-only rule, cell after cell."""
+    arrays = [np.concatenate([getattr(c, name) for c in cells])
+              for name in ("points", "weights", "alpha")]
+    for arr in arrays:
+        arr.flags.writeable = False
+    sizes = np.cumsum([len(c.weights) for c in cells]).tolist()
+    return LeafRule(*arrays, (0, *sizes))
+
+
+def recursive_spacetree_cells(lo, hi, domain, depth, order, to_physical=None):
+    """The box-at-a-time recursion the level-synchronous kernel replaced,
+    kept here as its oracle."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    ident = to_physical is None
+    eps = domain.epsilon
+    _, w1 = gauss_rule_1d(order)
+    ref = _reference_points(order)
+
+    def corners(l, h):
+        return np.array([[l[0], l[1]], [h[0], l[1]], [l[0], h[1]], [h[0], h[1]]])
+
+    out = []
+
+    def visit(l, h, remaining):
+        mid = (l + h) / 2
+        half = (h - l) / 2
+        points = mid + half * ref
+        sample = np.vstack((corners(l, h), points))
+        phys = sample if ident else to_physical(sample)
+        inside = domain.contains(phys)
+        if remaining == 0 or inside.all() or not inside.any():
+            weights = np.outer(w1 * half[0], w1 * half[1]).ravel()
+            out.append(Cell(l, h, points, weights,
+                            np.where(inside[4:], 1.0, eps)))
+            return
+        visit(l, mid, remaining - 1)
+        visit(np.array([mid[0], l[1]]), np.array([h[0], mid[1]]), remaining - 1)
+        visit(np.array([l[0], mid[1]]), np.array([mid[0], h[1]]), remaining - 1)
+        visit(mid, h, remaining - 1)
+
+    visit(lo, hi, depth)
+    return out
+
+
+def assert_rule_is_cells(rule, oracle):
+    """`rule` holds the oracle's cells, bit for bit and in their order."""
+    sizes = np.cumsum([len(c.weights) for c in oracle]).tolist()
+    assert rule.offsets == (0, *sizes)
+    for name in ("points", "weights", "alpha"):
+        want = np.concatenate([getattr(c, name) for c in oracle])
+        assert np.array_equal(getattr(rule, name), want), name

@@ -19,7 +19,7 @@ from overlayfem.basis import (
     interpolate_nodal, FieldApproximation,
 )
 from overlayfem.benchmarks import lshape_mesh_spec
-from overlayfem.quadrature import gauss_cell, gauss_rule_1d
+from overlayfem.quadrature import box_rule, gauss_rule_1d
 from test_mesh import refine_at_corner
 
 
@@ -365,10 +365,10 @@ def test_active_functions_are_linearly_independent():
         n = basis.dofmap.total
         gram = np.zeros((n, n))
         for leaf in basis.mesh.active_leaf_elements():
-            cell = gauss_cell(leaf.lo_f, leaf.hi_f, basis.leaf_quad_order(leaf))
-            V, _ = basis.evaluate_leaf(leaf, cell.points)
+            rule = box_rule(leaf.lo_f, leaf.hi_f, basis.leaf_quad_order(leaf))
+            V, _ = basis.evaluate_leaf(leaf, rule.points)
             gids = basis.leaf_dofs(leaf)
-            gram[np.ix_(gids, gids)] += V.T @ (cell.weights[:, None] * V)
+            gram[np.ix_(gids, gids)] += V.T @ (rule.weights[:, None] * V)
         d = 1.0 / np.sqrt(np.diag(gram))
         smallest = min(smallest, np.linalg.eigvalsh(gram * np.outer(d, d))[0])
     assert smallest > 1e-8

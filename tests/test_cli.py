@@ -152,9 +152,12 @@ def test_one_axis_custom_patch_exits_2(tmp_path, capsys):
     {"epsilon": "1e-8"},
     {"dry_run": "no"},
     {"workers": True},
+    {"p_graded": [4, 3]},
+    {"dirichlet_boxes": 5},
+    {"p_graded": {"0": 2.5}},
 ], ids=["flat-bounds", "no-resolution", "flat-box", "disk-no-radius",
         "res-string", "steps-float", "epsilon-string", "dry-run-string",
-        "workers-bool"])
+        "workers-bool", "graded-list", "boxes-number", "graded-float"])
 def test_malformed_custom_config_exits_2(tmp_path, capsys, bad):
     config = {
         "benchmark": "custom", "steps": 0,
@@ -286,3 +289,15 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "12 leaves" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # the exact energy norm uses a Gauss rule, so the command loads
+    # neither scipy.integrate nor what it pulls in
+    code = ("import sys, overlayfem.cli; print(' '.join(m for m in "
+            "('scipy.integrate', 'scipy.special', 'scipy.optimize') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

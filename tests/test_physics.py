@@ -10,20 +10,21 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import (single_patch, random_basis, random_refined_mesh,
-                      random_orders, stretched_basis, corner_refined)
+                      random_orders, stretched_basis, corner_refined,
+                      gauss_cell, rule_from_cells, recursive_spacetree_cells,
+                      assert_rule_is_cells)
 from overlayfem.mesh import Mesh
 from overlayfem.basis import Basis, PolynomialOrderField, interpolate_nodal, FieldApproximation
 from overlayfem.physics import (
     element_system, assemble_serial, neumann_load,
     constrained_dof_mask, DirichletMap, solve_dirichlet, LShapeSolution,
-    corner_rule, energy_error,
+    corner_rule, energy_error, _corner_shells,
 )
 from overlayfem.benchmarks import (lshape_mesh_spec, mark_ball_leaves,
                                    mark_corner_leaves)
 from overlayfem.partition import compute_leaf_weights
-from overlayfem.quadrature import (Disk, EmbeddedDomain, LeafRule, leaf_jacobian,
-                                   leaf_quadrature, leaf_rule, leaf_to_physical,
-                                   reference_rule)
+from overlayfem.quadrature import (Disk, EmbeddedDomain, leaf_jacobian,
+                                   leaf_rule, leaf_to_physical, reference_rule)
 
 
 def two_level_mesh():
@@ -84,7 +85,9 @@ def test_cut_leaf_system_same_from_warm_and_cold_basis():
         to_phys = leaf_to_physical(leaf)
         K_ref = np.zeros_like(K)
         f_ref = np.zeros_like(f)
-        for cell in leaf_quadrature(cold, leaf, dom, 3):
+        for cell in recursive_spacetree_cells(
+                [-1.0, -1.0], [1.0, 1.0], dom, 3, cold.leaf_quad_order(leaf),
+                to_phys):
             pts = to_phys(cell.points)
             V, G = cold.evaluate_leaf(leaf, pts)
             w = cell.weights * cell.alpha * leaf_jacobian(leaf)
@@ -179,8 +182,8 @@ def energy_error_per_leaf(basis, coefficients, exact_gradient,
         elif domain is None:
             rule = reference_rule(q)
         else:
-            rule = LeafRule.from_cells(
-                leaf_quadrature(basis, leaf, domain, depth, order=q))
+            rule = rule_from_cells(recursive_spacetree_cells(
+                [-1.0, -1.0], [1.0, 1.0], domain, depth, q, to_phys))
         pts = to_phys(rule.points)
         _, G = basis.evaluate_leaf(leaf, pts)
         coef = coefficients[basis.leaf_dofs(leaf)]
@@ -426,6 +429,18 @@ def test_corner_energy_norm_oracle():
     zero = np.zeros(basis.dofmap.total)
     measured = energy_error(basis, zero, exact.gradient, singular_point=(0.0, 0.0))
     assert measured == pytest.approx(oracle, rel=1e-7)
+
+
+def test_corner_rule_matches_gauss_cell_oracle():
+    for corner in ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0)):
+        for levels in (1, 3, 40):
+            for order in (1, 3, 6):
+                rule = corner_rule(corner, levels, order)
+                assert_rule_is_cells(rule, [
+                    gauss_cell(lo, hi, order)
+                    for lo, hi in _corner_shells(corner, levels)])
+                assert not any(a.flags.writeable
+                               for a in (rule.points, rule.weights, rule.alpha))
 
 
 def test_energy_error_flags_perturbations():

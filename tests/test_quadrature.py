@@ -1,7 +1,8 @@
-"""Gauss rules, composed integration boxes, and embedded geometry.
+"""Gauss rules, the box kernel, and embedded geometry.
 
-Exactness is checked against closed-form monomial integrals, and the
-cut-cell machinery against areas that are known analytically.
+Exactness is checked against closed-form monomial integrals, the box
+kernel and the spacetrees against the box-at-a-time oracles in conftest,
+and the cut-cell machinery against areas that are known analytically.
 """
 
 import pickle
@@ -9,13 +10,14 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import single_patch, random_refined_mesh, random_orders
+from conftest import (single_patch, random_refined_mesh, random_orders,
+                      gauss_cell, recursive_spacetree_cells,
+                      assert_rule_is_cells)
 from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.quadrature import (
-    gauss_rule_1d, gauss_cell, integration_domains,
+    gauss_rule_1d, box_rule, reference_rule, subdivide, build_leaf_rules,
     HalfPlane, Disk, Rect, Union, Intersection, Difference, Complement,
-    geometry_from_json, EmbeddedDomain, QuadratureCell, spacetree_cells,
-    leaf_to_physical, leaf_jacobian, leaf_quadrature, leaf_point_count,
+    geometry_from_json, EmbeddedDomain, leaf_to_physical, leaf_jacobian,
     leaf_rule, indicator_area,
 )
 
@@ -49,62 +51,51 @@ def test_gauss_rule_basics():
 
 def test_gauss_cell_monomials():
     lo, hi = np.array([0.2, -0.5]), np.array([1.1, 0.75])
-    cell = gauss_cell(lo, hi, 4)
+    rule = box_rule(lo, hi, 4)
     area = np.prod(hi - lo)
-    assert cell.weights.sum() == pytest.approx(area)
+    assert rule.weights.sum() == pytest.approx(area)
     for a in range(4):
         for b in range(4):
             exact = ((hi[0] ** (a + 1) - lo[0] ** (a + 1)) / (a + 1)
                      * (hi[1] ** (b + 1) - lo[1] ** (b + 1)) / (b + 1))
-            val = cell.weights @ (cell.points[:, 0] ** a * cell.points[:, 1] ** b)
+            val = rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** b)
             assert val == pytest.approx(exact, abs=1e-13)
 
 
 def test_gauss_cell_point_order_and_weights():
     # x-major: the first coordinate varies slowest
     r = 1.0 / np.sqrt(3.0)
-    cell = gauss_cell([0.0, 1.0], [2.0, 2.0], 2)
+    rule = box_rule([0.0, 1.0], [2.0, 2.0], 2)
     xs = [1.0 - r, 1.0 + r]
     ys = [1.5 - 0.5 * r, 1.5 + 0.5 * r]
     expected = np.array([[xs[0], ys[0]], [xs[0], ys[1]],
                          [xs[1], ys[0]], [xs[1], ys[1]]])
-    np.testing.assert_allclose(cell.points, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rule.points, expected, rtol=0, atol=1e-15)
     # each weight is w_x * w_y = (1 * 1) * (1 * 1/2), the box's area over four
-    np.testing.assert_allclose(cell.weights, [0.5, 0.5, 0.5, 0.5],
+    np.testing.assert_allclose(rule.weights, [0.5, 0.5, 0.5, 0.5],
                                rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(cell.alpha, np.ones(4))
+    np.testing.assert_array_equal(rule.alpha, np.ones(4))
+    assert rule.offsets == (0, 4)
 
 
-# ------------------------------------------------------- composed domains
-
-
-def test_integration_domains_tile_reference_square():
-    rng = np.random.default_rng(13)
-    mesh = random_refined_mesh(rng)
-    basis = Basis(mesh, random_orders(rng, mesh))
-    total = 0
-    for base in mesh.base_elements:
-        doms = integration_domains(mesh, basis, base)
-        total += len(doms)
-        measure = sum(float(np.prod(d.hi_ref - d.lo_ref)) for d in doms)
-        assert measure == pytest.approx(4.0)
-        for dom in doms:
-            assert np.all(dom.lo_ref >= -1 - 1e-12)
-            assert np.all(dom.hi_ref <= 1 + 1e-12)
-            assert dom.base_id == base.id
-            leaf = mesh.elements[dom.leaf_id]
-            assert not leaf.children
-            assert dom.order == basis.leaf_quad_order(leaf)
-    assert total == len(mesh.active_leaf_elements())
-
-
-def test_integration_domains_requires_base_element():
-    mesh = single_patch(1)
-    mesh.refine([mesh.active_leaf_elements()[0].id])
-    basis = Basis(mesh, PolynomialOrderField(uniform=2))
-    child = mesh.active_leaf_elements()[0]
-    with pytest.raises(ValueError):
-        integration_domains(mesh, basis, child)
+def test_box_rule_matches_gauss_cell_oracle():
+    rng = np.random.default_rng(5)
+    for order in range(1, 9):
+        # the shared reference rule is the oracle's cell on [-1, 1]^2
+        oracle = [gauss_cell([-1.0, -1.0], [1.0, 1.0], order)]
+        ref = reference_rule(order)
+        assert_rule_is_cells(ref, oracle)
+        assert not any(a.flags.writeable
+                       for a in (ref.points, ref.weights, ref.alpha))
+        # several boxes: one cell each, in box order, indicator kept
+        lo = rng.uniform(-1.0, 0.0, (3, 2))
+        hi = lo + rng.uniform(0.1, 1.0, (3, 2))
+        alpha = rng.uniform(0.0, 1.0, (3, order * order))
+        cells = [gauss_cell(l, h, order) for l, h in zip(lo, hi)]
+        assert_rule_is_cells(box_rule(lo, hi, order), cells)
+        for cell, a in zip(cells, alpha):
+            cell.alpha = a
+        assert_rule_is_cells(box_rule(lo, hi, order, alpha), cells)
 
 
 # ------------------------------------------------------------ csg geometry
@@ -176,40 +167,53 @@ def test_embedded_domain_alpha():
 # ------------------------------------------------------------- cut cells
 
 
+def one_box_spacetree(lo, hi, domain, depth, order, to_physical=None):
+    """``subdivide`` on one root box, the mapping taking flat points."""
+    mapping = None
+    if to_physical is not None:
+        def mapping(samples, _):
+            return to_physical(samples.reshape(-1, 2)).reshape(samples.shape)
+    roots, rule = subdivide([lo], [hi], domain, depth, order, mapping)
+    assert not roots.any()
+    return rule
+
+
 def test_spacetree_uniform_boxes_stay_whole():
     dom = EmbeddedDomain(Disk((0.0, 0.0), 10.0), epsilon=1e-8)
-    cells = spacetree_cells([0.0, 0.0], [1.0, 1.0], dom, depth=3, order=2)
-    assert len(cells) == 1
-    assert np.all(cells[0].alpha == 1.0)
+    rule = one_box_spacetree([0.0, 0.0], [1.0, 1.0], dom, depth=3, order=2)
+    assert len(rule.cells()) == 1
+    assert np.all(rule.alpha == 1.0)
     outside = EmbeddedDomain(Disk((50.0, 0.0), 1.0), epsilon=1e-8)
-    cells = spacetree_cells([0.0, 0.0], [1.0, 1.0], outside, depth=3, order=2)
-    assert len(cells) == 1
-    assert np.all(cells[0].alpha == 1e-8)
+    rule = one_box_spacetree([0.0, 0.0], [1.0, 1.0], outside, depth=3, order=2)
+    assert len(rule.cells()) == 1
+    assert np.all(rule.alpha == 1e-8)
 
 
 def test_spacetree_cut_box_splits_and_conserves_measure():
     dom = EmbeddedDomain(Disk((0.0, 0.0), 0.7), epsilon=0.0)
     for depth in range(4):
-        cells = spacetree_cells([0.0, 0.0], [1.0, 1.0], dom, depth=depth, order=3)
-        assert len(cells) <= 4**depth or depth == 0
-        measure = sum(c.weights.sum() for c in cells)
-        assert measure == pytest.approx(1.0)
-        for cell in cells:
+        rule = one_box_spacetree([0.0, 0.0], [1.0, 1.0], dom, depth=depth,
+                                 order=3)
+        oracle = recursive_spacetree_cells([0.0, 0.0], [1.0, 1.0], dom,
+                                           depth, 3)
+        assert len(rule.cells()) <= 4**depth or depth == 0
+        assert rule.weights.sum() == pytest.approx(1.0)
+        for rows, cell in zip(rule.cells(), oracle, strict=True):
             # a kept box is the plain Gauss rule on it, bit for bit
             plain = gauss_cell(cell.lo, cell.hi, 3)
-            assert np.array_equal(cell.points, plain.points)
-            assert np.array_equal(cell.weights, plain.weights)
+            assert np.array_equal(rule.points[rows], plain.points)
+            assert np.array_equal(rule.weights[rows], plain.weights)
         if depth == 0:
             # depth exhausted at once: the indicator is taken per Gauss point
-            for cell in cells:
-                np.testing.assert_array_equal(
-                    cell.alpha, np.where(dom.contains(cell.points), 1.0, dom.epsilon))
+            np.testing.assert_array_equal(
+                rule.alpha, np.where(dom.contains(rule.points), 1.0, dom.epsilon))
 
     # deeper trees approach the true quarter-disk area
     errs = []
     for depth in range(5):
-        cells = spacetree_cells([0.0, 0.0], [1.0, 1.0], dom, depth=depth, order=3)
-        area = sum(c.weights @ c.alpha for c in cells)
+        rule = one_box_spacetree([0.0, 0.0], [1.0, 1.0], dom, depth=depth,
+                                 order=3)
+        area = rule.weights @ rule.alpha
         errs.append(abs(area - np.pi * 0.7**2 / 4))
     assert errs[-1] < errs[0] / 5
     assert errs[-1] < 5e-3
@@ -218,59 +222,7 @@ def test_spacetree_cut_box_splits_and_conserves_measure():
 def test_spacetree_depth_validation():
     dom = EmbeddedDomain(Disk((0.0, 0.0), 0.7))
     with pytest.raises(ValueError):
-        spacetree_cells([0.0, 0.0], [1.0, 1.0], dom, depth=-1, order=2)
-
-
-
-def recursive_spacetree_cells(lo, hi, domain, depth, order, to_physical=None):
-    """The box-at-a-time recursion the level-synchronous kernel replaced,
-    kept here as its oracle."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    ident = to_physical is None
-    eps = domain.epsilon
-    x1, w1 = gauss_rule_1d(order)
-    ref = np.column_stack((np.repeat(x1, order), np.tile(x1, order)))
-
-    def corners(l, h):
-        return np.array([[l[0], l[1]], [h[0], l[1]], [l[0], h[1]], [h[0], h[1]]])
-
-    out = []
-
-    def visit(l, h, remaining):
-        mid = (l + h) / 2
-        half = (h - l) / 2
-        points = mid + half * ref
-        sample = np.vstack((corners(l, h), points))
-        phys = sample if ident else to_physical(sample)
-        inside = domain.contains(phys)
-        if remaining == 0 or inside.all() or not inside.any():
-            weights = np.outer(w1 * half[0], w1 * half[1]).ravel()
-            out.append(QuadratureCell(l, h, points, weights,
-                                      np.where(inside[4:], 1.0, eps)))
-            return
-        visit(l, mid, remaining - 1)
-        visit(np.array([mid[0], l[1]]), np.array([h[0], mid[1]]), remaining - 1)
-        visit(np.array([l[0], mid[1]]), np.array([mid[0], h[1]]), remaining - 1)
-        visit(mid, h, remaining - 1)
-
-    visit(lo, hi, depth)
-    return out
-
-
-def assert_same_cells(cells, oracle):
-    assert len(cells) == len(oracle)
-    for cell, want in zip(cells, oracle):
-        for name in ("lo", "hi", "points", "weights", "alpha"):
-            assert np.array_equal(getattr(cell, name), getattr(want, name)), name
-
-
-def assert_rule_is_cells(rule, oracle):
-    sizes = np.cumsum([len(c.weights) for c in oracle]).tolist()
-    assert rule.offsets == (0, *sizes)
-    for name in ("points", "weights", "alpha"):
-        want = np.concatenate([getattr(c, name) for c in oracle])
-        assert np.array_equal(getattr(rule, name), want), name
+        subdivide([[0.0, 0.0]], [[1.0, 1.0]], dom, depth=-1, order=2)
 
 
 _DISK = Disk((0.3, 0.4), 0.37)
@@ -292,19 +244,19 @@ ORACLE_GEOMETRIES = {
 def test_spacetree_kernel_matches_recursive_oracle_on_one_box(name):
     dom = EmbeddedDomain(ORACLE_GEOMETRIES[name], epsilon=1e-8)
     lo, hi = [0.05, 0.1], [0.8, 0.75]
-    # a reference frame mapped onto a physical box, as leaf_quadrature maps
+    # a reference frame mapped onto a physical box, as a leaf's frame maps
     to_phys = lambda pts: np.array([0.4, 0.5]) + pts * np.array([0.35, 0.3])
     split = 0
     for depth in range(5):
         for order in range(1, 6):
-            cells = spacetree_cells(lo, hi, dom, depth, order)
-            assert_same_cells(cells, recursive_spacetree_cells(
+            rule = one_box_spacetree(lo, hi, dom, depth, order)
+            assert_rule_is_cells(rule, recursive_spacetree_cells(
                 lo, hi, dom, depth, order))
-            mapped = spacetree_cells([-1.0, -1.0], [1.0, 1.0], dom, depth,
-                                     order, to_physical=to_phys)
-            assert_same_cells(mapped, recursive_spacetree_cells(
+            mapped = one_box_spacetree([-1.0, -1.0], [1.0, 1.0], dom, depth,
+                                       order, to_phys)
+            assert_rule_is_cells(mapped, recursive_spacetree_cells(
                 [-1.0, -1.0], [1.0, 1.0], dom, depth, order, to_phys))
-            split += len(cells) > 1
+            split += len(rule.cells()) > 1
     assert split > 0
 
 
@@ -338,6 +290,13 @@ def test_batched_leaf_rules_match_recursive_oracle(res):
             assert_rule_is_cells(rule, recursive_spacetree_cells(
                 [-1.0, -1.0], [1.0, 1.0], dom, depth,
                 basis.leaf_quad_order(refined), leaf_to_physical(refined)))
+            # raised orders, as the energy error asks, leave the memo alone
+            raised = build_leaf_rules(basis, leaves, dom, depth, 2)
+            assert len(basis.leaf_rules) == before + 1
+            for leaf, rule in zip(leaves, raised, strict=True):
+                assert_rule_is_cells(rule, recursive_spacetree_cells(
+                    [-1.0, -1.0], [1.0, 1.0], dom, depth,
+                    basis.leaf_quad_order(leaf) + 2, leaf_to_physical(leaf)))
 
 # ------------------------------------------------------- leaf quadrature
 
@@ -359,23 +318,23 @@ def test_leaf_quadrature_weight_sums():
     mesh = random_refined_mesh(rng)
     basis = Basis(mesh, random_orders(rng, mesh))
     for leaf in mesh.active_leaf_elements():
-        cells = leaf_quadrature(basis, leaf)
-        assert len(cells) == 1
-        cell = cells[0]
-        assert cell.weights.sum() == pytest.approx(4.0)  # reference measure
-        assert np.all(cell.alpha == 1.0)
-        assert len(cell.points) == leaf_point_count(basis, leaf)
-        phys = leaf_to_physical(leaf)(cell.points)
+        rule = leaf_rule(basis, leaf)
+        assert len(rule.cells()) == 1
+        assert rule.weights.sum() == pytest.approx(4.0)  # reference measure
+        assert np.all(rule.alpha == 1.0)
+        assert len(rule.points) == basis.leaf_quad_order(leaf) ** 2
+        phys = leaf_to_physical(leaf)(rule.points)
         assert np.all(phys >= np.asarray(leaf.lo_f) - 1e-12)
         assert np.all(phys <= np.asarray(leaf.hi_f) + 1e-12)
 
     # a cut leaf produces several cells whose points stay inside it
     dom = EmbeddedDomain(Disk((0.0, 0.0), 0.55), epsilon=1e-8)
-    leaf = mesh.active_leaf_elements()[0]
-    cells = leaf_quadrature(basis, leaf, domain=dom, depth=2)
-    assert sum(len(c.weights) for c in cells) == leaf_point_count(
-        basis, leaf, domain=dom, depth=2)
-    assert sum(c.weights.sum() for c in cells) == pytest.approx(4.0)
+    leaf = mesh.locate_leaf((0.39, 0.39))  # the arc passes through here
+    rule = leaf_rule(basis, leaf, domain=dom, depth=2)
+    assert len(rule.cells()) > 1
+    assert rule.offsets[-1] == len(rule.weights) == len(rule.points)
+    assert rule.weights.sum() == pytest.approx(4.0)
+    assert np.all(np.abs(rule.points) <= 1.0)
 
 
 def test_indicator_area_quarter_disk():
@@ -413,11 +372,9 @@ def test_leaf_rule_memo_is_shared_and_survives_pickling(monkeypatch):
     rule = leaf_rule(basis, leaf, dom, 3)
     assert len(rule.cells()) > 1
     assert leaf_rule(basis, leaf, dom, 3) is rule
-    cells = leaf_quadrature(basis, leaf, dom, 3)
-    for cell, rows in zip(cells, rule.cells(), strict=True):
-        assert np.array_equal(rule.points[rows], cell.points)
-        assert np.array_equal(rule.weights[rows], cell.weights)
-        assert np.array_equal(rule.alpha[rows], cell.alpha)
+    assert_rule_is_cells(rule, recursive_spacetree_cells(
+        [-1.0, -1.0], [1.0, 1.0], dom, 3, basis.leaf_quad_order(leaf),
+        leaf_to_physical(leaf)))
     # uncut leaves share one rule per order
     other = mesh.locate_leaf((0.1, 0.9))
     assert leaf_rule(basis, leaf) is leaf_rule(basis, other)
