@@ -27,7 +27,11 @@ entity: one bilinear function per node, (p - 1) edge functions blending a
 1d internal mode with the linear hat across, and (p - 1)^2 interior
 functions.  The functions living on a given leaf are those of every
 active entity along the leaf's ancestor chain; evaluation maps the
-physical point into each ancestor's own reference frame.
+physical point into each ancestor's own reference frame.  A ``Basis``
+builds these chains once per mesh state, with array operations over the
+whole forest: an element's plan depends only on its level order and the
+active mask of its 9 entities, and each element's dofs, quadrature
+order, mode count and domain-boundary sides are rows of flat tables.
 """
 from __future__ import annotations
 
@@ -174,23 +178,23 @@ class DofMap:
 
     def __init__(self, entities, offsets, total):
         self._entities = entities
-        self._offsets = offsets
+        self.offsets = offsets
         self._slot = {ent.index: i for i, ent in enumerate(entities)}
         self.total = total
 
     def index_of(self, entity, mode):
         slot = self._slot[entity.index]
-        return int(self._offsets[slot]) + mode
+        return int(self.offsets[slot]) + mode
 
     def entity_offset(self, entity):
-        return int(self._offsets[self._slot[entity.index]])
+        return int(self.offsets[self._slot[entity.index]])
 
     def dof_entity(self, gid):
         if not 0 <= gid < self.total:
             raise IndexError(f"dof {gid} out of range")
-        slot = int(np.searchsorted(self._offsets, gid, side="right")) - 1
+        slot = int(np.searchsorted(self.offsets, gid, side="right")) - 1
         ent = self._entities[slot]
-        return ent, gid - int(self._offsets[slot])
+        return ent, gid - int(self.offsets[slot])
 
     @property
     def active_entities(self):
@@ -215,98 +219,161 @@ def enumerate_dofs(mesh, orders):
     return DofMap(active, np.asarray(offsets, dtype=np.int64), total)
 
 
+def _slot_rows(slot, p):
+    """1d mode rows (jx, jy) of the functions on topology slot `slot`:
+    nodes SW, SE, NW, NE, edges bottom, top, left, right, the face."""
+    inner = list(range(2, p + 1))
+    if slot < 4:
+        return [slot & 1], [slot >> 1]
+    if slot < 6:
+        return inner, [slot - 4] * (p - 1)
+    if slot < 8:
+        return [slot - 6] * (p - 1), inner
+    return [j for j in inner for _ in inner], inner * (p - 1)
+
+
+def _ranges(starts, counts):
+    """The ranges starts[i] .. starts[i] + counts[i], concatenated."""
+    ends = np.cumsum(counts)
+    return (np.repeat(np.asarray(starts) - ends + counts, counts)
+            + np.arange(ends[-1] if ends.size else 0))
+
+
 class Basis:
     """Active shape functions of a mesh snapshot at fixed orders.
 
     Built for the mesh state at construction time; refine or coarsen the
-    mesh and this object is stale, build a new one.  It also keeps the
-    quadrature rules of its cut leaves and ``leaf_systems``, the step's
-    single-cell leaf stiffness matrices and loads (see
-    ``physics.leaf_systems``, which computes their signatures through
-    ``leaf_frames``); both go stale with it.
+    mesh and this object is stale, build a new one.  Construction lays
+    out every element of the forest as a table row, with array
+    operations: the active leaves take rows 0 .. L-1 in pre-order, the
+    refined elements follow, and ``row_of`` maps an element id to its
+    row.  Row r holds ``dofs[dof_offsets[r]:dof_offsets[r + 1]]``, its
+    chain's dofs base first, their number ``mode_counts``, its
+    ``quad_orders``, ``levels``, ``lo_f`` and ``hi_f``, and ``boundary``,
+    which of its sides (bottom, top, left, right) lie on the domain
+    boundary.  An element's functions depend only on its level order and
+    on which of its 9 entities are active: each distinct (order, mask)
+    gets one ``plans`` entry of 1d mode rows.  The Basis also keeps the
+    quadrature rules of its cut leaves and ``leaf_systems`` (see
+    ``physics.leaf_systems``); both go stale with it.
     """
 
     def __init__(self, mesh, orders):
         self.mesh = mesh
         self.orders = orders
         self.dofmap = enumerate_dofs(mesh, orders)
-        self._elem_plan = {}
-        self._leaf_dofs = {}
-        self._quad_order = {}
+        self._build_tables()
         # cut-leaf quadrature rules of this mesh state, see quadrature.leaf_rule
         self.leaf_rules = {}
         # the step's single-cell leaf systems, see physics.leaf_systems
         self.leaf_systems = {}
 
-    # -- per-element plan: which modes, which 1d rows ------------------
+    def _build_tables(self):
+        leaves = self.mesh.active_leaf_elements()
+        elems = leaves + [e for e in self.mesh.elements.values() if e.children]
+        n = len(elems)
+        # per element: id, parent id, level and lattice box; per topology
+        # slot: the entity index and its active flag
+        cols = np.array([(e.id, -1 if e.parent is None else e.parent.id,
+                          e.level, *e.lo, *e.hi) for e in elems],
+                        dtype=np.int64).reshape(-1, 7)
+        box = np.array([(*e.lo_f, *e.hi_f) for e in elems],
+                       dtype=float).reshape(-1, 4)
+        slots = [t for e in elems for t in e.topology]
+        topo = np.array([t.index for t in slots], dtype=np.int64).reshape(n, 9)
+        active = np.array([t.active for t in slots], dtype=bool).reshape(n, 9)
+        self.row_of = np.full(int(cols[:, 0].max()) + 1, -1, dtype=np.int64)
+        self.row_of[cols[:, 0]] = np.arange(n)
+        parent = np.where(cols[:, 1] >= 0, self.row_of[cols[:, 1]], -1)
+        self.levels, lattice = cols[:, 2], cols[:, 3:]
+        self.lo_f, self.hi_f = box[:, :2], box[:, 2:]
+        depth = int(self.levels.max())
 
-    def _plan(self, elem):
-        plan = self._elem_plan.get(elem.id)
-        if plan is not None:
-            return plan
-        jx, jy, gids = [], [], []
-        for slot, ent in enumerate(elem.topology):
-            if not ent.active:
-                continue
-            p = self.orders.entity_order(ent)
-            n = entity_mode_count(ent.kind, p)
-            if n == 0:
-                continue
-            off = self.dofmap.entity_offset(ent)
-            gids.extend(range(off, off + n))
-            if slot < 4:
-                ix, iy = ((0, 0), (1, 0), (0, 1), (1, 1))[slot]
-                jx.append(ix)
-                jy.append(iy)
-            elif slot == 4:
-                jx.extend(range(2, 2 + n))
-                jy.extend([0] * n)
-            elif slot == 5:
-                jx.extend(range(2, 2 + n))
-                jy.extend([1] * n)
-            elif slot == 6:
-                jx.extend([0] * n)
-                jy.extend(range(2, 2 + n))
-            elif slot == 7:
-                jx.extend([1] * n)
-                jy.extend(range(2, 2 + n))
-            else:
-                for a in range(p - 1):
-                    jx.extend([2 + a] * (p - 1))
-                    jy.extend(range(2, 2 + p - 1))
-        jx = np.asarray(jx, dtype=np.intp)
-        jy = np.asarray(jy, dtype=np.intp)
-        # the plan's content as it enters a table signature
-        plan = (jx, jy, np.asarray(gids, dtype=np.int64),
-                (jx.tobytes(), jy.tobytes()))
-        self._elem_plan[elem.id] = plan
-        return plan
+        # chain[r, l]: row of r's ancestor on level l, -1 below r's level
+        self._chain = np.full((n, depth + 1), -1, dtype=np.int64)
+        up = np.arange(n)
+        for k in range(depth + 1):
+            at = self.levels - k
+            live = at >= 0
+            self._chain[live, at[live]] = up[live]
+            up = np.where(live, parent[up], up)
+        on_chain = self._chain >= 0
+        chain = np.where(on_chain, self._chain, 0)
+
+        # element dofs, slot by slot, from the dof offsets of the entities
+        p = np.array([self.orders.level_order(lvl)
+                      for lvl in range(depth + 1)])[self.levels]
+        inner = p[:, None] - 1
+        modes = np.hstack((np.ones((n, 4), dtype=np.int64),
+                           np.repeat(inner, 4, axis=1), inner * inner)) * active
+        offset = np.zeros(int(topo.max()) + 1, dtype=np.int64)
+        offset[[e.index for e in self.dofmap.active_entities]] = \
+            self.dofmap.offsets
+        elem_dofs = _ranges(offset[topo].ravel(), modes.ravel())
+        self._elem_modes = modes.sum(axis=1)
+        elem_start = np.cumsum(self._elem_modes) - self._elem_modes
+
+        # element plans, one per distinct content: the slots that carry
+        # dofs and, when an edge or the face carries some, the level order
+        carry = (modes > 0) @ (1 << np.arange(9))
+        keys, inverse = np.unique(np.where(carry >= 16, p, 0) * 512 + carry,
+                                  return_inverse=True)
+        self.plans = []
+        for key in keys.tolist():
+            rows = [_slot_rows(slot, key >> 9) for slot in range(9)
+                    if key >> slot & 1]
+            self.plans.append(tuple(np.array([j for r in rows for j in r[a]],
+                                             dtype=np.intp) for a in (0, 1)))
+        self._plan_id = inverse.ravel()
+
+        # leaf dofs: the element segments along each chain, base first
+        segs = chain[on_chain]
+        self.dofs = elem_dofs[_ranges(elem_start[segs], self._elem_modes[segs])]
+        self.dofs.flags.writeable = False
+        self.mode_counts = np.where(on_chain, self._elem_modes[chain],
+                                    0).sum(axis=1)
+        self.dof_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.mode_counts, out=self.dof_offsets[1:])
+        elem_order = np.where(active.any(axis=1), p, 1)
+        self.quad_orders = np.where(on_chain, elem_order[chain], 1).max(axis=1) + 1
+
+        # a side is on the domain boundary when it lies on a side of its
+        # base element that no other base element shares
+        base = self._chain[:, 0]
+        base_edges = topo[self.levels == 0, 4:8]
+        owners = np.bincount(base_edges.ravel(), minlength=topo.max() + 1)
+        sides = []
+        for axis, upper, slot in ((1, 0, 4), (1, 1, 5), (0, 0, 6), (0, 1, 7)):
+            col = 2 * upper + axis
+            sides.append((lattice[:, col] == lattice[base, col] << self.levels)
+                         & (owners[topo[base, slot]] == 1))
+        self.boundary = np.stack(sides, axis=1)
+
+    def _row(self, elem):
+        row = self.row_of[elem.id] if elem.id < self.row_of.size else -1
+        if row < 0:
+            raise KeyError(f"element {elem.id} is not in this Basis's forest")
+        return row
 
     # -- public queries -------------------------------------------------
 
     def leaf_dofs(self, leaf):
         """Global dofs with support on the leaf, chain order, base first."""
-        cached = self._leaf_dofs.get(leaf.id)
-        if cached is None:
-            parts = [self._plan(e)[2] for e in self.mesh.chain(leaf)]
-            cached = np.concatenate(parts) if parts else np.empty(0, np.int64)
-            self._leaf_dofs[leaf.id] = cached
-        return cached
+        row = self._row(leaf)
+        return self.dofs[self.dof_offsets[row]:self.dof_offsets[row + 1]]
+
+    def leaf_dof_block(self, rows):
+        """The dofs of rows with equal mode counts, one row each: (m, n)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return self.dofs[self.dof_offsets[rows][:, None]
+                         + np.arange(self.mode_counts[rows[0]])]
 
     def leaf_mode_count(self, leaf):
-        return int(self.leaf_dofs(leaf).size)
+        return int(self.mode_counts[self._row(leaf)])
 
     def leaf_quad_order(self, leaf):
         """Per-axis Gauss order: highest contributing order plus one."""
-        q = self._quad_order.get(leaf.id)
-        if q is None:
-            pmax = 1
-            for elem in self.mesh.chain(leaf):
-                for ent in elem.topology:
-                    if ent.active:
-                        pmax = max(pmax, self.orders.entity_order(ent))
-            q = self._quad_order[leaf.id] = pmax + 1
-        return q
+        return int(self.quad_orders[self._row(leaf)])
 
     def evaluate_leaf(self, leaf, points):
         """Values and physical gradients of the leaf's active functions.
@@ -315,14 +382,17 @@ class Basis:
         Returns (values (n, N), gradients (n, N, 2)) with columns in
         leaf_dofs order.
         """
-        n, frames = self._frames(leaf, points)
-        size = sum(plan[0].size for plan, _, _ in frames)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        n = pts.shape[0]
+        frames = self.leaf_frames([self._row(leaf)], pts[None])
+        size = sum(self.plans[plans[0]][0].size for plans, _, _ in frames)
         # mode-major buffers, a row block per chain element; callers get
         # transposed views, the strides the einsum sums over the tables
         # (and so their bits) depend on
         values, grads = np.empty((size, n)), np.empty((size, n, 2))
         start = 0
-        for (jx, jy, _, _), scale, ref in frames:
+        for plans, (scale,), (ref,) in frames:
+            jx, jy = self.plans[plans[0]]
             jmax = max(2, int(jx.max()) + 1, int(jy.max()) + 1)
             vals_1d, ders_1d = shape_tables(jmax, ref.T.ravel())
             vx, vy = vals_1d[jx, :n], vals_1d[jy, n:]
@@ -333,54 +403,32 @@ class Basis:
             start = rows.stop
         return values.T, grads.transpose(1, 0, 2)
 
-    def _frames(self, leaf, points):
-        """The points in each dof-carrying chain element's reference frame.
+    def leaf_frames(self, rows, points):
+        """The points of leaves of one level in their chain elements'
+        reference frames, the inputs of ``evaluate_leaf``'s tables.
 
-        Checks that they lie in the leaf's closed box; returns their count
-        and one (plan, scale, clipped (n, 2) coordinates) per element.
+        rows: the leaves' table rows; points: (m, n, 2), row i inside leaf
+        i's closed box, else ValueError.  Returns one (plans, scale (m, 2),
+        clipped coordinates (m, n, 2)) per chain position, base first,
+        where plans[i] is the id of leaf i's element plan, -1 where that
+        element carries no dofs; a position without dofs on any leaf is
+        left out.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        tol = 1e-12 * max(
-            1.0, *(abs(v) for v in (*leaf.lo_f, *leaf.hi_f))
-        )
-        for a in range(2):
-            if pts[:, a].min() < leaf.lo_f[a] - tol or pts[:, a].max() > leaf.hi_f[a] + tol:
-                raise ValueError("point outside the leaf element")
-        frames = []
-        for elem in self.mesh.chain(leaf):
-            plan = self._plan(elem)
-            if plan[2].size == 0:
-                continue
-            lo = np.asarray(elem.lo_f, dtype=float)
-            scale = 2.0 / (np.asarray(elem.hi_f, dtype=float) - lo)
-            frames.append((plan, scale,
-                           np.clip((pts - lo) * scale - 1.0, -1.0, 1.0)))
-        return pts.shape[0], frames
-
-    def leaf_frames(self, leaves, points):
-        """``_frames`` of many leaves of one level at once.
-
-        points: (m, n, 2), row i inside leaf i's closed box.  Applies the
-        range check and the operations of ``_frames`` to all rows and
-        returns one (plans, scale (m, 2), clipped coordinates (m, n, 2))
-        per chain position, base first, where plans[i] is leaf i's
-        element plan; a position without dofs on any leaf is left out.
-        """
+        rows = np.asarray(rows, dtype=np.int64)
         pts = np.asarray(points, dtype=float)
-        lo = np.array([leaf.lo_f for leaf in leaves], dtype=float)
-        hi = np.array([leaf.hi_f for leaf in leaves], dtype=float)
+        lo, hi = self.lo_f[rows], self.hi_f[rows]
         tol = 1e-12 * np.maximum(1.0, np.abs(np.hstack((lo, hi))).max(axis=1))
         if (np.any(pts.min(axis=1) < lo - tol[:, None])
                 or np.any(pts.max(axis=1) > hi + tol[:, None])):
             raise ValueError("point outside the leaf element")
         frames = []
-        for elems in zip(*(self.mesh.chain(leaf) for leaf in leaves)):
-            plans = [self._plan(elem) for elem in elems]
-            if not any(plan[2].size for plan in plans):
+        for elems in self._chain[rows, :self.levels[rows[0]] + 1].T:
+            plans = np.where(self._elem_modes[elems] > 0,
+                             self._plan_id[elems], -1)
+            if (plans < 0).all():
                 continue
-            lo = np.array([elem.lo_f for elem in elems], dtype=float)
-            scale = 2.0 / (np.array([elem.hi_f for elem in elems],
-                                    dtype=float) - lo)
+            lo = self.lo_f[elems]
+            scale = 2.0 / (self.hi_f[elems] - lo)
             frames.append((plans, scale, np.clip(
                 (pts - lo[:, None]) * scale[:, None] - 1.0, -1.0, 1.0)))
         return frames

@@ -35,7 +35,7 @@ import scipy
 from .basis import Basis, PolynomialOrderField
 from .mesh import BaseMeshSpec, PatchSpec, create_base_mesh, export_mesh_xml
 from .partition import PARTITIONERS
-from .physics import LShapeSolution, energy_error
+from .physics import LShapeSolution, table_signatures, energy_error
 from .quadrature import Disk, EmbeddedDomain, geometry_from_json, indicator_area
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -146,24 +146,29 @@ class RunConfig:
             raise ValueError("workers must be positive")
         if self.probe < 2:
             raise ValueError("probe grid needs at least 2 points per axis")
-        if self.benchmark == "custom":
-            self._validate_custom()
+        self._validate_shapes()
         return self
 
-    def _validate_custom(self):
-        """Shape checks on the custom problem's patches and Dirichlet boxes.
+    def _validate_shapes(self):
+        """Shape checks on the patches, the geometry and the Dirichlet
+        boxes, whenever they are set: only ``custom`` reads them, and
+        needs the patches.
 
         Axis counts, extents and resolutions are checked by the mesh spec.
         """
-        if not self.patches or not isinstance(self.patches, (list, tuple)):
-            raise ValueError("custom benchmark needs a 'patches' list in the config")
-        for i, patch in enumerate(self.patches):
-            if not isinstance(patch, dict) or not {"bounds", "resolution"} <= set(patch):
-                raise ValueError(f"patches[{i}] needs 'bounds' and 'resolution' keys")
-            _check_numbers(f"patches[{i}].bounds", patch["bounds"], (None, 2),
-                           "a list of [lo, hi] pairs, one per axis")
-            _check_numbers(f"patches[{i}].resolution", patch["resolution"],
-                           (None,), "a list of cell counts, one per axis")
+        if self.benchmark == "custom" or self.patches is not None:
+            if not self.patches or not isinstance(self.patches, (list, tuple)):
+                raise ValueError("the custom benchmark needs, and 'patches' must "
+                                 f"be, a non-empty list, got {self.patches!r}")
+            for i, patch in enumerate(self.patches):
+                if not isinstance(patch, dict) or not {"bounds", "resolution"} <= set(patch):
+                    raise ValueError(f"patches[{i}] needs 'bounds' and 'resolution' keys")
+                _check_numbers(f"patches[{i}].bounds", patch["bounds"], (None, 2),
+                               "a list of [lo, hi] pairs, one per axis")
+                _check_numbers(f"patches[{i}].resolution", patch["resolution"],
+                               (None,), "a list of cell counts, one per axis")
+        if self.geometry is not None:
+            geometry_from_json(self.geometry)
         if self.dirichlet_boxes is not None:
             _check_numbers("dirichlet_boxes", self.dirichlet_boxes, (None, 2, 2),
                            "a list of [[x0, y0], [x1, y1]] boxes")
@@ -539,8 +544,9 @@ def write_partition_csv(path, mesh, ranks, weights):
 def write_solution_csv(path, basis, solution, probe):
     """Sample the solved field on a uniform probe grid over the mesh box.
 
-    Each probe is located once; each leaf is evaluated once at all of its
-    probes.
+    Each probe is located once.  The located leaves are grouped by
+    (level, probe count) and table signature, and the basis is evaluated
+    once per signature, at the probes of its first leaf.
     """
     mesh = basis.mesh
     lo = np.min([l.lo_f for l in mesh.base_elements], axis=0)
@@ -556,12 +562,18 @@ def write_solution_csv(path, basis, solution, probe):
                 pts.append((x, y))
     pts = np.array(pts, dtype=float).reshape(-1, 2)
     vals = np.empty(len(pts))
+    groups = {}
     for leaf, idx in by_leaf.values():
-        shapes, _ = basis.evaluate_leaf(leaf, pts[idx])
-        coef = solution[basis.leaf_dofs(leaf)]
-        for row, i in zip(shapes, idx):
-            # dot a fresh copy: BLAS results depend on the row's alignment
-            vals[i] = row.copy() @ coef
+        groups.setdefault((leaf.level, len(idx)), []).append((leaf, idx))
+    for members in groups.values():
+        idx = np.array([idx for _, idx in members])
+        _, inverse, tables = table_signatures(
+            basis, basis.row_of[[leaf.id for leaf, _ in members]], pts[idx])
+        for (leaf, probes), k in zip(members, inverse):
+            coef = solution[basis.leaf_dofs(leaf)]
+            for row, i in zip(tables[k][0], probes):
+                # dot a fresh copy: BLAS results depend on the row's alignment
+                vals[i] = row.copy() @ coef
     with open(path, "w") as fh:
         fh.write("x,y,u\n")
         for (x, y), val in zip(pts, vals):

@@ -43,8 +43,7 @@ import scipy.sparse
 from .basis import Basis
 from .partition import (compute_leaf_weights, partition_leaves,
                         rank_weight_sums)
-from .physics import (DirichletMap, element_system, leaf_flux_load,
-                      leaf_systems)
+from .physics import DirichletMap, element_system, leaf_systems
 
 
 class SolverError(RuntimeError):
@@ -82,9 +81,11 @@ def distribute_dofs_graph(leaf_free_dofs, leaf_ranks, n_free, n_ranks):
     go to the lower rank.  `leaf_free_dofs` lists, per active leaf in
     pre-order, the free indices supported on that leaf.
     """
-    counts = np.zeros((n_ranks, n_free), dtype=np.int64)
-    for dofs, rank in zip(leaf_free_dofs, leaf_ranks):
-        counts[rank, dofs] += 1
+    sizes = [len(dofs) for dofs in leaf_free_dofs]
+    flat = np.concatenate([np.empty(0, dtype=np.int64), *leaf_free_dofs])
+    slot = np.repeat(np.asarray(leaf_ranks, dtype=np.int64), sizes) * n_free
+    counts = np.bincount(slot + flat.astype(np.int64),
+                         minlength=n_ranks * n_free).reshape(n_ranks, n_free)
     if np.any(counts.sum(axis=0) == 0):
         missing = int(np.flatnonzero(counts.sum(axis=0) == 0)[0])
         raise ValueError(f"free dof {missing} has no supporting leaf")
@@ -118,16 +119,16 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
     (:func:`overlayfem.physics.leaf_systems`) and are emitted a group at
     a time, one group per signature and kept-dof pattern; multi-cell
     leaves run :func:`overlayfem.physics.element_system` one by one.  A
-    flux loads only the leaves with a side on the domain boundary.
+    flux load, also from the memo, reaches only leaves with a kept side on
+    the domain boundary.
     """
     leaves = basis.mesh.active_leaf_elements()
-    systems = leaf_systems(basis, domain, depth, source)
-    pos = np.array([systems.position[lid] for lid in leaf_ids],
-                   dtype=np.int64)
+    systems = leaf_systems(basis, domain, depth, source, flux, flux_part)
+    # active leaves are the Basis's first table rows, in pre-order
+    pos = basis.row_of[np.asarray(leaf_ids, dtype=np.int64)]
     leaf_tags = np.asarray(leaf_tags, dtype=np.int64)
     sig = systems.signature[pos]
-    fluxed = (systems.on_boundary[pos] if flux is not None
-              else np.zeros(pos.size, dtype=bool))
+    fluxed = np.isin(pos, list(systems.flux_loads))
     rows, cols, vals, tags = [], [], [], []
     rrows, rvals, rtags = [], [], []
 
@@ -153,8 +154,7 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
         if run.size == 0:
             continue
         K = systems.stiffness[sig[run[0]]]
-        fidx = to_free[np.stack([basis.leaf_dofs(leaves[p])
-                                 for p in pos[run]])]
+        fidx = to_free[basis.leaf_dof_block(pos[run])]
         keep = fidx >= 0
         if (keep == keep[0]).all():     # the common case: one pattern
             patterns, which = keep[:1], np.zeros(run.size, dtype=np.intp)
@@ -185,9 +185,8 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
             fe = (None if source is None
                   else systems.loads[systems.load[pos[j]]])
         if fluxed[j]:
-            fl = leaf_flux_load(basis, leaf, flux, flux_part)
-            if fl is not None:
-                fe = fl if fe is None else fe + fl
+            fl = systems.flux_loads[pos[j]]
+            fe = fl if fe is None else fe + fl
         if fe is not None:
             emit_loads(fi, fe[ki][None], [j])
 
@@ -464,9 +463,13 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     basis.leaf_systems.clear()
 
     t = time.perf_counter()
-    leaf_free_dofs = [to_free[basis.leaf_dofs(leaf)] for leaf in leaves]
-    leaf_free_dofs = [d[d >= 0] for d in leaf_free_dofs]
     if dof_distribution == "graph":
+        # the free dofs of each leaf, read off the Basis's leaf-dof table
+        free = to_free[basis.dofs[:basis.dof_offsets[len(leaves)]]]
+        kept = np.bincount(np.repeat(np.arange(len(leaves)),
+                                     basis.mode_counts[:len(leaves)])[free >= 0],
+                           minlength=len(leaves))
+        leaf_free_dofs = np.split(free[free >= 0], np.cumsum(kept)[:-1])
         owner = distribute_dofs_graph(leaf_free_dofs, ranks,
                                       dirichlet.n_free, n_ranks)
     elif dof_distribution == "contiguous":
@@ -531,9 +534,9 @@ def _pool_task(chunk):
 
 def _integrate_all(basis, to_free, leaves, ranks, n_ranks, domain, depth,
                    source, flux, flux_part, workers):
-    # build the step's leaf systems here, so a worker pool gets them
-    # with the Basis instead of building them once per worker
-    leaf_systems(basis, domain, depth, source)
+    # build the step's leaf systems and flux loads here, so a worker pool
+    # gets them with the Basis instead of building them once per worker
+    leaf_systems(basis, domain, depth, source, flux, flux_part)
     chunks = []
     for r in range(n_ranks):
         idx = np.flatnonzero(np.asarray(ranks) == r)

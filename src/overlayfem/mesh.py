@@ -526,21 +526,6 @@ class Mesh:
             return elem
         return None
 
-    def side_on_domain_boundary(self, elem, axis, upper):
-        """True when the element's face at lo/hi of `axis` lies on the
-        boundary of the meshed domain."""
-        base = self.chain(elem)[0]
-        shift = elem.level
-        c = elem.hi[axis] if upper else elem.lo[axis]
-        cb = base.hi[axis] if upper else base.lo[axis]
-        if c != cb << shift:
-            return False
-        if axis == 1:
-            ent = base.topology[5 if upper else 4]
-        else:
-            ent = base.topology[7 if upper else 6]
-        return ent.incidence == 1
-
 
 def create_base_mesh(spec):
     """Build the unrefined mesh for a validated BaseMeshSpec."""

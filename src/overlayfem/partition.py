@@ -18,19 +18,20 @@ unrefined element at the base order so an ordinary leaf sits near 1.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 from .quadrature import leaf_rule
 
 
 def compute_leaf_weights(basis, domain=None, depth=0, normalized=True):
     """Cost-model weight of each active leaf, pre-order."""
-    mesh = basis.mesh
-    leaves = mesh.active_leaf_elements()
-    w = np.empty(len(leaves))
-    for i, leaf in enumerate(leaves):
-        n_gp = leaf_rule(basis, leaf, domain, depth).weights.size
-        n = basis.leaf_mode_count(leaf)
-        w[i] = float(n_gp) * float(n) ** 3
+    leaves = basis.mesh.active_leaf_elements()
+    if domain is None:
+        n_gp = basis.quad_orders[:len(leaves)] ** 2
+    else:
+        n_gp = np.array([leaf_rule(basis, leaf, domain, depth).weights.size
+                         for leaf in leaves])
+    w = n_gp.astype(float) * basis.mode_counts[:len(leaves)].astype(float) ** 3
     if normalized:
         p0 = basis.orders.base_order
         w0 = float((p0 + 1) ** 2) * float((p0 + 1) ** 2) ** 3
@@ -165,22 +166,15 @@ def partition_sfc(mesh, weights, n_ranks, grid_order=14):
 
 def build_leaf_graph(basis):
     """Leaf connectivity with edge weight = number of shared active dofs."""
-    mesh = basis.mesh
-    leaves = mesh.active_leaf_elements()
-    support = {}
-    for i, leaf in enumerate(leaves):
-        for g in basis.leaf_dofs(leaf):
-            support.setdefault(int(g), []).append(i)
-    adj = [dict() for _ in range(len(leaves))]
-    for holders in support.values():
-        if len(holders) < 2:
-            continue
-        for a in range(len(holders)):
-            for b in range(a + 1, len(holders)):
-                i, j = holders[a], holders[b]
-                adj[i][j] = adj[i].get(j, 0) + 1
-                adj[j][i] = adj[j].get(i, 0) + 1
-    return adj
+    n = len(basis.mesh.active_leaf_elements())
+    ptr = basis.dof_offsets[:n + 1]
+    support = scipy.sparse.csr_matrix(
+        (np.ones(ptr[-1], dtype=np.int64), basis.dofs[:ptr[-1]], ptr),
+        shape=(n, basis.dofmap.total))
+    shared = (support @ support.T).tolil()
+    shared.setdiag(0)
+    return [dict(zip(cols, counts))
+            for cols, counts in zip(shared.rows, shared.data)]
 
 
 def edge_cut(adj, ranks):

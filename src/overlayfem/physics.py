@@ -22,7 +22,8 @@ the Basis that the distributed integration reads.
 Homogeneous Dirichlet conditions are imposed by symmetric elimination:
 the constrained rows and columns are dropped from the system and
 restored as zeros in the solution vector.  Inhomogeneous flux (Neumann)
-data enters through 1d edge rules on the domain boundary.
+data enters through 1d edge rules on the domain boundary, one flux call
+per group of like sides, kept in the same per-step memo.
 
 The energy-error integrator upgrades every leaf rule by a couple of Gauss
 points and, on leaves whose closure holds a declared singular point, peels
@@ -32,8 +33,9 @@ the reference square and is built once per (corner, levels, order).
 Without an embedded domain the other leaves run grouped by (order,
 level), like :func:`leaf_systems`: the exact gradient is called once per
 group, and the basis tables are evaluated once per distinct table
-signature (:func:`_table_signatures`, which both share) and applied to
-every leaf that has it.  Under a domain the other leaves take their
+signature and applied to every leaf that has it; :func:`table_signatures`
+does that grouping for the leaf systems, the flux loads and the probes
+of ``solution.csv`` too.  Under a domain the other leaves take their
 raised-order spacetree rules from one batched subdivision.  A singular
 leaf, and under a domain every leaf, is evaluated once on the points of
 all its cells or shells.
@@ -47,7 +49,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .basis import entity_mode_count
+from .mesh import EDGE, NODE
 from .quadrature import (box_rule, build_leaf_rules, gauss_rule_1d,
                          leaf_jacobian, leaf_rule, leaf_to_physical,
                          reference_rule)
@@ -81,38 +83,39 @@ def element_system(basis, leaf, domain=None, depth=0, source=None):
 class LeafSystems:
     """Stiffness matrices and loads of one step's single-cell leaves.
 
-    Arrays run over the active leaves in pre-order; ``position`` maps a
-    leaf id to its row.  ``signature`` indexes ``stiffness`` and is -1 for
-    a leaf whose rule has several cells; ``load`` indexes ``loads`` and is
-    -1 for those and without a source.  ``on_boundary`` marks the leaves
-    with a side on the domain boundary, the only ones a flux loads.
+    Arrays run over the active leaves in pre-order, the Basis's first
+    table rows.  ``signature`` indexes ``stiffness`` and is -1 for a leaf
+    whose rule has several cells; ``load`` indexes ``loads`` and is -1
+    for those and without a source.  ``flux_loads`` maps the position
+    of each leaf a flux reaches to its boundary-flux load.
     """
 
-    position: dict
     signature: np.ndarray
     load: np.ndarray
     stiffness: list
     loads: list
-    on_boundary: np.ndarray
+    flux_loads: dict
 
 
-def leaf_systems(basis, domain=None, depth=0, source=None):
-    """The step's single-cell leaf systems, built once per Basis.
+def leaf_systems(basis, domain=None, depth=0, source=None, flux=None,
+                 flux_part=None):
+    """The step's single-cell leaf systems and flux loads, built once per
+    Basis.
 
-    The first call for a (domain, depth, source) builds them for every
-    active leaf and keeps them in ``basis.leaf_systems``; the key holds
-    the domain and the source themselves, so a worker that unpickled the
-    Basis reads the entry for its equal arguments.
+    The first call for a (domain, depth, source, flux, flux_part) builds
+    them for every active leaf and keeps them in ``basis.leaf_systems``;
+    the key holds the arguments themselves, so a worker that unpickled
+    the Basis reads the entry for its equal arguments.
     """
-    key = (depth, domain, source)
+    key = (depth, domain, source, flux, flux_part)
     systems = basis.leaf_systems.get(key)
     if systems is None:
         systems = basis.leaf_systems[key] = _build_leaf_systems(
-            basis, domain, depth, source)
+            basis, domain, depth, source, flux, flux_part)
     return systems
 
 
-def _build_leaf_systems(basis, domain, depth, source):
+def _build_leaf_systems(basis, domain, depth, source, flux, flux_part):
     """Integrate one representative per distinct single-cell signature.
 
     Leaves are batched by (quadrature order, level).  A leaf's signature
@@ -123,40 +126,34 @@ def _build_leaf_systems(basis, domain, depth, source):
     bit.  f is shared among leaves of one signature and equal source
     values.
     """
-    mesh = basis.mesh
-    leaves = mesh.active_leaf_elements()
+    leaves = basis.mesh.active_leaf_elements()
     signature = np.full(len(leaves), -1, dtype=np.int64)
     load = np.full(len(leaves), -1, dtype=np.int64)
     stiffness, loads = [], []
     groups = {}
-    for i, leaf in enumerate(leaves):
+    for i, (leaf, q, level) in enumerate(zip(
+            leaves, basis.quad_orders.tolist(), basis.levels.tolist())):
         rule = leaf_rule(basis, leaf, domain, depth)
         if len(rule.offsets) == 2:
-            groups.setdefault((basis.leaf_quad_order(leaf), leaf.level),
-                              []).append((i, rule))
+            groups.setdefault((q, level), []).append((i, rule))
     for members in groups.values():
         idx = np.array([i for i, _ in members])
-        group = [leaves[i] for i in idx]
         points, weights, alpha = (np.stack([getattr(rule, name)
                                             for _, rule in members])
                                   for name in ("points", "weights", "alpha"))
         # leaf_to_physical and leaf_jacobian, one row per leaf
-        lo = np.array([leaf.lo_f for leaf in group], dtype=float)
-        hi = np.array([leaf.hi_f for leaf in group], dtype=float)
+        lo, hi = basis.lo_f[idx], basis.hi_f[idx]
         half = (hi - lo) / 2
         pts = (hi + lo)[:, None] / 2 + points * half[:, None]
         w = weights * alpha * (half[:, 0] * half[:, 1])[:, None]
-        first, inverse = _table_signatures(basis, group, pts,
-                                           w.view(np.uint64))
+        first, inverse, tables = table_signatures(basis, idx, pts,
+                                                   w.view(np.uint64))
         signature[idx] = len(stiffness) + inverse
-        tables = []
-        for r in first:
-            V, G = basis.evaluate_leaf(group[r], pts[r])
+        for r, (_, G) in zip(first, tables):
             K = np.zeros((G.shape[1], G.shape[1]))
             K += np.einsum("q,qid,qjd->ij", w[r], G, G)
             K.flags.writeable = False
             stiffness.append(K)
-            tables.append(V)
         if source is None:
             continue
         by_value = {}
@@ -164,47 +161,47 @@ def _build_leaf_systems(basis, domain, depth, source):
             src = np.asarray(source(pts[j]), dtype=float)
             key = (inverse[j], src.tobytes())
             if key not in by_value:
-                V = tables[inverse[j]]
+                V = tables[inverse[j]][0]
                 f = np.zeros(V.shape[1])
                 f += V.T @ (w[j] * src)
                 f.flags.writeable = False
                 by_value[key] = len(loads)
                 loads.append(f)
             load[i] = by_value[key]
-    on_boundary = np.array([any(mesh.side_on_domain_boundary(leaf, axis, upper)
-                                for axis, upper in _SIDES_2D)
-                            for leaf in leaves], dtype=bool)
-    return LeafSystems({leaf.id: i for i, leaf in enumerate(leaves)},
-                       signature, load, stiffness, loads, on_boundary)
+    return LeafSystems(signature, load, stiffness, loads,
+                       {} if flux is None
+                       else flux_loads_by_leaf(basis, flux, flux_part))
 
 
-def _table_signatures(basis, leaves, pts, *extra):
+def table_signatures(basis, rows, pts, *extra):
     """Group leaves of one level by the exact inputs of their basis tables.
 
-    pts: (m, n, 2), row i on leaf i.  A leaf's key is, per dof-carrying
-    chain element (``Basis.leaf_frames``), the element's plan, its scale
-    and the points' clipped reference coordinates, as raw bits, followed
-    by the (m, k) uint64 columns of `extra`: equal keys give equal
-    ``evaluate_leaf`` tables bit for bit.  Returns the index of the
-    first leaf of every distinct key and each leaf's key number.
+    rows: active leaves' Basis table rows; pts: (m, n, 2), row i on leaf i.
+    A leaf's key is, per dof-carrying chain element
+    (``Basis.leaf_frames``), the element's plan, its scale and the points'
+    clipped reference coordinates, as raw bits, followed by the (m, k)
+    uint64 columns of `extra`: equal keys give equal ``evaluate_leaf``
+    tables bit for bit.  Returns the index of the first leaf of every
+    distinct key, each leaf's key number, and per key the
+    ``evaluate_leaf`` tables of its first leaf.
     """
-    plan_ids = {}
     keys = list(extra)
-    for plans, scale, ref in basis.leaf_frames(leaves, pts):
-        ids = np.array([plan_ids.setdefault(plan[3], len(plan_ids))
-                        if plan[2].size else -1 for plan in plans])
-        live = (ids >= 0)[:, None]
-        keys += [ids.view(np.uint64)[:, None],
+    for plans, scale, ref in basis.leaf_frames(rows, pts):
+        live = (plans >= 0)[:, None]
+        keys += [plans.view(np.uint64)[:, None],
                  np.where(live, scale.view(np.uint64), 0),
-                 np.where(live, ref.reshape(len(leaves), -1).view(np.uint64), 0)]
-    rows = np.hstack(keys)
-    raw, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+                 np.where(live, ref.reshape(len(rows), -1).view(np.uint64), 0)]
+    table = np.hstack(keys)
+    raw, width = table.tobytes(), table.shape[1] * table.itemsize
     number = {}
     inverse = np.array([number.setdefault(raw[j * width:(j + 1) * width],
                                           len(number))
-                        for j in range(len(leaves))], dtype=np.int64)
+                        for j in range(len(rows))], dtype=np.int64)
     # keys are numbered in order of appearance
-    return np.unique(inverse, return_index=True)[1], inverse
+    first = np.unique(inverse, return_index=True)[1]
+    leaves = basis.mesh.active_leaf_elements()
+    return first, inverse, [basis.evaluate_leaf(leaves[rows[r]], pts[r])
+                            for r in first]
 
 
 def assemble_serial(basis, domain=None, depth=0, source=None):
@@ -234,82 +231,82 @@ def assemble_serial(basis, domain=None, depth=0, source=None):
 _SIDES_2D = ((1, False), (1, True), (0, False), (0, True))  # bottom, top, left, right
 
 
-def _side_segment(leaf, axis, upper):
-    """Physical endpoints of one side of a 2d leaf."""
-    lo = np.asarray(leaf.lo_f, dtype=float)
-    hi = np.asarray(leaf.hi_f, dtype=float)
-    a = lo.copy()
-    b = hi.copy()
-    if upper:
-        a[axis] = hi[axis]
-    else:
-        b[axis] = lo[axis]
-    return a, b
-
-
-def leaf_flux_load(basis, leaf, flux, part=None):
-    """One leaf's boundary-flux load over its active shape functions.
+def flux_loads_by_leaf(basis, flux, part=None):
+    """Boundary-flux loads of the active leaves, by pre-order position.
 
     Only sides on the domain boundary contribute; `part(midpoint)` keeps a
     side when true (default keeps every boundary side), so loads can never
-    be smeared onto interface edges.
+    be smeared onto interface edges.  Sides get the 1d Gauss rule of their
+    leaf's order plus one.  ``flux`` is called once per (order, level,
+    side) group and the basis evaluated once per table signature; each
+    side's V.T @ (w g) is added to its leaf's load in side order.
     """
-    mesh = basis.mesh
-    q = basis.leaf_quad_order(leaf)
-    x1, w1 = gauss_rule_1d(q + 1)
-    f = np.zeros(basis.leaf_mode_count(leaf))
-    hit = False
-    for axis, upper in _SIDES_2D:
-        if not mesh.side_on_domain_boundary(leaf, axis, upper):
-            continue
-        a, b = _side_segment(leaf, axis, upper)
-        mid = (a + b) / 2
-        if part is not None and not part(mid):
-            continue
+    n = len(basis.mesh.active_leaf_elements())
+    leaf, side = np.nonzero(basis.boundary[:n])
+    axis, upper = np.array(_SIDES_2D, dtype=np.int64)[side].T
+    # each side runs from a to b: its leaf's box with one axis collapsed
+    at = np.arange(leaf.size)
+    a, b = basis.lo_f[leaf], basis.hi_f[leaf]
+    a[at, axis] = np.where(upper, b[at, axis], a[at, axis])
+    b[at, axis] = a[at, axis]
+    mid, half = (a + b) / 2, (b - a) / 2
+    scale = np.linalg.norm(half, axis=1)
+    groups = {}
+    for k, key in enumerate(zip(basis.quad_orders[leaf].tolist(),
+                                basis.levels[leaf].tolist(), side.tolist())):
+        if part is None or part(mid[k]):
+            groups.setdefault(key, []).append(k)
+    contrib = {}
+    for (q, _, _), ks in groups.items():
+        ks = np.array(ks)
+        x1, w1 = gauss_rule_1d(q + 1)
+        pts = mid[ks, None] + x1[:, None] * half[ks, None]
         normal = np.zeros(2)
-        normal[axis] = 1.0 if upper else -1.0
-        half = (b - a) / 2
-        pts = mid + np.outer(x1, half)
-        V, _ = basis.evaluate_leaf(leaf, pts)
-        w = w1 * float(np.linalg.norm(half))
-        g = np.asarray(flux(pts, normal), dtype=float)
-        f += V.T @ (w * g)
-        hit = True
-    return f if hit else None
+        normal[axis[ks[0]]] = 1.0 if upper[ks[0]] else -1.0
+        g = np.asarray(flux(pts.reshape(-1, 2), normal),
+                       dtype=float).reshape(ks.size, -1)
+        _, inverse, tables = table_signatures(basis, leaf[ks], pts)
+        for j, k in enumerate(ks.tolist()):
+            V = tables[inverse[j]][0]
+            contrib[k] = V.T @ (w1 * float(scale[k]) * g[j])
+    loads = {}
+    for k in sorted(contrib):
+        f = loads.setdefault(int(leaf[k]),
+                             np.zeros(int(basis.mode_counts[leaf[k]])))
+        f += contrib[k]
+    return loads
 
 
 def neumann_load(basis, flux, part=None):
     """Boundary load vector from a normal-flux density, all ranks' leaves."""
     f = np.zeros(basis.dofmap.total)
-    for leaf in basis.mesh.active_leaf_elements():
-        fl = leaf_flux_load(basis, leaf, flux, part)
-        if fl is not None:
-            np.add.at(f, basis.leaf_dofs(leaf), fl)
+    leaves = basis.mesh.active_leaf_elements()
+    for i, fl in flux_loads_by_leaf(basis, flux, part).items():
+        np.add.at(f, basis.leaf_dofs(leaves[i]), fl)
     return f
 
 
 def constrained_dof_mask(basis, on_part):
     """Mask of dofs whose entity lies inside a boundary part.
 
-    Nodes are tested at their point, edges at both endpoints.  Faces and
-    element-interior modes vanish on the boundary and are never
-    constrained.
+    Nodes are tested at their point, edges at both endpoints; `on_part`
+    is called once per distinct node.  Faces and element-interior modes
+    vanish on the boundary and are never constrained.
     """
-    mesh = basis.mesh
-    mask = np.zeros(basis.dofmap.total, dtype=bool)
-    for ent in basis.dofmap.active_entities:
-        if ent.kind == "node":
-            hit = bool(on_part(mesh.node_point(ent)))
-        elif ent.kind == "edge":
-            a, b = mesh.edge_endpoints(ent)
-            hit = bool(on_part(a)) and bool(on_part(b))
-        else:
-            hit = False
-        if hit:
-            off = basis.dofmap.entity_offset(ent)
-            n = entity_mode_count(ent.kind, basis.orders.entity_order(ent))
-            mask[off:off + n] = True
-    return mask
+    dofmap = basis.dofmap
+    nodes = {}       # node entity index -> (its number, the node)
+    ends = []
+    for ent in dofmap.active_entities:
+        pair = ((ent, ent) if ent.kind == NODE
+                else ent.end_nodes if ent.kind == EDGE else ())
+        ends.append([nodes.setdefault(node.index, (len(nodes), node))[0]
+                     for node in pair] or [-1, -1])
+    # the last entry is the -1 of entities without end nodes
+    hit = np.array([bool(on_part(basis.mesh.node_point(node)))
+                    for _, node in nodes.values()] + [False])
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    counts = np.diff(np.append(dofmap.offsets, dofmap.total))
+    return np.repeat(hit[ends[:, 0]] & hit[ends[:, 1]], counts)
 
 
 class DirichletMap:
@@ -468,8 +465,7 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
     """
     coefficients = np.asarray(coefficients, dtype=float)
     leaves = basis.mesh.active_leaf_elements()
-    lo = np.array([leaf.lo_f for leaf in leaves], dtype=float)
-    hi = np.array([leaf.hi_f for leaf in leaves], dtype=float)
+    lo, hi = basis.lo_f[:len(leaves)], basis.hi_f[:len(leaves)]
     if singular_point is None:
         singular = np.zeros(len(leaves), dtype=bool)
     else:
@@ -478,8 +474,9 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
     terms = [None] * len(leaves)
     groups = {}
     spacetrees = []  # the other leaves under a domain
+    orders = basis.quad_orders + extra_order
     for i, leaf in enumerate(leaves):
-        q = basis.leaf_quad_order(leaf) + extra_order
+        q = int(orders[i])
         if singular[i]:
             # reference coordinates of the singular corner: one of the vertices
             ref = 2 * (sp - lo[i]) / (hi[i] - lo[i]) - 1
@@ -499,18 +496,16 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
                                      exact_gradient)
     for (q, _), idx in groups.items():
         rule = reference_rule(q)
-        group = [leaves[i] for i in idx]
         # leaf_to_physical and leaf_jacobian, one row per leaf
         half = (hi[idx] - lo[idx]) / 2
         pts = ((hi[idx] + lo[idx]) / 2)[:, None] + rule.points * half[:, None]
         w = rule.weights * (half[:, 0] * half[:, 1])[:, None] * rule.alpha
         exact = np.asarray(exact_gradient(pts.reshape(-1, 2)),
                            dtype=float).reshape(pts.shape)
-        first, inverse = _table_signatures(basis, group, pts)
-        for k, r in enumerate(first):
-            _, G = basis.evaluate_leaf(group[r], pts[r])
+        _, inverse, tables = table_signatures(basis, idx, pts)
+        for k, (_, G) in enumerate(tables):
             rows = np.flatnonzero(inverse == k)
-            dofs = np.array([basis.leaf_dofs(group[j]) for j in rows])
+            dofs = basis.leaf_dof_block(np.asarray(idx)[rows])
             # the per-leaf contractions, batched over the leaves that
             # share G: the same sums in the same order
             diff = (np.einsum("qid,mi->mqd", G, coefficients[dofs])

@@ -3,7 +3,8 @@
 Random meshes are built by seeded marking rounds so every test run sees
 the same sequence.  Helpers here are deliberately small; an oracle is
 reimplemented inside the test module that needs it, unless several
-modules need it: the cell-by-cell quadrature oracles live here.
+modules need it: the cell-by-cell quadrature oracles and the per-element
+Basis oracles live here.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from overlayfem.mesh import Mesh, BaseMeshSpec, PatchSpec
-from overlayfem.basis import Basis, PolynomialOrderField
+from overlayfem.basis import Basis, PolynomialOrderField, entity_mode_count
 from overlayfem.benchmarks import lshape_mesh_spec, mark_corner_leaves
 from overlayfem.quadrature import LeafRule, gauss_rule_1d
 
@@ -166,3 +167,125 @@ def assert_rule_is_cells(rule, oracle):
     for name in ("points", "weights", "alpha"):
         want = np.concatenate([getattr(c, name) for c in oracle])
         assert np.array_equal(getattr(rule, name), want), name
+
+
+# ------------------------------------------------------ Basis oracles
+#
+# The per-element, per-leaf walks the Basis tables replaced: each query
+# reads the element's topology and its ancestor chain directly.
+
+
+def plan_oracle(basis, elem):
+    """(jx, jy, gids) of one element, slot by slot over its topology."""
+    jx, jy, gids = [], [], []
+    for slot, ent in enumerate(elem.topology):
+        if not ent.active:
+            continue
+        p = basis.orders.entity_order(ent)
+        n = entity_mode_count(ent.kind, p)
+        if n == 0:
+            continue
+        off = basis.dofmap.entity_offset(ent)
+        gids.extend(range(off, off + n))
+        if slot < 4:
+            ix, iy = ((0, 0), (1, 0), (0, 1), (1, 1))[slot]
+            jx.append(ix)
+            jy.append(iy)
+        elif slot == 4:
+            jx.extend(range(2, 2 + n))
+            jy.extend([0] * n)
+        elif slot == 5:
+            jx.extend(range(2, 2 + n))
+            jy.extend([1] * n)
+        elif slot == 6:
+            jx.extend([0] * n)
+            jy.extend(range(2, 2 + n))
+        elif slot == 7:
+            jx.extend([1] * n)
+            jy.extend(range(2, 2 + n))
+        else:
+            for a in range(p - 1):
+                jx.extend([2 + a] * (p - 1))
+                jy.extend(range(2, 2 + p - 1))
+    return (np.asarray(jx, dtype=np.intp), np.asarray(jy, dtype=np.intp),
+            np.asarray(gids, dtype=np.int64))
+
+
+def leaf_dofs_oracle(basis, leaf):
+    parts = [plan_oracle(basis, e)[2] for e in basis.mesh.chain(leaf)]
+    return np.concatenate(parts) if parts else np.empty(0, np.int64)
+
+
+def leaf_quad_order_oracle(basis, leaf):
+    pmax = 1
+    for elem in basis.mesh.chain(leaf):
+        for ent in elem.topology:
+            if ent.active:
+                pmax = max(pmax, basis.orders.entity_order(ent))
+    return pmax + 1
+
+
+def constrained_dof_mask_oracle(basis, on_part):
+    mesh = basis.mesh
+    mask = np.zeros(basis.dofmap.total, dtype=bool)
+    for ent in basis.dofmap.active_entities:
+        if ent.kind == "node":
+            hit = bool(on_part(mesh.node_point(ent)))
+        elif ent.kind == "edge":
+            a, b = mesh.edge_endpoints(ent)
+            hit = bool(on_part(a)) and bool(on_part(b))
+        else:
+            hit = False
+        if hit:
+            off = basis.dofmap.entity_offset(ent)
+            n = entity_mode_count(ent.kind, basis.orders.entity_order(ent))
+            mask[off:off + n] = True
+    return mask
+
+
+SIDES_2D = ((1, False), (1, True), (0, False), (0, True))
+
+
+def side_on_domain_boundary(mesh, elem, axis, upper):
+    """True when the element's face at lo/hi of `axis` lies on the
+    boundary of the meshed domain: on a side of its base element that no
+    other base element shares."""
+    base = mesh.chain(elem)[0]
+    c = elem.hi[axis] if upper else elem.lo[axis]
+    cb = base.hi[axis] if upper else base.lo[axis]
+    if c != cb << elem.level:
+        return False
+    slot = (7 if upper else 6) if axis == 0 else (5 if upper else 4)
+    return base.topology[slot].incidence == 1
+
+
+def leaf_flux_load(basis, leaf, flux, part=None):
+    """One leaf's boundary-flux load, side by side, one basis evaluation
+    and one flux call per kept side; None when no side is kept."""
+    mesh = basis.mesh
+    q = leaf_quad_order_oracle(basis, leaf)
+    x1, w1 = gauss_rule_1d(q + 1)
+    f = np.zeros(len(leaf_dofs_oracle(basis, leaf)))
+    hit = False
+    for axis, upper in SIDES_2D:
+        if not side_on_domain_boundary(mesh, leaf, axis, upper):
+            continue
+        a = np.asarray(leaf.lo_f, dtype=float).copy()
+        b = np.asarray(leaf.hi_f, dtype=float).copy()
+        if upper:
+            a[axis] = leaf.hi_f[axis]
+        else:
+            b[axis] = leaf.lo_f[axis]
+        mid = (a + b) / 2
+        if part is not None and not part(mid):
+            continue
+        normal = np.zeros(2)
+        normal[axis] = 1.0 if upper else -1.0
+        half = (b - a) / 2
+        pts = mid + np.outer(x1, half)
+        V, _ = basis.evaluate_leaf(leaf, pts)
+        w = w1 * float(np.linalg.norm(half))
+        g = np.asarray(flux(pts, normal), dtype=float)
+        f += V.T @ (w * g)
+        hit = True
+    return f if hit else None

@@ -306,9 +306,11 @@ def test_leaf_gradient_matches_finite_difference():
 def evaluate_leaf_by_columns(basis, leaf, points):
     """Leaf tables as column blocks, one per chain element, concatenated:
     the reference for Basis.evaluate_leaf."""
-    n, frames = basis._frames(leaf, points)
+    n = len(points)
+    frames = basis.leaf_frames([basis.row_of[leaf.id]], points[None])
     cols_v, cols_g = [], []
-    for (jx, jy, _, _), scale, ref in frames:
+    for plans, (scale,), (ref,) in frames:
+        jx, jy = basis.plans[plans[0]]
         jmax = max(2, int(jx.max()) + 1, int(jy.max()) + 1)
         vals_1d, ders_1d = shape_tables(jmax, ref.T.ravel())
         vx, vy = vals_1d[:, :n], vals_1d[:, n:]
@@ -383,13 +385,14 @@ def test_active_field_is_continuous_across_leaf_edges():
         mesh = basis.mesh
         coef = rng.standard_normal(basis.dofmap.total)
         sides = 0
-        for leaf in mesh.active_leaf_elements():
+        for i, leaf in enumerate(mesh.active_leaf_elements()):
             lo = np.asarray(leaf.lo_f)
             hi = np.asarray(leaf.hi_f)
             for axis in range(2):
                 along = 1 - axis
                 for upper in (False, True):
-                    if mesh.side_on_domain_boundary(leaf, axis, upper):
+                    # boundary columns: bottom, top, left, right
+                    if basis.boundary[i, 2 * (1 - axis) + upper]:
                         continue
                     pts = np.empty((x1.size, 2))
                     pts[:, axis] = hi[axis] if upper else lo[axis]

@@ -1,0 +1,174 @@
+"""The Basis tables against the per-element walks they replaced.
+
+Every query of the array tables (element plans, leaf dofs, quadrature
+orders, mode counts, boundary sides), the Dirichlet mask and the
+signature-grouped flux loads must equal the oracles in conftest exactly,
+on meshes that reach every branch: non-dyadic and corner-refined
+L-shapes, graded orders with order-1 levels, elements removed by
+coarsening, two patches of different element sizes, and refined
+elements outside the active set.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import (constrained_dof_mask_oracle, corner_refined,
+                      leaf_dofs_oracle, leaf_flux_load,
+                      leaf_quad_order_oracle, plan_oracle, random_orders,
+                      side_on_domain_boundary, single_patch, SIDES_2D,
+                      stretched_basis)
+from overlayfem.basis import Basis, PolynomialOrderField
+from overlayfem.benchmarks import (BoxBoundary, InBoxes, lshape_dirichlet,
+                                   lshape_neumann_part)
+from overlayfem.mesh import EDGE, NODE
+from overlayfem.physics import (DirichletMap, LShapeSolution,
+                                constrained_dof_mask, flux_loads_by_leaf,
+                                neumann_load)
+
+
+def poly_flux(points, normal):
+    # products and sums only: the same bits point by point in any batch
+    return ((1.0 + points[:, 0] * points[:, 1]) * normal[0]
+            + points[:, 1] ** 2 * normal[1])
+
+
+def graded_quadrature_mesh():
+    """The {0: 1, 1: 3, 2: 4} case of the leaf-rule oracle test: order-1
+    base entities carry no edge or face dofs."""
+    rng = np.random.default_rng(3)
+    mesh = single_patch(3)
+    for _ in range(2):
+        leaves = mesh.active_leaf_elements()
+        picked = rng.choice(len(leaves), size=len(leaves) // 4, replace=False)
+        mesh.refine([leaves[i].id for i in picked])
+    return Basis(mesh, PolynomialOrderField(by_level={0: 1, 1: 3, 2: 4}))
+
+
+def deep_graded_mesh():
+    mesh = single_patch(2)
+    mesh.refine([mesh.active_leaf_elements()[0].id])
+    return Basis(mesh, PolynomialOrderField(by_level={0: 8, 1: 6}))
+
+
+def coarsened_mesh():
+    rng = np.random.default_rng(11)
+    mesh = single_patch(4)
+    leaves = mesh.active_leaf_elements()
+    picked = [leaves[i].id for i in rng.choice(len(leaves), 6, replace=False)]
+    mesh.refine(picked)
+    children = [c.id for eid in picked for c in mesh.elements[eid].children]
+    mesh.refine(children[::3])
+    mesh.coarsen(children[::3])
+    mesh.refine(children[1::5])
+    mesh.coarsen([eid for eid in picked if not any(
+        c.children for c in mesh.elements[eid].children)][:2])
+    return Basis(mesh, random_orders(rng, mesh))
+
+
+CASES = {
+    "lshape-res3": lambda: Basis(corner_refined(3, 3),
+                                 PolynomialOrderField(uniform=4)),
+    "lshape-res16": lambda: Basis(corner_refined(16, 5),
+                                  PolynomialOrderField(uniform=4)),
+    "graded-8-6": deep_graded_mesh,
+    "graded-1-3-4": graded_quadrature_mesh,
+    "coarsened": coarsened_mesh,
+    "two-patch": lambda: stretched_basis(np.random.default_rng(7)),
+}
+
+
+@pytest.fixture(params=sorted(CASES), scope="module")
+def basis(request):
+    return CASES[request.param]()
+
+
+def test_tables_equal_per_element_oracles(basis):
+    mesh = basis.mesh
+    refined = 0
+    # every element of the forest, refined ones included
+    for elem in mesh.elements.values():
+        row = basis.row_of[elem.id]
+        want = leaf_dofs_oracle(basis, elem)
+        got = basis.leaf_dofs(elem)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert basis.leaf_mode_count(elem) == want.size
+        assert basis.leaf_quad_order(elem) == leaf_quad_order_oracle(basis, elem)
+        jx, jy, gids = plan_oracle(basis, elem)
+        pjx, pjy = basis.plans[basis._plan_id[row]]
+        assert np.array_equal(pjx, jx) and np.array_equal(pjy, jy)
+        assert basis._elem_modes[row] == gids.size
+        assert [bool(b) for b in basis.boundary[row]] == [
+            side_on_domain_boundary(mesh, elem, axis, upper)
+            for axis, upper in SIDES_2D]
+        refined += bool(elem.children)
+    assert refined > 0
+    leaves = mesh.active_leaf_elements()
+    assert [basis.row_of[leaf.id] for leaf in leaves] == list(range(len(leaves)))
+
+
+def test_removed_elements_are_rejected():
+    mesh = single_patch(2)
+    parent = mesh.active_leaf_elements()[0]
+    mesh.refine([parent.id])
+    child = parent.children[0]
+    mesh.refine([mesh.active_leaf_elements()[-1].id])
+    mesh.coarsen([parent.id])
+    basis = Basis(mesh, PolynomialOrderField(uniform=2))
+    assert basis.row_of[child.id] == -1
+    with pytest.raises(KeyError):
+        basis.leaf_dofs(child)
+
+
+def test_dirichlet_mask_equals_oracle(basis):
+    lo = np.min([e.lo_f for e in basis.mesh.base_elements], axis=0)
+    hi = np.max([e.hi_f for e in basis.mesh.base_elements], axis=0)
+    parts = [BoxBoundary(tuple(lo), tuple(hi)),
+             InBoxes((((lo[0], lo[1]), (hi[0], lo[1])),
+                      ((lo[0], lo[1]), (lo[0], (lo[1] + hi[1]) / 2)))),
+             lshape_dirichlet]
+    for part in parts:
+        mask = constrained_dof_mask(basis, part)
+        assert np.array_equal(mask, constrained_dof_mask_oracle(basis, part))
+    assert constrained_dof_mask(basis, parts[0]).any()
+
+
+def test_flux_loads_equal_per_leaf_oracle(basis):
+    lshape = len(basis.mesh.spec.patches) == 3
+    flux = LShapeSolution().flux if lshape else poly_flux
+    leaves = basis.mesh.active_leaf_elements()
+    for part in (None, lshape_neumann_part):
+        loads = flux_loads_by_leaf(basis, flux, part)
+        want = {}
+        for i, leaf in enumerate(leaves):
+            f = leaf_flux_load(basis, leaf, flux, part)
+            if f is not None:
+                want[i] = f
+        assert list(loads) == list(want)
+        for i, f in want.items():
+            assert np.array_equal(loads[i], f)
+        serial = np.zeros(basis.dofmap.total)
+        for i, f in want.items():
+            np.add.at(serial, leaf_dofs_oracle(basis, leaves[i]), f)
+        assert np.array_equal(neumann_load(basis, flux, part), serial)
+    assert loads
+
+
+def test_dirichlet_map_tests_each_node_once():
+    basis = Basis(corner_refined(4, 3), PolynomialOrderField(uniform=3))
+    calls = []
+
+    def counting(point):
+        calls.append(tuple(point))
+        return lshape_dirichlet(point)
+
+    dirichlet = DirichletMap(basis, counting)
+    nodes = set()
+    for ent in basis.dofmap.active_entities:
+        if ent.kind == NODE:
+            nodes.add(ent.index)
+        elif ent.kind == EDGE:
+            nodes.update(node.index for node in ent.end_nodes)
+    assert len(calls) == len(nodes)
+    assert np.array_equal(dirichlet.mask,
+                          constrained_dof_mask_oracle(basis, lshape_dirichlet))
+    assert dirichlet.n_constrained > 0

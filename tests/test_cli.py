@@ -169,6 +169,34 @@ def test_malformed_custom_config_exits_2(tmp_path, capsys, bad):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    {"dirichlet_boxes": 5, "geometry": {"primitive": "triangle"},
+     "patches": 7},
+    {"patches": 7},
+    {"geometry": {"primitive": "triangle"}},
+    {"dirichlet_boxes": 5},
+], ids=["all-three", "patches-number", "unknown-primitive", "boxes-number"])
+@pytest.mark.parametrize("name", ["lshape", "fcm_disk"])
+def test_malformed_unused_keys_exit_2(tmp_path, capsys, name, bad):
+    # the keys only the custom benchmark reads are checked whenever set
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"benchmark": name, "dry_run": True,
+                               "res": 2, "steps": 0, **bad}))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_well_formed_unused_keys_are_accepted(tmp_path):
+    cfg = tmp_path / "extra.json"
+    cfg.write_text(json.dumps({
+        "benchmark": "lshape", "dry_run": True, "res": 2, "steps": 0,
+        "patches": [{"bounds": [[0.0, 1.0], [0.0, 1.0]], "resolution": [2, 2]}],
+        "geometry": {"primitive": "disk", "center": [0, 0], "radius": 0.5},
+        "dirichlet_boxes": [[[0.0, 0.0], [1.0, 0.0]]],
+    }))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 0
+
+
 def test_solver_failure_still_writes_report(tmp_path, monkeypatch, capsys):
     solve = overlayfem.distributed.parallel_cg
     calls = []

@@ -15,11 +15,11 @@ import scipy.sparse
 import scipy.sparse.linalg as spla
 
 from conftest import (single_patch, random_refined_mesh, random_orders,
-                      stretched_basis, corner_refined)
+                      stretched_basis, corner_refined, leaf_flux_load)
 from overlayfem.mesh import Mesh
 from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.physics import (assemble_serial, DirichletMap, LShapeSolution,
-                                element_system, leaf_flux_load)
+                                element_system)
 from overlayfem.quadrature import Disk, EmbeddedDomain
 from overlayfem.partition import partition_leaves, compute_leaf_weights
 from overlayfem.distributed import (

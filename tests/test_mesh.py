@@ -17,6 +17,7 @@ from overlayfem.mesh import (
     Mesh, MeshError, BaseMeshSpec, PatchSpec, NODE, EDGE, FACE,
     export_mesh_xml,
 )
+from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.benchmarks import lshape_mesh_spec
 
 
@@ -251,25 +252,30 @@ def test_locate_leaf():
 
 
 def test_side_on_domain_boundary_lshape():
-    # domain covers quadrants 1, 2 and 3; the notch removes x>0, y<0
+    # domain covers quadrants 1, 2 and 3; the notch removes x>0, y<0.
+    # The Basis reads the sides off the lattice, one row per element.
+    def on_boundary(mesh, leaf, axis, upper):
+        basis = Basis(mesh, PolynomialOrderField(uniform=1))
+        return bool(basis.boundary[basis.row_of[leaf.id], 2 * (1 - axis) + upper])
+
     mesh = Mesh(lshape_mesh_spec(2))
     q2 = mesh.locate_leaf((-0.75, 0.25))
-    assert mesh.side_on_domain_boundary(q2, axis=0, upper=False)  # x = -1
-    assert not mesh.side_on_domain_boundary(q2, axis=1, upper=False)  # faces Q3
-    assert mesh.side_on_domain_boundary(mesh.locate_leaf((-0.75, 0.75)), 1, True)
+    assert on_boundary(mesh, q2, axis=0, upper=False)  # x = -1
+    assert not on_boundary(mesh, q2, axis=1, upper=False)  # faces Q3
+    assert on_boundary(mesh, mesh.locate_leaf((-0.75, 0.75)), 1, True)
     # the notch legs are boundary, the interfaces between quadrants are not
     q1 = mesh.locate_leaf((0.25, 0.25))
-    assert mesh.side_on_domain_boundary(q1, axis=1, upper=False)  # y = 0 leg
-    assert not mesh.side_on_domain_boundary(q1, axis=0, upper=False)  # faces Q2
+    assert on_boundary(mesh, q1, axis=1, upper=False)  # y = 0 leg
+    assert not on_boundary(mesh, q1, axis=0, upper=False)  # faces Q2
     q3 = mesh.locate_leaf((-0.25, -0.75))
-    assert mesh.side_on_domain_boundary(q3, axis=0, upper=True)  # x = 0 leg
-    assert not mesh.side_on_domain_boundary(q3, axis=1, upper=True)  # faces Q2
+    assert on_boundary(mesh, q3, axis=0, upper=True)  # x = 0 leg
+    assert not on_boundary(mesh, q3, axis=1, upper=True)  # faces Q2
     # children inherit the sides they touch
     mesh.refine([q1.id])
     child = mesh.locate_leaf((0.05, 0.05))
-    assert mesh.side_on_domain_boundary(child, axis=1, upper=False)
-    assert not mesh.side_on_domain_boundary(child, axis=0, upper=False)
-    assert not mesh.side_on_domain_boundary(child, axis=1, upper=True)
+    assert on_boundary(mesh, child, axis=1, upper=False)
+    assert not on_boundary(mesh, child, axis=0, upper=False)
+    assert not on_boundary(mesh, child, axis=1, upper=True)
 
 
 def test_chain_and_max_level():
