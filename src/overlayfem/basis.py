@@ -104,16 +104,15 @@ def integrated_legendre_deriv(j, xi):
 
 
 def entity_mode_count(kind, p):
-    """Shape functions carried by one entity at polynomial order p."""
-    if p < 1:
-        raise ValueError(f"polynomial order must be >= 1, got {p}")
-    if kind == NODE:
-        return 1
-    if kind == EDGE:
-        return p - 1
-    if kind == FACE:
-        return (p - 1) ** 2
-    raise ValueError(f"unknown entity kind {kind!r}")
+    """Shape functions carried by entities of the given kind codes at
+    polynomial orders p, elementwise over broadcast arrays."""
+    kind, p = np.asarray(kind), np.asarray(p)
+    if (p < 1).any():
+        raise ValueError(f"polynomial order must be >= 1, got {p.min()}")
+    if not np.isin(kind, (NODE, EDGE, FACE)).all():
+        raise ValueError(f"unknown entity kind in {kind!r}")
+    inner = p - 1
+    return np.where(kind == NODE, 1, np.where(kind == EDGE, inner, inner * inner))
 
 
 class PolynomialOrderField:
@@ -163,10 +162,15 @@ class PolynomialOrderField:
             p = self._map[max(l for l in self._map if l <= level)]
         return p
 
-    def entity_order(self, entity):
-        # every element incident to an entity sits on the entity's own level,
-        # so the minimum order over the adjacent elements is the level order
-        return self.level_order(entity.level)
+    def level_orders(self, levels):
+        """``level_order`` of every entry of an int array of levels.
+
+        Every element incident to an entity sits on the entity's own
+        level, so this is also the order of entities of those levels.
+        """
+        levels = np.asarray(levels)
+        return np.array([self.level_order(lvl)
+                         for lvl in range(int(levels.max()) + 1)])[levels]
 
     @property
     def base_order(self):
@@ -174,49 +178,38 @@ class PolynomialOrderField:
 
 
 class DofMap:
-    """Bijection between global indices and (active entity, mode) pairs."""
+    """Bijection between global indices and (entity row, mode) pairs.
 
-    def __init__(self, entities, offsets, total):
-        self._entities = entities
+    ``rows`` are the mesh table rows that carry dofs, ascending, and row
+    ``rows[k]`` numbers its modes from ``offsets[k]`` on.
+    """
+
+    def __init__(self, rows, offsets, total):
+        self.rows = rows
         self.offsets = offsets
-        self._slot = {ent.index: i for i, ent in enumerate(entities)}
         self.total = total
 
-    def index_of(self, entity, mode):
-        slot = self._slot[entity.index]
-        return int(self.offsets[slot]) + mode
-
-    def entity_offset(self, entity):
-        return int(self.offsets[self._slot[entity.index]])
+    def index_of(self, row, mode):
+        k = int(np.searchsorted(self.rows, row))
+        if k == self.rows.size or self.rows[k] != row:
+            raise KeyError(f"entity row {row} carries no dofs")
+        return int(self.offsets[k]) + mode
 
     def dof_entity(self, gid):
+        """(entity row, mode) of a global dof."""
         if not 0 <= gid < self.total:
             raise IndexError(f"dof {gid} out of range")
-        slot = int(np.searchsorted(self.offsets, gid, side="right")) - 1
-        ent = self._entities[slot]
-        return ent, gid - int(self.offsets[slot])
-
-    @property
-    def active_entities(self):
-        return self._entities
+        k = int(np.searchsorted(self.offsets, gid, side="right")) - 1
+        return int(self.rows[k]), gid - int(self.offsets[k])
 
 
 def enumerate_dofs(mesh, orders):
-    """Number the modes of every active entity, in entity creation order."""
-    ents = sorted(mesh.entities(), key=lambda e: e.index)
-    active = []
-    offsets = []
-    total = 0
-    for ent in ents:
-        if not ent.active:
-            continue
-        n = entity_mode_count(ent.kind, orders.entity_order(ent))
-        if n == 0:
-            continue
-        active.append(ent)
-        offsets.append(total)
-        total += n
-    return DofMap(active, np.asarray(offsets, dtype=np.int64), total)
+    """Number the modes of every active entity, in entity table order."""
+    t = mesh.table
+    counts = entity_mode_count(t.kind, orders.level_orders(t.level)) * t.active
+    rows = np.flatnonzero(counts)
+    offsets = np.cumsum(counts[rows]) - counts[rows]
+    return DofMap(rows, offsets, int(counts.sum()))
 
 
 def _slot_rows(slot, p):
@@ -272,16 +265,15 @@ class Basis:
         leaves = self.mesh.active_leaf_elements()
         elems = leaves + [e for e in self.mesh.elements.values() if e.children]
         n = len(elems)
-        # per element: id, parent id, level and lattice box; per topology
-        # slot: the entity index and its active flag
+        # per element: id, parent id, level and lattice box; its 9 entity
+        # rows come from the mesh topology
         cols = np.array([(e.id, -1 if e.parent is None else e.parent.id,
                           e.level, *e.lo, *e.hi) for e in elems],
                         dtype=np.int64).reshape(-1, 7)
         box = np.array([(*e.lo_f, *e.hi_f) for e in elems],
                        dtype=float).reshape(-1, 4)
-        slots = [t for e in elems for t in e.topology]
-        topo = np.array([t.index for t in slots], dtype=np.int64).reshape(n, 9)
-        active = np.array([t.active for t in slots], dtype=bool).reshape(n, 9)
+        table = self.mesh.table
+        topo = self.mesh.topology[cols[:, 0]]
         self.row_of = np.full(int(cols[:, 0].max()) + 1, -1, dtype=np.int64)
         self.row_of[cols[:, 0]] = np.arange(n)
         parent = np.where(cols[:, 1] >= 0, self.row_of[cols[:, 1]], -1)
@@ -301,14 +293,11 @@ class Basis:
         chain = np.where(on_chain, self._chain, 0)
 
         # element dofs, slot by slot, from the dof offsets of the entities
-        p = np.array([self.orders.level_order(lvl)
-                      for lvl in range(depth + 1)])[self.levels]
-        inner = p[:, None] - 1
-        modes = np.hstack((np.ones((n, 4), dtype=np.int64),
-                           np.repeat(inner, 4, axis=1), inner * inner)) * active
-        offset = np.zeros(int(topo.max()) + 1, dtype=np.int64)
-        offset[[e.index for e in self.dofmap.active_entities]] = \
-            self.dofmap.offsets
+        p = self.orders.level_orders(self.levels)
+        active = table.active[topo]
+        modes = entity_mode_count(table.kind[topo], p[:, None]) * active
+        offset = np.zeros(len(table), dtype=np.int64)
+        offset[self.dofmap.rows] = self.dofmap.offsets
         elem_dofs = _ranges(offset[topo].ravel(), modes.ravel())
         self._elem_modes = modes.sum(axis=1)
         elem_start = np.cumsum(self._elem_modes) - self._elem_modes
@@ -340,13 +329,11 @@ class Basis:
         # a side is on the domain boundary when it lies on a side of its
         # base element that no other base element shares
         base = self._chain[:, 0]
-        base_edges = topo[self.levels == 0, 4:8]
-        owners = np.bincount(base_edges.ravel(), minlength=topo.max() + 1)
         sides = []
         for axis, upper, slot in ((1, 0, 4), (1, 1, 5), (0, 0, 6), (0, 1, 7)):
             col = 2 * upper + axis
             sides.append((lattice[:, col] == lattice[base, col] << self.levels)
-                         & (owners[topo[base, slot]] == 1))
+                         & (table.incidence[topo[base, slot]] == 1))
         self.boundary = np.stack(sides, axis=1)
 
     def _row(self, elem):
@@ -442,18 +429,19 @@ def interpolate_nodal(basis, func):
     interior modes stay zero.  Fields that are multilinear on every active
     leaf (constants, global linears) come out exactly.
     """
-    mesh = basis.mesh
-    coeffs = np.zeros(basis.dofmap.total)
-    nodes = [e for e in basis.dofmap.active_entities if e.kind == NODE]
-    nodes.sort(key=lambda e: (e.level, e.index))
-    for ent in nodes:
-        pt = mesh.node_point(ent)
+    mesh, dofmap = basis.mesh, basis.dofmap
+    coeffs = np.zeros(dofmap.total)
+    t = mesh.table[dofmap.rows]
+    nodes = np.flatnonzero(t.kind == NODE)
+    nodes = nodes[np.argsort(t.level[nodes], kind="stable")]
+    for pt, gid in zip(mesh.entity_points(dofmap.rows[nodes]),
+                       dofmap.offsets[nodes]):
         leaf = mesh.locate_leaf(pt)
         gids = basis.leaf_dofs(leaf)
         vals, _ = basis.evaluate_leaf(leaf, pt[None, :])
         partial = float(vals[0] @ coeffs[gids])
         target = float(func(pt))
-        coeffs[basis.dofmap.index_of(ent, 0)] = target - partial
+        coeffs[gid] = target - partial
     return coeffs
 
 

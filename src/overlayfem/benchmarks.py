@@ -334,29 +334,31 @@ def make_problem(config):
 # ----------------------------------------------------------------------
 # marking rules
 
+def _leaf_boxes(mesh):
+    """The active leaves and their float boxes, lo and hi (n, 2)."""
+    leaves = mesh.active_leaf_elements()
+    box = np.array([(*leaf.lo_f, *leaf.hi_f) for leaf in leaves]).reshape(-1, 4)
+    return leaves, box[:, :2], box[:, 2:]
+
+
+def _ids(leaves, picked):
+    return [leaves[i].id for i in np.flatnonzero(picked)]
+
+
 def mark_corner_leaves(mesh, point):
     """Active leaves whose closure contains the point."""
     pt = np.asarray(point, dtype=float)
-    out = []
-    for leaf in mesh.active_leaf_elements():
-        lo = np.asarray(leaf.lo_f)
-        hi = np.asarray(leaf.hi_f)
-        if np.all(lo <= pt) and np.all(pt <= hi):
-            out.append(leaf.id)
-    return out
+    leaves, lo, hi = _leaf_boxes(mesh)
+    return _ids(leaves, ((lo <= pt) & (pt <= hi)).all(axis=1))
 
 
 def mark_ball_leaves(mesh, center, radius):
     """Active leaves whose closure meets the closed ball."""
     c = np.asarray(center, dtype=float)
-    out = []
-    for leaf in mesh.active_leaf_elements():
-        lo = np.asarray(leaf.lo_f)
-        hi = np.asarray(leaf.hi_f)
-        gap = np.maximum(np.maximum(lo - c, c - hi), 0.0)
-        if float(np.sqrt(np.sum(gap * gap))) <= radius:
-            out.append(leaf.id)
-    return out
+    leaves, lo, hi = _leaf_boxes(mesh)
+    gap = np.maximum(np.maximum(lo - c, c - hi), 0.0)
+    square = gap * gap
+    return _ids(leaves, np.sqrt(square[:, 0] + square[:, 1]) <= radius)
 
 
 def mark_interface_leaves(mesh, domain):
@@ -365,17 +367,13 @@ def mark_interface_leaves(mesh, domain):
     Classified on a 3x3 corner/midpoint/center stencil, which is enough
     for boundaries that are not thinner than a leaf.
     """
-    out = []
-    for leaf in mesh.active_leaf_elements():
-        lo = np.asarray(leaf.lo_f)
-        hi = np.asarray(leaf.hi_f)
-        xs = np.linspace(lo[0], hi[0], 3)
-        ys = np.linspace(lo[1], hi[1], 3)
-        stencil = np.column_stack((np.repeat(xs, 3), np.tile(ys, 3)))
-        inside = domain.contains(stencil)
-        if inside.any() and not inside.all():
-            out.append(leaf.id)
-    return out
+    leaves, lo, hi = _leaf_boxes(mesh)
+    grid = np.linspace(lo, hi, 3, axis=1)  # (n, 3, 2): lo, mid, hi per axis
+    # x-major per leaf: (xs[a], ys[b]) at 3 a + b
+    stencil = np.stack((np.repeat(grid[:, :, 0], 3, axis=1),
+                        np.tile(grid[:, :, 1], 3)), axis=-1)
+    inside = domain.contains(stencil.reshape(-1, 2)).reshape(-1, 9)
+    return _ids(leaves, inside.any(axis=1) & ~inside.all(axis=1))
 
 
 def mark_random_leaves(mesh, rng, fraction=0.1):

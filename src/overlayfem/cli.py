@@ -126,6 +126,8 @@ def cmd_scale(args):
     rank_list = args.ranks if args.ranks else [1, 2, 4]
     if isinstance(rank_list, int):
         rank_list = [rank_list]
+    if min(rank_list) < 1:
+        raise ValueError("ranks must be positive")
     config = _build_config(args, rank_list=True).validate()
     os.makedirs(config.out, exist_ok=True)
 

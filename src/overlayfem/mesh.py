@@ -7,9 +7,17 @@ once.  Elements without children are the active leaves; integration,
 partitioning and export all run over those.
 
 Shape functions attach to the topological entities (nodes, edges, cell
-interiors) of every level.  Which entities actually carry degrees of
-freedom is decided here, by two activation rules applied after every
-refinement or coarsening call:
+interiors) of every level.  An entity is a row of one table,
+``Mesh.table``, keyed by its level, its kind code (NODE, EDGE, FACE) and
+its integer lattice position; rows stay in creation order, which is the
+order dofs are numbered in.  The other columns are the incidence (the
+elements of the entity's level whose closure holds it), the coarser row
+(the entity of the level above that contains it, -1 on the base level),
+an edge's two end-node rows and the active flag.  ``Mesh.topology`` holds
+the 9 entity rows of every element, indexed by element id.
+
+Which entities actually carry degrees of freedom is decided here, by two
+activation rules applied after every refinement or coarsening call:
 
 (a) an overlay entity lying on the boundary of its level's refined
     region is switched off, which makes the overlay vanish there and
@@ -18,10 +26,11 @@ refinement or coarsening call:
     which keeps the surviving functions linearly independent.  Base
     entities follow only this rule.
 
-Entity identity is exact: coordinates live on an integer lattice per
-level (a global rational denominator per axis is fixed when the base
-mesh is built), so shared entities dedupe by dictionary key and no
-floating-point comparison is involved.
+Entity identity is exact: positions live on an integer lattice per level,
+doubled so that edge midpoints and face centres are lattice points too (a
+global rational denominator per axis is fixed when the base mesh is
+built), so shared entities dedupe by integer key and no floating-point
+comparison is involved.
 """
 from __future__ import annotations
 
@@ -31,9 +40,33 @@ from math import lcm
 
 import numpy as np
 
-NODE = "node"
-EDGE = "edge"
-FACE = "face"
+# entity kind codes, the ``kind`` column of Mesh.table
+NODE, EDGE, FACE = 0, 1, 2
+
+
+@dataclass
+class EntityTable:
+    """The live entities of a mesh as columns, one row per entity."""
+
+    level: np.ndarray      # refinement level
+    kind: np.ndarray       # NODE, EDGE or FACE
+    pos: np.ndarray        # (n, 2) doubled lattice position on the level
+    incidence: np.ndarray  # elements of the level whose closure holds it
+    coarser: np.ndarray    # row of the containing entity one level up, or -1
+    ends: np.ndarray       # (n, 2) an edge's end-node rows, else -1
+    active: np.ndarray     # output of the activation rules
+
+    def __len__(self):
+        return len(self.level)
+
+    def __getitem__(self, rows):
+        """The sub-table of the given rows: an index array or a mask."""
+        return EntityTable(*(col[rows] for col in vars(self).values()))
+
+    def extended(self, other):
+        """This table with the rows of `other` appended."""
+        return EntityTable(*map(np.concatenate, zip(vars(self).values(),
+                                                    vars(other).values())))
 
 
 class MeshError(ValueError):
@@ -77,46 +110,10 @@ class BaseMeshSpec:
             p.validate()
 
 
-class Entity:
-    """A node, edge or cell interior of one refinement level.
-
-    Entities are shared: every element of the same level whose closure
-    contains the entity references the same object.  ``incidence`` counts
-    those owners, ``finer`` links to the next-level entities nested inside
-    this one, and ``coarser`` points the other way.  ``active`` is the
-    output of the activation rules.
-    """
-
-    __slots__ = (
-        "index", "kind", "level", "key", "where",
-        "active", "alive", "incidence",
-        "finer", "coarser", "end_nodes", "_boundary", "_desc",
-    )
-
-    def __init__(self, index, kind, level, key, where):
-        self.index = index
-        self.kind = kind
-        self.level = level
-        self.key = key
-        self.where = where
-        self.active = True
-        self.alive = True
-        self.incidence = 0
-        self.finer = []
-        self.coarser = None
-        self.end_nodes = None
-        self._boundary = False
-        self._desc = False
-
-    def __repr__(self):
-        state = "on" if self.active else "off"
-        return f"<Entity {self.index} {self.kind} L{self.level} {state}>"
-
-
 class Element:
     """One quadrilateral of the element forest."""
 
-    __slots__ = ("id", "level", "parent", "children", "topology", "lo", "hi",
+    __slots__ = ("id", "level", "parent", "children", "lo", "hi",
                  "lo_f", "hi_f")
 
     def __init__(self, eid, level, parent, lo, hi, lo_f, hi_f):
@@ -124,7 +121,6 @@ class Element:
         self.level = level
         self.parent = parent
         self.children = []
-        self.topology = ()
         self.lo = lo          # integer lattice coords at this level's scale
         self.hi = hi
         self.lo_f = lo_f      # float bounds, derived once from the lattice
@@ -140,9 +136,41 @@ class Element:
 
 # topology layout per element, fixed order used everywhere downstream:
 # nodes (SW, SE, NW, NE), edges (bottom, top, left, right), interior face
-_2D_NODE_SLOT = {(0, 0): 0, (2, 0): 1, (0, 2): 2, (2, 2): 3}
-_2D_EDGE_SLOT_H = {0: 4, 2: 5}   # bottom / top by row position
-_2D_EDGE_SLOT_V = {0: 6, 2: 7}   # left / right by column position
+_SLOT_KIND = np.array([NODE] * 4 + [EDGE] * 4 + [FACE])
+# doubled lattice position of each slot: x = lo_x * row 0 + hi_x * row 1
+_SLOT_X = np.array([[2, 0, 2, 0, 1, 1, 2, 0, 1], [0, 2, 0, 2, 1, 1, 0, 2, 1]])
+_SLOT_Y = np.array([[2, 2, 0, 0, 2, 0, 1, 1, 1], [0, 0, 2, 2, 0, 2, 1, 1, 1]])
+# end-node slots of the edge slots 4 .. 7
+_EDGE_ENDS = np.array([[0, 1], [2, 3], [0, 2], [1, 3]])
+# the parent slot that contains each slot of child (j, i), children in
+# the order (0, 0), (0, 1), (1, 0), (1, 1): a point of the 3x3 child grid
+# by (row, column), and a child edge by its grid row or column
+_GRID = ((0, 4, 1), (6, 8, 7), (2, 5, 3))
+_ROW, _COL = (4, 8, 5), (6, 8, 7)
+_COARSER_SLOT = np.array([
+    [_GRID[j][i], _GRID[j][i + 1], _GRID[j + 1][i], _GRID[j + 1][i + 1],
+     _ROW[j], _ROW[j + 1], _COL[i], _COL[i + 1], 8]
+    for j in (0, 1) for i in (0, 1)])
+_CHILD_I, _CHILD_J = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
+# lattice ints convert to float64 exactly below this bound
+_EXACT = 1 << 53
+
+
+def _first_occurrences(keys):
+    """Group the equal rows of an integer key array, numbering the groups
+    by first occurrence: the first row of each group, ascending, and the
+    group of every row."""
+    order = np.lexsort(keys.T[::-1])
+    ks = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = (ks[1:] != ks[:-1]).any(axis=1)
+    first = order[head]  # lexsort is stable: the first row of each run
+    by_first = np.argsort(first)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[by_first] = np.arange(first.size)
+    group = np.empty(len(keys), dtype=np.int64)
+    group[order] = rank[np.cumsum(head) - 1]
+    return first[by_first], group
 
 
 class Mesh:
@@ -154,11 +182,10 @@ class Mesh:
         self.elements = {}
         self.base_elements = []
         self.step_count = 0
-        self._next_id = 0
-        self._entity_count = 0
-        self._by_level = [[]]          # entity lists per level, creation order
-        self._keys = [{}]              # key -> entity dicts per level
-        self._linked = {}              # level-0 entities that gained finer links, by index
+        none, pairs = np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
+        self.table = EntityTable(none, none, pairs, none, none, pairs,
+                                 np.zeros(0, dtype=bool))
+        self.topology = np.zeros((0, 9), dtype=np.int64)
         self._leaf_cache = None
         self._den = None               # per-axis lattice denominator
         self._patch_tables = []        # locator data per patch
@@ -190,16 +217,22 @@ class Mesh:
             dens.append(dn)
         self._den = tuple(dens)
 
+        boxes = []
         for p, axes in zip(patches, grids):
             xs, ys = [
-                [int(v * self._den[a]) for v in axes[a]] for a in range(2)
+                np.array([int(v * self._den[a]) for v in axes[a]], dtype=np.int64)
+                for a in range(2)
             ]
-            self._patch_tables.append((p, self._next_id))
-            for j in range(len(ys) - 1):
-                for i in range(len(xs) - 1):
-                    self._make_base_element(
-                        (xs[i], ys[j]), (xs[i + 1], ys[j + 1])
-                    )
+            self._patch_tables.append((p, sum(len(b) for b in boxes)))
+            # row by row: x runs fastest
+            x, y = np.meshgrid(xs, ys)
+            boxes.append(np.stack((x[:-1, :-1], y[:-1, :-1], x[1:, 1:], y[1:, 1:]),
+                                  axis=-1).reshape(-1, 4))
+        boxes = np.vstack(boxes)
+        n = len(boxes)
+        self.base_elements = self._add_elements(
+            boxes[:, :2], boxes[:, 2:], np.zeros(n, dtype=np.int64),
+            np.full((n, 9), -1, dtype=np.int64), [None] * n)
 
     @staticmethod
     def _check_overlap(patches, grids):
@@ -238,61 +271,67 @@ class Mesh:
                             f"their shared boundary"
                         )
 
-    def _coord_float(self, m, level, axis):
-        # int / int rounds correctly, as float(Fraction(m, den << level)) does
-        return int(m) / (self._den[axis] << level)
+    def _floats(self, ints, level):
+        """Lattice ints (n, 2) of the given levels (n,) as floats.
 
-    def _point_float(self, ints, level):
-        return tuple(self._coord_float(m, level, a) for a, m in enumerate(ints))
+        Both operands of the int64 / int64 true division convert to
+        float64 exactly (``_add_elements`` keeps them below 2**53), so the
+        quotient is correctly rounded, as float(Fraction(m, den << level)).
+        """
+        return ints / (np.array(self._den) << np.asarray(level)[:, None])
 
-    def _new_entity(self, kind, level, key, where):
-        ent = Entity(self._entity_count, kind, level, key, where)
-        self._entity_count += 1
-        self._by_level[level].append(ent)
-        return ent
+    def _add_elements(self, lo, hi, level, coarser, parents):
+        """New elements with lattice boxes lo .. hi (m, 2) on the given
+        levels, their entities interned into the table.
 
-    def _get_or_make(self, level, kind, key, where):
-        table = self._keys[level]
-        ent = table.get(key)
-        if ent is None:
-            ent = self._new_entity(kind, level, key, where)
-            table[key] = ent
-        return ent
+        coarser (m, 9) holds the coarser row of every slot, -1 on the base
+        level; parents the Element each new one splits, or None.  The
+        candidate entities run element by element in slot order, and the
+        first occurrence of a key that no live row of its level holds
+        makes a new row, so rows and dof numbers keep creation order.
+        Returns the new Element objects.
+        """
+        m = len(lo)
+        if (max(self._den) << int(level.max()) + 1 >= _EXACT
+                or 2 * max(np.abs(lo).max(), np.abs(hi).max()) >= _EXACT):
+            raise MeshError(f"level {int(level.max())} lattice positions "
+                            "exceed 2**53, where floats stop being exact")
+        pos = np.stack((lo[:, :1] * _SLOT_X[0] + hi[:, :1] * _SLOT_X[1],
+                        lo[:, 1:] * _SLOT_Y[0] + hi[:, 1:] * _SLOT_Y[1]),
+                       axis=-1).reshape(-1, 2)
+        keys = np.column_stack((np.repeat(level, 9), np.tile(_SLOT_KIND, m), pos))
+        t = self.table
+        old = np.flatnonzero(np.isin(t.level, np.unique(level)))
+        first, group = _first_occurrences(np.vstack((
+            np.column_stack((t.level[old], t.kind[old], t.pos[old])),
+            keys)))
+        new = first[old.size:] - old.size
+        rows = np.concatenate((old, len(t) + np.arange(new.size)))[group[old.size:]]
+        topo = rows.reshape(m, 9)
+        ends = np.full((m, 9, 2), -1, dtype=np.int64)
+        ends[:, 4:8] = topo[:, _EDGE_ENDS]
 
-    def _make_base_element(self, lo, hi):
-        elem = Element(self._next_id, 0, None, lo, hi,
-                       self._point_float(lo, 0), self._point_float(hi, 0))
-        self._next_id += 1
-        self.elements[elem.id] = elem
-        self.base_elements.append(elem)
-        self._wire_topology(elem)
-        return elem
+        t = t.extended(EntityTable(
+            keys[new, 0], keys[new, 1], keys[new, 2:],
+            np.zeros(new.size, dtype=np.int64), coarser.ravel()[new],
+            ends.reshape(-1, 2)[new], np.ones(new.size, dtype=bool)))
+        t.incidence += np.bincount(rows, minlength=len(t))
+        self.table = t
+        first_id = len(self.topology)
+        self.topology = np.vstack((self.topology, topo))
 
-    def _wire_topology(self, elem):
-        lvl = elem.level
-        x0, y0 = elem.lo
-        x1, y1 = elem.hi
-        n00 = self._get_or_make(lvl, NODE, ("n", x0, y0), (x0, y0))
-        n10 = self._get_or_make(lvl, NODE, ("n", x1, y0), (x1, y0))
-        n01 = self._get_or_make(lvl, NODE, ("n", x0, y1), (x0, y1))
-        n11 = self._get_or_make(lvl, NODE, ("n", x1, y1), (x1, y1))
-        xs, ys = x0 + x1, y0 + y1
-        eb = self._get_or_make(lvl, EDGE, ("e", 0, xs, 2 * y0), (xs, 2 * y0))
-        et = self._get_or_make(lvl, EDGE, ("e", 0, xs, 2 * y1), (xs, 2 * y1))
-        el = self._get_or_make(lvl, EDGE, ("e", 1, 2 * x0, ys), (2 * x0, ys))
-        er = self._get_or_make(lvl, EDGE, ("e", 1, 2 * x1, ys), (2 * x1, ys))
-        if eb.end_nodes is None:
-            eb.end_nodes = (n00, n10)
-        if et.end_nodes is None:
-            et.end_nodes = (n01, n11)
-        if el.end_nodes is None:
-            el.end_nodes = (n00, n01)
-        if er.end_nodes is None:
-            er.end_nodes = (n10, n11)
-        face = self._new_entity(FACE, lvl, ("f", xs, ys), (xs, ys))
-        elem.topology = (n00, n10, n01, n11, eb, et, el, er, face)
-        for ent in elem.topology:
-            ent.incidence += 1
+        # lo, hi, lo_f and hi_f as tuples of Python numbers
+        boxes = [zip(*a.T.tolist()) for a in
+                 (lo, hi, self._floats(lo, level), self._floats(hi, level))]
+        out = []
+        for eid, lvl, parent, *box in zip(range(first_id, first_id + m),
+                                          level.tolist(), parents, *boxes):
+            elem = Element(eid, lvl, parent, *box)
+            self.elements[eid] = elem
+            if parent is not None:
+                parent.children.append(elem)
+            out.append(elem)
+        return out
 
     # ------------------------------------------------------------------
     # refinement / coarsening
@@ -312,62 +351,20 @@ class Mesh:
                 raise MeshError(f"element {eid} is not an active leaf")
         if not ids:
             return
-        for eid in ids:
-            self._split(self.elements[eid])
+        parents = [self.elements[eid] for eid in ids]
+        lo = np.array([e.lo for e in parents], dtype=np.int64)
+        hi = np.array([e.hi for e in parents], dtype=np.int64)
+        # the children's lattice lines: 2 lo, lo + hi, 2 hi per axis
+        grid = np.stack((2 * lo, lo + hi, 2 * hi), axis=1)
+        lo, hi = [np.stack((grid[:, _CHILD_I + d, 0], grid[:, _CHILD_J + d, 1]),
+                           axis=-1).reshape(-1, 2) for d in (0, 1)]
+        level = np.repeat([e.level + 1 for e in parents], 4)
+        coarser = self.topology[ids][:, _COARSER_SLOT].reshape(-1, 9)
+        self._add_elements(lo, hi, level, coarser,
+                           [e for e in parents for _ in range(4)])
         self.step_count += 1
         self._leaf_cache = None
         self.update_activation()
-
-    def _ensure_level(self, level):
-        while len(self._by_level) <= level:
-            self._by_level.append([])
-            self._keys.append({})
-
-    def _link(self, child_ent, parent_ent):
-        if child_ent.coarser is None:
-            child_ent.coarser = parent_ent
-            parent_ent.finer.append(child_ent)
-            if parent_ent.level == 0:
-                self._linked[parent_ent.index] = parent_ent
-
-    def _split(self, elem):
-        lvl = elem.level + 1
-        self._ensure_level(lvl)
-        topo = elem.topology
-        X0, Y0 = elem.lo
-        X1, Y1 = elem.hi
-        xs = (2 * X0, X0 + X1, 2 * X1)
-        ys = (2 * Y0, Y0 + Y1, 2 * Y1)
-        for j in (0, 1):
-            for i in (0, 1):
-                child = Element(
-                    self._next_id, lvl, elem,
-                    (xs[i], ys[j]), (xs[i + 1], ys[j + 1]),
-                    self._point_float((xs[i], ys[j]), lvl),
-                    self._point_float((xs[i + 1], ys[j + 1]), lvl),
-                )
-                self._next_id += 1
-                self.elements[child.id] = child
-                elem.children.append(child)
-                self._wire_topology(child)
-                n00, n10, n01, n11, eb, et, el, er, face = child.topology
-                for node, a, b in (
-                    (n00, i, j), (n10, i + 1, j), (n01, i, j + 1), (n11, i + 1, j + 1)
-                ):
-                    slot = _2D_NODE_SLOT.get((a, b))
-                    if slot is None:
-                        if a == 1 and b == 1:
-                            slot = 8
-                        elif a == 1:
-                            slot = _2D_EDGE_SLOT_H[b]
-                        else:
-                            slot = _2D_EDGE_SLOT_V[a]
-                    self._link(node, topo[slot])
-                self._link(eb, topo[4] if j == 0 else topo[8])
-                self._link(et, topo[8] if j == 0 else topo[5])
-                self._link(el, topo[6] if i == 0 else topo[8])
-                self._link(er, topo[8] if i == 0 else topo[7])
-                self._link(face, topo[8])
 
     def coarsen(self, marked):
         """Remove the children of the given elements.
@@ -389,22 +386,24 @@ class Mesh:
                     )
         if not ids:
             return
+        gone = []
         for eid in ids:
             elem = self.elements[eid]
-            for child in elem.children:
-                for ent in child.topology:
-                    ent.incidence -= 1
-                    if ent.incidence == 0:
-                        ent.alive = False
-                        ent.active = False
-                        self._keys[ent.level].pop(ent.key, None)
-                        if ent.coarser is not None:
-                            ent.coarser.finer.remove(ent)
-                del self.elements[child.id]
+            gone.extend(child.id for child in elem.children)
             elem.children = []
-        # the removed children all sat one level below their parents
-        for lvl in {self.elements[eid].level + 1 for eid in ids}:
-            self._by_level[lvl] = [e for e in self._by_level[lvl] if e.alive]
+        for cid in gone:
+            del self.elements[cid]
+        # drop the rows no element holds any more and renumber the rest
+        t = self.table
+        t.incidence -= np.bincount(self.topology[gone].ravel(), minlength=len(t))
+        keep = t.incidence > 0
+        renumber = np.cumsum(keep) - 1
+        t = t[keep]
+        t.coarser = np.where(t.coarser >= 0, renumber[t.coarser], -1)
+        t.ends = np.where(t.ends >= 0, renumber[t.ends], -1)
+        self.table = t
+        self.topology[gone] = -1
+        self.topology = np.where(self.topology >= 0, renumber[self.topology], -1)
         self._leaf_cache = None
         self.update_activation()
 
@@ -416,41 +415,21 @@ class Mesh:
 
         Safe to call repeatedly; refine and coarsen already call it.
         """
-        top = len(self._by_level) - 1
-
-        for lvl in range(1, top + 1):
-            ents = self._by_level[lvl]
-            for ent in ents:
-                ent._boundary = False
-            for ent in ents:
-                if ent.alive and ent.kind == EDGE and ent.incidence == 1:
-                    ent._boundary = True
-                    a, b = ent.end_nodes
-                    a._boundary = True
-                    b._boundary = True
-
-        for lvl in range(top, 0, -1):
-            for ent in self._by_level[lvl]:
-                if not ent.alive:
-                    continue
-                desc = False
-                for f in ent.finer:
-                    if f._desc:
-                        desc = True
-                        break
-                ent.active = not ent._boundary and not desc
-                ent._desc = ent.active or desc
-
-        for ent in self._linked.values():
-            if not ent.alive:
-                continue
-            desc = False
-            for f in ent.finer:
-                if f._desc:
-                    desc = True
-                    break
-            ent.active = not desc
-            ent._desc = True  # level-0 entities have no coarser readers
+        t = self.table
+        level, active = t.level, t.active
+        # rule (a): overlay edges with one element of their level, and
+        # their end nodes, lie on the boundary of the refined region
+        boundary = (level > 0) & (t.kind == EDGE) & (t.incidence == 1)
+        boundary[t.ends[boundary].ravel()] = True
+        # rule (b), finest level first: a row with an active finer-level
+        # descendant is off, and passes the flag on to its coarser row
+        desc = np.zeros(len(t), dtype=bool)
+        for lvl in range(self.max_level(), 0, -1):
+            rows = np.flatnonzero(level == lvl)
+            active[rows] = ~boundary[rows] & ~desc[rows]
+            desc[t.coarser[rows[active[rows] | desc[rows]]]] = True
+        base = level == 0
+        active[base] = ~desc[base]
 
     # ------------------------------------------------------------------
     # queries
@@ -481,25 +460,14 @@ class Mesh:
         return path
 
     def max_level(self):
-        return len(self._by_level) - 1
+        """The deepest level that holds an element."""
+        return int(self.table.level.max())
 
-    def entities(self, level=None):
-        if level is None:
-            for ents in self._by_level:
-                for ent in ents:
-                    if ent.alive:
-                        yield ent
-        else:
-            for ent in self._by_level[level]:
-                if ent.alive:
-                    yield ent
-
-    def node_point(self, ent):
-        return np.array(self._point_float(ent.where, ent.level))
-
-    def edge_endpoints(self, ent):
-        a, b = ent.end_nodes
-        return self.node_point(a), self.node_point(b)
+    def entity_points(self, rows):
+        """Float points of entity rows: a node's point, an edge's
+        midpoint, a face's centre."""
+        t = self.table[rows]
+        return self._floats(t.pos, t.level + 1)
 
     def locate_leaf(self, point):
         """Leaf whose closed box contains the point, or None if outside."""

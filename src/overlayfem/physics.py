@@ -293,20 +293,18 @@ def constrained_dof_mask(basis, on_part):
     is called once per distinct node.  Faces and element-interior modes
     vanish on the boundary and are never constrained.
     """
-    dofmap = basis.dofmap
-    nodes = {}       # node entity index -> (its number, the node)
-    ends = []
-    for ent in dofmap.active_entities:
-        pair = ((ent, ent) if ent.kind == NODE
-                else ent.end_nodes if ent.kind == EDGE else ())
-        ends.append([nodes.setdefault(node.index, (len(nodes), node))[0]
-                     for node in pair] or [-1, -1])
-    # the last entry is the -1 of entities without end nodes
-    hit = np.array([bool(on_part(basis.mesh.node_point(node)))
-                    for _, node in nodes.values()] + [False])
-    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    dofmap, mesh = basis.dofmap, basis.mesh
+    t = mesh.table[dofmap.rows]
+    kind = t.kind[:, None]
+    ends = np.where(kind == EDGE, t.ends,
+                    np.where(kind == NODE, dofmap.rows[:, None], -1))
+    nodes, slot = np.unique(ends, return_inverse=True)
+    face = int(nodes[0] < 0)  # the -1 of faces sorts first and hits nothing
+    hit = np.array([False] * face + [bool(on_part(pt)) for pt in
+                                     mesh.entity_points(nodes[face:])])
+    hit = hit[slot.reshape(ends.shape)].all(axis=1)
     counts = np.diff(np.append(dofmap.offsets, dofmap.total))
-    return np.repeat(hit[ends[:, 0]] & hit[ends[:, 1]], counts)
+    return np.repeat(hit, counts)
 
 
 class DirichletMap:

@@ -3,16 +3,18 @@
 Random meshes are built by seeded marking rounds so every test run sees
 the same sequence.  Helpers here are deliberately small; an oracle is
 reimplemented inside the test module that needs it, unless several
-modules need it: the cell-by-cell quadrature oracles and the per-element
-Basis oracles live here.
+modules need it: the cell-by-cell quadrature oracles, the per-element
+Basis oracles and the object-by-object entity bookkeeping live here.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from overlayfem.mesh import Mesh, BaseMeshSpec, PatchSpec
-from overlayfem.basis import Basis, PolynomialOrderField, entity_mode_count
+from overlayfem.mesh import EDGE, FACE, NODE, Mesh, BaseMeshSpec, PatchSpec
+from overlayfem.basis import (Basis, PolynomialOrderField, entity_mode_count,
+                             enumerate_dofs)
 from overlayfem.benchmarks import lshape_mesh_spec, mark_corner_leaves
 from overlayfem.quadrature import LeafRule, gauss_rule_1d
 
@@ -28,17 +30,18 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def single_patch(res, bounds=((0.0, 1.0), (0.0, 1.0))):
+def single_patch(res, bounds=((0.0, 1.0), (0.0, 1.0)), make=Mesh):
     if isinstance(res, int):
         res = (res, res)
     spec = BaseMeshSpec(patches=(PatchSpec(bounds=bounds, resolution=res),))
-    return Mesh(spec)
+    return make(spec)
 
 
-def random_refined_mesh(rng, max_leaves=1000):
-    """Small unit-square mesh refined by random marking rounds."""
+def random_refined_mesh(rng, max_leaves=1000, make=Mesh):
+    """Small unit-square mesh refined by random marking rounds; `make`
+    builds the mesh from its spec."""
     res = int(rng.integers(2, 5))
-    mesh = single_patch(res)
+    mesh = single_patch(res, make=make)
     rounds = int(rng.integers(1, 5))
     for _ in range(rounds):
         leaves = mesh.active_leaf_elements()
@@ -172,20 +175,32 @@ def assert_rule_is_cells(rule, oracle):
 # ------------------------------------------------------ Basis oracles
 #
 # The per-element, per-leaf walks the Basis tables replaced: each query
-# reads the element's topology and its ancestor chain directly.
+# reads the element's topology and its ancestor chain directly, one
+# entity row at a time.
+
+
+def entity_order(basis, row):
+    return basis.orders.level_order(int(basis.mesh.table.level[row]))
+
+
+def entity_modes(basis, row):
+    """Mode count of one entity row, active or not."""
+    kind = int(basis.mesh.table.kind[row])
+    return int(entity_mode_count(kind, entity_order(basis, row)))
 
 
 def plan_oracle(basis, elem):
     """(jx, jy, gids) of one element, slot by slot over its topology."""
+    table = basis.mesh.table
     jx, jy, gids = [], [], []
-    for slot, ent in enumerate(elem.topology):
-        if not ent.active:
+    for slot, row in enumerate(basis.mesh.topology[elem.id].tolist()):
+        if not table.active[row]:
             continue
-        p = basis.orders.entity_order(ent)
-        n = entity_mode_count(ent.kind, p)
+        p = entity_order(basis, row)
+        n = entity_modes(basis, row)
         if n == 0:
             continue
-        off = basis.dofmap.entity_offset(ent)
+        off = basis.dofmap.index_of(row, 0)
         gids.extend(range(off, off + n))
         if slot < 4:
             ix, iy = ((0, 0), (1, 0), (0, 1), (1, 1))[slot]
@@ -219,27 +234,34 @@ def leaf_dofs_oracle(basis, leaf):
 def leaf_quad_order_oracle(basis, leaf):
     pmax = 1
     for elem in basis.mesh.chain(leaf):
-        for ent in elem.topology:
-            if ent.active:
-                pmax = max(pmax, basis.orders.entity_order(ent))
+        for row in basis.mesh.topology[elem.id].tolist():
+            if basis.mesh.table.active[row]:
+                pmax = max(pmax, entity_order(basis, row))
     return pmax + 1
+
+
+def node_point(mesh, row):
+    """A node's point through exact fractions of its lattice position."""
+    level = int(mesh.table.level[row])
+    return np.array([float(Fraction(int(m), den << level + 1))
+                     for m, den in zip(mesh.table.pos[row], mesh._den)])
 
 
 def constrained_dof_mask_oracle(basis, on_part):
     mesh = basis.mesh
     mask = np.zeros(basis.dofmap.total, dtype=bool)
-    for ent in basis.dofmap.active_entities:
-        if ent.kind == "node":
-            hit = bool(on_part(mesh.node_point(ent)))
-        elif ent.kind == "edge":
-            a, b = mesh.edge_endpoints(ent)
-            hit = bool(on_part(a)) and bool(on_part(b))
+    for row in basis.dofmap.rows.tolist():
+        kind = mesh.table.kind[row]
+        if kind == NODE:
+            hit = bool(on_part(node_point(mesh, row)))
+        elif kind == EDGE:
+            a, b = mesh.table.ends[row]
+            hit = bool(on_part(node_point(mesh, a))) and bool(on_part(node_point(mesh, b)))
         else:
             hit = False
         if hit:
-            off = basis.dofmap.entity_offset(ent)
-            n = entity_mode_count(ent.kind, basis.orders.entity_order(ent))
-            mask[off:off + n] = True
+            off = basis.dofmap.index_of(row, 0)
+            mask[off:off + entity_modes(basis, row)] = True
     return mask
 
 
@@ -256,7 +278,7 @@ def side_on_domain_boundary(mesh, elem, axis, upper):
     if c != cb << elem.level:
         return False
     slot = (7 if upper else 6) if axis == 0 else (5 if upper else 4)
-    return base.topology[slot].incidence == 1
+    return mesh.table.incidence[mesh.topology[base.id, slot]] == 1
 
 
 def leaf_flux_load(basis, leaf, flux, part=None):
@@ -289,3 +311,185 @@ def leaf_flux_load(basis, leaf, flux, part=None):
         f += V.T @ (w * g)
         hit = True
     return f if hit else None
+
+
+# ------------------------------------------------ entity table oracle
+
+
+class _Entity:
+    """One entity of the object-by-object bookkeeping."""
+
+    def __init__(self, index, kind, level, pos):
+        self.index, self.kind, self.level, self.pos = index, kind, level, pos
+        self.active, self.alive, self.incidence = True, True, 0
+        self.finer, self.coarser, self.end_nodes = [], None, None
+        self.boundary = self.desc = False
+
+
+class SequentialEntities:
+    """The entity bookkeeping the mesh table replaced: entity objects made
+    one at a time, deduped by per-level key dicts and linked by lists,
+    with activation walked entity by entity.
+
+    Built from a fresh mesh, it replays the base build patch by patch and
+    element row by row; ``refine`` and ``coarsen`` replay the calls of the
+    same name, made on the mesh just before.  A split runs by element id,
+    then child (j, i), then slot n00 n10 n01 n11 eb et el er face.
+    """
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self.entities = []     # creation order, dead ones included
+        self.keys = {}         # (level, kind, x, y) -> live entity
+        self.topology = {}     # element id -> its 9 entities
+        self.children = {}     # element id -> child ids
+        for elem in mesh.base_elements:
+            self._wire(elem.id, 0, elem.lo, elem.hi)
+
+    def _get_or_make(self, level, kind, x, y):
+        ent = self.keys.get((level, kind, x, y))
+        if ent is None:
+            ent = _Entity(len(self.entities), kind, level, (x, y))
+            self.entities.append(ent)
+            self.keys[level, kind, x, y] = ent
+        return ent
+
+    def _wire(self, eid, lvl, lo, hi):
+        (x0, y0), (x1, y1) = lo, hi
+        n00 = self._get_or_make(lvl, NODE, 2 * x0, 2 * y0)
+        n10 = self._get_or_make(lvl, NODE, 2 * x1, 2 * y0)
+        n01 = self._get_or_make(lvl, NODE, 2 * x0, 2 * y1)
+        n11 = self._get_or_make(lvl, NODE, 2 * x1, 2 * y1)
+        eb = self._get_or_make(lvl, EDGE, x0 + x1, 2 * y0)
+        et = self._get_or_make(lvl, EDGE, x0 + x1, 2 * y1)
+        el = self._get_or_make(lvl, EDGE, 2 * x0, y0 + y1)
+        er = self._get_or_make(lvl, EDGE, 2 * x1, y0 + y1)
+        for edge, ends in ((eb, (n00, n10)), (et, (n01, n11)),
+                           (el, (n00, n01)), (er, (n10, n11))):
+            if edge.end_nodes is None:
+                edge.end_nodes = ends
+        face = self._get_or_make(lvl, FACE, x0 + x1, y0 + y1)
+        topo = (n00, n10, n01, n11, eb, et, el, er, face)
+        for ent in topo:
+            ent.incidence += 1
+        self.topology[eid] = topo
+        return topo
+
+    @staticmethod
+    def _link(child, parent):
+        if child.coarser is None:
+            child.coarser = parent
+            parent.finer.append(child)
+
+    def refine(self, marked):
+        for eid in sorted(set(marked)):
+            elem = self.mesh.elements[eid]
+            topo = self.topology[eid]
+            (X0, Y0), (X1, Y1) = elem.lo, elem.hi
+            xs, ys = (2 * X0, X0 + X1, 2 * X1), (2 * Y0, Y0 + Y1, 2 * Y1)
+            self.children[eid] = [c.id for c in elem.children]
+            for k, (j, i) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+                child = elem.children[k]
+                lo, hi = (xs[i], ys[j]), (xs[i + 1], ys[j + 1])
+                assert (child.lo, child.hi) == (lo, hi)
+                n00, n10, n01, n11, eb, et, el, er, face = self._wire(
+                    child.id, elem.level + 1, lo, hi)
+                for node, a, b in ((n00, i, j), (n10, i + 1, j),
+                                   (n01, i, j + 1), (n11, i + 1, j + 1)):
+                    if a != 1 and b != 1:
+                        slot = a // 2 + (b // 2) * 2
+                    elif a == 1 and b == 1:
+                        slot = 8
+                    elif a == 1:
+                        slot = 4 if b == 0 else 5
+                    else:
+                        slot = 6 if a == 0 else 7
+                    self._link(node, topo[slot])
+                self._link(eb, topo[4] if j == 0 else topo[8])
+                self._link(et, topo[8] if j == 0 else topo[5])
+                self._link(el, topo[6] if i == 0 else topo[8])
+                self._link(er, topo[8] if i == 0 else topo[7])
+                self._link(face, topo[8])
+        self.update_activation()
+
+    def coarsen(self, marked):
+        for eid in sorted(set(marked)):
+            for cid in self.children.pop(eid):
+                for ent in self.topology.pop(cid):
+                    ent.incidence -= 1
+                    if ent.incidence == 0:
+                        ent.alive = ent.active = False
+                        del self.keys[ent.level, ent.kind, *ent.pos]
+                        if ent.coarser is not None:
+                            ent.coarser.finer.remove(ent)
+        self.update_activation()
+
+    def update_activation(self):
+        live = [e for e in self.entities if e.alive]
+        top = max(e.level for e in live)
+        for ent in live:
+            ent.boundary = False
+        for ent in live:
+            if ent.level > 0 and ent.kind == EDGE and ent.incidence == 1:
+                ent.boundary = True
+                for node in ent.end_nodes:
+                    node.boundary = True
+        for lvl in range(top, -1, -1):
+            for ent in live:
+                if ent.level != lvl:
+                    continue
+                desc = any(f.desc for f in ent.finer)
+                ent.active = not desc and (lvl == 0 or not ent.boundary)
+                ent.desc = ent.active or desc
+
+    def assert_matches(self, mesh, orders=None):
+        """The mesh table, topology and (given orders) dof offsets are
+        this bookkeeping's, row for row."""
+        live = [e for e in self.entities if e.alive]
+        row = {id(e): r for r, e in enumerate(live)}
+        t = mesh.table
+        assert len(t) == len(live)
+        assert t.level.tolist() == [e.level for e in live]
+        assert t.kind.tolist() == [e.kind for e in live]
+        assert t.pos.tolist() == [list(e.pos) for e in live]
+        assert t.incidence.tolist() == [e.incidence for e in live]
+        assert t.coarser.tolist() == [
+            -1 if e.coarser is None else row[id(e.coarser)] for e in live]
+        assert t.ends.tolist() == [
+            [row[id(n)] for n in e.end_nodes] if e.kind == EDGE else [-1, -1]
+            for e in live]
+        assert t.active.tolist() == [e.active for e in live]
+        assert sorted(self.topology) == sorted(mesh.elements)
+        for eid, topo in self.topology.items():
+            assert mesh.topology[eid].tolist() == [row[id(e)] for e in topo]
+        assert mesh.max_level() == max(e.level for e in live)
+        if orders is None:
+            return
+        rows, offsets, total = [], [], 0
+        for r, ent in enumerate(live):
+            n = int(entity_mode_count(ent.kind, orders.level_order(ent.level)))
+            if ent.active and n:
+                rows.append(r)
+                offsets.append(total)
+                total += n
+        dofmap = enumerate_dofs(mesh, orders)
+        assert dofmap.rows.tolist() == rows
+        assert dofmap.offsets.tolist() == offsets
+        assert dofmap.total == total
+
+
+class CheckedMesh(Mesh):
+    """A Mesh whose every refine and coarsen is replayed on a
+    SequentialEntities oracle, ``self.oracle``."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.oracle = SequentialEntities(self)
+
+    def refine(self, marked):
+        super().refine(marked)
+        self.oracle.refine(marked)
+
+    def coarsen(self, marked):
+        super().coarsen(marked)
+        self.oracle.coarsen(marked)

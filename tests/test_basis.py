@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_legendre
 
-from conftest import single_patch, random_refined_mesh, random_orders
+from conftest import CheckedMesh, single_patch, random_refined_mesh, random_orders
 from overlayfem.mesh import Mesh, NODE, EDGE, FACE
 from overlayfem.basis import (
     Basis, PolynomialOrderField, entity_mode_count, enumerate_dofs,
@@ -90,6 +90,10 @@ def test_mode_argument_validation():
         entity_mode_count(NODE, 0)
     with pytest.raises(ValueError):
         entity_mode_count("blob", 2)
+    with pytest.raises(ValueError):
+        entity_mode_count(np.array([NODE, 7]), 2)
+    with pytest.raises(ValueError):
+        entity_mode_count([NODE, EDGE], np.array([[3], [0]]))
 
 
 def test_entity_mode_counts():
@@ -97,6 +101,9 @@ def test_entity_mode_counts():
     assert entity_mode_count(EDGE, 1) == 0
     assert entity_mode_count(EDGE, 5) == 4
     assert entity_mode_count(FACE, 4) == 9
+    # elementwise over broadcast kind codes and orders
+    counts = entity_mode_count([NODE, EDGE, FACE], np.array([[1], [3]]))
+    assert counts.tolist() == [[1, 0, 0], [1, 2, 4]]
 
 
 # ------------------------------------------------------------ order field
@@ -137,10 +144,12 @@ def test_order_field_validation():
 
 
 def recount_dofs(mesh, orders):
+    t = mesh.table
     total = 0
-    for ent in mesh.entities():
-        if ent.active:
-            total += entity_mode_count(ent.kind, orders.entity_order(ent))
+    for kind, level, active in zip(t.kind.tolist(), t.level.tolist(),
+                                   t.active.tolist()):
+        if active:
+            total += entity_mode_count(kind, orders.level_order(level))
     return total
 
 
@@ -156,7 +165,7 @@ def test_dof_total_matches_entity_recount():
 def test_dof_total_order_one_counts_nodes():
     mesh = random_refined_mesh(np.random.default_rng(3))
     basis = Basis(mesh, PolynomialOrderField(uniform=1))
-    nodes = sum(1 for e in mesh.entities() if e.active and e.kind == NODE)
+    nodes = np.count_nonzero(mesh.table.active & (mesh.table.kind == NODE))
     assert basis.dofmap.total == nodes
 
 
@@ -181,12 +190,16 @@ def test_dofmap_round_trip():
     basis = Basis(mesh, random_orders(rng, mesh))
     dm = basis.dofmap
     for gid in rng.integers(0, dm.total, size=40):
-        ent, mode = dm.dof_entity(int(gid))
-        assert dm.index_of(ent, mode) == gid
-        assert ent.active
+        row, mode = dm.dof_entity(int(gid))
+        assert dm.index_of(row, mode) == gid
+        assert mesh.table.active[row]
     with pytest.raises(IndexError):
         dm.dof_entity(dm.total)
-    offsets = [dm.entity_offset(e) for e in dm.active_entities]
+    inactive = np.flatnonzero(~mesh.table.active)
+    if inactive.size:
+        with pytest.raises(KeyError):
+            dm.index_of(int(inactive[0]), 0)
+    offsets = [dm.index_of(row, 0) for row in dm.rows.tolist()]
     assert offsets == sorted(offsets)
     assert offsets[0] == 0
 
@@ -249,8 +262,8 @@ def test_constant_uses_only_base_nodes():
     basis = Basis(mesh, PolynomialOrderField(uniform=3))
     coeffs = interpolate_nodal(basis, lambda p: 1.0)
     for gid, val in enumerate(coeffs):
-        ent, _ = basis.dofmap.dof_entity(gid)
-        if ent.kind == NODE and ent.level == 0:
+        row, _ = basis.dofmap.dof_entity(gid)
+        if mesh.table.kind[row] == NODE and mesh.table.level[row] == 0:
             assert val == pytest.approx(1.0, abs=1e-12)
         else:
             assert val == pytest.approx(0.0, abs=1e-12)
@@ -350,11 +363,11 @@ def test_stale_point_rejected():
 # ------------------------------------------------------- activation rules
 
 
-def activation_cases(count=30):
+def activation_cases(count=30, make=Mesh):
     """Seeded random meshes and graded orders, with the rng that built them."""
     rng = np.random.default_rng(73)
     for _ in range(count):
-        mesh = random_refined_mesh(rng, max_leaves=120)
+        mesh = random_refined_mesh(rng, max_leaves=120, make=make)
         yield rng, Basis(mesh, random_orders(rng, mesh))
 
 
@@ -411,7 +424,8 @@ def test_active_field_is_continuous_across_leaf_edges():
 
 
 def active_entity_set(mesh):
-    return {(ent.level, ent.kind, ent.key) for ent in mesh.entities() if ent.active}
+    t = mesh.table[mesh.table.active]
+    return set(zip(t.level.tolist(), t.kind.tolist(), map(tuple, t.pos.tolist())))
 
 
 def test_refine_then_coarsen_restores_dofs_and_active_entities():
@@ -438,3 +452,25 @@ def test_refine_then_coarsen_restores_dofs_and_active_entities():
         assert Basis(mesh, orders).dofmap.total == basis.dofmap.total
         cases += 1
     assert cases == 30
+
+
+def test_refine_then_coarsen_matches_sequential_creation():
+    # the same 30 cases and calls, every state checked row for row
+    # against the object-by-object bookkeeping
+    for rng, basis in activation_cases(make=CheckedMesh):
+        mesh, orders = basis.mesh, basis.orders
+        mesh.oracle.assert_matches(mesh, orders)
+        leaves = mesh.active_leaf_elements()
+        picked = [leaves[i].id for i in rng.choice(
+            len(leaves), size=max(1, len(leaves) // 5), replace=False)]
+        mesh.refine(picked)
+        mesh.oracle.assert_matches(mesh, random_orders(rng, mesh))
+        children = [c.id for eid in picked for c in mesh.elements[eid].children]
+        inner = [children[i] for i in rng.choice(
+            len(children), size=max(1, len(children) // 4), replace=False)]
+        mesh.refine(inner)
+        mesh.oracle.assert_matches(mesh, random_orders(rng, mesh))
+        mesh.coarsen(inner)
+        mesh.oracle.assert_matches(mesh, orders)
+        mesh.coarsen(picked)
+        mesh.oracle.assert_matches(mesh, orders)

@@ -162,12 +162,13 @@ def test_dirichlet_map_tests_each_node_once():
         return lshape_dirichlet(point)
 
     dirichlet = DirichletMap(basis, counting)
+    table = basis.mesh.table
     nodes = set()
-    for ent in basis.dofmap.active_entities:
-        if ent.kind == NODE:
-            nodes.add(ent.index)
-        elif ent.kind == EDGE:
-            nodes.update(node.index for node in ent.end_nodes)
+    for row in basis.dofmap.rows.tolist():
+        if table.kind[row] == NODE:
+            nodes.add(row)
+        elif table.kind[row] == EDGE:
+            nodes.update(table.ends[row].tolist())
     assert len(calls) == len(nodes)
     assert np.array_equal(dirichlet.mask,
                           constrained_dof_mask_oracle(basis, lshape_dirichlet))

@@ -173,6 +173,75 @@ def test_interface_marking_quarter_circle():
         assert r2.min() < 1.0 < r2.max()
 
 
+# The per-leaf loops the array marking rules replaced, kept as oracles.
+
+def corner_marks_oracle(mesh, point):
+    pt = np.asarray(point, dtype=float)
+    out = []
+    for leaf in mesh.active_leaf_elements():
+        lo = np.asarray(leaf.lo_f)
+        hi = np.asarray(leaf.hi_f)
+        if np.all(lo <= pt) and np.all(pt <= hi):
+            out.append(leaf.id)
+    return out
+
+
+def ball_marks_oracle(mesh, center, radius):
+    c = np.asarray(center, dtype=float)
+    out = []
+    for leaf in mesh.active_leaf_elements():
+        lo = np.asarray(leaf.lo_f)
+        hi = np.asarray(leaf.hi_f)
+        gap = np.maximum(np.maximum(lo - c, c - hi), 0.0)
+        if float(np.sqrt(np.sum(gap * gap))) <= radius:
+            out.append(leaf.id)
+    return out
+
+
+def interface_marks_oracle(mesh, domain):
+    out = []
+    for leaf in mesh.active_leaf_elements():
+        lo = np.asarray(leaf.lo_f)
+        hi = np.asarray(leaf.hi_f)
+        xs = np.linspace(lo[0], hi[0], 3)
+        ys = np.linspace(lo[1], hi[1], 3)
+        stencil = np.column_stack((np.repeat(xs, 3), np.tile(ys, 3)))
+        inside = domain.contains(stencil)
+        if inside.any() and not inside.all():
+            out.append(leaf.id)
+    return out
+
+
+@pytest.mark.parametrize("res", [3, 16])
+def test_corner_marking_matches_per_leaf_oracle(res):
+    mesh = Mesh(lshape_mesh_spec(res))
+    for _ in range(4):
+        marks = mark_corner_leaves(mesh, (0.0, 0.0))
+        assert marks == corner_marks_oracle(mesh, (0.0, 0.0))
+        mesh.refine(marks)
+
+
+@pytest.mark.parametrize("res", [3, 16])
+def test_ball_marking_matches_per_leaf_oracle(res):
+    mesh = Mesh(lshape_mesh_spec(res))
+    for step in range(1, 5):
+        radius = 2.0 ** (1 - step)
+        marks = mark_ball_leaves(mesh, (0.0, 0.0), radius)
+        assert marks == ball_marks_oracle(mesh, (0.0, 0.0), radius)
+        mesh.refine(marks)
+
+
+@pytest.mark.parametrize("res", [8, 16])
+def test_interface_marking_matches_per_leaf_oracle(res):
+    problem = make_problem(RunConfig(benchmark="fcm_disk", res=res))
+    mesh = Mesh(problem.mesh_spec)
+    for _ in range(3):
+        marks = mark_interface_leaves(mesh, problem.domain)
+        assert marks
+        assert marks == interface_marks_oracle(mesh, problem.domain)
+        mesh.refine(marks)
+
+
 def test_random_marking_is_seeded():
     mesh = single_patch(4)
     a = mark_random_leaves(mesh, np.random.default_rng(5))

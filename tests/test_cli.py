@@ -296,6 +296,18 @@ def test_scale_writes_table(tmp_path, capsys):
     assert float(rows[0]["integrate_speedup"]) == 1.0
 
 
+@pytest.mark.parametrize("ranks", ["0", "1,-1"])
+def test_scale_rejects_nonpositive_ranks(tmp_path, capsys, ranks):
+    # rejected before the mesh is built: no rank count runs at all
+    code = run_cli("scale", "lshape", "--res", "2", "--p", "2", "--steps", "1",
+                   "--ranks", ranks, "--out", str(tmp_path))
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "error: ranks must be positive" in err
+    assert "P=" not in out
+    assert not (tmp_path / "scaling.csv").exists()
+
+
 def test_scale_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
     def stalled(system, rhs=None, tol=1e-10, max_iter=None):
         raise SolverError("iteration limit reached", [1.0, 0.9])

@@ -3,27 +3,30 @@
 Expected entity censuses are derived by hand from lattice counts: an
 overlay entity is active when it is interior to the refined region and
 has no active descendant, and a coarser entity is switched off exactly
-when some finer sub-entity of it stays active.
+when some finer sub-entity of it stays active.  The entity table itself
+is checked row for row against the object-by-object bookkeeping it
+replaced (``SequentialEntities`` in conftest).
 """
 
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import single_patch
+from conftest import CheckedMesh, random_orders, single_patch
 from overlayfem.mesh import (
     Mesh, MeshError, BaseMeshSpec, PatchSpec, NODE, EDGE, FACE,
     export_mesh_xml,
 )
 from overlayfem.basis import Basis, PolynomialOrderField
-from overlayfem.benchmarks import lshape_mesh_spec
+from overlayfem.benchmarks import (lshape_mesh_spec, mark_ball_leaves,
+                                   mark_corner_leaves, mark_random_leaves)
 
 
 def census(mesh, level):
-    counts = Counter(ent.kind for ent in mesh.entities(level) if ent.active)
-    return counts[NODE], counts[EDGE], counts[FACE]
+    t = mesh.table
+    kinds = t.kind[(t.level == level) & t.active].tolist()
+    return kinds.count(NODE), kinds.count(EDGE), kinds.count(FACE)
 
 
 def refine_at_corner(mesh, corner, steps):
@@ -60,10 +63,8 @@ def test_two_patch_union_shares_interface_entities():
     assert len(mesh.active_leaf_elements()) == 2
     # interface nodes and edge appear once
     assert census(mesh, 0) == (6, 7, 2)
-    interface = [
-        e for e in mesh.entities(0)
-        if e.kind == EDGE and e.incidence == 2
-    ]
+    t = mesh.table
+    interface = np.flatnonzero((t.level == 0) & (t.kind == EDGE) & (t.incidence == 2))
     assert len(interface) == 1
 
 
@@ -183,6 +184,7 @@ def test_coarsen_round_trip():
     assert census(mesh, 0) == fresh
     assert census(mesh, 1) == (0, 0, 0)
     assert len(mesh.active_leaf_elements()) == 9
+    assert mesh.max_level() == 0
 
 
 def test_refine_coarsen_cycles_keep_linked_entities_once():
@@ -190,14 +192,18 @@ def test_refine_coarsen_cycles_keep_linked_entities_once():
     # links its 4 nodes, 4 edges and face once, however often it is cycled
     mesh = Mesh(lshape_mesh_spec(4))
     fresh = census(mesh, 0)
+    rows = len(mesh.table)
     leaf = mesh.locate_leaf((0.3, 0.3))
     for _ in range(5):
         mesh.refine([leaf.id])
-        assert len(mesh._linked) == 9
-        assert len(mesh._by_level[1]) == 25  # 9 nodes, 12 edges, 4 faces
+        t = mesh.table
+        assert np.unique(t.coarser[t.level == 1]).size == 9
+        assert np.count_nonzero(t.level == 1) == 25  # 9 nodes, 12 edges, 4 faces
         mesh.coarsen([leaf.id])
-        assert len(mesh._linked) == 9
-        assert len(mesh._by_level[1]) == 0  # no dead entity is swept again
+        t = mesh.table
+        assert np.count_nonzero(t.coarser >= 0) == 0  # no row links to level 0
+        assert np.count_nonzero(t.level == 1) == 0  # no dead row is kept
+        assert len(t) == rows
     assert census(mesh, 0) == fresh
 
 
@@ -293,13 +299,17 @@ def test_chain_and_max_level():
 
 def test_node_and_edge_geometry():
     mesh = single_patch(2)
-    pts = sorted(tuple(mesh.node_point(e)) for e in mesh.entities(0) if e.kind == NODE)
+    t = mesh.table
+    nodes = np.flatnonzero((t.level == 0) & (t.kind == NODE))
+    pts = sorted(map(tuple, mesh.entity_points(nodes).tolist()))
     assert pts[0] == (0.0, 0.0)
     assert pts[-1] == (1.0, 1.0)
-    for ent in mesh.entities(0):
-        if ent.kind == EDGE:
-            a, b = mesh.edge_endpoints(ent)
-            assert np.isclose(np.linalg.norm(b - a), 0.5)
+    edges = np.flatnonzero((t.level == 0) & (t.kind == EDGE))
+    for row in edges:
+        a, b = mesh.entity_points(t.ends[row])
+        assert np.isclose(np.linalg.norm(b - a), 0.5)
+        # an edge's point is its midpoint
+        assert np.array_equal(mesh.entity_points([row])[0], (a + b) / 2)
 
 
 def test_lattice_coordinates_round_like_fractions():
@@ -317,9 +327,76 @@ def test_lattice_coordinates_round_like_fractions():
             ms = [int(v) for v in rng.integers(-2 * scale, 2 * scale, size=200,
                                                dtype=np.int64)]
             ms += [0, 1, -1, scale, scale - 1, 3 * scale + 1]
-            for m in ms:
-                want = float(Fraction(m, scale))
-                assert mesh._coord_float(m, level, axis) == want
+            got = mesh._floats(np.column_stack((ms, ms)), [level] * len(ms))
+            for m, value in zip(ms, got[:, axis].tolist()):
+                assert value == float(Fraction(m, scale))
+
+
+def test_refinement_stops_where_lattice_floats_stop_being_exact():
+    # a unit square reaches level 51; level 52 would need 2**53 lattice
+    # positions, and the failed call leaves the mesh as it was
+    mesh = single_patch(1)
+    with pytest.raises(MeshError, match="2\\*\\*53"):
+        for _ in range(60):
+            mesh.refine([mesh.locate_leaf((0.0, 0.0)).id])
+    assert mesh.max_level() == 51
+    assert len(mesh.active_leaf_elements()) == 1 + 3 * 51
+    assert len(mesh.topology) == 1 + 4 * 51
+    leaf = mesh.locate_leaf((0.0, 0.0))
+    assert leaf.hi_f == (2.0 ** -51, 2.0 ** -51)
+
+
+# ------------------------------------------------- entity table oracle
+
+TWO_PATCH = BaseMeshSpec((PatchSpec(((0, 1), (0, 1)), (2, 2)),
+                          PatchSpec(((1, 3), (0, 1)), (2, 2))))
+NON_DYADIC = BaseMeshSpec((PatchSpec(((-1, 0), (0, 1)), (3, 5)),
+                           PatchSpec(((0, 1), (0, 1)), (3, 5)),
+                           PatchSpec(((0, 1), (1, 2)), (3, 7))))
+
+
+@pytest.mark.parametrize("res", [3, 16])
+def test_entity_table_matches_sequential_creation_corner(res):
+    rng = np.random.default_rng(res)
+    mesh = CheckedMesh(lshape_mesh_spec(res))
+    mesh.oracle.assert_matches(mesh, PolynomialOrderField(uniform=3))
+    for _ in range(4):
+        mesh.refine(mark_corner_leaves(mesh, (0.0, 0.0)))
+        mesh.oracle.assert_matches(mesh, random_orders(rng, mesh))
+
+
+@pytest.mark.parametrize("spec", [TWO_PATCH, NON_DYADIC],
+                         ids=["two_patch", "non_dyadic"])
+def test_entity_table_matches_sequential_creation_patches(spec):
+    # random refinement, then coarsening of half the refined families
+    # whose children are all leaves, then refinement again
+    rng = np.random.default_rng(5)
+    mesh = CheckedMesh(spec)
+    mesh.oracle.assert_matches(mesh, random_orders(rng, mesh))
+    for step in range(5):
+        leaves = mesh.active_leaf_elements()
+        if step == 3:
+            families = sorted({leaf.parent.id for leaf in leaves
+                               if leaf.parent is not None
+                               and all(c.is_leaf for c in leaf.parent.children)})
+            mesh.coarsen(families[::2])
+        else:
+            picked = rng.choice(len(leaves), size=max(1, len(leaves) // 3),
+                                replace=False)
+            mesh.refine([leaves[i].id for i in picked])
+        mesh.oracle.assert_matches(mesh, random_orders(rng, mesh))
+
+
+def test_entity_table_matches_sequential_creation_ball_and_random():
+    mesh = CheckedMesh(lshape_mesh_spec(4))
+    for step in range(1, 5):
+        mesh.refine(mark_ball_leaves(mesh, (0.0, 0.0), 2.0 ** (1 - step)))
+        mesh.oracle.assert_matches(mesh, PolynomialOrderField(uniform=4))
+    rng = np.random.default_rng(4)
+    mesh = CheckedMesh(lshape_mesh_spec(4))
+    for _ in range(4):
+        mesh.refine(mark_random_leaves(mesh, rng))
+        mesh.oracle.assert_matches(mesh, random_orders(rng, mesh))
 
 
 # ------------------------------------------------------------------ export

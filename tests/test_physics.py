@@ -13,7 +13,7 @@ from conftest import (single_patch, random_basis, random_refined_mesh,
                       random_orders, stretched_basis, corner_refined,
                       gauss_cell, rule_from_cells, recursive_spacetree_cells,
                       assert_rule_is_cells)
-from overlayfem.mesh import Mesh
+from overlayfem.mesh import EDGE, NODE, Mesh
 from overlayfem.basis import Basis, PolynomialOrderField, interpolate_nodal, FieldApproximation
 from overlayfem.physics import (
     element_system, assemble_serial, neumann_load,
@@ -295,8 +295,8 @@ def test_face_modes_never_constrained():
     basis = Basis(mesh, PolynomialOrderField(uniform=4))
     mask = constrained_dof_mask(basis, lambda p: True)
     for gid in np.flatnonzero(mask):
-        ent, _ = basis.dofmap.dof_entity(gid)
-        assert ent.kind in ("node", "edge")
+        row, _ = basis.dofmap.dof_entity(gid)
+        assert mesh.table.kind[row] in (NODE, EDGE)
 
 
 # ------------------------------------------------- exact representation
@@ -365,9 +365,9 @@ def test_neumann_load_respects_part_and_interfaces():
     f = neumann_load(basis, ones_flux, part=lambda mid: abs(mid[1]) < 1e-12)
     assert f.any()
     for gid in np.flatnonzero(np.abs(f) > 1e-14):
-        ent, _ = basis.dofmap.dof_entity(gid)
-        if ent.kind == "node":
-            pt = mesh.node_point(ent)
+        row, _ = basis.dofmap.dof_entity(gid)
+        if mesh.table.kind[row] == NODE:
+            pt = mesh.entity_points([row])[0]
             assert pt[1] == pytest.approx(0.0, abs=1e-12)
             assert pt[0] >= -1e-12  # y=0 with x<0 is interior, never loaded
     # total load equals the length of the loaded leg
