@@ -28,7 +28,7 @@ for depth in range(6):
     print(f"{depth:>5} {area:>12.8f} {abs(area - exact):>10.2e}")
 
 # count quadrature cells on one cut leaf to see the tree at work
-cut = mesh.locate_leaf((0.72, 0.72))
+(cut,) = mesh.locate_leaves([(0.72, 0.72)])
 for depth in (0, 2, 4):
     rule = leaf_rule(basis, cut, domain=domain, depth=depth)
     print(f"leaf at (0.72, 0.72): depth {depth} -> {len(rule.cells())} cells, "

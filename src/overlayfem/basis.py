@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import EDGE, FACE, NODE
+from .mesh import EDGE, FACE, NODE, _ranges
 
 _XI_TOL = 1e-12
 
@@ -225,13 +225,6 @@ def _slot_rows(slot, p):
     return [j for j in inner for _ in inner], inner * (p - 1)
 
 
-def _ranges(starts, counts):
-    """The ranges starts[i] .. starts[i] + counts[i], concatenated."""
-    ends = np.cumsum(counts)
-    return (np.repeat(np.asarray(starts) - ends + counts, counts)
-            + np.arange(ends[-1] if ends.size else 0))
-
-
 class Basis:
     """Active shape functions of a mesh snapshot at fixed orders.
 
@@ -240,11 +233,11 @@ class Basis:
     out every element of the forest as a table row, with array
     operations: the active leaves take rows 0 .. L-1 in pre-order, the
     refined elements follow, and ``row_of`` maps an element id to its
-    row.  Row r holds ``dofs[dof_offsets[r]:dof_offsets[r + 1]]``, its
-    chain's dofs base first, their number ``mode_counts``, its
-    ``quad_orders``, ``levels``, ``lo_f`` and ``hi_f``, and ``boundary``,
-    which of its sides (bottom, top, left, right) lie on the domain
-    boundary.  An element's functions depend only on its level order and
+    row, -1 for an id that is not live (``rows`` checks).  Row r holds
+    ``dofs[dof_offsets[r]:dof_offsets[r + 1]]``, its chain's dofs base
+    first, their number ``mode_counts``, its ``quad_orders``, ``levels``,
+    ``lo_f`` and ``hi_f``, and ``boundary``, which of its sides (bottom,
+    top, left, right) lie on the domain boundary.  An element's functions depend only on its level order and
     on which of its 9 entities are active: each distinct (order, mask)
     gets one ``plans`` entry of 1d mode rows.  The Basis also keeps the
     quadrature rules of its cut leaves and ``leaf_systems`` (see
@@ -262,23 +255,20 @@ class Basis:
         self.leaf_systems = {}
 
     def _build_tables(self):
-        leaves = self.mesh.active_leaf_elements()
-        elems = leaves + [e for e in self.mesh.elements.values() if e.children]
-        n = len(elems)
-        # per element: id, parent id, level and lattice box; its 9 entity
-        # rows come from the mesh topology
-        cols = np.array([(e.id, -1 if e.parent is None else e.parent.id,
-                          e.level, *e.lo, *e.hi) for e in elems],
-                        dtype=np.int64).reshape(-1, 7)
-        box = np.array([(*e.lo_f, *e.hi_f) for e in elems],
-                       dtype=float).reshape(-1, 4)
+        e = self.mesh.elements
+        ids = np.concatenate((self.mesh.active_leaf_elements(),
+                              np.flatnonzero(e.child >= 0)))
+        n = ids.size
+        # row r is element ids[r]; its 9 entity rows come from the topology
         table = self.mesh.table
-        topo = self.mesh.topology[cols[:, 0]]
-        self.row_of = np.full(int(cols[:, 0].max()) + 1, -1, dtype=np.int64)
-        self.row_of[cols[:, 0]] = np.arange(n)
-        parent = np.where(cols[:, 1] >= 0, self.row_of[cols[:, 1]], -1)
-        self.levels, lattice = cols[:, 2], cols[:, 3:]
-        self.lo_f, self.hi_f = box[:, :2], box[:, 2:]
+        topo = self.mesh.topology[ids]
+        self.row_of = np.full(len(e), -1, dtype=np.int64)
+        self.row_of[ids] = np.arange(n)
+        parent = e.parent[ids]
+        parent = np.where(parent >= 0, self.row_of[parent], -1)
+        self.levels = e.level[ids]
+        lattice = np.hstack((e.lo[ids], e.hi[ids]))
+        self.lo_f, self.hi_f = e.lo_f[ids], e.hi_f[ids]
         depth = int(self.levels.max())
 
         # chain[r, l]: row of r's ancestor on level l, -1 below r's level
@@ -336,17 +326,30 @@ class Basis:
                          & (table.incidence[topo[base, slot]] == 1))
         self.boundary = np.stack(sides, axis=1)
 
-    def _row(self, elem):
-        row = self.row_of[elem.id] if elem.id < self.row_of.size else -1
-        if row < 0:
-            raise KeyError(f"element {elem.id} is not in this Basis's forest")
-        return row
+    # -- public queries: leaves are element ids ----------------------------
 
-    # -- public queries -------------------------------------------------
+    def rows(self, ids):
+        """Table rows of element ids, one int or an array; KeyError for an
+        id that is not a live element of this Basis's mesh state."""
+        if isinstance(ids, (int, np.integer)) and not isinstance(ids, bool):
+            # the per-leaf queries' case, without array overhead
+            if 0 <= ids < self.row_of.size and self.row_of[ids] >= 0:
+                return self.row_of[ids]
+            bad = ids
+        else:
+            ids = np.asarray(ids)
+            rows = np.full(ids.shape, -1, dtype=np.int64)
+            if ids.dtype.kind in "iu":
+                known = (ids >= 0) & (ids < self.row_of.size)
+                rows[known] = self.row_of[ids[known]]
+            if (rows >= 0).all():
+                return rows
+            bad = ids[rows < 0][0]
+        raise KeyError(f"element {bad} is not in this Basis's forest")
 
     def leaf_dofs(self, leaf):
         """Global dofs with support on the leaf, chain order, base first."""
-        row = self._row(leaf)
+        row = self.rows(leaf)
         return self.dofs[self.dof_offsets[row]:self.dof_offsets[row + 1]]
 
     def leaf_dof_block(self, rows):
@@ -356,11 +359,11 @@ class Basis:
                          + np.arange(self.mode_counts[rows[0]])]
 
     def leaf_mode_count(self, leaf):
-        return int(self.mode_counts[self._row(leaf)])
+        return int(self.mode_counts[self.rows(leaf)])
 
     def leaf_quad_order(self, leaf):
         """Per-axis Gauss order: highest contributing order plus one."""
-        return int(self.quad_orders[self._row(leaf)])
+        return int(self.quad_orders[self.rows(leaf)])
 
     def evaluate_leaf(self, leaf, points):
         """Values and physical gradients of the leaf's active functions.
@@ -371,7 +374,7 @@ class Basis:
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n = pts.shape[0]
-        frames = self.leaf_frames([self._row(leaf)], pts[None])
+        frames = self.leaf_frames([self.rows(leaf)], pts[None])
         size = sum(self.plans[plans[0]][0].size for plans, _, _ in frames)
         # mode-major buffers, a row block per chain element; callers get
         # transposed views, the strides the einsum sums over the tables
@@ -434,9 +437,9 @@ def interpolate_nodal(basis, func):
     t = mesh.table[dofmap.rows]
     nodes = np.flatnonzero(t.kind == NODE)
     nodes = nodes[np.argsort(t.level[nodes], kind="stable")]
-    for pt, gid in zip(mesh.entity_points(dofmap.rows[nodes]),
-                       dofmap.offsets[nodes]):
-        leaf = mesh.locate_leaf(pt)
+    points = mesh.entity_points(dofmap.rows[nodes])
+    for pt, gid, leaf in zip(points, dofmap.offsets[nodes],
+                             mesh.locate_leaves(points)):
         gids = basis.leaf_dofs(leaf)
         vals, _ = basis.evaluate_leaf(leaf, pt[None, :])
         partial = float(vals[0] @ coeffs[gids])
@@ -458,26 +461,26 @@ class FieldApproximation:
         self.basis = basis
         self.coefficients = coefficients
 
-    def _locate(self, pt):
-        leaf = self.basis.mesh.locate_leaf(pt)
-        if leaf is None:
-            raise ValueError(f"point {pt} is outside the mesh")
-        return leaf
+    def _located(self, points):
+        """The points (n, 2) and the ids of the leaves that hold them."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        leaves = self.basis.mesh.locate_leaves(pts)
+        if (leaves < 0).any():
+            raise ValueError(f"point {pts[leaves < 0][0]} is outside the mesh")
+        return pts, leaves
 
     def value(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts, leaves = self._located(points)
         out = np.empty(pts.shape[0])
-        for i, pt in enumerate(pts):
-            leaf = self._locate(pt)
+        for i, (pt, leaf) in enumerate(zip(pts, leaves)):
             vals, _ = self.basis.evaluate_leaf(leaf, pt[None, :])
             out[i] = vals[0] @ self.coefficients[self.basis.leaf_dofs(leaf)]
         return out
 
     def gradient(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts, leaves = self._located(points)
         out = np.empty((pts.shape[0], 2))
-        for i, pt in enumerate(pts):
-            leaf = self._locate(pt)
+        for i, (pt, leaf) in enumerate(zip(pts, leaves)):
             _, grads = self.basis.evaluate_leaf(leaf, pt[None, :])
             coef = self.coefficients[self.basis.leaf_dofs(leaf)]
             out[i] = grads[0].T @ coef

@@ -335,14 +335,13 @@ def make_problem(config):
 # marking rules
 
 def _leaf_boxes(mesh):
-    """The active leaves and their float boxes, lo and hi (n, 2)."""
+    """The active leaf ids and their float boxes, lo and hi (n, 2)."""
     leaves = mesh.active_leaf_elements()
-    box = np.array([(*leaf.lo_f, *leaf.hi_f) for leaf in leaves]).reshape(-1, 4)
-    return leaves, box[:, :2], box[:, 2:]
+    return leaves, mesh.elements.lo_f[leaves], mesh.elements.hi_f[leaves]
 
 
 def _ids(leaves, picked):
-    return [leaves[i].id for i in np.flatnonzero(picked)]
+    return leaves[picked].tolist()
 
 
 def mark_corner_leaves(mesh, point):
@@ -381,7 +380,7 @@ def mark_random_leaves(mesh, rng, fraction=0.1):
     leaves = mesh.active_leaf_elements()
     count = max(1, int(round(fraction * len(leaves))))
     idx = rng.choice(len(leaves), size=count, replace=False)
-    return [leaves[i].id for i in sorted(idx)]
+    return leaves[np.sort(idx)].tolist()
 
 
 def marks_for_step(problem, marking, mesh, step, rng):
@@ -535,38 +534,38 @@ def write_partition_csv(path, mesh, ranks, weights):
     leaves = mesh.active_leaf_elements()
     with open(path, "w") as fh:
         fh.write("leaf_id,rank,weight\n")
-        for leaf, r, w in zip(leaves, ranks, weights):
-            fh.write(f"{leaf.id},{int(r)},{repr(float(w))}\n")
+        for leaf, r, w in zip(leaves.tolist(), ranks, weights):
+            fh.write(f"{leaf},{int(r)},{repr(float(w))}\n")
 
 
 def write_solution_csv(path, basis, solution, probe):
     """Sample the solved field on a uniform probe grid over the mesh box.
 
-    Each probe is located once.  The located leaves are grouped by
-    (level, probe count) and table signature, and the basis is evaluated
-    once per signature, at the probes of its first leaf.
+    The probes are located in one array descent.  Their leaves are
+    grouped by (level, probe count) and table signature, and the basis is
+    evaluated once per signature, at the probes of its first leaf.
     """
     mesh = basis.mesh
-    lo = np.min([l.lo_f for l in mesh.base_elements], axis=0)
-    hi = np.max([l.hi_f for l in mesh.base_elements], axis=0)
+    base = np.arange(mesh.n_base)
+    lo = mesh.elements.lo_f[base].min(axis=0)
+    hi = mesh.elements.hi_f[base].max(axis=0)
     xs = np.linspace(lo[0], hi[0], probe)
     ys = np.linspace(lo[1], hi[1], probe)
-    pts, by_leaf = [], {}
-    for y in ys:
-        for x in xs:
-            leaf = mesh.locate_leaf((x, y))
-            if leaf is not None:
-                by_leaf.setdefault(leaf.id, (leaf, []))[1].append(len(pts))
-                pts.append((x, y))
-    pts = np.array(pts, dtype=float).reshape(-1, 2)
+    pts = np.column_stack((np.tile(xs, probe), np.repeat(ys, probe)))
+    leaves = mesh.locate_leaves(pts)
+    pts, leaves = pts[leaves >= 0], leaves[leaves >= 0]
+    by_leaf = {}
+    for i, leaf in enumerate(leaves.tolist()):
+        by_leaf.setdefault(leaf, []).append(i)
     vals = np.empty(len(pts))
     groups = {}
-    for leaf, idx in by_leaf.values():
-        groups.setdefault((leaf.level, len(idx)), []).append((leaf, idx))
+    for leaf, idx in by_leaf.items():
+        level = int(mesh.elements.level[leaf])
+        groups.setdefault((level, len(idx)), []).append((leaf, idx))
     for members in groups.values():
         idx = np.array([idx for _, idx in members])
         _, inverse, tables = table_signatures(
-            basis, basis.row_of[[leaf.id for leaf, _ in members]], pts[idx])
+            basis, basis.row_of[[leaf for leaf, _ in members]], pts[idx])
         for (leaf, probes), k in zip(members, inverse):
             coef = solution[basis.leaf_dofs(leaf)]
             for row, i in zip(tables[k][0], probes):
@@ -582,7 +581,7 @@ def write_mesh_xml(path, final):
     mesh = final["mesh"]
     basis = final["basis"]
     leaves = mesh.active_leaf_elements()
-    orders = [basis.orders.level_order(leaf.level) for leaf in leaves]
+    orders = basis.orders.level_orders(mesh.elements.level[leaves])
     export_mesh_xml(mesh, path, ranks=final["ranks"],
                     weights=final["weights"], orders=orders)
 

@@ -108,6 +108,7 @@ class IntermediateSystem:
     rhs_vals: np.ndarray
     rhs_tags: np.ndarray
     n_leaves: int
+    seconds: float = 0.0     # wall time of the integration
 
 
 def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
@@ -122,6 +123,7 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
     flux load, also from the memo, reaches only leaves with a kept side on
     the domain boundary.
     """
+    start = time.perf_counter()
     leaves = basis.mesh.active_leaf_elements()
     systems = leaf_systems(basis, domain, depth, source, flux, flux_part)
     # active leaves are the Basis's first table rows, in pre-order
@@ -201,6 +203,7 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
         rhs_rows=cat(rrows, np.int64), rhs_vals=cat(rvals, float),
         rhs_tags=cat(rtags, np.int64),
         n_leaves=len(leaf_ids),
+        seconds=time.perf_counter() - start,
     )
 
 
@@ -388,6 +391,8 @@ class StepReport:
 
     `leaf_weights` and `leaf_ranks` are the step's cost-model weights and
     leaf partition, pre-order; :meth:`to_dict` leaves them out.
+    `cost_model_r` is the Pearson r of the ranks' weight sums and
+    integration times, None for one rank or a constant column.
     """
 
     step: int
@@ -404,6 +409,7 @@ class StepReport:
     residual_history: list   # thinned [iteration, residual] pairs
     leaf_weights: np.ndarray
     leaf_ranks: np.ndarray
+    cost_model_r: float | None = None
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -421,6 +427,7 @@ class StepReport:
             "residual": self.residual,
             "preconditioner": PRECONDITIONER,
             "residual_history": self.residual_history,
+            "cost_model_r": self.cost_model_r,
         }
         out.update(self.extras)
         return out
@@ -458,6 +465,7 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
                                    domain, depth, source, flux, flux_part,
                                    workers)
     timings["integrate"] = time.perf_counter() - t
+    rank_seconds = [inter.seconds for inter in intermediates]
     # nothing reads the step's leaf systems again: free them before
     # assembly, the step's memory peak
     basis.leaf_systems.clear()
@@ -500,6 +508,7 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
             "kept_triplets": int(system.kept_entries[r]),
             "owned_dofs": int(system.own_rows[r].size),
             "halo_columns": int(system.halo_counts[r]),
+            "integrate_s": rank_seconds[r],
         })
     timings["postprocess"] = time.perf_counter() - t
 
@@ -510,8 +519,18 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
         timings=timings, cg_iterations=iterations,
         residual=history[-1], residual_history=thin_history(history),
         leaf_weights=weights, leaf_ranks=ranks,
+        cost_model_r=pearson_r(weight_sums, rank_seconds),
     )
     return report, basis, solution
+
+
+def pearson_r(a, b):
+    """Pearson correlation of two equal-length columns, or None when it is
+    undefined: fewer than two entries or a constant column."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.size < 2 or np.ptp(a) == 0 or np.ptp(b) == 0:
+        return None
+    return float(np.corrcoef(a, b)[0, 1])
 
 
 # ----------------------------------------------------------------------
@@ -540,7 +559,7 @@ def _integrate_all(basis, to_free, leaves, ranks, n_ranks, domain, depth,
     chunks = []
     for r in range(n_ranks):
         idx = np.flatnonzero(np.asarray(ranks) == r)
-        chunks.append((r, [leaves[i].id for i in idx], idx))
+        chunks.append((r, leaves[idx], idx))
     if not workers or workers <= 1:
         return [integrate_rank_system(basis, to_free, lids, tags, r,
                                       domain, depth, source, flux, flux_part)

@@ -6,6 +6,15 @@ children nested inside it, so the element forest holds every level at
 once.  Elements without children are the active leaves; integration,
 partitioning and export all run over those.
 
+Elements are integer ids into one column table, ``Mesh.elements``: the
+base elements are ids 0 .. n_base - 1, patch by patch and row by row,
+and a refine appends the four children of each marked element as
+consecutive ids, children (0, 0), (1, 0), (0, 1), (1, 1) in (x, y) order.
+The columns are the level, the parent id (-1 on the base level), the
+first child id (-1 for a leaf), the integer lattice box ``lo``/``hi`` and
+its float image ``lo_f``/``hi_f``.  Coarsening never reuses an id: a
+removed element keeps its row, and ``Mesh.topology[id] == -1`` marks it.
+
 Shape functions attach to the topological entities (nodes, edges, cell
 interiors) of every level.  An entity is a row of one table,
 ``Mesh.table``, keyed by its level, its kind code (NODE, EDGE, FACE) and
@@ -44,8 +53,24 @@ import numpy as np
 NODE, EDGE, FACE = 0, 1, 2
 
 
+class _Columns:
+    """Equal-length columns, one row per entity or element."""
+
+    def __len__(self):
+        return len(self.level)
+
+    def __getitem__(self, rows):
+        """The sub-table of the given rows: an index array or a mask."""
+        return type(self)(*(col[rows] for col in vars(self).values()))
+
+    def extended(self, other):
+        """This table with the rows of `other` appended."""
+        return type(self)(*map(np.concatenate, zip(vars(self).values(),
+                                                   vars(other).values())))
+
+
 @dataclass
-class EntityTable:
+class EntityTable(_Columns):
     """The live entities of a mesh as columns, one row per entity."""
 
     level: np.ndarray      # refinement level
@@ -56,17 +81,18 @@ class EntityTable:
     ends: np.ndarray       # (n, 2) an edge's end-node rows, else -1
     active: np.ndarray     # output of the activation rules
 
-    def __len__(self):
-        return len(self.level)
 
-    def __getitem__(self, rows):
-        """The sub-table of the given rows: an index array or a mask."""
-        return EntityTable(*(col[rows] for col in vars(self).values()))
+@dataclass
+class ElementTable(_Columns):
+    """Every element ever made, as columns indexed by element id."""
 
-    def extended(self, other):
-        """This table with the rows of `other` appended."""
-        return EntityTable(*map(np.concatenate, zip(vars(self).values(),
-                                                    vars(other).values())))
+    level: np.ndarray      # refinement level
+    parent: np.ndarray     # id of the element it splits, or -1
+    child: np.ndarray      # id of the first of its four children, or -1
+    lo: np.ndarray         # (n, 2) integer lattice box on the level
+    hi: np.ndarray
+    lo_f: np.ndarray       # (n, 2) float box, derived once from the lattice
+    hi_f: np.ndarray
 
 
 class MeshError(ValueError):
@@ -110,30 +136,6 @@ class BaseMeshSpec:
             p.validate()
 
 
-class Element:
-    """One quadrilateral of the element forest."""
-
-    __slots__ = ("id", "level", "parent", "children", "lo", "hi",
-                 "lo_f", "hi_f")
-
-    def __init__(self, eid, level, parent, lo, hi, lo_f, hi_f):
-        self.id = eid
-        self.level = level
-        self.parent = parent
-        self.children = []
-        self.lo = lo          # integer lattice coords at this level's scale
-        self.hi = hi
-        self.lo_f = lo_f      # float bounds, derived once from the lattice
-        self.hi_f = hi_f
-
-    @property
-    def is_leaf(self):
-        return not self.children
-
-    def __repr__(self):
-        return f"<Element {self.id} L{self.level} {self.lo_f}..{self.hi_f}>"
-
-
 # topology layout per element, fixed order used everywhere downstream:
 # nodes (SW, SE, NW, NE), edges (bottom, top, left, right), interior face
 _SLOT_KIND = np.array([NODE] * 4 + [EDGE] * 4 + [FACE])
@@ -154,6 +156,13 @@ _COARSER_SLOT = np.array([
 _CHILD_I, _CHILD_J = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
 # lattice ints convert to float64 exactly below this bound
 _EXACT = 1 << 53
+
+
+def _ranges(starts, counts):
+    """The ranges starts[i] .. starts[i] + counts[i], concatenated."""
+    ends = np.cumsum(counts)
+    return (np.repeat(np.asarray(starts) - ends + counts, counts)
+            + np.arange(ends[-1] if ends.size else 0))
 
 
 def _first_occurrences(keys):
@@ -179,12 +188,12 @@ class Mesh:
     def __init__(self, spec):
         spec.validate()
         self.spec = spec
-        self.elements = {}
-        self.base_elements = []
-        self.step_count = 0
         none, pairs = np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
         self.table = EntityTable(none, none, pairs, none, none, pairs,
                                  np.zeros(0, dtype=bool))
+        boxes = np.zeros((0, 2))
+        self.elements = ElementTable(none, none, none, pairs, pairs, boxes,
+                                     boxes)
         self.topology = np.zeros((0, 9), dtype=np.int64)
         self._leaf_cache = None
         self._den = None               # per-axis lattice denominator
@@ -229,10 +238,11 @@ class Mesh:
             boxes.append(np.stack((x[:-1, :-1], y[:-1, :-1], x[1:, 1:], y[1:, 1:]),
                                   axis=-1).reshape(-1, 4))
         boxes = np.vstack(boxes)
-        n = len(boxes)
-        self.base_elements = self._add_elements(
-            boxes[:, :2], boxes[:, 2:], np.zeros(n, dtype=np.int64),
-            np.full((n, 9), -1, dtype=np.int64), [None] * n)
+        self.n_base = n = len(boxes)
+        self._add_elements(boxes[:, :2], boxes[:, 2:],
+                           np.zeros(n, dtype=np.int64),
+                           np.full((n, 9), -1, dtype=np.int64),
+                           np.full(n, -1, dtype=np.int64))
 
     @staticmethod
     def _check_overlap(patches, grids):
@@ -280,16 +290,15 @@ class Mesh:
         """
         return ints / (np.array(self._den) << np.asarray(level)[:, None])
 
-    def _add_elements(self, lo, hi, level, coarser, parents):
+    def _add_elements(self, lo, hi, level, coarser, parent):
         """New elements with lattice boxes lo .. hi (m, 2) on the given
         levels, their entities interned into the table.
 
         coarser (m, 9) holds the coarser row of every slot, -1 on the base
-        level; parents the Element each new one splits, or None.  The
+        level; parent the id each new element splits, or -1.  The
         candidate entities run element by element in slot order, and the
         first occurrence of a key that no live row of its level holds
         makes a new row, so rows and dof numbers keep creation order.
-        Returns the new Element objects.
         """
         m = len(lo)
         if (max(self._den) << int(level.max()) + 1 >= _EXACT
@@ -317,52 +326,49 @@ class Mesh:
             ends.reshape(-1, 2)[new], np.ones(new.size, dtype=bool)))
         t.incidence += np.bincount(rows, minlength=len(t))
         self.table = t
-        first_id = len(self.topology)
         self.topology = np.vstack((self.topology, topo))
-
-        # lo, hi, lo_f and hi_f as tuples of Python numbers
-        boxes = [zip(*a.T.tolist()) for a in
-                 (lo, hi, self._floats(lo, level), self._floats(hi, level))]
-        out = []
-        for eid, lvl, parent, *box in zip(range(first_id, first_id + m),
-                                          level.tolist(), parents, *boxes):
-            elem = Element(eid, lvl, parent, *box)
-            self.elements[eid] = elem
-            if parent is not None:
-                parent.children.append(elem)
-            out.append(elem)
-        return out
+        self.elements = self.elements.extended(ElementTable(
+            level, parent, np.full(m, -1, dtype=np.int64), lo, hi,
+            self._floats(lo, level), self._floats(hi, level)))
 
     # ------------------------------------------------------------------
     # refinement / coarsening
 
+    def _known_ids(self, marked, verb):
+        """The distinct ids of `marked`, ascending, each a live element."""
+        ids = np.unique(np.array(list(marked)))
+        if ids.size and ids.dtype.kind not in "iu":
+            raise MeshError(f"element ids must be integers, got {ids[0]!r}")
+        ids = ids.astype(np.int64)
+        known = (ids >= 0) & (ids < len(self.topology))
+        known[known] = self.topology[ids[known], 0] >= 0
+        if not known.all():
+            raise MeshError(f"cannot {verb} unknown element {ids[~known][0]}")
+        return ids
+
     def refine(self, marked):
         """Bisect the given active leaves into four children each.
 
-        Marking an element that has children, or an unknown id, is an
-        error.  An empty set leaves the mesh unchanged.
+        Marking an element that has children, or an id that is not a live
+        element, is an error.  An empty set leaves the mesh unchanged.
         """
-        ids = sorted(set(marked))
-        for eid in ids:
-            elem = self.elements.get(eid)
-            if elem is None:
-                raise MeshError(f"cannot refine unknown element {eid}")
-            if elem.children:
-                raise MeshError(f"element {eid} is not an active leaf")
-        if not ids:
+        ids = self._known_ids(marked, "refine")
+        e = self.elements
+        split = e.child[ids] >= 0
+        if split.any():
+            raise MeshError(f"element {ids[split][0]} is not an active leaf")
+        if not ids.size:
             return
-        parents = [self.elements[eid] for eid in ids]
-        lo = np.array([e.lo for e in parents], dtype=np.int64)
-        hi = np.array([e.hi for e in parents], dtype=np.int64)
+        lo, hi = e.lo[ids], e.hi[ids]
         # the children's lattice lines: 2 lo, lo + hi, 2 hi per axis
         grid = np.stack((2 * lo, lo + hi, 2 * hi), axis=1)
         lo, hi = [np.stack((grid[:, _CHILD_I + d, 0], grid[:, _CHILD_J + d, 1]),
                            axis=-1).reshape(-1, 2) for d in (0, 1)]
-        level = np.repeat([e.level + 1 for e in parents], 4)
+        level = np.repeat(e.level[ids] + 1, 4)
         coarser = self.topology[ids][:, _COARSER_SLOT].reshape(-1, 9)
-        self._add_elements(lo, hi, level, coarser,
-                           [e for e in parents for _ in range(4)])
-        self.step_count += 1
+        first = len(self.topology)
+        self._add_elements(lo, hi, level, coarser, np.repeat(ids, 4))
+        self.elements.child[ids] = first + 4 * np.arange(ids.size)
         self._leaf_cache = None
         self.update_activation()
 
@@ -372,27 +378,19 @@ class Mesh:
         Every marked element must have children and all of them must be
         leaves; anything else is rejected.
         """
-        ids = sorted(set(marked))
-        for eid in ids:
-            elem = self.elements.get(eid)
-            if elem is None:
-                raise MeshError(f"cannot coarsen unknown element {eid}")
-            if not elem.children:
-                raise MeshError(f"element {eid} has no children to remove")
-            for child in elem.children:
-                if child.children:
-                    raise MeshError(
-                        f"element {eid} has grandchildren; coarsen deeper levels first"
-                    )
-        if not ids:
+        ids = self._known_ids(marked, "coarsen")
+        child = self.elements.child
+        childless = child[ids] < 0
+        if childless.any():
+            raise MeshError(f"element {ids[childless][0]} has no children to remove")
+        gone = (child[ids][:, None] + np.arange(4)).ravel()
+        deep = (child[gone] >= 0).reshape(-1, 4).any(axis=1)
+        if deep.any():
+            raise MeshError(f"element {ids[deep][0]} has grandchildren; "
+                            "coarsen deeper levels first")
+        if not ids.size:
             return
-        gone = []
-        for eid in ids:
-            elem = self.elements[eid]
-            gone.extend(child.id for child in elem.children)
-            elem.children = []
-        for cid in gone:
-            del self.elements[cid]
+        child[ids] = -1
         # drop the rows no element holds any more and renumber the rest
         t = self.table
         t.incidence -= np.bincount(self.topology[gone].ravel(), minlength=len(t))
@@ -435,29 +433,23 @@ class Mesh:
     # queries
 
     def active_leaf_elements(self):
-        """All childless elements, depth-first pre-order under each base cell."""
+        """The ids of all childless elements, an int64 array in depth-first
+        pre-order under each base cell; read-only, cached until the next
+        refine or coarsen."""
         if self._leaf_cache is None:
-            out = []
-            stack = []
-            for base in self.base_elements:
-                stack.append(base)
-                while stack:
-                    elem = stack.pop()
-                    if elem.children:
-                        stack.extend(reversed(elem.children))
-                    else:
-                        out.append(elem)
-            self._leaf_cache = out
+            ids, child = np.arange(self.n_base), self.elements.child
+            # expand level by level: each split element gives way, in
+            # place, to its four consecutive children
+            while True:
+                first = child[ids]
+                split = first >= 0
+                if not split.any():
+                    break
+                ids = _ranges(np.where(split, first, ids),
+                              np.where(split, 4, 1))
+            ids.flags.writeable = False
+            self._leaf_cache = ids
         return self._leaf_cache
-
-    def chain(self, elem):
-        """Ancestor path of an element, base first, the element itself last."""
-        path = []
-        while elem is not None:
-            path.append(elem)
-            elem = elem.parent
-        path.reverse()
-        return path
 
     def max_level(self):
         """The deepest level that holds an element."""
@@ -469,31 +461,34 @@ class Mesh:
         t = self.table[rows]
         return self._floats(t.pos, t.level + 1)
 
-    def locate_leaf(self, point):
-        """Leaf whose closed box contains the point, or None if outside."""
-        pt = np.asarray(point, dtype=float)
-        for patch, first_id in self._patch_tables:
-            idx = []
-            ok = True
-            for a, ((lo, hi), n) in enumerate(zip(patch.bounds, patch.resolution)):
-                if not (lo <= pt[a] <= hi):
-                    ok = False
-                    break
-                i = int((pt[a] - lo) / (hi - lo) * n)
-                idx.append(min(max(i, 0), int(n) - 1))
-            if not ok:
-                continue
-            nx = int(patch.resolution[0])
-            elem = self.elements[first_id + idx[1] * nx + idx[0]]
-            while elem.children:
-                sel = 0
-                for a in range(2):
-                    if pt[a] > (elem.lo_f[a] + elem.hi_f[a]) / 2:
-                        sel += 1 << a
-                elem = elem.children[sel]
-            return elem
-        return None
+    def locate_leaves(self, points):
+        """Ids of the leaves whose closed boxes contain the points (n, 2),
+        -1 for a point outside the mesh.
 
+        A point on a patch seam goes to the first patch that holds it,
+        and below a base cell a point on a bisector to the lower child.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        ids = np.full(len(pts), -1, dtype=np.int64)
+        for patch, first_id in self._patch_tables:
+            (x0, x1), (y0, y1) = patch.bounds
+            x, y = pts[:, 0], pts[:, 1]
+            hit = np.flatnonzero((ids < 0) & (x0 <= x) & (x <= x1)
+                                 & (y0 <= y) & (y <= y1))
+            cell = [np.clip(((pts[hit, a] - lo) / (hi - lo) * n).astype(np.int64),
+                            0, int(n) - 1)
+                    for a, ((lo, hi), n) in enumerate(zip(patch.bounds,
+                                                          patch.resolution))]
+            ids[hit] = first_id + cell[1] * int(patch.resolution[0]) + cell[0]
+        e = self.elements
+        live = np.flatnonzero(ids >= 0)
+        while live.size:
+            first = e.child[ids[live]]
+            live, first = live[first >= 0], first[first >= 0]
+            cur = ids[live]
+            mid = (e.lo_f[cur] + e.hi_f[cur]) / 2
+            ids[live] = first + (pts[live] > mid) @ np.array([1, 2])
+        return ids
 
 def create_base_mesh(spec):
     """Build the unrefined mesh for a validated BaseMeshSpec."""
@@ -520,62 +515,37 @@ def export_mesh_xml(mesh, path, ranks=None, weights=None, orders=None):
     order and weight columns fall back to 0 / 0 / 1.0 when not supplied.
     """
     leaves = mesh.active_leaf_elements()
-    point_ids = {}
-    points = []
-
-    def canon(m, lvl):
-        while m % 2 == 0 and lvl > 0:
-            m //= 2
-            lvl -= 1
-        return m, lvl
-
-    def pid(ints, lvl, floats):
-        key = tuple(canon(m, lvl) for m in ints)
-        i = point_ids.get(key)
-        if i is None:
-            i = len(points)
-            point_ids[key] = i
-            points.append(floats)
-        return i
-
-    cells = []
-    for n, leaf in enumerate(leaves):
-        lvl = leaf.level
-        x0, y0 = leaf.lo
-        x1, y1 = leaf.hi
-        fx0, fy0 = leaf.lo_f
-        fx1, fy1 = leaf.hi_f
-        ids = (
-            pid((x0, y0), lvl, (fx0, fy0)),
-            pid((x1, y0), lvl, (fx1, fy0)),
-            pid((x1, y1), lvl, (fx1, fy1)),
-            pid((x0, y1), lvl, (fx0, fy1)),
-        )
-        rank = 0 if ranks is None else int(ranks[n])
-        order = 0 if orders is None else int(orders[n])
-        w = 1.0 if weights is None else float(weights[n])
-        cells.append((n, ids, lvl, rank, order, w))
-
+    e = mesh.elements
+    level = e.level[leaves]
+    # corners SW, SE, NE, NW: per axis, 1 takes the coordinate from hi
+    pick = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=bool)
+    corners = np.where(pick, e.hi[leaves, None], e.lo[leaves, None])
+    # one point per distinct position, numbered by first occurrence: on
+    # the finest level's lattice equal positions are equal ints
+    first, nodes = _first_occurrences(
+        (corners << (level.max() - level)[:, None, None]).reshape(-1, 2))
+    points = np.where(pick, e.hi_f[leaves, None],
+                      e.lo_f[leaves, None]).reshape(-1, 2)[first]
+    n = len(leaves)
+    ranks = [0] * n if ranks is None else [int(r) for r in ranks]
+    orders = [0] * n if orders is None else [int(o) for o in orders]
+    weights = [1.0] * n if weights is None else [float(w) for w in weights]
     lines = [
         '<?xml version="1.0"?>',
-        f'<overlay_grid dimension="2" points="{len(points)}" cells="{len(cells)}">',
+        f'<overlay_grid dimension="2" points="{len(points)}" cells="{n}">',
         "  <points>",
+        *(f'    <p id="{i}" x="{x!r}" y="{y!r}"/>'
+          for i, (x, y) in enumerate(points.tolist())),
+        "  </points>",
+        "  <cells>",
+        *(f'    <c id="{k}" nodes="{" ".join(map(str, ids))}" level="{lvl}" '
+          f'rank="{rank}" order="{order}" weight="{w!r}"/>'
+          for k, (ids, lvl, rank, order, w) in enumerate(zip(
+              nodes.reshape(-1, 4).tolist(), level.tolist(), ranks, orders,
+              weights))),
+        "  </cells>",
+        "</overlay_grid>",
     ]
-    for i, pt in enumerate(points):
-        coords = " ".join(
-            f'{ax}="{v!r}"' for ax, v in zip("xy", pt)
-        )
-        lines.append(f'    <p id="{i}" {coords}/>')
-    lines.append("  </points>")
-    lines.append("  <cells>")
-    for n, ids, lvl, rank, order, w in cells:
-        nodes = " ".join(str(i) for i in ids)
-        lines.append(
-            f'    <c id="{n}" nodes="{nodes}" level="{lvl}" rank="{rank}" '
-            f'order="{order}" weight="{w!r}"/>'
-        )
-    lines.append("  </cells>")
-    lines.append("</overlay_grid>")
     text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
         fh.write(text)

@@ -141,7 +141,7 @@ def partition_sfc(mesh, weights, n_ranks, grid_order=14):
     leaves = mesh.active_leaf_elements()
     if len(leaves) != weights.size:
         raise ValueError("one weight per active leaf required")
-    centers = np.array([(np.asarray(l.lo_f) + np.asarray(l.hi_f)) / 2 for l in leaves])
+    centers = (mesh.elements.lo_f[leaves] + mesh.elements.hi_f[leaves]) / 2
     lo = centers.min(axis=0)
     hi = centers.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)

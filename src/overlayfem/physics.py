@@ -65,9 +65,9 @@ def element_system(basis, leaf, domain=None, depth=0, source=None):
     then summed cell by cell.
     """
     rule = leaf_rule(basis, leaf, domain, depth)
-    pts = leaf_to_physical(leaf)(rule.points)
+    pts = leaf_to_physical(basis.mesh, leaf)(rule.points)
     V, G = basis.evaluate_leaf(leaf, pts)
-    w = rule.weights * rule.alpha * leaf_jacobian(leaf)
+    w = rule.weights * rule.alpha * leaf_jacobian(basis.mesh, leaf)
     n = basis.leaf_mode_count(leaf)
     K = np.zeros((n, n))
     f = None if source is None else np.zeros(n)
@@ -473,8 +473,8 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
     groups = {}
     spacetrees = []  # the other leaves under a domain
     orders = basis.quad_orders + extra_order
-    for i, leaf in enumerate(leaves):
-        q = int(orders[i])
+    for i, (leaf, q, level) in enumerate(zip(leaves, orders.tolist(),
+                                             basis.levels.tolist())):
         if singular[i]:
             # reference coordinates of the singular corner: one of the vertices
             ref = 2 * (sp - lo[i]) / (hi[i] - lo[i]) - 1
@@ -484,11 +484,11 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
                 basis, leaf, corner_rule(corner, corner_levels, q),
                 coefficients, exact_gradient, alpha)
         elif domain is None:
-            groups.setdefault((q, leaf.level), []).append(i)
+            groups.setdefault((q, level), []).append(i)
         else:
             spacetrees.append(i)
-    rules = build_leaf_rules(basis, [leaves[i] for i in spacetrees], domain,
-                             depth, extra_order)
+    rules = build_leaf_rules(basis, leaves[spacetrees], domain, depth,
+                             extra_order)
     for i, rule in zip(spacetrees, rules):
         terms[i] = _leaf_error_terms(basis, leaves[i], rule, coefficients,
                                      exact_gradient)
@@ -525,12 +525,12 @@ def _leaf_error_terms(basis, leaf, rule, coefficients, exact_gradient,
 
     `alpha` replaces the rule's indicator values when given.
     """
-    pts = leaf_to_physical(leaf)(rule.points)
+    pts = leaf_to_physical(basis.mesh, leaf)(rule.points)
     _, G = basis.evaluate_leaf(leaf, pts)
     coef = coefficients[basis.leaf_dofs(leaf)]
     diff = (np.einsum("qid,i->qd", G, coef)
             - np.asarray(exact_gradient(pts), dtype=float))
-    w = rule.weights * leaf_jacobian(leaf) * (
+    w = rule.weights * leaf_jacobian(basis.mesh, leaf) * (
         rule.alpha if alpha is None else alpha(pts))
     return [float(np.einsum("q,qd,qd->", w[cell], diff[cell], diff[cell]))
             for cell in rule.cells()]

@@ -30,6 +30,7 @@ Leaves without a domain share one reference rule per order.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -329,10 +330,9 @@ def subdivide(lo, hi, domain, depth, order, to_physical=None):
     return roots[perm], box_rule(l[perm], h[perm], order, alpha)
 
 
-def leaf_to_physical(leaf):
+def leaf_to_physical(mesh, leaf):
     """Affine map from the leaf's [-1, 1]^2 reference box to physical space."""
-    lo = np.asarray(leaf.lo_f, dtype=float)
-    hi = np.asarray(leaf.hi_f, dtype=float)
+    lo, hi = mesh.elements.lo_f[leaf], mesh.elements.hi_f[leaf]
     half = (hi - lo) / 2
     mid = (hi + lo) / 2
 
@@ -342,25 +342,23 @@ def leaf_to_physical(leaf):
     return to_physical
 
 
-def leaf_jacobian(leaf):
+def leaf_jacobian(mesh, leaf):
     """Measure factor of the reference-to-physical map."""
-    lo = np.asarray(leaf.lo_f, dtype=float)
-    hi = np.asarray(leaf.hi_f, dtype=float)
+    lo, hi = mesh.elements.lo_f[leaf], mesh.elements.hi_f[leaf]
     return float(np.prod((hi - lo) / 2))
 
 
 def build_leaf_rules(basis, leaves, domain, depth, extra_order=0):
-    """The spacetree rules of these leaves, in their order, at each leaf's
-    quadrature order plus `extra_order`: one ``subdivide`` per order, every
-    leaf's spacetree in the same passes."""
+    """The spacetree rules of these leaf ids, in their order, at each
+    leaf's quadrature order plus `extra_order`: one ``subdivide`` per
+    order, every leaf's spacetree in the same passes."""
+    leaves = np.asarray(leaves, dtype=np.int64)
     rules = [None] * len(leaves)
-    by_order = {}
-    for i, leaf in enumerate(leaves):
-        order = basis.leaf_quad_order(leaf) + extra_order
-        by_order.setdefault(order, []).append(i)
-    for order, idx in by_order.items():
-        lo = np.array([leaves[i].lo_f for i in idx], dtype=float)
-        hi = np.array([leaves[i].hi_f for i in idx], dtype=float)
+    orders = basis.quad_orders[basis.rows(leaves)] + extra_order
+    for order in np.unique(orders).tolist():
+        idx = np.flatnonzero(orders == order)
+        lo = basis.mesh.elements.lo_f[leaves[idx]]
+        hi = basis.mesh.elements.hi_f[leaves[idx]]
         # the frames of leaf_to_physical, one row per leaf
         half = (hi - lo) / 2
         mid = (hi + lo) / 2
@@ -373,7 +371,7 @@ def build_leaf_rules(basis, leaves, domain, depth, extra_order=0):
         bounds = n * np.cumsum(counts)[:-1]
         rows = zip(*(np.split(arr, bounds)
                      for arr in (rule.points, rule.weights, rule.alpha)))
-        for i, cells, arrays in zip(idx, counts.tolist(), rows):
+        for i, cells, arrays in zip(idx.tolist(), counts.tolist(), rows):
             rules[i] = LeafRule(*arrays, tuple(range(0, cells * n + 1, n)))
     return rules
 
@@ -392,16 +390,17 @@ def leaf_rule(basis, leaf, domain=None, depth=0):
     """
     if domain is None:
         return reference_rule(basis.leaf_quad_order(leaf))
-    key = (leaf.id, depth, domain)
+    leaf = operator.index(leaf)
+    key = (leaf, depth, domain)
     rule = basis.leaf_rules.get(key)
     if rule is None:
-        batch = [other for other in basis.mesh.active_leaf_elements()
-                 if (other.id, depth, domain) not in basis.leaf_rules]
+        batch = [other for other in basis.mesh.active_leaf_elements().tolist()
+                 if (other, depth, domain) not in basis.leaf_rules]
         if leaf not in batch:
             batch = [leaf]
         rules = build_leaf_rules(basis, batch, domain, depth)
         for other, built in zip(batch, rules):
-            basis.leaf_rules[(other.id, depth, domain)] = built
+            basis.leaf_rules[(other, depth, domain)] = built
         rule = basis.leaf_rules[key]
     return rule
 
@@ -410,7 +409,7 @@ def indicator_area(basis, domain, depth):
     """Measure of the physical region as seen by the composed rules."""
     total = 0.0
     for leaf in basis.mesh.active_leaf_elements():
-        jac = leaf_jacobian(leaf)
+        jac = leaf_jacobian(basis.mesh, leaf)
         rule = leaf_rule(basis, leaf, domain, depth)
         for cell in rule.cells():
             inside = rule.alpha[cell] == 1.0

@@ -4,7 +4,8 @@ Random meshes are built by seeded marking rounds so every test run sees
 the same sequence.  Helpers here are deliberately small; an oracle is
 reimplemented inside the test module that needs it, unless several
 modules need it: the cell-by-cell quadrature oracles, the per-element
-Basis oracles and the object-by-object entity bookkeeping live here.
+Basis oracles, the point-by-point leaf walk and the object-by-object
+entity and element bookkeeping live here.
 """
 
 from dataclasses import dataclass
@@ -49,7 +50,7 @@ def random_refined_mesh(rng, max_leaves=1000, make=Mesh):
             break
         k = max(1, int(len(leaves) * float(rng.uniform(0.05, 0.3))))
         picked = rng.choice(len(leaves), size=k, replace=False)
-        mesh.refine([leaves[i].id for i in picked])
+        mesh.refine(leaves[picked])
     return mesh
 
 
@@ -74,7 +75,7 @@ def stretched_basis(rng):
     for _ in range(3):
         leaves = mesh.active_leaf_elements()
         picked = rng.choice(len(leaves), size=len(leaves) // 3, replace=False)
-        mesh.refine([leaves[i].id for i in picked])
+        mesh.refine(leaves[picked])
     return Basis(mesh, random_orders(rng, mesh))
 
 
@@ -84,6 +85,50 @@ def corner_refined(res, steps):
     for _ in range(steps):
         mesh.refine(mark_corner_leaves(mesh, (0.0, 0.0)))
     return mesh
+
+
+def leaf_at(mesh, point):
+    """Id of the leaf holding one point, -1 outside the mesh."""
+    return int(mesh.locate_leaves([point])[0])
+
+
+def chain(mesh, elem):
+    """Ancestor ids of an element, base first, the element itself last,
+    one parent link at a time."""
+    path = []
+    while elem >= 0:
+        path.append(int(elem))
+        elem = mesh.elements.parent[elem]
+    return path[::-1]
+
+
+def locate_leaf_oracle(mesh, point):
+    """The point-by-point walk ``Mesh.locate_leaves`` replaced: the first
+    patch holding the point, its base cell by index arithmetic, then one
+    child choice per level; None outside the mesh."""
+    e = mesh.elements
+    pt = np.asarray(point, dtype=float)
+    for patch, first_id in mesh._patch_tables:
+        idx = []
+        ok = True
+        for a, ((lo, hi), n) in enumerate(zip(patch.bounds, patch.resolution)):
+            if not (lo <= pt[a] <= hi):
+                ok = False
+                break
+            i = int((pt[a] - lo) / (hi - lo) * n)
+            idx.append(min(max(i, 0), int(n) - 1))
+        if not ok:
+            continue
+        nx = int(patch.resolution[0])
+        elem = first_id + idx[1] * nx + idx[0]
+        while e.child[elem] >= 0:
+            sel = 0
+            for a in range(2):
+                if pt[a] > (e.lo_f[elem][a] + e.hi_f[elem][a]) / 2:
+                    sel += 1 << a
+            elem = int(e.child[elem]) + sel
+        return elem
+    return None
 
 
 # ------------------------------------------------ quadrature oracles
@@ -193,7 +238,7 @@ def plan_oracle(basis, elem):
     """(jx, jy, gids) of one element, slot by slot over its topology."""
     table = basis.mesh.table
     jx, jy, gids = [], [], []
-    for slot, row in enumerate(basis.mesh.topology[elem.id].tolist()):
+    for slot, row in enumerate(basis.mesh.topology[elem].tolist()):
         if not table.active[row]:
             continue
         p = entity_order(basis, row)
@@ -227,14 +272,14 @@ def plan_oracle(basis, elem):
 
 
 def leaf_dofs_oracle(basis, leaf):
-    parts = [plan_oracle(basis, e)[2] for e in basis.mesh.chain(leaf)]
+    parts = [plan_oracle(basis, e)[2] for e in chain(basis.mesh, leaf)]
     return np.concatenate(parts) if parts else np.empty(0, np.int64)
 
 
 def leaf_quad_order_oracle(basis, leaf):
     pmax = 1
-    for elem in basis.mesh.chain(leaf):
-        for row in basis.mesh.topology[elem.id].tolist():
+    for elem in chain(basis.mesh, leaf):
+        for row in basis.mesh.topology[elem].tolist():
             if basis.mesh.table.active[row]:
                 pmax = max(pmax, entity_order(basis, row))
     return pmax + 1
@@ -272,13 +317,13 @@ def side_on_domain_boundary(mesh, elem, axis, upper):
     """True when the element's face at lo/hi of `axis` lies on the
     boundary of the meshed domain: on a side of its base element that no
     other base element shares."""
-    base = mesh.chain(elem)[0]
-    c = elem.hi[axis] if upper else elem.lo[axis]
-    cb = base.hi[axis] if upper else base.lo[axis]
-    if c != cb << elem.level:
+    e = mesh.elements
+    base = chain(mesh, elem)[0]
+    box = e.hi if upper else e.lo
+    if box[elem, axis] != box[base, axis] << e.level[elem]:
         return False
     slot = (7 if upper else 6) if axis == 0 else (5 if upper else 4)
-    return mesh.table.incidence[mesh.topology[base.id, slot]] == 1
+    return mesh.table.incidence[mesh.topology[base, slot]] == 1
 
 
 def leaf_flux_load(basis, leaf, flux, part=None):
@@ -292,12 +337,12 @@ def leaf_flux_load(basis, leaf, flux, part=None):
     for axis, upper in SIDES_2D:
         if not side_on_domain_boundary(mesh, leaf, axis, upper):
             continue
-        a = np.asarray(leaf.lo_f, dtype=float).copy()
-        b = np.asarray(leaf.hi_f, dtype=float).copy()
+        a = mesh.elements.lo_f[leaf].copy()
+        b = mesh.elements.hi_f[leaf].copy()
         if upper:
-            a[axis] = leaf.hi_f[axis]
+            a[axis] = mesh.elements.hi_f[leaf][axis]
         else:
-            b[axis] = leaf.lo_f[axis]
+            b[axis] = mesh.elements.lo_f[leaf][axis]
         mid = (a + b) / 2
         if part is not None and not part(mid):
             continue
@@ -327,24 +372,44 @@ class _Entity:
 
 
 class SequentialEntities:
-    """The entity bookkeeping the mesh table replaced: entity objects made
-    one at a time, deduped by per-level key dicts and linked by lists,
-    with activation walked entity by entity.
+    """The entity and element bookkeeping the mesh tables replaced:
+    entity objects made one at a time, deduped by per-level key dicts and
+    linked by lists, with activation walked entity by entity, and one
+    element record per id.
 
-    Built from a fresh mesh, it replays the base build patch by patch and
-    element row by row; ``refine`` and ``coarsen`` replay the calls of the
-    same name, made on the mesh just before.  A split runs by element id,
-    then child (j, i), then slot n00 n10 n01 n11 eb et el er face.
+    Built from a fresh mesh, it replays the base build from the mesh's
+    spec, patch by patch and element row by row; ``refine`` and
+    ``coarsen`` replay the calls of the same name, made on the mesh just
+    before, from its own records alone.  A split runs by element id, then
+    child (j, i), then slot n00 n10 n01 n11 eb et el er face, and numbers
+    the children from the next unused id.
     """
 
     def __init__(self, mesh):
-        self.mesh = mesh
+        self.den = mesh._den
         self.entities = []     # creation order, dead ones included
         self.keys = {}         # (level, kind, x, y) -> live entity
-        self.topology = {}     # element id -> its 9 entities
+        self.topology = {}     # live element id -> its 9 entities
         self.children = {}     # element id -> child ids
-        for elem in mesh.base_elements:
-            self._wire(elem.id, 0, elem.lo, elem.hi)
+        self.elems = []        # per id: [level, parent, child, lo, hi]
+        for patch in mesh.spec.patches:
+            lines = []
+            for (lo, hi), n, den in zip(patch.bounds, patch.resolution,
+                                        self.den):
+                lo, n = Fraction(lo), int(n)
+                step = (Fraction(hi) - lo) / n
+                lines.append([int((lo + i * step) * den) for i in range(n + 1)])
+            xs, ys = lines
+            for j in range(len(ys) - 1):
+                for i in range(len(xs) - 1):
+                    self._new_element(0, -1, (xs[i], ys[j]),
+                                      (xs[i + 1], ys[j + 1]))
+
+    def _new_element(self, level, parent, lo, hi):
+        eid = len(self.elems)
+        self.elems.append([level, parent, -1, lo, hi])
+        self._wire(eid, level, lo, hi)
+        return eid
 
     def _get_or_make(self, level, kind, x, y):
         ent = self.keys.get((level, kind, x, y))
@@ -383,17 +448,16 @@ class SequentialEntities:
 
     def refine(self, marked):
         for eid in sorted(set(marked)):
-            elem = self.mesh.elements[eid]
+            level, _, _, (X0, Y0), (X1, Y1) = self.elems[eid]
             topo = self.topology[eid]
-            (X0, Y0), (X1, Y1) = elem.lo, elem.hi
             xs, ys = (2 * X0, X0 + X1, 2 * X1), (2 * Y0, Y0 + Y1, 2 * Y1)
-            self.children[eid] = [c.id for c in elem.children]
-            for k, (j, i) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-                child = elem.children[k]
+            self.elems[eid][2] = len(self.elems)
+            self.children[eid] = []
+            for j, i in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 lo, hi = (xs[i], ys[j]), (xs[i + 1], ys[j + 1])
-                assert (child.lo, child.hi) == (lo, hi)
-                n00, n10, n01, n11, eb, et, el, er, face = self._wire(
-                    child.id, elem.level + 1, lo, hi)
+                child = self._new_element(level + 1, eid, lo, hi)
+                self.children[eid].append(child)
+                n00, n10, n01, n11, eb, et, el, er, face = self.topology[child]
                 for node, a, b in ((n00, i, j), (n10, i + 1, j),
                                    (n01, i, j + 1), (n11, i + 1, j + 1)):
                     if a != 1 and b != 1:
@@ -414,6 +478,7 @@ class SequentialEntities:
 
     def coarsen(self, marked):
         for eid in sorted(set(marked)):
+            self.elems[eid][2] = -1
             for cid in self.children.pop(eid):
                 for ent in self.topology.pop(cid):
                     ent.incidence -= 1
@@ -459,7 +524,7 @@ class SequentialEntities:
             [row[id(n)] for n in e.end_nodes] if e.kind == EDGE else [-1, -1]
             for e in live]
         assert t.active.tolist() == [e.active for e in live]
-        assert sorted(self.topology) == sorted(mesh.elements)
+        self.assert_elements_match(mesh)
         for eid, topo in self.topology.items():
             assert mesh.topology[eid].tolist() == [row[id(e)] for e in topo]
         assert mesh.max_level() == max(e.level for e in live)
@@ -476,6 +541,25 @@ class SequentialEntities:
         assert dofmap.rows.tolist() == rows
         assert dofmap.offsets.tolist() == offsets
         assert dofmap.total == total
+
+
+    def assert_elements_match(self, mesh):
+        """Every element column, over every id ever made, and the removed
+        ids are this bookkeeping's; floats through exact fractions."""
+        e = mesh.elements
+        level, parent, child, lo, hi = zip(*self.elems)
+        assert len(e) == len(self.elems)
+        assert e.level.tolist() == list(level)
+        assert e.parent.tolist() == list(parent)
+        assert e.child.tolist() == list(child)
+        assert e.lo.tolist() == [list(b) for b in lo]
+        assert e.hi.tolist() == [list(b) for b in hi]
+        for col, boxes in ((e.lo_f, lo), (e.hi_f, hi)):
+            assert col.tolist() == [
+                [float(Fraction(m, den << lvl)) for m, den in zip(b, self.den)]
+                for b, lvl in zip(boxes, level)]
+        live = np.flatnonzero(mesh.topology[:, 0] >= 0).tolist()
+        assert live == sorted(self.topology)
 
 
 class CheckedMesh(Mesh):

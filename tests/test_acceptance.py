@@ -164,7 +164,7 @@ def test_criterion_03_distributed_assembly_matches_serial():
             mine = [i for i in range(len(leaves)) if ranks[i] == r]
             intermediates.append(integrate_rank_system(
                 basis, to_free,
-                [leaves[i].id for i in mine], np.asarray(mine, dtype=np.int64),
+                leaves[mine], np.asarray(mine, dtype=np.int64),
                 r, source=bumpy_source))
         leaf_free = [to_free[basis.leaf_dofs(leaf)] for leaf in leaves]
         leaf_free = [d[d >= 0] for d in leaf_free]

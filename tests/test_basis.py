@@ -11,7 +11,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_legendre
 
-from conftest import CheckedMesh, single_patch, random_refined_mesh, random_orders
+from conftest import (CheckedMesh, leaf_at, single_patch, random_refined_mesh,
+                      random_orders)
 from overlayfem.mesh import Mesh, NODE, EDGE, FACE
 from overlayfem.basis import (
     Basis, PolynomialOrderField, entity_mode_count, enumerate_dofs,
@@ -224,9 +225,9 @@ def test_leaf_quad_order():
         assert basis.leaf_quad_order(leaf) == 4
 
     mesh = single_patch(2)
-    mesh.refine([mesh.active_leaf_elements()[0].id])
+    mesh.refine([mesh.active_leaf_elements()[0]])
     graded = Basis(mesh, PolynomialOrderField(by_level={0: 8, 1: 6}))
-    deep = mesh.locate_leaf((0.1, 0.1))
+    deep = leaf_at(mesh, (0.1, 0.1))
     # the chain of a level-1 leaf still carries active order-8 entities
     assert graded.leaf_quad_order(deep) == 9
 
@@ -274,16 +275,16 @@ def test_field_continuous_across_refinement_seam():
     # interface between a refined and an unrefined element
     rng = np.random.default_rng(29)
     mesh = single_patch((2, 1), bounds=((0.0, 2.0), (0.0, 1.0)))
-    left = mesh.locate_leaf((0.5, 0.5))
-    mesh.refine([left.id])
-    mesh.refine([mesh.locate_leaf((0.9, 0.9)).id])  # second level at the seam
+    left = leaf_at(mesh, (0.5, 0.5))
+    mesh.refine([left])
+    mesh.refine([leaf_at(mesh, (0.9, 0.9))])  # second level at the seam
     basis = Basis(mesh, PolynomialOrderField(uniform=4))
     coeffs = rng.standard_normal(basis.dofmap.total)
 
-    right = mesh.locate_leaf((1.5, 0.5))
+    right = leaf_at(mesh, (1.5, 0.5))
     for y in np.linspace(0.05, 0.95, 7):
         pt = np.array([[1.0, y]])
-        fine = mesh.locate_leaf((1.0 - 1e-9, y))
+        fine = leaf_at(mesh, (1.0 - 1e-9, y))
         vf, gf = basis.evaluate_leaf(fine, pt)
         vc, gc = basis.evaluate_leaf(right, pt)
         a = float(vf[0] @ coeffs[basis.leaf_dofs(fine)])
@@ -300,9 +301,9 @@ def test_leaf_gradient_matches_finite_difference():
     mesh = random_refined_mesh(rng)
     basis = Basis(mesh, random_orders(rng, mesh))
     leaves = mesh.active_leaf_elements()
-    leaf = max(leaves, key=lambda e: e.level)
-    lo = np.asarray(leaf.lo_f)
-    hi = np.asarray(leaf.hi_f)
+    leaf = max(leaves, key=lambda e: mesh.elements.level[e])
+    lo = mesh.elements.lo_f[leaf]
+    hi = mesh.elements.hi_f[leaf]
     pts = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=(5, 2))
     _, grad = basis.evaluate_leaf(leaf, pts)
     h = 1e-6
@@ -320,7 +321,7 @@ def evaluate_leaf_by_columns(basis, leaf, points):
     """Leaf tables as column blocks, one per chain element, concatenated:
     the reference for Basis.evaluate_leaf."""
     n = len(points)
-    frames = basis.leaf_frames([basis.row_of[leaf.id]], points[None])
+    frames = basis.leaf_frames([basis.row_of[leaf]], points[None])
     cols_v, cols_g = [], []
     for plans, (scale,), (ref,) in frames:
         jx, jy = basis.plans[plans[0]]
@@ -342,8 +343,8 @@ def test_leaf_tables_match_column_reference():
         mesh = random_refined_mesh(rng, max_leaves=200)
         basis = Basis(mesh, random_orders(rng, mesh))
         for leaf in mesh.active_leaf_elements():
-            lo = np.asarray(leaf.lo_f)
-            hi = np.asarray(leaf.hi_f)
+            lo = mesh.elements.lo_f[leaf]
+            hi = mesh.elements.hi_f[leaf]
             pts = lo + (hi - lo) * rng.uniform(0.0, 1.0, size=(7, 2))
             got = basis.evaluate_leaf(leaf, pts)
             want = evaluate_leaf_by_columns(basis, leaf, pts)
@@ -380,7 +381,9 @@ def test_active_functions_are_linearly_independent():
         n = basis.dofmap.total
         gram = np.zeros((n, n))
         for leaf in basis.mesh.active_leaf_elements():
-            rule = box_rule(leaf.lo_f, leaf.hi_f, basis.leaf_quad_order(leaf))
+            e = basis.mesh.elements
+            rule = box_rule(e.lo_f[leaf], e.hi_f[leaf],
+                            basis.leaf_quad_order(leaf))
             V, _ = basis.evaluate_leaf(leaf, rule.points)
             gids = basis.leaf_dofs(leaf)
             gram[np.ix_(gids, gids)] += V.T @ (rule.weights[:, None] * V)
@@ -399,8 +402,8 @@ def test_active_field_is_continuous_across_leaf_edges():
         coef = rng.standard_normal(basis.dofmap.total)
         sides = 0
         for i, leaf in enumerate(mesh.active_leaf_elements()):
-            lo = np.asarray(leaf.lo_f)
-            hi = np.asarray(leaf.hi_f)
+            lo = mesh.elements.lo_f[leaf]
+            hi = mesh.elements.hi_f[leaf]
             for axis in range(2):
                 along = 1 - axis
                 for upper in (False, True):
@@ -415,12 +418,17 @@ def test_active_field_is_continuous_across_leaf_edges():
                     step = np.zeros(2)
                     step[axis] = (hi[axis] - lo[axis]) * (1e-6 if upper else -1e-6)
                     for pt, val in zip(pts, inside):
-                        other = mesh.locate_leaf(pt + step)
-                        assert other is not leaf
+                        other = leaf_at(mesh, pt + step)
+                        assert other >= 0 and other != leaf
                         Vo, _ = basis.evaluate_leaf(other, pt[None, :])
                         assert abs(Vo[0] @ coef[basis.leaf_dofs(other)] - val) <= 1e-12
                     sides += 1
         assert sides > 0
+
+
+def family(mesh, ids):
+    """The children of each id in turn, four consecutive ids each."""
+    return [int(mesh.elements.child[eid]) + k for eid in ids for k in range(4)]
 
 
 def active_entity_set(mesh):
@@ -437,17 +445,17 @@ def test_refine_then_coarsen_restores_dofs_and_active_entities():
         mesh, orders = basis.mesh, basis.orders
         leaves = mesh.active_leaf_elements()
         active = active_entity_set(mesh)
-        picked = [leaves[i].id for i in rng.choice(
+        picked = leaves[rng.choice(
             len(leaves), size=max(1, len(leaves) // 5), replace=False)]
         mesh.refine(picked)
-        children = [c.id for eid in picked for c in mesh.elements[eid].children]
+        children = family(mesh, picked)
         inner = [children[i] for i in rng.choice(
             len(children), size=max(1, len(children) // 4), replace=False)]
         mesh.refine(inner)
         assert active_entity_set(mesh) != active
         mesh.coarsen(inner)
         mesh.coarsen(picked)
-        assert mesh.active_leaf_elements() == leaves
+        assert mesh.active_leaf_elements().tolist() == leaves.tolist()
         assert active_entity_set(mesh) == active
         assert Basis(mesh, orders).dofmap.total == basis.dofmap.total
         cases += 1
@@ -461,11 +469,11 @@ def test_refine_then_coarsen_matches_sequential_creation():
         mesh, orders = basis.mesh, basis.orders
         mesh.oracle.assert_matches(mesh, orders)
         leaves = mesh.active_leaf_elements()
-        picked = [leaves[i].id for i in rng.choice(
+        picked = leaves[rng.choice(
             len(leaves), size=max(1, len(leaves) // 5), replace=False)]
         mesh.refine(picked)
         mesh.oracle.assert_matches(mesh, random_orders(rng, mesh))
-        children = [c.id for eid in picked for c in mesh.elements[eid].children]
+        children = family(mesh, picked)
         inner = [children[i] for i in rng.choice(
             len(children), size=max(1, len(children) // 4), replace=False)]
         mesh.refine(inner)

@@ -40,13 +40,13 @@ def graded_quadrature_mesh():
     for _ in range(2):
         leaves = mesh.active_leaf_elements()
         picked = rng.choice(len(leaves), size=len(leaves) // 4, replace=False)
-        mesh.refine([leaves[i].id for i in picked])
+        mesh.refine(leaves[picked])
     return Basis(mesh, PolynomialOrderField(by_level={0: 1, 1: 3, 2: 4}))
 
 
 def deep_graded_mesh():
     mesh = single_patch(2)
-    mesh.refine([mesh.active_leaf_elements()[0].id])
+    mesh.refine([mesh.active_leaf_elements()[0]])
     return Basis(mesh, PolynomialOrderField(by_level={0: 8, 1: 6}))
 
 
@@ -54,14 +54,15 @@ def coarsened_mesh():
     rng = np.random.default_rng(11)
     mesh = single_patch(4)
     leaves = mesh.active_leaf_elements()
-    picked = [leaves[i].id for i in rng.choice(len(leaves), 6, replace=False)]
+    picked = leaves[rng.choice(len(leaves), 6, replace=False)].tolist()
     mesh.refine(picked)
-    children = [c.id for eid in picked for c in mesh.elements[eid].children]
+    children = [mesh.elements.child[eid] + k for eid in picked for k in range(4)]
     mesh.refine(children[::3])
     mesh.coarsen(children[::3])
     mesh.refine(children[1::5])
+    child = mesh.elements.child
     mesh.coarsen([eid for eid in picked if not any(
-        c.children for c in mesh.elements[eid].children)][:2])
+        child[child[eid] + k] >= 0 for k in range(4))][:2])
     return Basis(mesh, random_orders(rng, mesh))
 
 
@@ -86,8 +87,8 @@ def test_tables_equal_per_element_oracles(basis):
     mesh = basis.mesh
     refined = 0
     # every element of the forest, refined ones included
-    for elem in mesh.elements.values():
-        row = basis.row_of[elem.id]
+    for elem in np.flatnonzero(mesh.topology[:, 0] >= 0):
+        row = basis.row_of[elem]
         want = leaf_dofs_oracle(basis, elem)
         got = basis.leaf_dofs(elem)
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -100,28 +101,55 @@ def test_tables_equal_per_element_oracles(basis):
         assert [bool(b) for b in basis.boundary[row]] == [
             side_on_domain_boundary(mesh, elem, axis, upper)
             for axis, upper in SIDES_2D]
-        refined += bool(elem.children)
+        refined += bool(mesh.elements.child[elem] >= 0)
     assert refined > 0
     leaves = mesh.active_leaf_elements()
-    assert [basis.row_of[leaf.id] for leaf in leaves] == list(range(len(leaves)))
+    assert [basis.row_of[leaf] for leaf in leaves] == list(range(len(leaves)))
 
 
 def test_removed_elements_are_rejected():
     mesh = single_patch(2)
     parent = mesh.active_leaf_elements()[0]
-    mesh.refine([parent.id])
-    child = parent.children[0]
-    mesh.refine([mesh.active_leaf_elements()[-1].id])
-    mesh.coarsen([parent.id])
+    mesh.refine([parent])
+    child = mesh.elements.child[parent]
+    mesh.refine([mesh.active_leaf_elements()[-1]])
+    mesh.coarsen([parent])
     basis = Basis(mesh, PolynomialOrderField(uniform=2))
-    assert basis.row_of[child.id] == -1
+    assert basis.row_of[child] == -1
     with pytest.raises(KeyError):
         basis.leaf_dofs(child)
 
 
+@pytest.mark.parametrize("query", ["leaf_dofs", "leaf_mode_count",
+                                   "leaf_quad_order", "evaluate_leaf"])
+def test_leaf_queries_reject_bad_ids(query):
+    # an index array would wrap -1 to the last row: ids are checked first
+    mesh = single_patch(2)
+    mesh.refine([3])
+    mesh.coarsen([3])  # ids 4 .. 7 are gone
+    mesh.refine([0])   # ids 8 .. 11 are leaves
+    basis = Basis(mesh, PolynomialOrderField(uniform=3))
+
+    def ask(eid):
+        args = (np.zeros((1, 2)),) if query == "evaluate_leaf" else ()
+        return getattr(basis, query)(eid, *args)
+
+    for bad in (-1, np.int64(-12), 12, 10 ** 6, 4, np.int32(7), 2.0, True):
+        with pytest.raises(KeyError):
+            ask(bad)
+    want = ask(8)
+    for good in (np.int64(8), np.uint16(8), np.int32(8)):
+        got = ask(good)
+        if query == "evaluate_leaf":
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        else:
+            assert np.array_equal(got, want)
+
+
 def test_dirichlet_mask_equals_oracle(basis):
-    lo = np.min([e.lo_f for e in basis.mesh.base_elements], axis=0)
-    hi = np.max([e.hi_f for e in basis.mesh.base_elements], axis=0)
+    base = np.arange(basis.mesh.n_base)
+    lo = basis.mesh.elements.lo_f[base].min(axis=0)
+    hi = basis.mesh.elements.hi_f[base].max(axis=0)
     parts = [BoxBoundary(tuple(lo), tuple(hi)),
              InBoxes((((lo[0], lo[1]), (hi[0], lo[1])),
                       ((lo[0], lo[1]), (lo[0], (lo[1] + hi[1]) / 2)))),

@@ -148,9 +148,8 @@ def test_corner_marking_is_the_touching_set():
     marks = mark_corner_leaves(mesh, (0.0, 0.0))
     assert len(marks) == 3
     for lid in marks:
-        leaf = mesh.elements[lid]
-        assert np.all(np.asarray(leaf.lo_f) <= 0.0)
-        assert np.all(np.asarray(leaf.hi_f) >= 0.0)
+        assert np.all(mesh.elements.lo_f[lid] <= 0.0)
+        assert np.all(mesh.elements.hi_f[lid] >= 0.0)
 
 
 def test_ball_marking_uses_box_distance():
@@ -167,8 +166,7 @@ def test_interface_marking_quarter_circle():
     # the arc crosses exactly seven of the sixteen cells
     assert len(marks) == 7
     for lid in marks:
-        leaf = mesh.elements[lid]
-        corners = np.array([leaf.lo_f, leaf.hi_f])
+        corners = np.array([mesh.elements.lo_f[lid], mesh.elements.hi_f[lid]])
         r2 = (corners**2).sum(axis=1)
         assert r2.min() < 1.0 < r2.max()
 
@@ -178,37 +176,37 @@ def test_interface_marking_quarter_circle():
 def corner_marks_oracle(mesh, point):
     pt = np.asarray(point, dtype=float)
     out = []
-    for leaf in mesh.active_leaf_elements():
-        lo = np.asarray(leaf.lo_f)
-        hi = np.asarray(leaf.hi_f)
+    for leaf in mesh.active_leaf_elements().tolist():
+        lo = mesh.elements.lo_f[leaf]
+        hi = mesh.elements.hi_f[leaf]
         if np.all(lo <= pt) and np.all(pt <= hi):
-            out.append(leaf.id)
+            out.append(leaf)
     return out
 
 
 def ball_marks_oracle(mesh, center, radius):
     c = np.asarray(center, dtype=float)
     out = []
-    for leaf in mesh.active_leaf_elements():
-        lo = np.asarray(leaf.lo_f)
-        hi = np.asarray(leaf.hi_f)
+    for leaf in mesh.active_leaf_elements().tolist():
+        lo = mesh.elements.lo_f[leaf]
+        hi = mesh.elements.hi_f[leaf]
         gap = np.maximum(np.maximum(lo - c, c - hi), 0.0)
         if float(np.sqrt(np.sum(gap * gap))) <= radius:
-            out.append(leaf.id)
+            out.append(leaf)
     return out
 
 
 def interface_marks_oracle(mesh, domain):
     out = []
-    for leaf in mesh.active_leaf_elements():
-        lo = np.asarray(leaf.lo_f)
-        hi = np.asarray(leaf.hi_f)
+    for leaf in mesh.active_leaf_elements().tolist():
+        lo = mesh.elements.lo_f[leaf]
+        hi = mesh.elements.hi_f[leaf]
         xs = np.linspace(lo[0], hi[0], 3)
         ys = np.linspace(lo[1], hi[1], 3)
         stencil = np.column_stack((np.repeat(xs, 3), np.tile(ys, 3)))
         inside = domain.contains(stencil)
         if inside.any() and not inside.all():
-            out.append(leaf.id)
+            out.append(leaf)
     return out
 
 
@@ -248,7 +246,7 @@ def test_random_marking_is_seeded():
     b = mark_random_leaves(mesh, np.random.default_rng(5))
     assert a == b
     assert len(a) == 2  # 10 percent of 16, floor at one, rounded
-    ids = {leaf.id for leaf in mesh.active_leaf_elements()}
+    ids = set(mesh.active_leaf_elements().tolist())
     assert set(a) <= ids
 
 
@@ -326,7 +324,7 @@ def test_study_computes_area_weights_and_partition_once_per_step(monkeypatch):
             if name == "partition_leaves":
                 partition_inside_step.append(bool(in_step))
             elif name == "build_leaf_rules":
-                batches.append([leaf.id for leaf in args[1]])
+                batches.append([int(leaf) for leaf in args[1]])
             elif name == "run_step":
                 in_step.append(1)
                 try:
@@ -352,7 +350,7 @@ def test_study_computes_area_weights_and_partition_once_per_step(monkeypatch):
     assert [len(ids) for ids in batches] == [s["leaves"] for s in steps]
     assert all(len(set(ids)) == len(ids) for ids in batches)
     assert sorted(batches[-1]) == sorted(
-        leaf.id for leaf in final["basis"].mesh.active_leaf_elements())
+        final["basis"].mesh.active_leaf_elements().tolist())
     assert calls == {"indicator_area": 2, "compute_leaf_weights": 2}
     assert partition_inside_step == [True, True]
     assert len(final["ranks"]) == len(final["weights"]) == steps[-1]["leaves"]

@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg as spla
 
-from conftest import (single_patch, random_refined_mesh, random_orders,
+from conftest import (leaf_at, single_patch, random_refined_mesh, random_orders,
                       stretched_basis, corner_refined, leaf_flux_load)
 from overlayfem.mesh import Mesh
 from overlayfem.basis import Basis, PolynomialOrderField
@@ -25,7 +25,7 @@ from overlayfem.partition import partition_leaves, compute_leaf_weights
 from overlayfem.distributed import (
     SolverError, distribute_dofs_contiguous, distribute_dofs_graph,
     IntermediateSystem, integrate_rank_system, exchange_and_assemble,
-    parallel_cg, run_step, thin_history,
+    parallel_cg, pearson_r, run_step, thin_history,
 )
 from overlayfem.benchmarks import (fcm_disk_dirichlet, lshape_dirichlet,
                                    lshape_mesh_spec, lshape_neumann_part,
@@ -53,7 +53,7 @@ def split_and_assemble(basis, dirichlet, ranks, n_ranks, dof_distribution="graph
         mine = [i for i in range(len(leaves)) if ranks[i] == r]
         intermediates.append(integrate_rank_system(
             basis, to_free,
-            [leaves[i].id for i in mine], np.asarray(mine, dtype=np.int64),
+            leaves[mine], np.asarray(mine, dtype=np.int64),
             r, source=source,
         ))
 
@@ -403,11 +403,9 @@ def test_one_operator_matches_per_rank_inbox_oracle():
 def per_leaf_integrate(basis, to_free, leaf_ids, leaf_tags, rank,
                        domain=None, depth=0, source=None,
                        flux=None, flux_part=None):
-    by_id = {leaf.id: leaf for leaf in basis.mesh.active_leaf_elements()}
     rows, cols, vals, tags = [], [], [], []
     rrows, rvals, rtags = [], [], []
-    for lid, tag in zip(leaf_ids, leaf_tags):
-        leaf = by_id[lid]
+    for leaf, tag in zip(leaf_ids, leaf_tags):
         K, fe, gids = element_system(basis, leaf, domain, depth, source)
         fidx = to_free[gids]
         ki = np.flatnonzero(fidx >= 0)
@@ -475,7 +473,7 @@ def assemble_with(integrate, basis, dirichlet, ranks, n_ranks, kwargs):
     inters = []
     for r in range(n_ranks):
         mine = np.flatnonzero(ranks == r)
-        inters.append(integrate(basis, to_free, [leaves[i].id for i in mine],
+        inters.append(integrate(basis, to_free, leaves[mine],
                                 mine, r, **kwargs))
     owner = distribute_dofs_contiguous(dirichlet.n_free, n_ranks)
     system, traffic = exchange_and_assemble(inters, owner, dirichlet.n_free,
@@ -521,7 +519,7 @@ def test_batched_integration_matches_per_leaf_oracle():
             assert cut > 0
             eps = [i for i, s in enumerate(systems.signature)
                    if s >= 0 and basis.leaf_rules[
-                       (leaves[i].id, 3, kwargs["domain"])].alpha[0] < 1]
+                       (leaves[i], 3, kwargs["domain"])].alpha[0] < 1]
             assert eps, "no leaf lies fully outside the disk"
 
 
@@ -533,7 +531,7 @@ def test_leaf_systems_are_built_once_and_survive_pickling(monkeypatch):
     to_free = np.full(basis.dofmap.total, -1, dtype=np.int64)
     to_free[dirichlet.free] = np.arange(dirichlet.n_free)
     leaves = mesh.active_leaf_elements()
-    ids, tags = [leaf.id for leaf in leaves], np.arange(len(leaves))
+    ids, tags = leaves, np.arange(len(leaves))
     kwargs = dict(domain=disk, depth=3, source=unit_source)
     first = integrate_rank_system(basis, to_free, ids, tags, 0, **kwargs)
     assert len(basis.leaf_systems) == 1
@@ -559,7 +557,7 @@ def test_leaf_systems_are_built_once_and_survive_pickling(monkeypatch):
 
 def test_cg_matches_direct_solver():
     mesh = single_patch(4)
-    mesh.refine([mesh.locate_leaf((0.1, 0.1)).id])
+    mesh.refine([leaf_at(mesh, (0.1, 0.1))])
     basis = Basis(mesh, PolynomialOrderField(uniform=3))
     dirichlet = DirichletMap(basis, on_square_boundary)
     ranks = partition_leaves("sfc", mesh, basis, compute_leaf_weights(basis), 3)
@@ -580,7 +578,7 @@ def test_cg_trace_is_rank_count_invariant():
     runs = []
     for n_ranks in (1, 2, 4):
         mesh = Mesh(spec)
-        mesh.refine([mesh.locate_leaf((0.1, 0.1)).id])
+        mesh.refine([leaf_at(mesh, (0.1, 0.1))])
         report, basis, solution = run_step(
             mesh, PolynomialOrderField(uniform=3), n_ranks,
             lshape_dirichlet, source=unit_source,
@@ -661,11 +659,44 @@ def test_run_step_report_is_complete():
     assert solution.shape == (basis.dofmap.total,)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_step_reports_rank_integrate_times(workers):
+    # each rank's integration is timed where it runs, also in a pool
+    # worker, and the step correlates those times with the weight sums
+    mesh = Mesh(lshape_mesh_spec(3))
+    report, _, _ = run_step(mesh, PolynomialOrderField(uniform=3), 3,
+                            lshape_dirichlet, source=unit_source,
+                            workers=workers)
+    d = json.loads(json.dumps(report.to_dict()))
+    times = [row["integrate_s"] for row in d["per_rank"]]
+    assert len(times) == 3
+    assert all(isinstance(t, float) and t > 0.0 for t in times)
+    assert sum(times) <= d["timings"]["integrate"]
+    weights = [row["weight_sum"] for row in d["per_rank"]]
+    assert d["cost_model_r"] == pearson_r(weights, times)
+    assert d["cost_model_r"] is None or -1.0 <= d["cost_model_r"] <= 1.0
+
+
+def test_cost_model_r_is_null_when_undefined():
+    mesh = Mesh(lshape_mesh_spec(2))
+    report, _, _ = run_step(mesh, PolynomialOrderField(uniform=2), 1,
+                            lshape_dirichlet, source=unit_source)
+    d = json.loads(json.dumps(report.to_dict()))
+    assert d["per_rank"][0]["integrate_s"] > 0.0
+    assert "cost_model_r" in d and d["cost_model_r"] is None
+    assert pearson_r([1.0], [2.0]) is None
+    assert pearson_r([2.0, 2.0, 2.0], [0.1, 0.3, 0.2]) is None
+    assert pearson_r([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]) is None
+    assert pearson_r([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) == pytest.approx(1.0)
+    assert pearson_r([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == pytest.approx(-1.0)
+
+
 def test_run_step_marks_refine_first():
     mesh = Mesh(lshape_mesh_spec(2))
     before = len(mesh.active_leaf_elements())
-    marks = [leaf.id for leaf in mesh.active_leaf_elements()
-             if np.allclose(np.abs(np.asarray(leaf.lo_f) * np.asarray(leaf.hi_f)), 0.0)]
+    e = mesh.elements
+    marks = [leaf for leaf in mesh.active_leaf_elements()
+             if np.allclose(np.abs(e.lo_f[leaf] * e.hi_f[leaf]), 0.0)]
     report, _, _ = run_step(mesh, PolynomialOrderField(uniform=2), 2,
                             lshape_dirichlet, marks=marks[:2], source=unit_source)
     assert report.n_leaves == before + 2 * 3

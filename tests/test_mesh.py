@@ -13,7 +13,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import CheckedMesh, random_orders, single_patch
+from conftest import (CheckedMesh, chain, leaf_at, locate_leaf_oracle,
+                      random_orders, single_patch)
 from overlayfem.mesh import (
     Mesh, MeshError, BaseMeshSpec, PatchSpec, NODE, EDGE, FACE,
     export_mesh_xml,
@@ -32,11 +33,12 @@ def census(mesh, level):
 def refine_at_corner(mesh, corner, steps):
     corner = np.asarray(corner, dtype=float)
     for _ in range(steps):
+        e = mesh.elements
         marked = [
-            leaf.id
+            leaf
             for leaf in mesh.active_leaf_elements()
-            if np.all(np.asarray(leaf.lo_f) <= corner + 1e-12)
-            and np.all(corner <= np.asarray(leaf.hi_f) + 1e-12)
+            if np.all(e.lo_f[leaf] <= corner + 1e-12)
+            and np.all(corner <= e.hi_f[leaf] + 1e-12)
         ]
         mesh.refine(marked)
     return mesh
@@ -119,17 +121,44 @@ def test_refine_rejects_bad_marks():
     with pytest.raises(MeshError):
         mesh.refine([9999])
     leaves = mesh.active_leaf_elements()
-    mesh.refine([leaves[0].id])
+    mesh.refine([leaves[0]])
     with pytest.raises(MeshError):
-        mesh.refine([leaves[0].id])  # no longer a leaf
+        mesh.refine([leaves[0]])  # no longer a leaf
+
+
+@pytest.mark.parametrize("verb", ["refine", "coarsen"])
+def test_bad_ids_are_rejected_before_any_change(verb):
+    # an index array would wrap -1 to the last element: every id is
+    # checked against the live forest first
+    mesh = single_patch(2)
+    mesh.refine([0])
+    mesh.coarsen([0])  # ids 4 .. 7 are gone for good
+    n = len(mesh.elements)
+    for bad in (-1, n, 10 ** 6, 4, 7, np.int64(-1), np.int64(5)):
+        with pytest.raises(MeshError, match="unknown element"):
+            getattr(mesh, verb)([bad])
+    with pytest.raises(MeshError, match="must be integers"):
+        getattr(mesh, verb)([1.0])
+    assert len(mesh.elements) == n
+    assert mesh.active_leaf_elements().tolist() == [0, 1, 2, 3]
+
+
+def test_numpy_integer_ids_are_accepted():
+    mesh = single_patch(2)
+    mesh.refine(np.array([3], dtype=np.int32))
+    mesh.refine([np.int64(1), np.uint8(5)])
+    assert mesh.elements.child[[1, 3, 5]].tolist() == [8, 4, 12]
+    mesh.coarsen(np.array([5], dtype=np.uint64))
+    mesh.coarsen({np.int16(1), np.int64(3)})
+    assert mesh.active_leaf_elements().tolist() == [0, 1, 2, 3]
 
 
 def test_refined_once_activation_pattern():
     # refine the centre cell of a 3x3 grid: every overlay entity on the
     # boundary of the refined cell is switched off, leaving the cross
     mesh = single_patch(3)
-    centre = mesh.locate_leaf((0.5, 0.5))
-    mesh.refine([centre.id])
+    centre = leaf_at(mesh, (0.5, 0.5))
+    mesh.refine([centre])
     assert census(mesh, 1) == (1, 4, 4)
     # the only coarse casualty is the refined cell's own face
     assert census(mesh, 0) == (16, 24, 8)
@@ -141,9 +170,9 @@ def test_adjacent_pair_activation_keeps_shared_interior():
     # 10 interior edges, 8 faces survive; the coarse edge between the
     # pair loses out to its own active finer copies
     mesh = single_patch((3, 3), bounds=((0.0, 3.0), (0.0, 3.0)))
-    a = mesh.locate_leaf((1.5, 1.5))
-    b = mesh.locate_leaf((2.5, 1.5))
-    mesh.refine([a.id, b.id])
+    a = leaf_at(mesh, (1.5, 1.5))
+    b = leaf_at(mesh, (2.5, 1.5))
+    mesh.refine([a, b])
     assert census(mesh, 1) == (3, 10, 8)
     assert census(mesh, 0) == (16, 23, 7)
 
@@ -151,9 +180,9 @@ def test_adjacent_pair_activation_keeps_shared_interior():
 def test_second_level_activation():
     mesh = single_patch(1)
     root = mesh.active_leaf_elements()[0]
-    mesh.refine([root.id])
-    sw = mesh.locate_leaf((0.1, 0.1))
-    mesh.refine([sw.id])
+    mesh.refine([root])
+    sw = leaf_at(mesh, (0.1, 0.1))
+    mesh.refine([sw])
     # the level-1 cross keeps its node and all four edges (their finer
     # copies sit on the level-2 region boundary and are off), but the
     # south-west face now has active descendants
@@ -178,9 +207,9 @@ def test_corner_graded_census_depth5():
 def test_coarsen_round_trip():
     mesh = single_patch(3)
     fresh = census(mesh, 0)
-    centre = mesh.locate_leaf((0.5, 0.5))
-    mesh.refine([centre.id])
-    mesh.coarsen([centre.id])
+    centre = leaf_at(mesh, (0.5, 0.5))
+    mesh.refine([centre])
+    mesh.coarsen([centre])
     assert census(mesh, 0) == fresh
     assert census(mesh, 1) == (0, 0, 0)
     assert len(mesh.active_leaf_elements()) == 9
@@ -193,13 +222,13 @@ def test_refine_coarsen_cycles_keep_linked_entities_once():
     mesh = Mesh(lshape_mesh_spec(4))
     fresh = census(mesh, 0)
     rows = len(mesh.table)
-    leaf = mesh.locate_leaf((0.3, 0.3))
+    leaf = leaf_at(mesh, (0.3, 0.3))
     for _ in range(5):
-        mesh.refine([leaf.id])
+        mesh.refine([leaf])
         t = mesh.table
         assert np.unique(t.coarser[t.level == 1]).size == 9
         assert np.count_nonzero(t.level == 1) == 25  # 9 nodes, 12 edges, 4 faces
-        mesh.coarsen([leaf.id])
+        mesh.coarsen([leaf])
         t = mesh.table
         assert np.count_nonzero(t.coarser >= 0) == 0  # no row links to level 0
         assert np.count_nonzero(t.level == 1) == 0  # no dead row is kept
@@ -211,29 +240,29 @@ def test_coarsen_rejects_bad_marks():
     mesh = single_patch(2)
     leaves = mesh.active_leaf_elements()
     with pytest.raises(MeshError):
-        mesh.coarsen([leaves[0].id])  # childless
-    mesh.refine([leaves[0].id])
-    child = mesh.locate_leaf((0.05, 0.05))
-    mesh.refine([child.id])
+        mesh.coarsen([leaves[0]])  # childless
+    mesh.refine([leaves[0]])
+    child = leaf_at(mesh, (0.05, 0.05))
+    mesh.refine([child])
     with pytest.raises(MeshError):
-        mesh.coarsen([leaves[0].id])  # grandchildren present
-    mesh.coarsen([child.id])
-    mesh.coarsen([leaves[0].id])
+        mesh.coarsen([leaves[0]])  # grandchildren present
+    mesh.coarsen([child])
+    mesh.coarsen([leaves[0]])
     assert len(mesh.active_leaf_elements()) == 4
 
 
 def test_leaf_order_is_preorder():
     mesh = single_patch((3, 1), bounds=((0.0, 3.0), (0.0, 1.0)))
-    e0, e1, e2 = [leaf.id for leaf in mesh.active_leaf_elements()]
+    e0, e1, e2 = mesh.active_leaf_elements().tolist()
     mesh.refine([e1])
     leaves = mesh.active_leaf_elements()
-    assert leaves[0].id == e0
-    assert leaves[-1].id == e2
-    assert all(leaf.parent is not None and leaf.parent.id == e1 for leaf in leaves[1:5])
+    assert leaves[0] == e0
+    assert leaves[-1] == e2
+    assert all(mesh.elements.parent[leaf] == e1 for leaf in leaves[1:5])
 
     # refining a child keeps the subtree contiguous in place
-    mesh.refine([leaves[1].id])
-    ids = [leaf.id for leaf in mesh.active_leaf_elements()]
+    mesh.refine([leaves[1]])
+    ids = mesh.active_leaf_elements().tolist()
     assert ids[0] == e0
     assert ids[-1] == e2
     assert len(ids) == 9
@@ -245,16 +274,59 @@ def test_leaf_order_is_preorder():
 def test_locate_leaf():
     mesh = single_patch(2)
     leaves = mesh.active_leaf_elements()
-    mesh.refine([leaves[0].id])
-    inner = mesh.locate_leaf((0.1, 0.1))
-    assert inner.level == 1
-    assert np.all(np.asarray(inner.lo_f) <= 0.1)
-    assert np.all(np.asarray(inner.hi_f) >= 0.1)
-    assert mesh.locate_leaf((0.75, 0.75)).level == 0
-    assert mesh.locate_leaf((1.5, 0.5)) is None
-    on_seam = mesh.locate_leaf((0.5, 0.25))
-    assert on_seam is not None
-    assert on_seam.lo_f[0] <= 0.5 <= on_seam.hi_f[0]
+    mesh.refine([leaves[0]])
+    e = mesh.elements
+    inner = leaf_at(mesh, (0.1, 0.1))
+    assert e.level[inner] == 1
+    assert np.all(e.lo_f[inner] <= 0.1)
+    assert np.all(e.hi_f[inner] >= 0.1)
+    assert e.level[leaf_at(mesh, (0.75, 0.75))] == 0
+    assert leaf_at(mesh, (1.5, 0.5)) == -1
+    on_seam = leaf_at(mesh, (0.5, 0.25))
+    assert on_seam >= 0
+    assert e.lo_f[on_seam][0] <= 0.5 <= e.hi_f[on_seam][0]
+
+
+def test_locate_finds_element_zero():
+    # id 0 is a leaf like any other: no caller may read it as "not found"
+    mesh = single_patch(2)
+    assert mesh.locate_leaves([(0.1, 0.2), (0.0, 0.0)]).tolist() == [0, 0]
+    assert leaf_at(mesh, (0.1, 0.2)) == 0
+    mesh.refine([0])
+    assert leaf_at(mesh, (0.1, 0.2)) == mesh.elements.child[0]
+
+
+def probe_points(mesh, n):
+    """Grid points over the base box and beyond, with every base line,
+    bisector and corner of the first three levels on it, plus NaN."""
+    lo = mesh.elements.lo_f[:mesh.n_base].min(axis=0)
+    hi = mesh.elements.hi_f[:mesh.n_base].max(axis=0)
+    pad = (hi - lo) / 8
+    xs, ys = (np.unique(np.concatenate((
+        np.linspace(lo[a] - pad[a], hi[a] + pad[a], n),
+        mesh.elements.lo_f[:, a], mesh.elements.hi_f[:, a],
+        (mesh.elements.lo_f[:, a] + mesh.elements.hi_f[:, a]) / 2)))
+        for a in (0, 1))
+    pts = np.column_stack((np.tile(xs, ys.size), np.repeat(ys, xs.size)))
+    return np.vstack((pts, [[np.nan, 0.5], [np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("spec", ["lshape", "two_patch", "non_dyadic"])
+def test_locate_leaves_matches_per_point_walk(spec):
+    # seams between patches, shared corners, bisectors of refined
+    # elements and points outside all go the way the walk sends them
+    rng = np.random.default_rng(2)
+    mesh = Mesh({"lshape": lshape_mesh_spec(3), "two_patch": TWO_PATCH,
+                 "non_dyadic": NON_DYADIC}[spec])
+    for _ in range(3):
+        leaves = mesh.active_leaf_elements()
+        mesh.refine(rng.choice(leaves, size=max(1, len(leaves) // 4),
+                               replace=False))
+        pts = probe_points(mesh, 23)
+        got = mesh.locate_leaves(pts)
+        want = [locate_leaf_oracle(mesh, pt) for pt in pts]
+        assert got.tolist() == [-1 if w is None else w for w in want]
+        assert (got == -1).any() and (got == 0).any()
 
 
 def test_side_on_domain_boundary_lshape():
@@ -262,38 +334,40 @@ def test_side_on_domain_boundary_lshape():
     # The Basis reads the sides off the lattice, one row per element.
     def on_boundary(mesh, leaf, axis, upper):
         basis = Basis(mesh, PolynomialOrderField(uniform=1))
-        return bool(basis.boundary[basis.row_of[leaf.id], 2 * (1 - axis) + upper])
+        return bool(basis.boundary[basis.row_of[leaf], 2 * (1 - axis) + upper])
 
     mesh = Mesh(lshape_mesh_spec(2))
-    q2 = mesh.locate_leaf((-0.75, 0.25))
+    q2 = leaf_at(mesh, (-0.75, 0.25))
     assert on_boundary(mesh, q2, axis=0, upper=False)  # x = -1
     assert not on_boundary(mesh, q2, axis=1, upper=False)  # faces Q3
-    assert on_boundary(mesh, mesh.locate_leaf((-0.75, 0.75)), 1, True)
+    assert on_boundary(mesh, leaf_at(mesh, (-0.75, 0.75)), 1, True)
     # the notch legs are boundary, the interfaces between quadrants are not
-    q1 = mesh.locate_leaf((0.25, 0.25))
+    q1 = leaf_at(mesh, (0.25, 0.25))
     assert on_boundary(mesh, q1, axis=1, upper=False)  # y = 0 leg
     assert not on_boundary(mesh, q1, axis=0, upper=False)  # faces Q2
-    q3 = mesh.locate_leaf((-0.25, -0.75))
+    q3 = leaf_at(mesh, (-0.25, -0.75))
     assert on_boundary(mesh, q3, axis=0, upper=True)  # x = 0 leg
     assert not on_boundary(mesh, q3, axis=1, upper=True)  # faces Q2
     # children inherit the sides they touch
-    mesh.refine([q1.id])
-    child = mesh.locate_leaf((0.05, 0.05))
+    mesh.refine([q1])
+    child = leaf_at(mesh, (0.05, 0.05))
     assert on_boundary(mesh, child, axis=1, upper=False)
     assert not on_boundary(mesh, child, axis=0, upper=False)
     assert not on_boundary(mesh, child, axis=1, upper=True)
 
 
 def test_chain_and_max_level():
+    # the ancestor chain through the parent column, the child column back
     mesh = single_patch(1)
     root = mesh.active_leaf_elements()[0]
-    mesh.refine([root.id])
-    mesh.refine([mesh.locate_leaf((0.9, 0.9)).id])
-    leaf = mesh.locate_leaf((0.99, 0.99))
-    chain = mesh.chain(leaf)
-    assert [e.level for e in chain] == [0, 1, 2]
-    assert chain[0].id == root.id
-    assert chain[-1].id == leaf.id
+    mesh.refine([root])
+    mesh.refine([leaf_at(mesh, (0.9, 0.9))])
+    leaf = leaf_at(mesh, (0.99, 0.99))
+    path = chain(mesh, leaf)
+    assert mesh.elements.level[path].tolist() == [0, 1, 2]
+    assert path[0] == root
+    assert path[-1] == leaf
+    assert [mesh.elements.child[e] + 3 for e in path[:-1]] == path[1:]
     assert mesh.max_level() == 2
 
 
@@ -338,12 +412,13 @@ def test_refinement_stops_where_lattice_floats_stop_being_exact():
     mesh = single_patch(1)
     with pytest.raises(MeshError, match="2\\*\\*53"):
         for _ in range(60):
-            mesh.refine([mesh.locate_leaf((0.0, 0.0)).id])
+            mesh.refine([leaf_at(mesh, (0.0, 0.0))])
     assert mesh.max_level() == 51
     assert len(mesh.active_leaf_elements()) == 1 + 3 * 51
     assert len(mesh.topology) == 1 + 4 * 51
-    leaf = mesh.locate_leaf((0.0, 0.0))
-    assert leaf.hi_f == (2.0 ** -51, 2.0 ** -51)
+    leaf = leaf_at(mesh, (0.0, 0.0))
+    assert mesh.elements.hi_f[leaf].tolist() == [2.0 ** -51, 2.0 ** -51]
+    assert len(mesh.elements) == len(mesh.topology)
 
 
 # ------------------------------------------------- entity table oracle
@@ -376,14 +451,16 @@ def test_entity_table_matches_sequential_creation_patches(spec):
     for step in range(5):
         leaves = mesh.active_leaf_elements()
         if step == 3:
-            families = sorted({leaf.parent.id for leaf in leaves
-                               if leaf.parent is not None
-                               and all(c.is_leaf for c in leaf.parent.children)})
+            e = mesh.elements
+            families = sorted({int(e.parent[leaf]) for leaf in leaves
+                               if e.parent[leaf] >= 0
+                               and (e.child[e.child[e.parent[leaf]]
+                                            + np.arange(4)] < 0).all()})
             mesh.coarsen(families[::2])
         else:
             picked = rng.choice(len(leaves), size=max(1, len(leaves) // 3),
                                 replace=False)
-            mesh.refine([leaves[i].id for i in picked])
+            mesh.refine(leaves[picked])
         mesh.oracle.assert_matches(mesh, random_orders(rng, mesh))
 
 
@@ -399,13 +476,39 @@ def test_entity_table_matches_sequential_creation_ball_and_random():
         mesh.oracle.assert_matches(mesh, random_orders(rng, mesh))
 
 
+def test_sequential_replay_reads_no_parent_or_child_column():
+    # the oracle replays each call from its own records: scrambling the
+    # mesh's forest links while it replays changes nothing it checks
+    rng = np.random.default_rng(7)
+    mesh = CheckedMesh(NON_DYADIC)
+    for step in range(5):
+        leaves = mesh.active_leaf_elements()
+        e = mesh.elements
+        if step == 3:
+            call = "coarsen"
+            families = np.unique(e.parent[leaves])[1:]  # past the -1
+            kids = e.child[families][:, None] + np.arange(4)
+            marks = families[(e.child[kids] < 0).all(axis=1)][:3]
+        else:
+            call = "refine"
+            marks = rng.choice(leaves, size=max(1, len(leaves) // 3),
+                               replace=False)
+        getattr(Mesh, call)(mesh, marks)
+        e = mesh.elements
+        links = e.parent.copy(), e.child.copy()
+        e.parent[:] = e.child[:] = -7
+        getattr(mesh.oracle, call)(marks)
+        e.parent[:], e.child[:] = links
+        mesh.oracle.assert_matches(mesh)
+
+
 # ------------------------------------------------------------------ export
 
 
 def test_export_mesh_xml(tmp_path):
     mesh = single_patch(2)
     leaves = mesh.active_leaf_elements()
-    mesh.refine([leaves[0].id])
+    mesh.refine([leaves[0]])
     n = len(mesh.active_leaf_elements())
     path = tmp_path / "mesh.xml"
     export_mesh_xml(
@@ -439,3 +542,61 @@ def test_export_mesh_xml(tmp_path):
                     weights=[1.0 + i for i in range(n)], orders=[3] * n)
     assert path.read_bytes() == first
 
+
+
+def export_mesh_xml_oracle(mesh, ranks, weights, orders):
+    """The cell-by-cell writer the array export replaced: each corner's
+    lattice position reduced to lowest terms, points numbered by first
+    occurrence."""
+    e = mesh.elements
+    point_ids, points, cells = {}, [], []
+
+    def canon(m, lvl):
+        while m % 2 == 0 and lvl > 0:
+            m //= 2
+            lvl -= 1
+        return m, lvl
+
+    def pid(ints, lvl, floats):
+        key = tuple(canon(m, lvl) for m in ints)
+        if key not in point_ids:
+            point_ids[key] = len(points)
+            points.append(floats)
+        return point_ids[key]
+
+    for n, leaf in enumerate(mesh.active_leaf_elements().tolist()):
+        lvl = int(e.level[leaf])
+        (x0, y0), (x1, y1) = e.lo[leaf].tolist(), e.hi[leaf].tolist()
+        (fx0, fy0), (fx1, fy1) = e.lo_f[leaf].tolist(), e.hi_f[leaf].tolist()
+        ids = (pid((x0, y0), lvl, (fx0, fy0)), pid((x1, y0), lvl, (fx1, fy0)),
+               pid((x1, y1), lvl, (fx1, fy1)), pid((x0, y1), lvl, (fx0, fy1)))
+        cells.append(f'    <c id="{n}" nodes="{" ".join(map(str, ids))}" '
+                     f'level="{lvl}" rank="{int(ranks[n])}" '
+                     f'order="{int(orders[n])}" weight="{float(weights[n])!r}"/>')
+    return "\n".join([
+        '<?xml version="1.0"?>',
+        f'<overlay_grid dimension="2" points="{len(points)}" '
+        f'cells="{len(cells)}">', "  <points>",
+        *(f'    <p id="{i}" x="{x!r}" y="{y!r}"/>'
+          for i, (x, y) in enumerate(points)),
+        "  </points>", "  <cells>", *cells, "  </cells>",
+        "</overlay_grid>"]) + "\n"
+
+
+@pytest.mark.parametrize("spec", ["lshape", "non_dyadic"])
+def test_export_mesh_xml_matches_cell_by_cell_writer(spec, tmp_path):
+    # corners shared across levels and patch seams get one point, in
+    # first-occurrence order, with the bytes of the cell-by-cell writer
+    rng = np.random.default_rng(9)
+    mesh = Mesh({"lshape": lshape_mesh_spec(3), "non_dyadic": NON_DYADIC}[spec])
+    for step in range(4):
+        leaves = mesh.active_leaf_elements()
+        mesh.refine(rng.choice(leaves, size=max(1, len(leaves) // 4),
+                               replace=False))
+    n = len(mesh.active_leaf_elements())
+    ranks, orders = rng.integers(0, 4, n), rng.integers(1, 6, n)
+    weights = rng.uniform(0.5, 2.0, n)
+    path = tmp_path / "mesh.xml"
+    export_mesh_xml(mesh, path, ranks=ranks, weights=weights, orders=orders)
+    assert path.read_text() == export_mesh_xml_oracle(mesh, ranks, weights,
+                                                      orders)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import (single_patch, random_basis, random_refined_mesh,
+from conftest import (leaf_at, single_patch, random_basis, random_refined_mesh,
                       random_orders, stretched_basis, corner_refined,
                       gauss_cell, rule_from_cells, recursive_spacetree_cells,
                       assert_rule_is_cells)
@@ -29,8 +29,8 @@ from overlayfem.quadrature import (Disk, EmbeddedDomain, leaf_jacobian,
 
 def two_level_mesh():
     mesh = single_patch(2)
-    mesh.refine([mesh.locate_leaf((0.75, 0.75)).id])
-    mesh.refine([mesh.locate_leaf((0.6, 0.6)).id])
+    mesh.refine([leaf_at(mesh, (0.75, 0.75))])
+    mesh.refine([leaf_at(mesh, (0.6, 0.6))])
     return mesh
 
 
@@ -82,7 +82,7 @@ def test_cut_leaf_system_same_from_warm_and_cold_basis():
         assert np.array_equal(gids, gids0)
         cut += len(leaf_rule(warm, leaf, dom, 3).cells()) > 1
         # and equal to evaluating the leaf cell by cell
-        to_phys = leaf_to_physical(leaf)
+        to_phys = leaf_to_physical(mesh, leaf)
         K_ref = np.zeros_like(K)
         f_ref = np.zeros_like(f)
         for cell in recursive_spacetree_cells(
@@ -90,7 +90,7 @@ def test_cut_leaf_system_same_from_warm_and_cold_basis():
                 to_phys):
             pts = to_phys(cell.points)
             V, G = cold.evaluate_leaf(leaf, pts)
-            w = cell.weights * cell.alpha * leaf_jacobian(leaf)
+            w = cell.weights * cell.alpha * leaf_jacobian(mesh, leaf)
             K_ref += np.einsum("q,qid,qjd->ij", w, G, G)
             f_ref += V.T @ (w * src(pts))
         assert np.array_equal(K, K_ref)
@@ -110,7 +110,7 @@ def test_warm_basis_equals_cold_evaluation():
     src = lambda pts: np.sin(pts[:, 0]) + pts[:, 1]
     grad = lambda pts: np.column_stack((np.cos(pts[:, 0]), pts[:, 0] * pts[:, 1]))
     bases = [random_basis(rng, max_leaves=150) for _ in range(5)]
-    assert {len(b.mesh.base_elements) for b in bases} >= {4, 9}
+    assert {b.mesh.n_base for b in bases} >= {4, 9}
     for basis in bases + [stretched_basis(rng)]:
         mesh, orders = basis.mesh, basis.orders
         leaves = mesh.active_leaf_elements()
@@ -170,11 +170,11 @@ def energy_error_per_leaf(basis, coefficients, exact_gradient,
     sp = None if singular_point is None else np.asarray(singular_point, dtype=float)
     for leaf in mesh.active_leaf_elements():
         q = basis.leaf_quad_order(leaf) + extra_order
-        lo = np.asarray(leaf.lo_f, dtype=float)
-        hi = np.asarray(leaf.hi_f, dtype=float)
+        lo = mesh.elements.lo_f[leaf]
+        hi = mesh.elements.hi_f[leaf]
         singular = sp is not None and bool(np.all((lo <= sp) & (sp <= hi)))
-        jac = leaf_jacobian(leaf)
-        to_phys = leaf_to_physical(leaf)
+        jac = leaf_jacobian(mesh, leaf)
+        to_phys = leaf_to_physical(mesh, leaf)
         if singular:
             ref = 2 * (sp - lo) / (hi - lo) - 1
             corner = tuple(np.where(ref >= 0, 1.0, -1.0).tolist())
@@ -235,7 +235,8 @@ def test_energy_error_calls_exact_gradient_once_per_group():
     basis = Basis(mesh, PolynomialOrderField(uniform=4))
     leaves = mesh.active_leaf_elements()
     singular = len(mark_corner_leaves(mesh, (0.0, 0.0)))
-    groups = {(basis.leaf_quad_order(leaf), leaf.level) for leaf in leaves}
+    groups = {(basis.leaf_quad_order(leaf), mesh.elements.level[leaf])
+              for leaf in leaves}
     calls = {"gradient": 0, "tables": 0}
     exact = LShapeSolution()
 

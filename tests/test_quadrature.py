@@ -10,7 +10,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import (single_patch, random_refined_mesh, random_orders,
+from conftest import (leaf_at, single_patch, random_refined_mesh, random_orders,
                       gauss_cell, recursive_spacetree_cells,
                       assert_rule_is_cells)
 from overlayfem.basis import Basis, PolynomialOrderField
@@ -269,10 +269,10 @@ def test_batched_leaf_rules_match_recursive_oracle(res):
     for _ in range(2):
         leaves = mesh.active_leaf_elements()
         picked = rng.choice(len(leaves), size=len(leaves) // 4, replace=False)
-        mesh.refine([leaves[i].id for i in picked])
+        mesh.refine(leaves[picked])
     orders = PolynomialOrderField(by_level={0: 1, 1: 3, 2: 4})
     leaves = mesh.active_leaf_elements()
-    refined = next(e for e in mesh.elements.values() if e.children)
+    refined = int(np.flatnonzero(mesh.elements.child >= 0)[0])
     for name, geometry in sorted(ORACLE_GEOMETRIES.items()):
         dom = EmbeddedDomain(geometry, epsilon=1e-8)
         basis = Basis(mesh, orders)
@@ -282,35 +282,35 @@ def test_batched_leaf_rules_match_recursive_oracle(res):
             for leaf, rule in zip(leaves, rules):
                 assert_rule_is_cells(rule, recursive_spacetree_cells(
                     [-1.0, -1.0], [1.0, 1.0], dom, depth,
-                    basis.leaf_quad_order(leaf), leaf_to_physical(leaf)))
+                    basis.leaf_quad_order(leaf), leaf_to_physical(mesh, leaf)))
             # a leaf outside the active set is built alone
             before = len(basis.leaf_rules)
             rule = leaf_rule(basis, refined, dom, depth)
             assert len(basis.leaf_rules) == before + 1
             assert_rule_is_cells(rule, recursive_spacetree_cells(
                 [-1.0, -1.0], [1.0, 1.0], dom, depth,
-                basis.leaf_quad_order(refined), leaf_to_physical(refined)))
+                basis.leaf_quad_order(refined), leaf_to_physical(mesh, refined)))
             # raised orders, as the energy error asks, leave the memo alone
             raised = build_leaf_rules(basis, leaves, dom, depth, 2)
             assert len(basis.leaf_rules) == before + 1
             for leaf, rule in zip(leaves, raised, strict=True):
                 assert_rule_is_cells(rule, recursive_spacetree_cells(
                     [-1.0, -1.0], [1.0, 1.0], dom, depth,
-                    basis.leaf_quad_order(leaf) + 2, leaf_to_physical(leaf)))
+                    basis.leaf_quad_order(leaf) + 2, leaf_to_physical(mesh, leaf)))
 
 # ------------------------------------------------------- leaf quadrature
 
 
 def test_leaf_mapping_and_jacobian():
     mesh = single_patch(2)
-    mesh.refine([mesh.active_leaf_elements()[0].id])
-    leaf = mesh.locate_leaf((0.1, 0.1))
-    to_phys = leaf_to_physical(leaf)
+    mesh.refine([mesh.active_leaf_elements()[0]])
+    leaf = leaf_at(mesh, (0.1, 0.1))
+    to_phys = leaf_to_physical(mesh, leaf)
     corners = to_phys(np.array([[-1.0, -1.0], [1.0, 1.0]]))
-    assert np.allclose(corners[0], leaf.lo_f)
-    assert np.allclose(corners[1], leaf.hi_f)
-    area = float(np.prod(np.asarray(leaf.hi_f) - np.asarray(leaf.lo_f)))
-    assert leaf_jacobian(leaf) == pytest.approx(area / 4.0)
+    assert np.allclose(corners[0], mesh.elements.lo_f[leaf])
+    assert np.allclose(corners[1], mesh.elements.hi_f[leaf])
+    area = float(np.prod(mesh.elements.hi_f[leaf] - mesh.elements.lo_f[leaf]))
+    assert leaf_jacobian(mesh, leaf) == pytest.approx(area / 4.0)
 
 
 def test_leaf_quadrature_weight_sums():
@@ -323,13 +323,13 @@ def test_leaf_quadrature_weight_sums():
         assert rule.weights.sum() == pytest.approx(4.0)  # reference measure
         assert np.all(rule.alpha == 1.0)
         assert len(rule.points) == basis.leaf_quad_order(leaf) ** 2
-        phys = leaf_to_physical(leaf)(rule.points)
-        assert np.all(phys >= np.asarray(leaf.lo_f) - 1e-12)
-        assert np.all(phys <= np.asarray(leaf.hi_f) + 1e-12)
+        phys = leaf_to_physical(mesh, leaf)(rule.points)
+        assert np.all(phys >= mesh.elements.lo_f[leaf] - 1e-12)
+        assert np.all(phys <= mesh.elements.hi_f[leaf] + 1e-12)
 
     # a cut leaf produces several cells whose points stay inside it
     dom = EmbeddedDomain(Disk((0.0, 0.0), 0.55), epsilon=1e-8)
-    leaf = mesh.locate_leaf((0.39, 0.39))  # the arc passes through here
+    leaf = leaf_at(mesh, (0.39, 0.39))  # the arc passes through here
     rule = leaf_rule(basis, leaf, domain=dom, depth=2)
     assert len(rule.cells()) > 1
     assert rule.offsets[-1] == len(rule.weights) == len(rule.points)
@@ -349,7 +349,7 @@ def test_indicator_area_quarter_disk():
 
 def test_indicator_area_memo_keys_on_domain_and_depth():
     mesh = single_patch(4)
-    mesh.refine([mesh.locate_leaf((0.4, 0.4)).id])
+    mesh.refine([leaf_at(mesh, (0.4, 0.4))])
     orders = PolynomialOrderField(uniform=2)
     disk_a = EmbeddedDomain(Disk((0.0, 0.0), 0.55), epsilon=0.0)
     disk_b = EmbeddedDomain(Disk((1.0, 0.2), 0.35), epsilon=0.0)
@@ -368,15 +368,15 @@ def test_leaf_rule_memo_is_shared_and_survives_pickling(monkeypatch):
     mesh = single_patch(4)
     basis = Basis(mesh, PolynomialOrderField(uniform=2))
     dom = EmbeddedDomain(Disk((0.0, 0.0), 0.7), epsilon=1e-8)
-    leaf = mesh.locate_leaf((0.6, 0.4))
+    leaf = leaf_at(mesh, (0.6, 0.4))
     rule = leaf_rule(basis, leaf, dom, 3)
     assert len(rule.cells()) > 1
     assert leaf_rule(basis, leaf, dom, 3) is rule
     assert_rule_is_cells(rule, recursive_spacetree_cells(
         [-1.0, -1.0], [1.0, 1.0], dom, 3, basis.leaf_quad_order(leaf),
-        leaf_to_physical(leaf)))
+        leaf_to_physical(mesh, leaf)))
     # uncut leaves share one rule per order
-    other = mesh.locate_leaf((0.1, 0.9))
+    other = leaf_at(mesh, (0.1, 0.9))
     assert leaf_rule(basis, leaf) is leaf_rule(basis, other)
     # a pickled copy, as a worker process receives it, holds the filled
     # memo; an equal domain that is another object finds the entry without
@@ -384,6 +384,6 @@ def test_leaf_rule_memo_is_shared_and_survives_pickling(monkeypatch):
     copy = pickle.loads(pickle.dumps(basis))
     dom_copy = pickle.loads(pickle.dumps(dom))
     monkeypatch.setattr("overlayfem.quadrature.subdivide", None)
-    copied = leaf_rule(copy, copy.mesh.locate_leaf((0.6, 0.4)), dom_copy, 3)
+    copied = leaf_rule(copy, leaf_at(copy.mesh, (0.6, 0.4)), dom_copy, 3)
     assert np.array_equal(copied.points, rule.points)
     assert copied.offsets == rule.offsets
