@@ -240,8 +240,8 @@ class Basis:
     top, left, right) lie on the domain boundary.  An element's functions depend only on its level order and
     on which of its 9 entities are active: each distinct (order, mask)
     gets one ``plans`` entry of 1d mode rows.  The Basis also keeps the
-    quadrature rules of its cut leaves and ``leaf_systems`` (see
-    ``physics.leaf_systems``); both go stale with it.
+    leaves' rule tables (``quadrature.leaf_rule_table``) and
+    ``leaf_systems`` (``physics.leaf_systems``); both go stale with it.
     """
 
     def __init__(self, mesh, orders):
@@ -249,7 +249,7 @@ class Basis:
         self.orders = orders
         self.dofmap = enumerate_dofs(mesh, orders)
         self._build_tables()
-        # cut-leaf quadrature rules of this mesh state, see quadrature.leaf_rule
+        # one rule table per (depth, domain), see quadrature.leaf_rule_table
         self.leaf_rules = {}
         # the step's single-cell leaf systems, see physics.leaf_systems
         self.leaf_systems = {}

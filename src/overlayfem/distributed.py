@@ -9,8 +9,8 @@ single-cell rule take their stiffness and load from the step's memo,
 representative per distinct leaf signature; the parent process builds it
 before the integrate phase fans out, so worker processes receive it with
 the Basis.  A rank emits such leaves a group at a time, one group per
-signature and kept-dof pattern.  Cut leaves, whose rules have several
-cells, run :func:`overlayfem.physics.element_system` one by one.
+signature and kept-dof pattern, flux loads included.  Cut leaves, whose
+rules have several cells, run :func:`overlayfem.physics.element_system`.
 
 Assembly is one sort.  All ranks' triplets are ordered by (row, column,
 leaf tag) and summed per (row, column) into one global CSR operator; the
@@ -120,7 +120,7 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
     (:func:`overlayfem.physics.leaf_systems`) and are emitted a group at
     a time, one group per signature and kept-dof pattern; multi-cell
     leaves run :func:`overlayfem.physics.element_system` one by one.  A
-    flux load, also from the memo, reaches only leaves with a kept side on
+    flux load, in the memo too, reaches only leaves with a kept side on
     the domain boundary.
     """
     start = time.perf_counter()
@@ -130,7 +130,7 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
     pos = basis.row_of[np.asarray(leaf_ids, dtype=np.int64)]
     leaf_tags = np.asarray(leaf_tags, dtype=np.int64)
     sig = systems.signature[pos]
-    fluxed = np.isin(pos, list(systems.flux_loads))
+    load = systems.load[pos]
     rows, cols, vals, tags = [], [], [], []
     rrows, rvals, rtags = [], [], []
 
@@ -148,8 +148,7 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
         rvals.append(loads.ravel())
         rtags.append(np.repeat(leaf_tags[sel], fi.shape[1]))
 
-    # single-cell leaves, one group per signature and kept-dof pattern;
-    # a leaf a flux loads gets its load below, leaf by leaf
+    # single-cell leaves, one group per signature and kept-dof pattern
     single = np.flatnonzero(sig >= 0)
     single = single[np.argsort(sig[single], kind="stable")]
     for run in np.split(single, np.flatnonzero(np.diff(sig[single])) + 1):
@@ -168,26 +167,21 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
             ki = np.flatnonzero(pattern)
             fi = fidx[which == k][:, ki]
             emit_matrix(fi, K[np.ix_(ki, ki)], sel)
-            inner = ~fluxed[sel]
-            if source is not None and inner.any():
-                loads = np.stack([systems.loads[q]
-                                  for q in systems.load[pos[sel[inner]]]])
-                emit_loads(fi[inner], loads[:, ki], sel[inner])
+            has = load[sel] >= 0
+            if has.any():
+                loads = np.stack([systems.loads[q] for q in load[sel[has]]])
+                emit_loads(fi[has], loads[:, ki], sel[has])
 
-    # cut leaves, and the loads of leaves a flux reaches, leaf by leaf
-    for j in np.flatnonzero((sig < 0) | fluxed):
+    # cut leaves, leaf by leaf, with their flux loads
+    for j in np.flatnonzero(sig < 0):
         leaf = leaves[pos[j]]
         fidx = to_free[basis.leaf_dofs(leaf)]
         ki = np.flatnonzero(fidx >= 0)
         fi = fidx[ki][None]
-        if sig[j] < 0:
-            K, fe, _ = element_system(basis, leaf, domain, depth, source)
-            emit_matrix(fi, K[np.ix_(ki, ki)], [j])
-        else:
-            fe = (None if source is None
-                  else systems.loads[systems.load[pos[j]]])
-        if fluxed[j]:
-            fl = systems.flux_loads[pos[j]]
+        K, fe, _ = element_system(basis, leaf, domain, depth, source)
+        emit_matrix(fi, K[np.ix_(ki, ki)], [j])
+        fl = systems.flux_loads.get(pos[j])
+        if fl is not None:
             fe = fl if fe is None else fe + fl
         if fe is not None:
             emit_loads(fi, fe[ki][None], [j])

@@ -43,7 +43,7 @@ comparison is involved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
@@ -183,7 +183,9 @@ def _first_occurrences(keys):
 
 
 class Mesh:
-    """Element forest over a multi-patch base grid; see module docstring."""
+    """Element forest over a multi-patch base grid; see module docstring.
+    ``refine`` and ``coarsen`` rebind, never write into, ``elements``,
+    ``table`` and ``topology``: a table read before either is a snapshot."""
 
     def __init__(self, spec):
         spec.validate()
@@ -390,18 +392,20 @@ class Mesh:
                             "coarsen deeper levels first")
         if not ids.size:
             return
-        child[ids] = -1
+        self.elements = replace(self.elements, child=child.copy())
+        self.elements.child[ids] = -1
         # drop the rows no element holds any more and renumber the rest
         t = self.table
-        t.incidence -= np.bincount(self.topology[gone].ravel(), minlength=len(t))
+        t = replace(t, incidence=t.incidence - np.bincount(
+            self.topology[gone].ravel(), minlength=len(t)))
         keep = t.incidence > 0
         renumber = np.cumsum(keep) - 1
         t = t[keep]
         t.coarser = np.where(t.coarser >= 0, renumber[t.coarser], -1)
         t.ends = np.where(t.ends >= 0, renumber[t.ends], -1)
         self.table = t
-        self.topology[gone] = -1
         self.topology = np.where(self.topology >= 0, renumber[self.topology], -1)
+        self.topology[gone] = -1
         self._leaf_cache = None
         self.update_activation()
 

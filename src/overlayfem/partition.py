@@ -20,23 +20,18 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from .quadrature import leaf_rule
+from .quadrature import leaf_rule_table
 
 
-def compute_leaf_weights(basis, domain=None, depth=0, normalized=True):
-    """Cost-model weight of each active leaf, pre-order."""
-    leaves = basis.mesh.active_leaf_elements()
-    if domain is None:
-        n_gp = basis.quad_orders[:len(leaves)] ** 2
-    else:
-        n_gp = np.array([leaf_rule(basis, leaf, domain, depth).weights.size
-                         for leaf in leaves])
-    w = n_gp.astype(float) * basis.mode_counts[:len(leaves)].astype(float) ** 3
-    if normalized:
-        p0 = basis.orders.base_order
-        w0 = float((p0 + 1) ** 2) * float((p0 + 1) ** 2) ** 3
-        w = w / w0
-    return w
+def compute_leaf_weights(basis, domain=None, depth=0):
+    """Cost-model weight of each active leaf, pre-order; the point counts
+    come from the step's rule table."""
+    rule, leaf_cells = leaf_rule_table(basis, domain, depth)
+    n_gp = np.diff(np.asarray(rule.offsets)[leaf_cells])
+    w = n_gp.astype(float) * basis.mode_counts[:n_gp.size].astype(float) ** 3
+    p0 = basis.orders.base_order
+    w0 = float((p0 + 1) ** 2) * float((p0 + 1) ** 2) ** 3
+    return w / w0
 
 
 def weighted_imbalance(weights, ranks, n_ranks):

@@ -2,18 +2,18 @@
 serial assembly, and energy-norm error measurement.
 
 Element systems are integrated with the composed Gauss rules from
-:mod:`overlayfem.quadrature`; an embedded domain scales each point by its
+:mod:`overlayfem.quadrature`, a leaf's rule being its slice of the
+step's rule table; an embedded domain scales each point by its
 indicator factor.  One kernel, :func:`element_system`, yields a leaf's
-stiffness matrix and source load together.  It reads the leaf's rule
-from the memo on the Basis, evaluates the basis once on all of the
-leaf's points, and sums cell by cell, so a cut leaf costs one evaluation
-however many cells its spacetree has.  The serial assembly calls it for
-every leaf; the distributed pipeline only for leaves whose rule has
-several cells.
+stiffness matrix and source load together.  It evaluates the basis once
+on all of the leaf's points and sums cell by cell, so a cut leaf costs
+one evaluation however many cells its spacetree has.  The serial
+assembly calls it for every leaf; the distributed pipeline only for
+leaves whose rule has several cells.
 
 Refinement never replaces an element, so most leaves of a step repeat
 one another bit for bit.  :func:`leaf_systems` integrates the leaves with
-a single-cell rule (every uncut leaf) once per step: it computes every
+one cell in the table (every uncut leaf) once per step: it computes every
 such leaf's signature with array operations, the exact inputs of its K,
 contracts one representative per distinct signature, and keeps the K
 of each signature, plus f per signature and source values, in a memo on
@@ -35,8 +35,8 @@ level), like :func:`leaf_systems`: the exact gradient is called once per
 group, and the basis tables are evaluated once per distinct table
 signature and applied to every leaf that has it; :func:`table_signatures`
 does that grouping for the leaf systems, the flux loads and the probes
-of ``solution.csv`` too.  Under a domain the other leaves take their
-raised-order spacetree rules from one batched subdivision.  A singular
+of ``solution.csv`` too.  Under a domain the other leaves read their
+raised-order spacetree rules from one table.  A singular
 leaf, and under a domain every leaf, is evaluated once on the points of
 all its cells or shells.
 """
@@ -51,7 +51,7 @@ import scipy.sparse.linalg
 
 from .mesh import EDGE, NODE
 from .quadrature import (box_rule, build_leaf_rules, gauss_rule_1d,
-                         leaf_jacobian, leaf_rule, leaf_to_physical,
+                         leaf_frame, leaf_rule, leaf_rule_table,
                          reference_rule)
 
 
@@ -61,13 +61,13 @@ def element_system(basis, leaf, domain=None, depth=0, source=None):
     Returns (K, f, gids) with K of shape (n, n) over the active shape
     functions on the leaf, in leaf_dofs order, and f of shape (n,) for a
     volume source term (None without one).  Both come from one pass over
-    the leaf's memoized rule: its points are mapped and evaluated at once,
-    then summed cell by cell.
+    the leaf's cells in the step's rule table: its points are mapped and
+    evaluated at once, then summed cell by cell.
     """
     rule = leaf_rule(basis, leaf, domain, depth)
-    pts = leaf_to_physical(basis.mesh, leaf)(rule.points)
+    pts, jac = leaf_frame(basis, leaf, rule.points)
     V, G = basis.evaluate_leaf(leaf, pts)
-    w = rule.weights * rule.alpha * leaf_jacobian(basis.mesh, leaf)
+    w = rule.weights * rule.alpha * jac
     n = basis.leaf_mode_count(leaf)
     K = np.zeros((n, n))
     f = None if source is None else np.zeros(n)
@@ -85,9 +85,10 @@ class LeafSystems:
 
     Arrays run over the active leaves in pre-order, the Basis's first
     table rows.  ``signature`` indexes ``stiffness`` and is -1 for a leaf
-    whose rule has several cells; ``load`` indexes ``loads`` and is -1
-    for those and without a source.  ``flux_loads`` maps the position
-    of each leaf a flux reaches to its boundary-flux load.
+    whose rule has several cells; ``load`` indexes ``loads`` (a fluxed
+    leaf's own: source plus flux) and is -1 for those and for a leaf
+    without a load.  ``flux_loads`` maps the position of each multi-cell
+    leaf a flux reaches to its boundary-flux load.
     """
 
     signature: np.ndarray
@@ -118,34 +119,29 @@ def leaf_systems(basis, domain=None, depth=0, source=None, flux=None,
 def _build_leaf_systems(basis, domain, depth, source, flux, flux_part):
     """Integrate one representative per distinct single-cell signature.
 
-    Leaves are batched by (quadrature order, level).  A leaf's signature
-    is the bytes of its weights x alpha x jacobian and, per dof-carrying
-    chain element, of the plan, the scale and the clipped reference
-    coordinates: every input of element_system's K, computed with
-    element_system's operations, so equal signatures give equal K bit for
-    bit.  f is shared among leaves of one signature and equal source
+    Leaves with one cell in the rule table are batched by (quadrature
+    order, level).  A leaf's signature is the bytes of its weights x alpha
+    x jacobian and, per dof-carrying chain element, of the plan, the scale
+    and the clipped reference coordinates: every input of element_system's
+    K, computed with its operations, so equal signatures give equal K bit
+    for bit.  f is shared among leaves of one signature and equal source
     values.
     """
     leaves = basis.mesh.active_leaf_elements()
+    rule, leaf_cells = leaf_rule_table(basis, domain, depth)
     signature = np.full(len(leaves), -1, dtype=np.int64)
     load = np.full(len(leaves), -1, dtype=np.int64)
     stiffness, loads = [], []
+    start = np.asarray(rule.offsets)[leaf_cells[:-1]]
     groups = {}
-    for i, (leaf, q, level) in enumerate(zip(
-            leaves, basis.quad_orders.tolist(), basis.levels.tolist())):
-        rule = leaf_rule(basis, leaf, domain, depth)
-        if len(rule.offsets) == 2:
-            groups.setdefault((q, level), []).append((i, rule))
-    for members in groups.values():
-        idx = np.array([i for i, _ in members])
-        points, weights, alpha = (np.stack([getattr(rule, name)
-                                            for _, rule in members])
-                                  for name in ("points", "weights", "alpha"))
-        # leaf_to_physical and leaf_jacobian, one row per leaf
-        lo, hi = basis.lo_f[idx], basis.hi_f[idx]
-        half = (hi - lo) / 2
-        pts = (hi + lo)[:, None] / 2 + points * half[:, None]
-        w = weights * alpha * (half[:, 0] * half[:, 1])[:, None]
+    for i in np.flatnonzero(np.diff(leaf_cells) == 1).tolist():
+        groups.setdefault((int(basis.quad_orders[i]), int(basis.levels[i])),
+                          []).append(i)
+    for (q, _), idx in groups.items():
+        idx = np.array(idx)
+        at = start[idx, None] + np.arange(q * q)
+        pts, jac = leaf_frame(basis, leaves[idx], rule.points[at])
+        w = rule.weights[at] * rule.alpha[at] * jac[:, None]
         first, inverse, tables = table_signatures(basis, idx, pts,
                                                    w.view(np.uint64))
         signature[idx] = len(stiffness) + inverse
@@ -168,9 +164,15 @@ def _build_leaf_systems(basis, domain, depth, source, flux, flux_part):
                 by_value[key] = len(loads)
                 loads.append(f)
             load[i] = by_value[key]
-    return LeafSystems(signature, load, stiffness, loads,
-                       {} if flux is None
-                       else flux_loads_by_leaf(basis, flux, flux_part))
+    flux_loads = {} if flux is None else flux_loads_by_leaf(basis, flux,
+                                                            flux_part)
+    for i in [i for i in flux_loads if signature[i] >= 0]:
+        fl = flux_loads.pop(i)
+        f = fl if load[i] < 0 else loads[load[i]] + fl
+        f.flags.writeable = False
+        load[i] = len(loads)
+        loads.append(f)
+    return LeafSystems(signature, load, stiffness, loads, flux_loads)
 
 
 def table_signatures(basis, rows, pts, *extra):
@@ -454,8 +456,8 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
 
     Without a domain the other leaves are grouped by (order, level):
     one ``exact_gradient`` call per group and one basis evaluation per
-    distinct table signature.  Under a domain their spacetree rules come
-    from one ``build_leaf_rules`` batch at the raised order.  A singular
+    distinct table signature.  Under a domain their spacetree rules are
+    slices of one ``build_leaf_rules`` table at the raised order.  A singular
     leaf, and under a domain every leaf, is evaluated once on all of its
     cells' points.
     The terms are added to one running sum in leaf pre-order, cell by
@@ -487,17 +489,16 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
             groups.setdefault((q, level), []).append(i)
         else:
             spacetrees.append(i)
-    rules = build_leaf_rules(basis, leaves[spacetrees], domain, depth,
-                             extra_order)
-    for i, rule in zip(spacetrees, rules):
-        terms[i] = _leaf_error_terms(basis, leaves[i], rule, coefficients,
-                                     exact_gradient)
+    table, leaf_cells = build_leaf_rules(basis, leaves[spacetrees], domain,
+                                         depth, extra_order)
+    bounds = leaf_cells.tolist()
+    for i, a, b in zip(spacetrees, bounds, bounds[1:]):
+        terms[i] = _leaf_error_terms(basis, leaves[i], table.cell_range(a, b),
+                                     coefficients, exact_gradient)
     for (q, _), idx in groups.items():
         rule = reference_rule(q)
-        # leaf_to_physical and leaf_jacobian, one row per leaf
-        half = (hi[idx] - lo[idx]) / 2
-        pts = ((hi[idx] + lo[idx]) / 2)[:, None] + rule.points * half[:, None]
-        w = rule.weights * (half[:, 0] * half[:, 1])[:, None] * rule.alpha
+        pts, jac = leaf_frame(basis, leaves[idx], rule.points)
+        w = rule.weights * jac[:, None] * rule.alpha
         exact = np.asarray(exact_gradient(pts.reshape(-1, 2)),
                            dtype=float).reshape(pts.shape)
         _, inverse, tables = table_signatures(basis, idx, pts)
@@ -525,12 +526,11 @@ def _leaf_error_terms(basis, leaf, rule, coefficients, exact_gradient,
 
     `alpha` replaces the rule's indicator values when given.
     """
-    pts = leaf_to_physical(basis.mesh, leaf)(rule.points)
+    pts, jac = leaf_frame(basis, leaf, rule.points)
     _, G = basis.evaluate_leaf(leaf, pts)
     coef = coefficients[basis.leaf_dofs(leaf)]
     diff = (np.einsum("qid,i->qd", G, coef)
             - np.asarray(exact_gradient(pts), dtype=float))
-    w = rule.weights * leaf_jacobian(basis.mesh, leaf) * (
-        rule.alpha if alpha is None else alpha(pts))
+    w = rule.weights * jac * (rule.alpha if alpha is None else alpha(pts))
     return [float(np.einsum("q,qd,qd->", w[cell], diff[cell], diff[cell]))
             for cell in rule.cells()]

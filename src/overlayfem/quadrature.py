@@ -2,13 +2,14 @@
 
 Every active leaf is integrated in its own reference square with a
 tensor-product Gauss-Legendre rule whose per-axis order is one above the
-highest polynomial order contributing on that leaf.
+highest polynomial order contributing on that leaf; ``leaf_frame`` is
+the one affine map from that square onto leaves.
 
 Every rule is a ``LeafRule`` (stacked points, weights and indicator
 values plus the cell offsets), and one kernel builds them all:
 ``box_rule`` maps axis boxes to a rule with one Gauss cell per box.  It
-gives the shared reference rule of each order, the corner shells of the
-energy error and the kept cells of the spacetrees.
+gives the reference rule of each order, tiled over leaves without a
+domain, the corner shells of the energy error and the spacetree cells.
 
 Geometries that do not fit the mesh are handled with an indicator factor:
 quadrature cells fully inside the physical region keep weight factor one,
@@ -20,21 +21,21 @@ half-planes, disks and rectangles, also loadable from JSON.
 The subdivision is level-synchronous: ``subdivide`` classifies the boxes
 of many spacetrees at once, one numpy pass per level, and returns the
 kept cells in the depth-first order of the tree.  ``build_leaf_rules``
-runs it for many leaves at once.  A leaf's rule is built once per mesh
-state: the first ``leaf_rule`` miss for a (domain, depth) builds the
-rules of every active leaf of the ``Basis`` in one such batch and keeps
-each, keyed by leaf, depth and domain, so the cost-model weights, the
-integration and the area measurement share one spacetree per leaf.
-Leaves without a domain share one reference rule per order.
+runs it for many leaves at once and returns one ragged table: a single
+``LeafRule`` of every leaf's cells, leaf after leaf, and the leaves' cell
+offsets.  ``leaf_rule_table`` keeps the table of the active leaves on
+the ``Basis`` once per (domain, depth), so the weights, the integration
+and the area share one spacetree per leaf; ``leaf_rule`` is a view.
 """
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .mesh import _ranges
 
 
 @lru_cache(maxsize=None)
@@ -71,6 +72,12 @@ class LeafRule:
     def cells(self):
         """One row slice per cell."""
         return [slice(a, b) for a, b in zip(self.offsets[:-1], self.offsets[1:])]
+
+    def cell_range(self, a, b):
+        """Cells a .. b - 1 as a rule: views of the arrays, offsets rebased."""
+        rows = slice(self.offsets[a], self.offsets[b])
+        return LeafRule(self.points[rows], self.weights[rows], self.alpha[rows],
+                        tuple(o - rows.start for o in self.offsets[a:b + 1]))
 
 
 def box_rule(lo, hi, order, alpha=None):
@@ -330,88 +337,87 @@ def subdivide(lo, hi, domain, depth, order, to_physical=None):
     return roots[perm], box_rule(l[perm], h[perm], order, alpha)
 
 
-def leaf_to_physical(mesh, leaf):
-    """Affine map from the leaf's [-1, 1]^2 reference box to physical space."""
-    lo, hi = mesh.elements.lo_f[leaf], mesh.elements.hi_f[leaf]
-    half = (hi - lo) / 2
+def leaf_frame(basis, leaves, points):
+    """Physical images of reference points on leaves, and the Jacobians:
+    one id with points (..., 2), or m ids with points (m, ..., 2) or
+    (n, 2) shared by all; ids go through ``Basis.rows`` (KeyError)."""
+    rows = basis.rows(leaves)
+    lo, hi = basis.lo_f[rows], basis.hi_f[rows]
     mid = (hi + lo) / 2
-
-    def to_physical(points):
-        return mid + np.atleast_2d(points) * half
-
-    return to_physical
-
-
-def leaf_jacobian(mesh, leaf):
-    """Measure factor of the reference-to-physical map."""
-    lo, hi = mesh.elements.lo_f[leaf], mesh.elements.hi_f[leaf]
-    return float(np.prod((hi - lo) / 2))
+    half = (hi - lo) / 2
+    jac = half[..., 0] * half[..., 1]
+    if np.ndim(rows):
+        mid, half = mid[:, None], half[:, None]
+    return mid + np.asarray(points) * half, jac
 
 
 def build_leaf_rules(basis, leaves, domain, depth, extra_order=0):
-    """The spacetree rules of these leaf ids, in their order, at each
-    leaf's quadrature order plus `extra_order`: one ``subdivide`` per
-    order, every leaf's spacetree in the same passes."""
+    """The rules of these leaf ids at their quadrature order plus
+    `extra_order`, as (rule, leaf_cells): leaf i owns the cells
+    ``leaf_cells[i]:leaf_cells[i + 1]`` of `rule`, in the given order.
+    Without a domain a leaf's one cell is the reference rule; with one,
+    its spacetree cells depth first, one ``subdivide`` per order."""
     leaves = np.asarray(leaves, dtype=np.int64)
-    rules = [None] * len(leaves)
     orders = basis.quad_orders[basis.rows(leaves)] + extra_order
+    # per order, the leaf of every cell and the cells; an empty first part
+    owner = [np.zeros(0, dtype=np.int64)]
+    parts = [box_rule(np.zeros((0, 2)), np.zeros((0, 2)), 1)]
     for order in np.unique(orders).tolist():
         idx = np.flatnonzero(orders == order)
-        lo = basis.mesh.elements.lo_f[leaves[idx]]
-        hi = basis.mesh.elements.hi_f[leaves[idx]]
-        # the frames of leaf_to_physical, one row per leaf
-        half = (hi - lo) / 2
-        mid = (hi + lo) / 2
-        ones = np.ones((len(idx), 2))
-        roots, rule = subdivide(
-            -ones, ones, domain, depth, order,
-            lambda pts, r: mid[r, None] + pts * half[r, None])
-        n = order * order
-        counts = np.bincount(roots, minlength=len(idx))
-        bounds = n * np.cumsum(counts)[:-1]
-        rows = zip(*(np.split(arr, bounds)
-                     for arr in (rule.points, rule.weights, rule.alpha)))
-        for i, cells, arrays in zip(idx.tolist(), counts.tolist(), rows):
-            rules[i] = LeafRule(*arrays, tuple(range(0, cells * n + 1, n)))
-    return rules
+        ones = np.ones((idx.size, 2))
+        if domain is None:
+            cells, rule = np.arange(idx.size), box_rule(-ones, ones, order)
+        else:
+            cells, rule = subdivide(
+                -ones, ones, domain, depth, order,
+                lambda pts, r: leaf_frame(basis, leaves[idx[r]], pts)[0])
+        owner.append(idx[cells])
+        parts.append(rule)
+    owner = np.concatenate(owner)
+    sizes = np.concatenate([np.diff(rule.offsets) for rule in parts])
+    perm = np.argsort(owner, kind="stable")
+    rows = _ranges((np.cumsum(sizes) - sizes)[perm], sizes[perm])
+    arrays = [np.concatenate([getattr(rule, name) for rule in parts])[rows]
+              for name in ("points", "weights", "alpha")]
+    for arr in arrays:
+        arr.flags.writeable = False
+    offsets = np.concatenate(([0], np.cumsum(sizes[perm])))
+    leaf_cells = np.searchsorted(owner[perm], np.arange(leaves.size + 1))
+    return LeafRule(*arrays, tuple(offsets.tolist())), leaf_cells
+
+
+def leaf_rule_table(basis, domain=None, depth=0):
+    """``build_leaf_rules`` of the active leaves, built once per Basis and
+    kept in ``basis.leaf_rules`` under (depth, domain), None without a
+    domain.  The domain compares by value, so an equal domain reads the
+    entry, also in a worker that unpickled the Basis."""
+    key = None if domain is None else (depth, domain)
+    table = basis.leaf_rules.get(key)
+    if table is None:
+        table = basis.leaf_rules[key] = build_leaf_rules(
+            basis, basis.mesh.active_leaf_elements(), domain, depth)
+    return table
 
 
 def leaf_rule(basis, leaf, domain=None, depth=0):
-    """The leaf's rule, built once per Basis and shared by every caller.
-
-    Without a domain a leaf gets the shared reference rule of its order.
-    With one, the first miss builds the spacetrees of every active leaf
-    still missing (``build_leaf_rules``: one level-synchronous
-    subdivision for all of them) and keeps each in ``basis.leaf_rules``
-    under (leaf id, depth, domain); a leaf outside the active set is
-    built alone.  The key holds the domain itself and compares it by
-    value, so only an equal domain reads the entry, also in a worker that
-    unpickled the Basis; the rule goes when the Basis does.
-    """
-    if domain is None:
-        return reference_rule(basis.leaf_quad_order(leaf))
-    leaf = operator.index(leaf)
-    key = (leaf, depth, domain)
-    rule = basis.leaf_rules.get(key)
-    if rule is None:
-        batch = [other for other in basis.mesh.active_leaf_elements().tolist()
-                 if (other, depth, domain) not in basis.leaf_rules]
-        if leaf not in batch:
-            batch = [leaf]
-        rules = build_leaf_rules(basis, batch, domain, depth)
-        for other, built in zip(batch, rules):
-            basis.leaf_rules[(other, depth, domain)] = built
-        rule = basis.leaf_rules[key]
-    return rule
+    """One active leaf's cells, a view into ``leaf_rule_table``;
+    KeyError for an id that is not an active leaf of the Basis."""
+    rule, leaf_cells = leaf_rule_table(basis, domain, depth)
+    row = basis.rows(leaf)
+    if row >= leaf_cells.size - 1:
+        raise KeyError(f"element {leaf} is not an active leaf")
+    return rule.cell_range(leaf_cells[row], leaf_cells[row + 1])
 
 
 def indicator_area(basis, domain, depth):
     """Measure of the physical region as seen by the composed rules."""
+    rule, leaf_cells = leaf_rule_table(basis, domain, depth)
+    _, jac = leaf_frame(basis, basis.mesh.active_leaf_elements(),
+                        np.zeros(2))
+    cells, bounds = rule.cells(), leaf_cells.tolist()
     total = 0.0
-    for leaf in basis.mesh.active_leaf_elements():
-        jac = leaf_jacobian(basis.mesh, leaf)
-        rule = leaf_rule(basis, leaf, domain, depth)
-        for cell in rule.cells():
+    for j, a, b in zip(jac.tolist(), bounds, bounds[1:]):
+        for cell in cells[a:b]:
             inside = rule.alpha[cell] == 1.0
-            total += jac * float(rule.weights[cell][inside].sum())
+            total += j * float(rule.weights[cell][inside].sum())
     return total

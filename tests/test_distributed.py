@@ -20,7 +20,7 @@ from overlayfem.mesh import Mesh
 from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.physics import (assemble_serial, DirichletMap, LShapeSolution,
                                 element_system)
-from overlayfem.quadrature import Disk, EmbeddedDomain
+from overlayfem.quadrature import Disk, EmbeddedDomain, leaf_rule
 from overlayfem.partition import partition_leaves, compute_leaf_weights
 from overlayfem.distributed import (
     SolverError, distribute_dofs_contiguous, distribute_dofs_graph,
@@ -518,8 +518,8 @@ def test_batched_integration_matches_per_leaf_oracle():
         if name == "fcm disk":
             assert cut > 0
             eps = [i for i, s in enumerate(systems.signature)
-                   if s >= 0 and basis.leaf_rules[
-                       (leaves[i], 3, kwargs["domain"])].alpha[0] < 1]
+                   if s >= 0 and leaf_rule(
+                       basis, leaves[i], kwargs["domain"], 3).alpha[0] < 1]
             assert eps, "no leaf lies fully outside the disk"
 
 

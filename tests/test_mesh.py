@@ -216,6 +216,35 @@ def test_coarsen_round_trip():
     assert mesh.max_level() == 0
 
 
+def test_tables_read_before_refine_or_coarsen_are_snapshots():
+    mesh = Mesh(lshape_mesh_spec(2))
+
+    def held():
+        return (mesh.elements, mesh.table, mesh.topology)
+
+    def copies():
+        return (mesh.elements[np.arange(len(mesh.elements))],
+                mesh.table[np.arange(len(mesh.table))], mesh.topology.copy())
+
+    def assert_unchanged(tables, saved):
+        elements, table, topology = tables
+        for got, want in ((elements, saved[0]), (table, saved[1])):
+            for name, col in vars(want).items():
+                assert np.array_equal(getattr(got, name), col), name
+        assert np.array_equal(topology, saved[2])
+
+    before = (held(), copies())
+    mesh.refine([0])
+    refined = (held(), copies())
+    mesh.coarsen([0])
+    assert mesh.elements.child[0] == -1
+    assert (mesh.topology[mesh.elements.parent == 0] == -1).all()
+    for tables, saved in (before, refined):
+        assert_unchanged(tables, saved)
+    assert refined[0][0].child[0] >= 0
+    assert (refined[0][2] >= 0).all()
+
+
 def test_refine_coarsen_cycles_keep_linked_entities_once():
     # the level-0 entities an activation update re-checks: a split leaf
     # links its 4 nodes, 4 edges and face once, however often it is cycled

@@ -12,13 +12,14 @@ import pytest
 
 from conftest import (leaf_at, single_patch, random_refined_mesh, random_orders,
                       gauss_cell, recursive_spacetree_cells,
-                      assert_rule_is_cells)
+                      assert_rule_is_cells, leaf_to_physical, per_leaf_rules)
 from overlayfem.basis import Basis, PolynomialOrderField
+from overlayfem.benchmarks import RunConfig, make_problem, mark_interface_leaves
 from overlayfem.quadrature import (
     gauss_rule_1d, box_rule, reference_rule, subdivide, build_leaf_rules,
     HalfPlane, Disk, Rect, Union, Intersection, Difference, Complement,
-    geometry_from_json, EmbeddedDomain, leaf_to_physical, leaf_jacobian,
-    leaf_rule, indicator_area,
+    geometry_from_json, EmbeddedDomain, leaf_frame, leaf_rule,
+    leaf_rule_table, indicator_area,
 )
 
 
@@ -260,17 +261,21 @@ def test_spacetree_kernel_matches_recursive_oracle_on_one_box(name):
     assert split > 0
 
 
-@pytest.mark.parametrize("res", [3, 5])
-def test_batched_leaf_rules_match_recursive_oracle(res):
-    # a non-dyadic base mesh refined at random, graded orders so one batch
-    # holds several quadrature orders
+def graded_oracle_mesh(res):
+    """A non-dyadic base mesh refined at random, and graded orders, so one
+    batch holds several quadrature orders."""
     rng = np.random.default_rng(res)
     mesh = single_patch(res)
     for _ in range(2):
         leaves = mesh.active_leaf_elements()
         picked = rng.choice(len(leaves), size=len(leaves) // 4, replace=False)
         mesh.refine(leaves[picked])
-    orders = PolynomialOrderField(by_level={0: 1, 1: 3, 2: 4})
+    return mesh, PolynomialOrderField(by_level={0: 1, 1: 3, 2: 4})
+
+
+@pytest.mark.parametrize("res", [3, 5])
+def test_batched_leaf_rules_match_recursive_oracle(res):
+    mesh, orders = graded_oracle_mesh(res)
     leaves = mesh.active_leaf_elements()
     refined = int(np.flatnonzero(mesh.elements.child >= 0)[0])
     for name, geometry in sorted(ORACLE_GEOMETRIES.items()):
@@ -283,20 +288,90 @@ def test_batched_leaf_rules_match_recursive_oracle(res):
                 assert_rule_is_cells(rule, recursive_spacetree_cells(
                     [-1.0, -1.0], [1.0, 1.0], dom, depth,
                     basis.leaf_quad_order(leaf), leaf_to_physical(mesh, leaf)))
-            # a leaf outside the active set is built alone
+            # the table covers the active leaves only
             before = len(basis.leaf_rules)
-            rule = leaf_rule(basis, refined, dom, depth)
-            assert len(basis.leaf_rules) == before + 1
-            assert_rule_is_cells(rule, recursive_spacetree_cells(
-                [-1.0, -1.0], [1.0, 1.0], dom, depth,
-                basis.leaf_quad_order(refined), leaf_to_physical(mesh, refined)))
+            with pytest.raises(KeyError):
+                leaf_rule(basis, refined, dom, depth)
+            assert len(basis.leaf_rules) == before
             # raised orders, as the energy error asks, leave the memo alone
-            raised = build_leaf_rules(basis, leaves, dom, depth, 2)
-            assert len(basis.leaf_rules) == before + 1
-            for leaf, rule in zip(leaves, raised, strict=True):
-                assert_rule_is_cells(rule, recursive_spacetree_cells(
+            raised, cells = build_leaf_rules(basis, leaves, dom, depth, 2)
+            assert len(basis.leaf_rules) == before
+            assert cells.size == len(leaves) + 1
+            for leaf, a, b in zip(leaves, cells[:-1], cells[1:], strict=True):
+                assert_rule_is_cells(raised.cell_range(a, b),
+                                     recursive_spacetree_cells(
                     [-1.0, -1.0], [1.0, 1.0], dom, depth,
                     basis.leaf_quad_order(leaf) + 2, leaf_to_physical(mesh, leaf)))
+
+def assert_table_is_rules(table, oracle):
+    """The ragged table (rule, leaf_cells) holds the per-leaf rules, leaf
+    after leaf, bit for bit."""
+    rule, leaf_cells = table
+    assert leaf_cells.dtype == np.int64
+    assert leaf_cells[0] == 0 and leaf_cells.size == len(oracle) + 1
+    assert rule.offsets[-1] == rule.weights.size == len(rule.points)
+    for a, b, want in zip(leaf_cells[:-1], leaf_cells[1:], oracle, strict=True):
+        got = rule.cell_range(a, b)
+        assert got.offsets == want.offsets
+        for name in ("points", "weights", "alpha"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("res", [8, 16])
+def test_fcm_disk_rule_table_matches_per_leaf_rules(res):
+    config = RunConfig(benchmark="fcm_disk", res=res, p=2, depth=4, steps=2)
+    problem = make_problem(config)
+    dom, depth = problem.domain, problem.depth
+    mesh = single_patch(res)
+    for step in range(3):
+        if step:
+            mesh.refine(mark_interface_leaves(mesh, dom))
+        basis = Basis(mesh, config.order_field())
+        leaves = mesh.active_leaf_elements()
+        table = leaf_rule_table(basis, dom, depth)
+        assert np.any(np.diff(table[1]) > 1)
+        assert_table_is_rules(table, per_leaf_rules(basis, leaves, dom, depth))
+        assert_table_is_rules(build_leaf_rules(basis, leaves, dom, depth, 2),
+                              per_leaf_rules(basis, leaves, dom, depth, 2))
+
+
+@pytest.mark.parametrize("res", [3, 5])
+def test_graded_rule_table_matches_per_leaf_rules(res):
+    mesh, orders = graded_oracle_mesh(res)
+    basis = Basis(mesh, orders)
+    leaves = mesh.active_leaf_elements()
+    # a leaf list out of pre-order, so the order parts interleave
+    shuffled = np.random.default_rng(res).permutation(leaves)
+    for name, geometry in sorted(ORACLE_GEOMETRIES.items()):
+        dom = EmbeddedDomain(geometry, epsilon=1e-8)
+        for depth in (0, 2, 4):
+            for extra in (0, 2):
+                assert_table_is_rules(
+                    build_leaf_rules(basis, leaves, dom, depth, extra),
+                    per_leaf_rules(basis, leaves, dom, depth, extra))
+            assert_table_is_rules(
+                build_leaf_rules(basis, shuffled, dom, depth),
+                per_leaf_rules(basis, shuffled, dom, depth))
+            assert_table_is_rules(leaf_rule_table(basis, dom, depth),
+                                  per_leaf_rules(basis, leaves, dom, depth))
+
+
+@pytest.mark.parametrize("res", [3, 5])
+def test_table_without_domain_tiles_reference_rules(res):
+    mesh, orders = graded_oracle_mesh(res)
+    basis = Basis(mesh, orders)
+    leaves = mesh.active_leaf_elements()
+    for extra in (0, 2):
+        assert_table_is_rules(
+            build_leaf_rules(basis, leaves, None, 3, extra),
+            [reference_rule(basis.leaf_quad_order(leaf) + extra)
+             for leaf in leaves])
+    assert_table_is_rules(leaf_rule_table(basis),
+                          [reference_rule(basis.leaf_quad_order(leaf))
+                           for leaf in leaves])
+    # an empty leaf list gives an empty table
+    rule, leaf_cells = build_leaf_rules(basis, leaves[:0], None, 0)
+    assert leaf_cells.tolist() == [0] and rule.offsets == (0,)
 
 # ------------------------------------------------------- leaf quadrature
 
@@ -304,13 +379,46 @@ def test_batched_leaf_rules_match_recursive_oracle(res):
 def test_leaf_mapping_and_jacobian():
     mesh = single_patch(2)
     mesh.refine([mesh.active_leaf_elements()[0]])
+    basis = Basis(mesh, PolynomialOrderField(uniform=2))
     leaf = leaf_at(mesh, (0.1, 0.1))
-    to_phys = leaf_to_physical(mesh, leaf)
-    corners = to_phys(np.array([[-1.0, -1.0], [1.0, 1.0]]))
+    corners, jac = leaf_frame(basis, leaf, np.array([[-1.0, -1.0], [1.0, 1.0]]))
     assert np.allclose(corners[0], mesh.elements.lo_f[leaf])
     assert np.allclose(corners[1], mesh.elements.hi_f[leaf])
     area = float(np.prod(mesh.elements.hi_f[leaf] - mesh.elements.lo_f[leaf]))
-    assert leaf_jacobian(mesh, leaf) == pytest.approx(area / 4.0)
+    assert jac == pytest.approx(area / 4.0)
+
+
+def test_leaf_frame_matches_per_leaf_map_bit_for_bit():
+    rng = np.random.default_rng(38)
+    mesh = random_refined_mesh(rng)
+    basis = Basis(mesh, random_orders(rng, mesh))
+    leaves = mesh.active_leaf_elements()
+    ref = rng.uniform(-1.0, 1.0, size=(len(leaves), 7, 2))
+    shared = rng.uniform(-1.0, 1.0, size=(7, 2))
+    many, jacs = leaf_frame(basis, leaves, ref)
+    tiled, _ = leaf_frame(basis, leaves, shared)
+    for i, leaf in enumerate(leaves):
+        one, jac = leaf_frame(basis, leaf, ref[i])
+        want = leaf_to_physical(mesh, leaf)(ref[i])
+        assert np.array_equal(one, want)
+        assert np.array_equal(many[i], want)
+        assert np.array_equal(tiled[i], leaf_to_physical(mesh, leaf)(shared))
+        area = np.prod((mesh.elements.hi_f[leaf] - mesh.elements.lo_f[leaf]) / 2)
+        assert jac == jacs[i] == area
+
+
+def test_leaf_frame_rejects_bad_ids():
+    mesh = single_patch(2)
+    mesh.refine([0])
+    mesh.coarsen([0])
+    removed = int(np.flatnonzero(mesh.topology[:, 0] < 0)[0])
+    basis = Basis(mesh, PolynomialOrderField(uniform=2))
+    pts = np.zeros((1, 2))
+    for bad in (-1, len(mesh.elements), removed):
+        with pytest.raises(KeyError):
+            leaf_frame(basis, bad, pts)
+        with pytest.raises(KeyError):
+            leaf_frame(basis, np.array([0, bad]), pts)
 
 
 def test_leaf_quadrature_weight_sums():
@@ -357,11 +465,12 @@ def test_indicator_area_memo_keys_on_domain_and_depth():
     for dom, depth in ((disk_a, 2), (disk_b, 2), (disk_a, 3)):
         fresh = indicator_area(Basis(mesh, orders), dom, depth)
         assert indicator_area(shared, dom, depth) == fresh
-    assert len(shared.leaf_rules) == 3 * len(mesh.active_leaf_elements())
+    # one table per (depth, domain)
+    assert len(shared.leaf_rules) == 3
     # an equal domain built anew reads the same entries
     again = EmbeddedDomain(Disk((0.0, 0.0), 0.55), epsilon=0.0)
     assert indicator_area(shared, again, 3) == indicator_area(shared, disk_a, 3)
-    assert len(shared.leaf_rules) == 3 * len(mesh.active_leaf_elements())
+    assert len(shared.leaf_rules) == 3
 
 
 def test_leaf_rule_memo_is_shared_and_survives_pickling(monkeypatch):
@@ -371,13 +480,20 @@ def test_leaf_rule_memo_is_shared_and_survives_pickling(monkeypatch):
     leaf = leaf_at(mesh, (0.6, 0.4))
     rule = leaf_rule(basis, leaf, dom, 3)
     assert len(rule.cells()) > 1
-    assert leaf_rule(basis, leaf, dom, 3) is rule
+    # every call is a view into the one table of (3, dom)
+    table, _ = basis.leaf_rules[(3, dom)]
+    assert len(basis.leaf_rules) == 1
+    for again in (rule, leaf_rule(basis, leaf, dom, 3)):
+        assert np.shares_memory(again.points, table.points)
     assert_rule_is_cells(rule, recursive_spacetree_cells(
         [-1.0, -1.0], [1.0, 1.0], dom, 3, basis.leaf_quad_order(leaf),
         leaf_to_physical(mesh, leaf)))
-    # uncut leaves share one rule per order
+    # without a domain every leaf reads the reference cell of its order
     other = leaf_at(mesh, (0.1, 0.9))
-    assert leaf_rule(basis, leaf) is leaf_rule(basis, other)
+    for uncut in (leaf, other):
+        assert_rule_is_cells(leaf_rule(basis, uncut), [gauss_cell(
+            [-1.0, -1.0], [1.0, 1.0], basis.leaf_quad_order(uncut))])
+    assert set(basis.leaf_rules) == {(3, dom), None}
     # a pickled copy, as a worker process receives it, holds the filled
     # memo; an equal domain that is another object finds the entry without
     # a second spacetree
