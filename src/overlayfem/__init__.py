@@ -15,7 +15,7 @@ from .partition import (build_leaf_graph, compute_leaf_weights, edge_cut,
                         hilbert_index, partition_contiguous, partition_graph,
                         partition_leaves, partition_sfc, weighted_imbalance)
 from .physics import (DirichletMap, LShapeSolution, assemble_serial,
-                      element_system, energy_error, neumann_load,
+                      energy_error, integrate_leaves, neumann_load,
                       solve_dirichlet)
 from .quadrature import (Disk, EmbeddedDomain, HalfPlane, LeafRule, Rect,
                          box_rule, gauss_rule_1d, geometry_from_json,

@@ -12,8 +12,8 @@ The integral form evaluates through the closed identity
 (P_k - P_{k-2}) / sqrt(2 (2k - 1)), so the internal modes vanish at both
 endpoints and their derivative is sqrt((2j - 3) / 2) * P_{j-2}.
 ``shape_tables`` builds the value and derivative tables from one
-Legendre recursion, and a leaf evaluation calls it once per ancestor
-element, on the x and y reference coordinates together.
+Legendre recursion; an evaluation calls it once, on the x and y
+reference coordinates of every point in every ancestor frame.
 
 Refinement never replaces an element, so the tables of most leaves repeat:
 they depend only on each ancestor's active-entity plan, its scale and the
@@ -284,6 +284,7 @@ class Basis:
 
         # element dofs, slot by slot, from the dof offsets of the entities
         p = self.orders.level_orders(self.levels)
+        self._jmax = max(2, int(p.max()) + 1)   # no plan reads mode p + 2
         active = table.active[topo]
         modes = entity_mode_count(table.kind[topo], p[:, None]) * active
         offset = np.zeros(len(table), dtype=np.int64)
@@ -352,12 +353,6 @@ class Basis:
         row = self.rows(leaf)
         return self.dofs[self.dof_offsets[row]:self.dof_offsets[row + 1]]
 
-    def leaf_dof_block(self, rows):
-        """The dofs of rows with equal mode counts, one row each: (m, n)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        return self.dofs[self.dof_offsets[rows][:, None]
-                         + np.arange(self.mode_counts[rows[0]])]
-
     def leaf_mode_count(self, leaf):
         return int(self.mode_counts[self.rows(leaf)])
 
@@ -373,43 +368,59 @@ class Basis:
         leaf_dofs order.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = pts.shape[0]
-        frames = self.leaf_frames([self.rows(leaf)], pts[None])
-        size = sum(self.plans[plans[0]][0].size for plans, _, _ in frames)
-        # mode-major buffers, a row block per chain element; callers get
-        # transposed views, the strides the einsum sums over the tables
-        # (and so their bits) depend on
-        values, grads = np.empty((size, n)), np.empty((size, n, 2))
-        start = 0
-        for plans, (scale,), (ref,) in frames:
-            jx, jy = self.plans[plans[0]]
-            jmax = max(2, int(jx.max()) + 1, int(jy.max()) + 1)
-            vals_1d, ders_1d = shape_tables(jmax, ref.T.ravel())
-            vx, vy = vals_1d[jx, :n], vals_1d[jy, n:]
-            rows = slice(start, start + jx.size)
-            np.multiply(vx, vy, out=values[rows])
-            np.multiply(ders_1d[jx, :n] * vy, scale[0], out=grads[rows, :, 0])
-            np.multiply(vx * ders_1d[jy, n:], scale[1], out=grads[rows, :, 1])
-            start = rows.stop
-        return values.T, grads.transpose(1, 0, 2)
+        return self.evaluate_leaves([self.rows(leaf)], pts, [0, len(pts)])[0]
 
-    def leaf_frames(self, rows, points):
+    def evaluate_leaves(self, rows, points, offsets):
+        """``evaluate_leaf`` of leaves of one level, leaf i on the points
+        ``offsets[i]:offsets[i + 1]``: one ``shape_tables`` call for every
+        chain position and point, then per leaf its own mode-major buffers
+        (a row block per chain element) and their transposed views, as
+        from ``evaluate_leaf``: an einsum's bits follow the strides."""
+        offsets = np.asarray(offsets, dtype=np.int64)
+        n, spans = int(offsets[-1]), list(zip(offsets[:-1].tolist(),
+                                              offsets[1:].tolist()))
+        values = [np.empty((m, b - a)) for m, (a, b) in
+                  zip(self.mode_counts[rows].tolist(), spans)]
+        grads = [np.empty((*v.shape, 2)) for v in values]
+        start = [0] * len(values)
+        frames = self.leaf_frames(rows, points, np.diff(offsets))
+        # position k's x coordinates are columns 2nk .. 2nk + n, its y
+        # coordinates the next n
+        vals_1d, ders_1d = shape_tables(self._jmax, np.concatenate(
+            [ref.T for _, _, ref in frames]).ravel())
+        for k, (plans, scale, _) in enumerate(frames):
+            for i in np.flatnonzero(plans >= 0).tolist():
+                jx, jy = self.plans[plans[i]]
+                x = slice(2 * n * k + spans[i][0], 2 * n * k + spans[i][1])
+                y = slice(x.start + n, x.stop + n)
+                vx, vy = vals_1d[jx, x], vals_1d[jy, y]
+                block = slice(start[i], start[i] + jx.size)
+                start[i] = block.stop
+                np.multiply(vx, vy, out=values[i][block])
+                np.multiply(ders_1d[jx, x] * vy, scale[i, 0],
+                            out=grads[i][block, :, 0])
+                np.multiply(vx * ders_1d[jy, y], scale[i, 1],
+                            out=grads[i][block, :, 1])
+        return [(v.T, g.transpose(1, 0, 2)) for v, g in zip(values, grads)]
+
+    def leaf_frames(self, rows, points, counts):
         """The points of leaves of one level in their chain elements'
         reference frames, the inputs of ``evaluate_leaf``'s tables.
 
-        rows: the leaves' table rows; points: (m, n, 2), row i inside leaf
-        i's closed box, else ValueError.  Returns one (plans, scale (m, 2),
-        clipped coordinates (m, n, 2)) per chain position, base first,
-        where plans[i] is the id of leaf i's element plan, -1 where that
-        element carries no dofs; a position without dofs on any leaf is
-        left out.
+        rows: the leaves' table rows; points: (n, 2), counts[i] of them
+        in turn inside leaf i's closed box, else ValueError.  Returns one
+        (plans, scale (m, 2), clipped coordinates (n, 2)) per chain
+        position, base first; plans[i] is leaf i's element plan, -1 where
+        that element carries no dofs, and a position without dofs on any
+        leaf is left out.
         """
         rows = np.asarray(rows, dtype=np.int64)
         pts = np.asarray(points, dtype=float)
         lo, hi = self.lo_f[rows], self.hi_f[rows]
         tol = 1e-12 * np.maximum(1.0, np.abs(np.hstack((lo, hi))).max(axis=1))
-        if (np.any(pts.min(axis=1) < lo - tol[:, None])
-                or np.any(pts.max(axis=1) > hi + tol[:, None])):
+        at = np.cumsum(counts) - counts
+        if (np.any(np.minimum.reduceat(pts, at) < lo - tol[:, None])
+                or np.any(np.maximum.reduceat(pts, at) > hi + tol[:, None])):
             raise ValueError("point outside the leaf element")
         frames = []
         for elems in self._chain[rows, :self.levels[rows[0]] + 1].T:
@@ -420,7 +431,8 @@ class Basis:
             lo = self.lo_f[elems]
             scale = 2.0 / (self.hi_f[elems] - lo)
             frames.append((plans, scale, np.clip(
-                (pts - lo[:, None]) * scale[:, None] - 1.0, -1.0, 1.0)))
+                (pts - np.repeat(lo, counts, axis=0))
+                * np.repeat(scale, counts, axis=0) - 1.0, -1.0, 1.0)))
         return frames
 
 

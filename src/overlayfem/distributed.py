@@ -5,12 +5,10 @@ active leaves, produced by any partitioner from :mod:`overlayfem.partition`.
 Each rank integrates exactly its own leaves (no element is ever touched by
 two ranks) into tagged triplets, one tag per source leaf.  Leaves with a
 single-cell rule take their stiffness and load from the step's memo,
-:func:`overlayfem.physics.leaf_systems`, which holds one integrated
-representative per distinct leaf signature; the parent process builds it
+:func:`overlayfem.physics.leaf_systems`, which the parent process builds
 before the integrate phase fans out, so worker processes receive it with
-the Basis.  A rank emits such leaves a group at a time, one group per
-signature and kept-dof pattern, flux loads included.  Cut leaves, whose
-rules have several cells, run :func:`overlayfem.physics.element_system`.
+the Basis; cut leaves run the kernel,
+:func:`overlayfem.physics.integrate_leaves`.
 
 Assembly is one sort.  All ranks' triplets are ordered by (row, column,
 leaf tag) and summed per (row, column) into one global CSR operator; the
@@ -41,9 +39,10 @@ import numpy as np
 import scipy.sparse
 
 from .basis import Basis
+from .mesh import _ranges
 from .partition import (compute_leaf_weights, partition_leaves,
                         rank_weight_sums)
-from .physics import DirichletMap, element_system, leaf_systems
+from .physics import DirichletMap, integrate_leaves, leaf_systems
 
 
 class SolverError(RuntimeError):
@@ -114,88 +113,48 @@ class IntermediateSystem:
 def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
                           domain=None, depth=0, source=None,
                           flux=None, flux_part=None):
-    """Integrate exactly the given leaves into free-index triplets.
-
-    Single-cell leaves read K and f from the step's memo
-    (:func:`overlayfem.physics.leaf_systems`) and are emitted a group at
-    a time, one group per signature and kept-dof pattern; multi-cell
-    leaves run :func:`overlayfem.physics.element_system` one by one.  A
-    flux load, in the memo too, reaches only leaves with a kept side on
-    the domain boundary.
+    """Integrate exactly the given leaves into free-index triplets, leaf
+    after leaf: K and f from the step's memo
+    (:func:`overlayfem.physics.leaf_systems`) or, for a cut leaf, from
+    :func:`overlayfem.physics.integrate_leaves`, plus its flux load.
     """
     start = time.perf_counter()
-    leaves = basis.mesh.active_leaf_elements()
     systems = leaf_systems(basis, domain, depth, source, flux, flux_part)
     # active leaves are the Basis's first table rows, in pre-order
     pos = basis.row_of[np.asarray(leaf_ids, dtype=np.int64)]
     leaf_tags = np.asarray(leaf_tags, dtype=np.int64)
-    sig = systems.signature[pos]
-    load = systems.load[pos]
-    rows, cols, vals, tags = [], [], [], []
-    rrows, rvals, rtags = [], [], []
-
-    # fi holds the free rows of the rank leaves `sel`, one row per leaf
-    def emit_matrix(fi, K, sel):
-        """Triplets of leaves that share the kept block K."""
-        n = fi.shape[1]
-        rows.append(np.repeat(fi, n, axis=1).ravel())
-        cols.append(np.tile(fi, n).ravel())
-        vals.append(np.tile(K.ravel(), len(sel)))
-        tags.append(np.repeat(leaf_tags[sel], n * n))
-
-    def emit_loads(fi, loads, sel):
-        rrows.append(fi.ravel())
-        rvals.append(loads.ravel())
-        rtags.append(np.repeat(leaf_tags[sel], fi.shape[1]))
-
-    # single-cell leaves, one group per signature and kept-dof pattern
-    single = np.flatnonzero(sig >= 0)
-    single = single[np.argsort(sig[single], kind="stable")]
-    for run in np.split(single, np.flatnonzero(np.diff(sig[single])) + 1):
-        if run.size == 0:
-            continue
-        K = systems.stiffness[sig[run[0]]]
-        fidx = to_free[basis.leaf_dof_block(pos[run])]
-        keep = fidx >= 0
-        if (keep == keep[0]).all():     # the common case: one pattern
-            patterns, which = keep[:1], np.zeros(run.size, dtype=np.intp)
-        else:
-            patterns, which = np.unique(keep, axis=0, return_inverse=True)
-            which = which.reshape(-1)
-        for k, pattern in enumerate(patterns):
-            sel = run[which == k]
-            ki = np.flatnonzero(pattern)
-            fi = fidx[which == k][:, ki]
-            emit_matrix(fi, K[np.ix_(ki, ki)], sel)
-            has = load[sel] >= 0
-            if has.any():
-                loads = np.stack([systems.loads[q] for q in load[sel[has]]])
-                emit_loads(fi[has], loads[:, ki], sel[has])
-
-    # cut leaves, leaf by leaf, with their flux loads
-    for j in np.flatnonzero(sig < 0):
-        leaf = leaves[pos[j]]
-        fidx = to_free[basis.leaf_dofs(leaf)]
-        ki = np.flatnonzero(fidx >= 0)
-        fi = fidx[ki][None]
-        K, fe, _ = element_system(basis, leaf, domain, depth, source)
-        emit_matrix(fi, K[np.ix_(ki, ki)], [j])
+    sig, load = systems.signature[pos], systems.load[pos]
+    Ks = [systems.stiffness[k] if k >= 0 else None for k in sig.tolist()]
+    fs = [systems.loads[k] if k >= 0 else None for k in load.tolist()]
+    # cut leaves through the kernel, with their flux loads
+    cut = np.flatnonzero(sig < 0)
+    for j, K, fe in zip(cut.tolist(), *integrate_leaves(
+            basis, pos[cut], domain, depth, source)):
         fl = systems.flux_loads.get(pos[j])
-        if fl is not None:
-            fe = fl if fe is None else fe + fl
-        if fe is not None:
-            emit_loads(fi, fe[ki][None], [j])
+        Ks[j], fs[j] = K, fl if fe is None else fe if fl is None else fe + fl
 
-    def cat(parts, dtype):
-        return (np.concatenate(parts) if parts
-                else np.empty(0, dtype=dtype))
+    # the triplets leaf after leaf, row-major over each leaf's K: a leaf
+    # with n dofs repeats each dof n times as a row and its dofs n times
+    # as columns; an entry is kept when both are free
+    n = basis.mode_counts[pos]
+    fidx = to_free[basis.dofs[_ranges(basis.dof_offsets[pos], n)]]
+    per_dof = np.repeat(n, n)
+    rows = np.repeat(fidx, per_dof)
+    cols = fidx[_ranges(np.repeat(np.cumsum(n) - n, n), per_dof)]
+    keep = (rows >= 0) & (cols >= 0)
+    loaded = np.repeat([f is not None for f in fs], n).astype(bool)
+    rhs_rows = fidx[loaded]
+    kept = rhs_rows >= 0
+
+    def cat(parts):
+        return np.concatenate([p.ravel() for p in parts if p is not None]
+                              + [np.empty(0)])
 
     return IntermediateSystem(
-        rank=rank,
-        rows=cat(rows, np.int64), cols=cat(cols, np.int64),
-        vals=cat(vals, float), leaf_tags=cat(tags, np.int64),
-        rhs_rows=cat(rrows, np.int64), rhs_vals=cat(rvals, float),
-        rhs_tags=cat(rtags, np.int64),
+        rank=rank, rows=rows[keep], cols=cols[keep], vals=cat(Ks)[keep],
+        leaf_tags=np.repeat(leaf_tags, n * n)[keep],
+        rhs_rows=rhs_rows[kept], rhs_vals=cat(fs)[kept],
+        rhs_tags=np.repeat(leaf_tags, n)[loaded][kept],
         n_leaves=len(leaf_ids),
         seconds=time.perf_counter() - start,
     )
@@ -431,7 +390,8 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
              partitioner="sfc", dof_distribution="graph",
              domain=None, depth=0, source=None, flux=None, flux_part=None,
              tol=1e-10, step_index=0, workers=None):
-    """Refine, partition, integrate, exchange, and solve one step.
+    """Refine, partition, integrate, exchange, and solve one step;
+    ``source`` and ``flux`` must act point by point.
 
     Returns (report, basis, solution) with the solution expanded to the
     full coefficient vector (constrained entries zero).

@@ -24,11 +24,14 @@ from .quadrature import leaf_rule_table
 
 
 def compute_leaf_weights(basis, domain=None, depth=0):
-    """Cost-model weight of each active leaf, pre-order; the point counts
-    come from the step's rule table."""
-    rule, leaf_cells = leaf_rule_table(basis, domain, depth)
-    n_gp = np.diff(np.asarray(rule.offsets)[leaf_cells])
-    w = n_gp.astype(float) * basis.mode_counts[:n_gp.size].astype(float) ** 3
+    """Cost-model weight of each active leaf, pre-order; n_GP is q^2 at
+    quadrature order q, or under a domain from the step's rule table."""
+    n = len(basis.mesh.active_leaf_elements())
+    n_gp = basis.quad_orders[:n] ** 2
+    if domain is not None:
+        rule, leaf_cells = leaf_rule_table(basis, domain, depth)
+        n_gp = np.diff(np.asarray(rule.offsets)[leaf_cells])
+    w = n_gp.astype(float) * basis.mode_counts[:n].astype(float) ** 3
     p0 = basis.orders.base_order
     w0 = float((p0 + 1) ** 2) * float((p0 + 1) ** 2) ** 3
     return w / w0

@@ -2,43 +2,31 @@
 serial assembly, and energy-norm error measurement.
 
 Element systems are integrated with the composed Gauss rules from
-:mod:`overlayfem.quadrature`, a leaf's rule being its slice of the
-step's rule table; an embedded domain scales each point by its
-indicator factor.  One kernel, :func:`element_system`, yields a leaf's
-stiffness matrix and source load together.  It evaluates the basis once
-on all of the leaf's points and sums cell by cell, so a cut leaf costs
-one evaluation however many cells its spacetree has.  The serial
-assembly calls it for every leaf; the distributed pipeline only for
-leaves whose rule has several cells.
+:mod:`overlayfem.quadrature`: a leaf's rule is the reference rule of its
+order, or under an embedded domain its cells in the step's rule table.
+One kernel, :func:`integrate_leaves`, integrates leaves of every kind:
+the leaves of one (order, level) are mapped together, ``source`` is
+called once on all their points, the basis is evaluated a bounded batch
+of leaves at a time, and each leaf's cells are contracted at once and
+added cell after cell, the bits of a cell-by-cell loop.  The serial
+assembly runs it on every leaf, the distributed pipeline on cut leaves.
 
 Refinement never replaces an element, so most leaves of a step repeat
 one another bit for bit.  :func:`leaf_systems` integrates the leaves with
-one cell in the table (every uncut leaf) once per step: it computes every
-such leaf's signature with array operations, the exact inputs of its K,
-contracts one representative per distinct signature, and keeps the K
-of each signature, plus f per signature and source values, in a memo on
-the Basis that the distributed integration reads.
+one cell (every uncut leaf) once per step: it computes every such leaf's
+signature with array operations, contracts one representative per
+distinct signature, and keeps K per signature and f per signature and
+source values in a memo on the Basis that the distributed integration
+reads, with the boundary-flux loads (1d edge rules, one flux call per
+group of like sides).  Homogeneous Dirichlet conditions are imposed by
+symmetric elimination.
 
-Homogeneous Dirichlet conditions are imposed by symmetric elimination:
-the constrained rows and columns are dropped from the system and
-restored as zeros in the solution vector.  Inhomogeneous flux (Neumann)
-data enters through 1d edge rules on the domain boundary, one flux call
-per group of like sides, kept in the same per-step memo.
-
-The energy-error integrator upgrades every leaf rule by a couple of Gauss
-points and, on leaves whose closure holds a declared singular point, peels
-dyadic shells toward that corner so the non-smooth remainder is integrated
-accurately instead of polluting the measurement; the shell rule lives in
-the reference square and is built once per (corner, levels, order).
-Without an embedded domain the other leaves run grouped by (order,
-level), like :func:`leaf_systems`: the exact gradient is called once per
-group, and the basis tables are evaluated once per distinct table
-signature and applied to every leaf that has it; :func:`table_signatures`
-does that grouping for the leaf systems, the flux loads and the probes
-of ``solution.csv`` too.  Under a domain the other leaves read their
-raised-order spacetree rules from one table.  A singular
-leaf, and under a domain every leaf, is evaluated once on the points of
-all its cells or shells.
+The energy error re-integrates every leaf at a raised order and peels
+dyadic shells toward a declared singular point, so the non-smooth
+remainder does not pollute the measurement.  Without a domain the other
+leaves are grouped by (order, level) and the basis evaluated once per
+distinct table signature (:func:`table_signatures`, which also serves
+the leaf systems, the flux loads and the ``solution.csv`` probes).
 """
 from __future__ import annotations
 
@@ -49,34 +37,81 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .mesh import EDGE, NODE
+from .mesh import EDGE, NODE, _ranges
 from .quadrature import (box_rule, build_leaf_rules, gauss_rule_1d,
-                         leaf_frame, leaf_rule, leaf_rule_table,
-                         reference_rule)
+                         leaf_frame, leaf_rule_table, reference_rule)
 
 
-def element_system(basis, leaf, domain=None, depth=0, source=None):
-    """Leaf stiffness matrix, source load, and global dof indices.
+_BATCH = 1 << 14   # (point, function) table entries evaluated at once
 
-    Returns (K, f, gids) with K of shape (n, n) over the active shape
-    functions on the leaf, in leaf_dofs order, and f of shape (n,) for a
-    volume source term (None without one).  Both come from one pass over
-    the leaf's cells in the step's rule table: its points are mapped and
-    evaluated at once, then summed cell by cell.
-    """
-    rule = leaf_rule(basis, leaf, domain, depth)
-    pts, jac = leaf_frame(basis, leaf, rule.points)
-    V, G = basis.evaluate_leaf(leaf, pts)
-    w = rule.weights * rule.alpha * jac
-    n = basis.leaf_mode_count(leaf)
-    K = np.zeros((n, n))
-    f = None if source is None else np.zeros(n)
-    for cell in rule.cells():
-        K += np.einsum("q,qid,qjd->ij", w[cell], G[cell], G[cell])
-        if f is not None:
-            src = np.asarray(source(pts[cell]), dtype=float)
-            f += V[cell].T @ (w[cell] * src)
-    return K, f, basis.leaf_dofs(leaf)
+
+def _order_level_groups(basis, rows):
+    """(order, positions into `rows`) per (quadrature order, level)."""
+    groups = {}
+    for j, key in enumerate(zip(basis.quad_orders[rows].tolist(),
+                                basis.levels[rows].tolist())):
+        groups.setdefault(key, []).append(j)
+    return [(q, np.array(idx)) for (q, _), idx in groups.items()]
+
+
+def _leaf_points(basis, rows, q, domain, depth):
+    """Physical points (n, 2) and weights (n,), the rule's weight x alpha
+    x Jacobian, of the rules of active leaves of quadrature order q, leaf
+    after leaf, and each leaf's point count.  Without a domain every leaf
+    has the reference rule; with one, its cells in the step's table."""
+    if domain is None:
+        rule, cells, at = reference_rule(q), np.ones_like(rows), slice(None)
+    else:
+        rule, leaf_cells = leaf_rule_table(basis, domain, depth)
+        cells = leaf_cells[rows + 1] - leaf_cells[rows]
+        at = _ranges(np.asarray(rule.offsets)[leaf_cells[rows]],
+                     cells * q * q).reshape(-1, q * q)
+    # one frame per cell, on the cell's q x q points
+    leaves = basis.mesh.active_leaf_elements()[rows]
+    pts, jac = leaf_frame(basis, np.repeat(leaves, cells), rule.points[at])
+    w = rule.weights[at] * rule.alpha[at] * jac[:, None]
+    return pts.reshape(-1, 2), w.ravel(), cells * q * q
+
+
+def _stiffness(q, w, G):
+    """K of one leaf: its q x q cells contracted at once, then added cell
+    after cell to zeros, as ``np.add.reduce`` would not."""
+    G = G.reshape(-1, q * q, *G.shape[1:])
+    Kc = np.einsum("cq,cqid,cqjd->cij", w.reshape(len(G), -1), G, G)
+    return 0.0 + np.cumsum(Kc, axis=0, out=Kc)[-1]
+
+
+def _load(q, V, wsrc):
+    """f of one leaf from its values and weights x source, as K is."""
+    V = V.reshape(-1, q * q, V.shape[1]).transpose(0, 2, 1)
+    fc = V @ wsrc.reshape(len(V), -1, 1)
+    return 0.0 + np.cumsum(fc, axis=0, out=fc)[-1, :, 0]
+
+
+def integrate_leaves(basis, rows, domain=None, depth=0, source=None):
+    """Stiffness matrices and source loads of the active leaves at Basis
+    rows `rows`: lists of K (n, n) and of f (n,), None without a source,
+    in `rows` order.  ``source`` must act point by point: it is called
+    once per (order, level) on the points of all its leaves."""
+    rows = np.asarray(rows, dtype=np.int64)
+    K, f = [None] * rows.size, [None] * rows.size
+    for q, idx in _order_level_groups(basis, rows):
+        pts, w, counts = _leaf_points(basis, rows[idx], q, domain, depth)
+        if source is not None:
+            wsrc = w * np.asarray(source(pts), dtype=float)
+        off = np.append(0, np.cumsum(counts))
+        size = np.cumsum(counts * basis.mode_counts[rows[idx]]) // _BATCH
+        cuts = [0, *(np.flatnonzero(np.diff(size)) + 1).tolist(), idx.size]
+        for a, b in zip(cuts, cuts[1:]):
+            # one batch's tables alive at a time
+            for k, (V, G) in zip(range(a, b), basis.evaluate_leaves(
+                    rows[idx[a:b]], pts[off[a]:off[b]],
+                    off[a:b + 1] - off[a])):
+                span = slice(off[k], off[k + 1])   # leaf k's points
+                K[idx[k]] = _stiffness(q, w[span], G)
+                if source is not None:
+                    f[idx[k]] = _load(q, V, wsrc[span])
+    return K, f
 
 
 @dataclass
@@ -100,14 +135,11 @@ class LeafSystems:
 
 def leaf_systems(basis, domain=None, depth=0, source=None, flux=None,
                  flux_part=None):
-    """The step's single-cell leaf systems and flux loads, built once per
-    Basis.
-
-    The first call for a (domain, depth, source, flux, flux_part) builds
-    them for every active leaf and keeps them in ``basis.leaf_systems``;
-    the key holds the arguments themselves, so a worker that unpickled
-    the Basis reads the entry for its equal arguments.
-    """
+    """The step's single-cell leaf systems and flux loads, built for every
+    active leaf by the first call for a (domain, depth, source, flux,
+    flux_part) and kept in ``basis.leaf_systems``: the key holds the
+    arguments themselves, so a worker that unpickled the Basis reads the
+    entry for its equal arguments."""
     key = (depth, domain, source, flux, flux_part)
     systems = basis.leaf_systems.get(key)
     if systems is None:
@@ -119,59 +151,46 @@ def leaf_systems(basis, domain=None, depth=0, source=None, flux=None,
 def _build_leaf_systems(basis, domain, depth, source, flux, flux_part):
     """Integrate one representative per distinct single-cell signature.
 
-    Leaves with one cell in the rule table are batched by (quadrature
-    order, level).  A leaf's signature is the bytes of its weights x alpha
-    x jacobian and, per dof-carrying chain element, of the plan, the scale
-    and the clipped reference coordinates: every input of element_system's
-    K, computed with its operations, so equal signatures give equal K bit
-    for bit.  f is shared among leaves of one signature and equal source
-    values.
+    Leaves with one cell (every leaf without a domain) are grouped by
+    (quadrature order, level), ``source`` called once per group.  A leaf's
+    signature is every input of its K, computed with the kernel's
+    operations: the bits of its weights and of its table inputs
+    (:func:`table_signatures`).  f is shared among leaves of one
+    signature and equal source values.
     """
-    leaves = basis.mesh.active_leaf_elements()
-    rule, leaf_cells = leaf_rule_table(basis, domain, depth)
-    signature = np.full(len(leaves), -1, dtype=np.int64)
-    load = np.full(len(leaves), -1, dtype=np.int64)
+    n = len(basis.mesh.active_leaf_elements())
+    signature = np.full(n, -1, dtype=np.int64)
+    load = np.full(n, -1, dtype=np.int64)
     stiffness, loads = [], []
-    start = np.asarray(rule.offsets)[leaf_cells[:-1]]
-    groups = {}
-    for i in np.flatnonzero(np.diff(leaf_cells) == 1).tolist():
-        groups.setdefault((int(basis.quad_orders[i]), int(basis.levels[i])),
-                          []).append(i)
-    for (q, _), idx in groups.items():
-        idx = np.array(idx)
-        at = start[idx, None] + np.arange(q * q)
-        pts, jac = leaf_frame(basis, leaves[idx], rule.points[at])
-        w = rule.weights[at] * rule.alpha[at] * jac[:, None]
+    single = (np.arange(n) if domain is None else np.flatnonzero(
+        np.diff(leaf_rule_table(basis, domain, depth)[1]) == 1))
+    for q, idx in _order_level_groups(basis, single):
+        idx = single[idx]
+        pts, w, _ = _leaf_points(basis, idx, q, domain, depth)
+        pts, w = pts.reshape(idx.size, -1, 2), w.reshape(idx.size, -1)
         first, inverse, tables = table_signatures(basis, idx, pts,
                                                    w.view(np.uint64))
         signature[idx] = len(stiffness) + inverse
-        for r, (_, G) in zip(first, tables):
-            K = np.zeros((G.shape[1], G.shape[1]))
-            K += np.einsum("q,qid,qjd->ij", w[r], G, G)
-            K.flags.writeable = False
-            stiffness.append(K)
+        stiffness += [_stiffness(q, w[r], G)
+                      for r, (_, G) in zip(first, tables)]
         if source is None:
             continue
+        src = np.asarray(source(pts.reshape(-1, 2)), float).reshape(w.shape)
         by_value = {}
-        for j, i in enumerate(idx):
-            src = np.asarray(source(pts[j]), dtype=float)
-            key = (inverse[j], src.tobytes())
+        for j, i in enumerate(idx.tolist()):
+            key = (inverse[j], src[j].tobytes())
             if key not in by_value:
-                V = tables[inverse[j]][0]
-                f = np.zeros(V.shape[1])
-                f += V.T @ (w[j] * src)
-                f.flags.writeable = False
                 by_value[key] = len(loads)
-                loads.append(f)
+                loads.append(_load(q, tables[inverse[j]][0], w[j] * src[j]))
             load[i] = by_value[key]
     flux_loads = {} if flux is None else flux_loads_by_leaf(basis, flux,
                                                             flux_part)
     for i in [i for i in flux_loads if signature[i] >= 0]:
         fl = flux_loads.pop(i)
-        f = fl if load[i] < 0 else loads[load[i]] + fl
-        f.flags.writeable = False
-        load[i] = len(loads)
-        loads.append(f)
+        loads.append(fl if load[i] < 0 else loads[load[i]] + fl)
+        load[i] = len(loads) - 1
+    for arr in stiffness + loads:
+        arr.flags.writeable = False
     return LeafSystems(signature, load, stiffness, loads, flux_loads)
 
 
@@ -184,15 +203,17 @@ def table_signatures(basis, rows, pts, *extra):
     clipped reference coordinates, as raw bits, followed by the (m, k)
     uint64 columns of `extra`: equal keys give equal ``evaluate_leaf``
     tables bit for bit.  Returns the index of the first leaf of every
-    distinct key, each leaf's key number, and per key the
-    ``evaluate_leaf`` tables of its first leaf.
+    distinct key, each leaf's key number, and per key the tables of its
+    first leaf, from one ``Basis.evaluate_leaves`` call.
     """
+    m, n = pts.shape[:2]
     keys = list(extra)
-    for plans, scale, ref in basis.leaf_frames(rows, pts):
+    for plans, scale, ref in basis.leaf_frames(rows, pts.reshape(-1, 2),
+                                               np.full(m, n)):
         live = (plans >= 0)[:, None]
         keys += [plans.view(np.uint64)[:, None],
                  np.where(live, scale.view(np.uint64), 0),
-                 np.where(live, ref.reshape(len(rows), -1).view(np.uint64), 0)]
+                 np.where(live, ref.reshape(m, -1).view(np.uint64), 0)]
     table = np.hstack(keys)
     raw, width = table.tobytes(), table.shape[1] * table.itemsize
     number = {}
@@ -201,29 +222,27 @@ def table_signatures(basis, rows, pts, *extra):
                         for j in range(len(rows))], dtype=np.int64)
     # keys are numbered in order of appearance
     first = np.unique(inverse, return_index=True)[1]
-    leaves = basis.mesh.active_leaf_elements()
-    return first, inverse, [basis.evaluate_leaf(leaves[rows[r]], pts[r])
-                            for r in first]
+    return first, inverse, basis.evaluate_leaves(
+        rows[first], pts[first].reshape(-1, 2), np.arange(first.size + 1) * n)
 
 
 def assemble_serial(basis, domain=None, depth=0, source=None):
-    """Global stiffness matrix (CSR) and load vector, one rank."""
+    """Global stiffness matrix (CSR) and load vector, one rank: every
+    leaf through :func:`integrate_leaves`, scattered in pre-order."""
     total = basis.dofmap.total
-    rows, cols, vals = [], [], []
-    f = np.zeros(total)
-    for leaf in basis.mesh.active_leaf_elements():
-        K, fe, gids = element_system(basis, leaf, domain, depth, source)
-        gi = np.repeat(gids, len(gids))
-        gj = np.tile(gids, len(gids))
-        rows.append(gi)
-        cols.append(gj)
-        vals.append(K.ravel())
-        if fe is not None:
-            np.add.at(f, gids, fe)
+    leaves = basis.mesh.active_leaf_elements()
+    Ks, fs = integrate_leaves(basis, np.arange(len(leaves)), domain, depth,
+                              source)
+    gids = [basis.leaf_dofs(leaf) for leaf in leaves]
     K = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(total, total),
-    ).tocsr()
+        (np.concatenate([K.ravel() for K in Ks]),
+         (np.concatenate([np.repeat(g, g.size) for g in gids]),
+          np.concatenate([np.tile(g, g.size) for g in gids]))),
+        shape=(total, total)).tocsr()
+    f = np.zeros(total)
+    for g, fe in zip(gids, fs):
+        if fe is not None:
+            np.add.at(f, g, fe)
     return K, f
 
 
@@ -457,57 +476,53 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
     Without a domain the other leaves are grouped by (order, level):
     one ``exact_gradient`` call per group and one basis evaluation per
     distinct table signature.  Under a domain their spacetree rules are
-    slices of one ``build_leaf_rules`` table at the raised order.  A singular
-    leaf, and under a domain every leaf, is evaluated once on all of its
-    cells' points.
-    The terms are added to one running sum in leaf pre-order, cell by
-    cell, so the result does not depend on the grouping.
+    slices of one ``build_leaf_rules`` table at the raised order.  A
+    singular leaf, and under a domain every leaf, is evaluated once on
+    all of its cells' points.  The terms are added to one running sum in
+    leaf pre-order, cell by cell, so the result does not depend on the
+    grouping.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     leaves = basis.mesh.active_leaf_elements()
     lo, hi = basis.lo_f[:len(leaves)], basis.hi_f[:len(leaves)]
-    if singular_point is None:
-        singular = np.zeros(len(leaves), dtype=bool)
-    else:
+    singular = np.zeros(len(leaves), dtype=bool)
+    if singular_point is not None:
         sp = np.asarray(singular_point, dtype=float)
         singular = np.all((lo <= sp) & (sp <= hi), axis=1)
     terms = [None] * len(leaves)
-    groups = {}
-    spacetrees = []  # the other leaves under a domain
-    orders = basis.quad_orders + extra_order
-    for i, (leaf, q, level) in enumerate(zip(leaves, orders.tolist(),
-                                             basis.levels.tolist())):
-        if singular[i]:
-            # reference coordinates of the singular corner: one of the vertices
-            ref = 2 * (sp - lo[i]) / (hi[i] - lo[i]) - 1
-            corner = tuple(np.where(ref >= 0, 1.0, -1.0).tolist())
-            alpha = None if domain is None else domain.alpha
-            terms[i] = _leaf_error_terms(
-                basis, leaf, corner_rule(corner, corner_levels, q),
-                coefficients, exact_gradient, alpha)
-        elif domain is None:
-            groups.setdefault((q, level), []).append(i)
-        else:
-            spacetrees.append(i)
-    table, leaf_cells = build_leaf_rules(basis, leaves[spacetrees], domain,
-                                         depth, extra_order)
-    bounds = leaf_cells.tolist()
-    for i, a, b in zip(spacetrees, bounds, bounds[1:]):
-        terms[i] = _leaf_error_terms(basis, leaves[i], table.cell_range(a, b),
-                                     coefficients, exact_gradient)
-    for (q, _), idx in groups.items():
-        rule = reference_rule(q)
-        pts, jac = leaf_frame(basis, leaves[idx], rule.points)
-        w = rule.weights * jac[:, None] * rule.alpha
+    for i in np.flatnonzero(singular).tolist():
+        # reference coordinates of the singular corner: one of the vertices
+        ref = 2 * (sp - lo[i]) / (hi[i] - lo[i]) - 1
+        corner = tuple(np.where(ref >= 0, 1.0, -1.0).tolist())
+        rule = corner_rule(corner, corner_levels,
+                           int(basis.quad_orders[i]) + extra_order)
+        terms[i] = _leaf_error_terms(basis, leaves[i], rule, coefficients,
+                                     exact_gradient, domain and domain.alpha)
+    rest = np.flatnonzero(~singular)
+    if domain is not None:
+        table, leaf_cells = build_leaf_rules(basis, leaves[rest], domain,
+                                             depth, extra_order)
+        bounds = leaf_cells.tolist()
+        for i, a, b in zip(rest.tolist(), bounds, bounds[1:]):
+            terms[i] = _leaf_error_terms(basis, leaves[i],
+                                         table.cell_range(a, b),
+                                         coefficients, exact_gradient)
+        rest = rest[:0]
+    for q, idx in _order_level_groups(basis, rest):
+        idx = rest[idx]
+        pts, w, _ = _leaf_points(basis, idx, q + extra_order, None, 0)
+        pts, w = pts.reshape(idx.size, -1, 2), w.reshape(idx.size, -1)
         exact = np.asarray(exact_gradient(pts.reshape(-1, 2)),
                            dtype=float).reshape(pts.shape)
         _, inverse, tables = table_signatures(basis, idx, pts)
         for k, (_, G) in enumerate(tables):
             rows = np.flatnonzero(inverse == k)
-            dofs = basis.leaf_dof_block(np.asarray(idx)[rows])
+            dofs = basis.dofs[_ranges(basis.dof_offsets[idx[rows]],
+                                      basis.mode_counts[idx[rows]])]
             # the per-leaf contractions, batched over the leaves that
             # share G: the same sums in the same order
-            diff = (np.einsum("qid,mi->mqd", G, coefficients[dofs])
+            diff = (np.einsum("qid,mi->mqd", G,
+                              coefficients[dofs].reshape(rows.size, -1))
                     - exact[rows])
             sq = np.einsum("mq,mqd,mqd->m", w[rows], diff, diff)
             for j, term in zip(rows.tolist(), sq.tolist()):
@@ -522,10 +537,8 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
 def _leaf_error_terms(basis, leaf, rule, coefficients, exact_gradient,
                       alpha=None):
     """One leaf's squared error per cell of its rule, from one evaluation
-    of the tables, the discrete and the exact gradient on all its points.
-
-    `alpha` replaces the rule's indicator values when given.
-    """
+    of the tables, the discrete and the exact gradient on all its points;
+    `alpha`, when given, replaces the rule's indicator values."""
     pts, jac = leaf_frame(basis, leaf, rule.points)
     _, G = basis.evaluate_leaf(leaf, pts)
     coef = coefficients[basis.leaf_dofs(leaf)]

@@ -8,7 +8,7 @@ the one affine map from that square onto leaves.
 Every rule is a ``LeafRule`` (stacked points, weights and indicator
 values plus the cell offsets), and one kernel builds them all:
 ``box_rule`` maps axis boxes to a rule with one Gauss cell per box.  It
-gives the reference rule of each order, tiled over leaves without a
+gives the reference rule of each order, every leaf's rule without a
 domain, the corner shells of the energy error and the spacetree cells.
 
 Geometries that do not fit the mesh are handled with an indicator factor:
@@ -386,12 +386,12 @@ def build_leaf_rules(basis, leaves, domain, depth, extra_order=0):
     return LeafRule(*arrays, tuple(offsets.tolist())), leaf_cells
 
 
-def leaf_rule_table(basis, domain=None, depth=0):
-    """``build_leaf_rules`` of the active leaves, built once per Basis and
-    kept in ``basis.leaf_rules`` under (depth, domain), None without a
-    domain.  The domain compares by value, so an equal domain reads the
+def leaf_rule_table(basis, domain, depth=0):
+    """``build_leaf_rules`` of the active leaves in an embedded domain,
+    built once per Basis and kept in ``basis.leaf_rules`` under (depth,
+    domain).  The domain compares by value, so an equal domain reads the
     entry, also in a worker that unpickled the Basis."""
-    key = None if domain is None else (depth, domain)
+    key = (depth, domain)
     table = basis.leaf_rules.get(key)
     if table is None:
         table = basis.leaf_rules[key] = build_leaf_rules(
@@ -400,24 +400,36 @@ def leaf_rule_table(basis, domain=None, depth=0):
 
 
 def leaf_rule(basis, leaf, domain=None, depth=0):
-    """One active leaf's cells, a view into ``leaf_rule_table``;
-    KeyError for an id that is not an active leaf of the Basis."""
-    rule, leaf_cells = leaf_rule_table(basis, domain, depth)
+    """One active leaf's cells: the reference rule of its order without
+    a domain, else a view into ``leaf_rule_table``; KeyError for an id
+    that is not an active leaf of the Basis."""
     row = basis.rows(leaf)
-    if row >= leaf_cells.size - 1:
+    if row >= len(basis.mesh.active_leaf_elements()):
         raise KeyError(f"element {leaf} is not an active leaf")
+    if domain is None:
+        return reference_rule(int(basis.quad_orders[row]))
+    rule, leaf_cells = leaf_rule_table(basis, domain, depth)
     return rule.cell_range(leaf_cells[row], leaf_cells[row + 1])
 
 
 def indicator_area(basis, domain, depth):
-    """Measure of the physical region as seen by the composed rules."""
+    """Measure of the physical region as seen by the composed rules: per
+    cell, the sum of its inside weights times its leaf's Jacobian, added
+    cell after cell.  The cells with k inside points sum them as the rows
+    of one left-packed (cells, k) block: each cell's ``.sum()`` bits."""
     rule, leaf_cells = leaf_rule_table(basis, domain, depth)
     _, jac = leaf_frame(basis, basis.mesh.active_leaf_elements(),
                         np.zeros(2))
-    cells, bounds = rule.cells(), leaf_cells.tolist()
+    inside = np.flatnonzero(rule.alpha == 1.0)
+    count = np.bincount(np.searchsorted(rule.offsets, inside, "right") - 1,
+                        minlength=len(rule.offsets) - 1)
+    first = np.cumsum(count) - count
+    sums = np.zeros(count.size)
+    for k in np.unique(count[count > 0]).tolist():
+        cells = np.flatnonzero(count == k)
+        sums[cells] = rule.weights[inside[first[cells, None]
+                                          + np.arange(k)]].sum(axis=1)
     total = 0.0
-    for j, a, b in zip(jac.tolist(), bounds, bounds[1:]):
-        for cell in cells[a:b]:
-            inside = rule.alpha[cell] == 1.0
-            total += j * float(rule.weights[cell][inside].sum())
+    for term in (np.repeat(jac, np.diff(leaf_cells)) * sums).tolist():
+        total += term
     return total

@@ -3,9 +3,10 @@
 Random meshes are built by seeded marking rounds so every test run sees
 the same sequence.  Helpers here are deliberately small; an oracle is
 reimplemented inside the test module that needs it, unless several
-modules need it: the cell-by-cell quadrature oracles, the per-element
-Basis oracles, the point-by-point leaf walk and the object-by-object
-entity and element bookkeeping live here.
+modules need it: the cell-by-cell quadrature oracles, the per-leaf
+evaluation and integration kernels, the per-element Basis oracles, the
+point-by-point leaf walk and the object-by-object entity and element
+bookkeeping live here.
 """
 
 from dataclasses import dataclass
@@ -15,9 +16,12 @@ import numpy as np
 
 from overlayfem.mesh import EDGE, FACE, NODE, Mesh, BaseMeshSpec, PatchSpec
 from overlayfem.basis import (Basis, PolynomialOrderField, entity_mode_count,
-                             enumerate_dofs)
-from overlayfem.benchmarks import lshape_mesh_spec, mark_corner_leaves
-from overlayfem.quadrature import LeafRule, gauss_rule_1d, subdivide
+                             enumerate_dofs, shape_tables)
+from overlayfem.benchmarks import (RunConfig, lshape_mesh_spec, make_problem,
+                                   mark_corner_leaves, marks_for_step)
+from overlayfem.mesh import create_base_mesh
+from overlayfem.quadrature import (LeafRule, gauss_rule_1d, leaf_frame,
+                                   leaf_rule, leaf_rule_table, subdivide)
 
 # Filled by the acceptance module; echoed after the run so the verdict
 # lines are visible even under pytest's output capture.
@@ -252,6 +256,95 @@ def per_leaf_rules(basis, leaves, domain, depth, extra_order=0):
         for i, cells, arrays in zip(idx.tolist(), counts.tolist(), rows):
             rules[i] = LeafRule(*arrays, tuple(range(0, cells * n + 1, n)))
     return rules
+
+
+# Embedded-domain studies whose every step the kernel oracles cover:
+# perfbench's fcm_disk mesh at res 8 and 16, a graded-order one (CI's
+# graded fcm_disk run) and README's example config.
+CUT_CELL_CONFIGS = {
+    "fcm res 8": dict(benchmark="fcm_disk", res=8, p=2, depth=4, steps=2),
+    "fcm res 16": dict(benchmark="fcm_disk", res=16, p=2, depth=4, steps=2),
+    "fcm graded": dict(benchmark="fcm_disk", res=6, p_graded={"0": 3, "1": 2},
+                       depth=3, steps=2),
+    "README custom": dict(
+        benchmark="custom", epsilon=1e-8, p=3, steps=2, marking="interface",
+        patches=[{"bounds": [[0.0, 2.0], [0.0, 1.0]], "resolution": [16, 8]}],
+        geometry={"op": "subtract", "args": [
+            {"primitive": "rect", "lo": [0.0, 0.0], "hi": [2.0, 1.0]},
+            {"primitive": "disk", "center": [1.0, 0.5], "radius": 0.3}]}),
+}
+
+
+def study_bases(config):
+    """(problem, Basis) of every step of a study's refinement, as
+    ``run_benchmark`` marks it, without solving."""
+    config = RunConfig.from_dict(config)
+    problem = make_problem(config)
+    mesh = create_base_mesh(problem.mesh_spec)
+    rng = np.random.default_rng(config.seed)
+    for step in range(config.steps + 1):
+        marks = marks_for_step(problem, config.effective_marking(), mesh,
+                               step, rng)
+        if marks is not None:
+            mesh.refine(marks)
+        yield problem, Basis(mesh, config.order_field())
+
+
+def evaluate_leaf_oracle(basis, leaf, points):
+    """One leaf's (values, gradients), evaluated alone: the per-leaf
+    evaluation the batched ``Basis.evaluate_leaves`` replaced, with its
+    mode-major buffers and transposed views."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = pts.shape[0]
+    frames = basis.leaf_frames([basis.rows(leaf)], pts, [n])
+    size = sum(basis.plans[plans[0]][0].size for plans, _, _ in frames)
+    values, grads = np.empty((size, n)), np.empty((size, n, 2))
+    start = 0
+    for plans, (scale,), ref in frames:
+        jx, jy = basis.plans[plans[0]]
+        jmax = max(2, int(jx.max()) + 1, int(jy.max()) + 1)
+        vals_1d, ders_1d = shape_tables(jmax, ref.T.ravel())
+        vx, vy = vals_1d[jx, :n], vals_1d[jy, n:]
+        rows = slice(start, start + jx.size)
+        np.multiply(vx, vy, out=values[rows])
+        np.multiply(ders_1d[jx, :n] * vy, scale[0], out=grads[rows, :, 0])
+        np.multiply(vx * ders_1d[jy, n:], scale[1], out=grads[rows, :, 1])
+        start = rows.stop
+    return values.T, grads.transpose(1, 0, 2)
+
+
+def element_system(basis, leaf, domain=None, depth=0, source=None):
+    """One leaf's (K, f, gids), integrated alone and cell by cell: the
+    per-leaf kernel that ``physics.integrate_leaves`` replaced.  f is
+    None without a source."""
+    rule = leaf_rule(basis, leaf, domain, depth)
+    pts, jac = leaf_frame(basis, leaf, rule.points)
+    V, G = evaluate_leaf_oracle(basis, leaf, pts)
+    w = rule.weights * rule.alpha * jac
+    n = basis.leaf_mode_count(leaf)
+    K = np.zeros((n, n))
+    f = None if source is None else np.zeros(n)
+    for cell in rule.cells():
+        K += np.einsum("q,qid,qjd->ij", w[cell], G[cell], G[cell])
+        if f is not None:
+            src = np.asarray(source(pts[cell]), dtype=float)
+            f += V[cell].T @ (w[cell] * src)
+    return K, f, basis.leaf_dofs(leaf)
+
+
+def indicator_area_oracle(basis, domain, depth):
+    """The region's measure cell by cell: per cell the ``.sum()`` of its
+    inside weights times its leaf's Jacobian, added in table order."""
+    rule, leaf_cells = leaf_rule_table(basis, domain, depth)
+    _, jac = leaf_frame(basis, basis.mesh.active_leaf_elements(),
+                        np.zeros(2))
+    cells, bounds = rule.cells(), leaf_cells.tolist()
+    total = 0.0
+    for j, a, b in zip(jac.tolist(), bounds, bounds[1:]):
+        for cell in cells[a:b]:
+            inside = rule.alpha[cell] == 1.0
+            total += j * float(rule.weights[cell][inside].sum())
+    return total
 
 
 def assert_rule_is_cells(rule, oracle):

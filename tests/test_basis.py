@@ -11,8 +11,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_legendre
 
-from conftest import (CheckedMesh, leaf_at, single_patch, random_refined_mesh,
-                      random_orders)
+from conftest import (CheckedMesh, evaluate_leaf_oracle, leaf_at, single_patch,
+                      random_refined_mesh, random_orders)
 from overlayfem.mesh import Mesh, NODE, EDGE, FACE
 from overlayfem.basis import (
     Basis, PolynomialOrderField, entity_mode_count, enumerate_dofs,
@@ -321,9 +321,9 @@ def evaluate_leaf_by_columns(basis, leaf, points):
     """Leaf tables as column blocks, one per chain element, concatenated:
     the reference for Basis.evaluate_leaf."""
     n = len(points)
-    frames = basis.leaf_frames([basis.row_of[leaf]], points[None])
+    frames = basis.leaf_frames([basis.row_of[leaf]], points, [n])
     cols_v, cols_g = [], []
-    for plans, (scale,), (ref,) in frames:
+    for plans, (scale,), ref in frames:
         jx, jy = basis.plans[plans[0]]
         jmax = max(2, int(jx.max()) + 1, int(jy.max()) + 1)
         vals_1d, ders_1d = shape_tables(jmax, ref.T.ravel())
@@ -351,6 +351,36 @@ def test_leaf_tables_match_column_reference():
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
                 assert a.strides == b.strides
+
+
+def test_batched_tables_match_leaves_evaluated_alone():
+    # the leaves of one level in one call, each on its own number of
+    # points (box corners included): every leaf's tables have the values
+    # and the strides of the per-leaf evaluation
+    rng = np.random.default_rng(43)
+    for _ in range(4):
+        mesh = random_refined_mesh(rng, max_leaves=200)
+        basis = Basis(mesh, random_orders(rng, mesh))
+        leaves = mesh.active_leaf_elements()
+        levels = basis.levels[:len(leaves)]
+        for level in np.unique(levels).tolist():
+            rows = np.flatnonzero(levels == level)
+            counts = rng.integers(1, 12, size=rows.size)
+            unit = rng.uniform(0.0, 1.0, size=(counts.sum(), 2))
+            unit[::5] = unit[::5].round()
+            lo, hi = (np.repeat(a[rows], counts, axis=0)
+                      for a in (basis.lo_f, basis.hi_f))
+            pts = lo + (hi - lo) * unit
+            offsets = np.append(0, np.cumsum(counts))
+            got = basis.evaluate_leaves(rows, pts, offsets)
+            spans = zip(offsets[:-1], offsets[1:])
+            for row, (a, b), tables in zip(rows, spans, got, strict=True):
+                for want in (evaluate_leaf_oracle(basis, leaves[row],
+                                                  pts[a:b]),
+                             basis.evaluate_leaf(leaves[row], pts[a:b])):
+                    for x, y in zip(tables, want, strict=True):
+                        assert x.tobytes() == y.tobytes()
+                        assert x.strides == y.strides
 
 
 def test_stale_point_rejected():

@@ -15,13 +15,15 @@ import scipy.sparse
 import scipy.sparse.linalg as spla
 
 from conftest import (leaf_at, single_patch, random_refined_mesh, random_orders,
-                      stretched_basis, corner_refined, leaf_flux_load)
+                      stretched_basis, corner_refined, element_system,
+                      leaf_flux_load, study_bases)
 from overlayfem.mesh import Mesh
 from overlayfem.basis import Basis, PolynomialOrderField
-from overlayfem.physics import (assemble_serial, DirichletMap, LShapeSolution,
-                                element_system)
-from overlayfem.quadrature import Disk, EmbeddedDomain, leaf_rule
-from overlayfem.partition import partition_leaves, compute_leaf_weights
+from overlayfem.physics import assemble_serial, DirichletMap, LShapeSolution
+from overlayfem.quadrature import (Disk, EmbeddedDomain, leaf_rule,
+                                   leaf_rule_table)
+from overlayfem.partition import (partition_contiguous, partition_leaves,
+                                  compute_leaf_weights)
 from overlayfem.distributed import (
     SolverError, distribute_dofs_contiguous, distribute_dofs_graph,
     IntermediateSystem, integrate_rank_system, exchange_and_assemble,
@@ -394,10 +396,12 @@ def test_one_operator_matches_per_rank_inbox_oracle():
 
 # ------------------------------------------------- per-leaf integration
 #
-# integrate_rank_system integrates each distinct single-cell leaf once per
-# step and emits triplets a group at a time.  The oracle below is the
-# per-leaf loop it replaced: every leaf through element_system, its flux
-# load through leaf_flux_load.  Both must assemble to the same bits.
+# integrate_rank_system reads each single-cell leaf's system from the
+# step's memo, integrates cut leaves with the batched kernel and emits
+# every leaf's triplets in one array pass.  The oracle below is the
+# per-leaf loop it replaced: every leaf through element_system (conftest's
+# cell-by-cell oracle), its flux load through leaf_flux_load.  Both must
+# assemble to the same bits.
 
 
 def per_leaf_integrate(basis, to_free, leaf_ids, leaf_tags, rank,
@@ -431,6 +435,34 @@ def per_leaf_integrate(basis, to_free, leaf_ids, leaf_tags, rank,
         vals=cat(vals, float), leaf_tags=cat(tags, np.int64),
         rhs_rows=cat(rrows, np.int64), rhs_vals=cat(rvals, float),
         rhs_tags=cat(rtags, np.int64), n_leaves=len(leaf_ids))
+
+
+def test_source_is_called_once_per_group_and_cut_leaf_group():
+    # the integrate phase of fcm_disk res 16 on 4 ranks: one source call
+    # per (order, level) of single-cell leaves and, per rank, of cut leaves
+    for problem, basis in study_bases(dict(benchmark="fcm_disk", res=16, p=2,
+                                           depth=4, steps=2)):
+        dom, depth = problem.domain, problem.depth
+        calls = []
+
+        def source(points):
+            calls.append(len(points))
+            return unit_source(points)
+
+        leaves = basis.mesh.active_leaf_elements()
+        ranks = partition_contiguous(len(leaves), 4)
+        to_free = np.arange(basis.dofmap.total)
+        for r in range(4):
+            mine = np.flatnonzero(ranks == r)
+            integrate_rank_system(basis, to_free, leaves[mine], mine, r,
+                                  dom, depth, source)
+        cells = np.diff(leaf_rule_table(basis, dom, depth)[1])
+        single = np.flatnonzero(cells == 1)
+        groups = len(set(zip(basis.quad_orders[single].tolist(),
+                             basis.levels[single].tolist())))
+        assert groups <= len(calls) <= groups + np.count_nonzero(cells > 1)
+        # every point of every leaf went to the source exactly once
+        assert sum(calls) == leaf_rule_table(basis, dom, depth)[0].weights.size
 
 
 def interface_refined(res, domain, steps):

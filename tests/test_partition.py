@@ -12,6 +12,7 @@ import pytest
 
 from conftest import single_patch, random_refined_mesh, random_orders
 from overlayfem.basis import Basis, PolynomialOrderField
+from overlayfem.quadrature import build_leaf_rules
 from overlayfem.partition import (
     compute_leaf_weights, weighted_imbalance, rank_weight_sums,
     partition_contiguous, hilbert_index, _optimal_interval_cut,
@@ -41,6 +42,23 @@ def test_weights_follow_cost_model():
     p0 = basis.orders.base_order
     w0 = float((p0 + 1) ** 2) * float((p0 + 1) ** 2) ** 3
     assert np.array_equal(compute_leaf_weights(basis), raw / w0)
+
+
+def test_weights_without_domain_build_no_rule_table():
+    # n_GP = q^2 read off the orders equals the point counts of the tiled
+    # reference rules, and no rule table is built for it
+    rng = np.random.default_rng(20)
+    mesh = random_refined_mesh(rng)
+    basis = Basis(mesh, random_orders(rng, mesh))
+    weights = compute_leaf_weights(basis)
+    assert basis.leaf_rules == {}
+    rule, leaf_cells = build_leaf_rules(basis, mesh.active_leaf_elements(),
+                                        None, 0)
+    n_gp = np.diff(np.asarray(rule.offsets)[leaf_cells]).astype(float)
+    p0 = basis.orders.base_order
+    w0 = float((p0 + 1) ** 2) * float((p0 + 1) ** 2) ** 3
+    assert np.array_equal(
+        weights, n_gp * basis.mode_counts[:n_gp.size].astype(float) ** 3 / w0)
 
 
 def test_imbalance_and_rank_sums():

@@ -12,11 +12,12 @@ from scipy.integrate import quad
 from conftest import (leaf_at, single_patch, random_basis, random_refined_mesh,
                       random_orders, stretched_basis, corner_refined,
                       gauss_cell, rule_from_cells, recursive_spacetree_cells,
-                      assert_rule_is_cells, leaf_jacobian, leaf_to_physical)
+                      assert_rule_is_cells, element_system, leaf_jacobian,
+                      leaf_to_physical, CUT_CELL_CONFIGS, study_bases)
 from overlayfem.mesh import EDGE, NODE, Mesh
 from overlayfem.basis import Basis, PolynomialOrderField, interpolate_nodal, FieldApproximation
 from overlayfem.physics import (
-    element_system, assemble_serial, neumann_load,
+    assemble_serial, integrate_leaves, neumann_load,
     constrained_dof_mask, DirichletMap, solve_dirichlet, LShapeSolution,
     corner_rule, energy_error, _corner_shells,
 )
@@ -24,7 +25,7 @@ from overlayfem.benchmarks import (lshape_mesh_spec, mark_ball_leaves,
                                    mark_corner_leaves)
 from overlayfem.partition import compute_leaf_weights
 from overlayfem.quadrature import (Disk, EmbeddedDomain, leaf_rule,
-                                   reference_rule)
+                                   leaf_rule_table, reference_rule)
 
 
 def two_level_mesh():
@@ -95,6 +96,54 @@ def test_cut_leaf_system_same_from_warm_and_cold_basis():
             f_ref += V.T @ (w * src(pts))
         assert np.array_equal(K, K_ref)
         assert np.array_equal(f, f_ref)
+    assert cut > 0
+
+
+# ----------------------------------------------------- the one kernel
+
+
+@pytest.mark.parametrize("name, epsilon", [
+    *((name, None) for name in sorted(CUT_CELL_CONFIGS)),
+    ("fcm res 8", 1e-3), ("fcm res 16", 1e-3)])
+def test_kernel_matches_per_cell_oracle(name, epsilon):
+    # every leaf of every step, cut or not, with and without a source:
+    # the bits of the per-leaf, cell-by-cell loop
+    config = dict(CUT_CELL_CONFIGS[name])
+    if epsilon is not None:
+        config["epsilon"] = epsilon
+    cut = 0
+    for problem, basis in study_bases(config):
+        dom, depth = problem.domain, problem.depth
+        leaves = basis.mesh.active_leaf_elements()
+        for source in (problem.source, None):
+            Ks, fs = integrate_leaves(basis, np.arange(len(leaves)), dom,
+                                      depth, source)
+            for leaf, K, f in zip(leaves, Ks, fs, strict=True):
+                K0, f0, _ = element_system(basis, leaf, dom, depth, source)
+                assert K.tobytes() == K0.tobytes()
+                assert (f is None) == (source is None) == (f0 is None)
+                assert f is None or f.tobytes() == f0.tobytes()
+        cut += int(np.sum(np.diff(leaf_rule_table(basis, dom, depth)[1]) > 1))
+    assert cut > 0
+
+
+def test_kernel_on_random_meshes_matches_per_cell_oracle():
+    # graded orders, 2:1 and non-dyadic leaves, with and without a domain
+    rng = np.random.default_rng(63)
+    dom = EmbeddedDomain(Disk((0.0, 0.0), 0.7), epsilon=1e-6)
+    src = lambda pts: np.sin(pts[:, 0]) + pts[:, 1]
+    cut = 0
+    for basis in [random_basis(rng, max_leaves=150) for _ in range(4)] + [
+            stretched_basis(rng)]:
+        leaves = basis.mesh.active_leaf_elements()
+        for domain in (None, dom):
+            Ks, fs = integrate_leaves(basis, np.arange(len(leaves)), domain,
+                                      2, src)
+            for leaf, K, f in zip(leaves, Ks, fs, strict=True):
+                K0, f0, _ = element_system(basis, leaf, domain, 2, src)
+                assert K.tobytes() == K0.tobytes()
+                assert f.tobytes() == f0.tobytes()
+        cut += int(np.sum(np.diff(leaf_rule_table(basis, dom, 2)[1]) > 1))
     assert cut > 0
 
 

@@ -10,7 +10,8 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import (leaf_at, single_patch, random_refined_mesh, random_orders,
+from conftest import (CUT_CELL_CONFIGS, indicator_area_oracle, study_bases,
+                      leaf_at, single_patch, random_refined_mesh, random_orders,
                       gauss_cell, recursive_spacetree_cells,
                       assert_rule_is_cells, leaf_to_physical, per_leaf_rules)
 from overlayfem.basis import Basis, PolynomialOrderField
@@ -366,9 +367,11 @@ def test_table_without_domain_tiles_reference_rules(res):
             build_leaf_rules(basis, leaves, None, 3, extra),
             [reference_rule(basis.leaf_quad_order(leaf) + extra)
              for leaf in leaves])
-    assert_table_is_rules(leaf_rule_table(basis),
-                          [reference_rule(basis.leaf_quad_order(leaf))
-                           for leaf in leaves])
+    # a leaf's own rule without a domain is the reference rule, no table
+    for leaf in leaves:
+        assert leaf_rule(basis, leaf) is reference_rule(
+            basis.leaf_quad_order(leaf))
+    assert basis.leaf_rules == {}
     # an empty leaf list gives an empty table
     rule, leaf_cells = build_leaf_rules(basis, leaves[:0], None, 0)
     assert leaf_cells.tolist() == [0] and rule.offsets == (0,)
@@ -455,6 +458,15 @@ def test_indicator_area_quarter_disk():
     assert errs[3] < 1e-3
 
 
+@pytest.mark.parametrize("name", sorted(CUT_CELL_CONFIGS))
+def test_indicator_area_matches_cell_loop(name):
+    # the array pass adds the same terms as the cell-by-cell loop
+    for problem, basis in study_bases(CUT_CELL_CONFIGS[name]):
+        dom, depth = problem.domain, problem.depth
+        assert (indicator_area(basis, dom, depth)
+                == indicator_area_oracle(basis, dom, depth))
+
+
 def test_indicator_area_memo_keys_on_domain_and_depth():
     mesh = single_patch(4)
     mesh.refine([leaf_at(mesh, (0.4, 0.4))])
@@ -493,7 +505,7 @@ def test_leaf_rule_memo_is_shared_and_survives_pickling(monkeypatch):
     for uncut in (leaf, other):
         assert_rule_is_cells(leaf_rule(basis, uncut), [gauss_cell(
             [-1.0, -1.0], [1.0, 1.0], basis.leaf_quad_order(uncut))])
-    assert set(basis.leaf_rules) == {(3, dom), None}
+    assert set(basis.leaf_rules) == {(3, dom)}
     # a pickled copy, as a worker process receives it, holds the filled
     # memo; an equal domain that is another object finds the entry without
     # a second spacetree
