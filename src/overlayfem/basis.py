@@ -228,25 +228,27 @@ def _slot_rows(slot, p):
 class Basis:
     """Active shape functions of a mesh snapshot at fixed orders.
 
-    Built for the mesh state at construction time; refine or coarsen the
-    mesh and this object is stale, build a new one.  Construction lays
-    out every element of the forest as a table row, with array
-    operations: the active leaves take rows 0 .. L-1 in pre-order, the
-    refined elements follow, and ``row_of`` maps an element id to its
-    row, -1 for an id that is not live (``rows`` checks).  Row r holds
+    Built for the mesh state at construction time; refine the mesh and
+    this object is stale, build a new one.  Construction lays out every
+    element of the forest as a table row, with array operations: the
+    active leaves, the read-only ids ``leaves``, take rows 0 .. L-1 in
+    pre-order, the refined elements follow, and ``row_of``, a permutation
+    of the element ids, maps an id to its row.  Row r holds
     ``dofs[dof_offsets[r]:dof_offsets[r + 1]]``, its chain's dofs base
     first, their number ``mode_counts``, its ``quad_orders``, ``levels``,
     ``lo_f`` and ``hi_f``, and ``boundary``, which of its sides (bottom,
-    top, left, right) lie on the domain boundary.  An element's functions depend only on its level order and
-    on which of its 9 entities are active: each distinct (order, mask)
-    gets one ``plans`` entry of 1d mode rows.  The Basis also keeps the
-    leaves' rule tables (``quadrature.leaf_rule_table``) and
-    ``leaf_systems`` (``physics.leaf_systems``); both go stale with it.
+    top, left, right) lie on the domain boundary.  An element's functions
+    depend only on its level order and on which of its 9 entities are
+    active: each distinct (order, mask) gets one ``plans`` entry of 1d
+    mode rows.  The Basis also keeps the leaves' rule tables
+    (``quadrature.leaf_rule_table``) and ``leaf_systems``
+    (``physics.leaf_systems``); both go stale with it.
     """
 
     def __init__(self, mesh, orders):
         self.mesh = mesh
         self.orders = orders
+        self.leaves = mesh.active_leaf_elements()
         self.dofmap = enumerate_dofs(mesh, orders)
         self._build_tables()
         # one rule table per (depth, domain), see quadrature.leaf_rule_table
@@ -256,13 +258,12 @@ class Basis:
 
     def _build_tables(self):
         e = self.mesh.elements
-        ids = np.concatenate((self.mesh.active_leaf_elements(),
-                              np.flatnonzero(e.child >= 0)))
+        ids = np.concatenate((self.leaves, np.flatnonzero(e.child >= 0)))
         n = ids.size
         # row r is element ids[r]; its 9 entity rows come from the topology
         table = self.mesh.table
         topo = self.mesh.topology[ids]
-        self.row_of = np.full(len(e), -1, dtype=np.int64)
+        self.row_of = np.empty(n, dtype=np.int64)
         self.row_of[ids] = np.arange(n)
         parent = e.parent[ids]
         parent = np.where(parent >= 0, self.row_of[parent], -1)
@@ -331,10 +332,10 @@ class Basis:
 
     def rows(self, ids):
         """Table rows of element ids, one int or an array; KeyError for an
-        id that is not a live element of this Basis's mesh state."""
+        id that is not an element of this Basis's mesh state."""
         if isinstance(ids, (int, np.integer)) and not isinstance(ids, bool):
             # the per-leaf queries' case, without array overhead
-            if 0 <= ids < self.row_of.size and self.row_of[ids] >= 0:
+            if 0 <= ids < self.row_of.size:
                 return self.row_of[ids]
             bad = ids
         else:

@@ -12,8 +12,9 @@ and a refine appends the four children of each marked element as
 consecutive ids, children (0, 0), (1, 0), (0, 1), (1, 1) in (x, y) order.
 The columns are the level, the parent id (-1 on the base level), the
 first child id (-1 for a leaf), the integer lattice box ``lo``/``hi`` and
-its float image ``lo_f``/``hi_f``.  Coarsening never reuses an id: a
-removed element keeps its row, and ``Mesh.topology[id] == -1`` marks it.
+its float image ``lo_f``/``hi_f``.  The forest only grows: no element
+or entity row is ever removed, so every id below ``len(Mesh.elements)``
+is an element, an active leaf or a refined one.
 
 Shape functions attach to the topological entities (nodes, edges, cell
 interiors) of every level.  An entity is a row of one table,
@@ -26,7 +27,7 @@ an edge's two end-node rows and the active flag.  ``Mesh.topology`` holds
 the 9 entity rows of every element, indexed by element id.
 
 Which entities actually carry degrees of freedom is decided here, by two
-activation rules applied after every refinement or coarsening call:
+activation rules applied after every refinement:
 
 (a) an overlay entity lying on the boundary of its level's refined
     region is switched off, which makes the overlay vanish there and
@@ -43,7 +44,7 @@ comparison is involved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -71,7 +72,7 @@ class _Columns:
 
 @dataclass
 class EntityTable(_Columns):
-    """The live entities of a mesh as columns, one row per entity."""
+    """The entities of a mesh as columns, one row per entity."""
 
     level: np.ndarray      # refinement level
     kind: np.ndarray       # NODE, EDGE or FACE
@@ -184,8 +185,8 @@ def _first_occurrences(keys):
 
 class Mesh:
     """Element forest over a multi-patch base grid; see module docstring.
-    ``refine`` and ``coarsen`` rebind, never write into, ``elements``,
-    ``table`` and ``topology``: a table read before either is a snapshot."""
+    ``refine`` rebinds, never writes into, ``elements``, ``table`` and
+    ``topology``: a table read before a refine is a snapshot."""
 
     def __init__(self, spec):
         spec.validate()
@@ -299,7 +300,7 @@ class Mesh:
         coarser (m, 9) holds the coarser row of every slot, -1 on the base
         level; parent the id each new element splits, or -1.  The
         candidate entities run element by element in slot order, and the
-        first occurrence of a key that no live row of its level holds
+        first occurrence of a key that no row of its level holds
         makes a new row, so rows and dof numbers keep creation order.
         """
         m = len(lo)
@@ -334,28 +335,22 @@ class Mesh:
             self._floats(lo, level), self._floats(hi, level)))
 
     # ------------------------------------------------------------------
-    # refinement / coarsening
-
-    def _known_ids(self, marked, verb):
-        """The distinct ids of `marked`, ascending, each a live element."""
-        ids = np.unique(np.array(list(marked)))
-        if ids.size and ids.dtype.kind not in "iu":
-            raise MeshError(f"element ids must be integers, got {ids[0]!r}")
-        ids = ids.astype(np.int64)
-        known = (ids >= 0) & (ids < len(self.topology))
-        known[known] = self.topology[ids[known], 0] >= 0
-        if not known.all():
-            raise MeshError(f"cannot {verb} unknown element {ids[~known][0]}")
-        return ids
+    # refinement
 
     def refine(self, marked):
         """Bisect the given active leaves into four children each.
 
-        Marking an element that has children, or an id that is not a live
+        Marking an element that has children, or an id that is not an
         element, is an error.  An empty set leaves the mesh unchanged.
         """
-        ids = self._known_ids(marked, "refine")
+        ids = np.unique(np.array(list(marked)))
+        if ids.size and ids.dtype.kind not in "iu":
+            raise MeshError(f"element ids must be integers, got {ids[0]!r}")
+        ids = ids.astype(np.int64)
         e = self.elements
+        unknown = (ids < 0) | (ids >= len(e))
+        if unknown.any():
+            raise MeshError(f"cannot refine unknown element {ids[unknown][0]}")
         split = e.child[ids] >= 0
         if split.any():
             raise MeshError(f"element {ids[split][0]} is not an active leaf")
@@ -374,48 +369,13 @@ class Mesh:
         self._leaf_cache = None
         self.update_activation()
 
-    def coarsen(self, marked):
-        """Remove the children of the given elements.
-
-        Every marked element must have children and all of them must be
-        leaves; anything else is rejected.
-        """
-        ids = self._known_ids(marked, "coarsen")
-        child = self.elements.child
-        childless = child[ids] < 0
-        if childless.any():
-            raise MeshError(f"element {ids[childless][0]} has no children to remove")
-        gone = (child[ids][:, None] + np.arange(4)).ravel()
-        deep = (child[gone] >= 0).reshape(-1, 4).any(axis=1)
-        if deep.any():
-            raise MeshError(f"element {ids[deep][0]} has grandchildren; "
-                            "coarsen deeper levels first")
-        if not ids.size:
-            return
-        self.elements = replace(self.elements, child=child.copy())
-        self.elements.child[ids] = -1
-        # drop the rows no element holds any more and renumber the rest
-        t = self.table
-        t = replace(t, incidence=t.incidence - np.bincount(
-            self.topology[gone].ravel(), minlength=len(t)))
-        keep = t.incidence > 0
-        renumber = np.cumsum(keep) - 1
-        t = t[keep]
-        t.coarser = np.where(t.coarser >= 0, renumber[t.coarser], -1)
-        t.ends = np.where(t.ends >= 0, renumber[t.ends], -1)
-        self.table = t
-        self.topology = np.where(self.topology >= 0, renumber[self.topology], -1)
-        self.topology[gone] = -1
-        self._leaf_cache = None
-        self.update_activation()
-
     # ------------------------------------------------------------------
     # activation rules
 
     def update_activation(self):
         """Re-derive every entity's active flag from the current forest.
 
-        Safe to call repeatedly; refine and coarsen already call it.
+        Safe to call repeatedly; refine already calls it.
         """
         t = self.table
         level, active = t.level, t.active
@@ -439,7 +399,7 @@ class Mesh:
     def active_leaf_elements(self):
         """The ids of all childless elements, an int64 array in depth-first
         pre-order under each base cell; read-only, cached until the next
-        refine or coarsen."""
+        refine."""
         if self._leaf_cache is None:
             ids, child = np.arange(self.n_base), self.elements.child
             # expand level by level: each split element gives way, in

@@ -26,7 +26,7 @@ from .quadrature import leaf_rule_table
 def compute_leaf_weights(basis, domain=None, depth=0):
     """Cost-model weight of each active leaf, pre-order; n_GP is q^2 at
     quadrature order q, or under a domain from the step's rule table."""
-    n = len(basis.mesh.active_leaf_elements())
+    n = len(basis.leaves)
     n_gp = basis.quad_orders[:n] ** 2
     if domain is not None:
         rule, leaf_cells = leaf_rule_table(basis, domain, depth)
@@ -164,7 +164,7 @@ def partition_sfc(mesh, weights, n_ranks, grid_order=14):
 
 def build_leaf_graph(basis):
     """Leaf connectivity with edge weight = number of shared active dofs."""
-    n = len(basis.mesh.active_leaf_elements())
+    n = len(basis.leaves)
     ptr = basis.dof_offsets[:n + 1]
     support = scipy.sparse.csr_matrix(
         (np.ones(ptr[-1], dtype=np.int64), basis.dofs[:ptr[-1]], ptr),

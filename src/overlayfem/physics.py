@@ -67,7 +67,7 @@ def _leaf_points(basis, rows, q, domain, depth):
         at = _ranges(np.asarray(rule.offsets)[leaf_cells[rows]],
                      cells * q * q).reshape(-1, q * q)
     # one frame per cell, on the cell's q x q points
-    leaves = basis.mesh.active_leaf_elements()[rows]
+    leaves = basis.leaves[rows]
     pts, jac = leaf_frame(basis, np.repeat(leaves, cells), rule.points[at])
     w = rule.weights[at] * rule.alpha[at] * jac[:, None]
     return pts.reshape(-1, 2), w.ravel(), cells * q * q
@@ -158,7 +158,7 @@ def _build_leaf_systems(basis, domain, depth, source, flux, flux_part):
     (:func:`table_signatures`).  f is shared among leaves of one
     signature and equal source values.
     """
-    n = len(basis.mesh.active_leaf_elements())
+    n = len(basis.leaves)
     signature = np.full(n, -1, dtype=np.int64)
     load = np.full(n, -1, dtype=np.int64)
     stiffness, loads = [], []
@@ -230,7 +230,7 @@ def assemble_serial(basis, domain=None, depth=0, source=None):
     """Global stiffness matrix (CSR) and load vector, one rank: every
     leaf through :func:`integrate_leaves`, scattered in pre-order."""
     total = basis.dofmap.total
-    leaves = basis.mesh.active_leaf_elements()
+    leaves = basis.leaves
     Ks, fs = integrate_leaves(basis, np.arange(len(leaves)), domain, depth,
                               source)
     gids = [basis.leaf_dofs(leaf) for leaf in leaves]
@@ -262,7 +262,7 @@ def flux_loads_by_leaf(basis, flux, part=None):
     side) group and the basis evaluated once per table signature; each
     side's V.T @ (w g) is added to its leaf's load in side order.
     """
-    n = len(basis.mesh.active_leaf_elements())
+    n = len(basis.leaves)
     leaf, side = np.nonzero(basis.boundary[:n])
     axis, upper = np.array(_SIDES_2D, dtype=np.int64)[side].T
     # each side runs from a to b: its leaf's box with one axis collapsed
@@ -301,7 +301,7 @@ def flux_loads_by_leaf(basis, flux, part=None):
 def neumann_load(basis, flux, part=None):
     """Boundary load vector from a normal-flux density, all ranks' leaves."""
     f = np.zeros(basis.dofmap.total)
-    leaves = basis.mesh.active_leaf_elements()
+    leaves = basis.leaves
     for i, fl in flux_loads_by_leaf(basis, flux, part).items():
         np.add.at(f, basis.leaf_dofs(leaves[i]), fl)
     return f
@@ -483,7 +483,7 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
     grouping.
     """
     coefficients = np.asarray(coefficients, dtype=float)
-    leaves = basis.mesh.active_leaf_elements()
+    leaves = basis.leaves
     lo, hi = basis.lo_f[:len(leaves)], basis.hi_f[:len(leaves)]
     singular = np.zeros(len(leaves), dtype=bool)
     if singular_point is not None:

@@ -395,7 +395,7 @@ def leaf_rule_table(basis, domain, depth=0):
     table = basis.leaf_rules.get(key)
     if table is None:
         table = basis.leaf_rules[key] = build_leaf_rules(
-            basis, basis.mesh.active_leaf_elements(), domain, depth)
+            basis, basis.leaves, domain, depth)
     return table
 
 
@@ -404,7 +404,7 @@ def leaf_rule(basis, leaf, domain=None, depth=0):
     a domain, else a view into ``leaf_rule_table``; KeyError for an id
     that is not an active leaf of the Basis."""
     row = basis.rows(leaf)
-    if row >= len(basis.mesh.active_leaf_elements()):
+    if row >= len(basis.leaves):
         raise KeyError(f"element {leaf} is not an active leaf")
     if domain is None:
         return reference_rule(int(basis.quad_orders[row]))
@@ -418,8 +418,7 @@ def indicator_area(basis, domain, depth):
     cell after cell.  The cells with k inside points sum them as the rows
     of one left-packed (cells, k) block: each cell's ``.sum()`` bits."""
     rule, leaf_cells = leaf_rule_table(basis, domain, depth)
-    _, jac = leaf_frame(basis, basis.mesh.active_leaf_elements(),
-                        np.zeros(2))
+    _, jac = leaf_frame(basis, basis.leaves, np.zeros(2))
     inside = np.flatnonzero(rule.alpha == 1.0)
     count = np.bincount(np.searchsorted(rule.offsets, inside, "right") - 1,
                         minlength=len(rule.offsets) - 1)

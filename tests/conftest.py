@@ -505,7 +505,7 @@ class _Entity:
 
     def __init__(self, index, kind, level, pos):
         self.index, self.kind, self.level, self.pos = index, kind, level, pos
-        self.active, self.alive, self.incidence = True, True, 0
+        self.active, self.incidence = True, 0
         self.finer, self.coarser, self.end_nodes = [], None, None
         self.boundary = self.desc = False
 
@@ -517,19 +517,18 @@ class SequentialEntities:
     element record per id.
 
     Built from a fresh mesh, it replays the base build from the mesh's
-    spec, patch by patch and element row by row; ``refine`` and
-    ``coarsen`` replay the calls of the same name, made on the mesh just
-    before, from its own records alone.  A split runs by element id, then
+    spec, patch by patch and element row by row; ``refine`` replays the
+    call of the same name, made on the mesh just before, from its own
+    records alone.  A split runs by element id, then
     child (j, i), then slot n00 n10 n01 n11 eb et el er face, and numbers
     the children from the next unused id.
     """
 
     def __init__(self, mesh):
         self.den = mesh._den
-        self.entities = []     # creation order, dead ones included
-        self.keys = {}         # (level, kind, x, y) -> live entity
-        self.topology = {}     # live element id -> its 9 entities
-        self.children = {}     # element id -> child ids
+        self.entities = []     # creation order
+        self.keys = {}         # (level, kind, x, y) -> entity
+        self.topology = {}     # element id -> its 9 entities
         self.elems = []        # per id: [level, parent, child, lo, hi]
         for patch in mesh.spec.patches:
             lines = []
@@ -591,11 +590,9 @@ class SequentialEntities:
             topo = self.topology[eid]
             xs, ys = (2 * X0, X0 + X1, 2 * X1), (2 * Y0, Y0 + Y1, 2 * Y1)
             self.elems[eid][2] = len(self.elems)
-            self.children[eid] = []
             for j, i in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 lo, hi = (xs[i], ys[j]), (xs[i + 1], ys[j + 1])
                 child = self._new_element(level + 1, eid, lo, hi)
-                self.children[eid].append(child)
                 n00, n10, n01, n11, eb, et, el, er, face = self.topology[child]
                 for node, a, b in ((n00, i, j), (n10, i + 1, j),
                                    (n01, i, j + 1), (n11, i + 1, j + 1)):
@@ -615,31 +612,17 @@ class SequentialEntities:
                 self._link(face, topo[8])
         self.update_activation()
 
-    def coarsen(self, marked):
-        for eid in sorted(set(marked)):
-            self.elems[eid][2] = -1
-            for cid in self.children.pop(eid):
-                for ent in self.topology.pop(cid):
-                    ent.incidence -= 1
-                    if ent.incidence == 0:
-                        ent.alive = ent.active = False
-                        del self.keys[ent.level, ent.kind, *ent.pos]
-                        if ent.coarser is not None:
-                            ent.coarser.finer.remove(ent)
-        self.update_activation()
-
     def update_activation(self):
-        live = [e for e in self.entities if e.alive]
-        top = max(e.level for e in live)
-        for ent in live:
+        top = max(e.level for e in self.entities)
+        for ent in self.entities:
             ent.boundary = False
-        for ent in live:
+        for ent in self.entities:
             if ent.level > 0 and ent.kind == EDGE and ent.incidence == 1:
                 ent.boundary = True
                 for node in ent.end_nodes:
                     node.boundary = True
         for lvl in range(top, -1, -1):
-            for ent in live:
+            for ent in self.entities:
                 if ent.level != lvl:
                     continue
                 desc = any(f.desc for f in ent.finer)
@@ -649,28 +632,28 @@ class SequentialEntities:
     def assert_matches(self, mesh, orders=None):
         """The mesh table, topology and (given orders) dof offsets are
         this bookkeeping's, row for row."""
-        live = [e for e in self.entities if e.alive]
-        row = {id(e): r for r, e in enumerate(live)}
+        ents = self.entities
+        row = {id(e): r for r, e in enumerate(ents)}
         t = mesh.table
-        assert len(t) == len(live)
-        assert t.level.tolist() == [e.level for e in live]
-        assert t.kind.tolist() == [e.kind for e in live]
-        assert t.pos.tolist() == [list(e.pos) for e in live]
-        assert t.incidence.tolist() == [e.incidence for e in live]
+        assert len(t) == len(ents)
+        assert t.level.tolist() == [e.level for e in ents]
+        assert t.kind.tolist() == [e.kind for e in ents]
+        assert t.pos.tolist() == [list(e.pos) for e in ents]
+        assert t.incidence.tolist() == [e.incidence for e in ents]
         assert t.coarser.tolist() == [
-            -1 if e.coarser is None else row[id(e.coarser)] for e in live]
+            -1 if e.coarser is None else row[id(e.coarser)] for e in ents]
         assert t.ends.tolist() == [
             [row[id(n)] for n in e.end_nodes] if e.kind == EDGE else [-1, -1]
-            for e in live]
-        assert t.active.tolist() == [e.active for e in live]
+            for e in ents]
+        assert t.active.tolist() == [e.active for e in ents]
         self.assert_elements_match(mesh)
         for eid, topo in self.topology.items():
             assert mesh.topology[eid].tolist() == [row[id(e)] for e in topo]
-        assert mesh.max_level() == max(e.level for e in live)
+        assert mesh.max_level() == max(e.level for e in ents)
         if orders is None:
             return
         rows, offsets, total = [], [], 0
-        for r, ent in enumerate(live):
+        for r, ent in enumerate(ents):
             n = int(entity_mode_count(ent.kind, orders.level_order(ent.level)))
             if ent.active and n:
                 rows.append(r)
@@ -683,8 +666,9 @@ class SequentialEntities:
 
 
     def assert_elements_match(self, mesh):
-        """Every element column, over every id ever made, and the removed
-        ids are this bookkeeping's; floats through exact fractions."""
+        """Every element column, over every id ever made, is this
+        bookkeeping's, and every id is an element with its 9 entities;
+        floats through exact fractions."""
         e = mesh.elements
         level, parent, child, lo, hi = zip(*self.elems)
         assert len(e) == len(self.elems)
@@ -697,13 +681,14 @@ class SequentialEntities:
             assert col.tolist() == [
                 [float(Fraction(m, den << lvl)) for m, den in zip(b, self.den)]
                 for b, lvl in zip(boxes, level)]
-        live = np.flatnonzero(mesh.topology[:, 0] >= 0).tolist()
-        assert live == sorted(self.topology)
+        assert mesh.topology.shape == (len(e), 9)
+        assert (mesh.topology >= 0).all()
+        assert sorted(self.topology) == list(range(len(e)))
 
 
 class CheckedMesh(Mesh):
-    """A Mesh whose every refine and coarsen is replayed on a
-    SequentialEntities oracle, ``self.oracle``."""
+    """A Mesh whose every refine is replayed on a SequentialEntities
+    oracle, ``self.oracle``."""
 
     def __init__(self, spec):
         super().__init__(spec)
@@ -712,7 +697,3 @@ class CheckedMesh(Mesh):
     def refine(self, marked):
         super().refine(marked)
         self.oracle.refine(marked)
-
-    def coarsen(self, marked):
-        super().coarsen(marked)
-        self.oracle.coarsen(marked)

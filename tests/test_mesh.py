@@ -126,21 +126,21 @@ def test_refine_rejects_bad_marks():
         mesh.refine([leaves[0]])  # no longer a leaf
 
 
-@pytest.mark.parametrize("verb", ["refine", "coarsen"])
-def test_bad_ids_are_rejected_before_any_change(verb):
+def test_bad_ids_are_rejected_before_any_change():
     # an index array would wrap -1 to the last element: every id is
-    # checked against the live forest first
+    # checked against the forest first
     mesh = single_patch(2)
     mesh.refine([0])
-    mesh.coarsen([0])  # ids 4 .. 7 are gone for good
     n = len(mesh.elements)
-    for bad in (-1, n, 10 ** 6, 4, 7, np.int64(-1), np.int64(5)):
-        with pytest.raises(MeshError, match="unknown element"):
-            getattr(mesh, verb)([bad])
+    leaves = mesh.active_leaf_elements().tolist()
+    for bad in (-1, n, 10 ** 6, np.int64(-1)):
+        for marks in ([bad], [1, bad]):
+            with pytest.raises(MeshError, match="unknown element"):
+                mesh.refine(marks)
     with pytest.raises(MeshError, match="must be integers"):
-        getattr(mesh, verb)([1.0])
+        mesh.refine([1.0])
     assert len(mesh.elements) == n
-    assert mesh.active_leaf_elements().tolist() == [0, 1, 2, 3]
+    assert mesh.active_leaf_elements().tolist() == leaves
 
 
 def test_numpy_integer_ids_are_accepted():
@@ -148,9 +148,9 @@ def test_numpy_integer_ids_are_accepted():
     mesh.refine(np.array([3], dtype=np.int32))
     mesh.refine([np.int64(1), np.uint8(5)])
     assert mesh.elements.child[[1, 3, 5]].tolist() == [8, 4, 12]
-    mesh.coarsen(np.array([5], dtype=np.uint64))
-    mesh.coarsen({np.int16(1), np.int64(3)})
-    assert mesh.active_leaf_elements().tolist() == [0, 1, 2, 3]
+    mesh.refine(np.array([9], dtype=np.uint64))
+    mesh.refine({np.int16(2), np.int64(10)})
+    assert mesh.elements.child[[9, 2, 10]].tolist() == [16, 20, 24]
 
 
 def test_refined_once_activation_pattern():
@@ -204,19 +204,7 @@ def test_corner_graded_census_depth5():
     assert census(mesh, 5) == (5, 16, 12)
 
 
-def test_coarsen_round_trip():
-    mesh = single_patch(3)
-    fresh = census(mesh, 0)
-    centre = leaf_at(mesh, (0.5, 0.5))
-    mesh.refine([centre])
-    mesh.coarsen([centre])
-    assert census(mesh, 0) == fresh
-    assert census(mesh, 1) == (0, 0, 0)
-    assert len(mesh.active_leaf_elements()) == 9
-    assert mesh.max_level() == 0
-
-
-def test_tables_read_before_refine_or_coarsen_are_snapshots():
+def test_tables_read_before_refine_are_snapshots():
     mesh = Mesh(lshape_mesh_spec(2))
 
     def held():
@@ -236,48 +224,14 @@ def test_tables_read_before_refine_or_coarsen_are_snapshots():
     before = (held(), copies())
     mesh.refine([0])
     refined = (held(), copies())
-    mesh.coarsen([0])
-    assert mesh.elements.child[0] == -1
-    assert (mesh.topology[mesh.elements.parent == 0] == -1).all()
+    child = mesh.elements.child[0]
+    mesh.refine([child])
+    assert mesh.elements.child[child] >= 0
+    assert len(mesh.topology) == len(refined[1][2]) + 4
     for tables, saved in (before, refined):
         assert_unchanged(tables, saved)
-    assert refined[0][0].child[0] >= 0
-    assert (refined[0][2] >= 0).all()
-
-
-def test_refine_coarsen_cycles_keep_linked_entities_once():
-    # the level-0 entities an activation update re-checks: a split leaf
-    # links its 4 nodes, 4 edges and face once, however often it is cycled
-    mesh = Mesh(lshape_mesh_spec(4))
-    fresh = census(mesh, 0)
-    rows = len(mesh.table)
-    leaf = leaf_at(mesh, (0.3, 0.3))
-    for _ in range(5):
-        mesh.refine([leaf])
-        t = mesh.table
-        assert np.unique(t.coarser[t.level == 1]).size == 9
-        assert np.count_nonzero(t.level == 1) == 25  # 9 nodes, 12 edges, 4 faces
-        mesh.coarsen([leaf])
-        t = mesh.table
-        assert np.count_nonzero(t.coarser >= 0) == 0  # no row links to level 0
-        assert np.count_nonzero(t.level == 1) == 0  # no dead row is kept
-        assert len(t) == rows
-    assert census(mesh, 0) == fresh
-
-
-def test_coarsen_rejects_bad_marks():
-    mesh = single_patch(2)
-    leaves = mesh.active_leaf_elements()
-    with pytest.raises(MeshError):
-        mesh.coarsen([leaves[0]])  # childless
-    mesh.refine([leaves[0]])
-    child = leaf_at(mesh, (0.05, 0.05))
-    mesh.refine([child])
-    with pytest.raises(MeshError):
-        mesh.coarsen([leaves[0]])  # grandchildren present
-    mesh.coarsen([child])
-    mesh.coarsen([leaves[0]])
-    assert len(mesh.active_leaf_elements()) == 4
+    assert before[0][0].child[0] == -1
+    assert refined[0][0].child[child] == -1
 
 
 def test_leaf_order_is_preorder():
@@ -472,24 +426,15 @@ def test_entity_table_matches_sequential_creation_corner(res):
 @pytest.mark.parametrize("spec", [TWO_PATCH, NON_DYADIC],
                          ids=["two_patch", "non_dyadic"])
 def test_entity_table_matches_sequential_creation_patches(spec):
-    # random refinement, then coarsening of half the refined families
-    # whose children are all leaves, then refinement again
+    # five rounds of refining a random third of the leaves
     rng = np.random.default_rng(5)
     mesh = CheckedMesh(spec)
     mesh.oracle.assert_matches(mesh, random_orders(rng, mesh))
-    for step in range(5):
+    for _ in range(5):
         leaves = mesh.active_leaf_elements()
-        if step == 3:
-            e = mesh.elements
-            families = sorted({int(e.parent[leaf]) for leaf in leaves
-                               if e.parent[leaf] >= 0
-                               and (e.child[e.child[e.parent[leaf]]
-                                            + np.arange(4)] < 0).all()})
-            mesh.coarsen(families[::2])
-        else:
-            picked = rng.choice(len(leaves), size=max(1, len(leaves) // 3),
-                                replace=False)
-            mesh.refine(leaves[picked])
+        picked = rng.choice(len(leaves), size=max(1, len(leaves) // 3),
+                            replace=False)
+        mesh.refine(leaves[picked])
         mesh.oracle.assert_matches(mesh, random_orders(rng, mesh))
 
 
@@ -510,23 +455,15 @@ def test_sequential_replay_reads_no_parent_or_child_column():
     # mesh's forest links while it replays changes nothing it checks
     rng = np.random.default_rng(7)
     mesh = CheckedMesh(NON_DYADIC)
-    for step in range(5):
+    for _ in range(5):
         leaves = mesh.active_leaf_elements()
-        e = mesh.elements
-        if step == 3:
-            call = "coarsen"
-            families = np.unique(e.parent[leaves])[1:]  # past the -1
-            kids = e.child[families][:, None] + np.arange(4)
-            marks = families[(e.child[kids] < 0).all(axis=1)][:3]
-        else:
-            call = "refine"
-            marks = rng.choice(leaves, size=max(1, len(leaves) // 3),
-                               replace=False)
-        getattr(Mesh, call)(mesh, marks)
+        marks = rng.choice(leaves, size=max(1, len(leaves) // 3),
+                           replace=False)
+        Mesh.refine(mesh, marks)
         e = mesh.elements
         links = e.parent.copy(), e.child.copy()
         e.parent[:] = e.child[:] = -7
-        getattr(mesh.oracle, call)(marks)
+        mesh.oracle.refine(marks)
         e.parent[:], e.child[:] = links
         mesh.oracle.assert_matches(mesh)
 

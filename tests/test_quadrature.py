@@ -413,15 +413,29 @@ def test_leaf_frame_matches_per_leaf_map_bit_for_bit():
 def test_leaf_frame_rejects_bad_ids():
     mesh = single_patch(2)
     mesh.refine([0])
-    mesh.coarsen([0])
-    removed = int(np.flatnonzero(mesh.topology[:, 0] < 0)[0])
     basis = Basis(mesh, PolynomialOrderField(uniform=2))
+    mesh.refine([1])  # ids 8 .. 11 are newer than the Basis
     pts = np.zeros((1, 2))
-    for bad in (-1, len(mesh.elements), removed):
+    for bad in (-1, len(mesh.elements), 8):
         with pytest.raises(KeyError):
             leaf_frame(basis, bad, pts)
         with pytest.raises(KeyError):
             leaf_frame(basis, np.array([0, bad]), pts)
+
+
+def test_leaf_rule_reads_the_leaves_of_its_basis():
+    # a refine after the Basis was built makes a refined element of the
+    # Basis look like a leaf of the live mesh: it stays rejected
+    mesh = single_patch(2)
+    mesh.refine([0])
+    assert len(mesh.active_leaf_elements()) == 7
+    basis = Basis(mesh, PolynomialOrderField(uniform=2))
+    mesh.refine([1, 2])
+    assert len(mesh.active_leaf_elements()) == 13
+    with pytest.raises(KeyError, match="not an active leaf"):
+        leaf_rule(basis, 0)
+    assert len(leaf_rule(basis, 3).points) == 9
+    assert len(basis.leaves) == 7
 
 
 def test_leaf_quadrature_weight_sums():
