@@ -11,9 +11,9 @@ from .distributed import (DistributedSystem, SolverError, StepReport,
                           parallel_cg, run_step)
 from .mesh import (BaseMeshSpec, Mesh, MeshError, PatchSpec, create_base_mesh,
                    export_mesh_xml)
-from .partition import (build_leaf_graph, compute_leaf_weights, edge_cut,
-                        hilbert_index, partition_contiguous, partition_graph,
-                        partition_leaves, partition_sfc, weighted_imbalance)
+from .partition import (compute_leaf_weights, hilbert_index,
+                        partition_contiguous, partition_leaves, partition_sfc,
+                        weighted_imbalance)
 from .physics import (DirichletMap, LShapeSolution, assemble_serial,
                       energy_error, integrate_leaves, neumann_load,
                       solve_dirichlet)

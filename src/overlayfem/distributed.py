@@ -180,13 +180,6 @@ class DistributedSystem:
         """Each rank's owned rows of the operator, as CSR slices."""
         return [self.matrix[rows] for rows in self.own_rows]
 
-    def gather_matrix(self):
-        """The full reduced matrix, for verification against serial."""
-        return self.matrix
-
-    def gather_rhs(self):
-        return self.rhs
-
 
 def _run_starts(keys):
     """Mask of the first element of each run of equal sorted keys."""
@@ -514,7 +507,9 @@ def _integrate_all(basis, to_free, leaves, ranks, n_ranks, domain, depth,
     for r in range(n_ranks):
         idx = np.flatnonzero(np.asarray(ranks) == r)
         chunks.append((r, leaves[idx], idx))
-    if not workers or workers <= 1:
+    # a fork pool starts all its processes at once: no more than chunks
+    workers = min(workers or 1, n_ranks)
+    if workers <= 1:
         return [integrate_rank_system(basis, to_free, lids, tags, r,
                                       domain, depth, source, flux, flux_part)
                 for r, lids, tags in chunks]

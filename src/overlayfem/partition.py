@@ -2,14 +2,12 @@
 
 Active leaves are the unit of distribution.  Their stable global order is
 the depth-first pre-order the mesh already yields, and every partitioner
-returns one rank id per leaf in that order.  Three strategies are built:
+returns one rank id per leaf in that order.  Two strategies are built:
 
-* contiguous -- equal-count index blocks, the baseline everything else is
+* contiguous -- equal-count index blocks, the baseline the other is
   measured against;
 * space-filling curve -- leaves sorted along a Hilbert curve, then split
-  into consecutive chunks by an optimal weighted bottleneck cut;
-* graph -- greedy region growing on the leaf connectivity graph followed
-  by boundary-move refinement that trades edge cut against balance.
+  into consecutive chunks by an optimal weighted bottleneck cut.
 
 Leaf weights follow the cost model w = n_GP * N^3 (quadrature points times
 the cubed count of active shape functions), normalized by the weight of an
@@ -18,7 +16,6 @@ unrefined element at the base order so an ordinary leaf sits near 1.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse
 
 from .quadrature import leaf_rule_table
 
@@ -159,134 +156,14 @@ def partition_sfc(mesh, weights, n_ranks, grid_order=14):
     return plain
 
 
-# ----------------------------------------------------------------------
-# graph partitioner
-
-def build_leaf_graph(basis):
-    """Leaf connectivity with edge weight = number of shared active dofs."""
-    n = len(basis.leaves)
-    ptr = basis.dof_offsets[:n + 1]
-    support = scipy.sparse.csr_matrix(
-        (np.ones(ptr[-1], dtype=np.int64), basis.dofs[:ptr[-1]], ptr),
-        shape=(n, basis.dofmap.total))
-    shared = (support @ support.T).tolil()
-    shared.setdiag(0)
-    return [dict(zip(cols, counts))
-            for cols, counts in zip(shared.rows, shared.data)]
-
-
-def edge_cut(adj, ranks):
-    """Total weight of graph edges crossing rank boundaries."""
-    ranks = np.asarray(ranks)
-    cut = 0
-    for i, nbrs in enumerate(adj):
-        for j, w in nbrs.items():
-            if j > i and ranks[i] != ranks[j]:
-                cut += w
-    return cut
-
-
-def _greedy_grow(adj, weights, n_ranks):
-    n = len(adj)
-    ranks = np.full(n, -1, dtype=np.int64)
-    remaining_weight = float(np.sum(weights))
-    for r in range(n_ranks):
-        if not np.any(ranks < 0):
-            break
-        remaining_parts = n_ranks - r
-        target = remaining_weight / remaining_parts
-        if r == n_ranks - 1:
-            ranks[ranks < 0] = r
-            break
-        seed = int(np.flatnonzero(ranks < 0)[0])
-        ranks[seed] = r
-        part_w = float(weights[seed])
-        gain = {}
-        for j, w in adj[seed].items():
-            if ranks[j] < 0:
-                gain[j] = gain.get(j, 0) + w
-        while part_w < target:
-            if gain:
-                best = max(gain.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-            else:
-                free = np.flatnonzero(ranks < 0)
-                if free.size == 0:
-                    break
-                best = int(free[0])
-            ranks[best] = r
-            part_w += float(weights[best])
-            gain.pop(best, None)
-            for j, w in adj[best].items():
-                if ranks[j] < 0:
-                    gain[j] = gain.get(j, 0) + w
-        remaining_weight -= part_w
-    return ranks
-
-
-def _refine_moves(adj, weights, ranks, n_ranks, allowed_max, passes=8):
-    """Boundary moves that strictly reduce the edge cut under a weight cap."""
-    ranks = np.asarray(ranks).copy()
-    sums = rank_weight_sums(weights, ranks, n_ranks)
-    for _ in range(passes):
-        moved = False
-        for i in range(len(adj)):
-            if not adj[i]:
-                continue
-            conn = {}
-            for j, w in adj[i].items():
-                conn[ranks[j]] = conn.get(ranks[j], 0) + w
-            home = int(ranks[i])
-            stay = conn.get(home, 0)
-            best_rank, best_gain = home, 0
-            for r, c in sorted(conn.items()):
-                if r == home:
-                    continue
-                if sums[r] + weights[i] > allowed_max:
-                    continue
-                gain = c - stay
-                if gain > best_gain:
-                    best_rank, best_gain = int(r), gain
-            if best_rank != home:
-                sums[home] -= weights[i]
-                sums[best_rank] += weights[i]
-                ranks[i] = best_rank
-                moved = True
-        if not moved:
-            break
-    return ranks
-
-
-def partition_graph(adj, weights, n_ranks, balance_slack=1.15):
-    """Greedy growing plus cut refinement; falls back to refining the
-    contiguous blocking when growing ends up strictly worse."""
-    weights = np.asarray(weights, dtype=float)
-    n = len(adj)
-    ideal = weights.sum() / n_ranks
-
-    grown = _greedy_grow(adj, weights, n_ranks)
-    cap = max(balance_slack * ideal,
-              float(rank_weight_sums(weights, grown, n_ranks).max()))
-    grown = _refine_moves(adj, weights, grown, n_ranks, cap)
-
-    base = partition_contiguous(n, n_ranks)
-    cap_b = max(balance_slack * ideal,
-                float(rank_weight_sums(weights, base, n_ranks).max()))
-    base = _refine_moves(adj, weights, base, n_ranks, cap_b)
-
-    key_g = (edge_cut(adj, grown), weighted_imbalance(weights, grown, n_ranks))
-    key_b = (edge_cut(adj, base), weighted_imbalance(weights, base, n_ranks))
-    return grown if key_g <= key_b else base
-
-
-PARTITIONERS = ("contiguous", "sfc", "graph")
+PARTITIONERS = ("contiguous", "sfc")
 
 
 def partition_leaves(method, mesh, basis, weights, n_ranks):
-    """Dispatch by name; returns one rank per active leaf, pre-order."""
+    """Dispatch by name; returns one rank per active leaf, pre-order.
+    Neither strategy reads ``basis``."""
     if method == "contiguous":
         return partition_contiguous(len(weights), n_ranks)
     if method == "sfc":
         return partition_sfc(mesh, weights, n_ranks)
-    if method == "graph":
-        return partition_graph(build_leaf_graph(basis), weights, n_ranks)
     raise ValueError(f"unknown partitioner {method!r}; pick from {PARTITIONERS}")

@@ -20,6 +20,7 @@ from overlayfem.basis import (Basis, PolynomialOrderField, entity_mode_count,
 from overlayfem.benchmarks import (RunConfig, lshape_mesh_spec, make_problem,
                                    mark_corner_leaves, marks_for_step)
 from overlayfem.mesh import create_base_mesh
+from overlayfem.partition import partition_leaves
 from overlayfem.quadrature import (LeafRule, gauss_rule_1d, leaf_frame,
                                    leaf_rule, leaf_rule_table, subdivide)
 
@@ -81,6 +82,16 @@ def stretched_basis(rng):
         picked = rng.choice(len(leaves), size=len(leaves) // 3, replace=False)
         mesh.refine(leaves[picked])
     return Basis(mesh, random_orders(rng, mesh))
+
+
+def leaf_ranks(method, mesh, basis, weights, n_ranks, seed=0):
+    """One rank per active leaf: a library partitioner by name, or for
+    "random" a seeded uniform draw, less local than any partitioner's
+    output.  The draw has its own generator, so no caller's stream moves."""
+    if method == "random":
+        return np.random.default_rng(seed).integers(0, n_ranks,
+                                                    size=len(weights))
+    return partition_leaves(method, mesh, basis, weights, n_ranks)
 
 
 def corner_refined(res, steps):

@@ -48,6 +48,7 @@ def test_config_rejects_unknown_keys():
 @pytest.mark.parametrize("bad", [
     {"benchmark": "cube"},
     {"partitioner": "metis"},
+    {"partitioner": "graph"},
     {"dof_dist": "roundrobin"},
     {"marking": "zz"},
     {"res": 0},

@@ -120,6 +120,14 @@ def test_validation_failure_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_removed_graph_partitioner_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "lshape", "--res", "2", "--partitioner", "graph",
+                "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert "invalid choice: 'graph'" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert run_cli("run", "--config", str(tmp_path / "nope.json")) == 2
     assert "error" in capsys.readouterr().err

@@ -6,6 +6,7 @@ reduced system entry for entry, and the preconditioned CG trace must
 not depend on the rank count at all.
 """
 
+import concurrent.futures
 import json
 import pickle
 
@@ -14,9 +15,9 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg as spla
 
-from conftest import (leaf_at, single_patch, random_refined_mesh, random_orders,
-                      stretched_basis, corner_refined, element_system,
-                      leaf_flux_load, study_bases)
+from conftest import (leaf_at, leaf_ranks, single_patch, random_refined_mesh,
+                      random_orders, stretched_basis, corner_refined,
+                      element_system, leaf_flux_load, study_bases)
 from overlayfem.mesh import Mesh
 from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.physics import assemble_serial, DirichletMap, LShapeSolution
@@ -75,15 +76,15 @@ def split_and_assemble(basis, dirichlet, ranks, n_ranks, dof_distribution="graph
 
 def test_distributed_system_matches_serial():
     rng = np.random.default_rng(101)
-    for _ in range(8):
+    for case in range(8):
         mesh = random_refined_mesh(rng, max_leaves=250)
         basis = Basis(mesh, random_orders(rng, mesh))
         dirichlet = DirichletMap(basis, on_square_boundary)
         n_ranks = int(rng.integers(1, 6))
-        method = ("contiguous", "sfc", "graph")[int(rng.integers(0, 3))]
+        method = ("contiguous", "sfc", "random")[int(rng.integers(0, 3))]
         dist = ("graph", "contiguous")[int(rng.integers(0, 2))]
         w = compute_leaf_weights(basis)
-        ranks = partition_leaves(method, mesh, basis, w, n_ranks)
+        ranks = leaf_ranks(method, mesh, basis, w, n_ranks, seed=case)
 
         system, _, intermediates, _ = split_and_assemble(
             basis, dirichlet, ranks, n_ranks, dof_distribution=dist,
@@ -92,10 +93,10 @@ def test_distributed_system_matches_serial():
         K, f = assemble_serial(basis, source=bumpy_source)
         K_ff, f_f = dirichlet.reduce(K, f)
         dense_serial = K_ff.toarray()
-        dense_dist = system.gather_matrix().toarray()
+        dense_dist = system.matrix.toarray()
         scale = np.abs(dense_serial).max()
         assert np.max(np.abs(dense_dist - dense_serial)) <= 1e-12 * scale
-        rhs = system.gather_rhs()
+        rhs = system.rhs
         assert np.max(np.abs(rhs - f_f)) <= 1e-12 * max(1.0, np.abs(f_f).max())
 
         # every leaf is integrated exactly once, wherever it lives
@@ -111,12 +112,12 @@ def test_assembled_values_do_not_depend_on_the_partition():
     w = compute_leaf_weights(basis)
 
     reference = None
-    for n_ranks, method in [(1, "contiguous"), (3, "sfc"), (4, "graph"), (7, "contiguous")]:
-        ranks = partition_leaves(method, mesh, basis, w, n_ranks)
+    for n_ranks, method in [(1, "contiguous"), (3, "sfc"), (4, "random"), (7, "contiguous")]:
+        ranks = leaf_ranks(method, mesh, basis, w, n_ranks)
         system, _, _, _ = split_and_assemble(basis, dirichlet, ranks, n_ranks,
                                              source=bumpy_source)
-        dense = system.gather_matrix().toarray()
-        rhs = system.gather_rhs()
+        dense = system.matrix.toarray()
+        rhs = system.rhs
         if reference is None:
             reference = (dense, rhs)
         else:
@@ -217,7 +218,7 @@ def test_exchange_conserves_merged_entries():
     dirichlet = DirichletMap(basis, on_square_boundary)
     n_ranks = 4
     w = compute_leaf_weights(basis)
-    ranks = partition_leaves("graph", mesh, basis, w, n_ranks)
+    ranks = leaf_ranks("random", mesh, basis, w, n_ranks)
     system, traffic, intermediates, owner = split_and_assemble(
         basis, dirichlet, ranks, n_ranks)
 
@@ -241,7 +242,7 @@ def test_exchange_conserves_merged_entries():
     assert np.count_nonzero(traffic) > n_ranks
 
     # halo columns: off-rank columns referenced by a rank's owned rows
-    matrix = system.gather_matrix().tocsr()
+    matrix = system.matrix.tocsr()
     for r in range(n_ranks):
         touched = np.unique(matrix[system.own_rows[r]].indices)
         assert system.halo_counts[r] == int(np.sum(owner[touched] != r))
@@ -361,8 +362,8 @@ def test_one_operator_matches_per_rank_inbox_oracle():
         dirichlet = DirichletMap(basis, on_square_boundary)
         w = compute_leaf_weights(basis)
         for n_ranks in (1, 3, 4, 7):
-            for method in ("contiguous", "sfc", "graph"):
-                ranks = partition_leaves(method, mesh, basis, w, n_ranks)
+            for method in ("contiguous", "sfc", "random"):
+                ranks = leaf_ranks(method, mesh, basis, w, n_ranks)
                 for dist in ("graph", "contiguous"):
                     system, _, intermediates, owner = split_and_assemble(
                         basis, dirichlet, ranks, n_ranks,
@@ -373,7 +374,7 @@ def test_one_operator_matches_per_rank_inbox_oracle():
                         [rows for rows, _, _, _ in parts]))
                     oracle = scipy.sparse.vstack(
                         [block for _, block, _, _ in parts], format="csr")[perm, :]
-                    matrix = system.gather_matrix()
+                    matrix = system.matrix
                     assert np.array_equal(matrix.data, oracle.data)
                     assert np.array_equal(matrix.indices, oracle.indices)
                     assert np.array_equal(matrix.indptr, oracle.indptr)
@@ -383,7 +384,7 @@ def test_one_operator_matches_per_rank_inbox_oracle():
                         assert own.nnz == block.nnz
 
                     assert np.array_equal(
-                        system.gather_rhs(),
+                        system.rhs,
                         np.concatenate([b for _, _, b, _ in parts])[perm])
 
                     x_ref, it_ref, hist_ref = inbox_cg(
@@ -745,6 +746,40 @@ def test_run_step_worker_pool_matches_inline():
         results.append((report.cg_iterations, solution))
     assert results[0][0] == results[1][0]
     assert np.array_equal(results[0][1], results[1][1])
+
+
+def test_worker_pool_has_no_more_processes_than_ranks(monkeypatch):
+    # a fork pool starts all max_workers processes at once, so the pool
+    # is sized by the rank chunks; a stand-in records the size and maps
+    # inline, and no process is started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr("overlayfem.distributed._POOL_STATE", {})
+    for workers, n_ranks in ((64, 3), (8, 1)):
+        solutions = []
+        for w in (1, workers):
+            _, _, solution = run_step(
+                Mesh(lshape_mesh_spec(2)), PolynomialOrderField(uniform=2),
+                n_ranks, lshape_dirichlet, source=unit_source, workers=w)
+            solutions.append(solution)
+        assert np.array_equal(solutions[0], solutions[1])
+    assert sizes == [3]
 
 
 def test_run_step_rejects_unknown_dof_distribution():

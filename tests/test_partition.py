@@ -1,4 +1,4 @@
-"""Leaf weighting and the three partitioning strategies.
+"""Leaf weighting and the two partitioning strategies.
 
 The interval-cut solver is checked against brute-force enumeration of
 every consecutive split, and the curve-based partitioner against its
@@ -16,8 +16,7 @@ from overlayfem.quadrature import build_leaf_rules
 from overlayfem.partition import (
     compute_leaf_weights, weighted_imbalance, rank_weight_sums,
     partition_contiguous, hilbert_index, _optimal_interval_cut,
-    partition_sfc, build_leaf_graph, edge_cut, partition_graph,
-    partition_leaves, PARTITIONERS,
+    partition_sfc, partition_leaves, PARTITIONERS,
 )
 
 
@@ -247,65 +246,6 @@ def test_sfc_single_rank():
     assert np.all(partition_sfc(mesh, w, 1) == 0)
 
 
-# ---------------------------------------------------------------- graph
-
-
-def test_leaf_graph_shared_dof_counts():
-    mesh = single_patch((2, 1), bounds=((0.0, 2.0), (0.0, 1.0)))
-    for p, expected in [(2, 3), (3, 4)]:
-        basis = Basis(mesh, PolynomialOrderField(uniform=p))
-        adj = build_leaf_graph(basis)
-        assert len(adj) == 2
-        # two corner nodes plus p-1 modes on the shared edge
-        assert adj[0][1] == expected
-        assert adj[1][0] == expected
-
-
-def test_leaf_graph_is_symmetric():
-    rng = np.random.default_rng(53)
-    mesh = random_refined_mesh(rng)
-    basis = Basis(mesh, random_orders(rng, mesh))
-    adj = build_leaf_graph(basis)
-    assert len(adj) == len(mesh.active_leaf_elements())
-    for i, nbrs in enumerate(adj):
-        for j, w in nbrs.items():
-            assert j != i
-            assert adj[j][i] == w
-
-
-def test_edge_cut_hand_example():
-    adj = [{1: 3, 2: 1}, {0: 3}, {0: 1}]
-    assert edge_cut(adj, [0, 0, 0]) == 0
-    assert edge_cut(adj, [0, 0, 1]) == 1
-    assert edge_cut(adj, [0, 1, 1]) == 4
-
-
-def test_graph_partition_splits_disconnected_components():
-    # two 3-cliques with no edges between them must separate cleanly
-    adj = []
-    for base in (0, 3):
-        for i in range(3):
-            adj.append({base + j: 5 for j in range(3) if base + j != len(adj)})
-    weights = np.ones(6)
-    ranks = partition_graph(adj, weights, 2)
-    assert edge_cut(adj, ranks) == 0
-    assert weighted_imbalance(weights, ranks, 2) == pytest.approx(1.0)
-
-
-def test_graph_partition_no_worse_than_contiguous():
-    rng = np.random.default_rng(61)
-    for _ in range(8):
-        mesh = random_refined_mesh(rng)
-        basis = Basis(mesh, random_orders(rng, mesh))
-        adj = build_leaf_graph(basis)
-        w = compute_leaf_weights(basis)
-        P = int(rng.integers(2, 5))
-        ranks = partition_graph(adj, w, P)
-        cont = partition_contiguous(len(w), P)
-        assert edge_cut(adj, ranks) <= edge_cut(adj, cont)
-        assert ranks.min() >= 0 and ranks.max() < P
-
-
 # ------------------------------------------------------------ dispatcher
 
 
@@ -314,9 +254,11 @@ def test_partition_leaves_dispatch():
     mesh = random_refined_mesh(rng)
     basis = Basis(mesh, random_orders(rng, mesh))
     w = compute_leaf_weights(basis)
+    assert PARTITIONERS == ("contiguous", "sfc")
     for method in PARTITIONERS:
         ranks = partition_leaves(method, mesh, basis, w, 3)
         assert len(ranks) == len(w)
         assert ranks.min() >= 0 and ranks.max() < 3
-    with pytest.raises(ValueError):
-        partition_leaves("metis", mesh, basis, w, 3)
+    for gone in ("metis", "graph"):
+        with pytest.raises(ValueError):
+            partition_leaves(gone, mesh, basis, w, 3)
