@@ -15,8 +15,8 @@ from .partition import (compute_leaf_weights, hilbert_index,
                         partition_contiguous, partition_leaves, partition_sfc,
                         weighted_imbalance)
 from .physics import (DirichletMap, LShapeSolution, assemble_serial,
-                      energy_error, integrate_leaves, neumann_load,
-                      solve_dirichlet)
+                      energy_error, integrate_leaves, leaf_systems,
+                      neumann_load, solve_dirichlet)
 from .quadrature import (Disk, EmbeddedDomain, HalfPlane, LeafRule, Rect,
                          box_rule, gauss_rule_1d, geometry_from_json,
                          indicator_area, leaf_rule)

@@ -241,8 +241,7 @@ class Basis:
     depend only on its level order and on which of its 9 entities are
     active: each distinct (order, mask) gets one ``plans`` entry of 1d
     mode rows.  The Basis also keeps the leaves' rule tables
-    (``quadrature.leaf_rule_table``) and ``leaf_systems``
-    (``physics.leaf_systems``); both go stale with it.
+    (``quadrature.leaf_rule_table``), which go stale with it.
     """
 
     def __init__(self, mesh, orders):
@@ -253,8 +252,6 @@ class Basis:
         self._build_tables()
         # one rule table per (depth, domain), see quadrature.leaf_rule_table
         self.leaf_rules = {}
-        # the step's single-cell leaf systems, see physics.leaf_systems
-        self.leaf_systems = {}
 
     def _build_tables(self):
         e = self.mesh.elements

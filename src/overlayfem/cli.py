@@ -4,11 +4,11 @@
 convergence.csv, partition.csv, mesh.xml, and solution.csv into the
 output directory.  `scale` repeats the final configured problem at a list
 of rank counts with one worker process per rank and writes scaling.csv.
-`export` re-derives the mesh/solution artifacts from a previous run's
-report.json.
+`export` re-derives the mesh/solution artifacts from the report.json
+of a previous run in --out, with that run's config.
 
-Every flag can also come from a JSON config file (--config); flags given
-on the command line override the file.
+Every flag of `run` and `scale` can also come from a JSON config file
+(--config); flags given on the command line override the file.
 """
 from __future__ import annotations
 
@@ -70,8 +70,6 @@ def _add_common_flags(sub):
     sub.add_argument("--tol", type=float, help="CG relative tolerance")
     sub.add_argument("--marking", choices=MARKING_CHOICES)
     sub.add_argument("--seed", type=int, help="seed for randomized marking")
-    sub.add_argument("--workers", type=int,
-                     help="worker processes for the integrate phase")
     sub.add_argument("--out", help="output directory")
 
 
@@ -190,8 +188,8 @@ def cmd_scale(args):
 
 
 def cmd_export(args):
-    config = _build_config(args).validate()
-    report_path = os.path.join(config.out, "report.json")
+    out = args.out
+    report_path = os.path.join(out, "report.json")
     if not os.path.exists(report_path):
         print(f"error: no prior run found at {report_path}; "
               "run the benchmark first", file=sys.stderr)
@@ -201,13 +199,13 @@ def cmd_export(args):
     run_cfg = RunConfig.from_dict(stored["config"])
     run_cfg.dry_run = False
     steps, final = run_benchmark(run_cfg)
-    write_mesh_xml(os.path.join(config.out, "mesh.xml"), final)
-    write_partition_csv(os.path.join(config.out, "partition.csv"),
+    write_mesh_xml(os.path.join(out, "mesh.xml"), final)
+    write_partition_csv(os.path.join(out, "partition.csv"),
                         final["mesh"], final["ranks"], final["weights"])
-    write_solution_csv(os.path.join(config.out, "solution.csv"),
+    write_solution_csv(os.path.join(out, "solution.csv"),
                        final["basis"], final["solution"], run_cfg.probe)
     n = len(final["mesh"].active_leaf_elements())
-    print(f"exported {n} cells to {config.out}/mesh.xml "
+    print(f"exported {n} cells to {out}/mesh.xml "
           f"plus partition.csv and solution.csv")
     return 0
 
@@ -225,6 +223,8 @@ def build_parser():
                      help="benchmark name (same as --benchmark)")
     _add_common_flags(run)
     run.add_argument("--ranks", type=int, help="simulated rank count")
+    run.add_argument("--workers", type=int,
+                     help="worker processes for the integrate phase")
     run.add_argument("--dry-run", action="store_true", dest="dry_run",
                      help="report mesh sizes without integrating or solving")
     run.set_defaults(func=cmd_run)
@@ -239,10 +239,8 @@ def build_parser():
 
     export = subs.add_parser("export",
                              help="re-derive mesh/solution files from a run")
-    export.add_argument("positional_benchmark", nargs="?", metavar="benchmark",
-                        choices=BENCHMARK_CHOICES)
-    _add_common_flags(export)
-    export.add_argument("--ranks", type=int)
+    export.add_argument("--out", default=RunConfig.out,
+                        help="output directory of the run")
     export.set_defaults(func=cmd_export)
     return parser
 

@@ -3,12 +3,13 @@
 The runtime is deterministic and in-process: "ranks" are index sets of
 active leaves, produced by any partitioner from :mod:`overlayfem.partition`.
 Each rank integrates exactly its own leaves (no element is ever touched by
-two ranks) into tagged triplets, one tag per source leaf.  Leaves with a
-single-cell rule take their stiffness and load from the step's memo,
-:func:`overlayfem.physics.leaf_systems`, which the parent process builds
-before the integrate phase fans out, so worker processes receive it with
-the Basis; cut leaves run the kernel,
-:func:`overlayfem.physics.integrate_leaves`.
+two ranks) into tagged triplets, one tag per source leaf.  The step builds
+its leaf systems, :func:`overlayfem.physics.leaf_systems`, once before
+the integrate phase fans out and hands the value to every rank, inline
+or in a worker process: leaves with a single-cell rule take their
+stiffness and load from it, cut leaves run the kernel,
+:func:`overlayfem.physics.integrate_leaves`, and every leaf adds its
+flux load.
 
 Assembly is one sort.  All ranks' triplets are ordered by (row, column,
 leaf tag) and summed per (row, column) into one global CSR operator; the
@@ -111,27 +112,29 @@ class IntermediateSystem:
 
 
 def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
-                          domain=None, depth=0, source=None,
-                          flux=None, flux_part=None):
+                          systems):
     """Integrate exactly the given leaves into free-index triplets, leaf
-    after leaf: K and f from the step's memo
-    (:func:`overlayfem.physics.leaf_systems`) or, for a cut leaf, from
+    after leaf: K and f from the step's
+    :class:`~overlayfem.physics.LeafSystems` or, for a cut leaf, from
     :func:`overlayfem.physics.integrate_leaves`, plus its flux load.
     """
     start = time.perf_counter()
-    systems = leaf_systems(basis, domain, depth, source, flux, flux_part)
     # active leaves are the Basis's first table rows, in pre-order
     pos = basis.row_of[np.asarray(leaf_ids, dtype=np.int64)]
     leaf_tags = np.asarray(leaf_tags, dtype=np.int64)
     sig, load = systems.signature[pos], systems.load[pos]
     Ks = [systems.stiffness[k] if k >= 0 else None for k in sig.tolist()]
     fs = [systems.loads[k] if k >= 0 else None for k in load.tolist()]
-    # cut leaves through the kernel, with their flux loads
+    # cut leaves through the kernel
     cut = np.flatnonzero(sig < 0)
     for j, K, fe in zip(cut.tolist(), *integrate_leaves(
-            basis, pos[cut], domain, depth, source)):
-        fl = systems.flux_loads.get(pos[j])
-        Ks[j], fs[j] = K, fl if fe is None else fe if fl is None else fe + fl
+            basis, pos[cut], systems.domain, systems.depth, systems.source)):
+        Ks[j], fs[j] = K, fe
+    # a flux load adds to the source load, for every leaf a flux reaches
+    for j, i in enumerate(pos.tolist()):
+        fl = systems.flux_loads.get(i)
+        if fl is not None:
+            fs[j] = fl if fs[j] is None else fs[j] + fl
 
     # the triplets leaf after leaf, row-major over each leaf's K: a leaf
     # with n dofs repeats each dof n times as a row and its dofs n times
@@ -408,14 +411,14 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     timings["partition"] = time.perf_counter() - t
 
     t = time.perf_counter()
+    systems = leaf_systems(basis, domain, depth, source, flux, flux_part)
     intermediates = _integrate_all(basis, to_free, leaves, ranks, n_ranks,
-                                   domain, depth, source, flux, flux_part,
-                                   workers)
+                                   systems, workers)
     timings["integrate"] = time.perf_counter() - t
     rank_seconds = [inter.seconds for inter in intermediates]
     # nothing reads the step's leaf systems again: free them before
     # assembly, the step's memory peak
-    basis.leaf_systems.clear()
+    del systems
 
     t = time.perf_counter()
     if dof_distribution == "graph":
@@ -486,36 +489,28 @@ def pearson_r(a, b):
 _POOL_STATE = {}
 
 
-def _pool_init(basis, to_free, domain, depth, source, flux, flux_part):
-    _POOL_STATE["args"] = (basis, to_free, domain, depth, source, flux,
-                           flux_part)
+def _pool_init(basis, to_free, systems):
+    _POOL_STATE["args"] = (basis, to_free, systems)
 
 
 def _pool_task(chunk):
-    basis, to_free, domain, depth, source, flux, flux_part = _POOL_STATE["args"]
-    rank, leaf_ids, leaf_tags = chunk
-    return integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
-                                 domain, depth, source, flux, flux_part)
+    basis, to_free, systems = _POOL_STATE["args"]
+    return integrate_rank_system(basis, to_free, *chunk, systems)
 
 
-def _integrate_all(basis, to_free, leaves, ranks, n_ranks, domain, depth,
-                   source, flux, flux_part, workers):
-    # build the step's leaf systems and flux loads here, so a worker pool
-    # gets them with the Basis instead of building them once per worker
-    leaf_systems(basis, domain, depth, source, flux, flux_part)
+def _integrate_all(basis, to_free, leaves, ranks, n_ranks, systems, workers):
+    # one (leaf ids, leaf tags, rank) chunk per rank
     chunks = []
     for r in range(n_ranks):
         idx = np.flatnonzero(np.asarray(ranks) == r)
-        chunks.append((r, leaves[idx], idx))
+        chunks.append((leaves[idx], idx, r))
     # a fork pool starts all its processes at once: no more than chunks
     workers = min(workers or 1, n_ranks)
     if workers <= 1:
-        return [integrate_rank_system(basis, to_free, lids, tags, r,
-                                      domain, depth, source, flux, flux_part)
-                for r, lids, tags in chunks]
+        return [integrate_rank_system(basis, to_free, *chunk, systems)
+                for chunk in chunks]
     import concurrent.futures
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init,
-            initargs=(basis, to_free, domain, depth, source, flux,
-                      flux_part)) as pool:
+            initargs=(basis, to_free, systems)) as pool:
         return list(pool.map(_pool_task, chunks))

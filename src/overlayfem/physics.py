@@ -15,11 +15,11 @@ Refinement never replaces an element, so most leaves of a step repeat
 one another bit for bit.  :func:`leaf_systems` integrates the leaves with
 one cell (every uncut leaf) once per step: it computes every such leaf's
 signature with array operations, contracts one representative per
-distinct signature, and keeps K per signature and f per signature and
-source values in a memo on the Basis that the distributed integration
-reads, with the boundary-flux loads (1d edge rules, one flux call per
-group of like sides).  Homogeneous Dirichlet conditions are imposed by
-symmetric elimination.
+distinct signature, and returns K per signature and f per signature and
+source values, with the boundary-flux loads (1d edge rules, one flux
+call per group of like sides), as one value that the step hands to every
+rank.  Homogeneous Dirichlet conditions are imposed by symmetric
+elimination.
 
 The energy error re-integrates every leaf at a raised order and peels
 dyadic shells toward a declared singular point, so the non-smooth
@@ -116,16 +116,21 @@ def integrate_leaves(basis, rows, domain=None, depth=0, source=None):
 
 @dataclass
 class LeafSystems:
-    """Stiffness matrices and loads of one step's single-cell leaves.
+    """One step's leaf systems, built once by :func:`leaf_systems` and
+    handed to every rank.
 
     Arrays run over the active leaves in pre-order, the Basis's first
     table rows.  ``signature`` indexes ``stiffness`` and is -1 for a leaf
-    whose rule has several cells; ``load`` indexes ``loads`` (a fluxed
-    leaf's own: source plus flux) and is -1 for those and for a leaf
-    without a load.  ``flux_loads`` maps the position of each multi-cell
-    leaf a flux reaches to its boundary-flux load.
+    whose rule has several cells; ``load`` indexes ``loads``, the source
+    loads, and is -1 for those and without a source.  ``flux_loads`` maps
+    the position of every leaf a flux reaches to its boundary-flux load.
+    The kernel integrates the multi-cell leaves under ``domain``,
+    ``depth`` and ``source``.  Every array is read-only.
     """
 
+    domain: object
+    depth: int
+    source: object
     signature: np.ndarray
     load: np.ndarray
     stiffness: list
@@ -135,21 +140,8 @@ class LeafSystems:
 
 def leaf_systems(basis, domain=None, depth=0, source=None, flux=None,
                  flux_part=None):
-    """The step's single-cell leaf systems and flux loads, built for every
-    active leaf by the first call for a (domain, depth, source, flux,
-    flux_part) and kept in ``basis.leaf_systems``: the key holds the
-    arguments themselves, so a worker that unpickled the Basis reads the
-    entry for its equal arguments."""
-    key = (depth, domain, source, flux, flux_part)
-    systems = basis.leaf_systems.get(key)
-    if systems is None:
-        systems = basis.leaf_systems[key] = _build_leaf_systems(
-            basis, domain, depth, source, flux, flux_part)
-    return systems
-
-
-def _build_leaf_systems(basis, domain, depth, source, flux, flux_part):
-    """Integrate one representative per distinct single-cell signature.
+    """The step's :class:`LeafSystems`: one representative integrated
+    per distinct single-cell signature, and the flux loads.
 
     Leaves with one cell (every leaf without a domain) are grouped by
     (quadrature order, level), ``source`` called once per group.  A leaf's
@@ -185,13 +177,10 @@ def _build_leaf_systems(basis, domain, depth, source, flux, flux_part):
             load[i] = by_value[key]
     flux_loads = {} if flux is None else flux_loads_by_leaf(basis, flux,
                                                             flux_part)
-    for i in [i for i in flux_loads if signature[i] >= 0]:
-        fl = flux_loads.pop(i)
-        loads.append(fl if load[i] < 0 else loads[load[i]] + fl)
-        load[i] = len(loads) - 1
-    for arr in stiffness + loads:
+    for arr in stiffness + loads + list(flux_loads.values()):
         arr.flags.writeable = False
-    return LeafSystems(signature, load, stiffness, loads, flux_loads)
+    return LeafSystems(domain, depth, source, signature, load, stiffness,
+                       loads, flux_loads)
 
 
 def table_signatures(basis, rows, pts, *extra):

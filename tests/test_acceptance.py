@@ -23,7 +23,7 @@ from conftest import (ACCEPTANCE_LINES, leaf_ranks, random_refined_mesh,
                       random_orders)
 from overlayfem.mesh import BaseMeshSpec, PatchSpec, create_base_mesh
 from overlayfem.basis import Basis, PolynomialOrderField
-from overlayfem.physics import DirichletMap, assemble_serial
+from overlayfem.physics import DirichletMap, assemble_serial, leaf_systems
 from overlayfem.quadrature import Disk, EmbeddedDomain, indicator_area
 from overlayfem.partition import (
     compute_leaf_weights, partition_contiguous, partition_sfc,
@@ -160,13 +160,14 @@ def test_criterion_03_distributed_assembly_matches_serial():
 
         to_free = np.full(basis.dofmap.total, -1, dtype=np.int64)
         to_free[dirichlet.free] = np.arange(dirichlet.n_free)
+        systems = leaf_systems(basis, source=bumpy_source)
         intermediates = []
         for r in range(n_ranks):
             mine = [i for i in range(len(leaves)) if ranks[i] == r]
             intermediates.append(integrate_rank_system(
                 basis, to_free,
                 leaves[mine], np.asarray(mine, dtype=np.int64),
-                r, source=bumpy_source))
+                r, systems))
         leaf_free = [to_free[basis.leaf_dofs(leaf)] for leaf in leaves]
         leaf_free = [d[d >= 0] for d in leaf_free]
         if distributions[case % len(distributions)] == "graph":

@@ -280,6 +280,14 @@ def test_export_without_run_exits_2(tmp_path, capsys):
     assert "no prior run" in capsys.readouterr().err
 
 
+def test_export_rejects_run_flags(tmp_path, capsys):
+    # export re-runs the stored config: a run flag would be ignored
+    with pytest.raises(SystemExit) as exc:
+        run_cli("export", "--res", "64", "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --res 64" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- scale
 
 
@@ -313,6 +321,16 @@ def test_scale_rejects_nonpositive_ranks(tmp_path, capsys, ranks):
     out, err = capsys.readouterr()
     assert "error: ranks must be positive" in err
     assert "P=" not in out
+    assert not (tmp_path / "scaling.csv").exists()
+
+
+def test_scale_rejects_workers(tmp_path, capsys):
+    # scale runs one worker process per rank
+    with pytest.raises(SystemExit) as exc:
+        run_cli("scale", "lshape", "--res", "2", "--ranks", "1,2",
+                "--workers", "2", "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     assert not (tmp_path / "scaling.csv").exists()
 
 

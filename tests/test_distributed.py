@@ -9,6 +9,7 @@ not depend on the rank count at all.
 import concurrent.futures
 import json
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from conftest import (leaf_at, leaf_ranks, single_patch, random_refined_mesh,
                       element_system, leaf_flux_load, study_bases)
 from overlayfem.mesh import Mesh
 from overlayfem.basis import Basis, PolynomialOrderField
-from overlayfem.physics import assemble_serial, DirichletMap, LShapeSolution
+from overlayfem.physics import (assemble_serial, DirichletMap, LShapeSolution,
+                                leaf_systems)
 from overlayfem.quadrature import (Disk, EmbeddedDomain, leaf_rule,
                                    leaf_rule_table)
 from overlayfem.partition import (partition_contiguous, partition_leaves,
@@ -51,13 +53,14 @@ def split_and_assemble(basis, dirichlet, ranks, n_ranks, dof_distribution="graph
     to_free = np.full(basis.dofmap.total, -1, dtype=np.int64)
     to_free[dirichlet.free] = np.arange(dirichlet.n_free)
 
+    systems = leaf_systems(basis, source=source)
     intermediates = []
     for r in range(n_ranks):
         mine = [i for i in range(len(leaves)) if ranks[i] == r]
         intermediates.append(integrate_rank_system(
             basis, to_free,
             leaves[mine], np.asarray(mine, dtype=np.int64),
-            r, source=source,
+            r, systems,
         ))
 
     leaf_free = [to_free[basis.leaf_dofs(leaf)] for leaf in leaves]
@@ -398,7 +401,7 @@ def test_one_operator_matches_per_rank_inbox_oracle():
 # ------------------------------------------------- per-leaf integration
 #
 # integrate_rank_system reads each single-cell leaf's system from the
-# step's memo, integrates cut leaves with the batched kernel and emits
+# step's LeafSystems, integrates cut leaves with the batched kernel and emits
 # every leaf's triplets in one array pass.  The oracle below is the
 # per-leaf loop it replaced: every leaf through element_system (conftest's
 # cell-by-cell oracle), its flux load through leaf_flux_load.  Both must
@@ -453,10 +456,11 @@ def test_source_is_called_once_per_group_and_cut_leaf_group():
         leaves = basis.mesh.active_leaf_elements()
         ranks = partition_contiguous(len(leaves), 4)
         to_free = np.arange(basis.dofmap.total)
+        systems = leaf_systems(basis, dom, depth, source)
         for r in range(4):
             mine = np.flatnonzero(ranks == r)
             integrate_rank_system(basis, to_free, leaves[mine], mine, r,
-                                  dom, depth, source)
+                                  systems)
         cells = np.diff(leaf_rule_table(basis, dom, depth)[1])
         single = np.flatnonzero(cells == 1)
         groups = len(set(zip(basis.quad_orders[single].tolist(),
@@ -499,15 +503,16 @@ def batched_cases():
     ]
 
 
-def assemble_with(integrate, basis, dirichlet, ranks, n_ranks, kwargs):
+def assemble_with(integrate, basis, dirichlet, ranks, n_ranks):
+    """Assemble with `integrate(basis, to_free, leaf_ids, leaf_tags, rank)`
+    called once per rank."""
     leaves = basis.mesh.active_leaf_elements()
     to_free = np.full(basis.dofmap.total, -1, dtype=np.int64)
     to_free[dirichlet.free] = np.arange(dirichlet.n_free)
     inters = []
     for r in range(n_ranks):
         mine = np.flatnonzero(ranks == r)
-        inters.append(integrate(basis, to_free, leaves[mine],
-                                mine, r, **kwargs))
+        inters.append(integrate(basis, to_free, leaves[mine], mine, r))
     owner = distribute_dofs_contiguous(dirichlet.n_free, n_ranks)
     system, traffic = exchange_and_assemble(inters, owner, dirichlet.n_free,
                                             n_ranks)
@@ -525,12 +530,14 @@ def test_batched_integration_matches_per_leaf_oracle():
             ranks = partition_leaves("sfc", mesh, None, weights, n_ranks)
             basis = Basis(mesh, orders)
             dirichlet = DirichletMap(basis, part)
+            systems = leaf_systems(basis, **kwargs)
             system, traffic, inters = assemble_with(
-                integrate_rank_system, basis, dirichlet, ranks, n_ranks,
-                kwargs)
+                lambda *args: integrate_rank_system(*args, systems),
+                basis, dirichlet, ranks, n_ranks)
             cold = Basis(mesh, orders)
             oracle, oracle_traffic, oracle_inters = assemble_with(
-                per_leaf_integrate, cold, dirichlet, ranks, n_ranks, kwargs)
+                lambda *args: per_leaf_integrate(*args, **kwargs),
+                cold, dirichlet, ranks, n_ranks)
             for got, want in ((system.matrix, oracle.matrix),):
                 assert np.array_equal(got.data, want.data), name
                 assert np.array_equal(got.indices, want.indices), name
@@ -541,7 +548,6 @@ def test_batched_integration_matches_per_leaf_oracle():
             for a, b in zip(inters, oracle_inters):
                 assert a.rows.size == b.rows.size, name
                 assert a.rhs_rows.size == b.rhs_rows.size, name
-            systems = next(iter(basis.leaf_systems.values()))
             cut = int(np.sum(systems.signature < 0))
         distinct = len(systems.stiffness)
         single = len(leaves) - cut
@@ -554,35 +560,6 @@ def test_batched_integration_matches_per_leaf_oracle():
                    if s >= 0 and leaf_rule(
                        basis, leaves[i], kwargs["domain"], 3).alpha[0] < 1]
             assert eps, "no leaf lies fully outside the disk"
-
-
-def test_leaf_systems_are_built_once_and_survive_pickling(monkeypatch):
-    disk = EmbeddedDomain(Disk((0.0, 0.0), 0.8), epsilon=1e-8)
-    mesh = interface_refined(4, disk, 1)
-    basis = Basis(mesh, PolynomialOrderField(uniform=3))
-    dirichlet = DirichletMap(basis, fcm_disk_dirichlet)
-    to_free = np.full(basis.dofmap.total, -1, dtype=np.int64)
-    to_free[dirichlet.free] = np.arange(dirichlet.n_free)
-    leaves = mesh.active_leaf_elements()
-    ids, tags = leaves, np.arange(len(leaves))
-    kwargs = dict(domain=disk, depth=3, source=unit_source)
-    first = integrate_rank_system(basis, to_free, ids, tags, 0, **kwargs)
-    assert len(basis.leaf_systems) == 1
-    systems = next(iter(basis.leaf_systems.values()))
-    # a worker receives the Basis pickled, the arguments pickled apart
-    # from it; the equal domain and the same source find the entry, so
-    # nothing is integrated twice
-    copy = pickle.loads(pickle.dumps(basis))
-    kwargs = pickle.loads(pickle.dumps(kwargs))
-    monkeypatch.setattr("overlayfem.physics._build_leaf_systems", None)
-    again = integrate_rank_system(basis, to_free, ids, tags, 0, **kwargs)
-    copied = integrate_rank_system(copy, to_free, ids, tags, 0, **kwargs)
-    for other in (again, copied):
-        for name in ("rows", "cols", "vals", "leaf_tags", "rhs_rows",
-                     "rhs_vals", "rhs_tags"):
-            assert np.array_equal(getattr(first, name), getattr(other, name))
-    assert next(iter(basis.leaf_systems.values())) is systems
-    assert all(not K.flags.writeable for K in systems.stiffness)
 
 
 # ---------------------------------------------------------------- solver
@@ -654,7 +631,23 @@ def test_cg_custom_rhs_and_failure():
 # ------------------------------------------------------------- run_step
 
 
-def test_run_step_report_is_complete():
+def test_run_step_report_is_complete(monkeypatch):
+    # the step's leaf systems are freed before the assembly, the step's
+    # memory peak: a weak reference to them is dead when it starts
+    built, entered = [], []
+
+    def build(*args):
+        systems = leaf_systems(*args)
+        built.append(weakref.ref(systems))
+        return systems
+
+    def assemble(*args):
+        entered.append(built[0]() is None)
+        return exchange_and_assemble(*args)
+
+    monkeypatch.setattr("overlayfem.distributed.leaf_systems", build)
+    monkeypatch.setattr("overlayfem.distributed.exchange_and_assemble",
+                        assemble)
     mesh = Mesh(lshape_mesh_spec(2))
     exact = LShapeSolution()
     report, basis, solution = run_step(
@@ -668,8 +661,7 @@ def test_run_step_report_is_complete():
     assert d["leaves"] == len(mesh.active_leaf_elements())
     assert d["dofs"] == basis.dofmap.total
     assert d["ranks"] == 3
-    # freed before the assembly
-    assert not basis.leaf_systems
+    assert entered == [True]
     assert set(d["timings"]) == {
         "refine", "partition", "integrate", "dof_dist",
         "assemble", "solve", "postprocess",
@@ -748,16 +740,18 @@ def test_run_step_worker_pool_matches_inline():
     assert np.array_equal(results[0][1], results[1][1])
 
 
-def test_worker_pool_has_no_more_processes_than_ranks(monkeypatch):
-    # a fork pool starts all max_workers processes at once, so the pool
-    # is sized by the rank chunks; a stand-in records the size and maps
-    # inline, and no process is started
-    sizes = []
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace the worker pool with a stand-in that maps inline, so no
+    process is started.  It runs the initializer on a pickled copy of its
+    arguments, as a spawned worker receives them, and records each pool's
+    (max_workers, initargs) in the returned list."""
+    made = []
 
     class RecordingPool:
         def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
+            made.append((max_workers, initargs))
+            initializer(*pickle.loads(pickle.dumps(initargs)))
 
         def __enter__(self):
             return self
@@ -771,6 +765,12 @@ def test_worker_pool_has_no_more_processes_than_ranks(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
     monkeypatch.setattr("overlayfem.distributed._POOL_STATE", {})
+    return made
+
+
+def test_worker_pool_has_no_more_processes_than_ranks(pools):
+    # a fork pool starts all max_workers processes at once, so the pool
+    # is sized by the rank chunks
     for workers, n_ranks in ((64, 3), (8, 1)):
         solutions = []
         for w in (1, workers):
@@ -779,7 +779,47 @@ def test_worker_pool_has_no_more_processes_than_ranks(monkeypatch):
                 n_ranks, lshape_dirichlet, source=unit_source, workers=w)
             solutions.append(solution)
         assert np.array_equal(solutions[0], solutions[1])
-    assert sizes == [3]
+    assert [size for size, _ in pools] == [3]
+
+
+def test_workers_receive_the_step_systems(pools, monkeypatch):
+    # run_step builds the step's LeafSystems once and hands the pool that
+    # value through its initializer
+    built = []
+
+    def build(*args):
+        built.append(leaf_systems(*args))
+        return built[-1]
+
+    monkeypatch.setattr("overlayfem.distributed.leaf_systems", build)
+    exact = LShapeSolution()
+    disk = EmbeddedDomain(Disk((0.0, 0.0), 0.8), epsilon=1e-8)
+    cases = [
+        # single-cell leaves with source and flux loads
+        (lambda: Mesh(lshape_mesh_spec(2)), lshape_dirichlet,
+         dict(source=unit_source, flux=exact.flux,
+              flux_part=lshape_neumann_part)),
+        # cut leaves, integrated by the kernel inside the workers
+        (lambda: interface_refined(4, disk, 1), fcm_disk_dirichlet,
+         dict(domain=disk, depth=3, source=unit_source)),
+    ]
+    for make_mesh, part, kwargs in cases:
+        solutions = []
+        for workers in (1, 2):
+            _, _, solution = run_step(make_mesh(), PolynomialOrderField(
+                uniform=3), 3, part, workers=workers, **kwargs)
+            solutions.append(solution)
+        assert np.array_equal(solutions[0], solutions[1])
+    # one build per run_step; the 2-worker steps' pools received theirs
+    assert len(built) == 4 and len(pools) == 2
+    assert all(args[2] is systems
+               for (_, args), systems in zip(pools, built[1::2]))
+    for systems in built:
+        arrays = systems.stiffness + systems.loads + list(
+            systems.flux_loads.values())
+        assert all(not a.flags.writeable for a in arrays)
+    assert built[0].flux_loads and built[0].loads
+    assert np.any(built[2].signature < 0)
 
 
 def test_run_step_rejects_unknown_dof_distribution():
