@@ -127,6 +127,9 @@ def cmd_scale(args):
     if min(rank_list) < 1:
         raise ValueError("ranks must be positive")
     config = _build_config(args, rank_list=True).validate()
+    if config.workers != RunConfig.workers:
+        raise ValueError("scale runs one worker per rank; "
+                         f"drop workers={config.workers} from the config")
     os.makedirs(config.out, exist_ok=True)
 
     problem = make_problem(config)

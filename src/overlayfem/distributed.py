@@ -121,7 +121,7 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
     start = time.perf_counter()
     # active leaves are the Basis's first table rows, in pre-order
     pos = basis.row_of[np.asarray(leaf_ids, dtype=np.int64)]
-    leaf_tags = np.asarray(leaf_tags, dtype=np.int64)
+    leaf_tags = np.asarray(leaf_tags, dtype=np.int32)
     sig, load = systems.signature[pos], systems.load[pos]
     Ks = [systems.stiffness[k] if k >= 0 else None for k in sig.tolist()]
     fs = [systems.loads[k] if k >= 0 else None for k in load.tolist()]
@@ -199,10 +199,11 @@ def exchange_and_assemble(intermediates, owner, n_free, n_ranks):
     (row, column) entries rank s integrated in rows rank d owns.
     """
     # the triplet arrays are a step's largest: each temporary is freed
-    # as soon as it is spent
+    # as soon as it is spent.  Their index columns may be int32; the key
+    # row * n_free + col is formed in int64, where it cannot overflow
     owner = np.asarray(owner)
     sizes = [inter.rows.size for inter in intermediates]
-    keys = np.concatenate([inter.rows * n_free + inter.cols
+    keys = np.concatenate([inter.rows.astype(np.int64) * n_free + inter.cols
                            for inter in intermediates])
     order = np.lexsort((np.concatenate([inter.leaf_tags
                                         for inter in intermediates]), keys))
@@ -400,7 +401,9 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     # charged to the refine phase: it is the cost of changing the mesh
     basis = Basis(mesh, orders)
     dirichlet = DirichletMap(basis, dirichlet_part)
-    to_free = np.full(basis.dofmap.total, -1, dtype=np.int64)
+    # int32 free indices: the triplets' row and column columns inherit
+    # the type, and they are the assembly's bulk, the step's memory peak
+    to_free = np.full(basis.dofmap.total, -1, dtype=np.int32)
     to_free[dirichlet.free] = np.arange(dirichlet.n_free)
     timings["refine"] = time.perf_counter() - t
 
@@ -440,6 +443,8 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     system, _ = exchange_and_assemble(intermediates, owner,
                                       dirichlet.n_free, n_ranks)
     timings["assemble"] = time.perf_counter() - t
+    # the solve reads only the assembled operator: free the triplets
+    del intermediates
 
     t = time.perf_counter()
     u_free, iterations, history = parallel_cg(system, tol=tol)

@@ -99,14 +99,16 @@ def _optimal_interval_cut(weights, n_ranks):
                 return True
         return False
 
+    # bisect for at most 100 probes; a probe that moves neither end
+    # would be repeated by every later one, so the search stops there
     lo = float(w.max())
     hi = float(w.sum())
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid
+        bracket = (lo, mid) if fits(mid) else (mid, hi)
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
     bound = hi * (1 + 1e-12)
     ranks = np.empty(n, dtype=np.int64)
     r = 0

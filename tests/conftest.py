@@ -5,8 +5,8 @@ the same sequence.  Helpers here are deliberately small; an oracle is
 reimplemented inside the test module that needs it, unless several
 modules need it: the cell-by-cell quadrature oracles, the per-leaf
 evaluation and integration kernels, the per-element Basis oracles, the
-point-by-point leaf walk and the object-by-object entity and element
-bookkeeping live here.
+point-by-point leaf walk, the full-length interval-cut bisection and
+the object-by-object entity and element bookkeeping live here.
 """
 
 from dataclasses import dataclass
@@ -144,6 +144,53 @@ def locate_leaf_oracle(mesh, point):
             elem = int(e.child[elem]) + sel
         return elem
     return None
+
+
+# ------------------------------------------------ partition oracle
+
+
+def _scalar_fits(w, n_ranks, bound):
+    """The scalar greedy scan the cumsum probe replaced."""
+    parts = 1
+    acc = 0.0
+    for v in w:
+        if v > bound:
+            return False
+        if acc + v > bound:
+            parts += 1
+            acc = v
+            if parts > n_ranks:
+                return False
+        else:
+            acc += v
+    return True
+
+
+def interval_cut_oracle(weights, n_ranks):
+    """The bottleneck cut with all 100 bisection probes and the scalar
+    greedy probe: the library stops at the first probe that moves
+    neither end of the bracket and must cut the same."""
+    w = np.asarray(weights, dtype=float)
+    lo = float(w.max())
+    hi = float(w.sum())
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if _scalar_fits(w, n_ranks, mid):
+            hi = mid
+        else:
+            lo = mid
+    bound = hi * (1 + 1e-12)
+    ranks = np.empty(w.size, dtype=np.int64)
+    r = 0
+    acc = 0.0
+    for i, v in enumerate(w):
+        must_break = (w.size - i) == (n_ranks - r) and acc > 0.0
+        if (must_break or (acc + v > bound and acc > 0.0)) and r < n_ranks - 1:
+            r += 1
+            acc = 0.0
+        ranks[i] = r
+        acc += v
+    return ranks
 
 
 # ------------------------------------------------ quadrature oracles

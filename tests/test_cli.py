@@ -334,6 +334,18 @@ def test_scale_rejects_workers(tmp_path, capsys):
     assert not (tmp_path / "scaling.csv").exists()
 
 
+def test_scale_rejects_config_workers(tmp_path, capsys):
+    # nor does it take a worker count from a config file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"benchmark": "lshape", "res": 2,
+                               "workers": 4}))
+    code = run_cli("scale", "--config", str(cfg), "--ranks", "1,2",
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "scale runs one worker per rank" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scale_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
     def stalled(system, rhs=None, tol=1e-10, max_iter=None):
         raise SolverError("iteration limit reached", [1.0, 0.9])
@@ -367,3 +379,27 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_run_leaves_scipy_linalg_unloaded(tmp_path):
+    # only the tests' serial reference solve uses scipy.sparse.linalg:
+    # neither the import nor a whole run loads it or scipy.linalg, while
+    # the assembly's scipy.sparse is loaded with the command
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return [m for m in ('scipy.linalg', 'scipy.sparse.linalg',\n"
+        "                        'scipy.sparse') if m in sys.modules]\n"
+        "import overlayfem.cli\n"
+        "print('loaded:', *loaded())\n"
+        "code = overlayfem.cli.main(['run', 'lshape', '--res', '2', '--p',\n"
+        "    '2', '--steps', '1', '--ranks', '2', '--out', sys.argv[1]])\n"
+        "print('loaded:', *loaded())\n"
+        "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line.split()[1:] for line in proc.stdout.splitlines()
+              if line.startswith("loaded:")]
+    assert loaded == [["scipy.sparse"], ["scipy.sparse"]]
+    assert (tmp_path / "convergence.csv").exists()

@@ -50,7 +50,8 @@ def split_and_assemble(basis, dirichlet, ranks, n_ranks, dof_distribution="graph
                        source=None):
     """Test-side driver over the library's per-rank building blocks."""
     leaves = basis.mesh.active_leaf_elements()
-    to_free = np.full(basis.dofmap.total, -1, dtype=np.int64)
+    # int32 free indices, as run_step builds them
+    to_free = np.full(basis.dofmap.total, -1, dtype=np.int32)
     to_free[dirichlet.free] = np.arange(dirichlet.n_free)
 
     systems = leaf_systems(basis, source=source)
@@ -255,6 +256,44 @@ def test_exchange_conserves_merged_entries():
         basis, dirichlet, np.zeros(len(w), dtype=int), 1)
     assert solo.sent_entries == [0]
     assert solo_traffic.tolist() == [[solo.total_entries[0]]]
+
+
+def test_assembly_of_int32_triplets_near_the_last_dof():
+    # int32 rows and columns whose key row * n_free + col passes 2**31:
+    # the sums must be scipy's, so the key is formed in int64
+    n_free, n_ranks, m = 100_000, 2, 4000
+    rng = np.random.default_rng(7)
+    intermediates = []
+    for r in range(n_ranks):
+        rows = rng.integers(n_free - 40, n_free, size=m).astype(np.int32)
+        cols = rng.integers(n_free - 40, n_free, size=m).astype(np.int32)
+        # small integers sum exactly in any order
+        vals = rng.integers(1, 9, size=m).astype(float)
+        rhs_rows = rng.integers(n_free - 40, n_free, size=50).astype(np.int32)
+        intermediates.append(IntermediateSystem(
+            rank=r, rows=rows, cols=cols, vals=vals,
+            leaf_tags=rng.integers(0, 100, size=m).astype(np.int32),
+            rhs_rows=rhs_rows, rhs_vals=np.ones(50),
+            rhs_tags=rng.integers(0, 100, size=50).astype(np.int32),
+            n_leaves=100))
+    system, traffic = exchange_and_assemble(
+        intermediates, distribute_dofs_contiguous(n_free, n_ranks),
+        n_free, n_ranks)
+
+    def cat(name):
+        return np.concatenate([getattr(inter, name)
+                               for inter in intermediates])
+
+    expected = scipy.sparse.coo_matrix(
+        (cat("vals"), (cat("rows"), cat("cols"))),
+        shape=(n_free, n_free)).tocsr()
+    assert system.matrix.nnz == expected.nnz
+    assert (system.matrix != expected).nnz == 0
+    assert np.array_equal(system.rhs, np.bincount(cat("rhs_rows"),
+                                                  minlength=n_free))
+    # every merged entry lies in rows rank 1 owns
+    assert traffic[:, 0].tolist() == [0, 0]
+    assert traffic[:, 1].sum() >= expected.nnz
 
 
 # ------------------------------------------------- per-rank inbox oracle
@@ -633,21 +672,28 @@ def test_cg_custom_rhs_and_failure():
 
 def test_run_step_report_is_complete(monkeypatch):
     # the step's leaf systems are freed before the assembly, the step's
-    # memory peak: a weak reference to them is dead when it starts
-    built, entered = [], []
+    # memory peak, and its triplets before the solve: a weak reference
+    # to each is dead when the next phase starts
+    built, triplets, entered = [], [], []
 
     def build(*args):
         systems = leaf_systems(*args)
         built.append(weakref.ref(systems))
         return systems
 
-    def assemble(*args):
+    def assemble(intermediates, *args):
         entered.append(built[0]() is None)
-        return exchange_and_assemble(*args)
+        triplets.extend(weakref.ref(inter) for inter in intermediates)
+        return exchange_and_assemble(intermediates, *args)
+
+    def solve(*args, **kwargs):
+        entered.append([ref() for ref in triplets] == [None] * 3)
+        return parallel_cg(*args, **kwargs)
 
     monkeypatch.setattr("overlayfem.distributed.leaf_systems", build)
     monkeypatch.setattr("overlayfem.distributed.exchange_and_assemble",
                         assemble)
+    monkeypatch.setattr("overlayfem.distributed.parallel_cg", solve)
     mesh = Mesh(lshape_mesh_spec(2))
     exact = LShapeSolution()
     report, basis, solution = run_step(
@@ -661,7 +707,7 @@ def test_run_step_report_is_complete(monkeypatch):
     assert d["leaves"] == len(mesh.active_leaf_elements())
     assert d["dofs"] == basis.dofmap.total
     assert d["ranks"] == 3
-    assert entered == [True]
+    assert entered == [True, True]
     assert set(d["timings"]) == {
         "refine", "partition", "integrate", "dof_dist",
         "assemble", "solve", "postprocess",
@@ -682,6 +728,28 @@ def test_run_step_report_is_complete(monkeypatch):
     assert history[0][0] == 0
     assert history[-1] == [report.cg_iterations, d["residual"]]
     assert solution.shape == (basis.dofmap.total,)
+
+
+def test_rank_triplets_carry_int32_indices(monkeypatch):
+    # run_step's free indices are int32, and so are the index and tag
+    # columns of every rank's triplets, the bulk of the assembly
+    returned = []
+
+    def integrate(*args):
+        returned.append(integrate_rank_system(*args))
+        return returned[-1]
+
+    monkeypatch.setattr("overlayfem.distributed.integrate_rank_system",
+                        integrate)
+    exact = LShapeSolution()
+    run_step(Mesh(lshape_mesh_spec(2)), PolynomialOrderField(uniform=3), 2,
+             lshape_dirichlet, source=unit_source, flux=exact.flux,
+             flux_part=lshape_neumann_part)
+    assert len(returned) == 2
+    for inter in returned:
+        assert inter.rows.size > 0 and inter.rhs_rows.size > 0
+        for name in ("rows", "cols", "leaf_tags", "rhs_rows", "rhs_tags"):
+            assert getattr(inter, name).dtype == np.int32, name
 
 
 @pytest.mark.parametrize("workers", [1, 2])

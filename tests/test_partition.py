@@ -10,7 +10,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import single_patch, random_refined_mesh, random_orders
+from conftest import (single_patch, random_refined_mesh, random_orders,
+                      interval_cut_oracle)
 from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.quadrature import build_leaf_rules
 from overlayfem.partition import (
@@ -130,47 +131,6 @@ def test_hilbert_index_arrays_match_scalar_loop():
 # ------------------------------------------------------- interval cuts
 
 
-def scalar_fits(w, n_ranks, bound):
-    """The scalar greedy scan the cumsum probe replaced."""
-    parts = 1
-    acc = 0.0
-    for v in w:
-        if v > bound:
-            return False
-        if acc + v > bound:
-            parts += 1
-            acc = v
-            if parts > n_ranks:
-                return False
-        else:
-            acc += v
-    return True
-
-
-def scalar_interval_cut(weights, n_ranks):
-    w = np.asarray(weights, dtype=float)
-    lo = float(w.max())
-    hi = float(w.sum())
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if scalar_fits(w, n_ranks, mid):
-            hi = mid
-        else:
-            lo = mid
-    bound = hi * (1 + 1e-12)
-    ranks = np.empty(w.size, dtype=np.int64)
-    r = 0
-    acc = 0.0
-    for i, v in enumerate(w):
-        must_break = (w.size - i) == (n_ranks - r) and acc > 0.0
-        if (must_break or (acc + v > bound and acc > 0.0)) and r < n_ranks - 1:
-            r += 1
-            acc = 0.0
-        ranks[i] = r
-        acc += v
-    return ranks
-
-
 def test_interval_cut_matches_scalar_scan():
     # the same float additions decide every bisection step, so the cuts
     # agree exactly, also on chains with repeated and tiny weights
@@ -186,9 +146,30 @@ def test_interval_cut_matches_scalar_scan():
         else:
             weights = rng.lognormal(0.0, 2.0, size=n)
         assert np.array_equal(_optimal_interval_cut(weights, n_ranks),
-                              scalar_interval_cut(weights, n_ranks))
+                              interval_cut_oracle(weights, n_ranks))
 
 
+def test_interval_cut_matches_oracle_where_the_max_fits():
+    # when the heaviest weight is itself a feasible bound, the bisection
+    # closes onto it and stops at the first probe that moves neither
+    # end; the cut is the one the full 100 probes give
+    rng = np.random.default_rng(53)
+    chains = [(np.ones(12), 4), (np.ones(5), 5), (np.ones(3), 8),
+              (np.array([1.0, 100.0, 1.0, 1.0]), 3)]
+    for _ in range(100):
+        n = int(rng.integers(1, 20))
+        chains.append((rng.lognormal(0.0, 1.5, size=n),
+                       int(rng.integers(n, n + 4))))
+        spike = rng.uniform(0.0, 1.0, size=n)
+        spike[int(rng.integers(n))] = spike.sum() + 1.0
+        chains.append((spike, 3))
+    max_fits = 0
+    for weights, n_ranks in chains:
+        ranks = _optimal_interval_cut(weights, n_ranks)
+        assert np.array_equal(ranks, interval_cut_oracle(weights, n_ranks))
+        max_fits += bool(max(rank_weight_sums(weights, ranks, n_ranks))
+                         == weights.max())
+    assert max_fits > len(chains) // 2
 
 
 def brute_force_bottleneck(weights, n_ranks):
