@@ -6,9 +6,9 @@ from .basis import (Basis, DofMap, FieldApproximation, PolynomialOrderField,
                     integrated_legendre_deriv, interpolate_nodal)
 from .benchmarks import RunConfig, lshape_mesh_spec, run_benchmark
 from .distributed import (DistributedSystem, SolverError, StepReport,
-                          distribute_dofs_contiguous, distribute_dofs_graph,
-                          exchange_and_assemble, integrate_rank_system,
-                          parallel_cg, run_step)
+                          Triplets, distribute_dofs_contiguous,
+                          distribute_dofs_graph, exchange_and_assemble,
+                          integrate_rank_system, parallel_cg, run_step)
 from .mesh import (BaseMeshSpec, Mesh, MeshError, PatchSpec, create_base_mesh,
                    export_mesh_xml)
 from .partition import (compute_leaf_weights, hilbert_index,

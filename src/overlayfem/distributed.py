@@ -11,11 +11,18 @@ stiffness and load from it, cut leaves run the kernel,
 :func:`overlayfem.physics.integrate_leaves`, and every leaf adds its
 flux load.
 
+The step's triplets live in one store, :class:`Triplets`, allocated
+before the integrate phase: its columns are sized from each leaf's free
+dof count, rank after rank, so every rank writes its slice in place.
+When the ranks run in forked workers the store is in anonymous shared
+memory, and nothing is copied back.
+
 Assembly is one sort.  All ranks' triplets are ordered by (row, column,
 leaf tag) and summed per (row, column) into one global CSR operator; the
 rhs is summed the same way by (row, leaf tag).  Because that order does
 not involve ranks, the operator, the solver iterates and the solution are
-bit-identical whatever the rank count.
+bit-identical whatever the rank count.  Assembly frees each column of
+the store as soon as it is spent.
 
 Ranks are a ledger read off the same sort, not a second assembly.  A
 free dof belongs to one owner; the rows a rank owns are its slice of the
@@ -33,6 +40,7 @@ change with the partition either.
 from __future__ import annotations
 
 import math
+import mmap
 import time
 from dataclasses import dataclass, field
 
@@ -74,17 +82,18 @@ def distribute_dofs_contiguous(n_free, n_ranks):
     return (idx * n_ranks // n_free).astype(np.int64)
 
 
-def distribute_dofs_graph(leaf_free_dofs, leaf_ranks, n_free, n_ranks):
+def distribute_dofs_graph(free_dofs, leaf_sizes, leaf_ranks, n_free,
+                          n_ranks):
     """Majority-owner assignment of free dofs.
 
     A dof goes to the rank holding most of the leaves in its support; ties
-    go to the lower rank.  `leaf_free_dofs` lists, per active leaf in
-    pre-order, the free indices supported on that leaf.
+    go to the lower rank.  `free_dofs` lists the free indices supported on
+    each active leaf, leaf after leaf in pre-order, `leaf_sizes[i]` of them
+    on leaf i.
     """
-    sizes = [len(dofs) for dofs in leaf_free_dofs]
-    flat = np.concatenate([np.empty(0, dtype=np.int64), *leaf_free_dofs])
-    slot = np.repeat(np.asarray(leaf_ranks, dtype=np.int64), sizes) * n_free
-    counts = np.bincount(slot + flat.astype(np.int64),
+    slot = (np.repeat(np.asarray(leaf_ranks, dtype=np.int64), leaf_sizes)
+            * n_free)
+    counts = np.bincount(slot + np.asarray(free_dofs, dtype=np.int64),
                          minlength=n_ranks * n_free).reshape(n_ranks, n_free)
     if np.any(counts.sum(axis=0) == 0):
         missing = int(np.flatnonzero(counts.sum(axis=0) == 0)[0])
@@ -95,9 +104,102 @@ def distribute_dofs_graph(leaf_free_dofs, leaf_ranks, n_free, n_ranks):
 # ----------------------------------------------------------------------
 # rank-local integration
 
+_MATRIX_COLUMNS = (("rows", np.int32), ("cols", np.int32),
+                   ("vals", np.float64), ("leaf_tags", np.int32))
+_RHS_COLUMNS = (("rhs_rows", np.int32), ("rhs_vals", np.float64),
+                ("rhs_tags", np.int32))
+
+
+def _shared(size, dtype):
+    """A zeroed array in anonymous shared memory: a process forked after
+    the allocation writes into the caller's pages."""
+    if size == 0:
+        return np.empty(0, dtype=dtype)    # mmap rejects a zero length
+    return np.frombuffer(mmap.mmap(-1, size * np.dtype(dtype).itemsize),
+                         dtype=dtype)
+
+
+def _offsets(sizes):
+    return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+
+
+@dataclass
+class Triplets:
+    """A step's triplets in one set of columns, rank after rank.
+
+    Rank r's matrix entries are ``starts[r]:starts[r + 1]`` of ``rows``,
+    ``cols``, ``vals`` and ``leaf_tags``, its rhs entries
+    ``rhs_starts[r]:rhs_starts[r + 1]`` of ``rhs_rows``, ``rhs_vals`` and
+    ``rhs_tags``.  Index and tag columns are int32.
+    :func:`exchange_and_assemble` takes the columns and frees each at its
+    last use, leaving None behind.
+    """
+
+    starts: np.ndarray
+    rhs_starts: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    leaf_tags: np.ndarray
+    rhs_rows: np.ndarray
+    rhs_vals: np.ndarray
+    rhs_tags: np.ndarray
+
+    @classmethod
+    def allocate(cls, leaf_ranks, kept, loaded, n_ranks, shared):
+        """Columns for leaves with `kept` free dofs each, on ranks
+        `leaf_ranks`: a leaf emits kept x kept matrix entries and, when
+        `loaded`, kept rhs entries.  They are in shared memory when
+        `shared`, for workers forked to write them, else on the heap:
+        shared pages are new on every step and fault in as they are first
+        written, while the heap reuses the pages earlier steps freed."""
+        new = _shared if shared else np.empty
+        leaf_ranks = np.asarray(leaf_ranks, dtype=np.int64)
+        kept = np.asarray(kept, dtype=np.int64)
+
+        def per_rank(sizes):
+            return _offsets(np.bincount(leaf_ranks, sizes, n_ranks))
+
+        starts, rhs_starts = per_rank(kept * kept), per_rank(kept * loaded)
+        return cls(starts, rhs_starts,
+                   **{name: new(int(starts[-1]), dtype)
+                      for name, dtype in _MATRIX_COLUMNS},
+                   **{name: new(int(rhs_starts[-1]), dtype)
+                      for name, dtype in _RHS_COLUMNS})
+
+    @classmethod
+    def from_ranks(cls, systems):
+        """A store of rank systems made elsewhere, one per rank in rank
+        order: one concatenate per column."""
+        def cat(name, dtype):
+            return np.concatenate([getattr(s, name) for s in systems],
+                                  dtype=dtype)
+
+        return cls(_offsets([s.rows.size for s in systems]),
+                   _offsets([s.rhs_rows.size for s in systems]),
+                   **{name: cat(name, dtype)
+                      for name, dtype in _MATRIX_COLUMNS + _RHS_COLUMNS})
+
+    def rank_columns(self, rank):
+        """Rank `rank`'s slice of every column, as views."""
+        a, b = self.starts[rank:rank + 2]
+        c, d = self.rhs_starts[rank:rank + 2]
+        return {**{name: getattr(self, name)[a:b]
+                   for name, _ in _MATRIX_COLUMNS},
+                **{name: getattr(self, name)[c:d]
+                   for name, _ in _RHS_COLUMNS}}
+
+    def take(self, name):
+        """Column `name`, which the store no longer holds."""
+        column = getattr(self, name)
+        setattr(self, name, None)
+        return column
+
+
 @dataclass
 class IntermediateSystem:
-    """One rank's raw triplets before ownership exchange."""
+    """One rank's raw triplets before ownership exchange: views of its
+    slice of a :class:`Triplets` store."""
 
     rank: int
     rows: np.ndarray
@@ -112,17 +214,22 @@ class IntermediateSystem:
 
 
 def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
-                          systems):
+                          systems, store=None):
     """Integrate exactly the given leaves into free-index triplets, leaf
     after leaf: K and f from the step's
     :class:`~overlayfem.physics.LeafSystems` or, for a cut leaf, from
     :func:`overlayfem.physics.integrate_leaves`, plus its flux load.
+
+    The triplets are written into rank `rank`'s slice of `store`, a
+    :class:`Triplets` sized for these leaves, or without one into a store
+    of this rank alone.  Returns the rank's :class:`IntermediateSystem`.
     """
     start = time.perf_counter()
     # active leaves are the Basis's first table rows, in pre-order
     pos = basis.row_of[np.asarray(leaf_ids, dtype=np.int64)]
     leaf_tags = np.asarray(leaf_tags, dtype=np.int32)
     sig, load = systems.signature[pos], systems.load[pos]
+    loaded = systems.loaded(pos)
     Ks = [systems.stiffness[k] if k >= 0 else None for k in sig.tolist()]
     fs = [systems.loads[k] if k >= 0 else None for k in load.tolist()]
     # cut leaves through the kernel
@@ -136,29 +243,49 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
         if fl is not None:
             fs[j] = fl if fs[j] is None else fs[j] + fl
 
-    # the triplets leaf after leaf, row-major over each leaf's K: a leaf
-    # with n dofs repeats each dof n times as a row and its dofs n times
-    # as columns; an entry is kept when both are free
+    # a leaf with n dofs, kept of them free, emits its K at the free dofs,
+    # kept x kept entries row-major, and when loaded its f at them
     n = basis.mode_counts[pos]
     fidx = to_free[basis.dofs[_ranges(basis.dof_offsets[pos], n)]]
-    per_dof = np.repeat(n, n)
-    rows = np.repeat(fidx, per_dof)
-    cols = fidx[_ranges(np.repeat(np.cumsum(n) - n, n), per_dof)]
-    keep = (rows >= 0) & (cols >= 0)
-    loaded = np.repeat([f is not None for f in fs], n).astype(bool)
-    rhs_rows = fidx[loaded]
-    kept = rhs_rows >= 0
-
-    def cat(parts):
-        return np.concatenate([p.ravel() for p in parts if p is not None]
-                              + [np.empty(0)])
+    free = fidx >= 0
+    kept = np.bincount(np.repeat(np.arange(pos.size), n)[free],
+                       minlength=pos.size)
+    if store is None:
+        store = Triplets.allocate(np.full(pos.size, rank), kept, loaded,
+                                  rank + 1, shared=False)
+    out = store.rank_columns(rank)
+    ffree = fidx[free].astype(np.int32, copy=False)
+    per_row = np.repeat(kept, kept)
+    # entry e's column is free dof col[e] of the rank, in leaf order.
+    # The gathers below index in range by construction: mode "clip"
+    # writes straight into the slice, where "raise" would buffer it
+    col = _ranges(np.repeat(np.cumsum(kept) - kept, kept), per_row)
+    out["rows"][:] = np.repeat(ffree, per_row)
+    np.take(ffree, col, out=out["cols"], mode="clip")
+    out["leaf_tags"][:] = np.repeat(leaf_tags, kept * kept)
+    # K entries are gathered from the rank's distinct Ks in one table,
+    # one per signature and one per cut leaf: entry (a, b) of a leaf's K
+    # is table[base + a * n + b], a and b its free dofs' local indices
+    key = np.where(sig >= 0, sig, -1 - np.arange(sig.size))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    size = n[first] ** 2
+    base = (np.cumsum(size) - size)[inverse]
+    table = np.concatenate([Ks[j].ravel() for j in first.tolist()]
+                           + [np.empty(0)])
+    local = (np.arange(free.size) - np.repeat(np.cumsum(n) - n, n))[free]
+    entry = local[col]
+    entry += np.repeat(np.repeat(base, kept) + local * np.repeat(n, kept),
+                       per_row)
+    np.take(table, entry, out=out["vals"], mode="clip")
+    rhs_dofs = np.repeat(loaded, n)
+    np.compress(rhs_dofs & free, fidx, out=out["rhs_rows"])
+    np.compress(rhs_dofs & free, np.repeat(leaf_tags, n), out=out["rhs_tags"])
+    np.compress(free[rhs_dofs], np.concatenate(
+        [fs[j] for j in np.flatnonzero(loaded).tolist()] + [np.empty(0)]),
+        out=out["rhs_vals"])
 
     return IntermediateSystem(
-        rank=rank, rows=rows[keep], cols=cols[keep], vals=cat(Ks)[keep],
-        leaf_tags=np.repeat(leaf_tags, n * n)[keep],
-        rhs_rows=rhs_rows[kept], rhs_vals=cat(fs)[kept],
-        rhs_tags=np.repeat(leaf_tags, n)[loaded][kept],
-        n_leaves=len(leaf_ids),
+        rank=rank, **out, n_leaves=len(leaf_ids),
         seconds=time.perf_counter() - start,
     )
 
@@ -192,36 +319,45 @@ def _run_starts(keys):
     return new
 
 
-def exchange_and_assemble(intermediates, owner, n_free, n_ranks):
+def exchange_and_assemble(triplets, owner, n_free, n_ranks):
     """Sum every rank's triplets into one operator and count the traffic.
 
-    Returns (system, traffic), where traffic[s, d] is the number of merged
-    (row, column) entries rank s integrated in rows rank d owns.
+    `triplets` is the step's :class:`Triplets` store; the assembly takes
+    its columns and frees each at its last use.  Returns (system,
+    traffic), where traffic[s, d] is the number of merged (row, column)
+    entries rank s integrated in rows rank d owns.
     """
-    # the triplet arrays are a step's largest: each temporary is freed
-    # as soon as it is spent.  Their index columns may be int32; the key
-    # row * n_free + col is formed in int64, where it cannot overflow
+    # the store is a step's largest value: each column and temporary is
+    # freed as soon as it is spent.  The key row * n_free + col is formed
+    # in int64, where it cannot overflow
     owner = np.asarray(owner)
-    sizes = [inter.rows.size for inter in intermediates]
-    keys = np.concatenate([inter.rows.astype(np.int64) * n_free + inter.cols
-                           for inter in intermediates])
-    order = np.lexsort((np.concatenate([inter.leaf_tags
-                                        for inter in intermediates]), keys))
+    keys = triplets.take("rows").astype(np.int64)
+    keys *= n_free
+    keys += triplets.take("cols")
+    order = np.lexsort((triplets.take("leaf_tags"), keys))
     keys = keys[order]
-    vals = np.concatenate([inter.vals for inter in intermediates])[order]
+    vals = triplets.take("vals")[order]
     src = np.repeat(np.arange(n_ranks, dtype=np.min_scalar_type(n_ranks)),
-                    sizes)[order]
+                    np.diff(triplets.starts))[order]
     del order
     new = _run_starts(keys)
     starts = np.flatnonzero(new)
+    keys = keys[starts]
     data = np.add.reduceat(vals, starts)
-    del vals
-    rows, cols = np.divmod(keys[starts], n_free)
-    del keys, starts
+    del vals, starts
+    # row i's merged entries are the keys in [i * n_free, (i + 1) * n_free)
+    indptr = np.searchsorted(keys, np.arange(n_free + 1, dtype=np.int64)
+                             * n_free)
+    per_row = np.diff(indptr)
+    keys -= np.repeat(np.arange(n_free, dtype=np.int64) * n_free, per_row)
+    cols = keys.astype(np.int32)
+    del keys
+    row_owner = np.repeat(owner, per_row)
 
     # ledger: integrated[e, s] is True when rank s integrated merged entry e
-    slot = np.cumsum(new)
+    slot = new.astype(np.int64)
     del new
+    np.cumsum(slot, out=slot)
     slot -= 1
     slot *= n_ranks
     slot += src
@@ -230,7 +366,6 @@ def exchange_and_assemble(intermediates, owner, n_free, n_ranks):
     integrated[slot] = True
     del slot
     integrated = integrated.reshape(data.size, n_ranks)
-    row_owner = owner[rows]
     traffic = np.stack([np.bincount(row_owner[integrated[:, s]],
                                     minlength=n_ranks)
                         for s in range(n_ranks)])
@@ -243,21 +378,16 @@ def exchange_and_assemble(intermediates, owner, n_free, n_ranks):
     halo[row_owner[off], cols[off]] = True
     del row_owner, off
 
-    indptr = np.zeros(n_free + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_free), out=indptr[1:])
     matrix = scipy.sparse.csr_matrix((data, cols, indptr),
                                      shape=(n_free, n_free))
 
-    rhs_rows = np.concatenate([inter.rhs_rows for inter in intermediates])
-    order = np.lexsort((np.concatenate([inter.rhs_tags
-                                        for inter in intermediates]),
-                        rhs_rows))
+    rhs_rows = triplets.take("rhs_rows")
+    order = np.lexsort((triplets.take("rhs_tags"), rhs_rows))
     rhs_rows = rhs_rows[order]
     starts = np.flatnonzero(_run_starts(rhs_rows))
     rhs = np.zeros(n_free)
     rhs[rhs_rows[starts]] = np.add.reduceat(
-        np.concatenate([inter.rhs_vals for inter in intermediates])[order],
-        starts)
+        triplets.take("rhs_vals")[order], starts)
 
     return DistributedSystem(
         n_free=n_free, n_ranks=n_ranks, owner=owner,
@@ -415,24 +545,29 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
 
     t = time.perf_counter()
     systems = leaf_systems(basis, domain, depth, source, flux, flux_part)
-    intermediates = _integrate_all(basis, to_free, leaves, ranks, n_ranks,
-                                   systems, workers)
+    timings["leaf_systems"] = time.perf_counter() - t
+
+    t = time.perf_counter()
+    # the free dofs of each leaf, read off the Basis's leaf-dof table, and
+    # their count, which sizes the leaf's triplets in the step's store
+    n_leaves = len(leaves)
+    free = to_free[basis.dofs[:basis.dof_offsets[n_leaves]]]
+    is_free = free >= 0
+    free = free[is_free]
+    kept = np.bincount(np.repeat(np.arange(n_leaves),
+                                 basis.mode_counts[:n_leaves])[is_free],
+                       minlength=n_leaves)
+    store, rank_seconds = _integrate_all(basis, to_free, leaves, ranks, kept,
+                                         n_ranks, systems, workers)
     timings["integrate"] = time.perf_counter() - t
-    rank_seconds = [inter.seconds for inter in intermediates]
     # nothing reads the step's leaf systems again: free them before
     # assembly, the step's memory peak
     del systems
 
     t = time.perf_counter()
     if dof_distribution == "graph":
-        # the free dofs of each leaf, read off the Basis's leaf-dof table
-        free = to_free[basis.dofs[:basis.dof_offsets[len(leaves)]]]
-        kept = np.bincount(np.repeat(np.arange(len(leaves)),
-                                     basis.mode_counts[:len(leaves)])[free >= 0],
-                           minlength=len(leaves))
-        leaf_free_dofs = np.split(free[free >= 0], np.cumsum(kept)[:-1])
-        owner = distribute_dofs_graph(leaf_free_dofs, ranks,
-                                      dirichlet.n_free, n_ranks)
+        owner = distribute_dofs_graph(free, kept, ranks, dirichlet.n_free,
+                                      n_ranks)
     elif dof_distribution == "contiguous":
         owner = distribute_dofs_contiguous(dirichlet.n_free, n_ranks)
     else:
@@ -440,11 +575,10 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     timings["dof_dist"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    system, _ = exchange_and_assemble(intermediates, owner,
-                                      dirichlet.n_free, n_ranks)
+    # the assembly frees the store's columns as it spends them
+    system, _ = exchange_and_assemble(store, owner, dirichlet.n_free,
+                                      n_ranks)
     timings["assemble"] = time.perf_counter() - t
-    # the solve reads only the assembled operator: free the triplets
-    del intermediates
 
     t = time.perf_counter()
     u_free, iterations, history = parallel_cg(system, tol=tol)
@@ -494,28 +628,43 @@ def pearson_r(a, b):
 _POOL_STATE = {}
 
 
-def _pool_init(basis, to_free, systems):
-    _POOL_STATE["args"] = (basis, to_free, systems)
+def _pool_init(basis, to_free, systems, store):
+    _POOL_STATE["args"] = (basis, to_free, systems, store)
 
 
 def _pool_task(chunk):
-    basis, to_free, systems = _POOL_STATE["args"]
-    return integrate_rank_system(basis, to_free, *chunk, systems)
+    basis, to_free, systems, store = _POOL_STATE["args"]
+    inter = integrate_rank_system(basis, to_free, *chunk, systems, store)
+    # the triplets are in the parent's pages: only the timing goes back
+    return inter.rank, inter.n_leaves, inter.seconds
 
 
-def _integrate_all(basis, to_free, leaves, ranks, n_ranks, systems, workers):
+def _integrate_all(basis, to_free, leaves, ranks, kept, n_ranks, systems,
+                   workers):
+    """The step's :class:`Triplets`, every rank's slice written, and the
+    ranks' integration seconds; leaf i has kept[i] free dofs."""
+    # a fork pool starts all its processes at once: no more than ranks
+    workers = min(workers or 1, n_ranks)
+    loaded = systems.loaded(np.arange(len(leaves)))
+    store = Triplets.allocate(ranks, kept, loaded, n_ranks,
+                              shared=workers > 1)
     # one (leaf ids, leaf tags, rank) chunk per rank
     chunks = []
     for r in range(n_ranks):
         idx = np.flatnonzero(np.asarray(ranks) == r)
         chunks.append((leaves[idx], idx, r))
-    # a fork pool starts all its processes at once: no more than chunks
-    workers = min(workers or 1, n_ranks)
     if workers <= 1:
-        return [integrate_rank_system(basis, to_free, *chunk, systems)
-                for chunk in chunks]
+        return store, [integrate_rank_system(basis, to_free, *chunk, systems,
+                                             store).seconds
+                       for chunk in chunks]
     import concurrent.futures
+    import multiprocessing
+    # forked workers inherit the store's shared pages and write into them;
+    # a spawned or forkserver worker would get a pickled copy instead, and
+    # its writes would be lost
+    fork = multiprocessing.get_context("fork")
     with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init,
-            initargs=(basis, to_free, systems)) as pool:
-        return list(pool.map(_pool_task, chunks))
+            max_workers=workers, mp_context=fork, initializer=_pool_init,
+            initargs=(basis, to_free, systems, store)) as pool:
+        return store, [seconds
+                       for _, _, seconds in pool.map(_pool_task, chunks)]

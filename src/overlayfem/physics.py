@@ -136,6 +136,17 @@ class LeafSystems:
     loads: list
     flux_loads: dict
 
+    def loaded(self, rows):
+        """Mask of the leaves at Basis rows `rows` that carry a load: a
+        source load, single-cell or cut, or a flux load."""
+        rows = np.asarray(rows, dtype=np.int64)
+        out = self.load[rows] >= 0
+        if self.source is not None:
+            out |= self.signature[rows] < 0
+        if self.flux_loads:
+            out |= np.isin(rows, list(self.flux_loads))
+        return out
+
 
 def leaf_systems(basis, domain=None, depth=0, source=None, flux=None,
                  flux_part=None):

@@ -390,7 +390,7 @@ def leaf_rule_table(basis, domain, depth=0):
     """``build_leaf_rules`` of the active leaves in an embedded domain,
     built once per Basis and kept in ``basis.leaf_rules`` under (depth,
     domain).  The domain compares by value, so an equal domain reads the
-    entry, also in a worker that unpickled the Basis."""
+    entry, also in a worker that inherited the Basis."""
     key = (depth, domain)
     table = basis.leaf_rules.get(key)
     if table is None:

@@ -30,7 +30,7 @@ from overlayfem.partition import (
     weighted_imbalance,
 )
 from overlayfem.distributed import (
-    distribute_dofs_contiguous, distribute_dofs_graph,
+    Triplets, distribute_dofs_contiguous, distribute_dofs_graph,
     exchange_and_assemble, integrate_rank_system, run_step,
 )
 from overlayfem.benchmarks import (
@@ -171,11 +171,13 @@ def test_criterion_03_distributed_assembly_matches_serial():
         leaf_free = [to_free[basis.leaf_dofs(leaf)] for leaf in leaves]
         leaf_free = [d[d >= 0] for d in leaf_free]
         if distributions[case % len(distributions)] == "graph":
-            owner = distribute_dofs_graph(leaf_free, ranks, dirichlet.n_free, n_ranks)
+            owner = distribute_dofs_graph(
+                np.concatenate(leaf_free), [len(d) for d in leaf_free],
+                ranks, dirichlet.n_free, n_ranks)
         else:
             owner = distribute_dofs_contiguous(dirichlet.n_free, n_ranks)
-        system, _ = exchange_and_assemble(intermediates, owner,
-                                          dirichlet.n_free, n_ranks)
+        system, _ = exchange_and_assemble(Triplets.from_ranks(intermediates),
+                                          owner, dirichlet.n_free, n_ranks)
 
         K, f = assemble_serial(basis, source=bumpy_source)
         K_ff, f_f = dirichlet.reduce(K, f)
@@ -214,7 +216,9 @@ def test_criterion_04_majority_ownership_matches_oracle():
         leaf_free = [to_free[basis.leaf_dofs(leaf)] for leaf in leaves]
         leaf_free = [d[d >= 0] for d in leaf_free]
 
-        owner = distribute_dofs_graph(leaf_free, ranks, dirichlet.n_free, n_ranks)
+        owner = distribute_dofs_graph(
+            np.concatenate(leaf_free), [len(d) for d in leaf_free], ranks,
+            dirichlet.n_free, n_ranks)
 
         # exhaustive oracle: tally touches per free dof, majority wins,
         # ties go to the lower rank

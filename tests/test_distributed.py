@@ -9,7 +9,9 @@ not depend on the rank count at all.
 import concurrent.futures
 import json
 import pickle
+import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from overlayfem.quadrature import (Disk, EmbeddedDomain, leaf_rule,
 from overlayfem.partition import (partition_contiguous, partition_leaves,
                                   compute_leaf_weights)
 from overlayfem.distributed import (
-    SolverError, distribute_dofs_contiguous, distribute_dofs_graph,
+    SolverError, Triplets, distribute_dofs_contiguous, distribute_dofs_graph,
     IntermediateSystem, integrate_rank_system, exchange_and_assemble,
     parallel_cg, pearson_r, run_step, thin_history,
 )
@@ -44,6 +46,13 @@ def on_square_boundary(p):
 
 def bumpy_source(pts):
     return 1.0 + pts[:, 0] * np.sin(3.0 * pts[:, 1])
+
+
+def flat_free(leaf_free):
+    """Per-leaf free dof lists as distribute_dofs_graph takes them: one
+    flat column and the count of each leaf."""
+    return (np.concatenate([np.empty(0, dtype=np.int64), *leaf_free]),
+            [len(dofs) for dofs in leaf_free])
 
 
 def split_and_assemble(basis, dirichlet, ranks, n_ranks, dof_distribution="graph",
@@ -67,11 +76,12 @@ def split_and_assemble(basis, dirichlet, ranks, n_ranks, dof_distribution="graph
     leaf_free = [to_free[basis.leaf_dofs(leaf)] for leaf in leaves]
     leaf_free = [d[d >= 0] for d in leaf_free]
     if dof_distribution == "graph":
-        owner = distribute_dofs_graph(leaf_free, ranks, dirichlet.n_free, n_ranks)
+        owner = distribute_dofs_graph(*flat_free(leaf_free), ranks,
+                                      dirichlet.n_free, n_ranks)
     else:
         owner = distribute_dofs_contiguous(dirichlet.n_free, n_ranks)
-    system, traffic = exchange_and_assemble(intermediates, owner,
-                                            dirichlet.n_free, n_ranks)
+    system, traffic = exchange_and_assemble(Triplets.from_ranks(intermediates),
+                                            owner, dirichlet.n_free, n_ranks)
     return system, traffic, intermediates, owner
 
 
@@ -159,7 +169,8 @@ def test_majority_owner_matches_bruteforce():
             if v >= 0)), dtype=np.int64)
             for leaf in mesh.active_leaf_elements()]
 
-        got = distribute_dofs_graph(leaf_free, ranks, dirichlet.n_free, n_ranks)
+        got = distribute_dofs_graph(*flat_free(leaf_free), ranks,
+                                    dirichlet.n_free, n_ranks)
         want = brute_force_owner(leaf_free, ranks, dirichlet.n_free, n_ranks)
         assert np.array_equal(got, want)
 
@@ -172,7 +183,8 @@ def test_majority_owner_tie_goes_to_lower_rank():
     to_free = np.arange(basis.dofmap.total)
     leaves = mesh.active_leaf_elements()
     leaf_free = [to_free[basis.leaf_dofs(leaf)] for leaf in leaves]
-    owner = distribute_dofs_graph(leaf_free, np.array([1, 0]), basis.dofmap.total, 2)
+    owner = distribute_dofs_graph(*flat_free(leaf_free), np.array([1, 0]),
+                                  basis.dofmap.total, 2)
 
     shared = np.intersect1d(leaf_free[0], leaf_free[1])
     only_left = np.setdiff1d(leaf_free[0], shared)
@@ -201,7 +213,7 @@ def test_ownership_partitions_free_dofs():
 
 def test_missing_support_is_rejected():
     with pytest.raises(ValueError):
-        distribute_dofs_graph([np.array([0, 1])], [0], n_free=3, n_ranks=2)
+        distribute_dofs_graph(np.array([0, 1]), [2], [0], n_free=3, n_ranks=2)
 
 
 def test_contiguous_dof_blocks():
@@ -277,8 +289,8 @@ def test_assembly_of_int32_triplets_near_the_last_dof():
             rhs_tags=rng.integers(0, 100, size=50).astype(np.int32),
             n_leaves=100))
     system, traffic = exchange_and_assemble(
-        intermediates, distribute_dofs_contiguous(n_free, n_ranks),
-        n_free, n_ranks)
+        Triplets.from_ranks(intermediates),
+        distribute_dofs_contiguous(n_free, n_ranks), n_free, n_ranks)
 
     def cat(name):
         return np.concatenate([getattr(inter, name)
@@ -553,8 +565,8 @@ def assemble_with(integrate, basis, dirichlet, ranks, n_ranks):
         mine = np.flatnonzero(ranks == r)
         inters.append(integrate(basis, to_free, leaves[mine], mine, r))
     owner = distribute_dofs_contiguous(dirichlet.n_free, n_ranks)
-    system, traffic = exchange_and_assemble(inters, owner, dirichlet.n_free,
-                                            n_ranks)
+    system, traffic = exchange_and_assemble(Triplets.from_ranks(inters), owner,
+                                            dirichlet.n_free, n_ranks)
     return system, traffic, inters
 
 
@@ -670,24 +682,29 @@ def test_cg_custom_rhs_and_failure():
 # ------------------------------------------------------------- run_step
 
 
+STORE_COLUMNS = ("rows", "cols", "vals", "leaf_tags", "rhs_rows", "rhs_vals",
+                 "rhs_tags")
+
+
 def test_run_step_report_is_complete(monkeypatch):
     # the step's leaf systems are freed before the assembly, the step's
-    # memory peak, and its triplets before the solve: a weak reference
-    # to each is dead when the next phase starts
-    built, triplets, entered = [], [], []
+    # memory peak, and every column of its triplet store before the
+    # solve: a weak reference to each is dead when the next phase starts
+    built, columns, entered = [], [], []
 
     def build(*args):
         systems = leaf_systems(*args)
         built.append(weakref.ref(systems))
         return systems
 
-    def assemble(intermediates, *args):
+    def assemble(store, *args):
         entered.append(built[0]() is None)
-        triplets.extend(weakref.ref(inter) for inter in intermediates)
-        return exchange_and_assemble(intermediates, *args)
+        columns.extend(weakref.ref(getattr(store, name))
+                       for name in STORE_COLUMNS)
+        return exchange_and_assemble(store, *args)
 
     def solve(*args, **kwargs):
-        entered.append([ref() for ref in triplets] == [None] * 3)
+        entered.append([ref() for ref in columns] == [None] * 7)
         return parallel_cg(*args, **kwargs)
 
     monkeypatch.setattr("overlayfem.distributed.leaf_systems", build)
@@ -709,7 +726,7 @@ def test_run_step_report_is_complete(monkeypatch):
     assert d["ranks"] == 3
     assert entered == [True, True]
     assert set(d["timings"]) == {
-        "refine", "partition", "integrate", "dof_dist",
+        "refine", "partition", "leaf_systems", "integrate", "dof_dist",
         "assemble", "solve", "postprocess",
     }
     assert all(v >= 0 for v in d["timings"].values())
@@ -811,15 +828,18 @@ def test_run_step_worker_pool_matches_inline():
 @pytest.fixture
 def pools(monkeypatch):
     """Replace the worker pool with a stand-in that maps inline, so no
-    process is started.  It runs the initializer on a pickled copy of its
-    arguments, as a spawned worker receives them, and records each pool's
-    (max_workers, initargs) in the returned list."""
-    made = []
+    process is started.  As forked workers do, it runs the initializer on
+    the arguments themselves, inherited rather than pickled, and sends
+    every task and result through pickle, as the pipe does.  It records
+    each pool's (max_workers, start method, initargs) in `pools.made` and
+    every pickled result in `pools.results`."""
+    made, results = [], []
 
     class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
-            made.append((max_workers, initargs))
-            initializer(*pickle.loads(pickle.dumps(initargs)))
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            made.append((max_workers, mp_context.get_start_method(),
+                         initargs))
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -828,12 +848,15 @@ def pools(monkeypatch):
             return False
 
         def map(self, fn, items):
-            return list(map(fn, items))
+            for item in items:
+                results.append(pickle.dumps(fn(pickle.loads(
+                    pickle.dumps(item)))))
+                yield pickle.loads(results[-1])
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
     monkeypatch.setattr("overlayfem.distributed._POOL_STATE", {})
-    return made
+    return SimpleNamespace(made=made, results=results)
 
 
 def test_worker_pool_has_no_more_processes_than_ranks(pools):
@@ -847,7 +870,7 @@ def test_worker_pool_has_no_more_processes_than_ranks(pools):
                 n_ranks, lshape_dirichlet, source=unit_source, workers=w)
             solutions.append(solution)
         assert np.array_equal(solutions[0], solutions[1])
-    assert [size for size, _ in pools] == [3]
+    assert [made[:2] for made in pools.made] == [(3, "fork")]
 
 
 def test_workers_receive_the_step_systems(pools, monkeypatch):
@@ -879,15 +902,116 @@ def test_workers_receive_the_step_systems(pools, monkeypatch):
             solutions.append(solution)
         assert np.array_equal(solutions[0], solutions[1])
     # one build per run_step; the 2-worker steps' pools received theirs
-    assert len(built) == 4 and len(pools) == 2
+    assert len(built) == 4 and len(pools.made) == 2
     assert all(args[2] is systems
-               for (_, args), systems in zip(pools, built[1::2]))
+               for (_, _, args), systems in zip(pools.made, built[1::2]))
     for systems in built:
         arrays = systems.stiffness + systems.loads + list(
             systems.flux_loads.values())
         assert all(not a.flags.writeable for a in arrays)
     assert built[0].flux_loads and built[0].loads
     assert np.any(built[2].signature < 0)
+
+
+def test_worker_results_carry_no_triplets(pools):
+    # the ranks write into the store the workers inherit: what a worker
+    # sends back through the pipe is its rank, leaf count and seconds
+    report, _, _ = run_step(Mesh(lshape_mesh_spec(4)),
+                            PolynomialOrderField(uniform=3), 3,
+                            lshape_dirichlet, source=unit_source, workers=2)
+    assert len(pools.results) == 3
+    assert all(len(sent) < 1024 for sent in pools.results)
+    for r, sent in enumerate(pools.results):
+        rank, n_leaves, seconds = pickle.loads(sent)
+        assert (rank, n_leaves) == (r, report.per_rank[r]["leaf_count"])
+        assert seconds == report.per_rank[r]["integrate_s"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_rank_writes_exactly_its_slice(monkeypatch, workers):
+    # the store is prefilled with NaN and -1: after the integrate phase,
+    # inline or in forked workers, the parent reads no fill value, and each
+    # rank's slice holds sum(kept**2) matrix entries, kept a leaf's free
+    # dof count, and sum(kept) rhs entries over its loaded leaves
+    allocate, checked = Triplets.allocate, []
+
+    def prefilled(*args, **kwargs):
+        store = allocate(*args, **kwargs)
+        for name in STORE_COLUMNS:
+            column = getattr(store, name)
+            column[:] = np.nan if column.dtype.kind == "f" else -1
+        return store
+
+    def integrate(basis, to_free, leaf_ids, leaf_tags, rank, systems,
+                  store):
+        inter = integrate_rank_system(basis, to_free, leaf_ids, leaf_tags,
+                                      rank, systems, store)
+        kept = np.array([np.count_nonzero(to_free[basis.leaf_dofs(leaf)]
+                                          >= 0) for leaf in leaf_ids], int)
+        loaded = systems.loaded(basis.row_of[leaf_ids])
+        assert inter.rows.size == np.sum(kept ** 2)
+        assert inter.rhs_rows.size == np.sum(kept[loaded])
+        assert inter.rows.base is store.rows       # a view of its slice
+        return inter
+
+    def assemble(store, *args):
+        for name in STORE_COLUMNS:
+            column = getattr(store, name)
+            assert not np.any(np.isnan(column) if column.dtype.kind == "f"
+                              else column < 0), name
+        checked.append(np.diff(store.starts).sum() == store.rows.size)
+        return exchange_and_assemble(store, *args)
+
+    monkeypatch.setattr(Triplets, "allocate", prefilled)
+    monkeypatch.setattr("overlayfem.distributed.integrate_rank_system",
+                        integrate)
+    monkeypatch.setattr("overlayfem.distributed.exchange_and_assemble",
+                        assemble)
+    exact = LShapeSolution()
+    disk = EmbeddedDomain(Disk((0.0, 0.0), 0.8), epsilon=1e-8)
+    # boundary leaves keep part of their dofs; flux loads reach only
+    # some leaves; cut leaves come from the kernel
+    run_step(Mesh(lshape_mesh_spec(3)), PolynomialOrderField(uniform=3), 3,
+             lshape_dirichlet, flux=exact.flux,
+             flux_part=lshape_neumann_part, workers=workers)
+    run_step(interface_refined(4, disk, 1), PolynomialOrderField(uniform=2),
+             3, fcm_disk_dirichlet, domain=disk, depth=3,
+             source=unit_source, workers=workers)
+    assert checked == [True, True]
+
+
+def test_assembly_allocates_less_than_the_store():
+    # the assembly takes the store's columns and frees each once spent:
+    # its allocations above its entry stay below the store's bytes.  The
+    # store is built here under tracemalloc, so its frees are counted; a
+    # run's shared store is outside tracemalloc's view but unmapped at
+    # the same points
+    mesh = Mesh(lshape_mesh_spec(8))
+    basis = Basis(mesh, PolynomialOrderField(uniform=4))
+    dirichlet = DirichletMap(basis, lshape_dirichlet)
+    exact = LShapeSolution()
+    systems = leaf_systems(basis, source=unit_source, flux=exact.flux,
+                           flux_part=lshape_neumann_part)
+    to_free = np.full(basis.dofmap.total, -1, dtype=np.int32)
+    to_free[dirichlet.free] = np.arange(dirichlet.n_free)
+    leaves = mesh.active_leaf_elements()
+    ranks = partition_leaves("sfc", mesh, basis, compute_leaf_weights(basis),
+                             4)
+    owner = distribute_dofs_contiguous(dirichlet.n_free, 4)
+    tracemalloc.start()
+    try:
+        store = Triplets.from_ranks([integrate_rank_system(
+            basis, to_free, leaves[ranks == r], np.flatnonzero(ranks == r),
+            r, systems) for r in range(4)])
+        nbytes = sum(getattr(store, name).nbytes for name in STORE_COLUMNS)
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        exchange_and_assemble(store, owner, dirichlet.n_free, 4)
+        above = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert all(getattr(store, name) is None for name in STORE_COLUMNS)
+    assert above <= 1.0 * nbytes, above / nbytes
 
 
 def test_run_step_rejects_unknown_dof_distribution():
