@@ -3,34 +3,41 @@
 The runtime is deterministic and in-process: "ranks" are index sets of
 active leaves, produced by any partitioner from :mod:`overlayfem.partition`.
 Each rank integrates exactly its own leaves (no element is ever touched by
-two ranks) into tagged triplets, one tag per source leaf.  The step builds
-its leaf systems, :func:`overlayfem.physics.leaf_systems`, once before
-the integrate phase fans out and hands the value to every rank, inline
-or in a worker process: leaves with a single-cell rule take their
-stiffness and load from it, cut leaves run the kernel,
+two ranks) into triplets.  The step builds its leaf systems,
+:func:`overlayfem.physics.leaf_systems`, once before the integrate phase
+fans out and hands the value to every rank, inline or in a worker
+process: leaves with a single-cell rule take their stiffness and load
+from it, cut leaves run the kernel,
 :func:`overlayfem.physics.integrate_leaves`, and every leaf adds its
 flux load.
 
 The step's triplets live in one store, :class:`Triplets`, allocated
-before the integrate phase: its columns are sized from each leaf's free
-dof count, rank after rank, so every rank writes its slice in place.
-When the ranks run in forked workers the store is in anonymous shared
-memory, and nothing is copied back.
+before the integrate phase and laid out in leaf pre-order: each leaf's
+block sits at an offset fixed by the free dof counts of the leaves
+before it, so every rank writes its leaves' blocks in place and the
+store's bytes do not depend on the partition.  When the ranks run in
+forked workers the store is in anonymous shared memory, and nothing is
+copied back.
 
-Assembly is one sort.  All ranks' triplets are ordered by (row, column,
-leaf tag) and summed per (row, column) into one global CSR operator; the
-rhs is summed the same way by (row, leaf tag).  Because that order does
-not involve ranks, the operator, the solver iterates and the solution are
-bit-identical whatever the rank count.  Assembly frees each column of
-the store as soon as it is spent.
+Assembly is one sort.  Each triplet's key row * n_free + col is packed
+with its store position into one int64 and sorted in place, which orders
+the triplets by (row, column) and, within an entry, by leaf.  The
+triplets are summed per (row, column) into one global CSR operator, and
+the rhs is summed the same way by (row, leaf).  Because that order does
+not involve ranks, the operator, the solver iterates and the solution
+are bit-identical whatever the rank count.  Assembly frees each column
+of the store as soon as it is spent.
 
-Ranks are a ledger read off the same sort, not a second assembly.  A
-free dof belongs to one owner; the rows a rank owns are its slice of the
-operator.  Communication volume counts merged (row, column) entries, the
+Ranks are a ledger, not a second assembly.  A free dof belongs to one
+owner; the rows a rank owns are its slice of the operator.
+Communication volume counts merged (row, column) entries, the
 granularity a real message would have after local compression: a merged
 entry that rank s integrated in a row rank d owns is one entry s ships to
 d (kept at home when s == d).  Halo columns are the off-rank columns that
-appear in a rank's owned rows.
+appear in a rank's owned rows.  Both are counted from the leaf-dof
+incidence the store carries: a leaf on rank s gives each of its rows one
+triplet per free dof, less each rank's repeat contributions to one
+merged entry, which the sort has put side by side.
 
 The conjugate-gradient solver runs on the one operator: one matrix-vector
 product and one Jacobi scaling per iteration, and inner products in
@@ -104,10 +111,8 @@ def distribute_dofs_graph(free_dofs, leaf_sizes, leaf_ranks, n_free,
 # ----------------------------------------------------------------------
 # rank-local integration
 
-_MATRIX_COLUMNS = (("rows", np.int32), ("cols", np.int32),
-                   ("vals", np.float64), ("leaf_tags", np.int32))
-_RHS_COLUMNS = (("rhs_rows", np.int32), ("rhs_vals", np.float64),
-                ("rhs_tags", np.int32))
+_MATRIX_COLUMNS = (("key", np.int64), ("vals", np.float64))
+_RHS_COLUMNS = (("rhs_rows", np.int32), ("rhs_vals", np.float64))
 
 
 def _shared(size, dtype):
@@ -123,71 +128,80 @@ def _offsets(sizes):
     return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
 
 
+def leaf_free_dofs(basis, to_free, n_leaves):
+    """The free dofs of the first `n_leaves` active leaves, leaf after leaf
+    in pre-order, read off the Basis's leaf-dof table, and the count of
+    each leaf."""
+    free = to_free[basis.dofs[:basis.dof_offsets[n_leaves]]]
+    is_free = free >= 0
+    kept = np.bincount(np.repeat(np.arange(n_leaves),
+                                 basis.mode_counts[:n_leaves])[is_free],
+                       minlength=n_leaves)
+    return free[is_free], kept
+
+
 @dataclass
 class Triplets:
-    """A step's triplets in one set of columns, rank after rank.
+    """A step's triplets in leaf pre-order, with the leaf-dof incidence
+    that lays them out.
 
-    Rank r's matrix entries are ``starts[r]:starts[r + 1]`` of ``rows``,
-    ``cols``, ``vals`` and ``leaf_tags``, its rhs entries
-    ``rhs_starts[r]:rhs_starts[r + 1]`` of ``rhs_rows``, ``rhs_vals`` and
-    ``rhs_tags``.  Index and tag columns are int32.
-    :func:`exchange_and_assemble` takes the columns and frees each at its
-    last use, leaving None behind.
+    Leaf i has ``kept[i]`` free dofs, ``free[a:a + kept[i]]`` with a the
+    sum of the earlier counts, and lives on rank ``leaf_ranks[i]``.  Its
+    K block, kept[i] x kept[i] entries, is ``starts[i]:starts[i + 1]`` of
+    ``key`` (row * n_free + col, int64) and ``vals``.  When the leaf
+    carries a load, its rhs entries are
+    ``rhs_starts[i]:rhs_starts[i + 1]`` of ``rhs_rows`` (int32) and
+    ``rhs_vals``.  A block's place depends on the leaves alone, not on
+    the rank that writes it, so the store's bytes do not depend on the
+    partition.  :func:`exchange_and_assemble` takes the columns and frees
+    each at its last use, leaving None behind.
     """
 
+    n_free: int
+    n_ranks: int
+    leaf_ranks: np.ndarray
+    free: np.ndarray
+    kept: np.ndarray
     starts: np.ndarray
     rhs_starts: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
+    key: np.ndarray
     vals: np.ndarray
-    leaf_tags: np.ndarray
     rhs_rows: np.ndarray
     rhs_vals: np.ndarray
-    rhs_tags: np.ndarray
 
     @classmethod
-    def allocate(cls, leaf_ranks, kept, loaded, n_ranks, shared):
-        """Columns for leaves with `kept` free dofs each, on ranks
-        `leaf_ranks`: a leaf emits kept x kept matrix entries and, when
-        `loaded`, kept rhs entries.  They are in shared memory when
-        `shared`, for workers forked to write them, else on the heap:
+    def allocate(cls, free, kept, loaded, leaf_ranks, n_free, n_ranks,
+                 shared):
+        """Columns for leaves with `kept` free dofs each, listed in `free`,
+        on ranks `leaf_ranks`: a leaf emits kept x kept matrix entries
+        and, when `loaded`, kept rhs entries.  They are in shared memory
+        when `shared`, for workers forked to write them, else on the heap:
         shared pages are new on every step and fault in as they are first
         written, while the heap reuses the pages earlier steps freed."""
         new = _shared if shared else np.empty
-        leaf_ranks = np.asarray(leaf_ranks, dtype=np.int64)
         kept = np.asarray(kept, dtype=np.int64)
-
-        def per_rank(sizes):
-            return _offsets(np.bincount(leaf_ranks, sizes, n_ranks))
-
-        starts, rhs_starts = per_rank(kept * kept), per_rank(kept * loaded)
-        return cls(starts, rhs_starts,
+        starts = _offsets(kept * kept)
+        rhs_starts = _offsets(kept * np.asarray(loaded, dtype=bool))
+        return cls(int(n_free), n_ranks, np.asarray(leaf_ranks),
+                   np.asarray(free), kept, starts, rhs_starts,
                    **{name: new(int(starts[-1]), dtype)
                       for name, dtype in _MATRIX_COLUMNS},
                    **{name: new(int(rhs_starts[-1]), dtype)
                       for name, dtype in _RHS_COLUMNS})
 
-    @classmethod
-    def from_ranks(cls, systems):
-        """A store of rank systems made elsewhere, one per rank in rank
-        order: one concatenate per column."""
-        def cat(name, dtype):
-            return np.concatenate([getattr(s, name) for s in systems],
-                                  dtype=dtype)
+    def entries(self, leaves):
+        """Positions of the given leaves' matrix entries and of their rhs
+        entries, leaf after leaf."""
+        leaves = np.asarray(leaves, dtype=np.int64)
+        return (_ranges(self.starts[leaves], np.diff(self.starts)[leaves]),
+                _ranges(self.rhs_starts[leaves],
+                        np.diff(self.rhs_starts)[leaves]))
 
-        return cls(_offsets([s.rows.size for s in systems]),
-                   _offsets([s.rhs_rows.size for s in systems]),
-                   **{name: cat(name, dtype)
-                      for name, dtype in _MATRIX_COLUMNS + _RHS_COLUMNS})
-
-    def rank_columns(self, rank):
-        """Rank `rank`'s slice of every column, as views."""
-        a, b = self.starts[rank:rank + 2]
-        c, d = self.rhs_starts[rank:rank + 2]
-        return {**{name: getattr(self, name)[a:b]
-                   for name, _ in _MATRIX_COLUMNS},
-                **{name: getattr(self, name)[c:d]
-                   for name, _ in _RHS_COLUMNS}}
+    def leaf_dofs(self, leaves):
+        """The free dofs of the given leaves, leaf after leaf."""
+        leaves = np.asarray(leaves, dtype=np.int64)
+        return self.free[_ranges(_offsets(self.kept)[leaves],
+                                 self.kept[leaves])]
 
     def take(self, name):
         """Column `name`, which the store no longer holds."""
@@ -198,36 +212,42 @@ class Triplets:
 
 @dataclass
 class IntermediateSystem:
-    """One rank's raw triplets before ownership exchange: views of its
-    slice of a :class:`Triplets` store."""
+    """One rank's part of the integrate phase: the leaves it integrated,
+    by pre-order position, whose blocks it wrote into the step's
+    :class:`Triplets` store."""
 
     rank: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    store: Triplets
     leaf_tags: np.ndarray
-    rhs_rows: np.ndarray
-    rhs_vals: np.ndarray
-    rhs_tags: np.ndarray
-    n_leaves: int
     seconds: float = 0.0     # wall time of the integration
+
+    @property
+    def n_leaves(self):
+        return len(self.leaf_tags)
+
+    @property
+    def rows(self):
+        """The row of each of the rank's triplets, leaf after leaf."""
+        kept = self.store.kept[self.leaf_tags]
+        return np.repeat(self.store.leaf_dofs(self.leaf_tags),
+                         np.repeat(kept, kept))
 
 
 def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
-                          systems, store=None):
+                          systems, store):
     """Integrate exactly the given leaves into free-index triplets, leaf
     after leaf: K and f from the step's
     :class:`~overlayfem.physics.LeafSystems` or, for a cut leaf, from
     :func:`overlayfem.physics.integrate_leaves`, plus its flux load.
 
-    The triplets are written into rank `rank`'s slice of `store`, a
-    :class:`Triplets` sized for these leaves, or without one into a store
-    of this rank alone.  Returns the rank's :class:`IntermediateSystem`.
+    `leaf_tags` are the leaves' pre-order positions: each leaf's
+    triplets are written into its blocks of `store`, the step's
+    :class:`Triplets`.  Returns the rank's :class:`IntermediateSystem`.
     """
     start = time.perf_counter()
     # active leaves are the Basis's first table rows, in pre-order
     pos = basis.row_of[np.asarray(leaf_ids, dtype=np.int64)]
-    leaf_tags = np.asarray(leaf_tags, dtype=np.int32)
+    leaf_tags = np.asarray(leaf_tags, dtype=np.int64)
     sig, load = systems.signature[pos], systems.load[pos]
     loaded = systems.loaded(pos)
     Ks = [systems.stiffness[k] if k >= 0 else None for k in sig.tolist()]
@@ -248,26 +268,22 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
     n = basis.mode_counts[pos]
     fidx = to_free[basis.dofs[_ranges(basis.dof_offsets[pos], n)]]
     free = fidx >= 0
-    kept = np.bincount(np.repeat(np.arange(pos.size), n)[free],
-                       minlength=pos.size)
-    if store is None:
-        store = Triplets.allocate(np.full(pos.size, rank), kept, loaded,
-                                  rank + 1, shared=False)
-    out = store.rank_columns(rank)
-    ffree = fidx[free].astype(np.int32, copy=False)
+    kept = store.kept[leaf_tags]
+    at, rhs_at = store.entries(leaf_tags)
+    ffree = fidx[free]
     per_row = np.repeat(kept, kept)
-    # entry e's column is free dof col[e] of the rank, in leaf order.
-    # The gathers below index in range by construction: mode "clip"
-    # writes straight into the slice, where "raise" would buffer it
+    # entry e's column is free dof col[e] of the rank, in leaf order
     col = _ranges(np.repeat(np.cumsum(kept) - kept, kept), per_row)
-    out["rows"][:] = np.repeat(ffree, per_row)
-    np.take(ffree, col, out=out["cols"], mode="clip")
-    out["leaf_tags"][:] = np.repeat(leaf_tags, kept * kept)
+    key = np.repeat(ffree.astype(np.int64) * store.n_free, per_row)
+    key += ffree[col]
+    store.key[at] = key
+    del key
     # K entries are gathered from the rank's distinct Ks in one table,
     # one per signature and one per cut leaf: entry (a, b) of a leaf's K
     # is table[base + a * n + b], a and b its free dofs' local indices
-    key = np.where(sig >= 0, sig, -1 - np.arange(sig.size))
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    sig_key = np.where(sig >= 0, sig, -1 - np.arange(sig.size))
+    _, first, inverse = np.unique(sig_key, return_index=True,
+                                  return_inverse=True)
     size = n[first] ** 2
     base = (np.cumsum(size) - size)[inverse]
     table = np.concatenate([Ks[j].ravel() for j in first.tolist()]
@@ -276,18 +292,15 @@ def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
     entry = local[col]
     entry += np.repeat(np.repeat(base, kept) + local * np.repeat(n, kept),
                        per_row)
-    np.take(table, entry, out=out["vals"], mode="clip")
+    store.vals[at] = table[entry]
     rhs_dofs = np.repeat(loaded, n)
-    np.compress(rhs_dofs & free, fidx, out=out["rhs_rows"])
-    np.compress(rhs_dofs & free, np.repeat(leaf_tags, n), out=out["rhs_tags"])
-    np.compress(free[rhs_dofs], np.concatenate(
-        [fs[j] for j in np.flatnonzero(loaded).tolist()] + [np.empty(0)]),
-        out=out["rhs_vals"])
+    store.rhs_rows[rhs_at] = fidx[rhs_dofs & free]
+    store.rhs_vals[rhs_at] = np.concatenate(
+        [fs[j] for j in np.flatnonzero(loaded).tolist()]
+        + [np.empty(0)])[free[rhs_dofs]]
 
-    return IntermediateSystem(
-        rank=rank, **out, n_leaves=len(leaf_ids),
-        seconds=time.perf_counter() - start,
-    )
+    return IntermediateSystem(rank=rank, store=store, leaf_tags=leaf_tags,
+                              seconds=time.perf_counter() - start)
 
 
 @dataclass
@@ -319,7 +332,94 @@ def _run_starts(keys):
     return new
 
 
-def exchange_and_assemble(triplets, owner, n_free, n_ranks):
+# a packed sort key, key << bits | position, is an int64 below 2**63
+_PACKED_BITS = 63
+
+
+def _sort_keys(keys, n_free):
+    """`keys` sorted, equal keys in store order, and the store position of
+    each sorted key.  The sort is in place when key and position pack
+    into one int64, else a stable argsort gives the same order."""
+    n = keys.size
+    shift = max(n - 1, 0).bit_length()
+    if max(n_free * n_free - 1, 0).bit_length() + shift > _PACKED_BITS:
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    order = np.arange(n, dtype=np.int32 if n <= 2 ** 31 else np.int64)
+    keys <<= shift
+    keys |= order
+    keys.sort()
+    np.bitwise_and(keys, (1 << shift) - 1, out=order, casting="unsafe")
+    keys >>= shift
+    return keys, order
+
+
+def _rank_repeats(triplets, order, new, keys, owner):
+    """Row owner and rank of each contribution a rank makes to a merged
+    entry after its first.  `keys` are the sorted keys, `order` their
+    store positions and `new` marks the first of each entry."""
+    n_ranks = triplets.n_ranks
+    rank_of = np.repeat(
+        triplets.leaf_ranks.astype(np.min_scalar_type(n_ranks)),
+        np.diff(triplets.starts))
+    # the triplets of entries with several contributions as (entry,
+    # rank) pairs, entries numbered in order: a repeat equals its
+    # sorted neighbour
+    multi = ~new
+    multi[:-1] |= multi[1:]
+    at = np.flatnonzero(multi)
+    del multi
+    first = new[at]
+    entry_owner = owner[keys[at[first]] // triplets.n_free]
+    bits = max(n_ranks - 1, 0).bit_length()
+    pairs = first.astype(np.int64)
+    np.cumsum(pairs, out=pairs)
+    pairs -= 1
+    pairs <<= bits
+    pairs |= rank_of[order[at]]
+    # pairs ascend by entry already: a stable sort only merges runs
+    pairs.sort(kind="stable")
+    repeats = pairs[1:][pairs[1:] == pairs[:-1]]
+    ranks = repeats & ((1 << bits) - 1)
+    repeats >>= bits
+    return entry_owner[repeats], ranks
+
+
+def _traffic(triplets, owner, repeat_owners, repeat_ranks):
+    """traffic[s, d]: merged entries rank s integrated in rows rank d
+    owns.  Leaf L on rank s gives kept[L] triplets to each of its rows;
+    a rank's repeat contributions to one merged entry are taken off."""
+    n_ranks, kept = triplets.n_ranks, triplets.kept
+    n_pairs = n_ranks * n_ranks
+    triplet_counts = np.bincount(
+        np.repeat(triplets.leaf_ranks.astype(np.int64) * n_ranks, kept)
+        + owner[triplets.free], weights=np.repeat(kept, kept),
+        minlength=n_pairs)
+    repeats = np.bincount(repeat_ranks.astype(np.int64) * n_ranks
+                          + repeat_owners, minlength=n_pairs)
+    return (triplet_counts.astype(np.int64)
+            - repeats).reshape(n_ranks, n_ranks)
+
+
+def _halo_counts(triplets, owner):
+    """Per rank: the off-rank columns in its owned rows.  Row i and
+    column j share an entry when a leaf holds both, so rank d's halo is
+    every off-rank dof of the leaves that hold one of d's rows."""
+    n_ranks, kept = triplets.n_ranks, triplets.kept
+    # (leaf, owner of one of its rows), once each
+    pairs = np.zeros(kept.size * n_ranks, dtype=bool)
+    pairs[np.repeat(np.arange(kept.size) * n_ranks, kept)
+          + owner[triplets.free]] = True
+    leaf, rank = np.divmod(np.flatnonzero(pairs), n_ranks)
+    dofs = triplets.leaf_dofs(leaf)
+    rank = np.repeat(rank, kept[leaf])
+    off = owner[dofs] != rank
+    halo = np.zeros((n_ranks, triplets.n_free), dtype=bool)
+    halo[rank[off], dofs[off]] = True
+    return [int(h) for h in halo.sum(axis=1)]
+
+
+def exchange_and_assemble(triplets, owner):
     """Sum every rank's triplets into one operator and count the traffic.
 
     `triplets` is the step's :class:`Triplets` store; the assembly takes
@@ -328,74 +428,48 @@ def exchange_and_assemble(triplets, owner, n_free, n_ranks):
     entries rank s integrated in rows rank d owns.
     """
     # the store is a step's largest value: each column and temporary is
-    # freed as soon as it is spent.  The key row * n_free + col is formed
-    # in int64, where it cannot overflow
+    # freed as soon as it is spent
+    n_free, n_ranks = triplets.n_free, triplets.n_ranks
     owner = np.asarray(owner)
-    keys = triplets.take("rows").astype(np.int64)
-    keys *= n_free
-    keys += triplets.take("cols")
-    order = np.lexsort((triplets.take("leaf_tags"), keys))
-    keys = keys[order]
+    keys, order = _sort_keys(triplets.take("key"), n_free)
     vals = triplets.take("vals")[order]
-    src = np.repeat(np.arange(n_ranks, dtype=np.min_scalar_type(n_ranks)),
-                    np.diff(triplets.starts))[order]
-    del order
     new = _run_starts(keys)
+    traffic = _traffic(triplets, owner,
+                       *_rank_repeats(triplets, order, new, keys, owner))
+    del order
     starts = np.flatnonzero(new)
+    del new
     keys = keys[starts]
     data = np.add.reduceat(vals, starts)
     del vals, starts
     # row i's merged entries are the keys in [i * n_free, (i + 1) * n_free)
     indptr = np.searchsorted(keys, np.arange(n_free + 1, dtype=np.int64)
                              * n_free)
-    per_row = np.diff(indptr)
-    keys -= np.repeat(np.arange(n_free, dtype=np.int64) * n_free, per_row)
-    cols = keys.astype(np.int32)
+    cols = np.empty(keys.size, dtype=np.int32)
+    np.subtract(keys, np.repeat(np.arange(n_free, dtype=np.int64) * n_free,
+                                np.diff(indptr)), out=cols, casting="unsafe")
     del keys
-    row_owner = np.repeat(owner, per_row)
-
-    # ledger: integrated[e, s] is True when rank s integrated merged entry e
-    slot = new.astype(np.int64)
-    del new
-    np.cumsum(slot, out=slot)
-    slot -= 1
-    slot *= n_ranks
-    slot += src
-    del src
-    integrated = np.zeros(data.size * n_ranks, dtype=bool)
-    integrated[slot] = True
-    del slot
-    integrated = integrated.reshape(data.size, n_ranks)
-    traffic = np.stack([np.bincount(row_owner[integrated[:, s]],
-                                    minlength=n_ranks)
-                        for s in range(n_ranks)])
-    del integrated
-    total_entries = [int(t) for t in traffic.sum(axis=1)]
-    kept_entries = [int(k) for k in np.diagonal(traffic)]
-    sent_entries = [t - k for t, k in zip(total_entries, kept_entries)]
-    off = owner[cols] != row_owner
-    halo = np.zeros((n_ranks, n_free), dtype=bool)
-    halo[row_owner[off], cols[off]] = True
-    del row_owner, off
-
     matrix = scipy.sparse.csr_matrix((data, cols, indptr),
                                      shape=(n_free, n_free))
 
+    # a leaf's rhs rows are distinct, so store order breaks the ties
     rhs_rows = triplets.take("rhs_rows")
-    order = np.lexsort((triplets.take("rhs_tags"), rhs_rows))
+    order = np.argsort(rhs_rows, kind="stable")
     rhs_rows = rhs_rows[order]
     starts = np.flatnonzero(_run_starts(rhs_rows))
     rhs = np.zeros(n_free)
     rhs[rhs_rows[starts]] = np.add.reduceat(
         triplets.take("rhs_vals")[order], starts)
 
+    total_entries = [int(t) for t in traffic.sum(axis=1)]
+    kept_entries = [int(k) for k in np.diagonal(traffic)]
     return DistributedSystem(
         n_free=n_free, n_ranks=n_ranks, owner=owner,
         own_rows=[np.flatnonzero(owner == r) for r in range(n_ranks)],
         matrix=matrix, rhs=rhs,
-        halo_counts=[int(h) for h in halo.sum(axis=1)],
-        sent_entries=sent_entries, kept_entries=kept_entries,
-        total_entries=total_entries,
+        halo_counts=_halo_counts(triplets, owner),
+        sent_entries=[t - k for t, k in zip(total_entries, kept_entries)],
+        kept_entries=kept_entries, total_entries=total_entries,
     ), traffic
 
 
@@ -473,12 +547,16 @@ class StepReport:
     leaf partition, pre-order; :meth:`to_dict` leaves them out.
     `cost_model_r` is the Pearson r of the ranks' weight sums and
     integration times, None for one rank or a constant column.
+    `n_triplets` is the length of the step's triplet store and `nnz` the
+    assembled operator's stored entries; neither depends on the ranks.
     """
 
     step: int
     n_leaves: int
     n_dofs: int
     n_free: int
+    n_triplets: int
+    nnz: int
     n_ranks: int
     partitioner: str
     dof_distribution: str
@@ -498,6 +576,8 @@ class StepReport:
             "leaves": self.n_leaves,
             "dofs": self.n_dofs,
             "free_dofs": self.n_free,
+            "triplets": self.n_triplets,
+            "nnz": self.nnz,
             "ranks": self.n_ranks,
             "partitioner": self.partitioner,
             "dof_distribution": self.dof_distribution,
@@ -531,8 +611,8 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     # charged to the refine phase: it is the cost of changing the mesh
     basis = Basis(mesh, orders)
     dirichlet = DirichletMap(basis, dirichlet_part)
-    # int32 free indices: the triplets' row and column columns inherit
-    # the type, and they are the assembly's bulk, the step's memory peak
+    # int32 free indices: the store's leaf-dof incidence and rhs rows
+    # inherit the type
     to_free = np.full(basis.dofmap.total, -1, dtype=np.int32)
     to_free[dirichlet.free] = np.arange(dirichlet.n_free)
     timings["refine"] = time.perf_counter() - t
@@ -548,17 +628,15 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     timings["leaf_systems"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    # the free dofs of each leaf, read off the Basis's leaf-dof table, and
-    # their count, which sizes the leaf's triplets in the step's store
-    n_leaves = len(leaves)
-    free = to_free[basis.dofs[:basis.dof_offsets[n_leaves]]]
-    is_free = free >= 0
-    free = free[is_free]
-    kept = np.bincount(np.repeat(np.arange(n_leaves),
-                                 basis.mode_counts[:n_leaves])[is_free],
-                       minlength=n_leaves)
-    store, rank_seconds = _integrate_all(basis, to_free, leaves, ranks, kept,
-                                         n_ranks, systems, workers)
+    # the free dofs of each leaf size its blocks in the step's store
+    free, kept = leaf_free_dofs(basis, to_free, len(leaves))
+    # a fork pool starts all its processes at once: no more than ranks
+    workers = min(workers or 1, n_ranks)
+    loaded = systems.loaded(np.arange(len(leaves)))
+    store = Triplets.allocate(free, kept, loaded, ranks, dirichlet.n_free,
+                              n_ranks, shared=workers > 1)
+    rank_seconds = _integrate_all(basis, to_free, leaves, store, systems,
+                                  workers)
     timings["integrate"] = time.perf_counter() - t
     # nothing reads the step's leaf systems again: free them before
     # assembly, the step's memory peak
@@ -576,8 +654,7 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
 
     t = time.perf_counter()
     # the assembly frees the store's columns as it spends them
-    system, _ = exchange_and_assemble(store, owner, dirichlet.n_free,
-                                      n_ranks)
+    system, _ = exchange_and_assemble(store, owner)
     timings["assemble"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -603,7 +680,8 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
 
     report = StepReport(
         step=step_index, n_leaves=len(leaves), n_dofs=basis.dofmap.total,
-        n_free=dirichlet.n_free, n_ranks=n_ranks, partitioner=partitioner,
+        n_free=dirichlet.n_free, n_triplets=int(store.starts[-1]),
+        nnz=system.matrix.nnz, n_ranks=n_ranks, partitioner=partitioner,
         dof_distribution=dof_distribution, per_rank=per_rank,
         timings=timings, cg_iterations=iterations,
         residual=history[-1], residual_history=thin_history(history),
@@ -639,24 +717,19 @@ def _pool_task(chunk):
     return inter.rank, inter.n_leaves, inter.seconds
 
 
-def _integrate_all(basis, to_free, leaves, ranks, kept, n_ranks, systems,
-                   workers):
-    """The step's :class:`Triplets`, every rank's slice written, and the
-    ranks' integration seconds; leaf i has kept[i] free dofs."""
-    # a fork pool starts all its processes at once: no more than ranks
-    workers = min(workers or 1, n_ranks)
-    loaded = systems.loaded(np.arange(len(leaves)))
-    store = Triplets.allocate(ranks, kept, loaded, n_ranks,
-                              shared=workers > 1)
+def _integrate_all(basis, to_free, leaves, store, systems, workers):
+    """Every rank's integration seconds, its leaves' blocks of `store`
+    written, with at most `workers` processes."""
+    ranks = store.leaf_ranks
     # one (leaf ids, leaf tags, rank) chunk per rank
     chunks = []
-    for r in range(n_ranks):
-        idx = np.flatnonzero(np.asarray(ranks) == r)
+    for r in range(store.n_ranks):
+        idx = np.flatnonzero(ranks == r)
         chunks.append((leaves[idx], idx, r))
     if workers <= 1:
-        return store, [integrate_rank_system(basis, to_free, *chunk, systems,
-                                             store).seconds
-                       for chunk in chunks]
+        return [integrate_rank_system(basis, to_free, *chunk, systems,
+                                      store).seconds
+                for chunk in chunks]
     import concurrent.futures
     import multiprocessing
     # forked workers inherit the store's shared pages and write into them;
@@ -666,5 +739,4 @@ def _integrate_all(basis, to_free, leaves, ranks, kept, n_ranks, systems,
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, mp_context=fork, initializer=_pool_init,
             initargs=(basis, to_free, systems, store)) as pool:
-        return store, [seconds
-                       for _, _, seconds in pool.map(_pool_task, chunks)]
+        return [seconds for _, _, seconds in pool.map(_pool_task, chunks)]

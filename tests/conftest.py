@@ -5,18 +5,23 @@ the same sequence.  Helpers here are deliberately small; an oracle is
 reimplemented inside the test module that needs it, unless several
 modules need it: the cell-by-cell quadrature oracles, the per-leaf
 evaluation and integration kernels, the per-element Basis oracles, the
-point-by-point leaf walk, the full-length interval-cut bisection and
-the object-by-object entity and element bookkeeping live here.
+point-by-point leaf walk, the full-length interval-cut bisection,
+the object-by-object entity and element bookkeeping and the lexsort
+assembly live here.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse
 
 from overlayfem.mesh import EDGE, FACE, NODE, Mesh, BaseMeshSpec, PatchSpec
 from overlayfem.basis import (Basis, PolynomialOrderField, entity_mode_count,
                              enumerate_dofs, shape_tables)
+from overlayfem.distributed import (Triplets, integrate_rank_system,
+                                    leaf_free_dofs)
 from overlayfem.benchmarks import (RunConfig, lshape_mesh_spec, make_problem,
                                    mark_corner_leaves, marks_for_step)
 from overlayfem.mesh import create_base_mesh
@@ -755,3 +760,179 @@ class CheckedMesh(Mesh):
     def refine(self, marked):
         super().refine(marked)
         self.oracle.refine(marked)
+
+
+# ----------------------------------------------------------------------
+# the integrate phase outside run_step
+
+def integrate_ranks(basis, to_free, n_free, ranks, n_ranks, systems):
+    """The step's leaf-order store with every rank's leaves integrated
+    into it, inline as run_step does, and the ranks'
+    IntermediateSystems."""
+    leaves = basis.mesh.active_leaf_elements()
+    ranks = np.asarray(ranks)
+    free, kept = leaf_free_dofs(basis, to_free, len(leaves))
+    store = Triplets.allocate(free, kept,
+                              systems.loaded(np.arange(len(leaves))), ranks,
+                              n_free, n_ranks, shared=False)
+    inters = []
+    for r in range(n_ranks):
+        mine = np.flatnonzero(ranks == r)
+        inters.append(integrate_rank_system(basis, to_free, leaves[mine],
+                                            mine, r, systems, store))
+    return store, inters
+
+
+def leaf_triplets(store, leaves):
+    """The given leaves' triplets of a leaf-order store, leaf after leaf,
+    as a rank system's columns: rows, cols, vals, leaf_tags, rhs_rows,
+    rhs_vals and rhs_tags, read before the assembly spends the store."""
+    leaves = np.asarray(leaves, dtype=np.int64)
+    at, rhs_at = store.entries(leaves)
+    rows, cols = np.divmod(store.key[at], store.n_free)
+    return SimpleNamespace(
+        rows=rows, cols=cols, vals=store.vals[at],
+        leaf_tags=np.repeat(leaves, np.diff(store.starts)[leaves]),
+        rhs_rows=store.rhs_rows[rhs_at], rhs_vals=store.rhs_vals[rhs_at],
+        rhs_tags=np.repeat(leaves, np.diff(store.rhs_starts)[leaves]))
+
+
+# ----------------------------------------------------------------------
+# the lexsort assembly oracle
+#
+# A second assembly for exchange_and_assemble to match bit for bit: the
+# triplets rank after rank, each with its leaf tag, sorted by a two-key
+# lexsort on (row, column, leaf tag) and summed per (row, column), with
+# the ledger read off a merged-entries x ranks matrix.
+
+
+@dataclass
+class RankTriplets:
+    """A step's triplets rank after rank: rank r's entries are
+    ``starts[r]:starts[r + 1]`` of the matrix columns, its rhs entries
+    ``rhs_starts[r]:rhs_starts[r + 1]`` of the rhs columns."""
+
+    starts: np.ndarray
+    rhs_starts: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    leaf_tags: np.ndarray
+    rhs_rows: np.ndarray
+    rhs_vals: np.ndarray
+    rhs_tags: np.ndarray
+
+    @classmethod
+    def from_store(cls, store):
+        """The triplets of a leaf-order store, rank after rank and, within
+        a rank, leaf after leaf."""
+        ranks = [leaf_triplets(store, np.flatnonzero(store.leaf_ranks == r))
+                 for r in range(store.n_ranks)]
+
+        def cat(name, dtype):
+            return np.concatenate([getattr(r, name) for r in ranks],
+                                  dtype=dtype)
+
+        def starts(name):
+            return np.concatenate(([0], np.cumsum(
+                [getattr(r, name).size for r in ranks]))).astype(np.int64)
+
+        return cls(starts("rows"), starts("rhs_rows"),
+                   cat("rows", np.int32), cat("cols", np.int32),
+                   cat("vals", np.float64), cat("leaf_tags", np.int32),
+                   cat("rhs_rows", np.int32), cat("rhs_vals", np.float64),
+                   cat("rhs_tags", np.int32))
+
+    def take(self, name):
+        column = getattr(self, name)
+        setattr(self, name, None)
+        return column
+
+
+def _lexsort_run_starts(keys):
+    """Mask of the first element of each run of equal sorted keys."""
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return new
+
+
+def lexsort_assemble(triplets, owner, n_free, n_ranks):
+    """Sum every rank's triplets into one operator and count the traffic.
+
+    `triplets` is a :class:`RankTriplets`; the assembly takes its columns
+    and frees each at its last use.  Returns (system, traffic), system
+    with the fields of a DistributedSystem, where traffic[s, d] is the
+    number of merged (row, column) entries rank s integrated in rows
+    rank d owns.
+    """
+    # the store is a step's largest value: each column and temporary is
+    # freed as soon as it is spent.  The key row * n_free + col is formed
+    # in int64, where it cannot overflow
+    owner = np.asarray(owner)
+    keys = triplets.take("rows").astype(np.int64)
+    keys *= n_free
+    keys += triplets.take("cols")
+    order = np.lexsort((triplets.take("leaf_tags"), keys))
+    keys = keys[order]
+    vals = triplets.take("vals")[order]
+    src = np.repeat(np.arange(n_ranks, dtype=np.min_scalar_type(n_ranks)),
+                    np.diff(triplets.starts))[order]
+    del order
+    new = _lexsort_run_starts(keys)
+    starts = np.flatnonzero(new)
+    keys = keys[starts]
+    data = np.add.reduceat(vals, starts)
+    del vals, starts
+    # row i's merged entries are the keys in [i * n_free, (i + 1) * n_free)
+    indptr = np.searchsorted(keys, np.arange(n_free + 1, dtype=np.int64)
+                             * n_free)
+    per_row = np.diff(indptr)
+    keys -= np.repeat(np.arange(n_free, dtype=np.int64) * n_free, per_row)
+    cols = keys.astype(np.int32)
+    del keys
+    row_owner = np.repeat(owner, per_row)
+
+    # ledger: integrated[e, s] is True when rank s integrated merged entry e
+    slot = new.astype(np.int64)
+    del new
+    np.cumsum(slot, out=slot)
+    slot -= 1
+    slot *= n_ranks
+    slot += src
+    del src
+    integrated = np.zeros(data.size * n_ranks, dtype=bool)
+    integrated[slot] = True
+    del slot
+    integrated = integrated.reshape(data.size, n_ranks)
+    traffic = np.stack([np.bincount(row_owner[integrated[:, s]],
+                                    minlength=n_ranks)
+                        for s in range(n_ranks)])
+    del integrated
+    total_entries = [int(t) for t in traffic.sum(axis=1)]
+    kept_entries = [int(k) for k in np.diagonal(traffic)]
+    sent_entries = [t - k for t, k in zip(total_entries, kept_entries)]
+    off = owner[cols] != row_owner
+    halo = np.zeros((n_ranks, n_free), dtype=bool)
+    halo[row_owner[off], cols[off]] = True
+    del row_owner, off
+
+    matrix = scipy.sparse.csr_matrix((data, cols, indptr),
+                                     shape=(n_free, n_free))
+
+    rhs_rows = triplets.take("rhs_rows")
+    order = np.lexsort((triplets.take("rhs_tags"), rhs_rows))
+    rhs_rows = rhs_rows[order]
+    starts = np.flatnonzero(_lexsort_run_starts(rhs_rows))
+    rhs = np.zeros(n_free)
+    rhs[rhs_rows[starts]] = np.add.reduceat(
+        triplets.take("rhs_vals")[order], starts)
+
+    return SimpleNamespace(
+        n_free=n_free, n_ranks=n_ranks, owner=owner,
+        own_rows=[np.flatnonzero(owner == r) for r in range(n_ranks)],
+        matrix=matrix, rhs=rhs,
+        halo_counts=[int(h) for h in halo.sum(axis=1)],
+        sent_entries=sent_entries, kept_entries=kept_entries,
+        total_entries=total_entries,
+    ), traffic

@@ -19,8 +19,8 @@ import warnings
 
 import numpy as np
 
-from conftest import (ACCEPTANCE_LINES, leaf_ranks, random_refined_mesh,
-                      random_orders)
+from conftest import (ACCEPTANCE_LINES, integrate_ranks, leaf_ranks,
+                      random_refined_mesh, random_orders)
 from overlayfem.mesh import BaseMeshSpec, PatchSpec, create_base_mesh
 from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.physics import DirichletMap, assemble_serial, leaf_systems
@@ -30,8 +30,8 @@ from overlayfem.partition import (
     weighted_imbalance,
 )
 from overlayfem.distributed import (
-    Triplets, distribute_dofs_contiguous, distribute_dofs_graph,
-    exchange_and_assemble, integrate_rank_system, run_step,
+    distribute_dofs_contiguous, distribute_dofs_graph, exchange_and_assemble,
+    run_step,
 )
 from overlayfem.benchmarks import (
     RunConfig, lshape_mesh_spec, make_problem, mark_corner_leaves,
@@ -161,13 +161,8 @@ def test_criterion_03_distributed_assembly_matches_serial():
         to_free = np.full(basis.dofmap.total, -1, dtype=np.int64)
         to_free[dirichlet.free] = np.arange(dirichlet.n_free)
         systems = leaf_systems(basis, source=bumpy_source)
-        intermediates = []
-        for r in range(n_ranks):
-            mine = [i for i in range(len(leaves)) if ranks[i] == r]
-            intermediates.append(integrate_rank_system(
-                basis, to_free,
-                leaves[mine], np.asarray(mine, dtype=np.int64),
-                r, systems))
+        store, intermediates = integrate_ranks(
+            basis, to_free, dirichlet.n_free, ranks, n_ranks, systems)
         leaf_free = [to_free[basis.leaf_dofs(leaf)] for leaf in leaves]
         leaf_free = [d[d >= 0] for d in leaf_free]
         if distributions[case % len(distributions)] == "graph":
@@ -176,8 +171,7 @@ def test_criterion_03_distributed_assembly_matches_serial():
                 ranks, dirichlet.n_free, n_ranks)
         else:
             owner = distribute_dofs_contiguous(dirichlet.n_free, n_ranks)
-        system, _ = exchange_and_assemble(Triplets.from_ranks(intermediates),
-                                          owner, dirichlet.n_free, n_ranks)
+        system, _ = exchange_and_assemble(store, owner)
 
         K, f = assemble_serial(basis, source=bumpy_source)
         K_ff, f_f = dirichlet.reduce(K, f)

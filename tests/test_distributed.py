@@ -20,7 +20,9 @@ import scipy.sparse.linalg as spla
 
 from conftest import (leaf_at, leaf_ranks, single_patch, random_refined_mesh,
                       random_orders, stretched_basis, corner_refined,
-                      element_system, leaf_flux_load, study_bases)
+                      element_system, leaf_flux_load, study_bases,
+                      integrate_ranks, leaf_triplets, RankTriplets,
+                      lexsort_assemble)
 from overlayfem.mesh import Mesh
 from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.physics import (assemble_serial, DirichletMap, LShapeSolution,
@@ -32,7 +34,7 @@ from overlayfem.partition import (partition_contiguous, partition_leaves,
 from overlayfem.distributed import (
     SolverError, Triplets, distribute_dofs_contiguous, distribute_dofs_graph,
     IntermediateSystem, integrate_rank_system, exchange_and_assemble,
-    parallel_cg, pearson_r, run_step, thin_history,
+    leaf_free_dofs, parallel_cg, pearson_r, run_step, thin_history,
 )
 from overlayfem.benchmarks import (fcm_disk_dirichlet, lshape_dirichlet,
                                    lshape_mesh_spec, lshape_neumann_part,
@@ -64,14 +66,11 @@ def split_and_assemble(basis, dirichlet, ranks, n_ranks, dof_distribution="graph
     to_free[dirichlet.free] = np.arange(dirichlet.n_free)
 
     systems = leaf_systems(basis, source=source)
-    intermediates = []
-    for r in range(n_ranks):
-        mine = [i for i in range(len(leaves)) if ranks[i] == r]
-        intermediates.append(integrate_rank_system(
-            basis, to_free,
-            leaves[mine], np.asarray(mine, dtype=np.int64),
-            r, systems,
-        ))
+    store, inters = integrate_ranks(basis, to_free, dirichlet.n_free, ranks,
+                                    n_ranks, systems)
+    # each rank's triplets, read off the store before the assembly
+    intermediates = [SimpleNamespace(**vars(leaf_triplets(store, i.leaf_tags)),
+                                     n_leaves=i.n_leaves) for i in inters]
 
     leaf_free = [to_free[basis.leaf_dofs(leaf)] for leaf in leaves]
     leaf_free = [d[d >= 0] for d in leaf_free]
@@ -80,8 +79,7 @@ def split_and_assemble(basis, dirichlet, ranks, n_ranks, dof_distribution="graph
                                       dirichlet.n_free, n_ranks)
     else:
         owner = distribute_dofs_contiguous(dirichlet.n_free, n_ranks)
-    system, traffic = exchange_and_assemble(Triplets.from_ranks(intermediates),
-                                            owner, dirichlet.n_free, n_ranks)
+    system, traffic = exchange_and_assemble(store, owner)
     return system, traffic, intermediates, owner
 
 
@@ -273,35 +271,36 @@ def test_exchange_conserves_merged_entries():
 def test_assembly_of_int32_triplets_near_the_last_dof():
     # int32 rows and columns whose key row * n_free + col passes 2**31:
     # the sums must be scipy's, so the key is formed in int64
-    n_free, n_ranks, m = 100_000, 2, 4000
+    n_free, n_ranks, n_leaves, k = 100_000, 2, 200, 20
     rng = np.random.default_rng(7)
-    intermediates = []
-    for r in range(n_ranks):
-        rows = rng.integers(n_free - 40, n_free, size=m).astype(np.int32)
-        cols = rng.integers(n_free - 40, n_free, size=m).astype(np.int32)
-        # small integers sum exactly in any order
-        vals = rng.integers(1, 9, size=m).astype(float)
-        rhs_rows = rng.integers(n_free - 40, n_free, size=50).astype(np.int32)
-        intermediates.append(IntermediateSystem(
-            rank=r, rows=rows, cols=cols, vals=vals,
-            leaf_tags=rng.integers(0, 100, size=m).astype(np.int32),
-            rhs_rows=rhs_rows, rhs_vals=np.ones(50),
-            rhs_tags=rng.integers(0, 100, size=50).astype(np.int32),
-            n_leaves=100))
+    # leaves of k distinct dofs among the last 40, on random ranks, each
+    # with its k x k block row-major and, when loaded, its rhs
+    free = np.concatenate([rng.choice(40, k, replace=False) + n_free - 40
+                           for _ in range(n_leaves)]).astype(np.int32)
+    kept = np.full(n_leaves, k)
+    loaded = rng.random(n_leaves) < 0.5
+    store = Triplets.allocate(free, kept, loaded,
+                              rng.integers(0, n_ranks, size=n_leaves),
+                              n_free, n_ranks, shared=False)
+    blocks = free.reshape(n_leaves, k)
+    rows = np.repeat(blocks, k, axis=1).ravel()
+    cols = np.tile(blocks, k).ravel()
+    store.key[:] = rows.astype(np.int64) * n_free + cols
+    # small integers sum exactly in any order
+    vals = rng.integers(1, 9, size=rows.size).astype(float)
+    store.vals[:] = vals
+    store.rhs_rows[:] = blocks[loaded].ravel()
+    store.rhs_vals[:] = 1.0
+    rhs_rows = store.rhs_rows.copy()
+    assert store.key.max() > 2 ** 31
     system, traffic = exchange_and_assemble(
-        Triplets.from_ranks(intermediates),
-        distribute_dofs_contiguous(n_free, n_ranks), n_free, n_ranks)
-
-    def cat(name):
-        return np.concatenate([getattr(inter, name)
-                               for inter in intermediates])
+        store, distribute_dofs_contiguous(n_free, n_ranks))
 
     expected = scipy.sparse.coo_matrix(
-        (cat("vals"), (cat("rows"), cat("cols"))),
-        shape=(n_free, n_free)).tocsr()
+        (vals, (rows, cols)), shape=(n_free, n_free)).tocsr()
     assert system.matrix.nnz == expected.nnz
     assert (system.matrix != expected).nnz == 0
-    assert np.array_equal(system.rhs, np.bincount(cat("rhs_rows"),
+    assert np.array_equal(system.rhs, np.bincount(rhs_rows,
                                                   minlength=n_free))
     # every merged entry lies in rows rank 1 owns
     assert traffic[:, 0].tolist() == [0, 0]
@@ -459,37 +458,30 @@ def test_one_operator_matches_per_rank_inbox_oracle():
 # assemble to the same bits.
 
 
-def per_leaf_integrate(basis, to_free, leaf_ids, leaf_tags, rank,
+def per_leaf_integrate(basis, to_free, leaf_ids, leaf_tags, rank, store,
                        domain=None, depth=0, source=None,
                        flux=None, flux_part=None):
-    rows, cols, vals, tags = [], [], [], []
-    rrows, rvals, rtags = [], [], []
     for leaf, tag in zip(leaf_ids, leaf_tags):
         K, fe, gids = element_system(basis, leaf, domain, depth, source)
         fidx = to_free[gids]
         ki = np.flatnonzero(fidx >= 0)
         fi = fidx[ki]
-        rows.append(np.repeat(fi, fi.size))
-        cols.append(np.tile(fi, fi.size))
-        vals.append(K[np.ix_(ki, ki)].ravel())
-        tags.append(np.full(fi.size * fi.size, tag, dtype=np.int64))
+        a, b = store.starts[tag:tag + 2]
+        assert b - a == fi.size * fi.size
+        store.key[a:b] = (np.repeat(fi, fi.size).astype(np.int64)
+                          * store.n_free + np.tile(fi, fi.size))
+        store.vals[a:b] = K[np.ix_(ki, ki)].ravel()
         if flux is not None:
             fl = leaf_flux_load(basis, leaf, flux, flux_part)
             if fl is not None:
                 fe = fl if fe is None else fe + fl
+        c, d = store.rhs_starts[tag:tag + 2]
+        assert d - c == (fi.size if fe is not None else 0)
         if fe is not None:
-            rrows.append(fi)
-            rvals.append(fe[ki])
-            rtags.append(np.full(fi.size, tag, dtype=np.int64))
-
-    def cat(parts, dtype):
-        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-
-    return IntermediateSystem(
-        rank=rank, rows=cat(rows, np.int64), cols=cat(cols, np.int64),
-        vals=cat(vals, float), leaf_tags=cat(tags, np.int64),
-        rhs_rows=cat(rrows, np.int64), rhs_vals=cat(rvals, float),
-        rhs_tags=cat(rtags, np.int64), n_leaves=len(leaf_ids))
+            store.rhs_rows[c:d] = fi
+            store.rhs_vals[c:d] = fe[ki]
+    return IntermediateSystem(rank=rank, store=store,
+                              leaf_tags=np.asarray(leaf_tags))
 
 
 def test_source_is_called_once_per_group_and_cut_leaf_group():
@@ -508,10 +500,8 @@ def test_source_is_called_once_per_group_and_cut_leaf_group():
         ranks = partition_contiguous(len(leaves), 4)
         to_free = np.arange(basis.dofmap.total)
         systems = leaf_systems(basis, dom, depth, source)
-        for r in range(4):
-            mine = np.flatnonzero(ranks == r)
-            integrate_rank_system(basis, to_free, leaves[mine], mine, r,
-                                  systems)
+        integrate_ranks(basis, to_free, basis.dofmap.total, ranks, 4,
+                        systems)
         cells = np.diff(leaf_rule_table(basis, dom, depth)[1])
         single = np.flatnonzero(cells == 1)
         groups = len(set(zip(basis.quad_orders[single].tolist(),
@@ -554,19 +544,22 @@ def batched_cases():
     ]
 
 
-def assemble_with(integrate, basis, dirichlet, ranks, n_ranks):
-    """Assemble with `integrate(basis, to_free, leaf_ids, leaf_tags, rank)`
-    called once per rank."""
+def assemble_with(integrate, basis, dirichlet, ranks, n_ranks, loaded):
+    """Assemble with `integrate(basis, to_free, leaf_ids, leaf_tags, rank,
+    store)` called once per rank on a store of leaves `loaded`."""
     leaves = basis.mesh.active_leaf_elements()
     to_free = np.full(basis.dofmap.total, -1, dtype=np.int64)
     to_free[dirichlet.free] = np.arange(dirichlet.n_free)
+    store = Triplets.allocate(*leaf_free_dofs(basis, to_free, len(leaves)),
+                              loaded, ranks, dirichlet.n_free, n_ranks,
+                              shared=False)
     inters = []
     for r in range(n_ranks):
         mine = np.flatnonzero(ranks == r)
-        inters.append(integrate(basis, to_free, leaves[mine], mine, r))
+        inters.append(integrate(basis, to_free, leaves[mine], mine, r,
+                                store=store))
     owner = distribute_dofs_contiguous(dirichlet.n_free, n_ranks)
-    system, traffic = exchange_and_assemble(Triplets.from_ranks(inters), owner,
-                                            dirichlet.n_free, n_ranks)
+    system, traffic = exchange_and_assemble(store, owner)
     return system, traffic, inters
 
 
@@ -582,13 +575,16 @@ def test_batched_integration_matches_per_leaf_oracle():
             basis = Basis(mesh, orders)
             dirichlet = DirichletMap(basis, part)
             systems = leaf_systems(basis, **kwargs)
+            loaded = systems.loaded(np.arange(len(leaves)))
             system, traffic, inters = assemble_with(
-                lambda *args: integrate_rank_system(*args, systems),
-                basis, dirichlet, ranks, n_ranks)
+                lambda *args, store: integrate_rank_system(*args, systems,
+                                                           store),
+                basis, dirichlet, ranks, n_ranks, loaded)
             cold = Basis(mesh, orders)
             oracle, oracle_traffic, oracle_inters = assemble_with(
-                lambda *args: per_leaf_integrate(*args, **kwargs),
-                cold, dirichlet, ranks, n_ranks)
+                lambda *args, store: per_leaf_integrate(*args, store,
+                                                        **kwargs),
+                cold, dirichlet, ranks, n_ranks, loaded)
             for got, want in ((system.matrix, oracle.matrix),):
                 assert np.array_equal(got.data, want.data), name
                 assert np.array_equal(got.indices, want.indices), name
@@ -598,7 +594,8 @@ def test_batched_integration_matches_per_leaf_oracle():
             assert system.halo_counts == oracle.halo_counts, name
             for a, b in zip(inters, oracle_inters):
                 assert a.rows.size == b.rows.size, name
-                assert a.rhs_rows.size == b.rhs_rows.size, name
+                assert (a.store.entries(a.leaf_tags)[1].size
+                        == b.store.entries(b.leaf_tags)[1].size), name
             cut = int(np.sum(systems.signature < 0))
         distinct = len(systems.stiffness)
         single = len(leaves) - cut
@@ -611,6 +608,141 @@ def test_batched_integration_matches_per_leaf_oracle():
                    if s >= 0 and leaf_rule(
                        basis, leaves[i], kwargs["domain"], 3).alpha[0] < 1]
             assert eps, "no leaf lies fully outside the disk"
+
+
+# ------------------------------------------------ lexsort assembly oracle
+#
+# exchange_and_assemble sorts the leaf-order store once by a packed
+# (key, position) column and counts the ledger from the leaf-dof
+# incidence.  conftest's lexsort_assemble is the assembly it replaced:
+# the same triplets rank after rank, a two-key lexsort and a merged
+# entries x ranks ledger.  Both must give the same bits.
+
+
+def oracle_cases():
+    """name -> (mesh, orders, dirichlet part, integration keywords,
+    partition method)."""
+    lshape = dict(flux=LShapeSolution().flux, flux_part=lshape_neumann_part)
+    disk = EmbeddedDomain(Disk((0.0, 0.0), 0.8), epsilon=1e-8)
+    rng = np.random.default_rng(2718)
+    randoms = []
+    for _ in range(2):
+        mesh = random_refined_mesh(rng, max_leaves=250)
+        randoms.append((mesh, random_orders(rng, mesh), on_square_boundary,
+                        dict(source=bumpy_source), "random"))
+    return {
+        "lshape res 16 p 4": (corner_refined(16, 3),
+                              PolynomialOrderField(uniform=4),
+                              lshape_dirichlet, lshape, "sfc"),
+        "lshape res 3 p 4": (corner_refined(3, 4),
+                             PolynomialOrderField(uniform=4),
+                             lshape_dirichlet, lshape, "sfc"),
+        "graded l0:5,l1:4,l2:3": (
+            corner_refined(4, 3),
+            PolynomialOrderField(by_level={0: 5, 1: 4, 2: 3}),
+            lshape_dirichlet, lshape, "sfc"),
+        "fcm disk res 8": (interface_refined(8, disk, 2),
+                           PolynomialOrderField(uniform=3),
+                           fcm_disk_dirichlet,
+                           dict(domain=disk, depth=3, source=unit_source),
+                           "sfc"),
+        "random mesh 1": randoms[0],
+        "random mesh 2": randoms[1],
+    }
+
+
+@pytest.mark.parametrize("name, sort", [
+    *((name, "packed") for name in oracle_cases()),
+    ("lshape res 3 p 4", "argsort")])
+def test_assembly_matches_lexsort_oracle(monkeypatch, name, sort):
+    if sort == "argsort":
+        # no packed key fits: the stable argsort gives the order
+        monkeypatch.setattr("overlayfem.distributed._PACKED_BITS", 0)
+    mesh, orders, part, kwargs, method = oracle_cases()[name]
+    basis = Basis(mesh, orders)
+    dirichlet = DirichletMap(basis, part)
+    to_free = np.full(basis.dofmap.total, -1, dtype=np.int32)
+    to_free[dirichlet.free] = np.arange(dirichlet.n_free)
+    weights = compute_leaf_weights(basis, kwargs.get("domain"),
+                                   kwargs.get("depth", 0))
+    systems = leaf_systems(basis, **kwargs)
+    for n_ranks in (1, 3, 8):
+        ranks = leaf_ranks(method, mesh, basis, weights, n_ranks,
+                           seed=n_ranks)
+        store, _ = integrate_ranks(basis, to_free, dirichlet.n_free, ranks,
+                                   n_ranks, systems)
+        owner = distribute_dofs_graph(store.free, store.kept, ranks,
+                                      dirichlet.n_free, n_ranks)
+        oracle, oracle_traffic = lexsort_assemble(
+            RankTriplets.from_store(store), owner, dirichlet.n_free, n_ranks)
+        system, traffic = exchange_and_assemble(store, owner)
+        got, want = system.matrix, oracle.matrix
+        assert np.array_equal(got.data.view(np.int64),
+                              want.data.view(np.int64)), n_ranks
+        assert np.array_equal(got.indices, want.indices), n_ranks
+        assert np.array_equal(got.indptr, want.indptr), n_ranks
+        assert np.array_equal(system.rhs.view(np.int64),
+                              oracle.rhs.view(np.int64)), n_ranks
+        assert np.array_equal(traffic, oracle_traffic), n_ranks
+        assert system.halo_counts == oracle.halo_counts, n_ranks
+        for field in ("sent_entries", "kept_entries", "total_entries"):
+            assert getattr(system, field) == getattr(oracle, field)
+        if n_ranks > 1:
+            # some entries cross ranks, so the ledger is not all diagonal
+            assert np.count_nonzero(traffic) > n_ranks
+
+
+def test_store_does_not_depend_on_the_partition(monkeypatch):
+    # a leaf's blocks sit at offsets fixed by the leaves alone, so every
+    # column of the step's store is byte-identical whatever the rank
+    # count, the partitioner and the worker count; with two workers the
+    # forked ranks write scattered leaf blocks into the shared store
+    stores = []
+
+    def assemble(store, *args):
+        stores.append([getattr(store, name).tobytes()
+                       for name in STORE_COLUMNS])
+        return exchange_and_assemble(store, *args)
+
+    monkeypatch.setattr("overlayfem.distributed.exchange_and_assemble",
+                        assemble)
+    exact = LShapeSolution()
+    disk = EmbeddedDomain(Disk((0.0, 0.0), 0.8), epsilon=1e-8)
+    cases = [
+        (lambda: corner_refined(3, 2), lshape_dirichlet,
+         dict(source=unit_source, flux=exact.flux,
+              flux_part=lshape_neumann_part)),
+        (lambda: interface_refined(4, disk, 1), fcm_disk_dirichlet,
+         dict(domain=disk, depth=3, source=unit_source)),
+    ]
+    for make_mesh, part, kwargs in cases:
+        stores.clear()
+        for workers in (1, 2):
+            for n_ranks in (1, 3, 8):
+                for partitioner in ("sfc", "contiguous"):
+                    run_step(make_mesh(), PolynomialOrderField(uniform=3),
+                             n_ranks, part, partitioner=partitioner,
+                             workers=workers, **kwargs)
+        assert len(stores) == 12
+        assert all(store == stores[0] for store in stores[1:])
+
+
+def test_work_counters_do_not_depend_on_the_rank_count():
+    # report.json's triplets (the store's length, sum of kept**2 over the
+    # leaves) and nnz (the operator's stored entries) count work, not
+    # ranks
+    exact = LShapeSolution()
+    counts = []
+    for n_ranks in (1, 3, 8):
+        report, basis, _ = run_step(
+            corner_refined(4, 2), PolynomialOrderField(uniform=3), n_ranks,
+            lshape_dirichlet, flux=exact.flux, flux_part=lshape_neumann_part)
+        d = report.to_dict()
+        counts.append((d["triplets"], d["nnz"]))
+    to_free = np.full(basis.dofmap.total, -1, dtype=np.int32)
+    to_free[DirichletMap(basis, lshape_dirichlet).free] = 0
+    _, kept = leaf_free_dofs(basis, to_free, d["leaves"])
+    assert counts == [(int(np.sum(kept ** 2)), counts[0][1])] * 3
 
 
 # ---------------------------------------------------------------- solver
@@ -682,15 +814,14 @@ def test_cg_custom_rhs_and_failure():
 # ------------------------------------------------------------- run_step
 
 
-STORE_COLUMNS = ("rows", "cols", "vals", "leaf_tags", "rhs_rows", "rhs_vals",
-                 "rhs_tags")
+STORE_COLUMNS = ("key", "vals", "rhs_rows", "rhs_vals")
 
 
 def test_run_step_report_is_complete(monkeypatch):
     # the step's leaf systems are freed before the assembly, the step's
     # memory peak, and every column of its triplet store before the
     # solve: a weak reference to each is dead when the next phase starts
-    built, columns, entered = [], [], []
+    built, columns, entered, counts = [], [], [], []
 
     def build(*args):
         systems = leaf_systems(*args)
@@ -701,10 +832,14 @@ def test_run_step_report_is_complete(monkeypatch):
         entered.append(built[0]() is None)
         columns.extend(weakref.ref(getattr(store, name))
                        for name in STORE_COLUMNS)
-        return exchange_and_assemble(store, *args)
+        counts.append(store.key.size)
+        system, traffic = exchange_and_assemble(store, *args)
+        counts.append(system.matrix.nnz)
+        return system, traffic
 
     def solve(*args, **kwargs):
-        entered.append([ref() for ref in columns] == [None] * 7)
+        entered.append([ref() for ref in columns]
+                       == [None] * len(STORE_COLUMNS))
         return parallel_cg(*args, **kwargs)
 
     monkeypatch.setattr("overlayfem.distributed.leaf_systems", build)
@@ -724,6 +859,9 @@ def test_run_step_report_is_complete(monkeypatch):
     assert d["leaves"] == len(mesh.active_leaf_elements())
     assert d["dofs"] == basis.dofmap.total
     assert d["ranks"] == 3
+    # work counters: the store's length and the operator's stored entries
+    assert [d["triplets"], d["nnz"]] == counts
+    assert 0 < d["nnz"] <= d["triplets"]
     assert entered == [True, True]
     assert set(d["timings"]) == {
         "refine", "partition", "leaf_systems", "integrate", "dof_dist",
@@ -748,12 +886,16 @@ def test_run_step_report_is_complete(monkeypatch):
 
 
 def test_rank_triplets_carry_int32_indices(monkeypatch):
-    # run_step's free indices are int32, and so are the index and tag
-    # columns of every rank's triplets, the bulk of the assembly
-    returned = []
+    # run_step's free indices are int32, and so are the rows of every
+    # rank's triplets, the store's leaf-dof incidence and its rhs rows;
+    # the matrix entries carry one int64 key in place of row, column and
+    # leaf tag
+    returned, dtypes = [], []
 
     def integrate(*args):
         returned.append(integrate_rank_system(*args))
+        dtypes.append([getattr(returned[-1].store, name).dtype
+                       for name in STORE_COLUMNS])
         return returned[-1]
 
     monkeypatch.setattr("overlayfem.distributed.integrate_rank_system",
@@ -764,9 +906,10 @@ def test_rank_triplets_carry_int32_indices(monkeypatch):
              flux_part=lshape_neumann_part)
     assert len(returned) == 2
     for inter in returned:
-        assert inter.rows.size > 0 and inter.rhs_rows.size > 0
-        for name in ("rows", "cols", "leaf_tags", "rhs_rows", "rhs_tags"):
-            assert getattr(inter, name).dtype == np.int32, name
+        assert inter.rows.size > 0
+        assert inter.store.entries(inter.leaf_tags)[1].size > 0
+        assert inter.rows.dtype == inter.store.free.dtype == np.int32
+    assert dtypes == [[np.int64, np.float64, np.int32, np.float64]] * 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -928,11 +1071,12 @@ def test_worker_results_carry_no_triplets(pools):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_each_rank_writes_exactly_its_slice(monkeypatch, workers):
+def test_each_rank_writes_exactly_its_leaves_blocks(monkeypatch, workers):
     # the store is prefilled with NaN and -1: after the integrate phase,
-    # inline or in forked workers, the parent reads no fill value, and each
-    # rank's slice holds sum(kept**2) matrix entries, kept a leaf's free
-    # dof count, and sum(kept) rhs entries over its loaded leaves
+    # inline or in forked workers, the parent reads no fill value.  Each
+    # rank fills its leaves' blocks, kept**2 matrix entries per leaf, kept
+    # its free dof count, and kept rhs entries per loaded leaf; inline,
+    # it writes nothing outside them
     allocate, checked = Triplets.allocate, []
 
     def prefilled(*args, **kwargs):
@@ -942,16 +1086,31 @@ def test_each_rank_writes_exactly_its_slice(monkeypatch, workers):
             column[:] = np.nan if column.dtype.kind == "f" else -1
         return store
 
+    def snapshot(store):
+        return [getattr(store, name).copy() for name in STORE_COLUMNS]
+
     def integrate(basis, to_free, leaf_ids, leaf_tags, rank, systems,
                   store):
+        before = snapshot(store)
         inter = integrate_rank_system(basis, to_free, leaf_ids, leaf_tags,
                                       rank, systems, store)
         kept = np.array([np.count_nonzero(to_free[basis.leaf_dofs(leaf)]
                                           >= 0) for leaf in leaf_ids], int)
         loaded = systems.loaded(basis.row_of[leaf_ids])
-        assert inter.rows.size == np.sum(kept ** 2)
-        assert inter.rhs_rows.size == np.sum(kept[loaded])
-        assert inter.rows.base is store.rows       # a view of its slice
+        at, rhs_at = store.entries(leaf_tags)
+        assert at.size == np.sum(kept ** 2) == inter.rows.size
+        assert rhs_at.size == np.sum(kept[loaded])
+        for name, old in zip(STORE_COLUMNS, before):
+            column = getattr(store, name)
+            mine = np.zeros(column.size, dtype=bool)
+            mine[at if name in ("key", "vals") else rhs_at] = True
+            assert not np.any(np.isnan(column[mine])
+                              if column.dtype.kind == "f"
+                              else column[mine] < 0), name
+            if workers == 1:
+                # other ranks' blocks hold what they held before
+                assert np.array_equal(column[~mine], old[~mine],
+                                      equal_nan=True), name
         return inter
 
     def assemble(store, *args):
@@ -959,7 +1118,7 @@ def test_each_rank_writes_exactly_its_slice(monkeypatch, workers):
             column = getattr(store, name)
             assert not np.any(np.isnan(column) if column.dtype.kind == "f"
                               else column < 0), name
-        checked.append(np.diff(store.starts).sum() == store.rows.size)
+        checked.append(np.diff(store.starts).sum() == store.key.size)
         return exchange_and_assemble(store, *args)
 
     monkeypatch.setattr(Triplets, "allocate", prefilled)
@@ -970,7 +1129,8 @@ def test_each_rank_writes_exactly_its_slice(monkeypatch, workers):
     exact = LShapeSolution()
     disk = EmbeddedDomain(Disk((0.0, 0.0), 0.8), epsilon=1e-8)
     # boundary leaves keep part of their dofs; flux loads reach only
-    # some leaves; cut leaves come from the kernel
+    # some leaves; cut leaves come from the kernel; the sfc ranks' leaves
+    # are scattered over the pre-order
     run_step(Mesh(lshape_mesh_spec(3)), PolynomialOrderField(uniform=3), 3,
              lshape_dirichlet, flux=exact.flux,
              flux_part=lshape_neumann_part, workers=workers)
@@ -994,19 +1154,17 @@ def test_assembly_allocates_less_than_the_store():
                            flux_part=lshape_neumann_part)
     to_free = np.full(basis.dofmap.total, -1, dtype=np.int32)
     to_free[dirichlet.free] = np.arange(dirichlet.n_free)
-    leaves = mesh.active_leaf_elements()
     ranks = partition_leaves("sfc", mesh, basis, compute_leaf_weights(basis),
                              4)
     owner = distribute_dofs_contiguous(dirichlet.n_free, 4)
     tracemalloc.start()
     try:
-        store = Triplets.from_ranks([integrate_rank_system(
-            basis, to_free, leaves[ranks == r], np.flatnonzero(ranks == r),
-            r, systems) for r in range(4)])
+        store, _ = integrate_ranks(basis, to_free, dirichlet.n_free, ranks, 4,
+                                   systems)
         nbytes = sum(getattr(store, name).nbytes for name in STORE_COLUMNS)
         entry = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        exchange_and_assemble(store, owner, dirichlet.n_free, 4)
+        exchange_and_assemble(store, owner)
         above = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
