@@ -22,8 +22,8 @@ orders = PolynomialOrderField(uniform=3)
 
 report, basis, solution = run_step(
     mesh, orders, 4, problem.dirichlet_part,
-    partitioner="sfc", dof_distribution="graph",
-    flux=problem.flux, flux_part=problem.flux_part, tol=1e-10)
+    partitioner="sfc", flux=problem.flux, flux_part=problem.flux_part,
+    tol=1e-10)
 
 d = report.to_dict()
 print(f"{d['leaves']} leaves, {d['dofs']} dofs ({d['free_dofs']} free), "
@@ -42,9 +42,8 @@ print("\nphase timings:", {k: round(v, 4) for k, v in d["timings"].items()})
 sols, iters = [], []
 for n_ranks in (1, 2, 4):
     rep, _, sol = run_step(mesh, orders, n_ranks, problem.dirichlet_part,
-                           partitioner="sfc", dof_distribution="graph",
-                           flux=problem.flux, flux_part=problem.flux_part,
-                           tol=1e-10)
+                           partitioner="sfc", flux=problem.flux,
+                           flux_part=problem.flux_part, tol=1e-10)
     iters.append(rep.cg_iterations)
     sols.append(sol)
 drift = max(np.max(np.abs(s - sols[0])) for s in sols[1:])

@@ -86,23 +86,6 @@ def shape_tables(jmax, xi):
     return vals, ders
 
 
-def _one_mode(j, xi, table):
-    if j < 1:
-        raise ValueError(f"mode index must be >= 1, got {j}")
-    res = shape_tables(j, xi)[table][j - 1]
-    return res if np.ndim(xi) else float(res[0])
-
-
-def integrated_legendre(j, xi):
-    """Value of 1d mode j at xi (scalar or array)."""
-    return _one_mode(j, xi, 0)
-
-
-def integrated_legendre_deriv(j, xi):
-    """Derivative of 1d mode j at xi."""
-    return _one_mode(j, xi, 1)
-
-
 def entity_mode_count(kind, p):
     """Shape functions carried by entities of the given kind codes at
     polynomial orders p, elementwise over broadcast arrays."""
@@ -116,7 +99,8 @@ def entity_mode_count(kind, p):
 
 
 class PolynomialOrderField:
-    """Uniform order, or a level -> order map for graded refinement.
+    """A level -> order map for graded refinement; a uniform order is
+    the map {0: p}.
 
     Levels deeper than the largest mapped level reuse the deepest entry.
     """
@@ -127,23 +111,19 @@ class PolynomialOrderField:
         if uniform is not None:
             if int(uniform) != uniform or uniform < 1:
                 raise ValueError(f"order must be a positive int, got {uniform}")
-            self._uniform = int(uniform)
-            self._map = None
-        else:
-            if not by_level:
-                raise ValueError("empty level map")
-            cleaned = {}
-            for lvl, p in by_level.items():
-                if int(lvl) != lvl or lvl < 0:
-                    raise ValueError(f"bad level {lvl} in order map")
-                if int(p) != p or p < 1:
-                    raise ValueError(f"bad order {p} for level {lvl}")
-                cleaned[int(lvl)] = int(p)
-            if 0 not in cleaned:
-                raise ValueError("order map must define level 0")
-            self._uniform = None
-            self._map = cleaned
-            self._deepest = max(cleaned)
+            by_level = {0: uniform}
+        if not by_level:
+            raise ValueError("empty level map")
+        cleaned = {}
+        for lvl, p in by_level.items():
+            if int(lvl) != lvl or lvl < 0:
+                raise ValueError(f"bad level {lvl} in order map")
+            if int(p) != p or p < 1:
+                raise ValueError(f"bad order {p} for level {lvl}")
+            cleaned[int(lvl)] = int(p)
+        if 0 not in cleaned:
+            raise ValueError("order map must define level 0")
+        self._map = cleaned
 
     @classmethod
     def uniform(cls, p):
@@ -154,8 +134,6 @@ class PolynomialOrderField:
         return cls(by_level=by_level)
 
     def level_order(self, level):
-        if self._uniform is not None:
-            return self._uniform
         p = self._map.get(level)
         if p is None:
             # undeclared levels reuse the nearest shallower entry
@@ -188,19 +166,6 @@ class DofMap:
         self.rows = rows
         self.offsets = offsets
         self.total = total
-
-    def index_of(self, row, mode):
-        k = int(np.searchsorted(self.rows, row))
-        if k == self.rows.size or self.rows[k] != row:
-            raise KeyError(f"entity row {row} carries no dofs")
-        return int(self.offsets[k]) + mode
-
-    def dof_entity(self, gid):
-        """(entity row, mode) of a global dof."""
-        if not 0 <= gid < self.total:
-            raise IndexError(f"dof {gid} out of range")
-        k = int(np.searchsorted(self.offsets, gid, side="right")) - 1
-        return int(self.rows[k]), gid - int(self.offsets[k])
 
 
 def enumerate_dofs(mesh, orders):
@@ -432,66 +397,3 @@ class Basis:
                 (pts - np.repeat(lo, counts, axis=0))
                 * np.repeat(scale, counts, axis=0) - 1.0, -1.0, 1.0)))
         return frames
-
-
-def interpolate_nodal(basis, func):
-    """Coefficients reproducing `func` through the nodal layers.
-
-    Walks the levels from coarse to fine and gives every active node the
-    mismatch between `func` and the partial field built so far; edge and
-    interior modes stay zero.  Fields that are multilinear on every active
-    leaf (constants, global linears) come out exactly.
-    """
-    mesh, dofmap = basis.mesh, basis.dofmap
-    coeffs = np.zeros(dofmap.total)
-    t = mesh.table[dofmap.rows]
-    nodes = np.flatnonzero(t.kind == NODE)
-    nodes = nodes[np.argsort(t.level[nodes], kind="stable")]
-    points = mesh.entity_points(dofmap.rows[nodes])
-    for pt, gid, leaf in zip(points, dofmap.offsets[nodes],
-                             mesh.locate_leaves(points)):
-        gids = basis.leaf_dofs(leaf)
-        vals, _ = basis.evaluate_leaf(leaf, pt[None, :])
-        partial = float(vals[0] @ coeffs[gids])
-        target = float(func(pt))
-        coeffs[gid] = target - partial
-    return coeffs
-
-
-class FieldApproximation:
-    """A coefficient vector over a Basis, evaluated leaf by leaf."""
-
-    def __init__(self, basis, coefficients):
-        coefficients = np.asarray(coefficients, dtype=float)
-        if coefficients.shape != (basis.dofmap.total,):
-            raise ValueError(
-                f"expected {basis.dofmap.total} coefficients, "
-                f"got shape {coefficients.shape}"
-            )
-        self.basis = basis
-        self.coefficients = coefficients
-
-    def _located(self, points):
-        """The points (n, 2) and the ids of the leaves that hold them."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        leaves = self.basis.mesh.locate_leaves(pts)
-        if (leaves < 0).any():
-            raise ValueError(f"point {pts[leaves < 0][0]} is outside the mesh")
-        return pts, leaves
-
-    def value(self, points):
-        pts, leaves = self._located(points)
-        out = np.empty(pts.shape[0])
-        for i, (pt, leaf) in enumerate(zip(pts, leaves)):
-            vals, _ = self.basis.evaluate_leaf(leaf, pt[None, :])
-            out[i] = vals[0] @ self.coefficients[self.basis.leaf_dofs(leaf)]
-        return out
-
-    def gradient(self, points):
-        pts, leaves = self._located(points)
-        out = np.empty((pts.shape[0], 2))
-        for i, (pt, leaf) in enumerate(zip(pts, leaves)):
-            _, grads = self.basis.evaluate_leaf(leaf, pt[None, :])
-            coef = self.coefficients[self.basis.leaf_dofs(leaf)]
-            out[i] = grads[0].T @ coef
-        return out

@@ -39,7 +39,6 @@ from .physics import LShapeSolution, table_signatures, energy_error
 from .quadrature import Disk, EmbeddedDomain, geometry_from_json, indicator_area
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-DOF_DIST_CHOICES = ("contiguous", "graph")
 BENCHMARK_CHOICES = ("lshape", "fcm_disk", "custom")
 MARKING_CHOICES = ("corner", "ball", "interface", "random", "none")
 # scalar config keys by the kind of value they take (a bool is no number)
@@ -48,7 +47,7 @@ _SCALAR_KINDS = (
      numbers.Integral, "an integer"),
     (("epsilon", "tol"), numbers.Real, "a number"),
     (("dry_run",), bool, "true or false"),
-    (("benchmark", "partitioner", "dof_dist", "out"), str, "a string"),
+    (("benchmark", "partitioner", "out"), str, "a string"),
 )
 
 
@@ -63,7 +62,6 @@ class RunConfig:
     p_graded: dict | None = None
     ranks: int = 4
     partitioner: str = "sfc"
-    dof_dist: str = "graph"
     epsilon: float = 1e-8
     depth: int = 4
     tol: float = 1e-10
@@ -109,8 +107,6 @@ class RunConfig:
             raise ValueError(f"benchmark must be one of {BENCHMARK_CHOICES}")
         if self.partitioner not in PARTITIONERS:
             raise ValueError(f"partitioner must be one of {PARTITIONERS}")
-        if self.dof_dist not in DOF_DIST_CHOICES:
-            raise ValueError(f"dof-dist must be one of {DOF_DIST_CHOICES}")
         if self.marking is not None and self.marking not in MARKING_CHOICES:
             raise ValueError(f"marking must be one of {MARKING_CHOICES}")
         if self.res < 1:
@@ -407,7 +403,7 @@ def marks_for_step(problem, marking, mesh, step, rng):
 # ----------------------------------------------------------------------
 # study drivers
 
-def step_error(problem, config, basis, solution):
+def step_error(problem, basis, solution):
     """The convergence-table error of one step, or nan when undefined."""
     if problem.exact is not None:
         return energy_error(basis, solution, problem.exact.gradient,
@@ -454,7 +450,6 @@ def run_benchmark(config):
             report, basis, solution = run_step(
                 mesh, orders, config.ranks, problem.dirichlet_part,
                 marks=marks, partitioner=config.partitioner,
-                dof_distribution=config.dof_dist,
                 domain=problem.domain, depth=problem.depth,
                 source=problem.source, flux=problem.flux,
                 flux_part=problem.flux_part, tol=config.tol,
@@ -472,7 +467,7 @@ def run_benchmark(config):
             report.extras["error"] = err
             report.extras["alpha_area"] = area
         else:
-            err = step_error(problem, config, basis, solution)
+            err = step_error(problem, basis, solution)
             report.extras["error"] = None if math.isnan(err) else err
         report.timings["error"] = time.perf_counter() - t
         steps.append(report.to_dict())

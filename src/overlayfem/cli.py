@@ -20,11 +20,10 @@ import time
 
 import numpy as np
 
-from .benchmarks import (BENCHMARK_CHOICES, DOF_DIST_CHOICES,
-                         MARKING_CHOICES, RunConfig, make_problem,
-                         marks_for_step, run_benchmark, write_artifacts,
-                         write_mesh_xml, write_partition_csv,
-                         write_solution_csv)
+from .benchmarks import (BENCHMARK_CHOICES, MARKING_CHOICES, RunConfig,
+                         make_problem, marks_for_step, run_benchmark,
+                         write_artifacts, write_mesh_xml,
+                         write_partition_csv, write_solution_csv)
 from .distributed import SolverError, run_step
 from .mesh import create_base_mesh
 from .partition import PARTITIONERS
@@ -64,7 +63,6 @@ def _add_common_flags(sub):
     sub.add_argument("--p-graded", type=_parse_graded, dest="p_graded",
                      help="per-level orders, e.g. l0:8,l1:6,l2:4")
     sub.add_argument("--partitioner", choices=PARTITIONERS)
-    sub.add_argument("--dof-dist", choices=DOF_DIST_CHOICES, dest="dof_dist")
     sub.add_argument("--epsilon", type=float, help="fictitious-domain indicator")
     sub.add_argument("--depth", type=int, help="spacetree subdivision depth")
     sub.add_argument("--tol", type=float, help="CG relative tolerance")
@@ -80,8 +78,8 @@ def _build_config(args, rank_list=False):
         config = RunConfig()
     overrides = {}
     for key in ("benchmark", "res", "steps", "p", "p_graded", "partitioner",
-                "dof_dist", "epsilon", "depth", "tol", "marking", "seed",
-                "workers", "out"):
+                "epsilon", "depth", "tol", "marking", "seed", "workers",
+                "out"):
         overrides[key] = getattr(args, key, None)
     if getattr(args, "positional_benchmark", None):
         overrides["benchmark"] = args.positional_benchmark
@@ -148,9 +146,8 @@ def cmd_scale(args):
         t0 = time.perf_counter()
         report, _, _ = run_step(
             mesh, orders, n_ranks, problem.dirichlet_part,
-            partitioner=config.partitioner, dof_distribution=config.dof_dist,
-            domain=problem.domain, depth=problem.depth,
-            source=problem.source, flux=problem.flux,
+            partitioner=config.partitioner, domain=problem.domain,
+            depth=problem.depth, source=problem.source, flux=problem.flux,
             flux_part=problem.flux_part, tol=config.tol,
             workers=n_ranks,
         )

@@ -83,12 +83,6 @@ class SolverError(RuntimeError):
 # ----------------------------------------------------------------------
 # dof ownership
 
-def distribute_dofs_contiguous(n_free, n_ranks):
-    """Equal-count blocks of free dof indices."""
-    idx = np.arange(n_free, dtype=np.int64)
-    return (idx * n_ranks // n_free).astype(np.int64)
-
-
 def distribute_dofs_graph(free_dofs, leaf_sizes, leaf_ranks, n_free,
                           n_ranks):
     """Majority-owner assignment of free dofs.
@@ -233,40 +227,40 @@ class IntermediateSystem:
                          np.repeat(kept, kept))
 
 
-def integrate_rank_system(basis, to_free, leaf_ids, leaf_tags, rank,
-                          systems, store):
+def integrate_rank_system(basis, to_free, leaf_tags, rank, systems,
+                          store):
     """Integrate exactly the given leaves into free-index triplets, leaf
     after leaf: K and f from the step's
     :class:`~overlayfem.physics.LeafSystems` or, for a cut leaf, from
     :func:`overlayfem.physics.integrate_leaves`, plus its flux load.
 
-    `leaf_tags` are the leaves' pre-order positions: each leaf's
-    triplets are written into its blocks of `store`, the step's
-    :class:`Triplets`.  Returns the rank's :class:`IntermediateSystem`.
+    `leaf_tags` are the leaves' pre-order positions, which are also
+    their Basis rows: each leaf's triplets are written into its blocks
+    of `store`, the step's :class:`Triplets`.  Returns the rank's
+    :class:`IntermediateSystem`.
     """
     start = time.perf_counter()
-    # active leaves are the Basis's first table rows, in pre-order
-    pos = basis.row_of[np.asarray(leaf_ids, dtype=np.int64)]
     leaf_tags = np.asarray(leaf_tags, dtype=np.int64)
-    sig, load = systems.signature[pos], systems.load[pos]
-    loaded = systems.loaded(pos)
+    sig, load = systems.signature[leaf_tags], systems.load[leaf_tags]
+    loaded = systems.loaded(leaf_tags)
     Ks = [systems.stiffness[k] if k >= 0 else None for k in sig.tolist()]
     fs = [systems.loads[k] if k >= 0 else None for k in load.tolist()]
     # cut leaves through the kernel
     cut = np.flatnonzero(sig < 0)
     for j, K, fe in zip(cut.tolist(), *integrate_leaves(
-            basis, pos[cut], systems.domain, systems.depth, systems.source)):
+            basis, leaf_tags[cut], systems.domain, systems.depth,
+            systems.source)):
         Ks[j], fs[j] = K, fe
     # a flux load adds to the source load, for every leaf a flux reaches
-    for j, i in enumerate(pos.tolist()):
+    for j, i in enumerate(leaf_tags.tolist()):
         fl = systems.flux_loads.get(i)
         if fl is not None:
             fs[j] = fl if fs[j] is None else fs[j] + fl
 
     # a leaf with n dofs, kept of them free, emits its K at the free dofs,
     # kept x kept entries row-major, and when loaded its f at them
-    n = basis.mode_counts[pos]
-    fidx = to_free[basis.dofs[_ranges(basis.dof_offsets[pos], n)]]
+    n = basis.mode_counts[leaf_tags]
+    fidx = to_free[basis.dofs[_ranges(basis.dof_offsets[leaf_tags], n)]]
     free = fidx >= 0
     kept = store.kept[leaf_tags]
     at, rhs_at = store.entries(leaf_tags)
@@ -559,7 +553,6 @@ class StepReport:
     nnz: int
     n_ranks: int
     partitioner: str
-    dof_distribution: str
     per_rank: list
     timings: dict
     cg_iterations: int
@@ -580,7 +573,7 @@ class StepReport:
             "nnz": self.nnz,
             "ranks": self.n_ranks,
             "partitioner": self.partitioner,
-            "dof_distribution": self.dof_distribution,
+            "dof_distribution": "graph",
             "per_rank": self.per_rank,
             "timings": self.timings,
             "cg_iterations": self.cg_iterations,
@@ -594,9 +587,9 @@ class StepReport:
 
 
 def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
-             partitioner="sfc", dof_distribution="graph",
-             domain=None, depth=0, source=None, flux=None, flux_part=None,
-             tol=1e-10, step_index=0, workers=None):
+             partitioner="sfc", domain=None, depth=0, source=None,
+             flux=None, flux_part=None, tol=1e-10, step_index=0,
+             workers=None):
     """Refine, partition, integrate, exchange, and solve one step;
     ``source`` and ``flux`` must act point by point.
 
@@ -618,7 +611,7 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     timings["refine"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    leaves = mesh.active_leaf_elements()
+    n_leaves = len(basis.leaves)
     weights = compute_leaf_weights(basis, domain, depth)
     ranks = partition_leaves(partitioner, mesh, basis, weights, n_ranks)
     timings["partition"] = time.perf_counter() - t
@@ -629,27 +622,21 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
 
     t = time.perf_counter()
     # the free dofs of each leaf size its blocks in the step's store
-    free, kept = leaf_free_dofs(basis, to_free, len(leaves))
+    free, kept = leaf_free_dofs(basis, to_free, n_leaves)
     # a fork pool starts all its processes at once: no more than ranks
     workers = min(workers or 1, n_ranks)
-    loaded = systems.loaded(np.arange(len(leaves)))
+    loaded = systems.loaded(np.arange(n_leaves))
     store = Triplets.allocate(free, kept, loaded, ranks, dirichlet.n_free,
                               n_ranks, shared=workers > 1)
-    rank_seconds = _integrate_all(basis, to_free, leaves, store, systems,
-                                  workers)
+    rank_seconds = _integrate_all(basis, to_free, store, systems, workers)
     timings["integrate"] = time.perf_counter() - t
     # nothing reads the step's leaf systems again: free them before
     # assembly, the step's memory peak
     del systems
 
     t = time.perf_counter()
-    if dof_distribution == "graph":
-        owner = distribute_dofs_graph(free, kept, ranks, dirichlet.n_free,
-                                      n_ranks)
-    elif dof_distribution == "contiguous":
-        owner = distribute_dofs_contiguous(dirichlet.n_free, n_ranks)
-    else:
-        raise ValueError(f"unknown dof distribution {dof_distribution!r}")
+    owner = distribute_dofs_graph(free, kept, ranks, dirichlet.n_free,
+                                  n_ranks)
     timings["dof_dist"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -679,11 +666,10 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     timings["postprocess"] = time.perf_counter() - t
 
     report = StepReport(
-        step=step_index, n_leaves=len(leaves), n_dofs=basis.dofmap.total,
+        step=step_index, n_leaves=n_leaves, n_dofs=basis.dofmap.total,
         n_free=dirichlet.n_free, n_triplets=int(store.starts[-1]),
         nnz=system.matrix.nnz, n_ranks=n_ranks, partitioner=partitioner,
-        dof_distribution=dof_distribution, per_rank=per_rank,
-        timings=timings, cg_iterations=iterations,
+        per_rank=per_rank, timings=timings, cg_iterations=iterations,
         residual=history[-1], residual_history=thin_history(history),
         leaf_weights=weights, leaf_ranks=ranks,
         cost_model_r=pearson_r(weight_sums, rank_seconds),
@@ -717,15 +703,12 @@ def _pool_task(chunk):
     return inter.rank, inter.n_leaves, inter.seconds
 
 
-def _integrate_all(basis, to_free, leaves, store, systems, workers):
+def _integrate_all(basis, to_free, store, systems, workers):
     """Every rank's integration seconds, its leaves' blocks of `store`
     written, with at most `workers` processes."""
-    ranks = store.leaf_ranks
-    # one (leaf ids, leaf tags, rank) chunk per rank
-    chunks = []
-    for r in range(store.n_ranks):
-        idx = np.flatnonzero(ranks == r)
-        chunks.append((leaves[idx], idx, r))
+    # one (leaf tags, rank) chunk per rank
+    chunks = [(np.flatnonzero(store.leaf_ranks == r), r)
+              for r in range(store.n_ranks)]
     if workers <= 1:
         return [integrate_rank_system(basis, to_free, *chunk, systems,
                                       store).seconds

@@ -1,5 +1,5 @@
-"""Poisson operators on the overlay basis: element systems, boundary data,
-serial assembly, and energy-norm error measurement.
+"""Poisson operators on the overlay basis: element systems, boundary data
+and energy-norm error measurement.
 
 Element systems are integrated with the composed Gauss rules from
 :mod:`overlayfem.quadrature`: a leaf's rule is the reference rule of its
@@ -8,8 +8,8 @@ One kernel, :func:`integrate_leaves`, integrates leaves of every kind:
 the leaves of one (order, level) are mapped together, ``source`` is
 called once on all their points, the basis is evaluated a bounded batch
 of leaves at a time, and each leaf's cells are contracted at once and
-added cell after cell, the bits of a cell-by-cell loop.  The serial
-assembly runs it on every leaf, the distributed pipeline on cut leaves.
+added cell after cell, the bits of a cell-by-cell loop.  The distributed
+pipeline runs it on cut leaves.
 
 Refinement never replaces an element, so most leaves of a step repeat
 one another bit for bit.  :func:`leaf_systems` integrates the leaves with
@@ -18,8 +18,9 @@ signature with array operations, contracts one representative per
 distinct signature, and returns K per signature and f per signature and
 source values, with the boundary-flux loads (1d edge rules, one flux
 call per group of like sides), as one value that the step hands to every
-rank.  Homogeneous Dirichlet conditions are imposed by symmetric
-elimination.
+rank.  Homogeneous Dirichlet conditions are imposed by elimination:
+:class:`DirichletMap` numbers the free dofs, and only those are
+assembled.
 
 The energy error re-integrates every leaf at a raised order and peels
 dyadic shells toward a declared singular point, so the non-smooth
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse
 
 from .mesh import EDGE, NODE, _ranges
 from .quadrature import (box_rule, build_leaf_rules, gauss_rule_1d,
@@ -225,26 +225,6 @@ def table_signatures(basis, rows, pts, *extra):
         rows[first], pts[first].reshape(-1, 2), np.arange(first.size + 1) * n)
 
 
-def assemble_serial(basis, domain=None, depth=0, source=None):
-    """Global stiffness matrix (CSR) and load vector, one rank: every
-    leaf through :func:`integrate_leaves`, scattered in pre-order."""
-    total = basis.dofmap.total
-    leaves = basis.leaves
-    Ks, fs = integrate_leaves(basis, np.arange(len(leaves)), domain, depth,
-                              source)
-    gids = [basis.leaf_dofs(leaf) for leaf in leaves]
-    K = scipy.sparse.coo_matrix(
-        (np.concatenate([K.ravel() for K in Ks]),
-         (np.concatenate([np.repeat(g, g.size) for g in gids]),
-          np.concatenate([np.tile(g, g.size) for g in gids]))),
-        shape=(total, total)).tocsr()
-    f = np.zeros(total)
-    for g, fe in zip(gids, fs):
-        if fe is not None:
-            np.add.at(f, g, fe)
-    return K, f
-
-
 # ----------------------------------------------------------------------
 # boundary conditions
 
@@ -297,15 +277,6 @@ def flux_loads_by_leaf(basis, flux, part=None):
     return loads
 
 
-def neumann_load(basis, flux, part=None):
-    """Boundary load vector from a normal-flux density, all ranks' leaves."""
-    f = np.zeros(basis.dofmap.total)
-    leaves = basis.leaves
-    for i, fl in flux_loads_by_leaf(basis, flux, part).items():
-        np.add.at(f, basis.leaf_dofs(leaves[i]), fl)
-    return f
-
-
 def constrained_dof_mask(basis, on_part):
     """Mask of dofs whose entity lies inside a boundary part.
 
@@ -343,31 +314,10 @@ class DirichletMap:
     def n_constrained(self):
         return self.total - self.free.size
 
-    def reduce(self, K, f=None):
-        Kff = K[self.free][:, self.free].tocsr()
-        if f is None:
-            return Kff
-        return Kff, f[self.free]
-
     def expand(self, u_free):
         u = np.zeros(self.total)
         u[self.free] = u_free
         return u
-
-
-def solve_dirichlet(basis, dirichlet, domain=None, depth=0, source=None,
-                    flux=None, flux_part=None):
-    """Assemble and solve one Poisson problem serially, direct solver:
-    the reference the tests hold the distributed pipeline to.  No run
-    calls it, so scipy.linalg is imported here, not with the module."""
-    import scipy.sparse.linalg
-
-    K, f = assemble_serial(basis, domain, depth, source)
-    if flux is not None:
-        f = f + neumann_load(basis, flux, flux_part)
-    Kff, ff = dirichlet.reduce(K, f)
-    u_free = scipy.sparse.linalg.spsolve(Kff.tocsc(), ff)
-    return dirichlet.expand(u_free)
 
 
 # ----------------------------------------------------------------------

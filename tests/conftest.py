@@ -6,8 +6,9 @@ reimplemented inside the test module that needs it, unless several
 modules need it: the cell-by-cell quadrature oracles, the per-leaf
 evaluation and integration kernels, the per-element Basis oracles, the
 point-by-point leaf walk, the full-length interval-cut bisection,
-the object-by-object entity and element bookkeeping and the lexsort
-assembly live here.
+the object-by-object entity and element bookkeeping, the lexsort
+assembly and the serial reference path (a second assembly, a direct
+solve, point-by-point fields and the equal-count dof owner) live here.
 """
 
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from overlayfem.benchmarks import (RunConfig, lshape_mesh_spec, make_problem,
                                    mark_corner_leaves, marks_for_step)
 from overlayfem.mesh import create_base_mesh
 from overlayfem.partition import partition_leaves
+from overlayfem.physics import flux_loads_by_leaf, integrate_leaves
 from overlayfem.quadrature import (LeafRule, gauss_rule_1d, leaf_frame,
                                    leaf_rule, leaf_rule_table, subdivide)
 
@@ -447,7 +449,7 @@ def plan_oracle(basis, elem):
         n = entity_modes(basis, row)
         if n == 0:
             continue
-        off = basis.dofmap.index_of(row, 0)
+        off = index_of(basis.dofmap, row, 0)
         gids.extend(range(off, off + n))
         if slot < 4:
             ix, iy = ((0, 0), (1, 0), (0, 1), (1, 1))[slot]
@@ -507,7 +509,7 @@ def constrained_dof_mask_oracle(basis, on_part):
         else:
             hit = False
         if hit:
-            off = basis.dofmap.index_of(row, 0)
+            off = index_of(basis.dofmap, row, 0)
             mask[off:off + entity_modes(basis, row)] = True
     return mask
 
@@ -769,17 +771,16 @@ def integrate_ranks(basis, to_free, n_free, ranks, n_ranks, systems):
     """The step's leaf-order store with every rank's leaves integrated
     into it, inline as run_step does, and the ranks'
     IntermediateSystems."""
-    leaves = basis.mesh.active_leaf_elements()
+    n_leaves = len(basis.leaves)
     ranks = np.asarray(ranks)
-    free, kept = leaf_free_dofs(basis, to_free, len(leaves))
-    store = Triplets.allocate(free, kept,
-                              systems.loaded(np.arange(len(leaves))), ranks,
-                              n_free, n_ranks, shared=False)
+    free, kept = leaf_free_dofs(basis, to_free, n_leaves)
+    store = Triplets.allocate(free, kept, systems.loaded(np.arange(n_leaves)),
+                              ranks, n_free, n_ranks, shared=False)
     inters = []
     for r in range(n_ranks):
         mine = np.flatnonzero(ranks == r)
-        inters.append(integrate_rank_system(basis, to_free, leaves[mine],
-                                            mine, r, systems, store))
+        inters.append(integrate_rank_system(basis, to_free, mine, r,
+                                            systems, store))
     return store, inters
 
 
@@ -936,3 +937,166 @@ def lexsort_assemble(triplets, owner, n_free, n_ranks):
         sent_entries=sent_entries, kept_entries=kept_entries,
         total_entries=total_entries,
     ), traffic
+
+
+# ----------------------------------------------------------------------
+# the serial reference path
+#
+# A second assembly, a direct solve and point-by-point field helpers that
+# no run calls: the reference the tests hold the distributed pipeline to,
+# with the 1d modes one at a time, the dof map's inverse queries and the
+# equal-count dof owner.
+
+
+def _one_mode(j, xi, table):
+    if j < 1:
+        raise ValueError(f"mode index must be >= 1, got {j}")
+    res = shape_tables(j, xi)[table][j - 1]
+    return res if np.ndim(xi) else float(res[0])
+
+
+def integrated_legendre(j, xi):
+    """Value of 1d mode j at xi (scalar or array)."""
+    return _one_mode(j, xi, 0)
+
+
+def integrated_legendre_deriv(j, xi):
+    """Derivative of 1d mode j at xi."""
+    return _one_mode(j, xi, 1)
+
+
+def index_of(dofmap, row, mode):
+    """Global index of mode `mode` of entity row `row`."""
+    k = int(np.searchsorted(dofmap.rows, row))
+    if k == dofmap.rows.size or dofmap.rows[k] != row:
+        raise KeyError(f"entity row {row} carries no dofs")
+    return int(dofmap.offsets[k]) + mode
+
+
+def dof_entity(dofmap, gid):
+    """(entity row, mode) of a global dof."""
+    if not 0 <= gid < dofmap.total:
+        raise IndexError(f"dof {gid} out of range")
+    k = int(np.searchsorted(dofmap.offsets, gid, side="right")) - 1
+    return int(dofmap.rows[k]), gid - int(dofmap.offsets[k])
+
+
+def interpolate_nodal(basis, func):
+    """Coefficients reproducing `func` through the nodal layers.
+
+    Walks the levels from coarse to fine and gives every active node the
+    mismatch between `func` and the partial field built so far; edge and
+    interior modes stay zero.  Fields that are multilinear on every active
+    leaf (constants, global linears) come out exactly.
+    """
+    mesh, dofmap = basis.mesh, basis.dofmap
+    coeffs = np.zeros(dofmap.total)
+    t = mesh.table[dofmap.rows]
+    nodes = np.flatnonzero(t.kind == NODE)
+    nodes = nodes[np.argsort(t.level[nodes], kind="stable")]
+    points = mesh.entity_points(dofmap.rows[nodes])
+    for pt, gid, leaf in zip(points, dofmap.offsets[nodes],
+                             mesh.locate_leaves(points)):
+        gids = basis.leaf_dofs(leaf)
+        vals, _ = basis.evaluate_leaf(leaf, pt[None, :])
+        partial = float(vals[0] @ coeffs[gids])
+        target = float(func(pt))
+        coeffs[gid] = target - partial
+    return coeffs
+
+
+class FieldApproximation:
+    """A coefficient vector over a Basis, evaluated leaf by leaf."""
+
+    def __init__(self, basis, coefficients):
+        coefficients = np.asarray(coefficients, dtype=float)
+        if coefficients.shape != (basis.dofmap.total,):
+            raise ValueError(
+                f"expected {basis.dofmap.total} coefficients, "
+                f"got shape {coefficients.shape}"
+            )
+        self.basis = basis
+        self.coefficients = coefficients
+
+    def _located(self, points):
+        """The points (n, 2) and the ids of the leaves that hold them."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        leaves = self.basis.mesh.locate_leaves(pts)
+        if (leaves < 0).any():
+            raise ValueError(f"point {pts[leaves < 0][0]} is outside the mesh")
+        return pts, leaves
+
+    def value(self, points):
+        pts, leaves = self._located(points)
+        out = np.empty(pts.shape[0])
+        for i, (pt, leaf) in enumerate(zip(pts, leaves)):
+            vals, _ = self.basis.evaluate_leaf(leaf, pt[None, :])
+            out[i] = vals[0] @ self.coefficients[self.basis.leaf_dofs(leaf)]
+        return out
+
+    def gradient(self, points):
+        pts, leaves = self._located(points)
+        out = np.empty((pts.shape[0], 2))
+        for i, (pt, leaf) in enumerate(zip(pts, leaves)):
+            _, grads = self.basis.evaluate_leaf(leaf, pt[None, :])
+            coef = self.coefficients[self.basis.leaf_dofs(leaf)]
+            out[i] = grads[0].T @ coef
+        return out
+
+
+def assemble_serial(basis, domain=None, depth=0, source=None):
+    """Global stiffness matrix (CSR) and load vector, one rank: every
+    leaf through :func:`integrate_leaves`, scattered in pre-order."""
+    total = basis.dofmap.total
+    leaves = basis.leaves
+    Ks, fs = integrate_leaves(basis, np.arange(len(leaves)), domain, depth,
+                              source)
+    gids = [basis.leaf_dofs(leaf) for leaf in leaves]
+    K = scipy.sparse.coo_matrix(
+        (np.concatenate([K.ravel() for K in Ks]),
+         (np.concatenate([np.repeat(g, g.size) for g in gids]),
+          np.concatenate([np.tile(g, g.size) for g in gids]))),
+        shape=(total, total)).tocsr()
+    f = np.zeros(total)
+    for g, fe in zip(gids, fs):
+        if fe is not None:
+            np.add.at(f, g, fe)
+    return K, f
+
+
+def neumann_load(basis, flux, part=None):
+    """Boundary load vector from a normal-flux density, all ranks' leaves."""
+    f = np.zeros(basis.dofmap.total)
+    leaves = basis.leaves
+    for i, fl in flux_loads_by_leaf(basis, flux, part).items():
+        np.add.at(f, basis.leaf_dofs(leaves[i]), fl)
+    return f
+
+
+def dirichlet_reduce(dirichlet, K, f=None):
+    """K, and f when given, restricted to the free dofs of a
+    :class:`DirichletMap`."""
+    Kff = K[dirichlet.free][:, dirichlet.free].tocsr()
+    if f is None:
+        return Kff
+    return Kff, f[dirichlet.free]
+
+
+def solve_dirichlet(basis, dirichlet, domain=None, depth=0, source=None,
+                    flux=None, flux_part=None):
+    """Assemble and solve one Poisson problem serially, direct solver:
+    the reference the tests hold the distributed pipeline to."""
+    import scipy.sparse.linalg
+
+    K, f = assemble_serial(basis, domain, depth, source)
+    if flux is not None:
+        f = f + neumann_load(basis, flux, flux_part)
+    Kff, ff = dirichlet_reduce(dirichlet, K, f)
+    u_free = scipy.sparse.linalg.spsolve(Kff.tocsc(), ff)
+    return dirichlet.expand(u_free)
+
+
+def distribute_dofs_contiguous(n_free, n_ranks):
+    """Equal-count blocks of free dof indices."""
+    idx = np.arange(n_free, dtype=np.int64)
+    return (idx * n_ranks // n_free).astype(np.int64)

@@ -19,19 +19,19 @@ import warnings
 
 import numpy as np
 
-from conftest import (ACCEPTANCE_LINES, integrate_ranks, leaf_ranks,
+from conftest import (ACCEPTANCE_LINES, assemble_serial, dirichlet_reduce,
+                      distribute_dofs_contiguous, integrate_ranks, leaf_ranks,
                       random_refined_mesh, random_orders)
 from overlayfem.mesh import BaseMeshSpec, PatchSpec, create_base_mesh
 from overlayfem.basis import Basis, PolynomialOrderField
-from overlayfem.physics import DirichletMap, assemble_serial, leaf_systems
+from overlayfem.physics import DirichletMap, leaf_systems
 from overlayfem.quadrature import Disk, EmbeddedDomain, indicator_area
 from overlayfem.partition import (
-    compute_leaf_weights, partition_contiguous, partition_sfc,
-    weighted_imbalance,
+    compute_leaf_weights, partition_contiguous, partition_leaves,
+    partition_sfc, weighted_imbalance,
 )
 from overlayfem.distributed import (
-    distribute_dofs_contiguous, distribute_dofs_graph, exchange_and_assemble,
-    run_step,
+    distribute_dofs_graph, exchange_and_assemble, leaf_free_dofs, run_step,
 )
 from overlayfem.benchmarks import (
     RunConfig, lshape_mesh_spec, make_problem, mark_corner_leaves,
@@ -174,7 +174,7 @@ def test_criterion_03_distributed_assembly_matches_serial():
         system, _ = exchange_and_assemble(store, owner)
 
         K, f = assemble_serial(basis, source=bumpy_source)
-        K_ff, f_f = dirichlet.reduce(K, f)
+        K_ff, f_f = dirichlet_reduce(dirichlet, K, f)
         diff, scale = row_errors(system.matrix.tocsr(), K_ff.tocsr())
         worst = max(worst, float(np.max(diff / scale)) if diff.size else 0.0)
         if not np.all(diff <= MATCH_RTOL * scale):
@@ -242,17 +242,31 @@ def test_criterion_04_majority_ownership_matches_oracle():
 
 
 def test_criterion_05_graph_distribution_cuts_traffic():
+    # run_step's integrate phase and ledger, with the graph owner it uses
+    # and the equal-count blocks it is measured against
     problem = make_problem(RunConfig(benchmark="lshape", res=16, steps=5, p=4))
     mesh = corner_refined_lshape(16)
-    orders = PolynomialOrderField(uniform=4)
     t0 = time.perf_counter()
+    basis = Basis(mesh, PolynomialOrderField(uniform=4))
+    dirichlet = DirichletMap(basis, problem.dirichlet_part)
+    to_free = np.full(basis.dofmap.total, -1, dtype=np.int32)
+    to_free[dirichlet.free] = np.arange(dirichlet.n_free)
+    ranks = partition_leaves("sfc", mesh, basis, compute_leaf_weights(basis),
+                             4)
+    systems = leaf_systems(basis, flux=problem.flux,
+                           flux_part=problem.flux_part)
+    free, kept = leaf_free_dofs(basis, to_free, len(basis.leaves))
+    owners = {
+        "graph": distribute_dofs_graph(free, kept, ranks, dirichlet.n_free, 4),
+        "contiguous": distribute_dofs_contiguous(dirichlet.n_free, 4),
+    }
     sent = {}
-    for dist in ("graph", "contiguous"):
-        report, _, _ = run_step(mesh, orders, 4, problem.dirichlet_part,
-                                partitioner="sfc", dof_distribution=dist,
-                                flux=problem.flux, flux_part=problem.flux_part,
-                                tol=1e-10)
-        sent[dist] = sum(r["sent_triplets"] for r in report.to_dict()["per_rank"])
+    for dist, owner in owners.items():
+        # the assembly spends the store: one integration per owner
+        store, _ = integrate_ranks(basis, to_free, dirichlet.n_free, ranks, 4,
+                                   systems)
+        system, _ = exchange_and_assemble(store, owner)
+        sent[dist] = sum(system.sent_entries)
     wall = time.perf_counter() - t0
     ok = sent["graph"] <= sent["contiguous"] and wall < 60.0
     _report(5, ok, f"sent triplets at 4 ranks: graph {sent['graph']} <= "
@@ -264,8 +278,7 @@ def test_criterion_05_graph_distribution_cuts_traffic():
 def test_criterion_06_corner_convergence_steepens():
     t0 = time.perf_counter()
     cfg = RunConfig(benchmark="lshape", res=8, steps=5, p=2, ranks=2,
-                    marking="ball", partitioner="sfc", dof_dist="graph",
-                    tol=1e-10)
+                    marking="ball", partitioner="sfc", tol=1e-10)
     steps, _ = run_benchmark(cfg)
     wall = time.perf_counter() - t0
     dofs = [s["dofs"] for s in steps]
@@ -318,9 +331,8 @@ def test_criterion_08_rank_count_invariant_solve():
     iters, sols = [], []
     for n_ranks in (1, 2, 4):
         report, _, sol = run_step(mesh, orders, n_ranks, problem.dirichlet_part,
-                                  partitioner="sfc", dof_distribution="graph",
-                                  flux=problem.flux, flux_part=problem.flux_part,
-                                  tol=1e-10)
+                                  partitioner="sfc", flux=problem.flux,
+                                  flux_part=problem.flux_part, tol=1e-10)
         iters.append(report.cg_iterations)
         sols.append(sol)
     wall = time.perf_counter() - t0
@@ -373,9 +385,9 @@ def test_criterion_10_parallel_integration_speedup():
     walls = {}
     for workers in (1, 4):
         report, _, _ = run_step(mesh, orders, 4, problem.dirichlet_part,
-                                partitioner="sfc", dof_distribution="graph",
-                                flux=problem.flux, flux_part=problem.flux_part,
-                                tol=1e-10, workers=workers)
+                                partitioner="sfc", flux=problem.flux,
+                                flux_part=problem.flux_part, tol=1e-10,
+                                workers=workers)
         walls[workers] = report.timings["integrate"]
     speedup = walls[1] / walls[4] if walls[4] > 0 else float("inf")
     detail = (f"integration speedup with 4 workers: {speedup:.2f}x "

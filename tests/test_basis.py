@@ -12,12 +12,14 @@ from scipy.integrate import quad
 from scipy.special import eval_legendre
 
 from conftest import (CheckedMesh, evaluate_leaf_oracle, leaf_at, single_patch,
-                      random_refined_mesh, random_orders)
+                      random_refined_mesh, random_orders, dof_entity,
+                      index_of, integrated_legendre,
+                      integrated_legendre_deriv, interpolate_nodal,
+                      FieldApproximation)
 from overlayfem.mesh import Mesh, NODE, EDGE, FACE
 from overlayfem.basis import (
     Basis, PolynomialOrderField, entity_mode_count, enumerate_dofs,
-    integrated_legendre, integrated_legendre_deriv, shape_tables,
-    interpolate_nodal, FieldApproximation,
+    shape_tables,
 )
 from overlayfem.benchmarks import lshape_mesh_spec
 from overlayfem.quadrature import box_rule, gauss_rule_1d
@@ -191,16 +193,16 @@ def test_dofmap_round_trip():
     basis = Basis(mesh, random_orders(rng, mesh))
     dm = basis.dofmap
     for gid in rng.integers(0, dm.total, size=40):
-        row, mode = dm.dof_entity(int(gid))
-        assert dm.index_of(row, mode) == gid
+        row, mode = dof_entity(dm, int(gid))
+        assert index_of(dm, row, mode) == gid
         assert mesh.table.active[row]
     with pytest.raises(IndexError):
-        dm.dof_entity(dm.total)
+        dof_entity(dm, dm.total)
     inactive = np.flatnonzero(~mesh.table.active)
     if inactive.size:
         with pytest.raises(KeyError):
-            dm.index_of(int(inactive[0]), 0)
-    offsets = [dm.index_of(row, 0) for row in dm.rows.tolist()]
+            index_of(dm, int(inactive[0]), 0)
+    offsets = [index_of(dm, row, 0) for row in dm.rows.tolist()]
     assert offsets == sorted(offsets)
     assert offsets[0] == 0
 
@@ -263,7 +265,7 @@ def test_constant_uses_only_base_nodes():
     basis = Basis(mesh, PolynomialOrderField(uniform=3))
     coeffs = interpolate_nodal(basis, lambda p: 1.0)
     for gid, val in enumerate(coeffs):
-        row, _ = basis.dofmap.dof_entity(gid)
+        row, _ = dof_entity(basis.dofmap, gid)
         if mesh.table.kind[row] == NODE and mesh.table.level[row] == 0:
             assert val == pytest.approx(1.0, abs=1e-12)
         else:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (constrained_dof_mask_oracle, corner_refined,
-                      leaf_dofs_oracle, leaf_flux_load,
+                      leaf_dofs_oracle, leaf_flux_load, neumann_load,
                       leaf_quad_order_oracle, plan_oracle, random_orders,
                       side_on_domain_boundary, single_patch, SIDES_2D,
                       stretched_basis)
@@ -21,8 +21,7 @@ from overlayfem.benchmarks import (BoxBoundary, InBoxes, lshape_dirichlet,
                                    lshape_neumann_part)
 from overlayfem.mesh import EDGE, NODE
 from overlayfem.physics import (DirichletMap, LShapeSolution,
-                                constrained_dof_mask, flux_loads_by_leaf,
-                                neumann_load)
+                                constrained_dof_mask, flux_loads_by_leaf)
 
 
 def poly_flux(points, normal):

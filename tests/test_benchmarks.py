@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import overlayfem.benchmarks
-from conftest import single_patch
+from conftest import FieldApproximation, single_patch
 from overlayfem.mesh import Mesh, create_base_mesh
-from overlayfem.basis import Basis, FieldApproximation, PolynomialOrderField
+from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.quadrature import EmbeddedDomain, Disk
 from overlayfem.benchmarks import (
     RunConfig, lshape_mesh_spec, make_problem, marks_for_step,
@@ -369,7 +369,7 @@ def test_step_error_kinds():
     csteps, cfinal = run_benchmark(ccfg)
     assert csteps[0]["error"] is None
     prob = cfinal["problem"]
-    err = step_error(prob, ccfg, cfinal["basis"], cfinal["solution"])
+    err = step_error(prob, cfinal["basis"], cfinal["solution"])
     assert math.isnan(err)
 
 

@@ -1,12 +1,17 @@
 """The `overlayfem-bench` command: flags, artifacts, exit codes."""
 
+import ast
+import importlib
+import inspect
 import json
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import overlayfem
 import overlayfem.distributed
 from overlayfem.cli import main, _parse_graded, _parse_int_list
 from overlayfem.distributed import SolverError
@@ -126,6 +131,16 @@ def test_removed_graph_partitioner_exits_2(tmp_path, capsys):
                 "--out", str(tmp_path))
     assert exc.value.code == 2
     assert "invalid choice: 'graph'" in capsys.readouterr().err
+
+
+def test_removed_dof_dist_flag_exits_2(tmp_path, capsys):
+    # every run owns its dofs by majority: the flag that chose the owner
+    # is gone, not ignored
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "lshape", "--res", "2", "--dof-dist", "graph",
+                "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dof-dist graph" in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -403,3 +418,49 @@ def test_run_leaves_scipy_linalg_unloaded(tmp_path):
               if line.startswith("loaded:")]
     assert loaded == [["scipy.sparse"], ["scipy.sparse"]]
     assert (tmp_path / "convergence.csv").exists()
+
+
+# names the tests keep as oracles (conftest), by the class that held them
+# when it was a method
+REFERENCE_NAMES = {
+    None: ("assemble_serial", "neumann_load", "solve_dirichlet",
+           "FieldApproximation", "interpolate_nodal", "integrated_legendre",
+           "integrated_legendre_deriv", "_one_mode",
+           "distribute_dofs_contiguous"),
+    "DirichletMap": ("reduce",),
+    "DofMap": ("index_of", "dof_entity"),
+}
+
+
+def _imported(module):
+    """Every module name an import statement of `module` names, deferred
+    imports included; ``from a import b`` names both a and a.b."""
+    names = []
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names += [node.module] + [f"{node.module}.{alias.name}"
+                                      for alias in node.names]
+    return names
+
+
+def test_package_is_the_run_path():
+    # the serial reference path, the 1d modes one at a time, the dof
+    # map's inverse queries and the equal-count owner live in the tests
+    modules = [overlayfem] + [
+        importlib.import_module(f"overlayfem.{info.name}")
+        for info in pkgutil.iter_modules(overlayfem.__path__)]
+    assert {"overlayfem.basis", "overlayfem.physics",
+            "overlayfem.distributed"} <= {m.__name__ for m in modules}
+    for module in modules:
+        for owner, names in REFERENCE_NAMES.items():
+            holder = module if owner is None else getattr(module, owner, None)
+            if holder is not None:
+                assert [n for n in names if hasattr(holder, n)] == [], (
+                    module.__name__, owner)
+        assert not [name for name in _imported(module)
+                    if name.startswith("scipy.sparse.linalg")], module
+    physics = importlib.import_module("overlayfem.physics")
+    assert not [name for name in _imported(physics)
+                if name.split(".")[0] == "scipy"]

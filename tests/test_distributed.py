@@ -22,19 +22,19 @@ from conftest import (leaf_at, leaf_ranks, single_patch, random_refined_mesh,
                       random_orders, stretched_basis, corner_refined,
                       element_system, leaf_flux_load, study_bases,
                       integrate_ranks, leaf_triplets, RankTriplets,
-                      lexsort_assemble)
+                      lexsort_assemble, assemble_serial, dirichlet_reduce,
+                      distribute_dofs_contiguous)
 from overlayfem.mesh import Mesh
 from overlayfem.basis import Basis, PolynomialOrderField
-from overlayfem.physics import (assemble_serial, DirichletMap, LShapeSolution,
-                                leaf_systems)
+from overlayfem.physics import DirichletMap, LShapeSolution, leaf_systems
 from overlayfem.quadrature import (Disk, EmbeddedDomain, leaf_rule,
                                    leaf_rule_table)
 from overlayfem.partition import (partition_contiguous, partition_leaves,
                                   compute_leaf_weights)
 from overlayfem.distributed import (
-    SolverError, Triplets, distribute_dofs_contiguous, distribute_dofs_graph,
-    IntermediateSystem, integrate_rank_system, exchange_and_assemble,
-    leaf_free_dofs, parallel_cg, pearson_r, run_step, thin_history,
+    SolverError, Triplets, distribute_dofs_graph, IntermediateSystem,
+    integrate_rank_system, exchange_and_assemble, leaf_free_dofs,
+    parallel_cg, pearson_r, run_step, thin_history,
 )
 from overlayfem.benchmarks import (fcm_disk_dirichlet, lshape_dirichlet,
                                    lshape_mesh_spec, lshape_neumann_part,
@@ -103,7 +103,7 @@ def test_distributed_system_matches_serial():
             source=bumpy_source)
 
         K, f = assemble_serial(basis, source=bumpy_source)
-        K_ff, f_f = dirichlet.reduce(K, f)
+        K_ff, f_f = dirichlet_reduce(dirichlet, K, f)
         dense_serial = K_ff.toarray()
         dense_dist = system.matrix.toarray()
         scale = np.abs(dense_serial).max()
@@ -458,10 +458,10 @@ def test_one_operator_matches_per_rank_inbox_oracle():
 # assemble to the same bits.
 
 
-def per_leaf_integrate(basis, to_free, leaf_ids, leaf_tags, rank, store,
+def per_leaf_integrate(basis, to_free, leaf_tags, rank, store,
                        domain=None, depth=0, source=None,
                        flux=None, flux_part=None):
-    for leaf, tag in zip(leaf_ids, leaf_tags):
+    for leaf, tag in zip(basis.leaves[leaf_tags], leaf_tags):
         K, fe, gids = element_system(basis, leaf, domain, depth, source)
         fidx = to_free[gids]
         ki = np.flatnonzero(fidx >= 0)
@@ -545,19 +545,18 @@ def batched_cases():
 
 
 def assemble_with(integrate, basis, dirichlet, ranks, n_ranks, loaded):
-    """Assemble with `integrate(basis, to_free, leaf_ids, leaf_tags, rank,
-    store)` called once per rank on a store of leaves `loaded`."""
-    leaves = basis.mesh.active_leaf_elements()
+    """Assemble with `integrate(basis, to_free, leaf_tags, rank, store)`
+    called once per rank on a store of leaves `loaded`."""
     to_free = np.full(basis.dofmap.total, -1, dtype=np.int64)
     to_free[dirichlet.free] = np.arange(dirichlet.n_free)
-    store = Triplets.allocate(*leaf_free_dofs(basis, to_free, len(leaves)),
+    store = Triplets.allocate(*leaf_free_dofs(basis, to_free,
+                                              len(basis.leaves)),
                               loaded, ranks, dirichlet.n_free, n_ranks,
                               shared=False)
     inters = []
     for r in range(n_ranks):
         mine = np.flatnonzero(ranks == r)
-        inters.append(integrate(basis, to_free, leaves[mine], mine, r,
-                                store=store))
+        inters.append(integrate(basis, to_free, mine, r, store=store))
     owner = distribute_dofs_contiguous(dirichlet.n_free, n_ranks)
     system, traffic = exchange_and_assemble(store, owner)
     return system, traffic, inters
@@ -759,7 +758,7 @@ def test_cg_matches_direct_solver():
 
     x, iters, history = parallel_cg(system, tol=1e-12)
     K, f = assemble_serial(basis, source=bumpy_source)
-    K_ff, f_f = dirichlet.reduce(K, f)
+    K_ff, f_f = dirichlet_reduce(dirichlet, K, f)
     direct = spla.spsolve(K_ff.tocsc(), f_f)
     assert iters > 0
     assert history[-1] <= 1e-12 * np.linalg.norm(f_f)
@@ -775,7 +774,7 @@ def test_cg_trace_is_rank_count_invariant():
         report, basis, solution = run_step(
             mesh, PolynomialOrderField(uniform=3), n_ranks,
             lshape_dirichlet, source=unit_source,
-            partitioner="sfc", dof_distribution="graph", tol=1e-10)
+            partitioner="sfc", tol=1e-10)
         runs.append((report.cg_iterations, solution))
     iters = {it for it, _ in runs}
     assert len(iters) == 1
@@ -803,7 +802,7 @@ def test_cg_custom_rhs_and_failure():
     rhs = np.sin(np.arange(dirichlet.n_free))
     x, _, history = parallel_cg(system, rhs=rhs, tol=1e-11)
     assert history[-1] <= 1e-11 * np.linalg.norm(rhs)
-    K_ff = dirichlet.reduce(assemble_serial(basis)[0])
+    K_ff = dirichlet_reduce(dirichlet, assemble_serial(basis)[0])
     assert np.allclose(K_ff @ x, rhs, atol=1e-9)
 
     with pytest.raises(SolverError) as err:
@@ -851,7 +850,7 @@ def test_run_step_report_is_complete(monkeypatch):
     report, basis, solution = run_step(
         mesh, PolynomialOrderField(uniform=2), 3, lshape_dirichlet,
         flux=exact.flux, flux_part=lambda mid: not LShapeSolution.on_dirichlet_legs(mid),
-        partitioner="sfc", dof_distribution="graph", step_index=4)
+        partitioner="sfc", step_index=4)
 
     d = report.to_dict()
     json.dumps(d)  # must be serializable as written
@@ -1089,11 +1088,11 @@ def test_each_rank_writes_exactly_its_leaves_blocks(monkeypatch, workers):
     def snapshot(store):
         return [getattr(store, name).copy() for name in STORE_COLUMNS]
 
-    def integrate(basis, to_free, leaf_ids, leaf_tags, rank, systems,
-                  store):
+    def integrate(basis, to_free, leaf_tags, rank, systems, store):
         before = snapshot(store)
-        inter = integrate_rank_system(basis, to_free, leaf_ids, leaf_tags,
-                                      rank, systems, store)
+        inter = integrate_rank_system(basis, to_free, leaf_tags, rank,
+                                      systems, store)
+        leaf_ids = basis.leaves[leaf_tags]
         kept = np.array([np.count_nonzero(to_free[basis.leaf_dofs(leaf)]
                                           >= 0) for leaf in leaf_ids], int)
         loaded = systems.loaded(basis.row_of[leaf_ids])
@@ -1170,10 +1169,3 @@ def test_assembly_allocates_less_than_the_store():
         tracemalloc.stop()
     assert all(getattr(store, name) is None for name in STORE_COLUMNS)
     assert above <= 1.0 * nbytes, above / nbytes
-
-
-def test_run_step_rejects_unknown_dof_distribution():
-    mesh = Mesh(lshape_mesh_spec(2))
-    with pytest.raises(ValueError):
-        run_step(mesh, PolynomialOrderField(uniform=2), 2, lshape_dirichlet,
-                 dof_distribution="roundrobin")

@@ -13,12 +13,14 @@ from conftest import (leaf_at, single_patch, random_basis, random_refined_mesh,
                       random_orders, stretched_basis, corner_refined,
                       gauss_cell, rule_from_cells, recursive_spacetree_cells,
                       assert_rule_is_cells, element_system, leaf_jacobian,
-                      leaf_to_physical, CUT_CELL_CONFIGS, study_bases)
+                      leaf_to_physical, CUT_CELL_CONFIGS, study_bases,
+                      assemble_serial, dirichlet_reduce, dof_entity,
+                      FieldApproximation, interpolate_nodal, neumann_load,
+                      solve_dirichlet)
 from overlayfem.mesh import EDGE, NODE, Mesh
-from overlayfem.basis import Basis, PolynomialOrderField, interpolate_nodal, FieldApproximation
+from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.physics import (
-    assemble_serial, integrate_leaves, neumann_load,
-    constrained_dof_mask, DirichletMap, solve_dirichlet, LShapeSolution,
+    integrate_leaves, constrained_dof_mask, DirichletMap, LShapeSolution,
     corner_rule, energy_error, _corner_shells,
 )
 from overlayfem.benchmarks import (lshape_mesh_spec, mark_ball_leaves,
@@ -345,7 +347,7 @@ def test_face_modes_never_constrained():
     basis = Basis(mesh, PolynomialOrderField(uniform=4))
     mask = constrained_dof_mask(basis, lambda p: True)
     for gid in np.flatnonzero(mask):
-        row, _ = basis.dofmap.dof_entity(gid)
+        row, _ = dof_entity(basis.dofmap, gid)
         assert mesh.table.kind[row] in (NODE, EDGE)
 
 
@@ -360,7 +362,7 @@ def test_linear_patch_through_solver():
     lift = interpolate_nodal(basis, exact)
     K, f = assemble_serial(basis)
     dm = DirichletMap(basis, on_unit_square_boundary)
-    Kff, ff = dm.reduce(K, f - K @ lift)
+    Kff, ff = dirichlet_reduce(dm, K, f - K @ lift)
     import scipy.sparse.linalg as spla
     u = lift + dm.expand(spla.spsolve(Kff.tocsc(), ff))
 
@@ -415,7 +417,7 @@ def test_neumann_load_respects_part_and_interfaces():
     f = neumann_load(basis, ones_flux, part=lambda mid: abs(mid[1]) < 1e-12)
     assert f.any()
     for gid in np.flatnonzero(np.abs(f) > 1e-14):
-        row, _ = basis.dofmap.dof_entity(gid)
+        row, _ = dof_entity(basis.dofmap, gid)
         if mesh.table.kind[row] == NODE:
             pt = mesh.entity_points([row])[0]
             assert pt[1] == pytest.approx(0.0, abs=1e-12)
