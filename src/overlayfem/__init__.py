@@ -4,8 +4,8 @@ quadrature and a deterministic simulated multi-rank pipeline."""
 from .basis import (Basis, DofMap, PolynomialOrderField, enumerate_dofs,
                     entity_mode_count)
 from .benchmarks import RunConfig, lshape_mesh_spec, run_benchmark
-from .distributed import (DistributedSystem, SolverError, StepReport,
-                          Triplets, distribute_dofs_graph,
+from .distributed import (DistributedSystem, LeafBlocks, SolverError,
+                          StepReport, distribute_dofs_graph,
                           exchange_and_assemble, integrate_rank_system,
                           parallel_cg, run_step)
 from .mesh import (BaseMeshSpec, Mesh, MeshError, PatchSpec, create_base_mesh,

@@ -316,13 +316,6 @@ class Basis:
         row = self.rows(leaf)
         return self.dofs[self.dof_offsets[row]:self.dof_offsets[row + 1]]
 
-    def leaf_mode_count(self, leaf):
-        return int(self.mode_counts[self.rows(leaf)])
-
-    def leaf_quad_order(self, leaf):
-        """Per-axis Gauss order: highest contributing order plus one."""
-        return int(self.quad_orders[self.rows(leaf)])
-
     def evaluate_leaf(self, leaf, points):
         """Values and physical gradients of the leaf's active functions.
 

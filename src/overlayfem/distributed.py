@@ -3,7 +3,7 @@
 The runtime is deterministic and in-process: "ranks" are index sets of
 active leaves, produced by any partitioner from :mod:`overlayfem.partition`.
 Each rank integrates exactly its own leaves (no element is ever touched by
-two ranks) into triplets.  The step builds its leaf systems,
+two ranks) into element matrices.  The step builds its leaf systems,
 :func:`overlayfem.physics.leaf_systems`, once before the integrate phase
 fans out and hands the value to every rank, inline or in a worker
 process: leaves with a single-cell rule take their stiffness and load
@@ -11,22 +11,26 @@ from it, cut leaves run the kernel,
 :func:`overlayfem.physics.integrate_leaves`, and every leaf adds its
 flux load.
 
-The step's triplets live in one store, :class:`Triplets`, allocated
-before the integrate phase and laid out in leaf pre-order: each leaf's
-block sits at an offset fixed by the free dof counts of the leaves
-before it, so every rank writes its leaves' blocks in place and the
-store's bytes do not depend on the partition.  When the ranks run in
-forked workers the store is in anonymous shared memory, and nothing is
-copied back.
+The step's element matrices live in one table, :class:`LeafBlocks`,
+allocated before the integrate phase: the K of each single-cell
+signature, copied in once from the leaf systems, then a block per cut
+leaf at an offset fixed by the leaves alone.  A leaf's rows and columns
+are its free dofs, read off the leaf-dof incidence the table carries, so
+a rank writes only its cut leaves' blocks and its leaves' rhs entries,
+and an uncut leaf costs it nothing.  The table's bytes do not depend on
+the partition.  When the ranks run in forked workers the table is in
+anonymous shared memory, and nothing is copied back.
 
-Assembly is one sort.  Each triplet's key row * n_free + col is packed
-with its store position into one int64 and sorted in place, which orders
-the triplets by (row, column) and, within an entry, by leaf.  The
-triplets are summed per (row, column) into one global CSR operator, and
-the rhs is summed the same way by (row, leaf).  Because that order does
+Assembly builds one global CSR operator a block of rows at a time.  A
+stable argsort of the incidence lists each row's leaves in leaf order.
+A block expands those leaves' rows of K into (row, column, table entry)
+triplets, packs each triplet's key with its position into one int64 and
+sorts in place, which orders the block by (row, column) and, within an
+entry, by leaf; the entries' sums go into the CSR arrays.  A block holds
+a fixed share of the step's triplets, so no array of them all exists.
+The rhs is summed the same way by (row, leaf).  Because that order does
 not involve ranks, the operator, the solver iterates and the solution
-are bit-identical whatever the rank count.  Assembly frees each column
-of the store as soon as it is spent.
+are bit-identical whatever the rank count.
 
 Ranks are a ledger, not a second assembly.  A free dof belongs to one
 owner; the rows a rank owns are its slice of the operator.
@@ -35,9 +39,9 @@ granularity a real message would have after local compression: a merged
 entry that rank s integrated in a row rank d owns is one entry s ships to
 d (kept at home when s == d).  Halo columns are the off-rank columns that
 appear in a rank's owned rows.  Both are counted from the leaf-dof
-incidence the store carries: a leaf on rank s gives each of its rows one
+incidence the table carries: a leaf on rank s gives each of its rows one
 triplet per free dof, less each rank's repeat contributions to one
-merged entry, which the sort has put side by side.
+merged entry, which a block's sort has put side by side.
 
 The conjugate-gradient solver runs on the one operator: one matrix-vector
 product and one Jacobi scaling per iteration, and inner products in
@@ -105,7 +109,6 @@ def distribute_dofs_graph(free_dofs, leaf_sizes, leaf_ranks, n_free,
 # ----------------------------------------------------------------------
 # rank-local integration
 
-_MATRIX_COLUMNS = (("key", np.int64), ("vals", np.float64))
 _RHS_COLUMNS = (("rhs_rows", np.int32), ("rhs_vals", np.float64))
 
 
@@ -124,31 +127,35 @@ def _offsets(sizes):
 
 def leaf_free_dofs(basis, to_free, n_leaves):
     """The free dofs of the first `n_leaves` active leaves, leaf after leaf
-    in pre-order, read off the Basis's leaf-dof table, and the count of
-    each leaf."""
+    in pre-order, read off the Basis's leaf-dof table, the count of each
+    leaf, and each free dof's index among its leaf's dofs."""
+    n = basis.mode_counts[:n_leaves]
     free = to_free[basis.dofs[:basis.dof_offsets[n_leaves]]]
     is_free = free >= 0
-    kept = np.bincount(np.repeat(np.arange(n_leaves),
-                                 basis.mode_counts[:n_leaves])[is_free],
+    kept = np.bincount(np.repeat(np.arange(n_leaves), n)[is_free],
                        minlength=n_leaves)
-    return free[is_free], kept
+    local = np.arange(free.size) - np.repeat(basis.dof_offsets[:n_leaves], n)
+    return free[is_free], kept, local[is_free].astype(np.int32)
 
 
 @dataclass
-class Triplets:
-    """A step's triplets in leaf pre-order, with the leaf-dof incidence
-    that lays them out.
+class LeafBlocks:
+    """A step's element matrices and rhs entries, with the leaf-dof
+    incidence that places them.
 
-    Leaf i has ``kept[i]`` free dofs, ``free[a:a + kept[i]]`` with a the
-    sum of the earlier counts, and lives on rank ``leaf_ranks[i]``.  Its
-    K block, kept[i] x kept[i] entries, is ``starts[i]:starts[i + 1]`` of
-    ``key`` (row * n_free + col, int64) and ``vals``.  When the leaf
-    carries a load, its rhs entries are
-    ``rhs_starts[i]:rhs_starts[i + 1]`` of ``rhs_rows`` (int32) and
-    ``rhs_vals``.  A block's place depends on the leaves alone, not on
-    the rank that writes it, so the store's bytes do not depend on the
-    partition.  :func:`exchange_and_assemble` takes the columns and frees
-    each at its last use, leaving None behind.
+    Leaf i has ``modes[i]`` dofs and ``kept[i]`` free ones,
+    ``free[a:a + kept[i]]`` with a the sum of the earlier counts, whose
+    indices among its dofs are ``local[a:a + kept[i]]``; it lives on rank
+    ``leaf_ranks[i]``.  Its K, modes[i] x modes[i] row-major, is
+    ``table[base[i]:base[i] + modes[i] ** 2]``: the leaves of one
+    single-cell signature share that signature's K, and each cut leaf has
+    a block of its own.  Its kept[i] x kept[i] triplets are the entries of
+    K at its free dofs' local indices.  When the leaf carries a load, its
+    rhs entries are ``rhs_starts[i]:rhs_starts[i + 1]`` of ``rhs_rows``
+    (int32) and ``rhs_vals``.  Every place depends on the leaves alone,
+    not on the rank that writes it, so the bytes do not depend on the
+    partition.  :func:`exchange_and_assemble` takes the table and rhs
+    columns and frees each at its last use, leaving None behind.
     """
 
     n_free: int
@@ -156,46 +163,74 @@ class Triplets:
     leaf_ranks: np.ndarray
     free: np.ndarray
     kept: np.ndarray
-    starts: np.ndarray
+    local: np.ndarray
+    modes: np.ndarray
+    base: np.ndarray
     rhs_starts: np.ndarray
-    key: np.ndarray
-    vals: np.ndarray
+    table: np.ndarray
     rhs_rows: np.ndarray
     rhs_vals: np.ndarray
 
     @classmethod
-    def allocate(cls, free, kept, loaded, leaf_ranks, n_free, n_ranks,
-                 shared):
-        """Columns for leaves with `kept` free dofs each, listed in `free`,
-        on ranks `leaf_ranks`: a leaf emits kept x kept matrix entries
-        and, when `loaded`, kept rhs entries.  They are in shared memory
-        when `shared`, for workers forked to write them, else on the heap:
-        shared pages are new on every step and fault in as they are first
-        written, while the heap reuses the pages earlier steps freed."""
+    def allocate(cls, free, kept, local, modes, systems, leaf_ranks, n_free,
+                 n_ranks, shared):
+        """The blocks of leaves with `modes` dofs each, `kept` of them free,
+        listed in `free` with their `local` indices, on ranks
+        `leaf_ranks`.  The table holds the K of every signature of
+        `systems`, the step's :class:`~overlayfem.physics.LeafSystems`,
+        copied in here, then a block per cut leaf for its rank to write; a
+        leaf that `systems` loads gets kept rhs entries.  The arrays are
+        in shared memory when `shared`, for workers forked to write them,
+        else on the heap: shared pages are new on every step and fault in
+        as they are first written, while the heap reuses the pages earlier
+        steps freed."""
         new = _shared if shared else np.empty
         kept = np.asarray(kept, dtype=np.int64)
-        starts = _offsets(kept * kept)
-        rhs_starts = _offsets(kept * np.asarray(loaded, dtype=bool))
+        modes = np.asarray(modes, dtype=np.int64)
+        signature = systems.signature
+        cut = signature < 0
+        sizes = [K.size for K in systems.stiffness]
+        starts = _offsets(np.concatenate(
+            (np.array(sizes, dtype=np.int64), modes[cut] ** 2)))
+        base = np.empty(kept.size, dtype=np.int64)
+        base[~cut] = starts[signature[~cut]]
+        base[cut] = starts[len(sizes):-1]
+        table = new(int(starts[-1]), np.float64)
+        for K, at in zip(systems.stiffness, starts.tolist()):
+            table[at:at + K.size] = K.ravel()
+        rhs_starts = _offsets(kept * systems.loaded(np.arange(kept.size)))
         return cls(int(n_free), n_ranks, np.asarray(leaf_ranks),
-                   np.asarray(free), kept, starts, rhs_starts,
-                   **{name: new(int(starts[-1]), dtype)
-                      for name, dtype in _MATRIX_COLUMNS},
-                   **{name: new(int(rhs_starts[-1]), dtype)
-                      for name, dtype in _RHS_COLUMNS})
+                   np.asarray(free), kept, np.asarray(local), modes, base,
+                   rhs_starts, table,
+                   *(new(int(rhs_starts[-1]), dtype)
+                     for _, dtype in _RHS_COLUMNS))
 
-    def entries(self, leaves):
-        """Positions of the given leaves' matrix entries and of their rhs
-        entries, leaf after leaf."""
+    @property
+    def n_triplets(self):
+        """The triplets the leaves' K expand into: kept**2 summed."""
+        return int(np.dot(self.kept, self.kept))
+
+    def incidence(self, leaves):
+        """Positions of the given leaves' free dofs in ``free`` and
+        ``local``, leaf after leaf."""
         leaves = np.asarray(leaves, dtype=np.int64)
-        return (_ranges(self.starts[leaves], np.diff(self.starts)[leaves]),
-                _ranges(self.rhs_starts[leaves],
-                        np.diff(self.rhs_starts)[leaves]))
+        return _ranges(_offsets(self.kept)[leaves], self.kept[leaves])
 
     def leaf_dofs(self, leaves):
         """The free dofs of the given leaves, leaf after leaf."""
+        return self.free[self.incidence(leaves)]
+
+    def blocks(self, leaves):
+        """Positions of the given leaves' K in ``table``, leaf after
+        leaf."""
         leaves = np.asarray(leaves, dtype=np.int64)
-        return self.free[_ranges(_offsets(self.kept)[leaves],
-                                 self.kept[leaves])]
+        return _ranges(self.base[leaves], self.modes[leaves] ** 2)
+
+    def rhs_entries(self, leaves):
+        """Positions of the given leaves' rhs entries, leaf after leaf."""
+        leaves = np.asarray(leaves, dtype=np.int64)
+        return _ranges(self.rhs_starts[leaves],
+                       np.diff(self.rhs_starts)[leaves])
 
     def take(self, name):
         """Column `name`, which the store no longer holds."""
@@ -207,11 +242,11 @@ class Triplets:
 @dataclass
 class IntermediateSystem:
     """One rank's part of the integrate phase: the leaves it integrated,
-    by pre-order position, whose blocks it wrote into the step's
-    :class:`Triplets` store."""
+    by pre-order position, whose cut blocks and rhs entries it wrote into
+    the step's :class:`LeafBlocks`."""
 
     rank: int
-    store: Triplets
+    store: LeafBlocks
     leaf_tags: np.ndarray
     seconds: float = 0.0     # wall time of the integration
 
@@ -227,71 +262,45 @@ class IntermediateSystem:
                          np.repeat(kept, kept))
 
 
-def integrate_rank_system(basis, to_free, leaf_tags, rank, systems,
-                          store):
-    """Integrate exactly the given leaves into free-index triplets, leaf
-    after leaf: K and f from the step's
-    :class:`~overlayfem.physics.LeafSystems` or, for a cut leaf, from
-    :func:`overlayfem.physics.integrate_leaves`, plus its flux load.
+def integrate_rank_system(basis, leaf_tags, rank, systems, store):
+    """Integrate exactly the given leaves into `store`, the step's
+    :class:`LeafBlocks`: a cut leaf's K, from
+    :func:`overlayfem.physics.integrate_leaves`, into its block, and every
+    loaded leaf's f, from the step's
+    :class:`~overlayfem.physics.LeafSystems` or the kernel plus its flux
+    load, into its rhs entries.  A single-cell leaf's K is its
+    signature's, already in the table.
 
-    `leaf_tags` are the leaves' pre-order positions, which are also
-    their Basis rows: each leaf's triplets are written into its blocks
-    of `store`, the step's :class:`Triplets`.  Returns the rank's
-    :class:`IntermediateSystem`.
+    `leaf_tags` are the leaves' pre-order positions, which are also their
+    Basis rows.  Returns the rank's :class:`IntermediateSystem`.
     """
     start = time.perf_counter()
     leaf_tags = np.asarray(leaf_tags, dtype=np.int64)
-    sig, load = systems.signature[leaf_tags], systems.load[leaf_tags]
-    loaded = systems.loaded(leaf_tags)
-    Ks = [systems.stiffness[k] if k >= 0 else None for k in sig.tolist()]
-    fs = [systems.loads[k] if k >= 0 else None for k in load.tolist()]
-    # cut leaves through the kernel
-    cut = np.flatnonzero(sig < 0)
-    for j, K, fe in zip(cut.tolist(), *integrate_leaves(
-            basis, leaf_tags[cut], systems.domain, systems.depth,
-            systems.source)):
-        Ks[j], fs[j] = K, fe
+    fs = [systems.loads[k] if k >= 0 else None
+          for k in systems.load[leaf_tags].tolist()]
+    cut = np.flatnonzero(systems.signature[leaf_tags] < 0)
+    Ks, cut_fs = integrate_leaves(basis, leaf_tags[cut], systems.domain,
+                                  systems.depth, systems.source)
+    store.table[store.blocks(leaf_tags[cut])] = np.concatenate(
+        [K.ravel() for K in Ks] + [np.empty(0)])
+    for j, fe in zip(cut.tolist(), cut_fs):
+        fs[j] = fe
     # a flux load adds to the source load, for every leaf a flux reaches
     for j, i in enumerate(leaf_tags.tolist()):
         fl = systems.flux_loads.get(i)
         if fl is not None:
             fs[j] = fl if fs[j] is None else fs[j] + fl
 
-    # a leaf with n dofs, kept of them free, emits its K at the free dofs,
-    # kept x kept entries row-major, and when loaded its f at them
-    n = basis.mode_counts[leaf_tags]
-    fidx = to_free[basis.dofs[_ranges(basis.dof_offsets[leaf_tags], n)]]
-    free = fidx >= 0
-    kept = store.kept[leaf_tags]
-    at, rhs_at = store.entries(leaf_tags)
-    ffree = fidx[free]
-    per_row = np.repeat(kept, kept)
-    # entry e's column is free dof col[e] of the rank, in leaf order
-    col = _ranges(np.repeat(np.cumsum(kept) - kept, kept), per_row)
-    key = np.repeat(ffree.astype(np.int64) * store.n_free, per_row)
-    key += ffree[col]
-    store.key[at] = key
-    del key
-    # K entries are gathered from the rank's distinct Ks in one table,
-    # one per signature and one per cut leaf: entry (a, b) of a leaf's K
-    # is table[base + a * n + b], a and b its free dofs' local indices
-    sig_key = np.where(sig >= 0, sig, -1 - np.arange(sig.size))
-    _, first, inverse = np.unique(sig_key, return_index=True,
-                                  return_inverse=True)
-    size = n[first] ** 2
-    base = (np.cumsum(size) - size)[inverse]
-    table = np.concatenate([Ks[j].ravel() for j in first.tolist()]
-                           + [np.empty(0)])
-    local = (np.arange(free.size) - np.repeat(np.cumsum(n) - n, n))[free]
-    entry = local[col]
-    entry += np.repeat(np.repeat(base, kept) + local * np.repeat(n, kept),
-                       per_row)
-    store.vals[at] = table[entry]
-    rhs_dofs = np.repeat(loaded, n)
-    store.rhs_rows[rhs_at] = fidx[rhs_dofs & free]
+    # a loaded leaf's f at its free dofs, entry a of f at local index a
+    loaded = np.flatnonzero(systems.loaded(leaf_tags))
+    tags = leaf_tags[loaded]
+    at = store.incidence(tags)
+    n = store.modes[tags]
+    rhs_at = store.rhs_entries(tags)
+    store.rhs_rows[rhs_at] = store.free[at]
     store.rhs_vals[rhs_at] = np.concatenate(
-        [fs[j] for j in np.flatnonzero(loaded).tolist()]
-        + [np.empty(0)])[free[rhs_dofs]]
+        [fs[j] for j in loaded.tolist()] + [np.empty(0)])[
+            store.local[at] + np.repeat(np.cumsum(n) - n, store.kept[tags])]
 
     return IntermediateSystem(rank=rank, store=store, leaf_tags=leaf_tags,
                               seconds=time.perf_counter() - start)
@@ -330,32 +339,31 @@ def _run_starts(keys):
 _PACKED_BITS = 63
 
 
-def _sort_keys(keys, n_free):
-    """`keys` sorted, equal keys in store order, and the store position of
-    each sorted key.  The sort is in place when key and position pack
-    into one int64, else a stable argsort gives the same order."""
+def _sort_keys(keys, bound):
+    """`keys`, each below `bound`, sorted, equal keys in their given order,
+    and the position of each sorted key.  The sort is in place when key
+    and position pack into one int64, else a stable argsort gives the
+    same order."""
     n = keys.size
     shift = max(n - 1, 0).bit_length()
-    if max(n_free * n_free - 1, 0).bit_length() + shift > _PACKED_BITS:
+    if max(bound - 1, 0).bit_length() + shift > _PACKED_BITS:
         order = np.argsort(keys, kind="stable")
         return keys[order], order
-    order = np.arange(n, dtype=np.int32 if n <= 2 ** 31 else np.int64)
+    order = np.arange(n, dtype=np.int64)
     keys <<= shift
     keys |= order
     keys.sort()
-    np.bitwise_and(keys, (1 << shift) - 1, out=order, casting="unsafe")
+    np.bitwise_and(keys, (1 << shift) - 1, out=order)
     keys >>= shift
     return keys, order
 
 
-def _rank_repeats(triplets, order, new, keys, owner):
-    """Row owner and rank of each contribution a rank makes to a merged
-    entry after its first.  `keys` are the sorted keys, `order` their
-    store positions and `new` marks the first of each entry."""
-    n_ranks = triplets.n_ranks
-    rank_of = np.repeat(
-        triplets.leaf_ranks.astype(np.min_scalar_type(n_ranks)),
-        np.diff(triplets.starts))
+def _rank_repeats(ranks, new, keys, row_owner, n_free, n_ranks):
+    """repeats[s * n_ranks + d]: the contributions rank s makes to a
+    merged entry in a row rank d owns after its first one.  `ranks` are
+    the ranks of sorted triplets, `keys` their keys row * n_free + col,
+    `new` marks the first of each entry and `row_owner` is the owner of
+    each row."""
     # the triplets of entries with several contributions as (entry,
     # rank) pairs, entries numbered in order: a repeat equals its
     # sorted neighbour
@@ -364,96 +372,151 @@ def _rank_repeats(triplets, order, new, keys, owner):
     at = np.flatnonzero(multi)
     del multi
     first = new[at]
-    entry_owner = owner[keys[at[first]] // triplets.n_free]
+    entry_owner = row_owner[keys[at[first]] // n_free]
     bits = max(n_ranks - 1, 0).bit_length()
     pairs = first.astype(np.int64)
     np.cumsum(pairs, out=pairs)
     pairs -= 1
     pairs <<= bits
-    pairs |= rank_of[order[at]]
+    pairs |= ranks[at]
     # pairs ascend by entry already: a stable sort only merges runs
     pairs.sort(kind="stable")
     repeats = pairs[1:][pairs[1:] == pairs[:-1]]
-    ranks = repeats & ((1 << bits) - 1)
+    rank = repeats & ((1 << bits) - 1)
     repeats >>= bits
-    return entry_owner[repeats], ranks
+    return np.bincount(rank * n_ranks + entry_owner[repeats],
+                       minlength=n_ranks * n_ranks)
 
 
-def _traffic(triplets, owner, repeat_owners, repeat_ranks):
+def _traffic(store, owner, repeats):
     """traffic[s, d]: merged entries rank s integrated in rows rank d
     owns.  Leaf L on rank s gives kept[L] triplets to each of its rows;
-    a rank's repeat contributions to one merged entry are taken off."""
-    n_ranks, kept = triplets.n_ranks, triplets.kept
-    n_pairs = n_ranks * n_ranks
+    a rank's `repeats` to one merged entry are taken off."""
+    n_ranks, kept = store.n_ranks, store.kept
     triplet_counts = np.bincount(
-        np.repeat(triplets.leaf_ranks.astype(np.int64) * n_ranks, kept)
-        + owner[triplets.free], weights=np.repeat(kept, kept),
-        minlength=n_pairs)
-    repeats = np.bincount(repeat_ranks.astype(np.int64) * n_ranks
-                          + repeat_owners, minlength=n_pairs)
+        np.repeat(store.leaf_ranks.astype(np.int64) * n_ranks, kept)
+        + owner[store.free], weights=np.repeat(kept, kept),
+        minlength=n_ranks * n_ranks)
     return (triplet_counts.astype(np.int64)
             - repeats).reshape(n_ranks, n_ranks)
 
 
-def _halo_counts(triplets, owner):
+def _halo_counts(store, owner):
     """Per rank: the off-rank columns in its owned rows.  Row i and
     column j share an entry when a leaf holds both, so rank d's halo is
     every off-rank dof of the leaves that hold one of d's rows."""
-    n_ranks, kept = triplets.n_ranks, triplets.kept
+    n_ranks, kept = store.n_ranks, store.kept
     # (leaf, owner of one of its rows), once each
     pairs = np.zeros(kept.size * n_ranks, dtype=bool)
     pairs[np.repeat(np.arange(kept.size) * n_ranks, kept)
-          + owner[triplets.free]] = True
+          + owner[store.free]] = True
     leaf, rank = np.divmod(np.flatnonzero(pairs), n_ranks)
-    dofs = triplets.leaf_dofs(leaf)
+    dofs = store.leaf_dofs(leaf)
     rank = np.repeat(rank, kept[leaf])
     off = owner[dofs] != rank
-    halo = np.zeros((n_ranks, triplets.n_free), dtype=bool)
+    halo = np.zeros((n_ranks, store.n_free), dtype=bool)
     halo[rank[off], dofs[off]] = True
     return [int(h) for h in halo.sum(axis=1)]
 
 
-def exchange_and_assemble(triplets, owner):
-    """Sum every rank's triplets into one operator and count the traffic.
+# a block of rows holds about 1 / _ROW_BLOCKS of the step's triplets
+_ROW_BLOCKS = 16
 
-    `triplets` is the step's :class:`Triplets` store; the assembly takes
-    its columns and frees each at its last use.  Returns (system,
-    traffic), where traffic[s, d] is the number of merged (row, column)
-    entries rank s integrated in rows rank d owns.
+
+def _row_blocks(row_triplets):
+    """Bounds of consecutive row blocks, each with about an equal share of
+    the triplets, `row_triplets` of them in each row."""
+    ends = np.cumsum(row_triplets)
+    total = int(ends[-1]) if ends.size else 0
+    cuts = np.searchsorted(
+        ends, np.arange(1, _ROW_BLOCKS, dtype=np.int64) * total
+        // _ROW_BLOCKS) + 1
+    return np.unique(np.concatenate(([0], np.minimum(cuts, ends.size),
+                                     [ends.size])))
+
+
+def exchange_and_assemble(store, owner):
+    """Sum every rank's element matrices into one operator and count the
+    traffic.
+
+    `store` is the step's :class:`LeafBlocks`; the assembly takes its
+    table and rhs columns and frees each at its last use.  Returns
+    (system, traffic), where traffic[s, d] is the number of merged (row,
+    column) entries rank s integrated in rows rank d owns.
     """
-    # the store is a step's largest value: each column and temporary is
-    # freed as soon as it is spent
-    n_free, n_ranks = triplets.n_free, triplets.n_ranks
+    n_free, n_ranks = store.n_free, store.n_ranks
     owner = np.asarray(owner)
-    keys, order = _sort_keys(triplets.take("key"), n_free)
-    vals = triplets.take("vals")[order]
-    new = _run_starts(keys)
-    traffic = _traffic(triplets, owner,
-                       *_rank_repeats(triplets, order, new, keys, owner))
-    del order
-    starts = np.flatnonzero(new)
-    del new
-    keys = keys[starts]
-    data = np.add.reduceat(vals, starts)
-    del vals, starts
-    # row i's merged entries are the keys in [i * n_free, (i + 1) * n_free)
-    indptr = np.searchsorted(keys, np.arange(n_free + 1, dtype=np.int64)
-                             * n_free)
-    cols = np.empty(keys.size, dtype=np.int32)
-    np.subtract(keys, np.repeat(np.arange(n_free, dtype=np.int64) * n_free,
-                                np.diff(indptr)), out=cols, casting="unsafe")
-    del keys
+    free, kept = store.free, store.kept
+    leaf = np.repeat(np.arange(kept.size), kept)
+    leaf_starts = _offsets(kept)
+    # each row's (leaf, free dof) pairs, leaf after leaf; row i holds
+    # kept[L] triplets of every leaf L that holds it
+    by_row = np.argsort(free, kind="stable")
+    row_starts = _offsets(np.bincount(free, minlength=n_free))
+    bounds = _row_blocks(np.bincount(free, weights=kept[leaf],
+                                     minlength=n_free).astype(np.int64))
+    # the CSR arrays have room for every triplet and shrink in place
+    data = np.empty(store.n_triplets)
+    cols = np.empty(data.size, dtype=np.int32)
+    indptr = np.zeros(n_free + 1, dtype=np.int64)
+    repeats = np.zeros(n_ranks * n_ranks, dtype=np.int64)
+    rank_of = store.leaf_ranks.astype(np.min_scalar_type(n_ranks))
+    table = store.take("table")
+    nnz = 0
+    for r0, r1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        # the block's triplets, row after row and within a row leaf after
+        # leaf: (leaf, free dof) pair a gives the row, and each pair c of
+        # the same leaf a column
+        at = by_row[row_starts[r0]:row_starts[r1]]
+        holder = leaf[at]
+        per_row = kept[holder]
+        c = _ranges(leaf_starts[holder], per_row)
+        keys = np.repeat(free[at].astype(np.int64) - r0, per_row)
+        keys *= n_free
+        keys += free[c]
+        entry = np.repeat(store.base[holder] + store.local[at]
+                          * store.modes[holder], per_row)
+        entry += store.local[c]
+        del c
+        # sorted by (row, column) and, within an entry, by leaf
+        keys, order = _sort_keys(keys, (r1 - r0) * n_free)
+        vals = table[entry[order]]
+        del entry
+        ranks = np.repeat(rank_of[holder], per_row)[order]
+        del order
+        new = _run_starts(keys)
+        repeats += _rank_repeats(ranks, new, keys, owner[r0:r1], n_free,
+                                 n_ranks)
+        del ranks
+        starts = np.flatnonzero(new)
+        del new
+        keys = keys[starts]
+        # row r0 + i's merged entries are the keys in
+        # [row_keys[i], row_keys[i + 1])
+        row_keys = np.arange(r1 - r0 + 1, dtype=np.int64) * n_free
+        row_ends = np.searchsorted(keys, row_keys)
+        m = starts.size
+        np.add.reduceat(vals, starts, out=data[nnz:nnz + m])
+        del vals, starts
+        np.subtract(keys, np.repeat(row_keys[:-1], np.diff(row_ends)),
+                    out=cols[nnz:nnz + m], casting="unsafe")
+        indptr[r0 + 1:r1 + 1] = nnz + row_ends[1:]
+        nnz += m
+    del table
+    data.resize(nnz, refcheck=False)
+    cols.resize(nnz, refcheck=False)
     matrix = scipy.sparse.csr_matrix((data, cols, indptr),
                                      shape=(n_free, n_free))
+    traffic = _traffic(store, owner, repeats)
 
     # a leaf's rhs rows are distinct, so store order breaks the ties
-    rhs_rows = triplets.take("rhs_rows")
+    rhs_rows = store.take("rhs_rows")
     order = np.argsort(rhs_rows, kind="stable")
     rhs_rows = rhs_rows[order]
     starts = np.flatnonzero(_run_starts(rhs_rows))
     rhs = np.zeros(n_free)
     rhs[rhs_rows[starts]] = np.add.reduceat(
-        triplets.take("rhs_vals")[order], starts)
+        store.take("rhs_vals")[order], starts)
 
     total_entries = [int(t) for t in traffic.sum(axis=1)]
     kept_entries = [int(k) for k in np.diagonal(traffic)]
@@ -461,7 +524,7 @@ def exchange_and_assemble(triplets, owner):
         n_free=n_free, n_ranks=n_ranks, owner=owner,
         own_rows=[np.flatnonzero(owner == r) for r in range(n_ranks)],
         matrix=matrix, rhs=rhs,
-        halo_counts=_halo_counts(triplets, owner),
+        halo_counts=_halo_counts(store, owner),
         sent_entries=[t - k for t, k in zip(total_entries, kept_entries)],
         kept_entries=kept_entries, total_entries=total_entries,
     ), traffic
@@ -541,8 +604,9 @@ class StepReport:
     leaf partition, pre-order; :meth:`to_dict` leaves them out.
     `cost_model_r` is the Pearson r of the ranks' weight sums and
     integration times, None for one rank or a constant column.
-    `n_triplets` is the length of the step's triplet store and `nnz` the
-    assembled operator's stored entries; neither depends on the ranks.
+    `n_triplets` counts the triplets the step's K blocks expand into,
+    kept**2 summed over the leaves, and `nnz` the assembled operator's
+    stored entries; neither depends on the ranks.
     """
 
     step: int
@@ -604,7 +668,7 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     # charged to the refine phase: it is the cost of changing the mesh
     basis = Basis(mesh, orders)
     dirichlet = DirichletMap(basis, dirichlet_part)
-    # int32 free indices: the store's leaf-dof incidence and rhs rows
+    # int32 free indices: the table's leaf-dof incidence and rhs rows
     # inherit the type
     to_free = np.full(basis.dofmap.total, -1, dtype=np.int32)
     to_free[dirichlet.free] = np.arange(dirichlet.n_free)
@@ -621,14 +685,14 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     timings["leaf_systems"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    # the free dofs of each leaf size its blocks in the step's store
-    free, kept = leaf_free_dofs(basis, to_free, n_leaves)
+    # the free dofs of each leaf place its K in the step's table
+    free, kept, local = leaf_free_dofs(basis, to_free, n_leaves)
     # a fork pool starts all its processes at once: no more than ranks
     workers = min(workers or 1, n_ranks)
-    loaded = systems.loaded(np.arange(n_leaves))
-    store = Triplets.allocate(free, kept, loaded, ranks, dirichlet.n_free,
-                              n_ranks, shared=workers > 1)
-    rank_seconds = _integrate_all(basis, to_free, store, systems, workers)
+    store = LeafBlocks.allocate(free, kept, local,
+                                basis.mode_counts[:n_leaves], systems, ranks,
+                                dirichlet.n_free, n_ranks, shared=workers > 1)
+    rank_seconds = _integrate_all(basis, store, systems, workers)
     timings["integrate"] = time.perf_counter() - t
     # nothing reads the step's leaf systems again: free them before
     # assembly, the step's memory peak
@@ -640,7 +704,7 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     timings["dof_dist"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    # the assembly frees the store's columns as it spends them
+    # the assembly frees the table and rhs columns as it spends them
     system, _ = exchange_and_assemble(store, owner)
     timings["assemble"] = time.perf_counter() - t
 
@@ -667,7 +731,7 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
 
     report = StepReport(
         step=step_index, n_leaves=n_leaves, n_dofs=basis.dofmap.total,
-        n_free=dirichlet.n_free, n_triplets=int(store.starts[-1]),
+        n_free=dirichlet.n_free, n_triplets=store.n_triplets,
         nnz=system.matrix.nnz, n_ranks=n_ranks, partitioner=partitioner,
         per_rank=per_rank, timings=timings, cg_iterations=iterations,
         residual=history[-1], residual_history=thin_history(history),
@@ -692,34 +756,33 @@ def pearson_r(a, b):
 _POOL_STATE = {}
 
 
-def _pool_init(basis, to_free, systems, store):
-    _POOL_STATE["args"] = (basis, to_free, systems, store)
+def _pool_init(basis, systems, store):
+    _POOL_STATE["args"] = (basis, systems, store)
 
 
 def _pool_task(chunk):
-    basis, to_free, systems, store = _POOL_STATE["args"]
-    inter = integrate_rank_system(basis, to_free, *chunk, systems, store)
-    # the triplets are in the parent's pages: only the timing goes back
+    basis, systems, store = _POOL_STATE["args"]
+    inter = integrate_rank_system(basis, *chunk, systems, store)
+    # the blocks are in the parent's pages: only the timing goes back
     return inter.rank, inter.n_leaves, inter.seconds
 
 
-def _integrate_all(basis, to_free, store, systems, workers):
-    """Every rank's integration seconds, its leaves' blocks of `store`
-    written, with at most `workers` processes."""
+def _integrate_all(basis, store, systems, workers):
+    """Every rank's integration seconds, its leaves' blocks and rhs
+    entries of `store` written, with at most `workers` processes."""
     # one (leaf tags, rank) chunk per rank
     chunks = [(np.flatnonzero(store.leaf_ranks == r), r)
               for r in range(store.n_ranks)]
     if workers <= 1:
-        return [integrate_rank_system(basis, to_free, *chunk, systems,
-                                      store).seconds
+        return [integrate_rank_system(basis, *chunk, systems, store).seconds
                 for chunk in chunks]
     import concurrent.futures
     import multiprocessing
-    # forked workers inherit the store's shared pages and write into them;
+    # forked workers inherit the table's shared pages and write into them;
     # a spawned or forkserver worker would get a pickled copy instead, and
     # its writes would be lost
     fork = multiprocessing.get_context("fork")
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, mp_context=fork, initializer=_pool_init,
-            initargs=(basis, to_free, systems, store)) as pool:
+            initargs=(basis, systems, store)) as pool:
         return [seconds for _, _, seconds in pool.map(_pool_task, chunks)]

@@ -310,10 +310,6 @@ class DirichletMap:
     def n_free(self):
         return self.free.size
 
-    @property
-    def n_constrained(self):
-        return self.total - self.free.size
-
     def expand(self, u_free):
         u = np.zeros(self.total)
         u[self.free] = u_free

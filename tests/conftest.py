@@ -6,9 +6,10 @@ reimplemented inside the test module that needs it, unless several
 modules need it: the cell-by-cell quadrature oracles, the per-leaf
 evaluation and integration kernels, the per-element Basis oracles, the
 point-by-point leaf walk, the full-length interval-cut bisection,
-the object-by-object entity and element bookkeeping, the lexsort
-assembly and the serial reference path (a second assembly, a direct
-solve, point-by-point fields and the equal-count dof owner) live here.
+the object-by-object entity and element bookkeeping, the triplet
+expansion of the step's K blocks, the lexsort assembly and the serial
+reference path (a second assembly, a direct solve, point-by-point
+fields, the per-leaf queries and the equal-count dof owner) live here.
 """
 
 from dataclasses import dataclass
@@ -21,11 +22,11 @@ import scipy.sparse
 from overlayfem.mesh import EDGE, FACE, NODE, Mesh, BaseMeshSpec, PatchSpec
 from overlayfem.basis import (Basis, PolynomialOrderField, entity_mode_count,
                              enumerate_dofs, shape_tables)
-from overlayfem.distributed import (Triplets, integrate_rank_system,
+from overlayfem.distributed import (LeafBlocks, integrate_rank_system,
                                     leaf_free_dofs)
 from overlayfem.benchmarks import (RunConfig, lshape_mesh_spec, make_problem,
                                    mark_corner_leaves, marks_for_step)
-from overlayfem.mesh import create_base_mesh
+from overlayfem.mesh import _ranges, create_base_mesh
 from overlayfem.partition import partition_leaves
 from overlayfem.physics import flux_loads_by_leaf, integrate_leaves
 from overlayfem.quadrature import (LeafRule, gauss_rule_1d, leaf_frame,
@@ -386,7 +387,7 @@ def element_system(basis, leaf, domain=None, depth=0, source=None):
     pts, jac = leaf_frame(basis, leaf, rule.points)
     V, G = evaluate_leaf_oracle(basis, leaf, pts)
     w = rule.weights * rule.alpha * jac
-    n = basis.leaf_mode_count(leaf)
+    n = leaf_mode_count(basis, leaf)
     K = np.zeros((n, n))
     f = None if source is None else np.zeros(n)
     for cell in rule.cells():
@@ -768,32 +769,43 @@ class CheckedMesh(Mesh):
 # the integrate phase outside run_step
 
 def integrate_ranks(basis, to_free, n_free, ranks, n_ranks, systems):
-    """The step's leaf-order store with every rank's leaves integrated
-    into it, inline as run_step does, and the ranks'
-    IntermediateSystems."""
+    """The step's K blocks with every rank's leaves integrated into them,
+    inline as run_step does, and the ranks' IntermediateSystems."""
     n_leaves = len(basis.leaves)
     ranks = np.asarray(ranks)
-    free, kept = leaf_free_dofs(basis, to_free, n_leaves)
-    store = Triplets.allocate(free, kept, systems.loaded(np.arange(n_leaves)),
-                              ranks, n_free, n_ranks, shared=False)
+    store = LeafBlocks.allocate(*leaf_free_dofs(basis, to_free, n_leaves),
+                                basis.mode_counts[:n_leaves], systems, ranks,
+                                n_free, n_ranks, shared=False)
     inters = []
     for r in range(n_ranks):
         mine = np.flatnonzero(ranks == r)
-        inters.append(integrate_rank_system(basis, to_free, mine, r,
-                                            systems, store))
+        inters.append(integrate_rank_system(basis, mine, r, systems, store))
     return store, inters
 
 
 def leaf_triplets(store, leaves):
-    """The given leaves' triplets of a leaf-order store, leaf after leaf,
-    as a rank system's columns: rows, cols, vals, leaf_tags, rhs_rows,
-    rhs_vals and rhs_tags, read before the assembly spends the store."""
+    """The given leaves' triplets, leaf after leaf, as a rank system's
+    columns: rows, cols, vals, leaf_tags, rhs_rows, rhs_vals and
+    rhs_tags, read before the assembly spends the store.  Each leaf's K
+    is expanded at its free dofs, kept x kept entries row-major: the
+    emission ranks made before they wrote K blocks."""
     leaves = np.asarray(leaves, dtype=np.int64)
-    at, rhs_at = store.entries(leaves)
-    rows, cols = np.divmod(store.key[at], store.n_free)
+    kept, n = store.kept[leaves], store.modes[leaves]
+    at = store.incidence(leaves)
+    dofs, local = store.free[at], store.local[at].astype(np.int64)
+    per_row = np.repeat(kept, kept)
+    # entry e's column is free dof col[e] of the leaves, in leaf order
+    col = _ranges(np.repeat(np.cumsum(kept) - kept, kept), per_row)
+    # entry (a, b) of a leaf's K is table[base + a * n + b], a and b its
+    # free dofs' local indices
+    entry = local[col]
+    entry += np.repeat(np.repeat(store.base[leaves], kept)
+                       + local * np.repeat(n, kept), per_row)
+    rhs_at = store.rhs_entries(leaves)
     return SimpleNamespace(
-        rows=rows, cols=cols, vals=store.vals[at],
-        leaf_tags=np.repeat(leaves, np.diff(store.starts)[leaves]),
+        rows=np.repeat(dofs, per_row), cols=dofs[col],
+        vals=store.table[entry],
+        leaf_tags=np.repeat(leaves, kept * kept),
         rhs_rows=store.rhs_rows[rhs_at], rhs_vals=store.rhs_vals[rhs_at],
         rhs_tags=np.repeat(leaves, np.diff(store.rhs_starts)[leaves]))
 
@@ -944,8 +956,8 @@ def lexsort_assemble(triplets, owner, n_free, n_ranks):
 #
 # A second assembly, a direct solve and point-by-point field helpers that
 # no run calls: the reference the tests hold the distributed pipeline to,
-# with the 1d modes one at a time, the dof map's inverse queries and the
-# equal-count dof owner.
+# with the 1d modes one at a time, the dof map's inverse queries, the
+# per-leaf Basis and Dirichlet queries and the equal-count dof owner.
 
 
 def _one_mode(j, xi, table):
@@ -979,6 +991,19 @@ def dof_entity(dofmap, gid):
         raise IndexError(f"dof {gid} out of range")
     k = int(np.searchsorted(dofmap.offsets, gid, side="right")) - 1
     return int(dofmap.rows[k]), gid - int(dofmap.offsets[k])
+
+
+def leaf_mode_count(basis, leaf):
+    return int(basis.mode_counts[basis.rows(leaf)])
+
+
+def leaf_quad_order(basis, leaf):
+    """Per-axis Gauss order: highest contributing order plus one."""
+    return int(basis.quad_orders[basis.rows(leaf)])
+
+
+def n_constrained(dirichlet):
+    return dirichlet.total - dirichlet.free.size
 
 
 def interpolate_nodal(basis, func):

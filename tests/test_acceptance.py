@@ -255,7 +255,7 @@ def test_criterion_05_graph_distribution_cuts_traffic():
                              4)
     systems = leaf_systems(basis, flux=problem.flux,
                            flux_part=problem.flux_part)
-    free, kept = leaf_free_dofs(basis, to_free, len(basis.leaves))
+    free, kept, _ = leaf_free_dofs(basis, to_free, len(basis.leaves))
     owners = {
         "graph": distribute_dofs_graph(free, kept, ranks, dirichlet.n_free, 4),
         "contiguous": distribute_dofs_contiguous(dirichlet.n_free, 4),

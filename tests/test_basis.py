@@ -15,7 +15,8 @@ from conftest import (CheckedMesh, evaluate_leaf_oracle, leaf_at, single_patch,
                       random_refined_mesh, random_orders, dof_entity,
                       index_of, integrated_legendre,
                       integrated_legendre_deriv, interpolate_nodal,
-                      FieldApproximation)
+                      FieldApproximation,
+                      leaf_mode_count, leaf_quad_order)
 from overlayfem.mesh import Mesh, NODE, EDGE, FACE
 from overlayfem.basis import (
     Basis, PolynomialOrderField, entity_mode_count, enumerate_dofs,
@@ -215,7 +216,7 @@ def test_leaf_dofs_cover_every_dof():
     for leaf in mesh.active_leaf_elements():
         gids = basis.leaf_dofs(leaf)
         assert len(set(gids.tolist())) == len(gids)
-        assert basis.leaf_mode_count(leaf) == len(gids)
+        assert leaf_mode_count(basis, leaf) == len(gids)
         seen[gids] = True
     assert seen.all()
 
@@ -224,14 +225,14 @@ def test_leaf_quad_order():
     mesh = single_patch(2)
     basis = Basis(mesh, PolynomialOrderField(uniform=3))
     for leaf in mesh.active_leaf_elements():
-        assert basis.leaf_quad_order(leaf) == 4
+        assert leaf_quad_order(basis, leaf) == 4
 
     mesh = single_patch(2)
     mesh.refine([mesh.active_leaf_elements()[0]])
     graded = Basis(mesh, PolynomialOrderField(by_level={0: 8, 1: 6}))
     deep = leaf_at(mesh, (0.1, 0.1))
     # the chain of a level-1 leaf still carries active order-8 entities
-    assert graded.leaf_quad_order(deep) == 9
+    assert leaf_quad_order(graded, deep) == 9
 
 
 # ------------------------------------------------------------- evaluation
@@ -415,7 +416,7 @@ def test_active_functions_are_linearly_independent():
         for leaf in basis.mesh.active_leaf_elements():
             e = basis.mesh.elements
             rule = box_rule(e.lo_f[leaf], e.hi_f[leaf],
-                            basis.leaf_quad_order(leaf))
+                            leaf_quad_order(basis, leaf))
             V, _ = basis.evaluate_leaf(leaf, rule.points)
             gids = basis.leaf_dofs(leaf)
             gram[np.ix_(gids, gids)] += V.T @ (rule.weights[:, None] * V)

@@ -427,8 +427,9 @@ REFERENCE_NAMES = {
            "FieldApproximation", "interpolate_nodal", "integrated_legendre",
            "integrated_legendre_deriv", "_one_mode",
            "distribute_dofs_contiguous"),
-    "DirichletMap": ("reduce",),
+    "DirichletMap": ("reduce", "n_constrained"),
     "DofMap": ("index_of", "dof_entity"),
+    "Basis": ("leaf_mode_count", "leaf_quad_order"),
 }
 
 
@@ -447,7 +448,8 @@ def _imported(module):
 
 def test_package_is_the_run_path():
     # the serial reference path, the 1d modes one at a time, the dof
-    # map's inverse queries and the equal-count owner live in the tests
+    # map's inverse queries, the per-leaf Basis and Dirichlet queries and
+    # the equal-count owner live in the tests
     modules = [overlayfem] + [
         importlib.import_module(f"overlayfem.{info.name}")
         for info in pkgutil.iter_modules(overlayfem.__path__)]

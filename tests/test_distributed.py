@@ -32,7 +32,7 @@ from overlayfem.quadrature import (Disk, EmbeddedDomain, leaf_rule,
 from overlayfem.partition import (partition_contiguous, partition_leaves,
                                   compute_leaf_weights)
 from overlayfem.distributed import (
-    SolverError, Triplets, distribute_dofs_graph, IntermediateSystem,
+    SolverError, LeafBlocks, distribute_dofs_graph, IntermediateSystem,
     integrate_rank_system, exchange_and_assemble, leaf_free_dofs,
     parallel_cg, pearson_r, run_step, thin_history,
 )
@@ -279,20 +279,24 @@ def test_assembly_of_int32_triplets_near_the_last_dof():
                            for _ in range(n_leaves)]).astype(np.int32)
     kept = np.full(n_leaves, k)
     loaded = rng.random(n_leaves) < 0.5
-    store = Triplets.allocate(free, kept, loaded,
-                              rng.integers(0, n_ranks, size=n_leaves),
-                              n_free, n_ranks, shared=False)
+    # every leaf has a k x k K of its own, all its dofs free, so the
+    # table holds the blocks leaf after leaf
+    systems = SimpleNamespace(signature=np.full(n_leaves, -1), stiffness=[],
+                              loaded=lambda rows: loaded[rows])
+    store = LeafBlocks.allocate(free, kept, np.tile(np.arange(k), n_leaves),
+                                kept, systems,
+                                rng.integers(0, n_ranks, size=n_leaves),
+                                n_free, n_ranks, shared=False)
     blocks = free.reshape(n_leaves, k)
     rows = np.repeat(blocks, k, axis=1).ravel()
     cols = np.tile(blocks, k).ravel()
-    store.key[:] = rows.astype(np.int64) * n_free + cols
     # small integers sum exactly in any order
     vals = rng.integers(1, 9, size=rows.size).astype(float)
-    store.vals[:] = vals
+    store.table[:] = vals
     store.rhs_rows[:] = blocks[loaded].ravel()
     store.rhs_vals[:] = 1.0
     rhs_rows = store.rhs_rows.copy()
-    assert store.key.max() > 2 ** 31
+    assert rows.astype(np.int64).max() * n_free + cols.max() > 2 ** 31
     system, traffic = exchange_and_assemble(
         store, distribute_dofs_contiguous(n_free, n_ranks))
 
@@ -451,11 +455,11 @@ def test_one_operator_matches_per_rank_inbox_oracle():
 # ------------------------------------------------- per-leaf integration
 #
 # integrate_rank_system reads each single-cell leaf's system from the
-# step's LeafSystems, integrates cut leaves with the batched kernel and emits
-# every leaf's triplets in one array pass.  The oracle below is the
+# step's LeafSystems, whose K the table holds once per signature, and
+# integrates cut leaves with the batched kernel.  The oracle below is the
 # per-leaf loop it replaced: every leaf through element_system (conftest's
-# cell-by-cell oracle), its flux load through leaf_flux_load.  Both must
-# assemble to the same bits.
+# cell-by-cell oracle) into a block of its own, its flux load through
+# leaf_flux_load.  Both must assemble to the same bits.
 
 
 def per_leaf_integrate(basis, to_free, leaf_tags, rank, store,
@@ -466,11 +470,12 @@ def per_leaf_integrate(basis, to_free, leaf_tags, rank, store,
         fidx = to_free[gids]
         ki = np.flatnonzero(fidx >= 0)
         fi = fidx[ki]
-        a, b = store.starts[tag:tag + 2]
-        assert b - a == fi.size * fi.size
-        store.key[a:b] = (np.repeat(fi, fi.size).astype(np.int64)
-                          * store.n_free + np.tile(fi, fi.size))
-        store.vals[a:b] = K[np.ix_(ki, ki)].ravel()
+        at = store.incidence([tag])
+        assert np.array_equal(store.free[at], fi)
+        assert np.array_equal(store.local[at], ki)
+        a = store.base[tag]
+        assert store.modes[tag] ** 2 == K.size
+        store.table[a:a + K.size] = K.ravel()
         if flux is not None:
             fl = leaf_flux_load(basis, leaf, flux, flux_part)
             if fl is not None:
@@ -544,15 +549,16 @@ def batched_cases():
     ]
 
 
-def assemble_with(integrate, basis, dirichlet, ranks, n_ranks, loaded):
+def assemble_with(integrate, basis, dirichlet, ranks, n_ranks, systems):
     """Assemble with `integrate(basis, to_free, leaf_tags, rank, store)`
-    called once per rank on a store of leaves `loaded`."""
+    called once per rank on the K blocks of `systems`' signatures and
+    cut leaves, with rhs entries for the leaves it loads."""
     to_free = np.full(basis.dofmap.total, -1, dtype=np.int64)
     to_free[dirichlet.free] = np.arange(dirichlet.n_free)
-    store = Triplets.allocate(*leaf_free_dofs(basis, to_free,
-                                              len(basis.leaves)),
-                              loaded, ranks, dirichlet.n_free, n_ranks,
-                              shared=False)
+    n_leaves = len(basis.leaves)
+    store = LeafBlocks.allocate(*leaf_free_dofs(basis, to_free, n_leaves),
+                                basis.mode_counts[:n_leaves], systems, ranks,
+                                dirichlet.n_free, n_ranks, shared=False)
     inters = []
     for r in range(n_ranks):
         mine = np.flatnonzero(ranks == r)
@@ -576,14 +582,18 @@ def test_batched_integration_matches_per_leaf_oracle():
             systems = leaf_systems(basis, **kwargs)
             loaded = systems.loaded(np.arange(len(leaves)))
             system, traffic, inters = assemble_with(
-                lambda *args, store: integrate_rank_system(*args, systems,
-                                                           store),
-                basis, dirichlet, ranks, n_ranks, loaded)
+                lambda basis, to_free, *args, store: integrate_rank_system(
+                    basis, *args, systems, store),
+                basis, dirichlet, ranks, n_ranks, systems)
             cold = Basis(mesh, orders)
+            # the oracle writes every leaf's K into a block of its own
+            own_blocks = SimpleNamespace(
+                signature=np.full(len(leaves), -1), stiffness=[],
+                loaded=lambda rows: loaded[rows])
             oracle, oracle_traffic, oracle_inters = assemble_with(
                 lambda *args, store: per_leaf_integrate(*args, store,
                                                         **kwargs),
-                cold, dirichlet, ranks, n_ranks, loaded)
+                cold, dirichlet, ranks, n_ranks, own_blocks)
             for got, want in ((system.matrix, oracle.matrix),):
                 assert np.array_equal(got.data, want.data), name
                 assert np.array_equal(got.indices, want.indices), name
@@ -593,8 +603,8 @@ def test_batched_integration_matches_per_leaf_oracle():
             assert system.halo_counts == oracle.halo_counts, name
             for a, b in zip(inters, oracle_inters):
                 assert a.rows.size == b.rows.size, name
-                assert (a.store.entries(a.leaf_tags)[1].size
-                        == b.store.entries(b.leaf_tags)[1].size), name
+                assert (a.store.rhs_entries(a.leaf_tags).size
+                        == b.store.rhs_entries(b.leaf_tags).size), name
             cut = int(np.sum(systems.signature < 0))
         distinct = len(systems.stiffness)
         single = len(leaves) - cut
@@ -611,11 +621,12 @@ def test_batched_integration_matches_per_leaf_oracle():
 
 # ------------------------------------------------ lexsort assembly oracle
 #
-# exchange_and_assemble sorts the leaf-order store once by a packed
-# (key, position) column and counts the ledger from the leaf-dof
-# incidence.  conftest's lexsort_assemble is the assembly it replaced:
-# the same triplets rank after rank, a two-key lexsort and a merged
-# entries x ranks ledger.  Both must give the same bits.
+# exchange_and_assemble expands the K blocks a block of rows at a time,
+# sorts each row block by a packed (key, position) column and counts the
+# ledger from the leaf-dof incidence.  conftest's lexsort_assemble is the
+# assembly it replaced: the triplets of every leaf's K at its free dofs
+# (conftest's leaf_triplets) rank after rank, a two-key lexsort and a
+# merged entries x ranks ledger.  Both must give the same bits.
 
 
 def oracle_cases():
@@ -650,13 +661,22 @@ def oracle_cases():
     }
 
 
-@pytest.mark.parametrize("name, sort", [
+ROW_BLOCKS = {"one row block": 1, "1000 row blocks": 1000}
+
+
+@pytest.mark.parametrize("name, variant", [
     *((name, "packed") for name in oracle_cases()),
-    ("lshape res 3 p 4", "argsort")])
-def test_assembly_matches_lexsort_oracle(monkeypatch, name, sort):
-    if sort == "argsort":
+    ("lshape res 3 p 4", "argsort"),
+    *(("fcm disk res 8", variant) for variant in ROW_BLOCKS)])
+def test_assembly_matches_lexsort_oracle(monkeypatch, name, variant):
+    if variant == "argsort":
         # no packed key fits: the stable argsort gives the order
         monkeypatch.setattr("overlayfem.distributed._PACKED_BITS", 0)
+    if variant in ROW_BLOCKS:
+        # each row block's sort keeps an entry's contributions in leaf
+        # order, so the split does not change the bits
+        monkeypatch.setattr("overlayfem.distributed._ROW_BLOCKS",
+                            ROW_BLOCKS[variant])
     mesh, orders, part, kwargs, method = oracle_cases()[name]
     basis = Basis(mesh, orders)
     dirichlet = DirichletMap(basis, part)
@@ -692,10 +712,11 @@ def test_assembly_matches_lexsort_oracle(monkeypatch, name, sort):
 
 
 def test_store_does_not_depend_on_the_partition(monkeypatch):
-    # a leaf's blocks sit at offsets fixed by the leaves alone, so every
-    # column of the step's store is byte-identical whatever the rank
-    # count, the partitioner and the worker count; with two workers the
-    # forked ranks write scattered leaf blocks into the shared store
+    # a leaf's K and rhs entries sit at offsets fixed by the leaves
+    # alone, so the step's table and rhs columns are byte-identical
+    # whatever the rank count, the partitioner and the worker count; with
+    # two workers the forked ranks write scattered cut-leaf blocks and rhs
+    # entries into the shared columns
     stores = []
 
     def assemble(store, *args):
@@ -727,9 +748,9 @@ def test_store_does_not_depend_on_the_partition(monkeypatch):
 
 
 def test_work_counters_do_not_depend_on_the_rank_count():
-    # report.json's triplets (the store's length, sum of kept**2 over the
-    # leaves) and nnz (the operator's stored entries) count work, not
-    # ranks
+    # report.json's triplets (the K blocks' expansion, sum of kept**2
+    # over the leaves) and nnz (the operator's stored entries) count
+    # work, not ranks
     exact = LShapeSolution()
     counts = []
     for n_ranks in (1, 3, 8):
@@ -740,7 +761,7 @@ def test_work_counters_do_not_depend_on_the_rank_count():
         counts.append((d["triplets"], d["nnz"]))
     to_free = np.full(basis.dofmap.total, -1, dtype=np.int32)
     to_free[DirichletMap(basis, lshape_dirichlet).free] = 0
-    _, kept = leaf_free_dofs(basis, to_free, d["leaves"])
+    _, kept, _ = leaf_free_dofs(basis, to_free, d["leaves"])
     assert counts == [(int(np.sum(kept ** 2)), counts[0][1])] * 3
 
 
@@ -813,13 +834,13 @@ def test_cg_custom_rhs_and_failure():
 # ------------------------------------------------------------- run_step
 
 
-STORE_COLUMNS = ("key", "vals", "rhs_rows", "rhs_vals")
+STORE_COLUMNS = ("table", "rhs_rows", "rhs_vals")
 
 
 def test_run_step_report_is_complete(monkeypatch):
     # the step's leaf systems are freed before the assembly, the step's
-    # memory peak, and every column of its triplet store before the
-    # solve: a weak reference to each is dead when the next phase starts
+    # memory peak, and its K table and rhs columns before the solve: a
+    # weak reference to each is dead when the next phase starts
     built, columns, entered, counts = [], [], [], []
 
     def build(*args):
@@ -831,7 +852,7 @@ def test_run_step_report_is_complete(monkeypatch):
         entered.append(built[0]() is None)
         columns.extend(weakref.ref(getattr(store, name))
                        for name in STORE_COLUMNS)
-        counts.append(store.key.size)
+        counts.append(store.n_triplets)
         system, traffic = exchange_and_assemble(store, *args)
         counts.append(system.matrix.nnz)
         return system, traffic
@@ -858,7 +879,8 @@ def test_run_step_report_is_complete(monkeypatch):
     assert d["leaves"] == len(mesh.active_leaf_elements())
     assert d["dofs"] == basis.dofmap.total
     assert d["ranks"] == 3
-    # work counters: the store's length and the operator's stored entries
+    # work counters: the K blocks' triplets and the operator's stored
+    # entries
     assert [d["triplets"], d["nnz"]] == counts
     assert 0 < d["nnz"] <= d["triplets"]
     assert entered == [True, True]
@@ -887,8 +909,7 @@ def test_run_step_report_is_complete(monkeypatch):
 def test_rank_triplets_carry_int32_indices(monkeypatch):
     # run_step's free indices are int32, and so are the rows of every
     # rank's triplets, the store's leaf-dof incidence and its rhs rows;
-    # the matrix entries carry one int64 key in place of row, column and
-    # leaf tag
+    # the matrix values are the K table's float64 entries
     returned, dtypes = [], []
 
     def integrate(*args):
@@ -906,9 +927,9 @@ def test_rank_triplets_carry_int32_indices(monkeypatch):
     assert len(returned) == 2
     for inter in returned:
         assert inter.rows.size > 0
-        assert inter.store.entries(inter.leaf_tags)[1].size > 0
+        assert inter.store.rhs_entries(inter.leaf_tags).size > 0
         assert inter.rows.dtype == inter.store.free.dtype == np.int32
-    assert dtypes == [[np.int64, np.float64, np.int32, np.float64]] * 2
+    assert dtypes == [[np.float64, np.int32, np.float64]] * 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1045,7 +1066,7 @@ def test_workers_receive_the_step_systems(pools, monkeypatch):
         assert np.array_equal(solutions[0], solutions[1])
     # one build per run_step; the 2-worker steps' pools received theirs
     assert len(built) == 4 and len(pools.made) == 2
-    assert all(args[2] is systems
+    assert all(args[1] is systems
                for (_, _, args), systems in zip(pools.made, built[1::2]))
     for systems in built:
         arrays = systems.stiffness + systems.loads + list(
@@ -1056,7 +1077,7 @@ def test_workers_receive_the_step_systems(pools, monkeypatch):
 
 
 def test_worker_results_carry_no_triplets(pools):
-    # the ranks write into the store the workers inherit: what a worker
+    # the ranks write into the table the workers inherit: what a worker
     # sends back through the pipe is its rank, leaf count and seconds
     report, _, _ = run_step(Mesh(lshape_mesh_spec(4)),
                             PolynomialOrderField(uniform=3), 3,
@@ -1071,43 +1092,49 @@ def test_worker_results_carry_no_triplets(pools):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_each_rank_writes_exactly_its_leaves_blocks(monkeypatch, workers):
-    # the store is prefilled with NaN and -1: after the integrate phase,
-    # inline or in forked workers, the parent reads no fill value.  Each
-    # rank fills its leaves' blocks, kept**2 matrix entries per leaf, kept
-    # its free dof count, and kept rhs entries per loaded leaf; inline,
-    # it writes nothing outside them
-    allocate, checked = Triplets.allocate, []
+    # the cut leaves' blocks and the rhs columns are prefilled with NaN
+    # and -1: after the integrate phase, inline or in forked workers, the
+    # parent reads no fill value.  Each rank fills its cut leaves' blocks,
+    # n**2 entries per leaf of n dofs, and kept rhs entries per loaded
+    # leaf, kept its free dof count; its triplets number kept**2 per leaf;
+    # inline, it writes nothing outside them
+    allocate, checked = LeafBlocks.allocate, []
+    parts = {}
 
-    def prefilled(*args, **kwargs):
-        store = allocate(*args, **kwargs)
-        for name in STORE_COLUMNS:
-            column = getattr(store, name)
-            column[:] = np.nan if column.dtype.kind == "f" else -1
+    def prefilled(free, kept, local, modes, systems, *args, **kwargs):
+        store = allocate(free, kept, local, modes, systems, *args, **kwargs)
+        store.table[store.blocks(np.flatnonzero(systems.signature < 0))] = (
+            np.nan)
+        store.rhs_rows[:] = -1
+        store.rhs_vals[:] = np.nan
         return store
 
     def snapshot(store):
         return [getattr(store, name).copy() for name in STORE_COLUMNS]
 
-    def integrate(basis, to_free, leaf_tags, rank, systems, store):
+    def integrate(basis, leaf_tags, rank, systems, store):
         before = snapshot(store)
-        inter = integrate_rank_system(basis, to_free, leaf_tags, rank,
-                                      systems, store)
+        inter = integrate_rank_system(basis, leaf_tags, rank, systems, store)
         leaf_ids = basis.leaves[leaf_tags]
-        kept = np.array([np.count_nonzero(to_free[basis.leaf_dofs(leaf)]
-                                          >= 0) for leaf in leaf_ids], int)
+        free = DirichletMap(basis, parts["dirichlet"]).free
+        kept = np.array([np.count_nonzero(np.isin(basis.leaf_dofs(leaf), free))
+                         for leaf in leaf_ids], int)
         loaded = systems.loaded(basis.row_of[leaf_ids])
-        at, rhs_at = store.entries(leaf_tags)
-        assert at.size == np.sum(kept ** 2) == inter.rows.size
+        cut = leaf_tags[systems.signature[leaf_tags] < 0]
+        at, rhs_at = store.blocks(cut), store.rhs_entries(leaf_tags)
+        assert at.size == np.sum(basis.mode_counts[cut] ** 2)
+        assert np.sum(kept ** 2) == inter.rows.size
         assert rhs_at.size == np.sum(kept[loaded])
         for name, old in zip(STORE_COLUMNS, before):
             column = getattr(store, name)
             mine = np.zeros(column.size, dtype=bool)
-            mine[at if name in ("key", "vals") else rhs_at] = True
+            mine[at if name == "table" else rhs_at] = True
             assert not np.any(np.isnan(column[mine])
                               if column.dtype.kind == "f"
                               else column[mine] < 0), name
             if workers == 1:
-                # other ranks' blocks hold what they held before
+                # the table's other blocks and other ranks' rhs entries
+                # hold what they held before
                 assert np.array_equal(column[~mine], old[~mine],
                                       equal_nan=True), name
         return inter
@@ -1117,10 +1144,13 @@ def test_each_rank_writes_exactly_its_leaves_blocks(monkeypatch, workers):
             column = getattr(store, name)
             assert not np.any(np.isnan(column) if column.dtype.kind == "f"
                               else column < 0), name
-        checked.append(np.diff(store.starts).sum() == store.key.size)
+        # every table entry is a leaf's K entry
+        checked.append(np.array_equal(
+            np.unique(store.blocks(np.arange(store.kept.size))),
+            np.arange(store.table.size)))
         return exchange_and_assemble(store, *args)
 
-    monkeypatch.setattr(Triplets, "allocate", prefilled)
+    monkeypatch.setattr(LeafBlocks, "allocate", prefilled)
     monkeypatch.setattr("overlayfem.distributed.integrate_rank_system",
                         integrate)
     monkeypatch.setattr("overlayfem.distributed.exchange_and_assemble",
@@ -1130,21 +1160,24 @@ def test_each_rank_writes_exactly_its_leaves_blocks(monkeypatch, workers):
     # boundary leaves keep part of their dofs; flux loads reach only
     # some leaves; cut leaves come from the kernel; the sfc ranks' leaves
     # are scattered over the pre-order
+    parts["dirichlet"] = lshape_dirichlet
     run_step(Mesh(lshape_mesh_spec(3)), PolynomialOrderField(uniform=3), 3,
              lshape_dirichlet, flux=exact.flux,
              flux_part=lshape_neumann_part, workers=workers)
+    parts["dirichlet"] = fcm_disk_dirichlet
     run_step(interface_refined(4, disk, 1), PolynomialOrderField(uniform=2),
              3, fcm_disk_dirichlet, domain=disk, depth=3,
              source=unit_source, workers=workers)
     assert checked == [True, True]
 
 
-def test_assembly_allocates_less_than_the_store():
-    # the assembly takes the store's columns and frees each once spent:
-    # its allocations above its entry stay below the store's bytes.  The
-    # store is built here under tracemalloc, so its frees are counted; a
-    # run's shared store is outside tracemalloc's view but unmapped at
-    # the same points
+def test_step_peaks_below_its_triplet_bytes():
+    # from the K table's allocation through the assembly, with the CSR it
+    # returns, a step's traced peak stays below 1.5x the 16 bytes per
+    # triplet (an int64 key and a float64 value) of a store that holds
+    # every leaf's triplets.  The table is built here under tracemalloc;
+    # a run's shared table is outside tracemalloc's view but unmapped at
+    # the same point
     mesh = Mesh(lshape_mesh_spec(8))
     basis = Basis(mesh, PolynomialOrderField(uniform=4))
     dirichlet = DirichletMap(basis, lshape_dirichlet)
@@ -1156,16 +1189,16 @@ def test_assembly_allocates_less_than_the_store():
     ranks = partition_leaves("sfc", mesh, basis, compute_leaf_weights(basis),
                              4)
     owner = distribute_dofs_contiguous(dirichlet.n_free, 4)
+    _, kept, _ = leaf_free_dofs(basis, to_free, len(basis.leaves))
+    triplet_bytes = 16 * int(np.sum(kept ** 2))
     tracemalloc.start()
     try:
         store, _ = integrate_ranks(basis, to_free, dirichlet.n_free, ranks, 4,
                                    systems)
-        nbytes = sum(getattr(store, name).nbytes for name in STORE_COLUMNS)
-        entry = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        exchange_and_assemble(store, owner)
-        above = tracemalloc.get_traced_memory()[1] - entry
+        system, _ = exchange_and_assemble(store, owner)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert system.matrix.nnz > 0
     assert all(getattr(store, name) is None for name in STORE_COLUMNS)
-    assert above <= 1.0 * nbytes, above / nbytes
+    assert peak <= 1.5 * triplet_bytes, peak / triplet_bytes

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import (single_patch, random_refined_mesh, random_orders,
-                      interval_cut_oracle)
+                      interval_cut_oracle,
+                      leaf_mode_count, leaf_quad_order)
 from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.quadrature import build_leaf_rules
 from overlayfem.partition import (
@@ -36,8 +37,8 @@ def test_weights_follow_cost_model():
     mesh = random_refined_mesh(rng)
     basis = Basis(mesh, random_orders(rng, mesh))
     # n_GP N^3 leaf by leaf, over the weight of a base-order leaf
-    raw = np.array([float(basis.leaf_quad_order(leaf) ** 2)
-                    * float(basis.leaf_mode_count(leaf)) ** 3
+    raw = np.array([float(leaf_quad_order(basis, leaf) ** 2)
+                    * float(leaf_mode_count(basis, leaf)) ** 3
                     for leaf in mesh.active_leaf_elements()])
     p0 = basis.orders.base_order
     w0 = float((p0 + 1) ** 2) * float((p0 + 1) ** 2) ** 3

@@ -13,7 +13,8 @@ import pytest
 from conftest import (CUT_CELL_CONFIGS, indicator_area_oracle, study_bases,
                       leaf_at, single_patch, random_refined_mesh, random_orders,
                       gauss_cell, recursive_spacetree_cells,
-                      assert_rule_is_cells, leaf_to_physical, per_leaf_rules)
+                      assert_rule_is_cells, leaf_to_physical, per_leaf_rules,
+                      leaf_quad_order)
 from overlayfem.basis import Basis, PolynomialOrderField
 from overlayfem.benchmarks import RunConfig, make_problem, mark_interface_leaves
 from overlayfem.quadrature import (
@@ -282,13 +283,14 @@ def test_batched_leaf_rules_match_recursive_oracle(res):
     for name, geometry in sorted(ORACLE_GEOMETRIES.items()):
         dom = EmbeddedDomain(geometry, epsilon=1e-8)
         basis = Basis(mesh, orders)
-        assert len({basis.leaf_quad_order(leaf) for leaf in leaves}) > 1
+        assert len({leaf_quad_order(basis, leaf) for leaf in leaves}) > 1
         for depth in (0, 2, 4):
             rules = [leaf_rule(basis, leaf, dom, depth) for leaf in leaves]
             for leaf, rule in zip(leaves, rules):
                 assert_rule_is_cells(rule, recursive_spacetree_cells(
                     [-1.0, -1.0], [1.0, 1.0], dom, depth,
-                    basis.leaf_quad_order(leaf), leaf_to_physical(mesh, leaf)))
+                    leaf_quad_order(basis, leaf),
+                    leaf_to_physical(mesh, leaf)))
             # the table covers the active leaves only
             before = len(basis.leaf_rules)
             with pytest.raises(KeyError):
@@ -302,7 +304,8 @@ def test_batched_leaf_rules_match_recursive_oracle(res):
                 assert_rule_is_cells(raised.cell_range(a, b),
                                      recursive_spacetree_cells(
                     [-1.0, -1.0], [1.0, 1.0], dom, depth,
-                    basis.leaf_quad_order(leaf) + 2, leaf_to_physical(mesh, leaf)))
+                    leaf_quad_order(basis, leaf) + 2,
+                    leaf_to_physical(mesh, leaf)))
 
 def assert_table_is_rules(table, oracle):
     """The ragged table (rule, leaf_cells) holds the per-leaf rules, leaf
@@ -365,12 +368,12 @@ def test_table_without_domain_tiles_reference_rules(res):
     for extra in (0, 2):
         assert_table_is_rules(
             build_leaf_rules(basis, leaves, None, 3, extra),
-            [reference_rule(basis.leaf_quad_order(leaf) + extra)
+            [reference_rule(leaf_quad_order(basis, leaf) + extra)
              for leaf in leaves])
     # a leaf's own rule without a domain is the reference rule, no table
     for leaf in leaves:
         assert leaf_rule(basis, leaf) is reference_rule(
-            basis.leaf_quad_order(leaf))
+            leaf_quad_order(basis, leaf))
     assert basis.leaf_rules == {}
     # an empty leaf list gives an empty table
     rule, leaf_cells = build_leaf_rules(basis, leaves[:0], None, 0)
@@ -447,7 +450,7 @@ def test_leaf_quadrature_weight_sums():
         assert len(rule.cells()) == 1
         assert rule.weights.sum() == pytest.approx(4.0)  # reference measure
         assert np.all(rule.alpha == 1.0)
-        assert len(rule.points) == basis.leaf_quad_order(leaf) ** 2
+        assert len(rule.points) == leaf_quad_order(basis, leaf) ** 2
         phys = leaf_to_physical(mesh, leaf)(rule.points)
         assert np.all(phys >= mesh.elements.lo_f[leaf] - 1e-12)
         assert np.all(phys <= mesh.elements.hi_f[leaf] + 1e-12)
@@ -512,13 +515,13 @@ def test_leaf_rule_memo_is_shared_and_survives_pickling(monkeypatch):
     for again in (rule, leaf_rule(basis, leaf, dom, 3)):
         assert np.shares_memory(again.points, table.points)
     assert_rule_is_cells(rule, recursive_spacetree_cells(
-        [-1.0, -1.0], [1.0, 1.0], dom, 3, basis.leaf_quad_order(leaf),
+        [-1.0, -1.0], [1.0, 1.0], dom, 3, leaf_quad_order(basis, leaf),
         leaf_to_physical(mesh, leaf)))
     # without a domain every leaf reads the reference cell of its order
     other = leaf_at(mesh, (0.1, 0.9))
     for uncut in (leaf, other):
         assert_rule_is_cells(leaf_rule(basis, uncut), [gauss_cell(
-            [-1.0, -1.0], [1.0, 1.0], basis.leaf_quad_order(uncut))])
+            [-1.0, -1.0], [1.0, 1.0], leaf_quad_order(basis, uncut))])
     assert set(basis.leaf_rules) == {(3, dom)}
     # a pickled copy, as a worker process receives it, holds the filled
     # memo; an equal domain that is another object finds the entry without
