@@ -32,6 +32,17 @@ The rhs is summed the same way by (row, leaf).  Because that order does
 not involve ranks, the operator, the solver iterates and the solution
 are bit-identical whatever the rank count.
 
+The overlay keeps every ancestor's high-order modes, which are
+orthogonal over the ancestor but not over each child, so many merged
+entries are children's contributions that cancel to round-off.  A
+dropping assembly leaves out every off-diagonal merged entry with
+|a_ij| < DROP_TOL * sqrt(a_ii) * sqrt(a_jj), DROP_TOL = 1e-14: the
+diagonal is summed from the incidence before the blocks, in the order
+the blocks sum it, and each block compacts its entries in place after
+its sums.  :func:`run_step` drops on a step without an embedded domain;
+a cut-cell step's ill-conditioned CG turns any round-off change into a
+different iteration count, so its operator keeps every entry.
+
 Ranks are a ledger, not a second assembly.  A free dof belongs to one
 owner; the rows a rank owns are its slice of the operator.
 Communication volume counts merged (row, column) entries, the
@@ -41,7 +52,9 @@ d (kept at home when s == d).  Halo columns are the off-rank columns that
 appear in a rank's owned rows.  Both are counted from the leaf-dof
 incidence the table carries: a leaf on rank s gives each of its rows one
 triplet per free dof, less each rank's repeat contributions to one
-merged entry, which a block's sort has put side by side.
+merged entry, which a block's sort has put side by side.  The ledger
+counts what the ranks integrate and ship, so it is taken before the
+drop.
 
 The conjugate-gradient solver runs on the one operator: one matrix-vector
 product and one Jacobi scaling per iteration, and inner products in
@@ -320,6 +333,7 @@ class DistributedSystem:
     sent_entries: list        # per rank: merged entries shipped away
     kept_entries: list        # per rank: merged entries kept at home
     total_entries: list       # per rank: merged entries integrated
+    dropped: int = 0          # round-off entries left out of `matrix`
 
     @property
     def blocks(self):
@@ -422,6 +436,10 @@ def _halo_counts(store, owner):
 # a block of rows holds about 1 / _ROW_BLOCKS of the step's triplets
 _ROW_BLOCKS = 16
 
+# an off-diagonal merged entry below DROP_TOL * sqrt(a_ii) * sqrt(a_jj)
+# is round-off of a sum that vanishes, and a dropping assembly leaves it out
+DROP_TOL = 1e-14
+
 
 def _row_blocks(row_triplets):
     """Bounds of consecutive row blocks, each with about an equal share of
@@ -435,14 +453,43 @@ def _row_blocks(row_triplets):
                                      [ends.size])))
 
 
-def exchange_and_assemble(store, owner):
+def _diagonal(store, table, leaf, by_row, row_starts):
+    """Each free dof's diagonal entry, summed as the assembly sums its
+    merged entry: one reduceat of the K diagonals of the row's leaves in
+    leaf order.  `leaf` is the leaf of each (leaf, free dof) pair of the
+    incidence, and row i's pairs are ``by_row[row_starts[i]:row_starts[i
+    + 1]]``."""
+    holder = leaf[by_row]
+    return np.add.reduceat(table[store.base[holder] + store.local[by_row]
+                                 * (store.modes[holder] + 1)],
+                           row_starts[:-1])
+
+
+def _kept(data, cols, bound, root, row_ends, scratch):
+    """Positions of one row block's merged entries that a dropping
+    assembly keeps: those with |a_ij| >= bound[i] * root[j], where row
+    i's entries `data` and int64 `cols` are [row_ends[i], row_ends[i +
+    1]), `bound` is DROP_TOL * sqrt(a_ii) for each of the block's rows
+    and `root` is sqrt(a_jj) for every column.  A diagonal entry always
+    passes.  `scratch` holds at least as many floats as `data`."""
+    limit = np.repeat(bound, np.diff(row_ends))
+    # numpy buffers `out` under take's default mode="raise"; every column
+    # is in range, so "clip" changes nothing but the speed
+    limit *= root.take(cols, out=scratch[:data.size], mode="clip")
+    return np.flatnonzero(np.abs(data, out=scratch[:data.size]) >= limit)
+
+
+def exchange_and_assemble(store, owner, drop=False):
     """Sum every rank's element matrices into one operator and count the
     traffic.
 
     `store` is the step's :class:`LeafBlocks`; the assembly takes its
-    table and rhs columns and frees each at its last use.  Returns
-    (system, traffic), where traffic[s, d] is the number of merged (row,
-    column) entries rank s integrated in rows rank d owns.
+    table and rhs columns and frees each at its last use.  With `drop`,
+    an off-diagonal merged entry with |a_ij| < DROP_TOL * sqrt(a_ii) *
+    sqrt(a_jj) is left out of the operator, and ``system.dropped``
+    counts those entries.  Returns (system, traffic), where traffic[s, d]
+    is the number of merged (row, column) entries rank s integrated in
+    rows rank d owns, dropped ones included.
     """
     n_free, n_ranks = store.n_free, store.n_ranks
     owner = np.asarray(owner)
@@ -462,7 +509,9 @@ def exchange_and_assemble(store, owner):
     repeats = np.zeros(n_ranks * n_ranks, dtype=np.int64)
     rank_of = store.leaf_ranks.astype(np.min_scalar_type(n_ranks))
     table = store.take("table")
-    nnz = 0
+    if drop:
+        root = np.sqrt(_diagonal(store, table, leaf, by_row, row_starts))
+    nnz = dropped = 0
     for r0, r1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         # the block's triplets, row after row and within a row leaf after
         # leaf: (leaf, free dof) pair a gives the row, and each pair c of
@@ -496,10 +545,22 @@ def exchange_and_assemble(store, owner):
         row_keys = np.arange(r1 - r0 + 1, dtype=np.int64) * n_free
         row_ends = np.searchsorted(keys, row_keys)
         m = starts.size
-        np.add.reduceat(vals, starts, out=data[nnz:nnz + m])
-        del vals, starts
-        np.subtract(keys, np.repeat(row_keys[:-1], np.diff(row_ends)),
-                    out=cols[nnz:nnz + m], casting="unsafe")
+        block = data[nnz:nnz + m]
+        np.add.reduceat(vals, starts, out=block)
+        del starts
+        # the keys become the block's columns
+        keys -= np.repeat(row_keys[:-1], np.diff(row_ends))
+        if drop:
+            # compact the block in place, then its row ends
+            at = _kept(block, keys, DROP_TOL * root[r0:r1], root, row_ends,
+                       vals)
+            dropped += m - at.size
+            m = at.size
+            block[:m] = block[at]
+            keys = keys[at]
+            row_ends = np.searchsorted(at, row_ends)
+        del vals, block
+        cols[nnz:nnz + m] = keys
         indptr[r0 + 1:r1 + 1] = nnz + row_ends[1:]
         nnz += m
     del table
@@ -527,6 +588,7 @@ def exchange_and_assemble(store, owner):
         halo_counts=_halo_counts(store, owner),
         sent_entries=[t - k for t, k in zip(total_entries, kept_entries)],
         kept_entries=kept_entries, total_entries=total_entries,
+        dropped=dropped,
     ), traffic
 
 
@@ -605,8 +667,9 @@ class StepReport:
     `cost_model_r` is the Pearson r of the ranks' weight sums and
     integration times, None for one rank or a constant column.
     `n_triplets` counts the triplets the step's K blocks expand into,
-    kept**2 summed over the leaves, and `nnz` the assembled operator's
-    stored entries; neither depends on the ranks.
+    kept**2 summed over the leaves, `nnz` the assembled operator's
+    stored entries and `dropped` the round-off entries left out of it;
+    none depends on the ranks.
     """
 
     step: int
@@ -615,6 +678,7 @@ class StepReport:
     n_free: int
     n_triplets: int
     nnz: int
+    dropped: int
     n_ranks: int
     partitioner: str
     per_rank: list
@@ -635,6 +699,7 @@ class StepReport:
             "free_dofs": self.n_free,
             "triplets": self.n_triplets,
             "nnz": self.nnz,
+            "dropped": self.dropped,
             "ranks": self.n_ranks,
             "partitioner": self.partitioner,
             "dof_distribution": "graph",
@@ -704,8 +769,11 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     timings["dof_dist"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    # the assembly frees the table and rhs columns as it spends them
-    system, _ = exchange_and_assemble(store, owner)
+    # the assembly frees the table and rhs columns as it spends them.  It
+    # drops round-off entries on a step without an embedded domain: the
+    # ill-conditioned CG of a cut-cell step turns any round-off change
+    # into a different iteration count
+    system, _ = exchange_and_assemble(store, owner, domain is None)
     timings["assemble"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -732,10 +800,11 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     report = StepReport(
         step=step_index, n_leaves=n_leaves, n_dofs=basis.dofmap.total,
         n_free=dirichlet.n_free, n_triplets=store.n_triplets,
-        nnz=system.matrix.nnz, n_ranks=n_ranks, partitioner=partitioner,
-        per_rank=per_rank, timings=timings, cg_iterations=iterations,
-        residual=history[-1], residual_history=thin_history(history),
-        leaf_weights=weights, leaf_ranks=ranks,
+        nnz=system.matrix.nnz, dropped=system.dropped, n_ranks=n_ranks,
+        partitioner=partitioner, per_rank=per_rank, timings=timings,
+        cg_iterations=iterations, residual=history[-1],
+        residual_history=thin_history(history), leaf_weights=weights,
+        leaf_ranks=ranks,
         cost_model_r=pearson_r(weight_sums, rank_seconds),
     )
     return report, basis, solution

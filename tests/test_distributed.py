@@ -7,6 +7,7 @@ not depend on the rank count at all.
 """
 
 import concurrent.futures
+import copy
 import json
 import pickle
 import tracemalloc
@@ -32,13 +33,14 @@ from overlayfem.quadrature import (Disk, EmbeddedDomain, leaf_rule,
 from overlayfem.partition import (partition_contiguous, partition_leaves,
                                   compute_leaf_weights)
 from overlayfem.distributed import (
-    SolverError, LeafBlocks, distribute_dofs_graph, IntermediateSystem,
-    integrate_rank_system, exchange_and_assemble, leaf_free_dofs,
+    DROP_TOL, SolverError, LeafBlocks, _diagonal, distribute_dofs_graph,
+    IntermediateSystem, integrate_rank_system, exchange_and_assemble, leaf_free_dofs,
     parallel_cg, pearson_r, run_step, thin_history,
 )
-from overlayfem.benchmarks import (fcm_disk_dirichlet, lshape_dirichlet,
-                                   lshape_mesh_spec, lshape_neumann_part,
-                                   mark_interface_leaves,
+from overlayfem.benchmarks import (RunConfig, fcm_disk_dirichlet,
+                                   lshape_dirichlet, lshape_mesh_spec,
+                                   lshape_neumann_part,
+                                   mark_interface_leaves, run_benchmark,
                                    unit_source)
 
 
@@ -765,6 +767,152 @@ def test_work_counters_do_not_depend_on_the_rank_count():
     assert counts == [(int(np.sum(kept ** 2)), counts[0][1])] * 3
 
 
+# ------------------------------------------------------- round-off drop
+#
+# The overlay's ancestor modes are orthogonal over the ancestor, not over
+# each child, so many merged entries are sums that vanish up to
+# round-off.  A dropping assembly leaves out every off-diagonal entry with
+# |a_ij| < DROP_TOL * sqrt(a_ii * a_jj); run_step drops on a step without
+# an embedded domain.
+
+
+def drop_cases():
+    """name -> (mesh, orders, dirichlet part, integration keywords)."""
+    lshape = dict(source=unit_source, flux=LShapeSolution().flux,
+                  flux_part=lshape_neumann_part)
+    p4 = PolynomialOrderField(uniform=4)
+    rng = np.random.default_rng(7)
+    mesh = random_refined_mesh(rng, max_leaves=250)
+    return {
+        "lshape res 4 p 4": (corner_refined(4, 3), p4, lshape_dirichlet,
+                             lshape),
+        "lshape res 6 p 4": (corner_refined(6, 2), p4, lshape_dirichlet,
+                             lshape),
+        "lshape res 8 p 4": (corner_refined(8, 2), p4, lshape_dirichlet,
+                             lshape),
+        "random mesh": (mesh, random_orders(rng, mesh), on_square_boundary,
+                        dict(source=bumpy_source)),
+    }
+
+
+def assembled_both_ways(name, n_ranks=3):
+    """The operator of one drop case assembled without and with the drop,
+    from two stores the ranks write alike."""
+    mesh, orders, part, kwargs = drop_cases()[name]
+    basis = Basis(mesh, orders)
+    dirichlet = DirichletMap(basis, part)
+    to_free = np.full(basis.dofmap.total, -1, dtype=np.int32)
+    to_free[dirichlet.free] = np.arange(dirichlet.n_free)
+    systems = leaf_systems(basis, **kwargs)
+    ranks = partition_leaves("sfc", mesh, basis, compute_leaf_weights(basis),
+                             n_ranks)
+    out = []
+    for drop in (False, True):
+        store, _ = integrate_ranks(basis, to_free, dirichlet.n_free, ranks,
+                                   n_ranks, systems)
+        owner = distribute_dofs_graph(store.free, store.kept, ranks,
+                                      dirichlet.n_free, n_ranks)
+        out.append(exchange_and_assemble(store, owner, drop))
+    return out
+
+
+@pytest.mark.parametrize("name", list(drop_cases()))
+def test_incidence_diagonal_is_the_assembled_diagonal(monkeypatch, name):
+    # the diagonal the drop scales by is summed before the block loop, in
+    # the order the block's reduceat sums each diagonal entry
+    taken = []
+
+    def diagonal(*args):
+        taken.append(_diagonal(*args))
+        return taken[-1]
+
+    monkeypatch.setattr("overlayfem.distributed._diagonal", diagonal)
+    (full, _), (dropped, _) = assembled_both_ways(name)
+    assert len(taken) == 1
+    for system in (full, dropped):
+        assert np.array_equal(taken[0].view(np.int64),
+                              system.matrix.diagonal().view(np.int64))
+
+
+@pytest.mark.parametrize("name", list(drop_cases()))
+def test_drop_leaves_out_exactly_the_roundoff_entries(name):
+    (full, traffic), (dropped, dropped_traffic) = assembled_both_ways(name)
+    A, B = full.matrix.tocoo(), dropped.matrix.tocoo()
+    d = full.matrix.diagonal()
+    bound = DROP_TOL * np.sqrt(d[A.row] * d[A.col])
+    kept = np.isin(A.row.astype(np.int64) * full.n_free + A.col,
+                   B.row.astype(np.int64) * full.n_free + B.col)
+    diagonal = A.row == A.col
+    small = np.abs(A.data) < bound
+    assert np.count_nonzero(~kept) == dropped.dropped > 0
+    assert full.dropped == 0
+    # dropped entries are below the bound and kept off-diagonal ones at
+    # or above it; every diagonal entry is kept
+    assert np.array_equal(~kept, small & ~diagonal)
+    assert np.all(kept[diagonal])
+    # the kept entries carry the undropped sums, bit for bit, in CSR order
+    assert np.array_equal(B.data.view(np.int64), A.data[kept].view(np.int64))
+    pattern = dropped.matrix.copy()
+    pattern.data[:] = 1.0
+    assert (pattern != pattern.T).nnz == 0
+    # the ledger counts what the ranks integrate, before the drop
+    assert np.array_equal(traffic, dropped_traffic)
+    assert np.array_equal(full.rhs.view(np.int64),
+                          dropped.rhs.view(np.int64))
+
+
+@pytest.mark.parametrize("name", list(drop_cases()))
+def test_dropped_operator_solves_alike(name):
+    (full, _), (dropped, _) = assembled_both_ways(name)
+    x = spla.spsolve(full.matrix.tocsc(), full.rhs)
+    y = spla.spsolve(dropped.matrix.tocsc(), dropped.rhs)
+    assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_lshape_energy_errors_do_not_move_with_the_drop(monkeypatch):
+    config = RunConfig(benchmark="lshape", res=4, p=4, steps=3, ranks=3)
+    dropped, _ = run_benchmark(config)
+    monkeypatch.setattr(
+        "overlayfem.distributed.exchange_and_assemble",
+        lambda store, owner, drop=False: exchange_and_assemble(store, owner))
+    full, _ = run_benchmark(config)
+    assert all(step["dropped"] > 0 for step in dropped)
+    assert all(step["dropped"] == 0 for step in full)
+    for a, b in zip(dropped, full):
+        assert a["nnz"] + a["dropped"] == b["nnz"]
+        assert a["error"] == pytest.approx(b["error"], rel=1e-12, abs=0)
+
+
+def test_no_drop_under_an_embedded_domain(monkeypatch):
+    # the cut-cell step's operator is the undropped assembly, byte for
+    # byte, although that assembly has round-off entries a drop would take
+    calls = []
+
+    def assemble(store, owner, *args):
+        calls.append((copy.deepcopy(store), owner, args))
+        system, traffic = exchange_and_assemble(store, owner, *args)
+        calls.append(system)
+        return system, traffic
+
+    monkeypatch.setattr("overlayfem.distributed.exchange_and_assemble",
+                        assemble)
+    disk = EmbeddedDomain(Disk((0.0, 0.0), 0.8), epsilon=1e-8)
+    report, _, _ = run_step(interface_refined(6, disk, 2),
+                            PolynomialOrderField(uniform=2), 3,
+                            fcm_disk_dirichlet, domain=disk, depth=3,
+                            source=unit_source)
+    (store, owner, args), system = calls
+    assert args == (False,)
+    assert report.to_dict()["dropped"] == system.dropped == 0
+    assert report.nnz == system.matrix.nnz
+    want, _ = exchange_and_assemble(copy.deepcopy(store), owner)
+    for name in ("data", "indices", "indptr"):
+        assert (getattr(system.matrix, name).tobytes()
+                == getattr(want.matrix, name).tobytes())
+    would, _ = exchange_and_assemble(store, owner, True)
+    assert would.dropped > 0
+
+
 # ---------------------------------------------------------------- solver
 
 
@@ -1171,13 +1319,15 @@ def test_each_rank_writes_exactly_its_leaves_blocks(monkeypatch, workers):
     assert checked == [True, True]
 
 
-def test_step_peaks_below_its_triplet_bytes():
+@pytest.mark.parametrize("drop", [False, True], ids=["drop off", "drop on"])
+def test_step_peaks_below_its_triplet_bytes(drop):
     # from the K table's allocation through the assembly, with the CSR it
     # returns, a step's traced peak stays below 1.5x the 16 bytes per
     # triplet (an int64 key and a float64 value) of a store that holds
     # every leaf's triplets.  The table is built here under tracemalloc;
     # a run's shared table is outside tracemalloc's view but unmapped at
-    # the same point
+    # the same point.  The drop compacts each row block in place, so it
+    # adds no array the size of the step
     mesh = Mesh(lshape_mesh_spec(8))
     basis = Basis(mesh, PolynomialOrderField(uniform=4))
     dirichlet = DirichletMap(basis, lshape_dirichlet)
@@ -1195,10 +1345,11 @@ def test_step_peaks_below_its_triplet_bytes():
     try:
         store, _ = integrate_ranks(basis, to_free, dirichlet.n_free, ranks, 4,
                                    systems)
-        system, _ = exchange_and_assemble(store, owner)
+        system, _ = exchange_and_assemble(store, owner, drop)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert system.matrix.nnz > 0
+    assert (system.dropped > 0) == drop
     assert all(getattr(store, name) is None for name in STORE_COLUMNS)
     assert peak <= 1.5 * triplet_bytes, peak / triplet_bytes
