@@ -11,15 +11,18 @@ from it, cut leaves run the kernel,
 :func:`overlayfem.physics.integrate_leaves`, and every leaf adds its
 flux load.
 
-The step's element matrices live in one table, :class:`LeafBlocks`,
-allocated before the integrate phase: the K of each single-cell
-signature, copied in once from the leaf systems, then a block per cut
-leaf at an offset fixed by the leaves alone.  A leaf's rows and columns
-are its free dofs, read off the leaf-dof incidence the table carries, so
-a rank writes only its cut leaves' blocks and its leaves' rhs entries,
-and an uncut leaf costs it nothing.  The table's bytes do not depend on
-the partition.  When the ranks run in forked workers the table is in
-anonymous shared memory, and nothing is copied back.
+The step's element matrices and load vectors live in one table,
+:class:`LeafBlocks`, allocated before the integrate phase: the K of each
+single-cell signature and the f of each single-cell source load, copied
+in once from the leaf systems, then a K block per cut leaf and an f
+block per leaf whose f is its own (a cut leaf under a source, a leaf a
+flux reaches), at offsets fixed by the leaves alone.  A leaf's rows and
+columns are its free dofs, read off the leaf-dof incidence the table
+carries, so a rank writes only its cut leaves' K blocks and its own f
+blocks, and an uncut leaf without a flux costs it nothing.  The table's
+bytes do not depend on the partition.  When the ranks run in forked
+workers the table is in anonymous shared memory, and nothing is copied
+back.
 
 Assembly builds one global CSR operator a block of rows at a time.  A
 stable argsort of the incidence lists each row's leaves in leaf order.
@@ -28,9 +31,11 @@ triplets, packs each triplet's key with its position into one int64 and
 sorts in place, which orders the block by (row, column) and, within an
 entry, by leaf; the entries' sums go into the CSR arrays.  A block holds
 a fixed share of the step's triplets, so no array of them all exists.
-The rhs is summed the same way by (row, leaf).  Because that order does
-not involve ranks, the operator, the solver iterates and the solution
-are bit-identical whatever the rank count.
+The rhs is summed by (row, leaf) through the same incidence: each row's
+loaded leaves, in leaf order, give their f entries at its dof, one
+reduceat per row.  Because that order does not involve ranks, the
+operator, the solver iterates and the solution are bit-identical
+whatever the rank count.
 
 The overlay keeps every ancestor's high-order modes, which are
 orthogonal over the ancestor but not over each child, so many merged
@@ -122,9 +127,6 @@ def distribute_dofs_graph(free_dofs, leaf_sizes, leaf_ranks, n_free,
 # ----------------------------------------------------------------------
 # rank-local integration
 
-_RHS_COLUMNS = (("rhs_rows", np.int32), ("rhs_vals", np.float64))
-
-
 def _shared(size, dtype):
     """A zeroed array in anonymous shared memory: a process forked after
     the allocation writes into the caller's pages."""
@@ -153,7 +155,7 @@ def leaf_free_dofs(basis, to_free, n_leaves):
 
 @dataclass
 class LeafBlocks:
-    """A step's element matrices and rhs entries, with the leaf-dof
+    """A step's element matrices and load vectors, with the leaf-dof
     incidence that places them.
 
     Leaf i has ``modes[i]`` dofs and ``kept[i]`` free ones,
@@ -164,11 +166,12 @@ class LeafBlocks:
     single-cell signature share that signature's K, and each cut leaf has
     a block of its own.  Its kept[i] x kept[i] triplets are the entries of
     K at its free dofs' local indices.  When the leaf carries a load, its
-    rhs entries are ``rhs_starts[i]:rhs_starts[i + 1]`` of ``rhs_rows``
-    (int32) and ``rhs_vals``.  Every place depends on the leaves alone,
-    not on the rank that writes it, so the bytes do not depend on the
-    partition.  :func:`exchange_and_assemble` takes the table and rhs
-    columns and frees each at its last use, leaving None behind.
+    f is ``table[load[i]:load[i] + modes[i]]``, and ``load[i]`` is -1
+    otherwise: leaves of one single-cell source load share it, and a leaf
+    whose f is its own has a block of its own.  Every place depends on
+    the leaves alone, not on the rank that writes it, so the bytes do not
+    depend on the partition.  :func:`exchange_and_assemble` takes the
+    table and frees it at its last use, leaving None behind.
     """
 
     n_free: int
@@ -179,44 +182,47 @@ class LeafBlocks:
     local: np.ndarray
     modes: np.ndarray
     base: np.ndarray
-    rhs_starts: np.ndarray
+    load: np.ndarray
     table: np.ndarray
-    rhs_rows: np.ndarray
-    rhs_vals: np.ndarray
 
     @classmethod
     def allocate(cls, free, kept, local, modes, systems, leaf_ranks, n_free,
                  n_ranks, shared):
         """The blocks of leaves with `modes` dofs each, `kept` of them free,
         listed in `free` with their `local` indices, on ranks
-        `leaf_ranks`.  The table holds the K of every signature of
-        `systems`, the step's :class:`~overlayfem.physics.LeafSystems`,
-        copied in here, then a block per cut leaf for its rank to write; a
-        leaf that `systems` loads gets kept rhs entries.  The arrays are
-        in shared memory when `shared`, for workers forked to write them,
-        else on the heap: shared pages are new on every step and fault in
-        as they are first written, while the heap reuses the pages earlier
-        steps freed."""
-        new = _shared if shared else np.empty
+        `leaf_ranks`.  The table holds the K of every signature and the f
+        of every source load of `systems`, the step's
+        :class:`~overlayfem.physics.LeafSystems`, copied in here, then a K
+        block per cut leaf and an f block per leaf whose f is its own, for
+        their rank to write.  The table is in shared memory when `shared`,
+        for workers forked to write it, else on the heap: shared pages are
+        new on every step and fault in as they are first written, while
+        the heap reuses the pages earlier steps freed."""
         kept = np.asarray(kept, dtype=np.int64)
         modes = np.asarray(modes, dtype=np.int64)
-        signature = systems.signature
+        signature, own = systems.signature, systems.own_load
         cut = signature < 0
-        sizes = [K.size for K in systems.stiffness]
+        # one block per signature's K, source load, cut leaf's K and own f
+        shares = systems.stiffness + systems.loads
         starts = _offsets(np.concatenate(
-            (np.array(sizes, dtype=np.int64), modes[cut] ** 2)))
+            ([a.size for a in shares], modes[cut] ** 2, modes[own]))
+            .astype(np.int64))
         base = np.empty(kept.size, dtype=np.int64)
         base[~cut] = starts[signature[~cut]]
-        base[cut] = starts[len(sizes):-1]
-        table = new(int(starts[-1]), np.float64)
-        for K, at in zip(systems.stiffness, starts.tolist()):
-            table[at:at + K.size] = K.ravel()
-        rhs_starts = _offsets(kept * systems.loaded(np.arange(kept.size)))
+        n_cut = len(shares) + np.count_nonzero(cut)
+        base[cut] = starts[len(shares):n_cut]
+        shared_f = (systems.load >= 0) & ~own
+        load = np.full(kept.size, -1, dtype=np.int64)
+        load[shared_f] = starts[len(systems.stiffness)
+                                + systems.load[shared_f]]
+        load[own] = starts[n_cut:-1]
+        table = (_shared if shared else np.empty)(int(starts[-1]),
+                                                   np.float64)
+        for a, at in zip(shares, starts.tolist()):
+            table[at:at + a.size] = a.ravel()
         return cls(int(n_free), n_ranks, np.asarray(leaf_ranks),
                    np.asarray(free), kept, np.asarray(local), modes, base,
-                   rhs_starts, table,
-                   *(new(int(rhs_starts[-1]), dtype)
-                     for _, dtype in _RHS_COLUMNS))
+                   load, table)
 
     @property
     def n_triplets(self):
@@ -239,23 +245,11 @@ class LeafBlocks:
         leaves = np.asarray(leaves, dtype=np.int64)
         return _ranges(self.base[leaves], self.modes[leaves] ** 2)
 
-    def rhs_entries(self, leaves):
-        """Positions of the given leaves' rhs entries, leaf after leaf."""
-        leaves = np.asarray(leaves, dtype=np.int64)
-        return _ranges(self.rhs_starts[leaves],
-                       np.diff(self.rhs_starts)[leaves])
-
-    def take(self, name):
-        """Column `name`, which the store no longer holds."""
-        column = getattr(self, name)
-        setattr(self, name, None)
-        return column
-
 
 @dataclass
 class IntermediateSystem:
     """One rank's part of the integrate phase: the leaves it integrated,
-    by pre-order position, whose cut blocks and rhs entries it wrote into
+    by pre-order position, whose cut-leaf K and own f blocks it wrote into
     the step's :class:`LeafBlocks`."""
 
     rank: int
@@ -278,43 +272,31 @@ class IntermediateSystem:
 def integrate_rank_system(basis, leaf_tags, rank, systems, store):
     """Integrate exactly the given leaves into `store`, the step's
     :class:`LeafBlocks`: a cut leaf's K, from
-    :func:`overlayfem.physics.integrate_leaves`, into its block, and every
-    loaded leaf's f, from the step's
-    :class:`~overlayfem.physics.LeafSystems` or the kernel plus its flux
-    load, into its rhs entries.  A single-cell leaf's K is its
-    signature's, already in the table.
+    :func:`overlayfem.physics.integrate_leaves`, into its block, and the f
+    of every leaf whose f is its own, the kernel's or its source load
+    from the step's :class:`~overlayfem.physics.LeafSystems` plus its flux
+    load, into its f block.  Every other leaf's K and f are its
+    signature's and source load's, already in the table.
 
     `leaf_tags` are the leaves' pre-order positions, which are also their
     Basis rows.  Returns the rank's :class:`IntermediateSystem`.
     """
     start = time.perf_counter()
     leaf_tags = np.asarray(leaf_tags, dtype=np.int64)
-    fs = [systems.loads[k] if k >= 0 else None
-          for k in systems.load[leaf_tags].tolist()]
-    cut = np.flatnonzero(systems.signature[leaf_tags] < 0)
-    Ks, cut_fs = integrate_leaves(basis, leaf_tags[cut], systems.domain,
-                                  systems.depth, systems.source)
-    store.table[store.blocks(leaf_tags[cut])] = np.concatenate(
+    cut = leaf_tags[systems.signature[leaf_tags] < 0]
+    Ks, cut_fs = integrate_leaves(basis, cut, systems.domain, systems.depth,
+                                  systems.source)
+    store.table[store.blocks(cut)] = np.concatenate(
         [K.ravel() for K in Ks] + [np.empty(0)])
-    for j, fe in zip(cut.tolist(), cut_fs):
-        fs[j] = fe
-    # a flux load adds to the source load, for every leaf a flux reaches
-    for j, i in enumerate(leaf_tags.tolist()):
+    fs = dict(zip(cut.tolist(), cut_fs))
+    for i in leaf_tags[systems.own_load[leaf_tags]].tolist():
+        k = systems.load[i]
+        f = systems.loads[k] if k >= 0 else fs.get(i)
+        # a flux load adds to the source load
         fl = systems.flux_loads.get(i)
         if fl is not None:
-            fs[j] = fl if fs[j] is None else fs[j] + fl
-
-    # a loaded leaf's f at its free dofs, entry a of f at local index a
-    loaded = np.flatnonzero(systems.loaded(leaf_tags))
-    tags = leaf_tags[loaded]
-    at = store.incidence(tags)
-    n = store.modes[tags]
-    rhs_at = store.rhs_entries(tags)
-    store.rhs_rows[rhs_at] = store.free[at]
-    store.rhs_vals[rhs_at] = np.concatenate(
-        [fs[j] for j in loaded.tolist()] + [np.empty(0)])[
-            store.local[at] + np.repeat(np.cumsum(n) - n, store.kept[tags])]
-
+            f = fl if f is None else f + fl
+        store.table[store.load[i]:store.load[i] + f.size] = f
     return IntermediateSystem(rank=rank, store=store, leaf_tags=leaf_tags,
                               seconds=time.perf_counter() - start)
 
@@ -453,16 +435,26 @@ def _row_blocks(row_triplets):
                                      [ends.size])))
 
 
-def _diagonal(store, table, leaf, by_row, row_starts):
-    """Each free dof's diagonal entry, summed as the assembly sums its
-    merged entry: one reduceat of the K diagonals of the row's leaves in
-    leaf order.  `leaf` is the leaf of each (leaf, free dof) pair of the
-    incidence, and row i's pairs are ``by_row[row_starts[i]:row_starts[i
-    + 1]]``."""
+def _row_sums(store, table, at, entry):
+    """Per free dof, ``table[entry]`` summed over the (leaf, free dof)
+    pairs `at` of the incidence that lie in its row, as the assembly sums
+    a merged entry: `at` lists the pairs by row and within a row in leaf
+    order, and each row's run is one reduceat.  A row without pairs sums
+    to 0."""
+    rows = store.free[at]
+    starts = np.flatnonzero(_run_starts(rows))
+    sums = np.zeros(store.n_free)
+    sums[rows[starts]] = np.add.reduceat(table[entry], starts)
+    return sums
+
+
+def _diagonal(store, table, leaf, by_row):
+    """Each free dof's diagonal entry: the K diagonals of its row's
+    leaves.  `leaf` is the leaf of each (leaf, free dof) pair, and
+    `by_row` lists the pairs by row, in leaf order."""
     holder = leaf[by_row]
-    return np.add.reduceat(table[store.base[holder] + store.local[by_row]
-                                 * (store.modes[holder] + 1)],
-                           row_starts[:-1])
+    return _row_sums(store, table, by_row, store.base[holder]
+                     + store.local[by_row] * (store.modes[holder] + 1))
 
 
 def _kept(data, cols, bound, root, row_ends, scratch):
@@ -480,16 +472,16 @@ def _kept(data, cols, bound, root, row_ends, scratch):
 
 
 def exchange_and_assemble(store, owner, drop=False):
-    """Sum every rank's element matrices into one operator and count the
-    traffic.
+    """Sum every rank's element matrices and load vectors into one
+    operator and rhs and count the traffic.
 
     `store` is the step's :class:`LeafBlocks`; the assembly takes its
-    table and rhs columns and frees each at its last use.  With `drop`,
-    an off-diagonal merged entry with |a_ij| < DROP_TOL * sqrt(a_ii) *
-    sqrt(a_jj) is left out of the operator, and ``system.dropped``
-    counts those entries.  Returns (system, traffic), where traffic[s, d]
-    is the number of merged (row, column) entries rank s integrated in
-    rows rank d owns, dropped ones included.
+    table and frees it at its last use.  With `drop`, an off-diagonal
+    merged entry with |a_ij| < DROP_TOL * sqrt(a_ii) * sqrt(a_jj) is left
+    out of the operator, and ``system.dropped`` counts those entries.
+    Returns (system, traffic), where traffic[s, d] is the number of
+    merged (row, column) entries rank s integrated in rows rank d owns,
+    dropped ones included.
     """
     n_free, n_ranks = store.n_free, store.n_ranks
     owner = np.asarray(owner)
@@ -508,9 +500,9 @@ def exchange_and_assemble(store, owner, drop=False):
     indptr = np.zeros(n_free + 1, dtype=np.int64)
     repeats = np.zeros(n_ranks * n_ranks, dtype=np.int64)
     rank_of = store.leaf_ranks.astype(np.min_scalar_type(n_ranks))
-    table = store.take("table")
+    table, store.table = store.table, None
     if drop:
-        root = np.sqrt(_diagonal(store, table, leaf, by_row, row_starts))
+        root = np.sqrt(_diagonal(store, table, leaf, by_row))
     nnz = dropped = 0
     for r0, r1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         # the block's triplets, row after row and within a row leaf after
@@ -563,22 +555,16 @@ def exchange_and_assemble(store, owner, drop=False):
         cols[nnz:nnz + m] = keys
         indptr[r0 + 1:r1 + 1] = nnz + row_ends[1:]
         nnz += m
+    # the rhs by (row, leaf), as the diagonal: the f entries of the loaded
+    # leaves at their free dofs
+    at = by_row[store.load[leaf[by_row]] >= 0]
+    rhs = _row_sums(store, table, at, store.load[leaf[at]] + store.local[at])
     del table
     data.resize(nnz, refcheck=False)
     cols.resize(nnz, refcheck=False)
     matrix = scipy.sparse.csr_matrix((data, cols, indptr),
                                      shape=(n_free, n_free))
     traffic = _traffic(store, owner, repeats)
-
-    # a leaf's rhs rows are distinct, so store order breaks the ties
-    rhs_rows = store.take("rhs_rows")
-    order = np.argsort(rhs_rows, kind="stable")
-    rhs_rows = rhs_rows[order]
-    starts = np.flatnonzero(_run_starts(rhs_rows))
-    rhs = np.zeros(n_free)
-    rhs[rhs_rows[starts]] = np.add.reduceat(
-        store.take("rhs_vals")[order], starts)
-
     total_entries = [int(t) for t in traffic.sum(axis=1)]
     kept_entries = [int(k) for k in np.diagonal(traffic)]
     return DistributedSystem(
@@ -733,8 +719,7 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     # charged to the refine phase: it is the cost of changing the mesh
     basis = Basis(mesh, orders)
     dirichlet = DirichletMap(basis, dirichlet_part)
-    # int32 free indices: the table's leaf-dof incidence and rhs rows
-    # inherit the type
+    # int32 free indices: the table's leaf-dof incidence inherits the type
     to_free = np.full(basis.dofmap.total, -1, dtype=np.int32)
     to_free[dirichlet.free] = np.arange(dirichlet.n_free)
     timings["refine"] = time.perf_counter() - t
@@ -759,6 +744,8 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
                                 dirichlet.n_free, n_ranks, shared=workers > 1)
     rank_seconds = _integrate_all(basis, store, systems, workers)
     timings["integrate"] = time.perf_counter() - t
+    # the leaves each rank ran the kernel on
+    cut_leaves = np.bincount(ranks[systems.signature < 0], minlength=n_ranks)
     # nothing reads the step's leaf systems again: free them before
     # assembly, the step's memory peak
     del systems
@@ -769,10 +756,10 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
     timings["dof_dist"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    # the assembly frees the table and rhs columns as it spends them.  It
-    # drops round-off entries on a step without an embedded domain: the
-    # ill-conditioned CG of a cut-cell step turns any round-off change
-    # into a different iteration count
+    # the assembly frees the table as it spends it.  It drops round-off
+    # entries on a step without an embedded domain: the ill-conditioned
+    # CG of a cut-cell step turns any round-off change into a different
+    # iteration count
     system, _ = exchange_and_assemble(store, owner, domain is None)
     timings["assemble"] = time.perf_counter() - t
 
@@ -793,6 +780,7 @@ def run_step(mesh, orders, n_ranks, dirichlet_part, marks=None,
             "kept_triplets": int(system.kept_entries[r]),
             "owned_dofs": int(system.own_rows[r].size),
             "halo_columns": int(system.halo_counts[r]),
+            "cut_leaves": int(cut_leaves[r]),
             "integrate_s": rank_seconds[r],
         })
     timings["postprocess"] = time.perf_counter() - t
@@ -837,8 +825,8 @@ def _pool_task(chunk):
 
 
 def _integrate_all(basis, store, systems, workers):
-    """Every rank's integration seconds, its leaves' blocks and rhs
-    entries of `store` written, with at most `workers` processes."""
+    """Every rank's integration seconds, its leaves' blocks of `store`
+    written, with at most `workers` processes."""
     # one (leaf tags, rank) chunk per rank
     chunks = [(np.flatnonzero(store.leaf_ranks == r), r)
               for r in range(store.n_ranks)]

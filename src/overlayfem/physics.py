@@ -123,8 +123,10 @@ class LeafSystems:
     whose rule has several cells; ``load`` indexes ``loads``, the source
     loads, and is -1 for those and without a source.  ``flux_loads`` maps
     the position of every leaf a flux reaches to its boundary-flux load.
-    The kernel integrates the multi-cell leaves under ``domain``,
-    ``depth`` and ``source``.  Every array is read-only.
+    ``own_load`` marks the leaves whose f is their own, not one of
+    ``loads``: the multi-cell leaves under a source and every leaf a flux
+    reaches.  The kernel integrates the multi-cell leaves under
+    ``domain``, ``depth`` and ``source``.  Every array is read-only.
     """
 
     domain: object
@@ -135,17 +137,7 @@ class LeafSystems:
     stiffness: list
     loads: list
     flux_loads: dict
-
-    def loaded(self, rows):
-        """Mask of the leaves at Basis rows `rows` that carry a load: a
-        source load, single-cell or cut, or a flux load."""
-        rows = np.asarray(rows, dtype=np.int64)
-        out = self.load[rows] >= 0
-        if self.source is not None:
-            out |= self.signature[rows] < 0
-        if self.flux_loads:
-            out |= np.isin(rows, list(self.flux_loads))
-        return out
+    own_load: np.ndarray
 
 
 def leaf_systems(basis, domain=None, depth=0, source=None, flux=None,
@@ -187,10 +179,12 @@ def leaf_systems(basis, domain=None, depth=0, source=None, flux=None,
             load[i] = by_value[key]
     flux_loads = {} if flux is None else flux_loads_by_leaf(basis, flux,
                                                             flux_part)
+    own_load = (signature < 0) & (source is not None)
+    own_load[list(flux_loads)] = True
     for arr in stiffness + loads + list(flux_loads.values()):
         arr.flags.writeable = False
     return LeafSystems(domain, depth, source, signature, load, stiffness,
-                       loads, flux_loads)
+                       loads, flux_loads, own_load)
 
 
 def table_signatures(basis, rows, pts, *extra):

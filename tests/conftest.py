@@ -787,8 +787,9 @@ def leaf_triplets(store, leaves):
     """The given leaves' triplets, leaf after leaf, as a rank system's
     columns: rows, cols, vals, leaf_tags, rhs_rows, rhs_vals and
     rhs_tags, read before the assembly spends the store.  Each leaf's K
-    is expanded at its free dofs, kept x kept entries row-major: the
-    emission ranks made before they wrote K blocks."""
+    is expanded at its free dofs, kept x kept entries row-major, and each
+    loaded leaf's f at its free dofs: the emission ranks made before they
+    wrote K and f blocks."""
     leaves = np.asarray(leaves, dtype=np.int64)
     kept, n = store.kept[leaves], store.modes[leaves]
     at = store.incidence(leaves)
@@ -801,13 +802,15 @@ def leaf_triplets(store, leaves):
     entry = local[col]
     entry += np.repeat(np.repeat(store.base[leaves], kept)
                        + local * np.repeat(n, kept), per_row)
-    rhs_at = store.rhs_entries(leaves)
+    # entry a of a loaded leaf's f is table[load + a]
+    f_base = np.repeat(store.load[leaves], kept)
+    on = f_base >= 0
     return SimpleNamespace(
         rows=np.repeat(dofs, per_row), cols=dofs[col],
         vals=store.table[entry],
         leaf_tags=np.repeat(leaves, kept * kept),
-        rhs_rows=store.rhs_rows[rhs_at], rhs_vals=store.rhs_vals[rhs_at],
-        rhs_tags=np.repeat(leaves, np.diff(store.rhs_starts)[leaves]))
+        rhs_rows=dofs[on], rhs_vals=store.table[f_base[on] + local[on]],
+        rhs_tags=np.repeat(leaves, kept)[on])
 
 
 # ----------------------------------------------------------------------

@@ -25,9 +25,10 @@ from conftest import (leaf_at, leaf_ranks, single_patch, random_refined_mesh,
                       integrate_ranks, leaf_triplets, RankTriplets,
                       lexsort_assemble, assemble_serial, dirichlet_reduce,
                       distribute_dofs_contiguous)
-from overlayfem.mesh import Mesh
+from overlayfem.mesh import Mesh, _ranges
 from overlayfem.basis import Basis, PolynomialOrderField
-from overlayfem.physics import DirichletMap, LShapeSolution, leaf_systems
+from overlayfem.physics import (DirichletMap, LShapeSolution,
+                                integrate_leaves, leaf_systems)
 from overlayfem.quadrature import (Disk, EmbeddedDomain, leaf_rule,
                                    leaf_rule_table)
 from overlayfem.partition import (partition_contiguous, partition_leaves,
@@ -276,15 +277,16 @@ def test_assembly_of_int32_triplets_near_the_last_dof():
     n_free, n_ranks, n_leaves, k = 100_000, 2, 200, 20
     rng = np.random.default_rng(7)
     # leaves of k distinct dofs among the last 40, on random ranks, each
-    # with its k x k block row-major and, when loaded, its rhs
+    # with its k x k block row-major and, when loaded, its f
     free = np.concatenate([rng.choice(40, k, replace=False) + n_free - 40
                            for _ in range(n_leaves)]).astype(np.int32)
     kept = np.full(n_leaves, k)
     loaded = rng.random(n_leaves) < 0.5
-    # every leaf has a k x k K of its own, all its dofs free, so the
-    # table holds the blocks leaf after leaf
+    # every leaf has a k x k K of its own, all its dofs free, and a
+    # loaded leaf an f of its own
     systems = SimpleNamespace(signature=np.full(n_leaves, -1), stiffness=[],
-                              loaded=lambda rows: loaded[rows])
+                              load=np.full(n_leaves, -1), loads=[],
+                              own_load=loaded)
     store = LeafBlocks.allocate(free, kept, np.tile(np.arange(k), n_leaves),
                                 kept, systems,
                                 rng.integers(0, n_ranks, size=n_leaves),
@@ -294,10 +296,9 @@ def test_assembly_of_int32_triplets_near_the_last_dof():
     cols = np.tile(blocks, k).ravel()
     # small integers sum exactly in any order
     vals = rng.integers(1, 9, size=rows.size).astype(float)
-    store.table[:] = vals
-    store.rhs_rows[:] = blocks[loaded].ravel()
-    store.rhs_vals[:] = 1.0
-    rhs_rows = store.rhs_rows.copy()
+    store.table[store.blocks(np.arange(n_leaves))] = vals
+    store.table[store.load[loaded][:, None] + np.arange(k)] = 1.0
+    rhs_rows = blocks[loaded].ravel()
     assert rows.astype(np.int64).max() * n_free + cols.max() > 2 ** 31
     system, traffic = exchange_and_assemble(
         store, distribute_dofs_contiguous(n_free, n_ranks))
@@ -482,11 +483,10 @@ def per_leaf_integrate(basis, to_free, leaf_tags, rank, store,
             fl = leaf_flux_load(basis, leaf, flux, flux_part)
             if fl is not None:
                 fe = fl if fe is None else fe + fl
-        c, d = store.rhs_starts[tag:tag + 2]
-        assert d - c == (fi.size if fe is not None else 0)
+        c = store.load[tag]
+        assert (c >= 0) == (fe is not None)
         if fe is not None:
-            store.rhs_rows[c:d] = fi
-            store.rhs_vals[c:d] = fe[ki]
+            store.table[c:c + fe.size] = fe
     return IntermediateSystem(rank=rank, store=store,
                               leaf_tags=np.asarray(leaf_tags))
 
@@ -554,7 +554,7 @@ def batched_cases():
 def assemble_with(integrate, basis, dirichlet, ranks, n_ranks, systems):
     """Assemble with `integrate(basis, to_free, leaf_tags, rank, store)`
     called once per rank on the K blocks of `systems`' signatures and
-    cut leaves, with rhs entries for the leaves it loads."""
+    cut leaves and the f blocks of its source loads and own loads."""
     to_free = np.full(basis.dofmap.total, -1, dtype=np.int64)
     to_free[dirichlet.free] = np.arange(dirichlet.n_free)
     n_leaves = len(basis.leaves)
@@ -582,16 +582,16 @@ def test_batched_integration_matches_per_leaf_oracle():
             basis = Basis(mesh, orders)
             dirichlet = DirichletMap(basis, part)
             systems = leaf_systems(basis, **kwargs)
-            loaded = systems.loaded(np.arange(len(leaves)))
+            loaded = (systems.load >= 0) | systems.own_load
             system, traffic, inters = assemble_with(
                 lambda basis, to_free, *args, store: integrate_rank_system(
                     basis, *args, systems, store),
                 basis, dirichlet, ranks, n_ranks, systems)
             cold = Basis(mesh, orders)
-            # the oracle writes every leaf's K into a block of its own
+            # the oracle writes every leaf's K and f into blocks of its own
             own_blocks = SimpleNamespace(
                 signature=np.full(len(leaves), -1), stiffness=[],
-                loaded=lambda rows: loaded[rows])
+                load=np.full(len(leaves), -1), loads=[], own_load=loaded)
             oracle, oracle_traffic, oracle_inters = assemble_with(
                 lambda *args, store: per_leaf_integrate(*args, store,
                                                         **kwargs),
@@ -605,8 +605,8 @@ def test_batched_integration_matches_per_leaf_oracle():
             assert system.halo_counts == oracle.halo_counts, name
             for a, b in zip(inters, oracle_inters):
                 assert a.rows.size == b.rows.size, name
-                assert (a.store.rhs_entries(a.leaf_tags).size
-                        == b.store.rhs_entries(b.leaf_tags).size), name
+                assert np.array_equal(a.store.load[a.leaf_tags] >= 0,
+                                      b.store.load[b.leaf_tags] >= 0), name
             cut = int(np.sum(systems.signature < 0))
         distinct = len(systems.stiffness)
         single = len(leaves) - cut
@@ -714,11 +714,10 @@ def test_assembly_matches_lexsort_oracle(monkeypatch, name, variant):
 
 
 def test_store_does_not_depend_on_the_partition(monkeypatch):
-    # a leaf's K and rhs entries sit at offsets fixed by the leaves
-    # alone, so the step's table and rhs columns are byte-identical
-    # whatever the rank count, the partitioner and the worker count; with
-    # two workers the forked ranks write scattered cut-leaf blocks and rhs
-    # entries into the shared columns
+    # a leaf's K and f sit at offsets fixed by the leaves alone, so the
+    # step's table is byte-identical whatever the rank count, the
+    # partitioner and the worker count; with two workers the forked ranks
+    # write scattered cut-leaf K and own f blocks into the shared table
     stores = []
 
     def assemble(store, *args):
@@ -747,6 +746,51 @@ def test_store_does_not_depend_on_the_partition(monkeypatch):
                              workers=workers, **kwargs)
         assert len(stores) == 12
         assert all(store == stores[0] for store in stores[1:])
+
+
+def test_table_tiles_shared_and_own_blocks():
+    # on a small fcm_disk mesh the table is the signatures' K, each
+    # distinct single-cell source load once, the cut leaves' K and the
+    # own f blocks, tiled without gap or overlap; every uncut leaf (no
+    # flux reaches one here) reads its source load's shared f block
+    disk = EmbeddedDomain(Disk((0.0, 0.0), 0.8), epsilon=1e-8)
+    basis = Basis(interface_refined(4, disk, 1),
+                  PolynomialOrderField(uniform=2))
+    dirichlet = DirichletMap(basis, fcm_disk_dirichlet)
+    to_free = np.full(basis.dofmap.total, -1, dtype=np.int32)
+    to_free[dirichlet.free] = np.arange(dirichlet.n_free)
+    systems = leaf_systems(basis, disk, 3, unit_source)
+    n_leaves = len(basis.leaves)
+    store, _ = integrate_ranks(basis, to_free, dirichlet.n_free,
+                               partition_contiguous(n_leaves, 3), 3, systems)
+    cut = systems.signature < 0
+    own = systems.own_load
+    assert np.array_equal(own, cut) and np.any(cut) and np.any(~cut)
+    # a shared f block per distinct source load, holding it bit for bit
+    shared = np.flatnonzero(~own)
+    assert np.all(systems.load[shared] >= 0)
+    offsets, first = np.unique(store.load[shared], return_index=True)
+    assert np.array_equal(np.sort(systems.load[shared[first]]),
+                          np.arange(len(systems.loads)))
+    assert len(set(zip(systems.load[shared].tolist(),
+                       store.load[shared].tolist()))) == offsets.size
+    for i in shared.tolist():
+        assert (store.table[f_blocks(store, [i])].tobytes()
+                == systems.loads[systems.load[i]].tobytes())
+    # K per signature, f per source load, K per cut leaf, f per own leaf
+    sig_K, at = np.unique(store.base[~cut], return_index=True)
+    modes = store.modes
+    kinds = [(sig_K, modes[np.flatnonzero(~cut)[at]] ** 2),
+             (offsets, modes[shared[first]]),
+             (store.base[cut], modes[cut] ** 2),
+             (store.load[own], modes[own])]
+    assert sig_K.size == len(systems.stiffness)
+    starts = np.concatenate([a for a, _ in kinds])
+    sizes = np.concatenate([n for _, n in kinds])
+    order = np.argsort(starts)
+    assert np.array_equal(starts[order],
+                          np.cumsum(sizes[order]) - sizes[order])
+    assert int(sizes.sum()) == store.table.size
 
 
 def test_work_counters_do_not_depend_on_the_rank_count():
@@ -982,13 +1026,13 @@ def test_cg_custom_rhs_and_failure():
 # ------------------------------------------------------------- run_step
 
 
-STORE_COLUMNS = ("table", "rhs_rows", "rhs_vals")
+STORE_COLUMNS = ("table",)
 
 
 def test_run_step_report_is_complete(monkeypatch):
     # the step's leaf systems are freed before the assembly, the step's
-    # memory peak, and its K table and rhs columns before the solve: a
-    # weak reference to each is dead when the next phase starts
+    # memory peak, and its K and f table before the solve: a weak
+    # reference to each is dead when the next phase starts
     built, columns, entered, counts = [], [], [], []
 
     def build(*args):
@@ -1040,7 +1084,8 @@ def test_run_step_report_is_complete(monkeypatch):
     assert len(d["per_rank"]) == 3
     for row in d["per_rank"]:
         for key in ("rank", "leaf_count", "weight_sum", "sent_triplets",
-                    "kept_triplets", "owned_dofs", "halo_columns"):
+                    "kept_triplets", "owned_dofs", "halo_columns",
+                    "cut_leaves"):
             assert key in row
     assert sum(r["leaf_count"] for r in d["per_rank"]) == d["leaves"]
     assert sum(r["owned_dofs"] for r in d["per_rank"]) == d["free_dofs"]
@@ -1056,8 +1101,8 @@ def test_run_step_report_is_complete(monkeypatch):
 
 def test_rank_triplets_carry_int32_indices(monkeypatch):
     # run_step's free indices are int32, and so are the rows of every
-    # rank's triplets, the store's leaf-dof incidence and its rhs rows;
-    # the matrix values are the K table's float64 entries
+    # rank's triplets and the store's leaf-dof incidence; the matrix and
+    # rhs values are the table's float64 entries
     returned, dtypes = [], []
 
     def integrate(*args):
@@ -1075,9 +1120,9 @@ def test_rank_triplets_carry_int32_indices(monkeypatch):
     assert len(returned) == 2
     for inter in returned:
         assert inter.rows.size > 0
-        assert inter.store.rhs_entries(inter.leaf_tags).size > 0
+        assert np.any(inter.store.load[inter.leaf_tags] >= 0)
         assert inter.rows.dtype == inter.store.free.dtype == np.int32
-    assert dtypes == [[np.float64, np.int32, np.float64]] * 2
+    assert dtypes == [[np.float64]] * 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1110,6 +1155,63 @@ def test_cost_model_r_is_null_when_undefined():
     assert pearson_r([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]) is None
     assert pearson_r([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) == pytest.approx(1.0)
     assert pearson_r([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_step_without_a_load_solves_to_zero(monkeypatch, workers):
+    # neither source nor flux: no f block is allocated, the rhs sums no
+    # entry, CG stops before its first iteration and the solution is zero
+    seen = []
+
+    def assemble(store, *args):
+        seen.append(store.load.copy())
+        system, traffic = exchange_and_assemble(store, *args)
+        seen.append(system.rhs)
+        return system, traffic
+
+    monkeypatch.setattr("overlayfem.distributed.exchange_and_assemble",
+                        assemble)
+    disk = EmbeddedDomain(Disk((0.0, 0.0), 0.8), epsilon=1e-8)
+    for mesh, part, kwargs in (
+            (Mesh(lshape_mesh_spec(2)), lshape_dirichlet, {}),
+            (interface_refined(4, disk, 1), fcm_disk_dirichlet,
+             dict(domain=disk, depth=3))):
+        seen.clear()
+        report, _, solution = run_step(mesh, PolynomialOrderField(uniform=2),
+                                       3, part, workers=workers, **kwargs)
+        load, rhs = seen
+        assert load.size == report.n_leaves and np.all(load == -1)
+        assert rhs.shape == (report.n_free,) and not np.any(rhs)
+        assert report.cg_iterations == 0
+        assert solution.size > 0 and not np.any(solution)
+
+
+def test_per_rank_cut_leaves_count_the_kernel_leaves(monkeypatch):
+    # each rank's cut_leaves is the number of leaves it ran the kernel
+    # on; summed over the ranks it is the step's multi-cell leaf count,
+    # whatever the rank count, and it reads 0 without a domain
+    kernel_rows = []
+
+    def kernel(basis, rows, *args):
+        kernel_rows.append(len(rows))
+        return integrate_leaves(basis, rows, *args)
+
+    monkeypatch.setattr("overlayfem.distributed.integrate_leaves", kernel)
+    disk = EmbeddedDomain(Disk((0.0, 0.0), 0.8), epsilon=1e-8)
+    for n_ranks in (1, 3, 8):
+        kernel_rows.clear()
+        report, basis, _ = run_step(
+            interface_refined(4, disk, 1), PolynomialOrderField(uniform=2),
+            n_ranks, fcm_disk_dirichlet, domain=disk, depth=3,
+            source=unit_source)
+        counts = [row["cut_leaves"] for row in report.to_dict()["per_rank"]]
+        assert counts == kernel_rows
+        cells = np.diff(leaf_rule_table(basis, disk, 3)[1])
+        assert sum(counts) == np.count_nonzero(cells > 1) > 0
+    report, _, _ = run_step(Mesh(lshape_mesh_spec(2)),
+                            PolynomialOrderField(uniform=2), 3,
+                            lshape_dirichlet, source=unit_source)
+    assert [row["cut_leaves"] for row in report.per_rank] == [0, 0, 0]
 
 
 def test_run_step_marks_refine_first():
@@ -1238,14 +1340,21 @@ def test_worker_results_carry_no_triplets(pools):
         assert seconds == report.per_rank[r]["integrate_s"]
 
 
+def f_blocks(store, leaves):
+    """Positions of the given loaded leaves' f in the table, leaf after
+    leaf."""
+    return _ranges(store.load[leaves], store.modes[leaves])
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_each_rank_writes_exactly_its_leaves_blocks(monkeypatch, workers):
-    # the cut leaves' blocks and the rhs columns are prefilled with NaN
-    # and -1: after the integrate phase, inline or in forked workers, the
-    # parent reads no fill value.  Each rank fills its cut leaves' blocks,
-    # n**2 entries per leaf of n dofs, and kept rhs entries per loaded
-    # leaf, kept its free dof count; its triplets number kept**2 per leaf;
-    # inline, it writes nothing outside them
+    # the cut leaves' K blocks and the own f blocks are prefilled with
+    # NaN: after the integrate phase, inline or in forked workers, the
+    # parent reads no fill value.  Each rank fills its cut leaves' K
+    # blocks, n**2 entries per leaf of n dofs, and the f block of each
+    # leaf whose f is its own, n entries, bit-equal to the per-leaf
+    # oracle's f plus the leaf's flux load; its triplets number kept**2
+    # per leaf; inline, it writes nothing outside them
     allocate, checked = LeafBlocks.allocate, []
     parts = {}
 
@@ -1253,48 +1362,52 @@ def test_each_rank_writes_exactly_its_leaves_blocks(monkeypatch, workers):
         store = allocate(free, kept, local, modes, systems, *args, **kwargs)
         store.table[store.blocks(np.flatnonzero(systems.signature < 0))] = (
             np.nan)
-        store.rhs_rows[:] = -1
-        store.rhs_vals[:] = np.nan
+        store.table[f_blocks(store, np.flatnonzero(systems.own_load))] = (
+            np.nan)
         return store
 
-    def snapshot(store):
-        return [getattr(store, name).copy() for name in STORE_COLUMNS]
-
     def integrate(basis, leaf_tags, rank, systems, store):
-        before = snapshot(store)
+        before = store.table.copy()
         inter = integrate_rank_system(basis, leaf_tags, rank, systems, store)
         leaf_ids = basis.leaves[leaf_tags]
         free = DirichletMap(basis, parts["dirichlet"]).free
         kept = np.array([np.count_nonzero(np.isin(basis.leaf_dofs(leaf), free))
                          for leaf in leaf_ids], int)
-        loaded = systems.loaded(basis.row_of[leaf_ids])
         cut = leaf_tags[systems.signature[leaf_tags] < 0]
-        at, rhs_at = store.blocks(cut), store.rhs_entries(leaf_tags)
-        assert at.size == np.sum(basis.mode_counts[cut] ** 2)
+        own = leaf_tags[systems.own_load[leaf_tags]]
+        at = np.concatenate((store.blocks(cut), f_blocks(store, own)))
+        assert at.size == (np.sum(basis.mode_counts[cut] ** 2)
+                           + np.sum(basis.mode_counts[own]))
         assert np.sum(kept ** 2) == inter.rows.size
-        assert rhs_at.size == np.sum(kept[loaded])
-        for name, old in zip(STORE_COLUMNS, before):
-            column = getattr(store, name)
-            mine = np.zeros(column.size, dtype=bool)
-            mine[at if name == "table" else rhs_at] = True
-            assert not np.any(np.isnan(column[mine])
-                              if column.dtype.kind == "f"
-                              else column[mine] < 0), name
-            if workers == 1:
-                # the table's other blocks and other ranks' rhs entries
-                # hold what they held before
-                assert np.array_equal(column[~mine], old[~mine],
-                                      equal_nan=True), name
+        mine = np.zeros(store.table.size, dtype=bool)
+        mine[at] = True
+        assert not np.any(np.isnan(store.table[mine]))
+        if workers == 1:
+            # the table's other blocks hold what they held before
+            assert np.array_equal(store.table[~mine], before[~mine],
+                                  equal_nan=True)
+        kwargs = parts["kwargs"]
+        for i in own.tolist():
+            leaf = basis.leaves[i]
+            _, fe, _ = element_system(basis, leaf, kwargs.get("domain"),
+                                      kwargs.get("depth", 0),
+                                      kwargs.get("source"))
+            if "flux" in kwargs:
+                fl = leaf_flux_load(basis, leaf, kwargs["flux"],
+                                    kwargs["flux_part"])
+                if fl is not None:
+                    fe = fl if fe is None else fe + fl
+            got = store.table[f_blocks(store, [i])]
+            assert got.tobytes() == fe.tobytes(), i
         return inter
 
     def assemble(store, *args):
-        for name in STORE_COLUMNS:
-            column = getattr(store, name)
-            assert not np.any(np.isnan(column) if column.dtype.kind == "f"
-                              else column < 0), name
-        # every table entry is a leaf's K entry
+        assert not np.any(np.isnan(store.table))
+        # every table entry is a leaf's K or f entry
+        leaves = np.arange(store.kept.size)
         checked.append(np.array_equal(
-            np.unique(store.blocks(np.arange(store.kept.size))),
+            np.unique(np.concatenate((store.blocks(leaves), f_blocks(
+                store, leaves[store.load >= 0])))),
             np.arange(store.table.size)))
         return exchange_and_assemble(store, *args)
 
@@ -1308,14 +1421,14 @@ def test_each_rank_writes_exactly_its_leaves_blocks(monkeypatch, workers):
     # boundary leaves keep part of their dofs; flux loads reach only
     # some leaves; cut leaves come from the kernel; the sfc ranks' leaves
     # are scattered over the pre-order
-    parts["dirichlet"] = lshape_dirichlet
-    run_step(Mesh(lshape_mesh_spec(3)), PolynomialOrderField(uniform=3), 3,
-             lshape_dirichlet, flux=exact.flux,
-             flux_part=lshape_neumann_part, workers=workers)
-    parts["dirichlet"] = fcm_disk_dirichlet
-    run_step(interface_refined(4, disk, 1), PolynomialOrderField(uniform=2),
-             3, fcm_disk_dirichlet, domain=disk, depth=3,
-             source=unit_source, workers=workers)
+    for mesh, orders, part, kwargs in (
+            (Mesh(lshape_mesh_spec(3)), 3, lshape_dirichlet,
+             dict(flux=exact.flux, flux_part=lshape_neumann_part)),
+            (interface_refined(4, disk, 1), 2, fcm_disk_dirichlet,
+             dict(domain=disk, depth=3, source=unit_source))):
+        parts.update(dirichlet=part, kwargs=kwargs)
+        run_step(mesh, PolynomialOrderField(uniform=orders), 3, part,
+                 workers=workers, **kwargs)
     assert checked == [True, True]
 
 
