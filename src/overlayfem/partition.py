@@ -84,25 +84,27 @@ def _optimal_interval_cut(weights, n_ranks):
     heaviest chunk (classic chains-on-chains bottleneck problem)."""
     w = np.asarray(weights, dtype=float)
     n = w.size
+    top = float(w.max())
+    sums = {}   # chunk start -> running sums from it, shared by the probes
 
     def fits(bound):
         # greedy chunks: each one's running sums are the sequential float
         # additions of a scalar scan, and it ends before the first sum
         # above the bound
-        if w.max() > bound:
+        if top > bound:
             return False
         start = 0
         for _ in range(n_ranks):
-            start += int(np.searchsorted(np.cumsum(w[start:]), bound,
-                                         side="right"))
+            if start not in sums:
+                sums[start] = np.cumsum(w[start:])
+            start += int(np.searchsorted(sums[start], bound, side="right"))
             if start == n:
                 return True
         return False
 
     # bisect for at most 100 probes; a probe that moves neither end
     # would be repeated by every later one, so the search stops there
-    lo = float(w.max())
-    hi = float(w.sum())
+    lo, hi = top, float(w.sum())
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         bracket = (lo, mid) if fits(mid) else (mid, hi)
@@ -113,7 +115,7 @@ def _optimal_interval_cut(weights, n_ranks):
     ranks = np.empty(n, dtype=np.int64)
     r = 0
     acc = 0.0
-    for i, v in enumerate(w):
+    for i, v in enumerate(w.tolist()):
         # keep every trailing rank populated; a forced singleton chunk
         # still respects the bound because no single item exceeds it
         must_break = (n - i) == (n_ranks - r) and acc > 0.0

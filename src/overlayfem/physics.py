@@ -24,13 +24,17 @@ assembled.
 
 The energy error re-integrates every leaf at a raised order and peels
 dyadic shells toward a declared singular point, so the non-smooth
-remainder does not pollute the measurement.  Without a domain the other
-leaves are grouped by (order, level) and the basis evaluated once per
-distinct table signature (:func:`table_signatures`, which also serves
-the leaf systems, the flux loads and the ``solution.csv`` probes).
+remainder does not pollute the measurement.  A leaf at that point, and
+under a domain every leaf, is evaluated a bounded block of its cells at
+a time, so a corner leaf's tables never exist on all its points at
+once.  Without a domain the other leaves are grouped by (order, level)
+and the basis evaluated once per distinct table signature
+(:func:`table_signatures`, which also serves the leaf systems, the flux
+loads and the ``solution.csv`` probes).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +46,11 @@ from .quadrature import (box_rule, build_leaf_rules, gauss_rule_1d,
 
 
 _BATCH = 1 << 14   # (point, function) table entries evaluated at once
+# (point, function) entries of one block of a leaf's energy-error tables.
+# Blocks of 1 << 15 to 1 << 16 entries were fastest and _BATCH's slower;
+# _BATCH stays as it is, since at 1 << 16 fcm_disk's integrate peak rose
+# by 2 MB.
+_ERROR_BLOCK = 1 << 16
 
 
 def _order_level_groups(basis, rows):
@@ -420,10 +429,11 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
     one ``exact_gradient`` call per group and one basis evaluation per
     distinct table signature.  Under a domain their spacetree rules are
     slices of one ``build_leaf_rules`` table at the raised order.  A
-    singular leaf, and under a domain every leaf, is evaluated once on
-    all of its cells' points.  The terms are added to one running sum in
-    leaf pre-order, cell by cell, so the result does not depend on the
-    grouping.
+    singular leaf, and under a domain every leaf, is evaluated in blocks
+    of whole cells, at most ``_ERROR_BLOCK`` (point, function) entries
+    each (:func:`_leaf_error_terms`).  The terms are added to one running
+    sum in leaf pre-order, cell by cell, so the result does not depend on
+    the grouping or the blocks.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     leaves = basis.leaves
@@ -479,14 +489,24 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
 
 def _leaf_error_terms(basis, leaf, rule, coefficients, exact_gradient,
                       alpha=None):
-    """One leaf's squared error per cell of its rule, from one evaluation
-    of the tables, the discrete and the exact gradient on all its points;
-    `alpha`, when given, replaces the rule's indicator values."""
+    """One leaf's squared error per cell of its rule.  The points, weights
+    and exact gradient are taken on all its points at once, the tables
+    and the discrete gradient a block of whole cells at a time, at most
+    ``_ERROR_BLOCK`` (point, function) entries or one cell; `alpha`, when
+    given, replaces the rule's indicator values."""
     pts, jac = leaf_frame(basis, leaf, rule.points)
-    _, G = basis.evaluate_leaf(leaf, pts)
-    coef = coefficients[basis.leaf_dofs(leaf)]
-    diff = (np.einsum("qid,i->qd", G, coef)
-            - np.asarray(exact_gradient(pts), dtype=float))
+    exact = np.asarray(exact_gradient(pts), dtype=float)
     w = rule.weights * jac * (rule.alpha if alpha is None else alpha(pts))
+    coef = coefficients[basis.leaf_dofs(leaf)]
+    diff = np.empty_like(exact)
+    offsets, most = rule.offsets, _ERROR_BLOCK // coef.size   # points
+    a = 0
+    while a < len(offsets) - 1:
+        # cells a .. b - 1; the block's tables are freed with the statement
+        b = max(a + 1, bisect_right(offsets, offsets[a] + most) - 1)
+        block = slice(offsets[a], offsets[b])
+        diff[block] = np.einsum("qid,i->qd", basis.evaluate_leaf(
+            leaf, pts[block])[1], coef) - exact[block]
+        a = b
     return [float(np.einsum("q,qd,qd->", w[cell], diff[cell], diff[cell]))
             for cell in rule.cells()]

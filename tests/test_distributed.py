@@ -9,6 +9,7 @@ not depend on the rank count at all.
 import concurrent.futures
 import copy
 import json
+import math
 import pickle
 import tracemalloc
 import weakref
@@ -1021,6 +1022,57 @@ def test_cg_custom_rhs_and_failure():
     with pytest.raises(SolverError) as err:
         parallel_cg(system, rhs=rhs, tol=1e-14, max_iter=2)
     assert len(err.value.residual_history) == 3
+
+
+def cg_with_matmul(system, tol):
+    """Jacobi CG with a new ``q = A @ p`` per iteration: the oracle of the
+    solver's in-place product."""
+    A, b = system.matrix, system.rhs
+    dinv = 1.0 / A.diagonal()
+    x = np.zeros(system.n_free)
+    r = b.copy()
+    target = tol * math.sqrt(b.dot(b))
+    history = [math.sqrt(r.dot(r))]
+    z = dinv * r
+    p = z.copy()
+    scratch = np.empty(system.n_free)
+    rz = float(r.dot(z))
+    for it in range(1, 20 * system.n_free + 1):
+        q = A @ p
+        alpha = rz / float(p.dot(q))
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, q, out=scratch)
+        history.append(math.sqrt(r.dot(r)))
+        if history[-1] <= target:
+            return x, it, history
+        np.multiply(dinv, r, out=z)
+        rz_new = float(r.dot(z))
+        beta = rz_new / rz
+        rz = rz_new
+        p *= beta
+        p += z
+    raise AssertionError("oracle CG did not converge")
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(benchmark="lshape", res=4, p=4, steps=2, ranks=3),
+    RunConfig(benchmark="fcm_disk", res=4, p=2, depth=2, steps=1, ranks=2)])
+def test_cg_product_matches_matmul_oracle(monkeypatch, config):
+    # the kernel A @ p ends in, called into one preallocated vector, gives
+    # every iterate, count and residual of a fresh A @ p per iteration
+    solved = []
+
+    def solve(system, tol=1e-10, **kwargs):
+        x, it, history = parallel_cg(system, tol=tol, **kwargs)
+        want = cg_with_matmul(system, tol)
+        solved.append(it)
+        assert it == want[1] and history == want[2]
+        assert np.array_equal(x.view(np.int64), want[0].view(np.int64))
+        return x, it, history
+
+    monkeypatch.setattr("overlayfem.distributed.parallel_cg", solve)
+    run_benchmark(config)
+    assert len(solved) == config.steps + 1 and min(solved) > 0
 
 
 # ------------------------------------------------------------- run_step

@@ -173,6 +173,62 @@ def test_interval_cut_matches_oracle_where_the_max_fits():
     assert max_fits > len(chains) // 2
 
 
+def interval_cut_uncached(weights, n_ranks):
+    """The bottleneck cut with a fresh running sum per chunk start of
+    every probe, and the final scan over numpy scalars."""
+    w = np.asarray(weights, dtype=float)
+    n = w.size
+
+    def fits(bound):
+        if w.max() > bound:
+            return False
+        start = 0
+        for _ in range(n_ranks):
+            start += int(np.searchsorted(np.cumsum(w[start:]), bound,
+                                         side="right"))
+            if start == n:
+                return True
+        return False
+
+    lo = float(w.max())
+    hi = float(w.sum())
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        bracket = (lo, mid) if fits(mid) else (mid, hi)
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
+    bound = hi * (1 + 1e-12)
+    ranks = np.empty(n, dtype=np.int64)
+    r = 0
+    acc = 0.0
+    for i, v in enumerate(w):
+        must_break = (n - i) == (n_ranks - r) and acc > 0.0
+        if (must_break or (acc + v > bound and acc > 0.0)) and r < n_ranks - 1:
+            r += 1
+            acc = 0.0
+        ranks[i] = r
+        acc += v
+    return ranks
+
+
+def test_interval_cut_reuses_running_sums_bit_for_bit():
+    # one running sum per chunk start, shared by the probes, and a final
+    # scan over Python floats cut exactly as before
+    rng = np.random.default_rng(71)
+    chains = [(np.array([2.5]), 1), (np.array([2.5]), 4),
+              (np.ones(6), 6), (np.ones(6), 9), (np.full(40, 0.1), 7)]
+    for _ in range(40):
+        n = int(rng.integers(1, 200))
+        chains += [(rng.lognormal(0.0, 1.5, size=n), int(rng.integers(1, 17))),
+                   (rng.choice([0.1, 1.0, 1.0 / 3.0, 8.0], size=n),
+                    int(rng.integers(1, 17))),
+                   (rng.uniform(0.5, 2.0, size=n), int(rng.integers(n, n + 3)))]
+    for weights, n_ranks in chains:
+        assert np.array_equal(_optimal_interval_cut(weights, n_ranks),
+                              interval_cut_uncached(weights, n_ranks))
+
+
 def brute_force_bottleneck(weights, n_ranks):
     n = len(weights)
     best = float("inf")

@@ -5,6 +5,8 @@ basis can reproduce exactly must come back to solver precision through
 the full assemble/constrain/solve path.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -19,6 +21,7 @@ from conftest import (leaf_at, single_patch, random_basis, random_refined_mesh,
                       solve_dirichlet, leaf_quad_order, n_constrained)
 from overlayfem.mesh import EDGE, NODE, Mesh
 from overlayfem.basis import Basis, PolynomialOrderField
+from overlayfem import physics
 from overlayfem.physics import (
     integrate_leaves, constrained_dof_mask, DirichletMap, LShapeSolution,
     corner_rule, energy_error, _corner_shells,
@@ -303,8 +306,54 @@ def test_energy_error_calls_exact_gradient_once_per_group():
     coef = np.random.default_rng(64).standard_normal(basis.dofmap.total)
     energy_error(basis, coef, gradient, singular_point=(0.0, 0.0))
     assert calls["gradient"] <= len(groups) + singular
-    # the dyadic corner mesh repeats its leaves heavily
+    # the dyadic corner mesh repeats its leaves heavily, and a singular
+    # leaf's tables at p 4 take one or a few blocks
     assert calls["tables"] * 5 < len(leaves)
+
+
+@pytest.mark.parametrize("block", [1, None, 1 << 40])
+def test_energy_error_blocks_match_per_leaf_oracle(monkeypatch, block):
+    # one-cell blocks, the default bound, and one block per leaf give the
+    # oracle's bits at p 8 on the corner and on cut leaves
+    if block is not None:
+        monkeypatch.setattr(physics, "_ERROR_BLOCK", block)
+    exact = LShapeSolution()
+    basis = Basis(corner_refined(2, 2), PolynomialOrderField(uniform=8))
+    u = interpolate_nodal(basis, lambda pt: float(exact.value(pt)[0]))
+    args = (u, exact.gradient, (0.0, 0.0))
+    assert energy_error(basis, *args) == energy_error_per_leaf(basis, *args)
+    rng = np.random.default_rng(65)
+    dom = EmbeddedDomain(Disk((0.3, 0.2), 0.6), epsilon=1e-6)
+    basis = random_basis(rng, max_leaves=40)
+    grad = lambda pts: np.column_stack((np.exp(pts[:, 1]), pts[:, 0] ** 3))
+    args = (rng.standard_normal(basis.dofmap.total), grad, (0.5, 0.5), 2, 40,
+            dom, 2)
+    assert energy_error(basis, *args) == energy_error_per_leaf(basis, *args)
+
+
+def test_singular_leaf_error_peak_below_its_tables():
+    # a p-8 corner leaf's tables on all its points would hold modes x
+    # points values and twice as many gradients; blocks keep the traced
+    # peak of its error terms below that
+    exact = LShapeSolution()
+    mesh = corner_refined(2, 2)
+    basis = Basis(mesh, PolynomialOrderField(uniform=8))
+    leaf = mark_corner_leaves(mesh, (0.0, 0.0))[0]
+    i = int(np.flatnonzero(basis.leaves == leaf)[0])
+    lo, hi = basis.lo_f[i], basis.hi_f[i]
+    corner = tuple(np.where(-lo - hi >= 0, 1.0, -1.0).tolist())
+    rule = corner_rule(corner, 40, int(basis.quad_orders[i]) + 2)
+    coef = np.random.default_rng(66).standard_normal(basis.dofmap.total)
+    whole = basis.leaf_dofs(leaf).size * rule.points.shape[0] * 3 * 8
+    tracemalloc.start()
+    try:
+        terms = physics._leaf_error_terms(basis, leaf, rule, coef,
+                                          exact.gradient)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(terms) == len(rule.cells())
+    assert peak < whole
 
 
 def test_assemble_matches_dense_scatter():
