@@ -125,14 +125,6 @@ class PolynomialOrderField:
             raise ValueError("order map must define level 0")
         self._map = cleaned
 
-    @classmethod
-    def uniform(cls, p):
-        return cls(uniform=p)
-
-    @classmethod
-    def graded(cls, by_level):
-        return cls(by_level=by_level)
-
     def level_order(self, level):
         p = self._map.get(level)
         if p is None:

@@ -407,8 +407,7 @@ def step_error(problem, basis, solution):
     """The convergence-table error of one step, or nan when undefined."""
     if problem.exact is not None:
         return energy_error(basis, solution, problem.exact.gradient,
-                            singular_point=problem.singular_point,
-                            domain=problem.domain, depth=problem.depth)
+                            singular_point=problem.singular_point)
     return float("nan")
 
 

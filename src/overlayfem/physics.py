@@ -24,13 +24,14 @@ assembled.
 
 The energy error re-integrates every leaf at a raised order and peels
 dyadic shells toward a declared singular point, so the non-smooth
-remainder does not pollute the measurement.  A leaf at that point, and
-under a domain every leaf, is evaluated a bounded block of its cells at
-a time, so a corner leaf's tables never exist on all its points at
-once.  Without a domain the other leaves are grouped by (order, level)
-and the basis evaluated once per distinct table signature
-(:func:`table_signatures`, which also serves the leaf systems, the flux
-loads and the ``solution.csv`` probes).
+remainder does not pollute the measurement.  It needs an exact field,
+which no embedded-domain problem has, so it takes no domain.  A leaf at
+the singular point is evaluated a bounded block of its cells at a time,
+so a corner leaf's tables never exist on all its points at once.  The
+other leaves are grouped by (order, level) and the basis evaluated once
+per distinct table signature (:func:`table_signatures`, which also
+serves the leaf systems, the flux loads and the ``solution.csv``
+probes).
 """
 from __future__ import annotations
 
@@ -41,8 +42,8 @@ from functools import lru_cache
 import numpy as np
 
 from .mesh import EDGE, NODE, _ranges
-from .quadrature import (box_rule, build_leaf_rules, gauss_rule_1d,
-                         leaf_frame, leaf_rule_table, reference_rule)
+from .quadrature import (box_rule, gauss_rule_1d, leaf_frame,
+                         leaf_rule_table, reference_rule)
 
 
 _BATCH = 1 << 14   # (point, function) table entries evaluated at once
@@ -51,6 +52,8 @@ _BATCH = 1 << 14   # (point, function) table entries evaluated at once
 # _BATCH stays as it is, since at 1 << 16 fcm_disk's integrate peak rose
 # by 2 MB.
 _ERROR_BLOCK = 1 << 16
+_EXTRA_ORDER = 2       # the energy error's rule order above a leaf's own
+_CORNER_LEVELS = 40    # dyadic shells of a singular leaf's rule
 
 
 def _order_level_groups(basis, rows):
@@ -415,25 +418,23 @@ def corner_rule(corner, levels, order):
     return box_rule(np.array(lo), np.array(hi), order)
 
 
-def energy_error(basis, coefficients, exact_gradient, singular_point=None,
-                 extra_order=2, corner_levels=40, domain=None, depth=0):
+def energy_error(basis, coefficients, exact_gradient, singular_point=None):
     """Energy-norm distance between a coefficient vector and a reference.
 
-    Every leaf is re-integrated at its rule order plus `extra_order`.
+    Every leaf is re-integrated at its rule order plus ``_EXTRA_ORDER``.
     Leaves whose closure contains `singular_point` swap the single rule
-    for dyadic corner shells, which keeps the r^(2/3)-type remainder from
-    dominating the quadrature error.  `exact_gradient` must act point by
-    point: it is called on the points of many leaves at once.
+    for ``_CORNER_LEVELS`` dyadic corner shells, which keeps the
+    r^(2/3)-type remainder from dominating the quadrature error.
+    `exact_gradient` must act point by point: it is called on the points
+    of many leaves at once.
 
-    Without a domain the other leaves are grouped by (order, level):
-    one ``exact_gradient`` call per group and one basis evaluation per
-    distinct table signature.  Under a domain their spacetree rules are
-    slices of one ``build_leaf_rules`` table at the raised order.  A
-    singular leaf, and under a domain every leaf, is evaluated in blocks
-    of whole cells, at most ``_ERROR_BLOCK`` (point, function) entries
-    each (:func:`_leaf_error_terms`).  The terms are added to one running
-    sum in leaf pre-order, cell by cell, so the result does not depend on
-    the grouping or the blocks.
+    The other leaves are grouped by (order, level): one
+    ``exact_gradient`` call per group and one basis evaluation per
+    distinct table signature.  A singular leaf is evaluated in blocks of
+    whole cells, at most ``_ERROR_BLOCK`` (point, function) entries each
+    (:func:`_leaf_error_terms`).  The terms are added to one running sum
+    in leaf pre-order, cell by cell, so the result does not depend on the
+    grouping or the blocks.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     leaves = basis.leaves
@@ -447,23 +448,14 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
         # reference coordinates of the singular corner: one of the vertices
         ref = 2 * (sp - lo[i]) / (hi[i] - lo[i]) - 1
         corner = tuple(np.where(ref >= 0, 1.0, -1.0).tolist())
-        rule = corner_rule(corner, corner_levels,
-                           int(basis.quad_orders[i]) + extra_order)
+        rule = corner_rule(corner, _CORNER_LEVELS,
+                           int(basis.quad_orders[i]) + _EXTRA_ORDER)
         terms[i] = _leaf_error_terms(basis, leaves[i], rule, coefficients,
-                                     exact_gradient, domain and domain.alpha)
+                                     exact_gradient)
     rest = np.flatnonzero(~singular)
-    if domain is not None:
-        table, leaf_cells = build_leaf_rules(basis, leaves[rest], domain,
-                                             depth, extra_order)
-        bounds = leaf_cells.tolist()
-        for i, a, b in zip(rest.tolist(), bounds, bounds[1:]):
-            terms[i] = _leaf_error_terms(basis, leaves[i],
-                                         table.cell_range(a, b),
-                                         coefficients, exact_gradient)
-        rest = rest[:0]
     for q, idx in _order_level_groups(basis, rest):
         idx = rest[idx]
-        pts, w, _ = _leaf_points(basis, idx, q + extra_order, None, 0)
+        pts, w, _ = _leaf_points(basis, idx, q + _EXTRA_ORDER, None, 0)
         pts, w = pts.reshape(idx.size, -1, 2), w.reshape(idx.size, -1)
         exact = np.asarray(exact_gradient(pts.reshape(-1, 2)),
                            dtype=float).reshape(pts.shape)
@@ -487,16 +479,15 @@ def energy_error(basis, coefficients, exact_gradient, singular_point=None,
     return float(np.sqrt(acc))
 
 
-def _leaf_error_terms(basis, leaf, rule, coefficients, exact_gradient,
-                      alpha=None):
-    """One leaf's squared error per cell of its rule.  The points, weights
-    and exact gradient are taken on all its points at once, the tables
-    and the discrete gradient a block of whole cells at a time, at most
-    ``_ERROR_BLOCK`` (point, function) entries or one cell; `alpha`, when
-    given, replaces the rule's indicator values."""
+def _leaf_error_terms(basis, leaf, rule, coefficients, exact_gradient):
+    """One leaf's squared error per cell of its rule, a corner rule with
+    no indicator factor.  The points, weights and exact gradient are
+    taken on all its points at once, the tables and the discrete gradient
+    a block of whole cells at a time, at most ``_ERROR_BLOCK`` (point,
+    function) entries or one cell."""
     pts, jac = leaf_frame(basis, leaf, rule.points)
     exact = np.asarray(exact_gradient(pts), dtype=float)
-    w = rule.weights * jac * (rule.alpha if alpha is None else alpha(pts))
+    w = rule.weights * jac
     coef = coefficients[basis.leaf_dofs(leaf)]
     diff = np.empty_like(exact)
     offsets, most = rule.offsets, _ERROR_BLOCK // coef.size   # points

@@ -8,8 +8,8 @@ the one affine map from that square onto leaves.
 Every rule is a ``LeafRule`` (stacked points, weights and indicator
 values plus the cell offsets), and one kernel builds them all:
 ``box_rule`` maps axis boxes to a rule with one Gauss cell per box.  It
-gives the reference rule of each order, every leaf's rule without a
-domain, the corner shells of the energy error and the spacetree cells.
+gives the reference rule of each order (every leaf's rule without a
+domain), the corner shells of the energy error and the spacetree cells.
 
 Geometries that do not fit the mesh are handled with an indicator factor:
 quadrature cells fully inside the physical region keep weight factor one,
@@ -351,26 +351,22 @@ def leaf_frame(basis, leaves, points):
     return mid + np.asarray(points) * half, jac
 
 
-def build_leaf_rules(basis, leaves, domain, depth, extra_order=0):
-    """The rules of these leaf ids at their quadrature order plus
-    `extra_order`, as (rule, leaf_cells): leaf i owns the cells
-    ``leaf_cells[i]:leaf_cells[i + 1]`` of `rule`, in the given order.
-    Without a domain a leaf's one cell is the reference rule; with one,
-    its spacetree cells depth first, one ``subdivide`` per order."""
+def build_leaf_rules(basis, leaves, domain, depth):
+    """The spacetree rules of these leaf ids in an embedded domain, at
+    their quadrature order, as (rule, leaf_cells): leaf i owns the cells
+    ``leaf_cells[i]:leaf_cells[i + 1]`` of `rule`, in the given order,
+    depth first, one ``subdivide`` per order."""
     leaves = np.asarray(leaves, dtype=np.int64)
-    orders = basis.quad_orders[basis.rows(leaves)] + extra_order
+    orders = basis.quad_orders[basis.rows(leaves)]
     # per order, the leaf of every cell and the cells; an empty first part
     owner = [np.zeros(0, dtype=np.int64)]
     parts = [box_rule(np.zeros((0, 2)), np.zeros((0, 2)), 1)]
     for order in np.unique(orders).tolist():
         idx = np.flatnonzero(orders == order)
         ones = np.ones((idx.size, 2))
-        if domain is None:
-            cells, rule = np.arange(idx.size), box_rule(-ones, ones, order)
-        else:
-            cells, rule = subdivide(
-                -ones, ones, domain, depth, order,
-                lambda pts, r: leaf_frame(basis, leaves[idx[r]], pts)[0])
+        cells, rule = subdivide(
+            -ones, ones, domain, depth, order,
+            lambda pts, r: leaf_frame(basis, leaves[idx[r]], pts)[0])
         owner.append(idx[cells])
         parts.append(rule)
     owner = np.concatenate(owner)

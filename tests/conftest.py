@@ -232,16 +232,6 @@ def gauss_cell(lo, hi, order):
                 np.ones(order * order))
 
 
-def rule_from_cells(cells):
-    """The cells stacked into one read-only rule, cell after cell."""
-    arrays = [np.concatenate([getattr(c, name) for c in cells])
-              for name in ("points", "weights", "alpha")]
-    for arr in arrays:
-        arr.flags.writeable = False
-    sizes = np.cumsum([len(c.weights) for c in cells]).tolist()
-    return LeafRule(*arrays, (0, *sizes))
-
-
 def recursive_spacetree_cells(lo, hi, domain, depth, order, to_physical=None):
     """The box-at-a-time recursion the level-synchronous kernel replaced,
     kept here as its oracle."""
@@ -298,12 +288,12 @@ def leaf_jacobian(mesh, leaf):
     return float(np.prod((hi - lo) / 2))
 
 
-def per_leaf_rules(basis, leaves, domain, depth, extra_order=0):
+def per_leaf_rules(basis, leaves, domain, depth):
     """One rule per leaf id, in their order: the list the ragged rule
     table replaced, split leaf by leaf from one ``subdivide`` per order."""
     leaves = np.asarray(leaves, dtype=np.int64)
     rules = [None] * len(leaves)
-    orders = basis.quad_orders[basis.rows(leaves)] + extra_order
+    orders = basis.quad_orders[basis.rows(leaves)]
     for order in np.unique(orders).tolist():
         idx = np.flatnonzero(orders == order)
         lo = basis.mesh.elements.lo_f[leaves[idx]]

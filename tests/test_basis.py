@@ -125,8 +125,6 @@ def test_order_field_uniform_and_graded():
     assert g.level_order(2) == 5
     assert g.level_order(7) == 5  # deeper levels reuse the deepest entry
     assert g.base_order == 8
-    assert PolynomialOrderField.graded({0: 3}).level_order(1) == 3
-    assert PolynomialOrderField.uniform(2).level_order(0) == 2
 
 
 def test_order_field_validation():

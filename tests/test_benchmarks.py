@@ -92,6 +92,8 @@ def test_lshape_problem():
     assert prob.singular_point == (0.0, 0.0)
     assert prob.flux is not None and prob.exact is not None
     assert prob.source is None
+    # the energy error, measured where an exact field exists, takes no domain
+    assert prob.domain is None
     mesh = create_base_mesh(prob.mesh_spec)
     assert len(mesh.active_leaf_elements()) == 3 * 16
     assert prob.dirichlet_part(np.array([0.5, 0.0]))
@@ -126,6 +128,7 @@ def test_custom_problem_with_geometry_and_boxes():
     mesh = create_base_mesh(prob.mesh_spec)
     assert len(mesh.active_leaf_elements()) == 8
     assert prob.domain is not None
+    assert prob.exact is None
     assert prob.dirichlet_part(np.array([0.0, 0.6]))
     assert not prob.dirichlet_part(np.array([2.0, 0.6]))
 
@@ -371,6 +374,16 @@ def test_step_error_kinds():
     prob = cfinal["problem"]
     err = step_error(prob, cfinal["basis"], cfinal["solution"])
     assert math.isnan(err)
+
+    # under an embedded geometry there is no exact field either
+    gcfg = RunConfig.from_dict({
+        "benchmark": "custom", "steps": 0, "ranks": 1, "epsilon": 1e-6,
+        "patches": [{"bounds": [[0.0, 1.0], [0.0, 1.0]], "resolution": [2, 2]}],
+        "geometry": {"primitive": "disk", "center": [0.5, 0.5], "radius": 0.4},
+    })
+    gsteps, gfinal = run_benchmark(gcfg)
+    assert gfinal["problem"].domain is not None
+    assert gsteps[0]["error"] is None
 
 
 # ---------------------------------------------------------------- writers

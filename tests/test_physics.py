@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from conftest import (leaf_at, single_patch, random_basis, random_refined_mesh,
                       random_orders, stretched_basis, corner_refined,
-                      gauss_cell, rule_from_cells, recursive_spacetree_cells,
+                      gauss_cell, recursive_spacetree_cells,
                       assert_rule_is_cells, element_system, leaf_jacobian,
                       leaf_to_physical, CUT_CELL_CONFIGS, study_bases,
                       assemble_serial, dirichlet_reduce, dof_entity,
@@ -179,7 +179,7 @@ def test_warm_basis_equals_cold_evaluation():
                                            domain, 2, src)
                 assert np.array_equal(K, K0)
                 assert np.array_equal(f, f0)
-            args = (coef, grad, (0.0, 0.0), 2, 40, domain, 2)
+            args = (coef, grad, (0.0, 0.0))
             energy_error(warm, *args)
             assert energy_error(warm, *args) == energy_error_per_leaf(
                 Basis(mesh, orders), *args)
@@ -204,26 +204,24 @@ def test_singular_and_cut_leaves_equal_cold_evaluation():
     coef = np.random.default_rng(62).standard_normal(basis.dofmap.total)
     grad = lambda pts: np.column_stack((pts[:, 1] ** 2, np.sin(pts[:, 0])))
     for point in ((0.5, 0.5), (0.0, 0.0)):
-        for domain in (None, dom):
-            args = (coef, grad, point, 2, 40, domain, 2)
-            assert energy_error(basis, *args) == energy_error_per_leaf(
-                basis, *args)
+        args = (coef, grad, point)
+        assert energy_error(basis, *args) == energy_error_per_leaf(basis, *args)
 
 
 # ---------------------------------------------------------- energy error
 
 
 def energy_error_per_leaf(basis, coefficients, exact_gradient,
-                          singular_point=None, extra_order=2, corner_levels=40,
-                          domain=None, depth=0):
+                          singular_point=None):
     """The energy error leaf by leaf and cell by cell, one exact-gradient
-    call per cell: the oracle of the grouped pass."""
+    call per cell, on rules two orders above the leaf's and 40 corner
+    shells: the oracle of the grouped pass."""
     mesh = basis.mesh
     coefficients = np.asarray(coefficients, dtype=float)
     acc = 0.0
     sp = None if singular_point is None else np.asarray(singular_point, dtype=float)
     for leaf in mesh.active_leaf_elements():
-        q = leaf_quad_order(basis, leaf) + extra_order
+        q = leaf_quad_order(basis, leaf) + 2
         lo = mesh.elements.lo_f[leaf]
         hi = mesh.elements.hi_f[leaf]
         singular = sp is not None and bool(np.all((lo <= sp) & (sp <= hi)))
@@ -232,22 +230,16 @@ def energy_error_per_leaf(basis, coefficients, exact_gradient,
         if singular:
             ref = 2 * (sp - lo) / (hi - lo) - 1
             corner = tuple(np.where(ref >= 0, 1.0, -1.0).tolist())
-            rule = corner_rule(corner, corner_levels, q)
-        elif domain is None:
-            rule = reference_rule(q)
+            rule = corner_rule(corner, 40, q)
         else:
-            rule = rule_from_cells(recursive_spacetree_cells(
-                [-1.0, -1.0], [1.0, 1.0], domain, depth, q, to_phys))
+            rule = reference_rule(q)
         pts = to_phys(rule.points)
         _, G = basis.evaluate_leaf(leaf, pts)
         coef = coefficients[basis.leaf_dofs(leaf)]
         for cell in rule.cells():
             gh = np.einsum("qid,i->qd", G[cell], coef)
             diff = gh - np.asarray(exact_gradient(pts[cell]), dtype=float)
-            if singular and domain is not None:
-                w = rule.weights[cell] * jac * domain.alpha(pts[cell])
-            else:
-                w = rule.weights[cell] * jac * rule.alpha[cell]
+            w = rule.weights[cell] * jac * rule.alpha[cell]
             acc += float(np.einsum("q,qd,qd->", w, diff, diff))
     return float(np.sqrt(acc))
 
@@ -272,14 +264,11 @@ def test_energy_error_matches_per_leaf_oracle():
                 basis, *args)
     rng = np.random.default_rng(63)
     grad = lambda pts: np.column_stack((np.exp(pts[:, 1]), pts[:, 0] ** 3))
-    dom = EmbeddedDomain(Disk((0.3, 0.2), 0.6), epsilon=1e-6)
     for basis in [random_basis(rng, max_leaves=300) for _ in range(6)] + [
             stretched_basis(rng)]:
         coef = rng.standard_normal(basis.dofmap.total)
-        for point, domain in ((None, None), ((0.0, 0.0), None),
-                              ((0.5, 0.5), None), (None, dom),
-                              ((0.5, 0.5), dom)):
-            args = (coef, grad, point, 2, 40, domain, 2)
+        for point in (None, (0.0, 0.0), (0.5, 0.5)):
+            args = (coef, grad, point)
             assert energy_error(basis, *args) == energy_error_per_leaf(
                 basis, *args)
 
@@ -314,7 +303,8 @@ def test_energy_error_calls_exact_gradient_once_per_group():
 @pytest.mark.parametrize("block", [1, None, 1 << 40])
 def test_energy_error_blocks_match_per_leaf_oracle(monkeypatch, block):
     # one-cell blocks, the default bound, and one block per leaf give the
-    # oracle's bits at p 8 on the corner and on cut leaves
+    # oracle's bits at p 8 on the corner and on the corner rules of a
+    # random basis's leaves at (0.5, 0.5)
     if block is not None:
         monkeypatch.setattr(physics, "_ERROR_BLOCK", block)
     exact = LShapeSolution()
@@ -323,11 +313,9 @@ def test_energy_error_blocks_match_per_leaf_oracle(monkeypatch, block):
     args = (u, exact.gradient, (0.0, 0.0))
     assert energy_error(basis, *args) == energy_error_per_leaf(basis, *args)
     rng = np.random.default_rng(65)
-    dom = EmbeddedDomain(Disk((0.3, 0.2), 0.6), epsilon=1e-6)
     basis = random_basis(rng, max_leaves=40)
     grad = lambda pts: np.column_stack((np.exp(pts[:, 1]), pts[:, 0] ** 3))
-    args = (rng.standard_normal(basis.dofmap.total), grad, (0.5, 0.5), 2, 40,
-            dom, 2)
+    args = (rng.standard_normal(basis.dofmap.total), grad, (0.5, 0.5))
     assert energy_error(basis, *args) == energy_error_per_leaf(basis, *args)
 
 

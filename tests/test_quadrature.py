@@ -296,16 +296,6 @@ def test_batched_leaf_rules_match_recursive_oracle(res):
             with pytest.raises(KeyError):
                 leaf_rule(basis, refined, dom, depth)
             assert len(basis.leaf_rules) == before
-            # raised orders, as the energy error asks, leave the memo alone
-            raised, cells = build_leaf_rules(basis, leaves, dom, depth, 2)
-            assert len(basis.leaf_rules) == before
-            assert cells.size == len(leaves) + 1
-            for leaf, a, b in zip(leaves, cells[:-1], cells[1:], strict=True):
-                assert_rule_is_cells(raised.cell_range(a, b),
-                                     recursive_spacetree_cells(
-                    [-1.0, -1.0], [1.0, 1.0], dom, depth,
-                    leaf_quad_order(basis, leaf) + 2,
-                    leaf_to_physical(mesh, leaf)))
 
 def assert_table_is_rules(table, oracle):
     """The ragged table (rule, leaf_cells) holds the per-leaf rules, leaf
@@ -335,8 +325,6 @@ def test_fcm_disk_rule_table_matches_per_leaf_rules(res):
         table = leaf_rule_table(basis, dom, depth)
         assert np.any(np.diff(table[1]) > 1)
         assert_table_is_rules(table, per_leaf_rules(basis, leaves, dom, depth))
-        assert_table_is_rules(build_leaf_rules(basis, leaves, dom, depth, 2),
-                              per_leaf_rules(basis, leaves, dom, depth, 2))
 
 
 @pytest.mark.parametrize("res", [3, 5])
@@ -349,10 +337,9 @@ def test_graded_rule_table_matches_per_leaf_rules(res):
     for name, geometry in sorted(ORACLE_GEOMETRIES.items()):
         dom = EmbeddedDomain(geometry, epsilon=1e-8)
         for depth in (0, 2, 4):
-            for extra in (0, 2):
-                assert_table_is_rules(
-                    build_leaf_rules(basis, leaves, dom, depth, extra),
-                    per_leaf_rules(basis, leaves, dom, depth, extra))
+            assert_table_is_rules(
+                build_leaf_rules(basis, leaves, dom, depth),
+                per_leaf_rules(basis, leaves, dom, depth))
             assert_table_is_rules(
                 build_leaf_rules(basis, shuffled, dom, depth),
                 per_leaf_rules(basis, shuffled, dom, depth))
@@ -365,19 +352,15 @@ def test_table_without_domain_tiles_reference_rules(res):
     mesh, orders = graded_oracle_mesh(res)
     basis = Basis(mesh, orders)
     leaves = mesh.active_leaf_elements()
-    for extra in (0, 2):
-        assert_table_is_rules(
-            build_leaf_rules(basis, leaves, None, 3, extra),
-            [reference_rule(leaf_quad_order(basis, leaf) + extra)
-             for leaf in leaves])
     # a leaf's own rule without a domain is the reference rule, no table
     for leaf in leaves:
         assert leaf_rule(basis, leaf) is reference_rule(
             leaf_quad_order(basis, leaf))
-    assert basis.leaf_rules == {}
-    # an empty leaf list gives an empty table
-    rule, leaf_cells = build_leaf_rules(basis, leaves[:0], None, 0)
+    # an empty leaf list gives an empty table, kept nowhere
+    dom = EmbeddedDomain(_DISK, epsilon=1e-8)
+    rule, leaf_cells = build_leaf_rules(basis, leaves[:0], dom, 0)
     assert leaf_cells.tolist() == [0] and rule.offsets == (0,)
+    assert basis.leaf_rules == {}
 
 # ------------------------------------------------------- leaf quadrature
 
